@@ -10,6 +10,7 @@ sweeps with reproducible manifests, and an acceptance suite.
 from ._version import __version__
 from .params import (
     DerivedConstants,
+    End,
     ProblemParams,
     RegimeFlags,
     UndefinedLambdaError,
@@ -33,7 +34,6 @@ from .integrate import (
     read_trajectory_csv,
     reframe,
     regular_series_start,
-    seed_frame,
     singular_seed_start,
     write_trajectory_csv,
 )
@@ -42,9 +42,8 @@ from .energy import (
     EnergyTrace,
     apriori_bound_report,
     energy_trace,
-    potential_b,
-    potential_b1,
     potential_shape,
+    well_potential,
     write_energy_csv,
 )
 from .classify import (
@@ -61,12 +60,10 @@ from .classify import (
 from .shooting import (
     BoundaryResult,
     ConnectingOrbit,
-    DifferenceProbe,
     ShotResult,
     ThresholdScan,
     bisect_boundary,
     connecting_orbit,
-    difference_decay_probe,
     scan_thresholds,
     series_radius,
     shoot,
@@ -89,7 +86,7 @@ __all__ = [
     "__version__",
     "BoundReport", "BoundaryResult", "ClassificationReport",
     "ConnectingOrbit", "CriterionResult", "DerivedConstants",
-    "DifferenceProbe", "EnergyTrace", "Frame", "IntegratorConfig", "Kind",
+    "End", "EnergyTrace", "Frame", "IntegratorConfig", "Kind",
     "Lab", "OscillationEnvelope", "ProblemParams", "RAW", "RegimeFlags",
     "RunConfig", "SaturationError", "ShotResult", "State", "SweepManifest",
     "Termination", "TerminationKind", "ThresholdScan", "TOLERANCES",
@@ -97,15 +94,14 @@ __all__ = [
     "apriori_bound_report", "aubin_talenti_profile", "bisect_boundary",
     "canonical_json", "classify_end", "classify_regime", "config_hash",
     "connecting_orbit", "csv_round_trip", "derive_constants",
-    "difference_decay_probe",
     "energy_trace", "exact_single_term_singular", "expanded_axes",
     "fit_exponential_rate",
     "fit_power_tail", "fmt_float", "format_results", "integrate",
     "log_frame_rhs", "oscillation_envelope", "parse_run_config",
-    "parse_run_config_text", "potential_b", "potential_b1",
-    "potential_shape", "quadratic_extrema", "radial_flux",
+    "parse_run_config_text", "potential_shape", "quadratic_extrema",
+    "radial_flux",
     "read_trajectory_csv", "reframe", "regular_series_start",
-    "run_acceptance", "run_id_of", "scan_thresholds", "seed_frame",
+    "run_acceptance", "run_id_of", "scan_thresholds",
     "series_radius", "shoot", "singular_seed_start", "sweep",
-    "write_energy_csv", "write_trajectory_csv",
+    "well_potential", "write_energy_csv", "write_trajectory_csv",
 ]

@@ -24,9 +24,9 @@ import numpy as np
 
 from .classify import Kind, classify_end, fit_exponential_rate, \
     oscillation_envelope
-from .energy import apriori_bound_report, energy_trace, potential_b
-from .integrate import Frame, IntegratorConfig, State, integrate, \
-    read_trajectory_csv, regular_series_start, write_trajectory_csv
+from .energy import apriori_bound_report, energy_trace, well_potential
+from .integrate import Frame, IntegratorConfig, State, csv_round_trip, \
+    integrate, regular_series_start
 from .params import ProblemParams, aubin_talenti_profile, derive_constants
 from .shooting import connecting_orbit, scan_thresholds, series_radius, shoot
 from .sweep import RunConfig, sweep
@@ -232,9 +232,9 @@ def criterion_05(lab: Lab, tol: dict) -> CriterionResult:
                f"mu2={env.mu2:.4f}")
     ok &= _sub(subs, "b_match", env.b_match_rel < tol["c5_b_match_rel"],
                f"{env.b_match_rel:.3e} vs {tol['c5_b_match_rel']:.1e}")
-    ok &= _sub(subs, "well_depth_negative",
-               potential_b(env.mu1, dc) < 0.0,
-               f"b(mu1)={potential_b(env.mu1, dc):.4f}")
+    depth = well_potential(env.mu1, dc.end("origin"))
+    ok &= _sub(subs, "well_depth_negative", depth < 0.0,
+               f"b(mu1)={depth:.4f}")
     ok &= _sub(subs, "kind", art["report"].kind == Kind.OSCILLATORY,
                art["report"].kind.value)
     return CriterionResult(
@@ -351,13 +351,9 @@ def criterion_10(lab: Lab, tol: dict) -> CriterionResult:
     subs: list = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        p1 = tmp / "roundtrip.csv"
-        p2 = tmp / "roundtrip2.csv"
-        write_trajectory_csv(lab.orbit_a.trajectory, p1)
-        write_trajectory_csv(read_trajectory_csv(p1), p2)
-        rt_ok = p1.read_bytes() == p2.read_bytes()
+        rt_ok = csv_round_trip(lab.orbit_a.trajectory, tmp)
         _sub(subs, "csv_round_trip", rt_ok,
-             f"{p1.stat().st_size} bytes, bit-exact={rt_ok}")
+             f"reference orbit, bit-exact={rt_ok}")
 
         base = RunConfig(
             params=ProblemParams(n=5, p=1.9, q=1.95, l1=0.0, l2=-0.5),

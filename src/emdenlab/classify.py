@@ -5,8 +5,9 @@ persistently around the singular amplitude (critical exponents), settle
 on the amplitude (slow decay, i.e. the singular behavior), or follow the
 regular power law (r^{-(n-2)} at infinity, a constant at the origin).
 The decision procedure reads windowed statistics of v in the end's own
-frame: sign changes of vdot, relative amplitude, envelope contraction,
-least-squares drift, and a fixed-exponent power-law fit of u.
+frame, Frame(dc.end(end).alpha): sign changes of vdot, relative
+amplitude, envelope contraction, least-squares drift, and a
+fixed-exponent power-law fit of u.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .energy import potential_b, potential_b1
-from .integrate import TerminationKind, Trajectory
+from .energy import well_potential
+from .integrate import Frame, TerminationKind, Trajectory, reframe
 from .params import DerivedConstants, classify_regime
 
 
@@ -35,18 +36,6 @@ class SaturationError(RuntimeError):
     """The deviation from the limit sits at the integrator noise floor."""
 
 
-def _end_alpha(dc: DerivedConstants, end: str) -> float:
-    if end == "infinity":
-        return dc.alpha1
-    if end == "origin":
-        return dc.alpha2
-    raise ValueError(f"end must be 'origin' or 'infinity', got {end!r}")
-
-
-def _end_lambda(dc: DerivedConstants, end: str):
-    return dc.lambda1 if end == "infinity" else dc.lambda2
-
-
 def default_window(traj: Trajectory, end: str) -> tuple:
     """Last quarter of the sampled span on the side facing the end."""
     t_lo, t_hi = float(np.min(traj.t)), float(np.max(traj.t))
@@ -54,24 +43,6 @@ def default_window(traj: Trajectory, end: str) -> tuple:
     if end == "infinity":
         return (t_hi - 0.25 * span, t_hi)
     return (t_lo, t_lo + 0.25 * span)
-
-
-def _window_arrays(traj: Trajectory, alpha_end: float, window: tuple):
-    """(t, v, vdot) re-expressed in the alpha_end frame, ascending in t."""
-    order = np.argsort(traj.t)
-    t = traj.t[order]
-    mask = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
-    if int(mask.sum()) < 10:
-        raise ValueError(
-            f"window {window} holds {int(mask.sum())} samples; need >= 10")
-    t = t[mask]
-    v = traj.v[order][mask]
-    vd = traj.vdot[order][mask]
-    d = alpha_end - traj.frame.alpha
-    if d != 0.0:
-        fac = np.exp(d * t)
-        v, vd = fac * v, fac * (vd + d * v)
-    return t, v, vd
 
 
 def quadratic_extrema(t: np.ndarray, y: np.ndarray):
@@ -125,16 +96,11 @@ def fit_power_tail(traj: Trajectory, exponent_hypothesis: float,
     residual is the RMS of ln u + s t around it.  u must be positive on
     the window.
     """
-    order = np.argsort(traj.t)
-    t = traj.t[order]
-    mask = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
-    if int(mask.sum()) < 2:
-        raise ValueError(f"window {window} holds fewer than 2 samples")
-    t = t[mask]
-    u = traj.u[order][mask]
+    sub = traj.window(window, 2)
+    u = sub.u
     if np.any(u <= 0.0):
         raise ValueError("power-law fit needs u > 0 on the window")
-    shifted = np.log(u) + exponent_hypothesis * t
+    shifted = np.log(u) + exponent_hypothesis * sub.t
     intercept = float(np.mean(shifted))
     resid = float(np.sqrt(np.mean((shifted - intercept) ** 2)))
     return math.exp(intercept), resid
@@ -148,8 +114,8 @@ def fit_exponential_rate(traj: Trajectory, lambda_target: float,
     envelope peaks instead of the raw samples.  Raises SaturationError
     when the deviation never rises above 100 atol (nothing to fit).
     """
-    t, v, _ = _window_arrays(traj, traj.frame.alpha, window)
-    w = v - lambda_target
+    sub = traj.window(window, 10)
+    t, w = sub.t, sub.v - lambda_target
     atol = traj.config.atol if traj.config is not None else 1e-12
     floor = 100.0 * atol
     if float(np.max(np.abs(w))) < floor:
@@ -190,7 +156,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
     ln-residual < power_resid_tol gives the regular kind for the end;
     (5) otherwise UNDETERMINED, with all statistics in diagnostics.
     """
-    alpha_end = _end_alpha(dc, end)
+    e = dc.end(end)
     term = traj.effective_termination()
     # event terminations decide only the side where integration stopped;
     # the seed side of a crossing shot still has analyzable data
@@ -209,8 +175,9 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
 
     if window is None:
         window = default_window(traj, end)
-    t, v, vd = _window_arrays(traj, alpha_end, window)
-    lam = _end_lambda(dc, end)
+    sub = reframe(traj.window(window, 10), Frame(e.alpha))
+    t, v, vd = sub.t, sub.v, sub.vdot
+    lam = e.lam
 
     mean = float(np.mean(v))
     vmax, vmin = float(np.max(v)), float(np.min(v))
@@ -324,13 +291,12 @@ def oscillation_envelope(traj: Trajectory, dc: DerivedConstants,
     """Envelope statistics of v in the end frame over the whole span.
 
     Needs at least 3 minima and 3 maxima; extrema must interleave.  The
-    potential used for the b-match is potential_b at critical q (or at
-    the origin end off criticality) and potential_b1 at critical p (or
-    at the infinity end).
+    b-match uses the well of the origin end (b) at critical q, of the
+    infinity end (b1) at critical p, and of the requested end otherwise.
     """
-    alpha_end = _end_alpha(dc, end)
     window = (float(np.min(traj.t)), float(np.max(traj.t)))
-    t, v, _ = _window_arrays(traj, alpha_end, window)
+    sub = reframe(traj.window(window, 10), Frame(dc.end(end).alpha))
+    t, v = sub.t, sub.v
     ext_t, ext_v, ext_k = quadratic_extrema(t, v)
     if np.any(ext_k[1:] == ext_k[:-1]):
         raise ValueError("extrema do not interleave")
@@ -352,16 +318,12 @@ def oscillation_envelope(traj: Trajectory, dc: DerivedConstants,
     if not np.all(vmin[-npair:] < vmax[-npair:]):
         raise ValueError("envelope branches are not separated")
 
-    flags = classify_regime(dc.params, dc)
-    if flags.theorem2_case == "critical_q":
-        pot, fn = "b", potential_b
-    elif flags.theorem2_case == "critical_p":
-        pot, fn = "b1", potential_b1
-    elif end == "origin":
-        pot, fn = "b", potential_b
-    else:
-        pot, fn = "b1", potential_b1
-    b1v, b2v = float(fn(mu1, dc)), float(fn(mu2, dc))
+    # the critical term's frame owns the well; off criticality the end's
+    critical = {"critical_q": "origin", "critical_p": "infinity"}
+    well = dc.end(critical.get(classify_regime(dc.params, dc).theorem2_case,
+                               end))
+    b1v = float(well_potential(mu1, well))
+    b2v = float(well_potential(mu2, well))
     scale = max(abs(b1v), 1e-300)
     return OscillationEnvelope(
         end=end,
@@ -370,6 +332,6 @@ def oscillation_envelope(traj: Trajectory, dc: DerivedConstants,
         mu1=mu1, mu2=mu2,
         spread_min=float(np.max(vmin[-3:]) - np.min(vmin[-3:])),
         spread_max=float(np.max(vmax[-3:]) - np.min(vmax[-3:])),
-        potential=pot, b_mu1=b1v, b_mu2=b2v,
+        potential=well.well, b_mu1=b1v, b_mu2=b2v,
         b_match_rel=abs(b1v - b2v) / scale,
     )

@@ -19,12 +19,12 @@ import numpy as np
 from ._version import __version__
 from .classify import classify_end
 from .integrate import Frame, IntegratorConfig, integrate, \
-    read_trajectory_csv, regular_series_start, seed_frame, \
-    singular_seed_start, write_trajectory_csv
+    read_trajectory_csv, regular_series_start, write_trajectory_csv
 from .params import ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json
-from .shooting import connecting_orbit, scan_thresholds, shoot
-from .sweep import parse_run_config, sweep
+from .shooting import connecting_orbit, scan_thresholds, series_radius, \
+    shoot
+from .sweep import parse_run_config, seeded_run, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
 
@@ -84,21 +84,11 @@ def cmd_solve(args) -> int:
         if args.a is None:
             raise ValueError("--start series needs --a")
         frame = Frame(dc.alpha1)
-        from .shooting import series_radius
         start = regular_series_start(args.a, series_radius(args.a, params),
                                      params, frame)
-        t_target = cfg.t_max
+        traj = integrate(start, frame, cfg.t_max, params, integrator)
     else:
-        end = "infinity" if args.start == "infinity" else "origin"
-        frame = seed_frame(end, dc)
-        lam = dc.lambda1 if end == "infinity" else dc.lambda2
-        if lam is None:
-            raise ValueError(f"no singular amplitude at {end}")
-        t_seed = cfg.t_max if end == "infinity" else cfg.t_min
-        t_target = cfg.t_min if end == "infinity" else cfg.t_max
-        start = singular_seed_start(end, cfg.eps_scale * lam, t_seed,
-                                    params, dc)
-    traj = integrate(start, frame, t_target, params, integrator)
+        traj = seeded_run(params, dc, dc.end(args.start), cfg)
     write_trajectory_csv(traj, args.out)
     sys.stderr.write(
         f"wrote {traj.t.size} samples to {args.out} "

@@ -6,7 +6,8 @@ term c1 vdot and the non-autonomous q-term inject the two work integrals
 tracked here, and E(t) - forcing_work(t) - damping_work(t) is constant
 along trajectories (the discrete residual of that identity is the main
 correctness probe for the integrator).  The alpha2 frame swaps the roles
-of the two power terms.
+of the two power terms; which term plays which role is read from the End
+record of the trajectory's frame, dc.frame_end(alpha).
 """
 
 from __future__ import annotations
@@ -17,65 +18,42 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .integrate import TerminationKind, Trajectory
-from .params import DerivedConstants
+from .params import DerivedConstants, End
 from .serialize import fmt_float
 
-_FRAME_TOL = 1e-9
 
+def well_potential(v, end: End):
+    """The autonomous well of an end's frame,
 
-def potential_b(v, dc: DerivedConstants):
-    """b(v) = v^{q+1}/(q+1) - lambda2^{q-1} v^2/2 (alpha2-frame well)."""
-    if dc.lambda2 is None:
-        raise ValueError("potential_b needs a defined lambda2")
-    q = dc.params.q
+        v^{k+1}/(k+1) - lambda^{k-1} v^2/2,  k = end.auto_exp,
+
+    i.e. b1 (p, lambda1) at infinity and b (q, lambda2) at the origin.
+    The power term is clamped to the positive cone.
+    """
+    if end.lam is None:
+        raise ValueError(f"the well at {end.name} needs a defined singular "
+                         "amplitude")
+    k = end.auto_exp
     v = np.asarray(v, dtype=float)
-    out = np.where(v > 0.0, np.abs(v) ** (q + 1.0), 0.0) / (q + 1.0) \
-        - dc.lambda2 ** (q - 1.0) * v ** 2 / 2.0
+    out = np.where(v > 0.0, np.abs(v) ** (k + 1.0), 0.0) / (k + 1.0) \
+        - end.lam ** (k - 1.0) * v ** 2 / 2.0
     return float(out) if out.ndim == 0 else out
 
 
-def potential_b1(v, dc: DerivedConstants):
-    """b1(v) = v^{p+1}/(p+1) - lambda1^{p-1} v^2/2 (alpha1-frame well)."""
-    if dc.lambda1 is None:
-        raise ValueError("potential_b1 needs a defined lambda1")
-    p = dc.params.p
-    v = np.asarray(v, dtype=float)
-    out = np.where(v > 0.0, np.abs(v) ** (p + 1.0), 0.0) / (p + 1.0) \
-        - dc.lambda1 ** (p - 1.0) * v ** 2 / 2.0
-    return float(out) if out.ndim == 0 else out
-
-
-def potential_shape(dc: DerivedConstants, which: str = "b"):
-    """(critical point, second positive zero, value at the critical point).
+def potential_shape(end: End):
+    """(critical point, second positive zero, value at the critical point)
+    of the end's well.
 
     The well v^{k+1}/(k+1) - lambda^{k-1} v^2/2 has its unique positive
     critical point at v = lambda and its second zero at
     lambda ((k+1)/2)^{1/(k-1)}.
     """
-    if which == "b":
-        lam, k, fn = dc.lambda2, dc.params.q, potential_b
-    elif which == "b1":
-        lam, k, fn = dc.lambda1, dc.params.p, potential_b1
-    else:
-        raise ValueError(f"which must be 'b' or 'b1', got {which!r}")
+    lam, k = end.lam, end.auto_exp
     if lam is None:
-        raise ValueError(f"potential {which} undefined: no singular amplitude")
+        raise ValueError(f"potential {end.well} undefined: no singular "
+                         "amplitude")
     zero = lam * ((k + 1.0) / 2.0) ** (1.0 / (k - 1.0))
-    return lam, zero, fn(lam, dc)
-
-
-def _frame_role(traj: Trajectory, dc: DerivedConstants):
-    """(autonomous exponent, its toggle, damping c, forcing exponent,
-    forcing weight-exponent, forcing toggle) for the trajectory's frame."""
-    a = traj.frame.alpha
-    p, q = dc.params.p, dc.params.q
-    if abs(a - dc.alpha1) <= _FRAME_TOL:
-        return p, dc.params.k1, dc.c1coef, q, dc.delta, dc.params.k2
-    if abs(a - dc.alpha2) <= _FRAME_TOL:
-        return q, dc.params.k2, dc.c2coef, p, dc.delta2, dc.params.k1
-    raise ValueError(
-        f"energy accounting is defined in the alpha1 ({dc.alpha1}) or "
-        f"alpha2 ({dc.alpha2}) frame, not alpha={a}")
+    return lam, zero, well_potential(lam, end)
 
 
 @dataclass
@@ -113,7 +91,7 @@ def energy_trace(traj: Trajectory, dc: DerivedConstants) -> EnergyTrace:
     frames with an autonomous well).  Quadrature is cumulative Simpson
     on the sample grid; the dense stride controls the residual floor.
     """
-    k_auto, tog_auto, c, k_force, e_force, tog_force = _frame_role(traj, dc)
+    end = dc.frame_end(traj.frame.alpha)
     order = np.argsort(traj.t)
     t = traj.t[order]
     v = traj.v[order]
@@ -121,13 +99,14 @@ def energy_trace(traj: Trajectory, dc: DerivedConstants) -> EnergyTrace:
     a = traj.frame.alpha
     lin = a * (dc.params.n - 2.0 - a)
     vp = np.maximum(v, 0.0)
+    k_auto = end.auto_exp
     energy = (0.5 * vd ** 2 - 0.5 * lin * v ** 2
-              + tog_auto * vp ** (k_auto + 1.0) / (k_auto + 1.0))
+              + end.auto_k * vp ** (k_auto + 1.0) / (k_auto + 1.0))
     if t.size < 2:
         zero = np.zeros_like(t)
         return EnergyTrace(t, energy, zero, zero.copy())
-    f_rate = -tog_force * np.exp(e_force * t) * vp ** k_force * vd
-    d_rate = -c * vd ** 2
+    f_rate = -end.force_k * np.exp(end.rate * t) * vp ** end.force_exp * vd
+    d_rate = -end.damping * vd ** 2
     forcing = cumulative_simpson(f_rate, x=t, initial=0.0)
     damping = cumulative_simpson(d_rate, x=t, initial=0.0)
     return EnergyTrace(t, energy, forcing, damping)
@@ -193,20 +172,11 @@ def apriori_bound_report(traj: Trajectory, dc: DerivedConstants,
     if not (t_lo_all - 1e-12 <= t_lo < t_hi <= t_hi_all + 1e-12):
         raise ValueError(f"window {window} is not inside the sampled span "
                          f"[{t_lo_all}, {t_hi_all}]")
-    order = np.argsort(traj.t)
-    t = traj.t[order]
-    mask = (t >= t_lo) & (t <= t_hi)
-    if int(mask.sum()) < 4:
-        raise ValueError("window contains fewer than 4 samples")
-    t = t[mask]
-    v = traj.v[order][mask]
-    vd = traj.vdot[order][mask]
+    sub = traj.window((t_lo, t_hi), 4)
+    t, v, vd = sub.t, sub.v, sub.vdot
     n = dc.params.n
-    a = traj.frame.alpha
-    u = v * np.exp(-a * t)
-    dudr = (vd - a * v) * np.exp(-(a + 1.0) * t)
-    mass = np.exp((n - 2.0) * t) * u
-    flux = np.exp((n - 1.0) * t) * dudr
+    mass = np.exp((n - 2.0) * t) * sub.u
+    flux = np.exp((n - 1.0) * t) * sub.du_dr
 
     mass_scale = float(np.max(np.abs(mass))) or 1.0
     flux_scale = float(np.max(np.abs(flux))) or 1.0

@@ -8,9 +8,11 @@ autonomous-plus-forcing system
 
 where E_i = frame_exp(alpha, term_i).  Choosing alpha = alpha1 kills the
 exponential on the p-term (E1 = 0, E2 = delta); alpha = alpha2 kills it
-on the q-term (E2 = 0, E1 = delta2); alpha = 0 is the raw frame.  All
-trajectories are integrated with DOP853 at tight tolerances and sampled
-on a fixed stride for downstream fits and quadrature.
+on the q-term (E2 = 0, E1 = delta2); alpha = 0 is the raw frame.  The
+singular seed of an end lives in that end's frame, Frame(dc.end(name).alpha).
+All trajectories are integrated with DOP853 at tight tolerances, with
+the one right-hand side log_frame_rhs, and sampled on a fixed stride for
+downstream fits and quadrature.
 """
 
 from __future__ import annotations
@@ -134,6 +136,23 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.t[-1])
 
+    def window(self, window: tuple, min_samples: int) -> "Trajectory":
+        """The samples with t in window (1e-12 slack), ascending in t.
+
+        Raises ValueError when fewer than min_samples fall inside.
+        """
+        order = np.argsort(self.t)
+        t = self.t[order]
+        inside = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
+        count = int(inside.sum())
+        if count < min_samples:
+            raise ValueError(f"window {window} holds {count} samples; "
+                             f"need >= {min_samples}")
+        idx = order[inside]
+        return Trajectory(self.frame, self.t[idx], self.v[idx],
+                          self.vdot[idx], self.termination, self.params,
+                          self.config)
+
     def state_at(self, i: int) -> State:
         return State(float(self.t[i]), float(self.v[i]), float(self.vdot[i]))
 
@@ -159,27 +178,14 @@ class Trajectory:
         return Termination(TerminationKind.REACHED_SPAN_END, self.t_end)
 
 
-def log_frame_rhs(t: float, state: State, frame: Frame,
-                  params: ProblemParams) -> tuple[float, float]:
-    """(dv/dt, d2v/dt2) of the log-frame system at one point.
+def log_frame_rhs(params: ProblemParams, alpha: float):
+    """The log-frame system in the alpha frame as solve_ivp's fun(t, y).
 
-    Domain error for v < 0: the power nonlinearities are only defined on
-    the positive cone.
+    Returns (dv/dt, d2v/dt2) for y = (v, dv/dt).  The power terms act on
+    max(v, 0): an event-located crossing can overshoot to tiny negative
+    v, which is clamped rather than rejected.  A non-finite state raises
+    RuntimeError.
     """
-    if state.v < 0.0:
-        raise ValueError(f"v = {state.v} < 0 is outside the positive cone")
-    n, a = params.n, frame.alpha
-    c = n - 2.0 - 2.0 * a
-    lin = a * (n - 2.0 - a)
-    force = 0.0
-    for exp_, l, k in params.active_terms():
-        e = l - (exp_ - 1.0) * a + 2.0
-        force += k * math.exp(e * t) * state.v ** exp_
-    return state.vdot, -c * state.vdot + lin * state.v - force
-
-
-def _rhs_closure(params: ProblemParams, alpha: float):
-    """Fast RHS for solve_ivp; clamps tiny event-overshoot negatives."""
     n = params.n
     c = n - 2.0 - 2.0 * alpha
     lin = alpha * (n - 2.0 - alpha)
@@ -236,7 +242,7 @@ def integrate(start: State, frame: Frame, t_target: float,
     ev_cap.direction = 1.0
 
     sol = solve_ivp(
-        _rhs_closure(params, frame.alpha),
+        log_frame_rhs(params, frame.alpha),
         (start.t, t_target),
         [start.v, start.vdot],
         method="DOP853",
@@ -306,34 +312,20 @@ def singular_seed_start(end: str, eps: float, t_seed: float,
                         dc: DerivedConstants) -> State:
     """Perturbed equilibrium seed near one end, in that end's own frame.
 
-    At infinity the alpha1-frame equilibrium is v = lambda1 and the
-    dominant forced response scales like e^{delta t}, so the seed is
-    (lambda1 + eps, eps delta).  At the origin the alpha2-frame
-    equilibrium is lambda2 with forced exponent delta2, so the seed is
-    (lambda2 + eps, eps delta2).  |eps| must stay below 0.1 lambda.
+    With e = dc.end(end) the seed is (e.lam + eps, eps e.rate): at
+    infinity the alpha1-frame equilibrium lambda1 with the forced
+    exponent delta, at the origin the alpha2-frame equilibrium lambda2
+    with delta2.  eps = 0 seeds the equilibrium itself, (lambda, 0).
+    |eps| must stay below 0.1 lambda.
     """
-    if end == "infinity":
-        lam, rate = dc.lambda1, dc.delta
-    elif end == "origin":
-        lam, rate = dc.lambda2, dc.delta2
-    else:
-        raise ValueError(f"end must be 'origin' or 'infinity', got {end!r}")
-    if lam is None:
+    e = dc.end(end)
+    if e.lam is None:
         raise ValueError(f"singular amplitude undefined at {end} for these "
                          "parameters")
-    if not abs(eps) < 0.1 * lam:
+    if not abs(eps) < 0.1 * e.lam:
         raise ValueError(f"|eps| = {abs(eps)} must be below 0.1 lambda "
-                         f"= {0.1 * lam}")
-    return State(t_seed, lam + eps, eps * rate)
-
-
-def seed_frame(end: str, dc: DerivedConstants) -> Frame:
-    """Frame in which singular_seed_start(end, ...) states live."""
-    if end == "infinity":
-        return Frame(dc.alpha1)
-    if end == "origin":
-        return Frame(dc.alpha2)
-    raise ValueError(f"end must be 'origin' or 'infinity', got {end!r}")
+                         f"= {0.1 * e.lam}")
+    return State(t_seed, e.lam + eps, eps * e.rate if eps else 0.0)
 
 
 def reframe(traj: Trajectory, new_frame: Frame) -> Trajectory:

@@ -9,7 +9,9 @@ active.  Everything in this module is closed-form algebra over the
 parameter quintuple: scaling exponents alpha1/alpha2, the exact singular
 amplitudes lambda1/lambda2, the Serrin and Sobolev-type thresholds, the
 log-frame forcing exponents delta/delta2, and the regime flags that decide
-which asymptotic theorems apply.
+which asymptotic theorems apply.  The pairing of each end with its frame
+(alpha, lambda, forced rate, damping, well) is the End record,
+dc.end("infinity") / dc.end("origin"); no other module re-derives it.
 """
 
 from __future__ import annotations
@@ -83,13 +85,40 @@ def _amplitude(alpha: float, n: int, exponent: float):
     return prod ** (1.0 / (exponent - 1.0))
 
 
+_FRAME_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class End:
+    """One end of the radial line paired with its singular frame.
+
+    Infinity lives in the alpha1 frame: amplitude lambda1, the p-term
+    autonomous, the q-term forced at rate delta, well b1.  The origin
+    lives in the alpha2 frame: lambda2, the q-term autonomous, the p-term
+    forced at rate delta2, well b.  lam is None when the amplitude is
+    undefined; damping is the frame's n-2-2 alpha.
+    """
+
+    name: str
+    alpha: float
+    lam: float | None
+    rate: float
+    auto_exp: float
+    auto_k: float
+    damping: float
+    force_exp: float
+    force_k: float
+    well: str
+
+
 @dataclass(frozen=True)
 class DerivedConstants:
     """Closed-form quantities attached to a parameter set.
 
     lambda1/lambda2 are None when alpha (n-2-alpha) <= 0 (no real
     amplitude); omega_sq carries its sign, the root is taken only when
-    positive.
+    positive.  ends holds the (infinity, origin) End records, reached
+    by name as dc.end(name) or by frame exponent as dc.frame_end(alpha).
     """
 
     params: ProblemParams
@@ -105,6 +134,22 @@ class DerivedConstants:
     delta: float
     delta2: float
     omega_sq: float
+    ends: tuple
+
+    def end(self, name: str) -> End:
+        for e in self.ends:
+            if e.name == name:
+                return e
+        raise ValueError(f"end must be 'origin' or 'infinity', got {name!r}")
+
+    def frame_end(self, alpha: float) -> End:
+        """The end whose singular frame has exponent alpha (within 1e-9)."""
+        for e in self.ends:
+            if abs(alpha - e.alpha) <= _FRAME_TOL:
+                return e
+        raise ValueError(
+            f"energy accounting is defined in the alpha1 ({self.alpha1}) or "
+            f"alpha2 ({self.alpha2}) frame, not alpha={alpha}")
 
     def frame_exp(self, alpha: float, term: str) -> float:
         """Exponent of e^{.t} multiplying the term in the alpha log-frame.
@@ -150,27 +195,38 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     the alpha2 frame), omega_sq = (2+l1)(n-2-alpha1) - (n-2-2 alpha1)^2/4.
     """
     n, p, q, l1, l2 = params.n, params.p, params.q, params.l1, params.l2
-    if params.k1 and p == 1.0:
+    k1, k2 = params.k1, params.k2
+    if k1 and p == 1.0:
         raise ValueError("p = 1 makes alpha1 undefined")
-    if params.k2 and q == 1.0:
+    if k2 and q == 1.0:
         raise ValueError("q = 1 makes alpha2 undefined")
     alpha1 = (2.0 + l1) / (p - 1.0) if p != 1.0 else math.inf
     alpha2 = (2.0 + l2) / (q - 1.0) if q != 1.0 else math.inf
+    lambda1 = _amplitude(alpha1, n, p) if math.isfinite(alpha1) else None
+    lambda2 = _amplitude(alpha2, n, q) if math.isfinite(alpha2) else None
+    c1coef = n - 2.0 - 2.0 * alpha1
+    c2coef = n - 2.0 - 2.0 * alpha2
+    delta = (2.0 + l1) * (1.0 - q) / (p - 1.0) + 2.0 + l2
+    delta2 = (p - 1.0) * (alpha1 - alpha2)
     return DerivedConstants(
         params=params,
         alpha1=alpha1,
         alpha2=alpha2,
-        lambda1=_amplitude(alpha1, n, p) if math.isfinite(alpha1) else None,
-        lambda2=_amplitude(alpha2, n, q) if math.isfinite(alpha2) else None,
+        lambda1=lambda1,
+        lambda2=lambda2,
         serrin1=(n + l1) / (n - 2.0),
         sobolev1=(n + 2.0 + 2.0 * l1) / (n - 2.0),
         sobolev2=(n + 2.0 + 2.0 * l2) / (n - 2.0),
-        c1coef=n - 2.0 - 2.0 * alpha1,
-        c2coef=n - 2.0 - 2.0 * alpha2,
-        delta=(2.0 + l1) * (1.0 - q) / (p - 1.0) + 2.0 + l2,
-        delta2=(p - 1.0) * (alpha1 - alpha2),
+        c1coef=c1coef,
+        c2coef=c2coef,
+        delta=delta,
+        delta2=delta2,
         omega_sq=(2.0 + l1) * (n - 2.0 - alpha1)
         - 0.25 * (n - 2.0 - 2.0 * alpha1) ** 2,
+        ends=(End("infinity", alpha1, lambda1, delta, p, k1, c1coef, q, k2,
+                  "b1"),
+              End("origin", alpha2, lambda2, delta2, q, k2, c2coef, p, k1,
+                  "b")),
     )
 
 

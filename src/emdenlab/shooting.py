@@ -4,22 +4,25 @@ A shot starts the regular series solution u(0) = a just off the origin,
 integrates outward in the alpha1 frame, and classifies the infinity end.
 Boundary hunting bisects between amplitudes whose shots end in different
 kinds; connecting orbits instead seed the singular behavior at one end
-and integrate across to the other.
+and integrate across to the other.  That seed-and-cross step
+(seed_and_integrate, then classify_ends) is the one the sweep cells and
+`emdenlab solve` run too; the end is a DerivedConstants End record,
+dc.end("infinity") or dc.end("origin").
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import ClassificationReport, Kind, classify_end, \
-    quadratic_extrema
-from .integrate import Frame, IntegratorConfig, State, Trajectory, \
-    integrate, regular_series_start, seed_frame, singular_seed_start
-from .params import DerivedConstants, ProblemParams, classify_regime, \
+    default_window
+from .integrate import Frame, IntegratorConfig, Trajectory, integrate, \
+    regular_series_start, singular_seed_start
+from .params import DerivedConstants, End, ProblemParams, classify_regime, \
     derive_constants
 
 
@@ -236,6 +239,33 @@ CONNECT_DEFAULTS = {
 END_WINDOW = 4.0
 
 
+def seed_and_integrate(params: ProblemParams, dc: DerivedConstants,
+                       end: End, eps: float, t_seed: float, t_end: float,
+                       config: IntegratorConfig | None = None
+                       ) -> Trajectory:
+    """Seed the singular behavior of `end` at t_seed and integrate to
+    t_end in that end's frame (see singular_seed_start for the seed)."""
+    start = singular_seed_start(end.name, eps, t_seed, params, dc)
+    return integrate(start, Frame(end.alpha), t_end, params, config)
+
+
+def classify_ends(traj: Trajectory, dc: DerivedConstants) -> tuple:
+    """(report_infinity, report_origin) of a crossing trajectory.
+
+    Each end is read on the END_WINDOW-wide window hugging its side of
+    the sampled span (default_window's last quarter is too wide on long
+    crossings); spans shorter than 2 END_WINDOW use default_window.
+    """
+    ends = ("infinity", "origin")
+    lo, hi = float(traj.t.min()), float(traj.t.max())
+    if hi - lo >= 2.0 * END_WINDOW:
+        windows = ((hi - END_WINDOW, hi), (lo, lo + END_WINDOW))
+    else:
+        windows = tuple(default_window(traj, end) for end in ends)
+    return tuple(classify_end(traj, dc, end, window=w)
+                 for end, w in zip(ends, windows))
+
+
 def connecting_orbit(params: ProblemParams, dc: DerivedConstants,
                      direction: str,
                      eps: float | None = None,
@@ -247,10 +277,10 @@ def connecting_orbit(params: ProblemParams, dc: DerivedConstants,
 
     from_infinity seeds (lambda1 + eps, eps delta) at t_seed in the
     alpha1 frame and integrates down to t_end; from_origin does the
-    mirror run in the alpha2 frame.  Both ends are classified on
-    END_WINDOW-wide windows hugging the respective end.  eps defaults to
-    1e-4 lambda and must stay within 1e-3 lambda (eps = 0 runs on the
-    equilibrium and records the numerical drift).
+    mirror run in the alpha2 frame.  Both ends are classified by
+    classify_ends.  eps defaults to 1e-4 lambda and must stay within
+    1e-3 lambda (eps = 0 runs on the equilibrium and records the
+    numerical drift).
     """
     flags = classify_regime(params, dc)
     wanted = {"from_infinity": "singular_at_infinity",
@@ -262,103 +292,16 @@ def connecting_orbit(params: ProblemParams, dc: DerivedConstants,
         raise ValueError(
             f"{direction} needs regime {wanted[direction]}, but these "
             f"parameters give {flags.theorem3_case!r}")
-    end = "infinity" if direction == "from_infinity" else "origin"
-    lam = dc.lambda1 if end == "infinity" else dc.lambda2
+    end = dc.end("infinity" if direction == "from_infinity" else "origin")
     if eps is None:
-        eps = 1e-4 * lam
-    if abs(eps) > 1e-3 * lam:
+        eps = 1e-4 * end.lam
+    if abs(eps) > 1e-3 * end.lam:
         raise ValueError(f"|eps| = {abs(eps)} exceeds 1e-3 lambda = "
-                         f"{1e-3 * lam}")
+                         f"{1e-3 * end.lam}")
     defaults = CONNECT_DEFAULTS[direction]
     if t_seed is None:
         t_seed = defaults["t_seed"]
     if t_end is None:
         t_end = defaults["t_end"]
-    if eps == 0.0:
-        start = State(t_seed, lam, 0.0)
-    else:
-        start = singular_seed_start(end, eps, t_seed, params, dc)
-    frame = seed_frame(end, dc)
-    traj = integrate(start, frame, t_end, params, config)
-
-    lo, hi = min(t_seed, t_end), max(t_seed, t_end)
-    win_seed = (t_seed - END_WINDOW, t_seed) if t_seed == hi \
-        else (t_seed, t_seed + END_WINDOW)
-    win_far = (t_end, t_end + END_WINDOW) if t_end == lo \
-        else (t_end - END_WINDOW, t_end)
-    rep_seed = classify_end(traj, dc, end, window=win_seed)
-    far_end = "origin" if end == "infinity" else "infinity"
-    rep_far = classify_end(traj, dc, far_end, window=win_far)
-    if end == "infinity":
-        return ConnectingOrbit(direction, traj, rep_seed, rep_far)
-    return ConnectingOrbit(direction, traj, rep_far, rep_seed)
-
-
-@dataclass(frozen=True)
-class DifferenceProbe:
-    """Decay fit of the pointwise gap between two infinity-seeded runs."""
-
-    rate: float | None
-    saturated: bool
-    identical: bool
-    max_abs_diff: float
-    window: tuple
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "saturated": self.saturated,
-            "identical": self.identical,
-            "max_abs_diff": self.max_abs_diff,
-            "window": list(self.window),
-            "diagnostics": dict(self.diagnostics),
-        }
-
-
-def difference_decay_probe(params: ProblemParams, dc: DerivedConstants,
-                           eps1: float, eps2: float,
-                           t_seed: float = 14.0, span: float = 8.0,
-                           config: IntegratorConfig | None = None
-                           ) -> DifferenceProbe:
-    """Fit the envelope decay rate of |v1 - v2| near the seeded end.
-
-    The two runs share one sampling grid; equal eps values reproduce
-    bit-identical trajectories (determinism), reported as identical with
-    no rate.  The forced response cancels in the difference, so the rate
-    measured here is the homogeneous one (-c1coef/2 toward the end).
-    """
-    if config is None:
-        config = IntegratorConfig()
-    t_end = t_seed - span
-    trajs = []
-    for eps in (eps1, eps2):
-        start = singular_seed_start("infinity", eps, t_seed, params, dc)
-        trajs.append(integrate(start, Frame(dc.alpha1), t_end, params,
-                               config))
-    n = min(trajs[0].t.size, trajs[1].t.size)
-    if not np.array_equal(trajs[0].t[:n], trajs[1].t[:n]):
-        raise RuntimeError("probe runs disagree on the sampling grid")
-    t = trajs[0].t[:n]
-    diff = trajs[0].v[:n] - trajs[1].v[:n]
-    window = (float(t.min()), float(t.max()))
-    if np.array_equal(trajs[0].v[:n], trajs[1].v[:n]):
-        return DifferenceProbe(None, False, True, 0.0, window)
-    adiff = np.abs(diff)
-    floor = 100.0 * config.atol
-    if float(adiff.max()) < floor:
-        return DifferenceProbe(None, True, False, float(adiff.max()), window)
-    order = np.argsort(t)
-    ts, ds = t[order], adiff[order]
-    pt, pv, pk = quadratic_extrema(ts, ds)
-    keep = (pv > floor) & (pk > 0)
-    diag = {"n_peaks": int(keep.sum())}
-    if int(keep.sum()) >= 2:
-        rate = float(np.polyfit(pt[keep], np.log(pv[keep]), 1)[0])
-        diag["fit"] = "envelope_peaks"
-    else:
-        mask = ds > floor
-        rate = float(np.polyfit(ts[mask], np.log(ds[mask]), 1)[0])
-        diag["fit"] = "raw_samples"
-    return DifferenceProbe(rate, False, False, float(adiff.max()), window,
-                           diag)
+    traj = seed_and_integrate(params, dc, end, eps, t_seed, t_end, config)
+    return ConnectingOrbit(direction, traj, *classify_ends(traj, dc))

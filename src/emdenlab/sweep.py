@@ -3,7 +3,9 @@
 A run configuration is an INI file with a [params] section plus optional
 [integrator], [spans], [seed], [output] and [sweep] sections.  Sweeps
 expand the [sweep] axes into a parameter grid, run one seeded crossing
-per cell, classify both ends, and write a content-addressed output tree
+per cell from the End record dc.end(...) that has an amplitude (the
+seed-and-cross step of connecting_orbit: seed_and_integrate, then
+classify_ends), and write a content-addressed output tree
 
     <output>/<run-id>/manifest.json
     <output>/<run-id>/cells/<index>/trajectory.csv
@@ -18,8 +20,10 @@ wall-clock time.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,12 +31,11 @@ from hashlib import sha256
 from pathlib import Path
 
 from ._version import __version__
-from .classify import classify_end
-from .integrate import IntegratorConfig, integrate, seed_frame, \
-    singular_seed_start, write_trajectory_csv
-from .params import ProblemParams, classify_regime, derive_constants
+from .integrate import IntegratorConfig, write_trajectory_csv
+from .params import DerivedConstants, End, ProblemParams, classify_regime, \
+    derive_constants
 from .serialize import canonical_json, fmt_float
-from .shooting import END_WINDOW
+from .shooting import classify_ends, seed_and_integrate
 
 _SCHEMA = {
     "params": {"n", "p", "q", "l1", "l2", "k1", "k2"},
@@ -66,13 +69,23 @@ def _parse_float(section, key, raw):
                          "number") from None
 
 
+def _parse_int(section, key, raw):
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"[{section}] {key}: cannot parse {raw!r} as an "
+                         "integer") from None
+
+
 def parse_run_config_text(text: str) -> RunConfig:
     """Parse and validate run-configuration INI text.
 
     Unknown sections or keys are rejected by name; [params] with n, p
-    and q is required, everything else has defaults.
+    and q is required, everything else has defaults.  Values that do not
+    parse name their section and key; ';' starts an inline comment.
     """
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None,
+                                   inline_comment_prefixes=(";",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -90,13 +103,13 @@ def parse_run_config_text(text: str) -> RunConfig:
         if req not in ps:
             raise ValueError(f"[params] is missing {req!r}")
     params = ProblemParams(
-        n=int(ps["n"]),
+        n=_parse_int("params", "n", ps["n"]),
         p=_parse_float("params", "p", ps["p"]),
         q=_parse_float("params", "q", ps["q"]),
         l1=_parse_float("params", "l1", ps.get("l1", "0")),
         l2=_parse_float("params", "l2", ps.get("l2", "0")),
-        k1=float(int(ps.get("k1", "1"))),
-        k2=float(int(ps.get("k2", "1"))),
+        k1=_parse_float("params", "k1", ps.get("k1", "1")),
+        k2=_parse_float("params", "k2", ps.get("k2", "1")),
     )
     kw = {}
     if "integrator" in cp:
@@ -119,7 +132,7 @@ def parse_run_config_text(text: str) -> RunConfig:
     if "sweep" in cp:
         for key, raw in cp["sweep"].items():
             if key == "jobs":
-                jobs = int(raw)
+                jobs = _parse_int("sweep", "jobs", raw)
                 if jobs < 1:
                     raise ValueError("[sweep] jobs must be >= 1")
                 continue
@@ -137,6 +150,19 @@ def parse_run_config(path) -> RunConfig:
         return parse_run_config_text(fh.read())
 
 
+def seeded_run(params: ProblemParams, dc: DerivedConstants, end: End,
+               cfg: RunConfig):
+    """Seed `end` (an End record of dc) on its side of [t_min, t_max]
+    with eps = eps_scale lambda and cross to the other side with the
+    config's integrator: infinity seeds at t_max, the origin at t_min."""
+    if end.lam is None:
+        raise ValueError(f"no singular amplitude at {end.name}")
+    t_seed, t_stop = ((cfg.t_max, cfg.t_min) if end.name == "infinity"
+                      else (cfg.t_min, cfg.t_max))
+    return seed_and_integrate(params, dc, end, cfg.eps_scale * end.lam,
+                              t_seed, t_stop, cfg.integrator)
+
+
 def expanded_axes(cfg: RunConfig) -> dict:
     """Sweep axes with singleton fallbacks from [params]."""
     base = {"n": cfg.params.n, "p": cfg.params.p, "q": cfg.params.q,
@@ -146,30 +172,34 @@ def expanded_axes(cfg: RunConfig) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Hash of the semantic configuration (excludes output dir and jobs)."""
-    axes = expanded_axes(cfg)
-    lines = [
-        f"params.n={cfg.params.n}",
-        f"params.p={fmt_float(cfg.params.p)}",
-        f"params.q={fmt_float(cfg.params.q)}",
-        f"params.l1={fmt_float(cfg.params.l1)}",
-        f"params.l2={fmt_float(cfg.params.l2)}",
-        f"params.k1={fmt_float(cfg.params.k1)}",
-        f"params.k2={fmt_float(cfg.params.k2)}",
-        f"integrator.rtol={fmt_float(cfg.integrator.rtol)}",
-        f"integrator.atol={fmt_float(cfg.integrator.atol)}",
-        f"integrator.max_step={fmt_float(cfg.integrator.max_step)}",
-        f"integrator.amplitude_cap={fmt_float(cfg.integrator.amplitude_cap)}",
-        "integrator.dense_output_stride="
-        + fmt_float(cfg.integrator.dense_output_stride),
-        f"spans.t_min={fmt_float(cfg.t_min)}",
-        f"spans.t_max={fmt_float(cfg.t_max)}",
-        f"seed.eps_scale={fmt_float(cfg.eps_scale)}",
-    ]
-    for name in _AXIS_ORDER:
-        vals = axes[name]
-        cells = [str(v) if name == "n" else fmt_float(v) for v in vals]
-        lines.append(f"sweep.{name}=" + ",".join(cells))
+    """Hash of the semantic configuration (excludes output dir and jobs).
+
+    One `section.key=value` line per field of RunConfig and of its
+    params/integrator dataclasses, sections named as in the INI schema,
+    sweep axes expanded.  A scalar field the schema does not place in a
+    section raises KeyError rather than dropping out of the run id.
+    """
+    lines = []
+    for f in dataclasses.fields(cfg):
+        if f.name in ("output_dir", "jobs"):
+            continue
+        val = getattr(cfg, f.name)
+        if f.name == "axes":
+            axes = expanded_axes(cfg)
+            items = [("sweep", name, axes[name]) for name in _AXIS_ORDER]
+        elif dataclasses.is_dataclass(val):
+            items = [(f.name, g.name, getattr(val, g.name))
+                     for g in dataclasses.fields(val)]
+        else:
+            section = next((sec for sec, keys in _SCHEMA.items()
+                            if f.name in keys), None)
+            if section is None:
+                raise KeyError(f"RunConfig.{f.name} has no config section")
+            items = [(section, f.name, val)]
+        for section, key, v in items:
+            text = ",".join(map(fmt_float, v)) if isinstance(v, list) \
+                else fmt_float(v)
+            lines.append(f"{section}.{key}={text}")
     return sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -180,8 +210,8 @@ def run_id_of(cfg: RunConfig) -> str:
 def _cell_job(args) -> dict:
     """One sweep cell: derive, seed the available singular end, cross,
     classify both ends.  Failures are captured per cell."""
-    (index, n, p, q, l1, l2, k1, k2, integrator, t_min, t_max, eps_scale,
-     out_dir) = args
+    index, n, p, q, l1, l2, cfg, out_dir = args
+    k1, k2 = cfg.params.k1, cfg.params.k2
     cell = {
         "index": index,
         "params": {"n": n, "p": p, "q": q, "l1": l1, "l2": l2,
@@ -195,28 +225,13 @@ def _cell_job(args) -> dict:
         flags = classify_regime(params, dc)
         cell["constants"] = dc.to_dict()
         cell["regime"] = flags.to_dict()
-        if dc.lambda1 is not None:
-            end, t_seed, t_stop = "infinity", t_max, t_min
-        elif dc.lambda2 is not None:
-            end, t_seed, t_stop = "origin", t_min, t_max
-        else:
+        # infinity first: dc.ends is (infinity, origin)
+        end = next((e for e in dc.ends if e.lam is not None), None)
+        if end is None:
             raise ValueError("no singular amplitude in either frame")
-        lam = dc.lambda1 if end == "infinity" else dc.lambda2
-        start = singular_seed_start(end, eps_scale * lam, t_seed, params, dc)
-        traj = integrate(start, seed_frame(end, dc), t_stop, params,
-                         integrator)
-        # end-hugging windows; the generic last-25% default is too wide
-        # for typical sweep spans
-        lo, hi = float(traj.t.min()), float(traj.t.max())
-        if hi - lo >= 2.0 * END_WINDOW:
-            rep_inf = classify_end(traj, dc, "infinity",
-                                   window=(hi - END_WINDOW, hi))
-            rep_ori = classify_end(traj, dc, "origin",
-                                   window=(lo, lo + END_WINDOW))
-        else:
-            rep_inf = classify_end(traj, dc, "infinity")
-            rep_ori = classify_end(traj, dc, "origin")
-        cell["seeded_end"] = end
+        traj = seeded_run(params, dc, end, cfg)
+        rep_inf, rep_ori = classify_ends(traj, dc)
+        cell["seeded_end"] = end.name
         cell["termination"] = traj.termination.kind.value
         cell["kinds"] = {"infinity": rep_inf.kind.value,
                          "origin": rep_ori.kind.value}
@@ -247,7 +262,9 @@ def sweep(cfg: RunConfig, jobs: int | None = None) -> SweepManifest:
     """Run the sweep grid and write the manifest tree.
 
     A rerun with the same semantic configuration and output directory is
-    a no-op: the existing manifest is loaded and returned.
+    a no-op: the existing manifest is loaded and returned, provided it
+    parses and records this config_hash and tool version; otherwise the
+    sweep runs again.  The manifest is written atomically.
     """
     if jobs is None:
         jobs = cfg.jobs
@@ -256,18 +273,20 @@ def sweep(cfg: RunConfig, jobs: int | None = None) -> SweepManifest:
     rid = run_id_of(cfg)
     out_dir = Path(cfg.output_dir) / rid
     manifest_path = out_dir / "manifest.json"
-    if manifest_path.exists():
+    try:
         with open(manifest_path, "r") as fh:
-            return SweepManifest(rid, manifest_path, json.load(fh))
+            old = json.load(fh)
+    except (OSError, ValueError):  # missing, unreadable or truncated
+        old = None
+    if isinstance(old, dict) and old.get("tool_version") == __version__ \
+            and old.get("config_hash") == config_hash(cfg):
+        return SweepManifest(rid, manifest_path, old)
     out_dir.mkdir(parents=True, exist_ok=True)
     axes = expanded_axes(cfg)
     grid = list(itertools.product(*(axes[name] for name in _AXIS_ORDER)))
-    tasks = [
-        (i, int(n), float(p), float(q), float(l1), float(l2),
-         cfg.params.k1, cfg.params.k2, cfg.integrator, cfg.t_min, cfg.t_max,
-         cfg.eps_scale, str(out_dir))
-        for i, (n, p, q, l1, l2) in enumerate(grid)
-    ]
+    tasks = [(i, int(n), float(p), float(q), float(l1), float(l2), cfg,
+              str(out_dir))
+             for i, (n, p, q, l1, l2) in enumerate(grid)]
     t0 = time.monotonic()
     cells: list = [None] * len(tasks)
     if jobs > 1:
@@ -287,6 +306,14 @@ def sweep(cfg: RunConfig, jobs: int | None = None) -> SweepManifest:
         "axes": {k: list(v) for k, v in axes.items()},
         "cells": cells,
     }
-    with open(manifest_path, "w", newline="\n") as fh:
-        fh.write(canonical_json(data))
+    text = canonical_json(data)
+    tmp = out_dir / f"manifest.json.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, manifest_path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return SweepManifest(rid, manifest_path, data)
+

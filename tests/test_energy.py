@@ -12,10 +12,9 @@ from emdenlab import (
     derive_constants,
     energy_trace,
     integrate,
-    potential_b,
-    potential_b1,
     potential_shape,
     reframe,
+    well_potential,
     write_energy_csv,
 )
 
@@ -25,23 +24,28 @@ SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
 class TestPotentials:
     def test_b_exact_values(self, dc_b):
         # q = 2, lambda2 = 9/4: b(v) = v^3/3 - (9/4) v^2/2
-        assert potential_b(2.25, dc_b) == pytest.approx(-1.8984375,
+        b = dc_b.end("origin")
+        assert b.well == "b"
+        assert well_potential(2.25, b) == pytest.approx(-1.8984375,
                                                         rel=1e-15)
-        assert potential_b(0.0, dc_b) == 0.0
-        crit, zero, depth = potential_shape(dc_b, "b")
+        assert well_potential(0.0, b) == 0.0
+        crit, zero, depth = potential_shape(b)
         assert crit == 2.25
         assert zero == pytest.approx(3.375, rel=1e-14)
         assert depth == pytest.approx(-1.8984375, rel=1e-14)
-        assert potential_b(zero, dc_b) == pytest.approx(0.0, abs=1e-12)
+        assert well_potential(zero, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_b1_critical_point_is_minimum(self, dc_a):
+        b1 = dc_a.end("infinity")
+        assert b1.well == "b1"
         lam = dc_a.lambda1
-        assert potential_b1(lam, dc_a) < 0.0
+        assert well_potential(lam, b1) < 0.0
         for off in (0.9, 1.1):
-            assert potential_b1(lam * off, dc_a) > potential_b1(lam, dc_a)
+            assert well_potential(lam * off, b1) > well_potential(lam, b1)
 
     def test_vectorized_and_negative_clamp(self, dc_a):
-        vals = potential_b1(np.array([-1.0, 0.0, 1.0]), dc_a)
+        vals = well_potential(np.array([-1.0, 0.0, 1.0]),
+                              dc_a.end("infinity"))
         assert vals.shape == (3,)
         # the power term is clamped to the positive cone, the quadratic
         # well is even
@@ -52,9 +56,9 @@ class TestPotentials:
         params = ProblemParams(n=3, p=1.2, q=5.0, l1=0.0, l2=-0.5)
         dc = derive_constants(params)
         with pytest.raises(ValueError):
-            potential_b1(1.0, dc)
+            well_potential(1.0, dc.end("infinity"))
         with pytest.raises(ValueError):
-            potential_shape(dc, "b1")
+            potential_shape(dc.end("infinity"))
 
 
 class TestEnergyTrace:

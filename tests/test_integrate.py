@@ -18,7 +18,6 @@ from emdenlab import (
     read_trajectory_csv,
     reframe,
     regular_series_start,
-    seed_frame,
     series_radius,
     singular_seed_start,
     write_trajectory_csv,
@@ -151,8 +150,14 @@ class TestSeeds:
         assert s2.vdot == pytest.approx(-1e-3 * dc_a.delta2, rel=1e-15)
 
     def test_seed_frame_mapping(self, dc_a):
-        assert seed_frame("infinity", dc_a).alpha == dc_a.alpha1
-        assert seed_frame("origin", dc_a).alpha == dc_a.alpha2
+        # seeds live in Frame(dc.end(name).alpha)
+        assert dc_a.end("infinity").alpha == dc_a.alpha1
+        assert dc_a.end("origin").alpha == dc_a.alpha2
+
+    def test_zero_eps_seeds_the_equilibrium(self, config_a, dc_a):
+        s = singular_seed_start("infinity", 0.0, 14.0, config_a, dc_a)
+        assert (s.v, s.vdot) == (dc_a.lambda1, 0.0)
+        assert math.copysign(1.0, s.vdot) == 1.0
 
     def test_eps_bound(self, config_a, dc_a):
         with pytest.raises(ValueError, match="0.1 lambda"):
@@ -188,8 +193,7 @@ class TestReframe:
         for alpha in (0.0, dc_a.alpha1, dc_a.alpha2):
             v = math.exp(alpha * t0) * u0
             vdot = alpha * v + math.exp((alpha + 1.0) * t0) * up0
-            vd, vdd = log_frame_rhs(t0, State(t0, v, vdot), Frame(alpha),
-                                    config_a)
+            vd, vdd = log_frame_rhs(config_a, alpha)(t0, (v, vdot))
             # reconstruct r^2 u'' from the frame quantities
             upp = (vdd - (2.0 * alpha + 1.0) * vdot
                    + alpha * (alpha + 1.0) * v) * math.exp(-(alpha + 2) * t0)
@@ -198,9 +202,15 @@ class TestReframe:
             else:
                 assert upp == pytest.approx(upp_raw, rel=1e-10)
 
-    def test_rhs_domain_error(self, config_a):
-        with pytest.raises(ValueError, match="positive cone"):
-            log_frame_rhs(0.0, State(0.0, -0.1, 0.0), Frame(0.0), config_a)
+    def test_rhs_clamps_negative_v(self, config_a):
+        # an event-located crossing may overshoot below zero; the power
+        # terms then act on max(v, 0) and only the linear part remains
+        rhs = log_frame_rhs(config_a, 0.0)
+        assert rhs(0.0, (-0.1, 0.2)) == (0.2, -3.0 * 0.2)
+
+    def test_rhs_rejects_nonfinite_state(self, config_a):
+        with pytest.raises(RuntimeError, match="non-finite"):
+            log_frame_rhs(config_a, 0.0)(0.0, (1.0, math.inf))
 
 
 class TestCsv:

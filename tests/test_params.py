@@ -55,6 +55,14 @@ class TestDerivedConstants:
         assert dc.omega_sq < 0.0
         assert dc.omega is None
 
+    def test_end_lookup(self, dc_a):
+        assert dc_a.end("infinity").lam == dc_a.lambda1
+        assert dc_a.end("origin").rate == dc_a.delta2
+        with pytest.raises(ValueError, match="end must be"):
+            dc_a.end("middle")
+        with pytest.raises(ValueError, match="frame"):
+            dc_a.frame_end(0.0)
+
     def test_rejects_active_unit_exponent(self):
         with pytest.raises(ValueError):
             ProblemParams(n=5, p=1.0, q=2.0)
@@ -205,6 +213,35 @@ class TestIdentities:
         if dc.lambda2 is not None:
             assert dc.lambda2 ** (params.q - 1.0) == pytest.approx(
                 dc.alpha2 * (params.n - 2.0 - dc.alpha2), rel=1e-11)
+
+    @given(param_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_end_records_match_closed_forms(self, params):
+        dc = derive_constants(params)
+        n, p, q, l1, l2 = params.n, params.p, params.q, params.l1, params.l2
+        alpha1, alpha2 = (2.0 + l1) / (p - 1.0), (2.0 + l2) / (q - 1.0)
+        inf, ori = dc.end("infinity"), dc.end("origin")
+        for end, alpha, exp_ in ((inf, alpha1, p), (ori, alpha2, q)):
+            assert end.alpha == pytest.approx(alpha, rel=1e-15)
+            prod = alpha * (n - 2.0 - alpha)
+            if prod > 0.0:
+                assert end.lam == pytest.approx(
+                    prod ** (1.0 / (exp_ - 1.0)), rel=1e-13)
+            else:
+                assert end.lam is None
+            assert end.damping == pytest.approx(n - 2.0 - 2.0 * alpha,
+                                                rel=1e-13, abs=1e-13)
+            assert dc.frame_end(end.alpha) is end
+        assert inf.rate == pytest.approx(
+            (2.0 + l1) * (1.0 - q) / (p - 1.0) + 2.0 + l2, rel=1e-13,
+            abs=1e-13)
+        assert ori.rate == pytest.approx((p - 1.0) * (alpha1 - alpha2),
+                                         rel=1e-13, abs=1e-13)
+        # each frame freezes its own term and forces the other one
+        assert (inf.auto_exp, inf.auto_k, inf.force_exp, inf.force_k) \
+            == (p, params.k1, q, params.k2)
+        assert (ori.auto_exp, ori.auto_k, ori.force_exp, ori.force_k) \
+            == (q, params.k2, p, params.k1)
 
     @given(param_sets())
     @settings(max_examples=200, deadline=None)

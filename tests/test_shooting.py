@@ -5,7 +5,6 @@ from emdenlab import (
     Kind,
     bisect_boundary,
     connecting_orbit,
-    difference_decay_probe,
     scan_thresholds,
     series_radius,
     shoot,
@@ -139,29 +138,3 @@ class TestConnectingOrbit:
     def test_direction_validation(self, config_a, dc_a):
         with pytest.raises(ValueError, match="direction"):
             connecting_orbit(config_a, dc_a, "sideways")
-
-
-class TestDifferenceProbe:
-    def test_homogeneous_rate(self, config_a, dc_a):
-        probe = difference_decay_probe(config_a, dc_a,
-                                       1e-4 * dc_a.lambda1,
-                                       5e-5 * dc_a.lambda1)
-        # the forced parts cancel; what remains decays at the
-        # homogeneous rate -c1coef/2 toward the seed
-        assert probe.rate == pytest.approx(-dc_a.c1coef / 2.0, abs=0.05)
-        assert not probe.saturated and not probe.identical
-
-    def test_equal_seeds_are_bit_identical(self, config_a, dc_a):
-        probe = difference_decay_probe(config_a, dc_a,
-                                       1e-4 * dc_a.lambda1,
-                                       1e-4 * dc_a.lambda1)
-        assert probe.identical
-        assert probe.max_abs_diff == 0.0
-        assert probe.rate is None
-
-    def test_saturated_below_noise_floor(self, config_a, dc_a):
-        eps = 1e-4 * dc_a.lambda1
-        probe = difference_decay_probe(config_a, dc_a, eps,
-                                       eps * (1.0 + 1e-12))
-        assert probe.saturated
-        assert probe.rate is None

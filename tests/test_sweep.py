@@ -1,15 +1,22 @@
 """Tests for INI parsing, config hashing, and the sweep driver."""
 
+import dataclasses
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from emdenlab import (
     RunConfig,
+    __version__,
     config_hash,
     expanded_axes,
     parse_run_config,
     parse_run_config_text,
     run_id_of,
     sweep,
+    write_trajectory_csv,
 )
 from emdenlab.params import ProblemParams
 
@@ -84,6 +91,27 @@ class TestParsing:
         path.write_text(BASE_INI)
         assert parse_run_config(path) == parse_run_config_text(BASE_INI)
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("p = 1.9", "p = x", "[params] p: cannot parse 'x'"),
+        ("n = 5", "n = 5.5", "[params] n: cannot parse '5.5'"),
+        ("l2 = -0.5", "l2 = -0.5\nk1 = x", "[params] k1: cannot parse 'x'"),
+        ("l2 = -0.5", "l2 = -0.5\nk2 = x", "[params] k2: cannot parse 'x'"),
+        ("t_max = 6.0", "t_max = 6.0\n[sweep]\njobs = x",
+         "[sweep] jobs: cannot parse 'x'"),
+    ])
+    def test_unparseable_value_names_section_and_key(self, old, new,
+                                                     message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_run_config_text(BASE_INI.replace(old, new))
+
+    def test_toggles_accept_float_text_and_stay_binary(self):
+        cfg = parse_run_config_text(
+            BASE_INI.replace("l2 = -0.5", "l2 = -0.5\nk1 = 1.0\nk2 = 0"))
+        assert (cfg.params.k1, cfg.params.k2) == (1.0, 0.0)
+        with pytest.raises(ValueError, match="toggles"):
+            parse_run_config_text(
+                BASE_INI.replace("l2 = -0.5", "l2 = -0.5\nk1 = 0.5"))
+
     def test_expanded_axes_singleton_fallback(self):
         cfg = parse_run_config_text(BASE_INI + "\n[sweep]\np = 1.88, 1.92\n")
         axes = expanded_axes(cfg)
@@ -109,6 +137,42 @@ class TestConfigHash:
         a = parse_run_config_text(BASE_INI)
         b = parse_run_config_text(BASE_INI + "\n[sweep]\np = 1.88, 1.9\n")
         assert config_hash(a) != config_hash(b)
+
+    def test_readme_example_run_id_is_pinned(self):
+        # the [params]..[sweep] example of README.md, inline comments
+        # included; the id was computed before config_hash was derived
+        # from the dataclass fields and must never drift
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        assert run_id_of(parse_run_config_text(text)) == "ca513ae0e09e"
+
+    def test_every_hashed_field_moves_the_hash(self):
+        base = parse_run_config_text(BASE_INI)
+        perturbed = {
+            "params": {"n": 6, "p": 1.91, "q": 1.96, "l1": -0.1,
+                       "l2": -0.6, "k1": 0.0, "k2": 0.0},
+            "integrator": {"rtol": 1e-9, "atol": 1e-11, "max_step": 0.04,
+                           "amplitude_cap": 1e7,
+                           "dense_output_stride": 0.02},
+            "t_min": -7.0, "t_max": 7.0, "eps_scale": 1e-5,
+            "axes": {"p": [1.88, 1.9]},
+        }
+        unhashed = {"output_dir", "jobs"}
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(perturbed) == fields - unhashed
+        seen = {config_hash(base)}
+        for name, new in perturbed.items():
+            if isinstance(new, dict) and name != "axes":
+                sub = getattr(base, name)
+                assert set(new) == {f.name for f in dataclasses.fields(sub)}
+                variants = [dataclasses.replace(sub, **{k: v})
+                            for k, v in new.items()]
+            else:
+                variants = [new]
+            for val in variants:
+                h = config_hash(dataclasses.replace(base, **{name: val}))
+                assert h not in seen, (name, val)
+                seen.add(h)
 
     def test_run_id_is_hash_prefix(self):
         cfg = parse_run_config_text(BASE_INI)
@@ -144,6 +208,28 @@ class TestSweep:
         assert second.path == first.path
         assert second.path.stat().st_mtime_ns == stamp
         assert second.data["cells"] == first.data["cells"]
+
+    def test_truncated_manifest_is_recomputed(self, tmp_path):
+        cfg = self._cfg(tmp_path)
+        first = sweep(cfg)
+        text = first.path.read_text()
+        first.path.write_text(text[: len(text) // 2])
+        second = sweep(cfg)
+        assert second.data["cells"] == first.data["cells"]
+        assert json.loads(second.path.read_text())["cells"] \
+            == json.loads(text)["cells"]
+        assert [p.name for p in second.path.parent.iterdir()
+                if p.suffix == ".tmp"] == []
+
+    def test_manifest_from_other_tool_version_is_recomputed(self, tmp_path):
+        cfg = self._cfg(tmp_path)
+        first = sweep(cfg)
+        stale = dict(first.data, tool_version="0.0.0-stale")
+        first.path.write_text(json.dumps(stale))
+        second = sweep(cfg)
+        assert second.data["tool_version"] == __version__
+        assert json.loads(second.path.read_text())["tool_version"] \
+            == __version__
 
     def test_cell_error_isolated(self, tmp_path):
         # p axis value 2.1 with q = 1.95 violates p < q in that one cell
@@ -185,3 +271,21 @@ class TestSweep:
         manifest = sweep(cfg)
         kinds = manifest.cells[0]["kinds"]
         assert kinds["infinity"] == "slow_decay_singular"
+
+    def test_cell_matches_connecting_orbit(self, tmp_path, orbit_a):
+        # the default from_infinity crossing span: the sweep cell runs
+        # the same seed-and-cross step as connecting_orbit
+        cfg = dataclasses.replace(
+            parse_run_config_text(
+                BASE_INI.replace("t_min = -6.0", "t_min = -34.0")
+                .replace("t_max = 6.0", "t_max = 14.0")),
+            output_dir=str(tmp_path / "runs"))
+        manifest = sweep(cfg)
+        cell = manifest.cells[0]
+        assert cell["seeded_end"] == "infinity"
+        assert cell["reports"] == {
+            "infinity": orbit_a.report_infinity.to_dict(),
+            "origin": orbit_a.report_origin.to_dict()}
+        write_trajectory_csv(orbit_a.trajectory, tmp_path / "orbit.csv")
+        assert (manifest.path.parent / cell["files"][0]).read_bytes() \
+            == (tmp_path / "orbit.csv").read_bytes()
