@@ -30,7 +30,6 @@ from .integrate import (
     csv_round_trip,
     integrate,
     log_frame_rhs,
-    radial_flux,
     read_trajectory_csv,
     reframe,
     regular_series_start,
@@ -42,9 +41,7 @@ from .energy import (
     EnergyTrace,
     apriori_bound_report,
     energy_trace,
-    potential_shape,
     well_potential,
-    write_energy_csv,
 )
 from .classify import (
     ClassificationReport,
@@ -98,10 +95,9 @@ __all__ = [
     "fit_exponential_rate",
     "fit_power_tail", "fmt_float", "format_results", "integrate",
     "log_frame_rhs", "oscillation_envelope", "parse_run_config",
-    "parse_run_config_text", "potential_shape", "quadratic_extrema",
-    "radial_flux",
+    "parse_run_config_text", "quadratic_extrema",
     "read_trajectory_csv", "reframe", "regular_series_start",
     "run_acceptance", "run_id_of", "scan_thresholds",
     "series_radius", "shoot", "singular_seed_start", "sweep",
-    "well_potential", "write_energy_csv", "write_trajectory_csv",
+    "well_potential", "write_trajectory_csv",
 ]

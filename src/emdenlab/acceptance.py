@@ -26,9 +26,10 @@ from .classify import Kind, classify_end, fit_exponential_rate, \
     oscillation_envelope
 from .energy import apriori_bound_report, energy_trace, well_potential
 from .integrate import Frame, IntegratorConfig, State, csv_round_trip, \
-    integrate, regular_series_start
+    integrate
 from .params import ProblemParams, aubin_talenti_profile, derive_constants
-from .shooting import connecting_orbit, scan_thresholds, series_radius, shoot
+from .shooting import connecting_orbit, effective_jobs, scan_thresholds, \
+    shoot
 from .sweep import RunConfig, sweep
 
 TOLERANCES = {
@@ -107,17 +108,14 @@ class Lab:
         dc = derive_constants(params)
         profile = aubin_talenti_profile(n)
         a = profile(0.0)
-        frame = Frame(dc.alpha1)
-        r0 = series_radius(a, params)
-        start = regular_series_start(a, r0, params, frame)
-        traj = integrate(start, frame, math.log(100.0), params)
+        shot = shoot(a, params, dc, None, math.log(100.0),
+                     (math.log(50.0), math.log(100.0)))
+        traj = shot.trajectory
         mask = traj.r >= 0.01
         exact = profile(traj.r[mask])
         rel = float(np.max(np.abs(traj.u[mask] - exact) / exact))
-        report = classify_end(traj, dc, "infinity",
-                              window=(math.log(50.0), math.log(100.0)))
         return {"traj": traj, "dc": dc, "params": params, "a": a,
-                "max_rel_err": rel, "report": report}
+                "max_rel_err": rel, "report": shot.report}
 
     @cached_property
     def envelope_b(self):
@@ -358,20 +356,22 @@ def criterion_10(lab: Lab, tol: dict) -> CriterionResult:
         base = RunConfig(
             params=ProblemParams(n=5, p=1.9, q=1.95, l1=0.0, l2=-0.5),
             axes={"p": [1.88, 1.9, 1.92], "q": [1.93, 1.95, 1.97]})
+        pooled = effective_jobs(8)
         m1 = sweep(replace(base, output_dir=str(tmp / "serial")), jobs=1)
-        m8 = sweep(replace(base, output_dir=str(tmp / "parallel")), jobs=8)
-        d1, d8 = dict(m1.data), dict(m8.data)
+        mp = sweep(replace(base, output_dir=str(tmp / "parallel")),
+                   jobs=pooled)
+        d1, dp = dict(m1.data), dict(mp.data)
         d1["wall_clock_seconds"] = 0.0
-        d8["wall_clock_seconds"] = 0.0
-        manifests_ok = d1 == d8
+        dp["wall_clock_seconds"] = 0.0
+        manifests_ok = d1 == dp
         _sub(subs, "manifest_identical", manifests_ok,
-             f"9-cell sweep, jobs 1 vs 8, run id {m1.run_id}")
+             f"9-cell sweep, jobs 1 vs {pooled}, run id {m1.run_id}")
         files_ok = True
         for cell in m1.cells:
             for rel in cell["files"]:
                 b1 = (m1.path.parent / rel).read_bytes()
-                b8 = (m8.path.parent / rel).read_bytes()
-                files_ok &= b1 == b8
+                bp = (mp.path.parent / rel).read_bytes()
+                files_ok &= b1 == bp
         _sub(subs, "cell_files_identical", files_ok,
              f"{sum(len(c['files']) for c in m1.cells)} files compared")
 

@@ -36,15 +36,6 @@ class SaturationError(RuntimeError):
     """The deviation from the limit sits at the integrator noise floor."""
 
 
-def default_window(traj: Trajectory, end: str) -> tuple:
-    """Last quarter of the sampled span on the side facing the end."""
-    t_lo, t_hi = float(np.min(traj.t)), float(np.max(traj.t))
-    span = t_hi - t_lo
-    if end == "infinity":
-        return (t_hi - 0.25 * span, t_hi)
-    return (t_lo, t_lo + 0.25 * span)
-
-
 def quadratic_extrema(t: np.ndarray, y: np.ndarray):
     """Interior extrema refined by a local parabola.
 
@@ -155,13 +146,15 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
     SLOW_DECAY_SINGULAR; (4) a fixed-exponent power fit of u with RMS
     ln-residual < power_resid_tol gives the regular kind for the end;
     (5) otherwise UNDETERMINED, with all statistics in diagnostics.
+    The window defaults to the outer quarter of the span on the end's
+    side (Trajectory.end_window); the rate is fitted in the end's frame.
     """
     e = dc.end(end)
     term = traj.effective_termination()
     # event terminations decide only the side where integration stopped;
     # the seed side of a crossing shot still has analyzable data
-    terminal_end = "infinity" if traj.t[-1] >= traj.t[0] else "origin"
-    if end == terminal_end:
+    terminal_side = 1 if traj.t[-1] >= traj.t[0] else -1
+    if e.side == terminal_side:
         if term.kind == TerminationKind.POSITIVITY_LOST:
             return ClassificationReport(
                 end, Kind.CROSSES_ZERO, (term.t, term.t), None, None, None,
@@ -174,7 +167,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
                  "reason": "integration did not reach the requested end"})
 
     if window is None:
-        window = default_window(traj, end)
+        window = traj.end_window(e)
     sub = reframe(traj.window(window, 10), Frame(e.alpha))
     t, v, vd = sub.t, sub.v, sub.vdot
     lam = e.lam
@@ -200,7 +193,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
         if lam is None:
             return None
         try:
-            return fit_exponential_rate(traj, lam, window)
+            return fit_exponential_rate(sub, lam, window)
         except (SaturationError, ValueError):
             return None
 
@@ -224,14 +217,13 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
             end, Kind.SLOW_DECAY_SINGULAR, window, mean,
             abs(mean - lam) / lam, _rate(), diag)
 
-    hypothesis = float(dc.params.n - 2) if end == "infinity" else 0.0
     try:
-        coef, resid = fit_power_tail(traj, hypothesis, window)
+        coef, resid = fit_power_tail(traj, e.regular_exp, window)
     except ValueError:
         coef, resid = None, None
     diag["power_residual"] = resid
     if resid is not None and resid < power_resid_tol:
-        kind = (Kind.FAST_DECAY_REGULAR if end == "infinity"
+        kind = (Kind.FAST_DECAY_REGULAR if e.side > 0
                 else Kind.REGULAR_AT_ORIGIN)
         return ClassificationReport(end, kind, window, coef, resid, None,
                                     diag)
@@ -294,8 +286,9 @@ def oscillation_envelope(traj: Trajectory, dc: DerivedConstants,
     b-match uses the well of the origin end (b) at critical q, of the
     infinity end (b1) at critical p, and of the requested end otherwise.
     """
+    e = dc.end(end)
     window = (float(np.min(traj.t)), float(np.max(traj.t)))
-    sub = reframe(traj.window(window, 10), Frame(dc.end(end).alpha))
+    sub = reframe(traj.window(window, 10), Frame(e.alpha))
     t, v = sub.t, sub.v
     ext_t, ext_v, ext_k = quadratic_extrema(t, v)
     if np.any(ext_k[1:] == ext_k[:-1]):
@@ -307,7 +300,7 @@ def oscillation_envelope(traj: Trajectory, dc: DerivedConstants,
             f"need >= 3 extrema of each kind, got {int(mins.sum())} minima "
             f"and {int(maxs.sum())} maxima")
     # orient so index -1 is nearest the requested end
-    if end == "origin":
+    if e.side < 0:
         ext_t, ext_v, ext_k = ext_t[::-1], ext_v[::-1], ext_k[::-1]
         mins, maxs = mins[::-1], maxs[::-1]
     tmin, vmin = ext_t[mins], ext_v[mins]

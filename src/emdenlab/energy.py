@@ -19,7 +19,6 @@ from scipy.integrate import cumulative_simpson
 
 from .integrate import TerminationKind, Trajectory
 from .params import DerivedConstants, End
-from .serialize import fmt_float
 
 
 def well_potential(v, end: End):
@@ -38,22 +37,6 @@ def well_potential(v, end: End):
     out = np.where(v > 0.0, np.abs(v) ** (k + 1.0), 0.0) / (k + 1.0) \
         - end.lam ** (k - 1.0) * v ** 2 / 2.0
     return float(out) if out.ndim == 0 else out
-
-
-def potential_shape(end: End):
-    """(critical point, second positive zero, value at the critical point)
-    of the end's well.
-
-    The well v^{k+1}/(k+1) - lambda^{k-1} v^2/2 has its unique positive
-    critical point at v = lambda and its second zero at
-    lambda ((k+1)/2)^{1/(k-1)}.
-    """
-    lam, k = end.lam, end.auto_exp
-    if lam is None:
-        raise ValueError(f"potential {end.well} undefined: no singular "
-                         "amplitude")
-    zero = lam * ((k + 1.0) / 2.0) ** (1.0 / (k - 1.0))
-    return lam, zero, well_potential(lam, end)
 
 
 @dataclass
@@ -112,19 +95,6 @@ def energy_trace(traj: Trajectory, dc: DerivedConstants) -> EnergyTrace:
     return EnergyTrace(t, energy, forcing, damping)
 
 
-ENERGY_CSV_HEADER = "t,E,forcing_work,damping_work"
-
-
-def write_energy_csv(trace: EnergyTrace, path) -> None:
-    lines = [ENERGY_CSV_HEADER]
-    for i in range(trace.t.size):
-        lines.append(",".join(fmt_float(x) for x in
-                              (trace.t[i], trace.energy[i],
-                               trace.forcing_work[i], trace.damping_work[i])))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Quantitative a-priori bound check over one t-window."""
@@ -158,16 +128,17 @@ def apriori_bound_report(traj: Trajectory, dc: DerivedConstants,
                          step_tol: float = 1e-10) -> BoundReport:
     """Tail-bound observables over a window of a positive trajectory.
 
-    sup v and sup |vdot| are read in the trajectory's own frame;
-    r^{n-2} u nondecreasing and r^{n-1} u' nonincreasing are the two
-    monotone quantities of the radial operator, checked per sample step
-    with relative slack step_tol.  Trajectories that lost positivity are
-    flagged non-applicable (the bounds concern positive solutions).
+    The window defaults to the outer quarter on the infinity side
+    (Trajectory.end_window).  sup v and sup |vdot| are read in the
+    trajectory's own frame; r^{n-2} u nondecreasing and r^{n-1} u'
+    nonincreasing are the two monotone quantities of the radial operator,
+    checked per sample step with relative slack step_tol.  Trajectories
+    that lost positivity are flagged non-applicable (the bounds concern
+    positive solutions).
     """
     t_lo_all, t_hi_all = float(np.min(traj.t)), float(np.max(traj.t))
     if window is None:
-        span = t_hi_all - t_lo_all
-        window = (t_hi_all - 0.25 * span, t_hi_all)
+        window = traj.end_window(dc.end("infinity"))
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (t_lo_all - 1e-12 <= t_lo < t_hi <= t_hi_all + 1e-12):
         raise ValueError(f"window {window} is not inside the sampled span "

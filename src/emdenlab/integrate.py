@@ -24,10 +24,8 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .params import DerivedConstants, ProblemParams
+from .params import DerivedConstants, End, ProblemParams
 from .serialize import fmt_float
-
-RAW_ALPHA = 0.0
 
 
 @dataclass(frozen=True)
@@ -129,10 +127,6 @@ class Trajectory:
         return (self.vdot - a * self.v) * np.exp(-(a + 1.0) * self.t)
 
     @property
-    def t_start(self) -> float:
-        return float(self.t[0])
-
-    @property
     def t_end(self) -> float:
         return float(self.t[-1])
 
@@ -152,6 +146,14 @@ class Trajectory:
         return Trajectory(self.frame, self.t[idx], self.v[idx],
                           self.vdot[idx], self.termination, self.params,
                           self.config)
+
+    def end_window(self, end: End, width: float | None = None) -> tuple:
+        """The window of the sampled span on end's side of the t-axis:
+        `width` wide, or the span's outer quarter when width is None."""
+        lo, hi = float(np.min(self.t)), float(np.max(self.t))
+        if width is None:
+            width = 0.25 * (hi - lo)
+        return (hi - width, hi) if end.side > 0 else (lo, lo + width)
 
     def state_at(self, i: int) -> State:
         return State(float(self.t[i]), float(self.v[i]), float(self.vdot[i]))
@@ -342,15 +344,6 @@ def reframe(traj: Trajectory, new_frame: Frame) -> Trajectory:
     return Trajectory(new_frame, traj.t.copy(), fac * traj.v,
                       fac * (traj.vdot + d * traj.v), traj.termination,
                       traj.params, traj.config)
-
-
-def radial_flux(traj: Trajectory) -> np.ndarray:
-    """r^{n-1} u'(r), the quantity whose monotone decrease expresses the
-    divergence structure of the radial operator."""
-    if traj.params is None:
-        raise ValueError("radial_flux needs trajectory params")
-    n = traj.params.n
-    return np.exp((n - 1.0) * traj.t) * traj.du_dr
 
 
 CSV_HEADER = "t,r,u,du_dr,v,dv_dt,frame_alpha"

@@ -96,10 +96,14 @@ class End:
     autonomous, the q-term forced at rate delta, well b1.  The origin
     lives in the alpha2 frame: lambda2, the q-term autonomous, the p-term
     forced at rate delta2, well b.  lam is None when the amplitude is
-    undefined; damping is the frame's n-2-2 alpha.
+    undefined; damping is the frame's n-2-2 alpha.  side is the end's
+    side of the t-axis (+1 large t, -1 small t) and regular_exp the s of
+    its regular law u ~ c r^{-s} (n-2 at infinity, 0 at the origin).
     """
 
     name: str
+    side: int
+    regular_exp: float
     alpha: float
     lam: float | None
     rate: float
@@ -223,10 +227,10 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
         delta2=delta2,
         omega_sq=(2.0 + l1) * (n - 2.0 - alpha1)
         - 0.25 * (n - 2.0 - 2.0 * alpha1) ** 2,
-        ends=(End("infinity", alpha1, lambda1, delta, p, k1, c1coef, q, k2,
-                  "b1"),
-              End("origin", alpha2, lambda2, delta2, q, k2, c2coef, p, k1,
-                  "b")),
+        ends=(End("infinity", 1, n - 2.0, alpha1, lambda1, delta, p, k1,
+                  c1coef, q, k2, "b1"),
+              End("origin", -1, 0.0, alpha2, lambda2, delta2, q, k2, c2coef,
+                  p, k1, "b")),
     )
 
 

@@ -13,13 +13,14 @@ dc.end("infinity") or dc.end("origin").
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .classify import ClassificationReport, Kind, classify_end, \
-    default_window
+from .classify import ClassificationReport, Kind, classify_end
 from .integrate import Frame, IntegratorConfig, Trajectory, integrate, \
     regular_series_start, singular_seed_start
 from .params import DerivedConstants, End, ProblemParams, classify_regime, \
@@ -152,10 +153,20 @@ def bisect_boundary(a_lo: float, a_hi: float, params: ProblemParams,
                           widths, star.report)
 
 
-def _shot_cell(args) -> tuple:
-    i, a, params, dc, config, t_target, window = args
-    res = shoot(a, params, dc, config, t_target, window)
-    return i, res
+def effective_jobs(jobs: int) -> int:
+    """Worker processes used for `jobs` requested: at least 1, at most
+    os.cpu_count()."""
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
+def map_jobs(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], fanned out over effective_jobs(jobs)
+    processes when that exceeds 1; results come back in item order."""
+    workers = effective_jobs(jobs)
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -184,8 +195,8 @@ def scan_thresholds(a_grid, params: ProblemParams,
     """Shoot a grid of amplitudes and bisect every kind change.
 
     The grid must be strictly increasing with at least 16 points.
-    Results are merged by grid index, so the outcome is identical for
-    any worker count.
+    Shots come back in grid order (map_jobs), so the outcome is
+    identical for any worker count.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size < 16:
@@ -194,17 +205,9 @@ def scan_thresholds(a_grid, params: ProblemParams,
         raise ValueError("grid must be strictly increasing")
     if dc is None:
         dc = derive_constants(params)
-    tasks = [(i, float(a), params, dc, config, t_target, window)
-             for i, a in enumerate(a_grid)]
-    shots: list = [None] * a_grid.size
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, res in pool.map(_shot_cell, tasks, chunksize=4):
-                shots[i] = res
-    else:
-        for task in tasks:
-            i, res = _shot_cell(task)
-            shots[i] = res
+    shots = map_jobs(partial(shoot, params=params, dc=dc, config=config,
+                             t_target=t_target, window=window),
+                     a_grid.tolist(), jobs)
     kinds = [s.kind for s in shots]
     boundaries = []
     if bisect:
@@ -252,18 +255,15 @@ def seed_and_integrate(params: ProblemParams, dc: DerivedConstants,
 def classify_ends(traj: Trajectory, dc: DerivedConstants) -> tuple:
     """(report_infinity, report_origin) of a crossing trajectory.
 
-    Each end is read on the END_WINDOW-wide window hugging its side of
-    the sampled span (default_window's last quarter is too wide on long
-    crossings); spans shorter than 2 END_WINDOW use default_window.
+    Each end is read on the END_WINDOW-wide Trajectory.end_window (the
+    default outer quarter is too wide on long crossings); spans shorter
+    than 2 END_WINDOW use the default.
     """
-    ends = ("infinity", "origin")
     lo, hi = float(traj.t.min()), float(traj.t.max())
-    if hi - lo >= 2.0 * END_WINDOW:
-        windows = ((hi - END_WINDOW, hi), (lo, lo + END_WINDOW))
-    else:
-        windows = tuple(default_window(traj, end) for end in ends)
-    return tuple(classify_end(traj, dc, end, window=w)
-                 for end, w in zip(ends, windows))
+    width = END_WINDOW if hi - lo >= 2.0 * END_WINDOW else None
+    return tuple(classify_end(traj, dc, e.name,
+                              window=traj.end_window(e, width))
+                 for e in dc.ends)
 
 
 def connecting_orbit(params: ProblemParams, dc: DerivedConstants,

@@ -12,9 +12,9 @@ classify_ends), and write a content-addressed output tree
 
 where run-id is a hash of the semantic configuration (parameters,
 integrator, spans, seeds, axes; never the output directory or the worker
-count).  Cell results are merged by grid index, so manifests and cell
-files are byte-identical for any worker count apart from the recorded
-wall-clock time.
+count).  Cells come back in grid order (shooting.map_jobs, capped at
+os.cpu_count() workers), so manifests and cell files are byte-identical
+for any worker count apart from the recorded wall-clock time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
@@ -35,7 +34,7 @@ from .integrate import IntegratorConfig, write_trajectory_csv
 from .params import DerivedConstants, End, ProblemParams, classify_regime, \
     derive_constants
 from .serialize import canonical_json, fmt_float
-from .shooting import classify_ends, seed_and_integrate
+from .shooting import classify_ends, map_jobs, seed_and_integrate
 
 _SCHEMA = {
     "params": {"n", "p", "q", "l1", "l2", "k1", "k2"},
@@ -136,11 +135,12 @@ def parse_run_config_text(text: str) -> RunConfig:
                 if jobs < 1:
                     raise ValueError("[sweep] jobs must be >= 1")
                 continue
-            vals = [_parse_float("sweep", key, cell)
+            parse = _parse_int if key == "n" else _parse_float
+            vals = [parse("sweep", key, cell.strip())
                     for cell in raw.split(",") if cell.strip()]
             if not vals:
                 raise ValueError(f"[sweep] {key}: empty axis")
-            axes[key] = [int(v) if key == "n" else v for v in vals]
+            axes[key] = vals
     return RunConfig(params, integrator, t_min, t_max, eps_scale,
                      output_dir, axes, jobs)
 
@@ -154,10 +154,11 @@ def seeded_run(params: ProblemParams, dc: DerivedConstants, end: End,
                cfg: RunConfig):
     """Seed `end` (an End record of dc) on its side of [t_min, t_max]
     with eps = eps_scale lambda and cross to the other side with the
-    config's integrator: infinity seeds at t_max, the origin at t_min."""
+    config's integrator: infinity (side +1) seeds at t_max, the origin
+    at t_min."""
     if end.lam is None:
         raise ValueError(f"no singular amplitude at {end.name}")
-    t_seed, t_stop = ((cfg.t_max, cfg.t_min) if end.name == "infinity"
+    t_seed, t_stop = ((cfg.t_max, cfg.t_min) if end.side > 0
                       else (cfg.t_min, cfg.t_max))
     return seed_and_integrate(params, dc, end, cfg.eps_scale * end.lam,
                               t_seed, t_stop, cfg.integrator)
@@ -288,15 +289,7 @@ def sweep(cfg: RunConfig, jobs: int | None = None) -> SweepManifest:
               str(out_dir))
              for i, (n, p, q, l1, l2) in enumerate(grid)]
     t0 = time.monotonic()
-    cells: list = [None] * len(tasks)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for cell in pool.map(_cell_job, tasks, chunksize=1):
-                cells[cell["index"]] = cell
-    else:
-        for task in tasks:
-            cell = _cell_job(task)
-            cells[cell["index"]] = cell
+    cells = map_jobs(_cell_job, tasks, jobs)
     wall = time.monotonic() - t0
     data = {
         "run_id": rid,

@@ -98,6 +98,13 @@ class TestClassifyEnd:
         assert rep.kind == Kind.SLOW_DECAY_SINGULAR
         assert rep.fitted_constant == pytest.approx(dc_a.lambda2, rel=5e-4)
 
+    def test_orbit_origin_rate_in_end_frame(self, orbit_a, dc_a):
+        # the alpha1-frame orbit is read in the alpha2 frame at the
+        # origin: the deviation from lambda2 decays at the real part
+        # -c2/2 of the linearised spiral eigenvalue
+        rate = orbit_a.report_origin.rate
+        assert rate == pytest.approx(-dc_a.c2coef / 2.0, rel=1e-2)
+
     def test_bubble_fast_decay(self, lab):
         rep = lab.bubble["report"]
         assert rep.kind == Kind.FAST_DECAY_REGULAR

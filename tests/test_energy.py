@@ -12,10 +12,8 @@ from emdenlab import (
     derive_constants,
     energy_trace,
     integrate,
-    potential_shape,
     reframe,
     well_potential,
-    write_energy_csv,
 )
 
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
@@ -29,11 +27,8 @@ class TestPotentials:
         assert well_potential(2.25, b) == pytest.approx(-1.8984375,
                                                         rel=1e-15)
         assert well_potential(0.0, b) == 0.0
-        crit, zero, depth = potential_shape(b)
-        assert crit == 2.25
-        assert zero == pytest.approx(3.375, rel=1e-14)
-        assert depth == pytest.approx(-1.8984375, rel=1e-14)
-        assert well_potential(zero, b) == pytest.approx(0.0, abs=1e-12)
+        # second positive zero: lambda2 ((q+1)/2)^{1/(q-1)} = 3.375
+        assert well_potential(3.375, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_b1_critical_point_is_minimum(self, dc_a):
         b1 = dc_a.end("infinity")
@@ -57,8 +52,6 @@ class TestPotentials:
         dc = derive_constants(params)
         with pytest.raises(ValueError):
             well_potential(1.0, dc.end("infinity"))
-        with pytest.raises(ValueError):
-            potential_shape(dc.end("infinity"))
 
 
 class TestEnergyTrace:
@@ -98,17 +91,6 @@ class TestEnergyTrace:
         with pytest.raises(ValueError, match="frame"):
             energy_trace(raw, dc_a)
 
-    def test_csv_export(self, dc_a, config_a, tmp_path):
-        traj = integrate(State(0.0, dc_a.lambda1, 0.0), Frame(dc_a.alpha1),
-                         1.0, config_a)
-        tr = energy_trace(traj, dc_a)
-        path = tmp_path / "energy.csv"
-        write_energy_csv(tr, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,E,forcing_work,damping_work"
-        assert len(lines) == tr.t.size + 1
-        assert float(lines[1].split(",")[1]) == tr.energy[0]
-
 
 class TestBoundReport:
     def test_orbit_tail_fields(self, orbit_a, dc_a):
@@ -137,6 +119,16 @@ class TestBoundReport:
         rep = apriori_bound_report(shot.trajectory, dc_a)
         assert not rep.applicable
         assert "positivity" in rep.reason
+
+    def test_flux_nonincreasing_on_positive_solutions(self, lab):
+        # r^{n-1} u' of the ground state over its whole sampled span
+        bub = lab.bubble
+        traj = bub["traj"]
+        rep = apriori_bound_report(traj, bub["dc"],
+                                   (float(traj.t[0]), float(traj.t[-1])))
+        assert rep.applicable
+        assert rep.flux_monotone_ok
+        assert rep.margins["max_flux_step_rel"] <= 1e-10
 
     def test_default_window_is_last_quarter(self, orbit_a, dc_a):
         rep = apriori_bound_report(orbit_a.trajectory, dc_a)

@@ -14,7 +14,6 @@ from emdenlab import (
     derive_constants,
     integrate,
     log_frame_rhs,
-    radial_flux,
     read_trajectory_csv,
     reframe,
     regular_series_start,
@@ -271,16 +270,16 @@ class TestCsv:
             read_trajectory_csv(path)
 
 
-class TestRadialFlux:
-    def test_flux_nonincreasing_on_positive_solutions(self, lab):
-        traj = lab.bubble["traj"]
-        flux = radial_flux(traj)
-        steps = np.diff(flux)
-        scale = np.max(np.abs(flux))
-        assert np.all(steps <= 1e-10 * scale)
-
-    def test_needs_params(self, orbit_a, tmp_path):
-        write_trajectory_csv(orbit_a.trajectory, tmp_path / "t.csv")
-        loaded = read_trajectory_csv(tmp_path / "t.csv")
-        with pytest.raises(ValueError):
-            radial_flux(loaded)
+class TestEndWindow:
+    @pytest.mark.parametrize("width,inf,ori", [
+        (None, (6.0, 10.0), (-6.0, -2.0)),
+        (1.5, (8.5, 10.0), (-6.0, -4.5)),
+    ])
+    @pytest.mark.parametrize("t", [np.linspace(-6.0, 10.0, 161),
+                                   np.linspace(10.0, -6.0, 161)])
+    def test_window_on_each_side(self, dc_a, t, width, inf, ori):
+        # no width: the outer quarter of the span, whatever the direction
+        traj = Trajectory(Frame(0.0), t, np.ones_like(t), np.zeros_like(t),
+                          None)
+        assert traj.end_window(dc_a.end("infinity"), width) == inf
+        assert traj.end_window(dc_a.end("origin"), width) == ori

@@ -242,6 +242,10 @@ class TestIdentities:
             == (p, params.k1, q, params.k2)
         assert (ori.auto_exp, ori.auto_k, ori.force_exp, ori.force_k) \
             == (q, params.k2, p, params.k1)
+        # infinity is the large-t side with the regular law r^{-(n-2)};
+        # the origin is the small-t side with u flat
+        assert (inf.side, inf.regular_exp) == (1, n - 2.0)
+        assert (ori.side, ori.regular_exp) == (-1, 0.0)
 
     @given(param_sets())
     @settings(max_examples=200, deadline=None)

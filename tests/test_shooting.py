@@ -8,6 +8,7 @@ from emdenlab import (
     scan_thresholds,
     series_radius,
     shoot,
+    shooting,
 )
 
 
@@ -88,6 +89,18 @@ class TestScan:
         assert serial.kinds == parallel.kinds
         for s, p in zip(serial.shots, parallel.shots):
             assert np.array_equal(s.trajectory.v, p.trajectory.v)
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
+        assert [shooting.effective_jobs(j) for j in (0, 1, 2, 8)] \
+            == [1, 1, 2, 2]
+        monkeypatch.setattr(shooting.os, "cpu_count", lambda: None)
+        assert shooting.effective_jobs(8) == 1
+
+    def test_one_worker_maps_in_process(self, monkeypatch):
+        # a lambda cannot be pickled, so this only passes without a pool
+        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 1)
+        assert shooting.map_jobs(lambda x: 2 * x, [3, 1, 2], 8) == [6, 2, 4]
 
     def test_scan_serializes(self, config_a, dc_a):
         grid = np.logspace(-0.3, 0.7, 16)

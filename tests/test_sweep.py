@@ -98,6 +98,8 @@ class TestParsing:
         ("l2 = -0.5", "l2 = -0.5\nk2 = x", "[params] k2: cannot parse 'x'"),
         ("t_max = 6.0", "t_max = 6.0\n[sweep]\njobs = x",
          "[sweep] jobs: cannot parse 'x'"),
+        ("t_max = 6.0", "t_max = 6.0\n[sweep]\nn = 4.5, 5.9",
+         "[sweep] n: cannot parse '4.5' as an integer"),
     ])
     def test_unparseable_value_names_section_and_key(self, old, new,
                                                      message):
