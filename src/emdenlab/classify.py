@@ -23,6 +23,13 @@ from .integrate import Frame, TerminationKind, Trajectory, reframe
 from .params import DerivedConstants, classify_regime
 
 
+# decision thresholds of classify_end (see its docstring)
+OSC_RELAMP = 0.05
+SLOPE_TOL = 1e-3
+POWER_RESID_TOL = 0.05
+SPIRAL_CONTRACTION = 1.5
+
+
 class Kind(str, Enum):
     CROSSES_ZERO = "crosses_zero"
     OSCILLATORY = "oscillatory"
@@ -101,53 +108,47 @@ def fit_exponential_rate(traj: Trajectory, lambda_target: float,
                          window: tuple) -> float:
     """ln|v - lambda| slope over the window (the approach rate).
 
-    When v - lambda changes sign inside the window the fit runs on the
-    envelope peaks instead of the raw samples.  Raises SaturationError
-    when the deviation never rises above 100 atol (nothing to fit).
+    A window where |v - lambda| has no interior extremum is fitted on
+    its samples above the noise floor of 100 atol; otherwise on the
+    peaks of |v - lambda| above that floor (the envelope of an
+    oscillatory approach; the near-zero cusps are not quadratic and
+    would skew the fit).  Raises SaturationError when neither gives at
+    least 2 points: the window shows no clean decay to fit.
     """
     sub = traj.window(window, 10)
-    t, w = sub.t, sub.v - lambda_target
+    t, w = sub.t, np.abs(sub.v - lambda_target)
     atol = traj.config.atol if traj.config is not None else 1e-12
     floor = 100.0 * atol
-    if float(np.max(np.abs(w))) < floor:
+    pt, pv, pk = quadratic_extrema(t, w)
+    if pt.size == 0:  # no interior extremum: every sample is a point
+        pt, pv, pk = t, w, np.ones(t.size)
+    keep = (pv > floor) & (pk > 0)
+    pt, pv = pt[keep], pv[keep]
+    if pt.size < 2:
         raise SaturationError(
-            f"max |v - lambda| = {np.max(np.abs(w)):.3e} is below "
-            f"100 atol = {floor:.3e}")
-    signs = np.sign(w)
-    flips = int(np.sum(signs[:-1] * signs[1:] < 0))
-    if flips > 0:
-        # envelope of an oscillatory approach: peaks of |w| only (the
-        # near-zero cusps are not quadratic and would skew the fit)
-        pt, pv, pk = quadratic_extrema(t, np.abs(w))
-        keep = (pv > floor) & (pk > 0)
-        if int(keep.sum()) >= 2:
-            slope = np.polyfit(pt[keep], np.log(pv[keep]), 1)[0]
-            return float(slope)
-    mask = np.abs(w) > floor
-    if int(mask.sum()) < 2:
-        raise SaturationError("fewer than 2 samples above the noise floor")
-    slope = np.polyfit(t[mask], np.log(np.abs(w[mask])), 1)[0]
-    return float(slope)
+            f"{pt.size} points of |v - lambda| above 100 atol = "
+            f"{floor:.3e} on the window")
+    return float(np.polyfit(pt, np.log(pv), 1)[0])
 
 
 def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
-                 tol_class: float = 0.02, window: tuple | None = None,
-                 osc_relamp: float = 0.05, slope_tol: float = 1e-3,
-                 power_resid_tol: float = 0.05,
-                 spiral_contraction: float = 1.5) -> ClassificationReport:
+                 tol_class: float = 0.02,
+                 window: tuple | None = None) -> ClassificationReport:
     """Classify the behavior of a trajectory toward one end.
 
     Decision order: (1) an event termination decides immediately
     (positivity lost => CROSSES_ZERO); (2) with >= 3 sign changes of
-    vdot, a contracting envelope (first/last deviation > spiral_contraction)
-    centered on lambda is SLOW_DECAY_SINGULAR, a fat envelope
-    (relative amplitude > osc_relamp) is OSCILLATORY; (3) a flat window
-    (|drift| < slope_tol) with mean within tol_class of lambda is
+    vdot, a contracting envelope (first/last deviation >
+    SPIRAL_CONTRACTION) centered on lambda is SLOW_DECAY_SINGULAR, a fat
+    envelope (relative amplitude > OSC_RELAMP) is OSCILLATORY; (3) a flat
+    window (|drift| < SLOPE_TOL) with mean within tol_class of lambda is
     SLOW_DECAY_SINGULAR; (4) a fixed-exponent power fit of u with RMS
-    ln-residual < power_resid_tol gives the regular kind for the end;
+    ln-residual < POWER_RESID_TOL gives the regular kind for the end;
     (5) otherwise UNDETERMINED, with all statistics in diagnostics.
     The window defaults to the outer quarter of the span on the end's
-    side (Trajectory.end_window); the rate is fitted in the end's frame.
+    side (Trajectory.end_window); the rate is fitted in the end's frame
+    (fit_exponential_rate) and is None when that fit finds no clean
+    decay.
     """
     e = dc.end(end)
     term = traj.effective_termination()
@@ -199,7 +200,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
 
     lam_ok = lam is not None and abs(mean - lam) <= tol_class * lam
     if nsc >= 3:
-        if contraction is not None and contraction > spiral_contraction:
+        if contraction is not None and contraction > SPIRAL_CONTRACTION:
             # contracting spiral onto the equilibrium: slope gate waived
             if lam_ok:
                 return ClassificationReport(
@@ -208,11 +209,11 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
             diag["reason"] = "contracting spiral away from lambda"
             return ClassificationReport(end, Kind.UNDETERMINED, window,
                                         None, None, None, diag)
-        if relamp > osc_relamp:
+        if relamp > OSC_RELAMP:
             return ClassificationReport(
                 end, Kind.OSCILLATORY, window, mean, None, None, diag)
 
-    if abs(slope) < slope_tol and lam_ok:
+    if abs(slope) < SLOPE_TOL and lam_ok:
         return ClassificationReport(
             end, Kind.SLOW_DECAY_SINGULAR, window, mean,
             abs(mean - lam) / lam, _rate(), diag)
@@ -222,7 +223,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
     except ValueError:
         coef, resid = None, None
     diag["power_residual"] = resid
-    if resid is not None and resid < power_resid_tol:
+    if resid is not None and resid < POWER_RESID_TOL:
         kind = (Kind.FAST_DECAY_REGULAR if e.side > 0
                 else Kind.REGULAR_AT_ORIGIN)
         return ClassificationReport(end, kind, window, coef, resid, None,

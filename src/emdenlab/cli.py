@@ -11,7 +11,7 @@ failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import os
+import dataclasses
 import sys
 
 import numpy as np
@@ -22,43 +22,40 @@ from .integrate import Frame, IntegratorConfig, integrate, \
     read_trajectory_csv, regular_series_start, write_trajectory_csv
 from .params import ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json
-from .shooting import connecting_orbit, scan_thresholds, series_radius, \
-    shoot
+from .shooting import connecting_orbit, resolve_jobs, scan_thresholds, \
+    series_radius, shoot
 from .sweep import parse_run_config, seeded_run, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
-
-
-def _env_jobs() -> int:
-    raw = os.environ.get("EMDEN_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _add_param_flags(sp, required=True):
     sp.add_argument("--n", type=int, required=required)
     sp.add_argument("--p", type=float, required=required)
     sp.add_argument("--q", type=float, required=required)
-    sp.add_argument("--l1", type=float, default=0.0)
-    sp.add_argument("--l2", type=float, default=0.0)
-    sp.add_argument("--k1", type=float, default=1.0, choices=[0.0, 1.0])
-    sp.add_argument("--k2", type=float, default=1.0, choices=[0.0, 1.0])
+    # a dataclass field's default is its class attribute
+    sp.add_argument("--l1", type=float, default=ProblemParams.l1)
+    sp.add_argument("--l2", type=float, default=ProblemParams.l2)
+    sp.add_argument("--k1", type=float, default=ProblemParams.k1,
+                    choices=[0.0, 1.0])
+    sp.add_argument("--k2", type=float, default=ProblemParams.k2,
+                    choices=[0.0, 1.0])
 
 
 def _params_from_args(args) -> ProblemParams:
-    return ProblemParams(n=args.n, p=args.p, q=args.q, l1=args.l1,
-                         l2=args.l2, k1=args.k1, k2=args.k2)
+    values = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(ProblemParams)}
+    missing = [f"--{name}" for name, val in values.items() if val is None]
+    if missing:
+        raise ValueError(f"provide --config or {'/'.join(missing)}")
+    return ProblemParams(**values)
 
 
 def _resolve_params(args):
-    """(params, integrator, run_config_or_None) from --config or flags."""
+    """(params, integrator) from --config or flags."""
     if getattr(args, "config", None):
         cfg = parse_run_config(args.config)
-        return cfg.params, cfg.integrator, cfg
-    if args.n is None or args.p is None or args.q is None:
-        raise ValueError("provide --config or all of --n/--p/--q")
-    return _params_from_args(args), IntegratorConfig(), None
+        return cfg.params, cfg.integrator
+    return _params_from_args(args), IntegratorConfig()
 
 
 def cmd_exponents(args) -> int:
@@ -66,9 +63,7 @@ def cmd_exponents(args) -> int:
     dc = derive_constants(params)
     flags = classify_regime(params, dc, eps_crit=args.eps_crit)
     payload = {
-        "params": {"n": params.n, "p": params.p, "q": params.q,
-                   "l1": params.l1, "l2": params.l2,
-                   "k1": params.k1, "k2": params.k2},
+        "params": dataclasses.asdict(params),
         "constants": dc.to_dict(),
         "regime": flags.to_dict(),
     }
@@ -108,15 +103,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_shoot(args) -> int:
-    params, integrator, _ = _resolve_params(args)
+    params, integrator = _resolve_params(args)
     res = shoot(args.a, params, config=integrator, t_target=args.t_target)
     sys.stdout.write(canonical_json(res.to_dict()))
     return 0
 
 
 def cmd_scan(args) -> int:
-    params, integrator, _ = _resolve_params(args)
-    jobs = args.jobs if args.jobs is not None else _env_jobs()
+    params, integrator = _resolve_params(args)
+    jobs = resolve_jobs(args.jobs)
     grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max),
                        args.points)
     res = scan_thresholds(grid, params, config=integrator,
@@ -133,7 +128,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    params, integrator, _ = _resolve_params(args)
+    params, integrator = _resolve_params(args)
     dc = derive_constants(params)
     orbit = connecting_orbit(params, dc, args.direction, eps=args.eps,
                              config=integrator)
@@ -146,9 +141,7 @@ def cmd_connect(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_run_config(args.config)
-    jobs = args.jobs if args.jobs is not None else \
-        (cfg.jobs if cfg.jobs > 1 else _env_jobs())
-    manifest = sweep(cfg, jobs=jobs)
+    manifest = sweep(cfg, jobs=args.jobs)
     errors = sum(1 for c in manifest.cells if c["error"])
     sys.stdout.write(f"run {manifest.run_id}: {len(manifest.cells)} cells, "
                      f"{errors} errors\n{manifest.path}\n")

@@ -123,16 +123,18 @@ class BoundReport:
         }
 
 
+STEP_TOL = 1e-10
+
+
 def apriori_bound_report(traj: Trajectory, dc: DerivedConstants,
-                         window: tuple | None = None,
-                         step_tol: float = 1e-10) -> BoundReport:
+                         window: tuple | None = None) -> BoundReport:
     """Tail-bound observables over a window of a positive trajectory.
 
     The window defaults to the outer quarter on the infinity side
     (Trajectory.end_window).  sup v and sup |vdot| are read in the
     trajectory's own frame; r^{n-2} u nondecreasing and r^{n-1} u'
     nonincreasing are the two monotone quantities of the radial operator,
-    checked per sample step with relative slack step_tol.  Trajectories
+    checked per sample step with relative slack STEP_TOL.  Trajectories
     that lost positivity are flagged non-applicable (the bounds concern
     positive solutions).
     """
@@ -153,8 +155,8 @@ def apriori_bound_report(traj: Trajectory, dc: DerivedConstants,
     flux_scale = float(np.max(np.abs(flux))) or 1.0
     mass_steps = np.diff(mass) / mass_scale
     flux_steps = np.diff(flux) / flux_scale
-    mass_ok = bool(np.all(mass_steps >= -step_tol))
-    flux_ok = bool(np.all(flux_steps <= step_tol))
+    mass_ok = bool(np.all(mass_steps >= -STEP_TOL))
+    flux_ok = bool(np.all(flux_steps <= STEP_TOL))
 
     term = traj.effective_termination()
     applicable = term.kind != TerminationKind.POSITIVITY_LOST

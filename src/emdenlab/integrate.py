@@ -88,8 +88,8 @@ class Termination:
 class Trajectory:
     """Sampled solution in one frame, plus how the integration ended.
 
-    params/config are None for trajectories reloaded from CSV; the
-    sample arrays and the frame are always present.
+    config is None for trajectories reloaded from CSV; the sample arrays
+    and the frame are always present.
     """
 
     frame: Frame
@@ -97,7 +97,6 @@ class Trajectory:
     v: np.ndarray
     vdot: np.ndarray
     termination: Termination | None
-    params: ProblemParams | None = None
     config: IntegratorConfig | None = None
 
     def __post_init__(self):
@@ -144,8 +143,7 @@ class Trajectory:
                              f"need >= {min_samples}")
         idx = order[inside]
         return Trajectory(self.frame, self.t[idx], self.v[idx],
-                          self.vdot[idx], self.termination, self.params,
-                          self.config)
+                          self.vdot[idx], self.termination, self.config)
 
     def end_window(self, end: End, width: float | None = None) -> tuple:
         """The window of the sampled span on end's side of the t-axis:
@@ -227,7 +225,7 @@ def integrate(start: State, frame: Frame, t_target: float,
                           np.array([start.vdot]),
                           Termination(TerminationKind.REACHED_SPAN_END,
                                       start.t),
-                          params, config)
+                          config)
 
     def ev_positivity(t, y):
         return y[0]
@@ -276,7 +274,7 @@ def integrate(start: State, frame: Frame, t_target: float,
     else:
         ts = np.append(ts, t_last)
     y = sol.sol(ts)
-    return Trajectory(frame, ts, y[0], y[1], term, params, config)
+    return Trajectory(frame, ts, y[0], y[1], term, config)
 
 
 def regular_series_start(a: float, r0: float, params: ProblemParams,
@@ -338,12 +336,11 @@ def reframe(traj: Trajectory, new_frame: Frame) -> Trajectory:
     d = new_frame.alpha - traj.frame.alpha
     if d == 0.0:
         return Trajectory(traj.frame, traj.t.copy(), traj.v.copy(),
-                          traj.vdot.copy(), traj.termination, traj.params,
-                          traj.config)
+                          traj.vdot.copy(), traj.termination, traj.config)
     fac = np.exp(d * traj.t)
     return Trajectory(new_frame, traj.t.copy(), fac * traj.v,
                       fac * (traj.vdot + d * traj.v), traj.termination,
-                      traj.params, traj.config)
+                      traj.config)
 
 
 CSV_HEADER = "t,r,u,du_dr,v,dv_dt,frame_alpha"
@@ -378,9 +375,9 @@ def csv_round_trip(traj: Trajectory, directory) -> bool:
 def read_trajectory_csv(path) -> Trajectory:
     """Inverse of write_trajectory_csv; parse errors carry line numbers.
 
-    Metadata (params, integrator config, termination) is not stored in
-    the CSV, so the result has params=None and termination inferred
-    lazily via effective_termination().
+    Metadata (integrator config, termination) is not stored in the CSV,
+    so the result has config=None and termination inferred lazily via
+    effective_termination().
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -410,4 +407,4 @@ def read_trajectory_csv(path) -> Trajectory:
     if len(set(alphas)) != 1:
         raise ValueError(f"{path}: frame_alpha column is not constant")
     return Trajectory(Frame(alphas[0]), np.array(t), np.array(v),
-                      np.array(vdot), None, None, None)
+                      np.array(vdot), None)

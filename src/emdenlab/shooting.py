@@ -27,16 +27,20 @@ from .params import DerivedConstants, End, ProblemParams, classify_regime, \
     derive_constants
 
 
-def series_radius(a: float, params: ProblemParams,
-                  budget: float = 1e-7) -> float:
+SERIES_BUDGET = 1e-7
+BISECT_REL_WIDTH = 1e-12
+BISECT_MAX_ITER = 80
+
+
+def series_radius(a: float, params: ProblemParams) -> float:
     """Largest start radius (capped at 1e-4) keeping every series
-    correction below budget * a."""
+    correction below SERIES_BUDGET * a."""
     r0 = 1e-4
     for exp_, l, k in params.active_terms():
         if not k:
             continue
-        # correction a^P r0^{2+l} / ((2+l)(n+l)) == budget a at this r0
-        r_term = (budget * a * (2.0 + l) * (params.n + l)
+        # correction a^P r0^{2+l} / ((2+l)(n+l)) == SERIES_BUDGET a at r0
+        r_term = (SERIES_BUDGET * a * (2.0 + l) * (params.n + l)
                   / a ** exp_) ** (1.0 / (2.0 + l))
         r0 = min(r0, r_term)
     return r0
@@ -114,13 +118,12 @@ def bisect_boundary(a_lo: float, a_hi: float, params: ProblemParams,
                     dc: DerivedConstants | None = None,
                     config: IntegratorConfig | None = None,
                     t_target: float = 12.0,
-                    window: tuple | None = None,
-                    rel_width: float = 1e-12,
-                    max_iter: int = 80) -> BoundaryResult:
+                    window: tuple | None = None) -> BoundaryResult:
     """Bisect an amplitude bracket whose shots differ in kind.
 
     The bracket width contracts by exactly half per iteration; stops
-    when (a_hi - a_lo)/a_mid < rel_width or after max_iter steps.
+    when (a_hi - a_lo)/a_mid < BISECT_REL_WIDTH or after BISECT_MAX_ITER
+    steps.
     """
     if not a_lo < a_hi:
         raise ValueError(f"need a_lo < a_hi, got {a_lo} >= {a_hi}")
@@ -137,9 +140,9 @@ def bisect_boundary(a_lo: float, a_hi: float, params: ProblemParams,
             f"bracket endpoints agree ({kind_lo.value}); nothing to bisect")
     widths = [a_hi - a_lo]
     iterations = 0
-    while iterations < max_iter:
+    while iterations < BISECT_MAX_ITER:
         mid = 0.5 * (a_lo + a_hi)
-        if (a_hi - a_lo) / mid < rel_width:
+        if (a_hi - a_lo) / mid < BISECT_REL_WIDTH:
             break
         if kind_of(mid) == kind_lo:
             a_lo = mid
@@ -157,6 +160,27 @@ def effective_jobs(jobs: int) -> int:
     """Worker processes used for `jobs` requested: at least 1, at most
     os.cpu_count()."""
     return max(1, min(jobs, os.cpu_count() or 1))
+
+
+def resolve_jobs(requested: int | None = None,
+                 configured: int | None = None) -> int:
+    """Worker count asked for: `requested` (--jobs), else `configured`
+    ([sweep] jobs), else the EMDEN_JOBS environment variable (unset or
+    empty counts as absent), else 1.  The value taken must be an integer
+    >= 1; otherwise ValueError names its source."""
+    for source, raw in (("--jobs", requested), ("[sweep] jobs", configured),
+                        ("EMDEN_JOBS", os.environ.get("EMDEN_JOBS") or None)):
+        if raw is None:
+            continue
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(f"{source}: cannot parse {raw!r} as an "
+                             "integer") from None
+        if jobs < 1:
+            raise ValueError(f"{source} must be >= 1, got {jobs}")
+        return jobs
+    return 1
 
 
 def map_jobs(fn, items, jobs: int) -> list:

@@ -34,18 +34,23 @@ from .integrate import IntegratorConfig, write_trajectory_csv
 from .params import DerivedConstants, End, ProblemParams, classify_regime, \
     derive_constants
 from .serialize import canonical_json, fmt_float
-from .shooting import classify_ends, map_jobs, seed_and_integrate
+from .shooting import classify_ends, map_jobs, resolve_jobs, \
+    seed_and_integrate
 
-_SCHEMA = {
-    "params": {"n", "p", "q", "l1", "l2", "k1", "k2"},
-    "integrator": {"rtol", "atol", "max_step", "amplitude_cap",
-                   "dense_output_stride"},
-    "spans": {"t_min", "t_max"},
-    "seed": {"eps_scale"},
-    "output": {"directory"},
-    "sweep": {"n", "p", "q", "l1", "l2", "jobs"},
-}
 _AXIS_ORDER = ("n", "p", "q", "l1", "l2")
+_INT_KEYS = {"n", "jobs"}
+# [section] key -> RunConfig keyword, for the sections that hold one field
+_RUN_KEYS = {
+    "spans": {"t_min": "t_min", "t_max": "t_max"},
+    "seed": {"eps_scale": "eps_scale"},
+    "output": {"directory": "output_dir"},
+}
+_SCHEMA = {
+    "params": {f.name for f in dataclasses.fields(ProblemParams)},
+    "integrator": {f.name for f in dataclasses.fields(IntegratorConfig)},
+    **{section: set(keys) for section, keys in _RUN_KEYS.items()},
+    "sweep": {*_AXIS_ORDER, "jobs"},
+}
 
 
 @dataclass(frozen=True)
@@ -57,31 +62,41 @@ class RunConfig:
     eps_scale: float = 1e-4
     output_dir: str = "out"
     axes: dict = field(default_factory=dict)
-    jobs: int = 1
+    jobs: int | None = None
 
 
-def _parse_float(section, key, raw):
+def _parse_number(section, key, raw):
+    """An integer for _INT_KEYS, a float otherwise; errors name the
+    section and key."""
     try:
-        return float(raw)
+        return int(raw) if key in _INT_KEYS else float(raw)
     except ValueError:
-        raise ValueError(f"[{section}] {key}: cannot parse {raw!r} as a "
-                         "number") from None
+        what = "an integer" if key in _INT_KEYS else "a number"
+        raise ValueError(f"[{section}] {key}: cannot parse {raw!r} as "
+                         f"{what}") from None
 
 
-def _parse_int(section, key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"[{section}] {key}: cannot parse {raw!r} as an "
-                         "integer") from None
+def _parse_value(section, key, raw):
+    """Text under [output], a comma list for a [sweep] axis, a number
+    otherwise."""
+    if section == "output":
+        return raw
+    if section != "sweep" or key == "jobs":
+        return _parse_number(section, key, raw)
+    vals = [_parse_number(section, key, cell.strip())
+            for cell in raw.split(",") if cell.strip()]
+    if not vals:
+        raise ValueError(f"[sweep] {key}: empty axis")
+    return vals
 
 
 def parse_run_config_text(text: str) -> RunConfig:
     """Parse and validate run-configuration INI text.
 
-    Unknown sections or keys are rejected by name; [params] with n, p
-    and q is required, everything else has defaults.  Values that do not
-    parse name their section and key; ';' starts an inline comment.
+    Unknown sections or keys are rejected by name; [params] with the
+    ProblemParams fields that have no default is required, everything
+    else defaults as in the dataclasses.  Values that do not parse name
+    their section and key; ';' starts an inline comment.
     """
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=(";",))
@@ -97,52 +112,24 @@ def parse_run_config_text(text: str) -> RunConfig:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
     if "params" not in cp:
         raise ValueError("missing required section [params]")
-    ps = cp["params"]
-    for req in ("n", "p", "q"):
-        if req not in ps:
-            raise ValueError(f"[params] is missing {req!r}")
-    params = ProblemParams(
-        n=_parse_int("params", "n", ps["n"]),
-        p=_parse_float("params", "p", ps["p"]),
-        q=_parse_float("params", "q", ps["q"]),
-        l1=_parse_float("params", "l1", ps.get("l1", "0")),
-        l2=_parse_float("params", "l2", ps.get("l2", "0")),
-        k1=_parse_float("params", "k1", ps.get("k1", "1")),
-        k2=_parse_float("params", "k2", ps.get("k2", "1")),
-    )
-    kw = {}
-    if "integrator" in cp:
-        kw = {k: _parse_float("integrator", k, v)
-              for k, v in cp["integrator"].items()}
-    integrator = IntegratorConfig(**kw)
-    t_min, t_max = -14.0, 14.0
-    if "spans" in cp:
-        t_min = _parse_float("spans", "t_min", cp["spans"].get("t_min", "-14"))
-        t_max = _parse_float("spans", "t_max", cp["spans"].get("t_max", "14"))
-    if not t_min < t_max:
-        raise ValueError(f"need t_min < t_max, got {t_min} >= {t_max}")
-    eps_scale = 1e-4
-    if "seed" in cp and "eps_scale" in cp["seed"]:
-        eps_scale = _parse_float("seed", "eps_scale", cp["seed"]["eps_scale"])
-    output_dir = cp["output"].get("directory", "out") if "output" in cp \
-        else "out"
-    axes: dict = {}
-    jobs = 1
-    if "sweep" in cp:
-        for key, raw in cp["sweep"].items():
-            if key == "jobs":
-                jobs = _parse_int("sweep", "jobs", raw)
-                if jobs < 1:
-                    raise ValueError("[sweep] jobs must be >= 1")
-                continue
-            parse = _parse_int if key == "n" else _parse_float
-            vals = [parse("sweep", key, cell.strip())
-                    for cell in raw.split(",") if cell.strip()]
-            if not vals:
-                raise ValueError(f"[sweep] {key}: empty axis")
-            axes[key] = vals
-    return RunConfig(params, integrator, t_min, t_max, eps_scale,
-                     output_dir, axes, jobs)
+    for f in dataclasses.fields(ProblemParams):
+        if f.default is dataclasses.MISSING and f.name not in cp["params"]:
+            raise ValueError(f"[params] is missing {f.name!r}")
+    values = {section: {key: _parse_value(section, key, raw)
+                        for key, raw in cp[section].items()}
+              for section in cp.sections()}
+    axes = values.get("sweep", {})
+    jobs = axes.pop("jobs", None)
+    run_kw = {_RUN_KEYS[section][key]: val
+              for section in _RUN_KEYS
+              for key, val in values.get(section, {}).items()}
+    cfg = RunConfig(ProblemParams(**values["params"]),
+                    IntegratorConfig(**values.get("integrator", {})),
+                    axes=axes, jobs=jobs, **run_kw)
+    if not cfg.t_min < cfg.t_max:
+        raise ValueError(f"need t_min < t_max, got {cfg.t_min} >= "
+                         f"{cfg.t_max}")
+    return cfg
 
 
 def parse_run_config(path) -> RunConfig:
@@ -166,9 +153,7 @@ def seeded_run(params: ProblemParams, dc: DerivedConstants, end: End,
 
 def expanded_axes(cfg: RunConfig) -> dict:
     """Sweep axes with singleton fallbacks from [params]."""
-    base = {"n": cfg.params.n, "p": cfg.params.p, "q": cfg.params.q,
-            "l1": cfg.params.l1, "l2": cfg.params.l2}
-    return {name: list(cfg.axes.get(name, [base[name]]))
+    return {name: list(cfg.axes.get(name, [getattr(cfg.params, name)]))
             for name in _AXIS_ORDER}
 
 
@@ -192,8 +177,8 @@ def config_hash(cfg: RunConfig) -> str:
             items = [(f.name, g.name, getattr(val, g.name))
                      for g in dataclasses.fields(val)]
         else:
-            section = next((sec for sec, keys in _SCHEMA.items()
-                            if f.name in keys), None)
+            section = next((sec for sec, keys in _RUN_KEYS.items()
+                            if f.name in keys.values()), None)
             if section is None:
                 raise KeyError(f"RunConfig.{f.name} has no config section")
             items = [(section, f.name, val)]
@@ -211,17 +196,15 @@ def run_id_of(cfg: RunConfig) -> str:
 def _cell_job(args) -> dict:
     """One sweep cell: derive, seed the available singular end, cross,
     classify both ends.  Failures are captured per cell."""
-    index, n, p, q, l1, l2, cfg, out_dir = args
-    k1, k2 = cfg.params.k1, cfg.params.k2
+    index, values, cfg, out_dir = args
     cell = {
         "index": index,
-        "params": {"n": n, "p": p, "q": q, "l1": l1, "l2": l2,
-                   "k1": k1, "k2": k2},
+        "params": {**dataclasses.asdict(cfg.params), **values},
         "error": None,
         "files": [],
     }
     try:
-        params = ProblemParams(n=n, p=p, q=q, l1=l1, l2=l2, k1=k1, k2=k2)
+        params = dataclasses.replace(cfg.params, **values)
         dc = derive_constants(params)
         flags = classify_regime(params, dc)
         cell["constants"] = dc.to_dict()
@@ -265,12 +248,10 @@ def sweep(cfg: RunConfig, jobs: int | None = None) -> SweepManifest:
     A rerun with the same semantic configuration and output directory is
     a no-op: the existing manifest is loaded and returned, provided it
     parses and records this config_hash and tool version; otherwise the
-    sweep runs again.  The manifest is written atomically.
+    sweep runs again.  The manifest is written atomically.  The worker
+    count is resolve_jobs(jobs, cfg.jobs).
     """
-    if jobs is None:
-        jobs = cfg.jobs
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    jobs = resolve_jobs(jobs, cfg.jobs)
     rid = run_id_of(cfg)
     out_dir = Path(cfg.output_dir) / rid
     manifest_path = out_dir / "manifest.json"
@@ -285,9 +266,8 @@ def sweep(cfg: RunConfig, jobs: int | None = None) -> SweepManifest:
     out_dir.mkdir(parents=True, exist_ok=True)
     axes = expanded_axes(cfg)
     grid = list(itertools.product(*(axes[name] for name in _AXIS_ORDER)))
-    tasks = [(i, int(n), float(p), float(q), float(l1), float(l2), cfg,
-              str(out_dir))
-             for i, (n, p, q, l1, l2) in enumerate(grid)]
+    tasks = [(i, dict(zip(_AXIS_ORDER, values)), cfg, str(out_dir))
+             for i, values in enumerate(grid)]
     t0 = time.monotonic()
     cells = map_jobs(_cell_job, tasks, jobs)
     wall = time.monotonic() - t0

@@ -79,6 +79,14 @@ class TestFits:
         with pytest.raises(SaturationError):
             fit_exponential_rate(traj, 2.0, (0.0, 5.0))
 
+    def test_rate_without_clean_decay_raises(self):
+        # one interior minimum of |v - lambda| and no envelope peaks
+        t = np.linspace(0.0, 4.0, 401)
+        w = 0.01 * ((t - 1.5) ** 2 + 0.1)
+        traj = synthetic(t, 2.0 + w, np.gradient(w, t))
+        with pytest.raises(SaturationError, match="0 points"):
+            fit_exponential_rate(traj, 2.0, (0.0, 4.0))
+
     def test_orbit_rate_matches_forced_exponent(self, orbit_a, dc_a):
         rate = fit_exponential_rate(orbit_a.trajectory, dc_a.lambda1,
                                     (6.0, 10.0))
@@ -104,6 +112,15 @@ class TestClassifyEnd:
         # -c2/2 of the linearised spiral eigenvalue
         rate = orbit_a.report_origin.rate
         assert rate == pytest.approx(-dc_a.c2coef / 2.0, rel=1e-2)
+
+    def test_orbit_seed_side_has_no_rate(self, orbit_a):
+        # on [10, 14] the seed transient puts an interior minimum into
+        # |v - lambda1|: no clean decay, so no rate (a log-linear fit
+        # read -0.993 against delta = -0.611)
+        rep = orbit_a.report_infinity
+        assert rep.window == (10.0, 14.0)
+        assert rep.kind == Kind.SLOW_DECAY_SINGULAR
+        assert rep.rate is None
 
     def test_bubble_fast_decay(self, lab):
         rep = lab.bubble["report"]

@@ -1,11 +1,16 @@
 """End-to-end tests for the command-line front end."""
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import emdenlab
+from emdenlab import ProblemParams
 from emdenlab.cli import main
 
 INI = """\
@@ -50,6 +55,13 @@ def test_exponents_json(capsys):
     assert consts["lambda2"] == pytest.approx(2.3412637106373519, rel=1e-12)
     assert payload["regime"]["theorem3_case"] == "singular_at_infinity"
     assert payload["params"]["q"] == 1.95
+
+
+def test_exponents_params_are_the_dataclass_fields(capsys):
+    assert main(["exponents", *PARAM_FLAGS]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"] == dataclasses.asdict(
+        ProblemParams(n=5, p=1.9, q=1.95, l1=0.0, l2=-0.5))
 
 
 def test_exponents_invalid_params_exit_1(capsys):
@@ -111,6 +123,30 @@ def test_scan_writes_boundaries(tmp_path, capsys):
         1.2679701365338474, rel=1e-4)
 
 
+@pytest.mark.parametrize("command,env,message", [
+    ("scan", None, "--jobs must be >= 1, got 0"),
+    ("sweep", None, "--jobs must be >= 1, got 0"),
+    ("scan", "abc", "EMDEN_JOBS: cannot parse 'abc'"),
+])
+def test_bad_worker_count_exits_1(tmp_path, capsys, monkeypatch, command,
+                                  env, message):
+    monkeypatch.delenv("EMDEN_JOBS", raising=False)
+    argv = [command]
+    if env is None:
+        argv += ["--jobs", "0"]
+    else:
+        monkeypatch.setenv("EMDEN_JOBS", env)
+    if command == "scan":
+        argv += PARAM_FLAGS
+    else:
+        ini = tmp_path / "run.ini"
+        ini.write_text(INI + f"\n[output]\ndirectory = {tmp_path}/runs\n")
+        argv += ["--config", str(ini)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_connect_json(capsys):
     rc = main(["connect", "--direction", "from_infinity", *PARAM_FLAGS])
     assert rc == 0
@@ -159,6 +195,10 @@ def test_verify_unknown_tolerance_exits_1(capsys):
 
 
 def test_console_script_installed():
+    # the subprocess imports the emdenlab under test, installed or not
+    src = str(Path(emdenlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "emdenlab.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

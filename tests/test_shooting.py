@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,32 @@ class TestScan:
             == [1, 1, 2, 2]
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: None)
         assert shooting.effective_jobs(8) == 1
+
+    def test_worker_count_precedence(self, monkeypatch):
+        # --jobs, then [sweep] jobs, then EMDEN_JOBS, then 1
+        monkeypatch.delenv("EMDEN_JOBS", raising=False)
+        assert shooting.resolve_jobs() == 1
+        monkeypatch.setenv("EMDEN_JOBS", "")
+        assert shooting.resolve_jobs() == 1
+        monkeypatch.setenv("EMDEN_JOBS", "3")
+        assert shooting.resolve_jobs() == 3
+        assert shooting.resolve_jobs(None, 1) == 1
+        assert shooting.resolve_jobs(2, 1) == 2
+
+    @pytest.mark.parametrize("requested,configured,env,message", [
+        (0, None, None, "--jobs must be >= 1, got 0"),
+        (None, 0, None, "[sweep] jobs must be >= 1, got 0"),
+        (None, None, "abc", "EMDEN_JOBS: cannot parse 'abc' as an integer"),
+        (None, None, "2.5", "EMDEN_JOBS: cannot parse '2.5' as an integer"),
+        (None, None, "0", "EMDEN_JOBS must be >= 1, got 0"),
+    ])
+    def test_bad_worker_count_names_its_source(self, monkeypatch, requested,
+                                               configured, env, message):
+        monkeypatch.delenv("EMDEN_JOBS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("EMDEN_JOBS", env)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            shooting.resolve_jobs(requested, configured)
 
     def test_one_worker_maps_in_process(self, monkeypatch):
         # a lambda cannot be pickled, so this only passes without a pool

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from emdenlab import (
+    IntegratorConfig,
     RunConfig,
     __version__,
     config_hash,
@@ -43,7 +44,7 @@ class TestParsing:
         # defaults
         assert cfg.eps_scale == 1e-4
         assert cfg.output_dir == "out"
-        assert cfg.jobs == 1
+        assert cfg.jobs is None  # unset: --jobs, EMDEN_JOBS or 1 decide
         assert cfg.axes == {}
         assert cfg.integrator.rtol == 1e-10
 
@@ -113,6 +114,59 @@ class TestParsing:
         with pytest.raises(ValueError, match="toggles"):
             parse_run_config_text(
                 BASE_INI.replace("l2 = -0.5", "l2 = -0.5\nk1 = 0.5"))
+
+    # one non-default value per scalar key: (section, key, text, value)
+    NON_DEFAULT = [
+        ("params", "n", "6", 6), ("params", "p", "1.8", 1.8),
+        ("params", "q", "2.0", 2.0), ("params", "l1", "-0.2", -0.2),
+        ("params", "l2", "-0.7", -0.7), ("params", "k1", "0", 0.0),
+        ("params", "k2", "0", 0.0),
+        ("integrator", "rtol", "1e-9", 1e-9),
+        ("integrator", "atol", "1e-11", 1e-11),
+        ("integrator", "max_step", "0.04", 0.04),
+        ("integrator", "amplitude_cap", "1e7", 1e7),
+        ("integrator", "dense_output_stride", "0.02", 0.02),
+        ("spans", "t_min", "-7", -7.0), ("spans", "t_max", "7", 7.0),
+        ("seed", "eps_scale", "1e-5", 1e-5),
+        ("output", "directory", "elsewhere", "elsewhere"),
+        ("sweep", "jobs", "3", 3),
+    ]
+    RUN_FIELD = {"t_min": "t_min", "t_max": "t_max", "eps_scale": "eps_scale",
+                 "directory": "output_dir", "jobs": "jobs"}
+
+    def test_schema_covers_every_scalar_field(self):
+        keys = {(sec, key) for sec, key, _, _ in self.NON_DEFAULT}
+        assert {k for sec, k in keys if sec == "params"} \
+            == {f.name for f in dataclasses.fields(ProblemParams)}
+        assert {k for sec, k in keys if sec == "integrator"} \
+            == {f.name for f in dataclasses.fields(IntegratorConfig)}
+        assert {self.RUN_FIELD[k] for sec, k in keys
+                if sec not in ("params", "integrator")} \
+            == {f.name for f in dataclasses.fields(RunConfig)} \
+            - {"params", "integrator", "axes"}
+
+    @pytest.mark.parametrize("section,key,text,value", NON_DEFAULT)
+    def test_key_parses_into_its_field(self, section, key, text, value):
+        # every other key is omitted and takes its dataclass default;
+        # l2 = -0.5 because l1 = l2 = 0 is invalid with both terms on,
+        # so the default l2 is read with the q-term off
+        given = {"n": 5, "p": 1.9, "q": 1.95}
+        if key != "k2":
+            given["l2"] = -0.5
+        ini = "[params]\n" + "".join(f"{k} = {v}\n" for k, v in
+                                      given.items() if k != key)
+        ini += ("" if section == "params" else f"[{section}]\n")
+        ini += f"{key} = {text}\n"
+        if section == "params":
+            given[key] = value
+        expected = RunConfig(ProblemParams(**given))
+        if section == "integrator":
+            expected = dataclasses.replace(
+                expected, integrator=IntegratorConfig(**{key: value}))
+        elif section != "params":
+            expected = dataclasses.replace(
+                expected, **{self.RUN_FIELD[key]: value})
+        assert parse_run_config_text(ini) == expected
 
     def test_expanded_axes_singleton_fallback(self):
         cfg = parse_run_config_text(BASE_INI + "\n[sweep]\np = 1.88, 1.92\n")
@@ -245,6 +299,21 @@ class TestSweep:
         assert "ValueError" in bad[0]["error"]
         assert "kinds" in ok[0]
 
+    def test_cell_params_are_the_dataclass_fields(self, tmp_path):
+        cfg = self._cfg(tmp_path, extra="\n[sweep]\np = 1.88, 1.9\n")
+        manifest = sweep(cfg)
+        assert [c["params"] for c in manifest.cells] == [
+            dataclasses.asdict(dataclasses.replace(cfg.params, p=p))
+            for p in (1.88, 1.9)]
+
+    def test_config_jobs_beats_environment(self, tmp_path, monkeypatch):
+        # [sweep] jobs = 1 is taken, so EMDEN_JOBS is never read
+        monkeypatch.setenv("EMDEN_JOBS", "abc")
+        manifest = sweep(self._cfg(tmp_path, extra="\n[sweep]\njobs = 1\n"))
+        assert manifest.cells[0]["error"] is None
+        with pytest.raises(ValueError, match="EMDEN_JOBS: cannot parse"):
+            sweep(self._cfg(tmp_path / "env"))
+
     def test_axes_product_order(self, tmp_path):
         cfg = self._cfg(tmp_path, extra="\n[sweep]\np = 1.88, 1.9\nq = 1.95, 1.97\n")
         manifest = sweep(cfg)
@@ -291,3 +360,15 @@ class TestSweep:
         write_trajectory_csv(orbit_a.trajectory, tmp_path / "orbit.csv")
         assert (manifest.path.parent / cell["files"][0]).read_bytes() \
             == (tmp_path / "orbit.csv").read_bytes()
+
+    def test_readme_cell_3_origin_has_no_rate(self, tmp_path):
+        # cell 3 of the README 3x3 sweep (p = 1.9, q = 1.93): on the
+        # origin window [-14, -10] |v - lambda2| swings through about one
+        # spiral period, so there is no clean decay to fit (a log-linear
+        # fit read -0.204; the linearisation gives +0.113)
+        params = ProblemParams(n=5, p=1.9, q=1.93, l1=0.0, l2=-0.5)
+        manifest = sweep(RunConfig(params, output_dir=str(tmp_path)))
+        report = manifest.cells[0]["reports"]["origin"]
+        assert report["window"] == [-14.0, -10.0]
+        assert report["kind"] == "slow_decay_singular"
+        assert report["rate"] is None
