@@ -21,9 +21,11 @@ import numpy as np
 from .energy import well_potential
 from .integrate import Frame, TerminationKind, Trajectory, reframe
 from .params import DerivedConstants, classify_regime
+from .serialize import Record
 
 
 # decision thresholds of classify_end (see its docstring)
+TOL_CLASS = 0.02
 OSC_RELAMP = 0.05
 SLOPE_TOL = 1e-3
 POWER_RESID_TOL = 0.05
@@ -64,7 +66,7 @@ def quadratic_extrema(t: np.ndarray, y: np.ndarray):
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     end: str
     kind: Kind
     window: tuple
@@ -72,18 +74,6 @@ class ClassificationReport:
     residual: float | None
     rate: float | None
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "end": self.end,
-            "kind": self.kind.value,
-            "window": list(self.window),
-            "fitted_constant": self.fitted_constant,
-            "residual": self.residual,
-            "rate": self.rate,
-            "diagnostics": {k: (v.value if isinstance(v, Enum) else v)
-                            for k, v in self.diagnostics.items()},
-        }
 
 
 def fit_power_tail(traj: Trajectory, exponent_hypothesis: float,
@@ -132,7 +122,7 @@ def fit_exponential_rate(traj: Trajectory, lambda_target: float,
 
 
 def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
-                 tol_class: float = 0.02,
+                 tol_class: float = TOL_CLASS,
                  window: tuple | None = None) -> ClassificationReport:
     """Classify the behavior of a trajectory toward one end.
 
@@ -234,7 +224,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
 
 
 @dataclass(frozen=True)
-class OscillationEnvelope:
+class OscillationEnvelope(Record):
     """Extrema bookkeeping for persistently oscillating trajectories.
 
     mu1/mu2 are the means of the 3 minima/maxima nearest the requested
@@ -256,27 +246,11 @@ class OscillationEnvelope:
     b_mu2: float
     b_match_rel: float
 
+    JSON_EXTRA = ("n_extrema",)
+
     @property
     def n_extrema(self) -> int:
         return int(self.values_min.size + self.values_max.size)
-
-    def to_dict(self) -> dict:
-        return {
-            "end": self.end,
-            "times_min": [float(x) for x in self.times_min],
-            "values_min": [float(x) for x in self.values_min],
-            "times_max": [float(x) for x in self.times_max],
-            "values_max": [float(x) for x in self.values_max],
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "spread_min": self.spread_min,
-            "spread_max": self.spread_max,
-            "potential": self.potential,
-            "b_mu1": self.b_mu1,
-            "b_mu2": self.b_mu2,
-            "b_match_rel": self.b_match_rel,
-            "n_extrema": self.n_extrema,
-        }
 
 
 def oscillation_envelope(traj: Trajectory, dc: DerivedConstants,

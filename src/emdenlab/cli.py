@@ -17,13 +17,14 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .classify import classify_end
+from .classify import TOL_CLASS, classify_end
 from .integrate import Frame, IntegratorConfig, integrate, \
     read_trajectory_csv, regular_series_start, write_trajectory_csv
-from .params import ProblemParams, classify_regime, derive_constants
+from .params import EPS_CRIT, ProblemParams, classify_regime, \
+    derive_constants
 from .serialize import canonical_json
-from .shooting import connecting_orbit, resolve_jobs, scan_thresholds, \
-    series_radius, shoot
+from .shooting import T_TARGET, connecting_orbit, resolve_jobs, \
+    scan_thresholds, series_radius, shoot
 from .sweep import parse_run_config, seeded_run, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
@@ -83,7 +84,7 @@ def cmd_solve(args) -> int:
                                      params, frame)
         traj = integrate(start, frame, cfg.t_max, params, integrator)
     else:
-        traj = seeded_run(params, dc, dc.end(args.start), cfg)
+        traj = seeded_run(params, dc.end(args.start), cfg)
     write_trajectory_csv(traj, args.out)
     sys.stderr.write(
         f"wrote {traj.t.size} samples to {args.out} "
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exponents", help="closed-form constants and "
                                           "regime flags")
     _add_param_flags(sp)
-    sp.add_argument("--eps-crit", type=float, default=1e-12)
+    sp.add_argument("--eps-crit", type=float, default=EPS_CRIT)
     sp.set_defaults(func=cmd_exponents)
 
     sp = sub.add_parser("solve", help="integrate one trajectory to CSV")
@@ -192,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--end", choices=["origin", "infinity"], required=True)
     _add_param_flags(sp)
     sp.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"))
-    sp.add_argument("--tol-class", type=float, default=0.02)
+    sp.add_argument("--tol-class", type=float, default=TOL_CLASS)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("shoot", help="one regular shot, classified at "
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--config")
     _add_param_flags(sp, required=False)
-    sp.add_argument("--t-target", type=float, default=12.0)
+    sp.add_argument("--t-target", type=float, default=T_TARGET)
     sp.set_defaults(func=cmd_shoot)
 
     sp = sub.add_parser("scan", help="shoot a log grid and bisect kind "
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=64)
     sp.add_argument("--config")
     _add_param_flags(sp, required=False)
-    sp.add_argument("--t-target", type=float, default=12.0)
+    sp.add_argument("--t-target", type=float, default=T_TARGET)
     sp.add_argument("--jobs", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_scan)

@@ -19,6 +19,7 @@ from scipy.integrate import cumulative_simpson
 
 from .integrate import TerminationKind, Trajectory
 from .params import DerivedConstants, End
+from .serialize import Record
 
 
 def well_potential(v, end: End):
@@ -96,7 +97,7 @@ def energy_trace(traj: Trajectory, dc: DerivedConstants) -> EnergyTrace:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Quantitative a-priori bound check over one t-window."""
 
     window: tuple
@@ -108,19 +109,6 @@ class BoundReport:
     mass_monotone_ok: bool
     flux_monotone_ok: bool
     margins: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "window": list(self.window),
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "sup_v": self.sup_v,
-            "sup_abs_vdot": self.sup_abs_vdot,
-            "integral_vdot_sq": self.integral_vdot_sq,
-            "mass_monotone_ok": self.mass_monotone_ok,
-            "flux_monotone_ok": self.flux_monotone_ok,
-            "margins": dict(self.margins),
-        }
 
 
 STEP_TOL = 1e-10

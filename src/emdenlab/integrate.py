@@ -6,25 +6,25 @@ autonomous-plus-forcing system
     v'' + (n-2-2 alpha) v' - alpha (n-2-alpha) v
         + k1 e^{E1 t} v^p + k2 e^{E2 t} v^q = 0,
 
-where E_i = frame_exp(alpha, term_i).  Choosing alpha = alpha1 kills the
-exponential on the p-term (E1 = 0, E2 = delta); alpha = alpha2 kills it
-on the q-term (E2 = 0, E1 = delta2); alpha = 0 is the raw frame.  The
-singular seed of an end lives in that end's frame, Frame(dc.end(name).alpha).
-All trajectories are integrated with DOP853 at tight tolerances, with
-the one right-hand side log_frame_rhs, and sampled on a fixed stride for
-downstream fits and quadrature.
+where E_i = frame_exp(exp_i, l_i, alpha) (params.py).  Choosing
+alpha = alpha1 kills the exponential on the p-term (E1 = 0, E2 = delta);
+alpha = alpha2 kills it on the q-term (E2 = 0, E1 = delta2); alpha = 0
+is the raw frame.  The singular seed of an End lives in that end's
+frame, Frame(end.alpha).  All trajectories are integrated with DOP853
+at tight tolerances, with the one right-hand side log_frame_rhs, and
+sampled on a fixed stride for downstream fits and quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .params import DerivedConstants, End, ProblemParams
+from .params import End, ProblemParams, frame_exp
 from .serialize import fmt_float
 
 
@@ -60,12 +60,11 @@ class IntegratorConfig:
     dense_output_stride: float = 0.01
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "max_step", "amplitude_cap",
-                     "dense_output_stride"):
-            val = getattr(self, name)
+        for f in fields(self):
+            val = getattr(self, f.name)
             if not (isinstance(val, (int, float)) and val > 0.0
                     and math.isfinite(val)):
-                raise ValueError(f"{name} must be a positive finite number")
+                raise ValueError(f"{f.name} must be a positive finite number")
         # coarser stride than 10 steps defeats event localization checks
         if self.dense_output_stride > 10.0 * self.max_step:
             raise ValueError("dense_output_stride must be <= 10 * max_step")
@@ -189,7 +188,7 @@ def log_frame_rhs(params: ProblemParams, alpha: float):
     n = params.n
     c = n - 2.0 - 2.0 * alpha
     lin = alpha * (n - 2.0 - alpha)
-    terms = [(exp_, l - (exp_ - 1.0) * alpha + 2.0, float(k))
+    terms = [(exp_, frame_exp(exp_, l, alpha), float(k))
              for exp_, l, k in params.active_terms()]
 
     def rhs(t, y):
@@ -307,25 +306,22 @@ def regular_series_start(a: float, r0: float, params: ProblemParams,
     return State(t0, v, vdot)
 
 
-def singular_seed_start(end: str, eps: float, t_seed: float,
-                        params: ProblemParams,
-                        dc: DerivedConstants) -> State:
+def singular_seed_start(end: End, eps: float, t_seed: float) -> State:
     """Perturbed equilibrium seed near one end, in that end's own frame.
 
-    With e = dc.end(end) the seed is (e.lam + eps, eps e.rate): at
-    infinity the alpha1-frame equilibrium lambda1 with the forced
-    exponent delta, at the origin the alpha2-frame equilibrium lambda2
-    with delta2.  eps = 0 seeds the equilibrium itself, (lambda, 0).
-    |eps| must stay below 0.1 lambda.
+    The seed is (end.lam + eps, eps end.rate): at infinity the
+    alpha1-frame equilibrium lambda1 with the forced exponent delta, at
+    the origin the alpha2-frame equilibrium lambda2 with delta2.
+    eps = 0 seeds the equilibrium itself, (lambda, 0).  |eps| must stay
+    below 0.1 lambda.
     """
-    e = dc.end(end)
-    if e.lam is None:
-        raise ValueError(f"singular amplitude undefined at {end} for these "
-                         "parameters")
-    if not abs(eps) < 0.1 * e.lam:
+    if end.lam is None:
+        raise ValueError(f"singular amplitude undefined at {end.name} for "
+                         "these parameters")
+    if not abs(eps) < 0.1 * end.lam:
         raise ValueError(f"|eps| = {abs(eps)} must be below 0.1 lambda "
-                         f"= {0.1 * e.lam}")
-    return State(t_seed, e.lam + eps, eps * e.rate if eps else 0.0)
+                         f"= {0.1 * end.lam}")
+    return State(t_seed, end.lam + eps, eps * end.rate if eps else 0.0)
 
 
 def reframe(traj: Trajectory, new_frame: Frame) -> Trajectory:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .serialize import SKIP, Record
+
 
 class UndefinedLambdaError(ValueError):
     """alpha (n-2-alpha) <= 0, so the singular amplitude does not exist."""
@@ -85,6 +87,16 @@ def _amplitude(alpha: float, n: int, exponent: float):
     return prod ** (1.0 / (exponent - 1.0))
 
 
+def frame_exp(exponent: float, weight: float, alpha: float) -> float:
+    """Exponent of e^{.t} multiplying the power term r^weight u^exponent
+    in the alpha log-frame: weight - (exponent - 1) alpha + 2.
+
+    It vanishes identically for the p-term at alpha1 and the q-term at
+    alpha2; the cross terms give delta and delta2.
+    """
+    return weight - (exponent - 1.0) * alpha + 2.0
+
+
 _FRAME_TOL = 1e-9
 
 
@@ -116,7 +128,7 @@ class End:
 
 
 @dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(Record):
     """Closed-form quantities attached to a parameter set.
 
     lambda1/lambda2 are None when alpha (n-2-alpha) <= 0 (no real
@@ -125,7 +137,7 @@ class DerivedConstants:
     by name as dc.end(name) or by frame exponent as dc.frame_end(alpha).
     """
 
-    params: ProblemParams
+    params: ProblemParams = field(metadata=SKIP)
     alpha1: float
     alpha2: float
     lambda1: float | None
@@ -138,7 +150,9 @@ class DerivedConstants:
     delta: float
     delta2: float
     omega_sq: float
-    ends: tuple
+    ends: tuple = field(metadata=SKIP)
+
+    JSON_EXTRA = ("omega",)
 
     def end(self, name: str) -> End:
         for e in self.ends:
@@ -155,38 +169,9 @@ class DerivedConstants:
             f"energy accounting is defined in the alpha1 ({self.alpha1}) or "
             f"alpha2 ({self.alpha2}) frame, not alpha={alpha}")
 
-    def frame_exp(self, alpha: float, term: str) -> float:
-        """Exponent of e^{.t} multiplying the term in the alpha log-frame.
-
-        frame_exp(alpha, term) = l_term - (exp_term - 1) alpha + 2; it
-        vanishes identically for (alpha1, 'p') and (alpha2, 'q').
-        """
-        if term == "p":
-            return self.params.l1 - (self.params.p - 1.0) * alpha + 2.0
-        if term == "q":
-            return self.params.l2 - (self.params.q - 1.0) * alpha + 2.0
-        raise ValueError(f"term must be 'p' or 'q', got {term!r}")
-
     @property
     def omega(self) -> float | None:
         return math.sqrt(self.omega_sq) if self.omega_sq > 0.0 else None
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "serrin1": self.serrin1,
-            "sobolev1": self.sobolev1,
-            "sobolev2": self.sobolev2,
-            "c1coef": self.c1coef,
-            "c2coef": self.c2coef,
-            "delta": self.delta,
-            "delta2": self.delta2,
-            "omega_sq": self.omega_sq,
-            "omega": self.omega,
-        }
 
 
 def derive_constants(params: ProblemParams) -> DerivedConstants:
@@ -235,7 +220,7 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
 
 
 @dataclass(frozen=True)
-class RegimeFlags:
+class RegimeFlags(Record):
     """Which of the asymptotic theorems apply to a parameter set.
 
     theorem2_case: 'none' | 'critical_q' | 'critical_p'
@@ -247,17 +232,13 @@ class RegimeFlags:
     theorem3_case: str
     criticality_margins: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem1_applies": self.theorem1_applies,
-            "theorem2_case": self.theorem2_case,
-            "theorem3_case": self.theorem3_case,
-            "criticality_margins": dict(self.criticality_margins),
-        }
+
+# criticality is equality with a Sobolev-type threshold within EPS_CRIT
+EPS_CRIT = 1e-12
 
 
 def classify_regime(params: ProblemParams, dc: DerivedConstants,
-                    eps_crit: float = 1e-12) -> RegimeFlags:
+                    eps_crit: float = EPS_CRIT) -> RegimeFlags:
     """Regime flags from the exponent thresholds.
 
     theorem1_applies needs the Serrin bound serrin1 < p < q with both

@@ -4,11 +4,53 @@ JSON and CSV output from this package must be byte-reproducible across
 runs and across worker counts, so floats are always rendered with the
 shortest-17 significant-digit form (%.17g round-trips every IEEE double)
 and JSON objects are emitted with sorted keys and LF line endings.
+Every result record derives its JSON from its dataclass fields (Record).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from enum import Enum
+
+import numpy as np
+
+
+# field(metadata=SKIP) keeps a field out of Record.to_dict()
+SKIP = {"json": False}
+
+
+def plain(obj):
+    """obj with Enums as their value, arrays and tuples as lists, and
+    records and dicts converted recursively; other values unchanged."""
+    if isinstance(obj, Record):
+        return obj.to_dict()
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [plain(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    return obj
+
+
+class Record:
+    """Base of the result dataclasses.
+
+    to_dict() holds every dataclass field except those declared
+    field(metadata=SKIP), plus the attributes named in JSON_EXTRA, each
+    passed through plain().
+    """
+
+    JSON_EXTRA = ()
+
+    def to_dict(self) -> dict:
+        names = [f.name for f in dataclasses.fields(self)
+                 if f.metadata.get("json", True)]
+        return {name: plain(getattr(self, name))
+                for name in [*names, *self.JSON_EXTRA]}
 
 
 def fmt_float(x: float) -> str:

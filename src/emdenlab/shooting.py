@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -25,8 +25,11 @@ from .integrate import Frame, IntegratorConfig, Trajectory, integrate, \
     regular_series_start, singular_seed_start
 from .params import DerivedConstants, End, ProblemParams, classify_regime, \
     derive_constants
+from .serialize import SKIP, Record
 
 
+# default horizon (t_target) of shoot, bisect_boundary and scan_thresholds
+T_TARGET = 12.0
 SERIES_BUDGET = 1e-7
 BISECT_REL_WIDTH = 1e-12
 BISECT_MAX_ITER = 80
@@ -47,24 +50,21 @@ def series_radius(a: float, params: ProblemParams) -> float:
 
 
 @dataclass
-class ShotResult:
+class ShotResult(Record):
     a: float
     r0: float
-    trajectory: Trajectory
+    trajectory: Trajectory = field(metadata=SKIP)
     report: ClassificationReport
 
     @property
     def kind(self) -> Kind:
         return self.report.kind
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "r0": self.r0, "report": self.report.to_dict()}
-
 
 def shoot(a: float, params: ProblemParams,
           dc: DerivedConstants | None = None,
           config: IntegratorConfig | None = None,
-          t_target: float = 12.0,
+          t_target: float = T_TARGET,
           window: tuple | None = None) -> ShotResult:
     """One regular shot u(0) = a, classified at the infinity end.
 
@@ -85,7 +85,7 @@ def shoot(a: float, params: ProblemParams,
 
 
 @dataclass
-class BoundaryResult:
+class BoundaryResult(Record):
     """One bisected kind boundary in the shooting amplitude."""
 
     a_star: float
@@ -94,30 +94,20 @@ class BoundaryResult:
     kind_lo: Kind
     kind_hi: Kind
     iterations: int
-    widths: list
+    widths: list = field(metadata=SKIP)
     report_star: ClassificationReport
+
+    JSON_EXTRA = ("rel_width",)
 
     @property
     def rel_width(self) -> float:
         return (self.a_hi - self.a_lo) / self.a_star
 
-    def to_dict(self) -> dict:
-        return {
-            "a_star": self.a_star,
-            "a_lo": self.a_lo,
-            "a_hi": self.a_hi,
-            "kind_lo": self.kind_lo.value,
-            "kind_hi": self.kind_hi.value,
-            "iterations": self.iterations,
-            "rel_width": self.rel_width,
-            "report_star": self.report_star.to_dict(),
-        }
-
 
 def bisect_boundary(a_lo: float, a_hi: float, params: ProblemParams,
                     dc: DerivedConstants | None = None,
                     config: IntegratorConfig | None = None,
-                    t_target: float = 12.0,
+                    t_target: float = T_TARGET,
                     window: tuple | None = None) -> BoundaryResult:
     """Bisect an amplitude bracket whose shots differ in kind.
 
@@ -194,25 +184,17 @@ def map_jobs(fn, items, jobs: int) -> list:
 
 
 @dataclass
-class ThresholdScan:
+class ThresholdScan(Record):
     a_grid: np.ndarray
     kinds: list
     shots: list
     boundaries: list
 
-    def to_dict(self) -> dict:
-        return {
-            "a_grid": [float(a) for a in self.a_grid],
-            "kinds": [k.value for k in self.kinds],
-            "shots": [s.to_dict() for s in self.shots],
-            "boundaries": [b.to_dict() for b in self.boundaries],
-        }
-
 
 def scan_thresholds(a_grid, params: ProblemParams,
                     dc: DerivedConstants | None = None,
                     config: IntegratorConfig | None = None,
-                    t_target: float = 12.0,
+                    t_target: float = T_TARGET,
                     window: tuple | None = None,
                     jobs: int = 1,
                     bisect: bool = True) -> ThresholdScan:
@@ -244,18 +226,11 @@ def scan_thresholds(a_grid, params: ProblemParams,
 
 
 @dataclass
-class ConnectingOrbit:
+class ConnectingOrbit(Record):
     direction: str
-    trajectory: Trajectory
+    trajectory: Trajectory = field(metadata=SKIP)
     report_infinity: ClassificationReport
     report_origin: ClassificationReport
-
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "report_infinity": self.report_infinity.to_dict(),
-            "report_origin": self.report_origin.to_dict(),
-        }
 
 
 # seeding depth and crossing span, frozen by rate/stability calibration
@@ -266,13 +241,13 @@ CONNECT_DEFAULTS = {
 END_WINDOW = 4.0
 
 
-def seed_and_integrate(params: ProblemParams, dc: DerivedConstants,
-                       end: End, eps: float, t_seed: float, t_end: float,
+def seed_and_integrate(params: ProblemParams, end: End, eps: float,
+                       t_seed: float, t_end: float,
                        config: IntegratorConfig | None = None
                        ) -> Trajectory:
     """Seed the singular behavior of `end` at t_seed and integrate to
     t_end in that end's frame (see singular_seed_start for the seed)."""
-    start = singular_seed_start(end.name, eps, t_seed, params, dc)
+    start = singular_seed_start(end, eps, t_seed)
     return integrate(start, Frame(end.alpha), t_end, params, config)
 
 
@@ -327,5 +302,5 @@ def connecting_orbit(params: ProblemParams, dc: DerivedConstants,
         t_seed = defaults["t_seed"]
     if t_end is None:
         t_end = defaults["t_end"]
-    traj = seed_and_integrate(params, dc, end, eps, t_seed, t_end, config)
+    traj = seed_and_integrate(params, end, eps, t_seed, t_end, config)
     return ConnectingOrbit(direction, traj, *classify_ends(traj, dc))

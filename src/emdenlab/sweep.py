@@ -31,8 +31,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .integrate import IntegratorConfig, write_trajectory_csv
-from .params import DerivedConstants, End, ProblemParams, classify_regime, \
-    derive_constants
+from .params import End, ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json, fmt_float
 from .shooting import classify_ends, map_jobs, resolve_jobs, \
     seed_and_integrate
@@ -137,18 +136,17 @@ def parse_run_config(path) -> RunConfig:
         return parse_run_config_text(fh.read())
 
 
-def seeded_run(params: ProblemParams, dc: DerivedConstants, end: End,
-               cfg: RunConfig):
-    """Seed `end` (an End record of dc) on its side of [t_min, t_max]
-    with eps = eps_scale lambda and cross to the other side with the
-    config's integrator: infinity (side +1) seeds at t_max, the origin
-    at t_min."""
+def seeded_run(params: ProblemParams, end: End, cfg: RunConfig):
+    """Seed `end` (an End record of derive_constants(params)) on its side
+    of [t_min, t_max] with eps = eps_scale lambda and cross to the other
+    side with the config's integrator: infinity (side +1) seeds at t_max,
+    the origin at t_min."""
     if end.lam is None:
         raise ValueError(f"no singular amplitude at {end.name}")
     t_seed, t_stop = ((cfg.t_max, cfg.t_min) if end.side > 0
                       else (cfg.t_min, cfg.t_max))
-    return seed_and_integrate(params, dc, end, cfg.eps_scale * end.lam,
-                              t_seed, t_stop, cfg.integrator)
+    return seed_and_integrate(params, end, cfg.eps_scale * end.lam, t_seed,
+                              t_stop, cfg.integrator)
 
 
 def expanded_axes(cfg: RunConfig) -> dict:
@@ -213,7 +211,7 @@ def _cell_job(args) -> dict:
         end = next((e for e in dc.ends if e.lam is not None), None)
         if end is None:
             raise ValueError("no singular amplitude in either frame")
-        traj = seeded_run(params, dc, end, cfg)
+        traj = seeded_run(params, end, cfg)
         rep_inf, rep_ori = classify_ends(traj, dc)
         cell["seeded_end"] = end.name
         cell["termination"] = traj.termination.kind.value

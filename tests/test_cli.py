@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import emdenlab
-from emdenlab import ProblemParams
-from emdenlab.cli import main
+from emdenlab import ProblemParams, bisect_boundary, classify_end, \
+    classify_regime, scan_thresholds, shoot
+from emdenlab.cli import build_parser, main
 
 INI = """\
 [params]
@@ -62,6 +64,19 @@ def test_exponents_params_are_the_dataclass_fields(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["params"] == dataclasses.asdict(
         ProblemParams(n=5, p=1.9, q=1.95, l1=0.0, l2=-0.5))
+
+
+@pytest.mark.parametrize("argv,dest,functions", [
+    (["exponents", *PARAM_FLAGS], "eps_crit", [classify_regime]),
+    (["classify", "--csv", "x.csv", "--end", "origin", *PARAM_FLAGS],
+     "tol_class", [classify_end]),
+    (["shoot", "--a", "1"], "t_target", [shoot]),
+    (["scan"], "t_target", [scan_thresholds, bisect_boundary, shoot]),
+])
+def test_parser_defaults_are_the_function_defaults(argv, dest, functions):
+    default = getattr(build_parser().parse_args(argv), dest)
+    for fn in functions:
+        assert inspect.signature(fn).parameters[dest].default == default
 
 
 def test_exponents_invalid_params_exit_1(capsys):

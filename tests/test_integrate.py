@@ -37,8 +37,8 @@ class TestIntegrateCore:
         assert np.max(np.abs(traj.u - exact) / exact) < 1e-10
 
     def test_sampling_grid_stride(self, dc_a, config_a):
-        start = singular_seed_start("infinity", 1e-4 * dc_a.lambda1, 2.0,
-                                    config_a, dc_a)
+        start = singular_seed_start(dc_a.end("infinity"),
+                                    1e-4 * dc_a.lambda1, 2.0)
         traj = integrate(start, Frame(dc_a.alpha1), 0.0, config_a)
         steps = np.diff(traj.t)
         assert np.all(np.abs(steps[:-1] + 0.01) < 1e-12)
@@ -53,8 +53,8 @@ class TestIntegrateCore:
     def test_direction_symmetry(self, config_a, dc_a):
         # integrate backward over [0, 6], then forward from the endpoint;
         # the far endpoint must reproduce the seed within solver budget
-        start = singular_seed_start("infinity", 1e-3 * dc_a.lambda1, 6.0,
-                                    config_a, dc_a)
+        start = singular_seed_start(dc_a.end("infinity"),
+                                    1e-3 * dc_a.lambda1, 6.0)
         back = integrate(start, Frame(dc_a.alpha1), 0.0, config_a)
         fwd = integrate(back.state_at(-1), Frame(dc_a.alpha1), 6.0, config_a)
         assert abs(fwd.v[-1] - start.v) < 1e-8
@@ -140,11 +140,11 @@ class TestSeries:
 
 
 class TestSeeds:
-    def test_seed_values(self, config_a, dc_a):
-        s = singular_seed_start("infinity", 1e-3, 14.0, config_a, dc_a)
+    def test_seed_values(self, dc_a):
+        s = singular_seed_start(dc_a.end("infinity"), 1e-3, 14.0)
         assert s.v == dc_a.lambda1 + 1e-3
         assert s.vdot == pytest.approx(1e-3 * dc_a.delta, rel=1e-15)
-        s2 = singular_seed_start("origin", -1e-3, -10.0, config_a, dc_a)
+        s2 = singular_seed_start(dc_a.end("origin"), -1e-3, -10.0)
         assert s2.v == dc_a.lambda2 - 1e-3
         assert s2.vdot == pytest.approx(-1e-3 * dc_a.delta2, rel=1e-15)
 
@@ -153,25 +153,21 @@ class TestSeeds:
         assert dc_a.end("infinity").alpha == dc_a.alpha1
         assert dc_a.end("origin").alpha == dc_a.alpha2
 
-    def test_zero_eps_seeds_the_equilibrium(self, config_a, dc_a):
-        s = singular_seed_start("infinity", 0.0, 14.0, config_a, dc_a)
+    def test_zero_eps_seeds_the_equilibrium(self, dc_a):
+        s = singular_seed_start(dc_a.end("infinity"), 0.0, 14.0)
         assert (s.v, s.vdot) == (dc_a.lambda1, 0.0)
         assert math.copysign(1.0, s.vdot) == 1.0
 
-    def test_eps_bound(self, config_a, dc_a):
+    def test_eps_bound(self, dc_a):
         with pytest.raises(ValueError, match="0.1 lambda"):
-            singular_seed_start("infinity", 0.5 * dc_a.lambda1, 0.0,
-                                config_a, dc_a)
+            singular_seed_start(dc_a.end("infinity"), 0.5 * dc_a.lambda1,
+                                0.0)
 
     def test_undefined_lambda_rejected(self):
         params = ProblemParams(n=3, p=1.2, q=5.0, l1=0.0, l2=-0.5)
         dc = derive_constants(params)
         with pytest.raises(ValueError, match="undefined"):
-            singular_seed_start("infinity", 1e-4, 0.0, params, dc)
-
-    def test_bad_end_name(self, config_a, dc_a):
-        with pytest.raises(ValueError):
-            singular_seed_start("middle", 1e-4, 0.0, config_a, dc_a)
+            singular_seed_start(dc.end("infinity"), 1e-4, 0.0)
 
 
 class TestReframe:

@@ -12,6 +12,7 @@ from emdenlab import (
     derive_constants,
     exact_single_term_singular,
 )
+from emdenlab.params import frame_exp
 
 
 class TestDerivedConstants:
@@ -195,12 +196,13 @@ class TestIdentities:
         scale = max(1.0, abs(dc.alpha1) * params.p, abs(dc.alpha2) * params.q)
         # the defining property of alpha1/alpha2: their own term is
         # autonomous in their frame
-        assert abs(dc.frame_exp(dc.alpha1, "p")) <= 1e-13 * scale
-        assert abs(dc.frame_exp(dc.alpha2, "q")) <= 1e-13 * scale
+        p, q, l1, l2 = params.p, params.q, params.l1, params.l2
+        assert abs(frame_exp(p, l1, dc.alpha1)) <= 1e-13 * scale
+        assert abs(frame_exp(q, l2, dc.alpha2)) <= 1e-13 * scale
         # delta/delta2 are the cross-term exponents
-        assert dc.frame_exp(dc.alpha1, "q") == pytest.approx(
+        assert frame_exp(q, l2, dc.alpha1) == pytest.approx(
             dc.delta, rel=1e-10, abs=1e-12 * scale)
-        assert dc.frame_exp(dc.alpha2, "p") == pytest.approx(
+        assert frame_exp(p, l1, dc.alpha2) == pytest.approx(
             dc.delta2, rel=1e-10, abs=1e-12 * scale)
 
     @given(param_sets())
