@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .integrate import TerminationKind, Trajectory
 from .params import DerivedConstants, End
@@ -38,6 +37,39 @@ def well_potential(v, end: End):
     out = np.where(v > 0.0, np.abs(v) ** (k + 1.0), 0.0) / (k + 1.0) \
         - end.lam ** (k - 1.0) * v ** 2 / 2.0
     return float(out) if out.ndim == 0 else out
+
+
+def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running integral of y over the increasing grid x, 0 at x[0].
+
+    Simpson's rule on unequal intervals (Cartwright 2017, eqn 8), written
+    operation for operation as scipy.integrate.cumulative_simpson(y, x=x,
+    initial=0.0): each interval integrates the parabola through its own
+    two points and the next one, the last interval the one through the
+    previous point; two samples take the trapezoid.
+    """
+    dx = np.diff(x)
+    if y.size < 3:
+        sub = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        ahead = _simpson_first_intervals(y, dx)
+        behind = _simpson_first_intervals(y[::-1], dx[::-1])[::-1]
+        sub = np.empty(dx.size)
+        sub[:-1:2] = ahead[::2]
+        sub[1::2] = behind[::2]
+        sub[-1] = behind[-1]
+    return np.cumsum(np.concatenate(([0.0], sub)))
+
+
+def _simpson_first_intervals(y, dx):
+    """Integral over each [x_i, x_i+1] of the parabola through x_i, x_i+1
+    and x_i+2."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
 
 
 @dataclass
@@ -91,8 +123,8 @@ def energy_trace(traj: Trajectory, dc: DerivedConstants) -> EnergyTrace:
         return EnergyTrace(t, energy, zero, zero.copy())
     f_rate = -end.force_k * np.exp(end.rate * t) * vp ** end.force_exp * vd
     d_rate = -end.damping * vd ** 2
-    forcing = cumulative_simpson(f_rate, x=t, initial=0.0)
-    damping = cumulative_simpson(d_rate, x=t, initial=0.0)
+    forcing = cumulative_simpson(f_rate, t)
+    damping = cumulative_simpson(d_rate, t)
     return EnergyTrace(t, energy, forcing, damping)
 
 

@@ -10,20 +10,27 @@ where E_i = frame_exp(exp_i, l_i, alpha) (params.py).  Choosing
 alpha = alpha1 kills the exponential on the p-term (E1 = 0, E2 = delta);
 alpha = alpha2 kills it on the q-term (E2 = 0, E1 = delta2); alpha = 0
 is the raw frame.  The singular seed of an End lives in that end's
-frame, Frame(end.alpha).  All trajectories are integrated with DOP853
-at tight tolerances, with the one right-hand side log_frame_rhs, and
-sampled on a fixed stride for downstream fits and quadrature.
+frame, Frame(end.alpha).  All trajectories are integrated at tight
+tolerances with the one right-hand side log_frame_rhs, and sampled on a
+fixed stride for downstream fits and quadrature.
+
+The integrator is the in-repo DOP853 of dop853.py: Dormand-Prince 8(5,3)
+with its 7th-order dense output (Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, sections II.5-II.6), with the
+tableau, error norm and step controller of scipy's DOP853, so it takes
+scipy's steps.  Integration stops at t_target, at a located loss of
+positivity, at the amplitude cap, or on a step-size underflow.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
-from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .dop853 import TerminationKind, solve_ivp
 from .params import End, ProblemParams, frame_exp
 from .serialize import fmt_float
 
@@ -41,6 +48,8 @@ class Frame:
 
 RAW = Frame(0.0)
 
+RTOL_MIN = 100.0 * sys.float_info.epsilon
+
 
 @dataclass(frozen=True)
 class State:
@@ -53,6 +62,13 @@ class State:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """DOP853 tolerances, step cap, amplitude cap and sampling stride.
+
+    Every setting is a positive finite number; rtol must be at least
+    RTOL_MIN = 100 eps, below which the error test asks for more than
+    double precision carries.
+    """
+
     rtol: float = 1e-10
     atol: float = 1e-12
     max_step: float = 0.05
@@ -65,16 +81,12 @@ class IntegratorConfig:
             if not (isinstance(val, (int, float)) and val > 0.0
                     and math.isfinite(val)):
                 raise ValueError(f"{f.name} must be a positive finite number")
+        if self.rtol < RTOL_MIN:
+            raise ValueError(f"rtol must be >= {RTOL_MIN!r} (100 eps), "
+                             f"got {self.rtol!r}")
         # coarser stride than 10 steps defeats event localization checks
         if self.dense_output_stride > 10.0 * self.max_step:
             raise ValueError("dense_output_stride must be <= 10 * max_step")
-
-
-class TerminationKind(str, Enum):
-    REACHED_SPAN_END = "reached_span_end"
-    POSITIVITY_LOST = "positivity_lost"
-    AMPLITUDE_CAP = "amplitude_cap"
-    STEP_UNDERFLOW = "step_underflow"
 
 
 @dataclass(frozen=True)
@@ -213,57 +225,30 @@ def integrate(start: State, frame: Frame, t_target: float,
 
     Terminates early on loss of positivity (v crosses zero from above,
     event-located) or on |v| exceeding the amplitude cap; a solver
-    step-size underflow is reported rather than raised.
+    step-size underflow is reported rather than raised, also before the
+    first step (a one-sample trajectory).  A non-finite t_target or
+    start field raises ValueError.
     """
     if config is None:
         config = IntegratorConfig()
+    for name, value in (("t_target", t_target), ("start.t", start.t),
+                        ("start.v", start.v), ("start.vdot", start.vdot)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not start.v > 0.0:
         raise ValueError(f"start.v must be positive, got {start.v}")
-    if t_target == start.t:
+    term = Termination(TerminationKind.REACHED_SPAN_END, start.t)
+    if t_target != start.t:
+        sol = solve_ivp(log_frame_rhs(params, frame.alpha), start.t, t_target,
+                        (start.v, start.vdot), config.rtol, config.atol,
+                        config.max_step, config.amplitude_cap)
+        term = Termination(sol.status, float(sol.t[-1]))
+    if term.t == start.t:
+        # no step taken: a zero span, or an underflow at the first step
         return Trajectory(frame, np.array([start.t]), np.array([start.v]),
-                          np.array([start.vdot]),
-                          Termination(TerminationKind.REACHED_SPAN_END,
-                                      start.t),
-                          config)
+                          np.array([start.vdot]), term, config)
 
-    def ev_positivity(t, y):
-        return y[0]
-
-    ev_positivity.terminal = True
-    ev_positivity.direction = -1.0
-
-    cap = config.amplitude_cap
-
-    def ev_cap(t, y):
-        return abs(y[0]) - cap
-
-    ev_cap.terminal = True
-    ev_cap.direction = 1.0
-
-    sol = solve_ivp(
-        log_frame_rhs(params, frame.alpha),
-        (start.t, t_target),
-        [start.v, start.vdot],
-        method="DOP853",
-        rtol=config.rtol,
-        atol=config.atol,
-        max_step=config.max_step,
-        dense_output=True,
-        events=(ev_positivity, ev_cap),
-    )
-    if sol.status == 1:
-        if len(sol.t_events[0]):
-            term = Termination(TerminationKind.POSITIVITY_LOST,
-                               float(sol.t_events[0][0]))
-        else:
-            term = Termination(TerminationKind.AMPLITUDE_CAP,
-                               float(sol.t_events[1][0]))
-    elif sol.status == 0:
-        term = Termination(TerminationKind.REACHED_SPAN_END, float(sol.t[-1]))
-    else:
-        term = Termination(TerminationKind.STEP_UNDERFLOW, float(sol.t[-1]))
-
-    t_last = float(sol.t[-1])
+    t_last = term.t
     stride = config.dense_output_stride
     sgn = 1.0 if t_last > start.t else -1.0
     npts = int(math.floor(abs(t_last - start.t) / stride))
@@ -272,8 +257,8 @@ def integrate(start: State, frame: Frame, t_target: float,
         ts[-1] = t_last
     else:
         ts = np.append(ts, t_last)
-    y = sol.sol(ts)
-    return Trajectory(frame, ts, y[0], y[1], term, config)
+    v, vdot = sol(ts)
+    return Trajectory(frame, ts, v, vdot, term, config)
 
 
 def regular_series_start(a: float, r0: float, params: ProblemParams,

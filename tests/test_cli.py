@@ -217,3 +217,25 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "emdenlab.cli", "--version"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--a", "1.0"],
+    ["scan", "--a-min", "1.0", "--a-max", "1.35", "--points", "16"],
+])
+def test_nonfinite_horizon_exits_1(capsys, argv):
+    assert main([*argv, *PARAM_FLAGS, "--t-target", "inf"]) == 1
+    assert "t_target must be finite, got inf" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is the tests' reference, not a runtime dependency
+    src = str(Path(emdenlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, emdenlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,0 +1,165 @@
+"""The in-repo DOP853 against scipy's, which stays the tests' reference."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as ref
+from scipy.optimize import brentq as scipy_brentq
+
+from emdenlab import (
+    Frame,
+    IntegratorConfig,
+    ProblemParams,
+    State,
+    TerminationKind,
+    derive_constants,
+    dop853,
+    integrate,
+    log_frame_rhs,
+)
+
+CONFIG = IntegratorConfig()
+
+
+def dense(rows, shape):
+    out = np.zeros(shape)
+    for i, row in enumerate(rows):
+        for j, a in row:
+            out[i, j] = a
+    return out
+
+
+def test_tableau_is_scipys():
+    n = ref.N_STAGES
+    assert np.array_equal(np.array(dop853.C), ref.C)
+    assert np.array_equal(dense(dop853.A, ref.A.shape), ref.A)
+    assert np.array_equal(dense([dop853.B], (1, n)), ref.B[None])
+    assert np.array_equal(dense([dop853.E3], (1, n + 1)), ref.E3[None])
+    assert np.array_equal(dense([dop853.E5], (1, n + 1)), ref.E5[None])
+    assert np.array_equal(dense(dop853.D, ref.D.shape), ref.D)
+
+
+def scipy_run(params, frame, start, t_target, config):
+    """scipy's solve_ivp with the options and terminal events that
+    integrate runs, and the termination kind it reports."""
+    def positivity(t, y):
+        return y[0]
+
+    def cap(t, y):
+        return abs(y[0]) - config.amplitude_cap
+
+    positivity.terminal = cap.terminal = True
+    positivity.direction, cap.direction = -1.0, 1.0
+    sol = scipy_solve_ivp(
+        log_frame_rhs(params, frame.alpha), (start.t, t_target),
+        [start.v, start.vdot], method="DOP853", rtol=config.rtol,
+        atol=config.atol, max_step=config.max_step, dense_output=True,
+        events=(positivity, cap))
+    if sol.status == 1:
+        kind = TerminationKind.POSITIVITY_LOST if len(sol.t_events[0]) \
+            else TerminationKind.AMPLITUDE_CAP
+    elif sol.status == 0:
+        kind = TerminationKind.REACHED_SPAN_END
+    else:
+        kind = TerminationKind.STEP_UNDERFLOW
+    return sol, kind
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(3, 6))
+    p = draw(st.floats(1.2, 4.0))
+    q = draw(st.floats(p + 0.05, p + 3.0))
+    l1 = draw(st.floats(-1.0, 0.0))
+    l2 = draw(st.floats(-1.9, l1 - 0.05))
+    k1, k2 = draw(st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]))
+    return ProblemParams(n=n, p=p, q=q, l1=l1, l2=l2, k1=k1, k2=k2)
+
+
+def _dot_reversed(row, kv, kw):
+    """dop853._dot summed in the opposite order: the same sums, rounded
+    differently."""
+    sv = sw = 0.0
+    for j, a in reversed(row):
+        sv += a * kv[j]
+        sw += a * kw[j]
+    return sv, sw
+
+
+def run_ours(params, frame, start, t_target):
+    return dop853.solve_ivp(log_frame_rhs(params, frame.alpha), start.t,
+                            t_target, (start.v, start.vdot), CONFIG.rtol,
+                            CONFIG.atol, CONFIG.max_step,
+                            CONFIG.amplitude_cap)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=problems(),
+       frame_name=st.sampled_from(["raw", "alpha1", "alpha2"]),
+       t0=st.floats(-2.0, 2.0), v0=st.floats(0.05, 3.0),
+       vdot0=st.floats(-2.0, 2.0), span=st.floats(0.2, 4.0),
+       forward=st.booleans())
+def test_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
+                           forward):
+    dc = derive_constants(params)
+    frame = Frame({"raw": 0.0, "alpha1": dc.alpha1,
+                   "alpha2": dc.alpha2}[frame_name])
+    start = State(t0, v0, vdot0)
+    t_target = t0 + span if forward else t0 - span
+    theirs, kind = scipy_run(params, frame, start, t_target, CONFIG)
+    ours = run_ours(params, frame, start, t_target)
+    traj = integrate(start, frame, t_target, params, CONFIG)
+    assert ours.status == traj.termination.kind == kind
+
+    # While h ramps up from a start whose error scale in one component is
+    # near atol (dv/dt = 0 under a strong pull), the E5/E3 sums are
+    # rounding noise and their rounding picks the growth factor.  scipy's
+    # sums round as its BLAS build does, so no run has canonical steps
+    # there; summing in the opposite order exposes such runs.  They are
+    # held only to agree within the two runs' global errors (the largest
+    # seen in 4500 random draws was 1.2e-8 relative).
+    with mock.patch.object(dop853, "_dot", _dot_reversed):
+        reordered = run_ours(params, frame, start, t_target)
+    tol = 1e-6
+    if ours.t.shape == reordered.t.shape \
+            and np.max(np.abs(ours.t - reordered.t)) <= 1e-13:
+        assert len(ours.t) == len(theirs.t)
+        assert ours.nfev == theirs.nfev
+        tol = 1e-12
+    assert abs(ours.t[-1] - theirs.t[-1]) <= tol
+    v, vdot = theirs.sol(traj.t)
+    assert np.max(np.abs(traj.v - v)) <= tol * np.max(np.abs(v))
+    assert np.max(np.abs(traj.vdot - vdot)) \
+        <= tol * max(np.max(np.abs(vdot)), 1.0)
+
+
+def test_amplitude_cap_branch(config_a, dc_a):
+    # v rises from 1.5 through the cap at 2 within the first few steps
+    traj = integrate(State(0.0, 1.5, 3.0), Frame(dc_a.alpha1), 12.0,
+                     config_a, IntegratorConfig(amplitude_cap=2.0))
+    assert traj.termination.kind == TerminationKind.AMPLITUDE_CAP
+    assert traj.termination.t == pytest.approx(0.157841792994667, abs=1e-12)
+    assert traj.v[-1] == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("f,b", [
+    (lambda x: x * x - 2.0, 2.0),
+    (lambda x: math.cos(x) - x, 1.0),
+    (lambda x: 1e-133 * (0.3 - x) ** 3, 1.0),
+    # Brent's extrapolation denominator underflows to 0 here; the event
+    # on an orbit decayed to v ~ 1e-133 met this in `solve`
+    (lambda x: 1e-140 * (0.3 - x - x * x), 1.0),
+])
+def test_brentq_is_scipys(f, b):
+    tol = 4 * dop853.EPS
+    assert dop853._brentq(f, 0.0, b) == scipy_brentq(f, 0.0, b, xtol=tol,
+                                                     rtol=tol)
+
+
+def test_brentq_needs_a_sign_change():
+    with pytest.raises(ValueError, match="sign change"):
+        dop853._brentq(lambda x: x * x + 1.0, 0.0, 2.0)

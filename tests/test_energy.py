@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from emdenlab import (
     Frame,
@@ -15,8 +16,20 @@ from emdenlab import (
     reframe,
     well_potential,
 )
+from emdenlab.energy import cumulative_simpson
 
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 101, 1000])
+def test_cumulative_simpson_is_scipys(size):
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        x = np.cumsum(rng.uniform(0.01, 1.0, size)) - 3.0
+        y = rng.normal(size=size)
+        ours = cumulative_simpson(y, x)
+        ref = scipy_cumulative_simpson(y, x=x, initial=0.0)
+        assert ours.tobytes() == ref.tobytes()
 
 
 class TestPotentials:

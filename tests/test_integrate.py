@@ -8,6 +8,7 @@ from emdenlab import (
     IntegratorConfig,
     ProblemParams,
     State,
+    Termination,
     TerminationKind,
     Trajectory,
     csv_round_trip,
@@ -21,6 +22,7 @@ from emdenlab import (
     singular_seed_start,
     write_trajectory_csv,
 )
+from emdenlab.integrate import RTOL_MIN
 
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
 
@@ -78,6 +80,28 @@ class TestIntegrateCore:
         assert traj.termination.kind == TerminationKind.AMPLITUDE_CAP
         assert abs(traj.v[-1]) == pytest.approx(3.0, abs=1e-9)
 
+    def test_underflow_at_the_first_step_is_reported(self, config_a, dc_a):
+        # 10 ulp of t = 1e15 is 1.25, above max_step: no step is possible
+        traj = integrate(State(1e15, 1.0, 0.0), Frame(dc_a.alpha1),
+                         1e15 + 1.0, config_a)
+        assert traj.termination == Termination(
+            TerminationKind.STEP_UNDERFLOW, 1e15)
+        assert (traj.t.tolist(), traj.v.tolist(), traj.vdot.tolist()) \
+            == ([1e15], [1.0], [0.0])
+
+    @pytest.mark.parametrize("t_target,start,name", [
+        (math.inf, State(0.0, math.sqrt(2.0), 0.0), "t_target"),
+        (math.nan, State(0.0, math.sqrt(2.0), 0.0), "t_target"),
+        (1.0, State(-math.inf, 1.0, 0.0), "start.t"),
+        (1.0, State(0.0, math.inf, 0.0), "start.v"),
+        (1.0, State(0.0, 1.0, math.nan), "start.vdot"),
+    ])
+    def test_rejects_nonfinite_input(self, t_target, start, name):
+        # from the criterion-1 equilibrium, t_target = inf would run forever
+        dc = derive_constants(SINGLE)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            integrate(start, Frame(dc.alpha1), t_target, SINGLE)
+
     def test_rejects_nonpositive_start(self, config_a):
         with pytest.raises(ValueError):
             integrate(State(0.0, 0.0, 1.0), Frame(0.0), 1.0, config_a)
@@ -95,6 +119,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(rtol=0.0), dict(atol=-1e-12), dict(max_step=0.0),
         dict(amplitude_cap=-1.0),
+        # below 100 eps the error test asks more than doubles carry
+        dict(rtol=0.5 * RTOL_MIN),
     ])
     def test_positivity_of_knobs(self, kwargs):
         with pytest.raises(ValueError):
