@@ -23,12 +23,14 @@ from .integrate import (
     RAW,
     Frame,
     IntegratorConfig,
+    SolverStats,
     State,
     Termination,
     TerminationKind,
     Trajectory,
     csv_round_trip,
     integrate,
+    integrate_many,
     log_frame_rhs,
     read_trajectory_csv,
     reframe,
@@ -64,6 +66,7 @@ from .shooting import (
     scan_thresholds,
     series_radius,
     shoot,
+    shoot_many,
 )
 from .sweep import (
     RunConfig,
@@ -85,7 +88,8 @@ __all__ = [
     "ConnectingOrbit", "CriterionResult", "DerivedConstants",
     "End", "EnergyTrace", "Frame", "IntegratorConfig", "Kind",
     "Lab", "OscillationEnvelope", "ProblemParams", "RAW", "RegimeFlags",
-    "RunConfig", "SaturationError", "ShotResult", "State", "SweepManifest",
+    "RunConfig", "SaturationError", "ShotResult", "SolverStats", "State",
+    "SweepManifest",
     "Termination", "TerminationKind", "ThresholdScan", "TOLERANCES",
     "Trajectory", "UndefinedLambdaError",
     "apriori_bound_report", "aubin_talenti_profile", "bisect_boundary",
@@ -94,10 +98,11 @@ __all__ = [
     "energy_trace", "exact_single_term_singular", "expanded_axes",
     "fit_exponential_rate",
     "fit_power_tail", "fmt_float", "format_results", "integrate",
+    "integrate_many",
     "log_frame_rhs", "oscillation_envelope", "parse_run_config",
     "parse_run_config_text", "quadratic_extrema",
     "read_trajectory_csv", "reframe", "regular_series_start",
     "run_acceptance", "run_id_of", "scan_thresholds",
-    "series_radius", "shoot", "singular_seed_start", "sweep",
+    "series_radius", "shoot", "shoot_many", "singular_seed_start", "sweep",
     "well_potential", "write_trajectory_csv",
 ]

@@ -29,7 +29,7 @@ from .integrate import Frame, IntegratorConfig, State, csv_round_trip, \
     integrate
 from .params import ProblemParams, aubin_talenti_profile, derive_constants
 from .shooting import connecting_orbit, effective_jobs, scan_thresholds, \
-    shoot
+    shoot, shoot_many
 from .sweep import RunConfig, sweep
 
 TOLERANCES = {
@@ -130,8 +130,7 @@ class Lab:
 
     @cached_property
     def shots_50(self):
-        grid = np.logspace(-2.0, 2.0, 50)
-        return [shoot(float(a), CONFIG_A, self.dc_a) for a in grid]
+        return shoot_many(np.logspace(-2.0, 2.0, 50), CONFIG_A, self.dc_a)
 
     @cached_property
     def scan_64(self):

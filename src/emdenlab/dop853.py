@@ -3,13 +3,27 @@
 The explicit Runge-Kutta pair of Dormand and Prince of order 8 with the
 5th/3rd-order error estimate and the 7th-order dense output (Hairer,
 Norsett & Wanner, *Solving Ordinary Differential Equations I*, 2nd ed.,
-sections II.5-II.6; Hairer's dop853.f).  It is driven the way scipy's
+sections II.4-II.6; Hairer's dop853.f).  It is driven the way scipy's
 solve_ivp(method="DOP853", dense_output=True, events=...) drives it: the
 same initial-step rule, error norm, step controller, max_step cap,
 underflow test and Brent event location, so it takes the same steps.
-It is specialised to y = (v, dv/dt) in plain floats and to the two
-events that end a log-frame run: v falls through 0, or |v| rises
-through the amplitude cap.
+It is specialised to y = (v, dv/dt) and to the two events that end a
+log-frame run: v falls through 0, or |v| rises through the amplitude cap.
+
+There are two cores over one tableau, one controller and one event
+locator:
+
+- solve_ivp runs one start in plain floats and keeps every step's
+  dense-output coefficients (Solution).
+- solve_lanes runs L starts in lockstep on numpy arrays with the lane
+  as the last axis.  Each lane keeps its own step size, error norm,
+  accept/reject and events and is frozen when it ends; every accepted
+  step's stride points are sampled as the step is taken.  Stage sums
+  are lane-wise products summed along the stage axis in tableau order,
+  never a matrix product, so a lane's numbers do not depend on the
+  batch it rides in, and with the same right-hand side values a lane
+  takes the scalar core's steps bit for bit.  The lockstep loop costs
+  more per iteration than one scalar run; it pays from about 16 lanes.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ import math
 import sys
 from array import array
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,6 +209,15 @@ EPS = sys.float_info.epsilon
 T_OLD, H, V_OLD, W_OLD = 0, 1, 2, 10
 
 
+class SolverStats(NamedTuple):
+    """Work of one run: right-hand side evaluations, accepted steps (the
+    steps of its grid) and rejected step attempts."""
+
+    nfev: int
+    steps: int
+    rejected: int
+
+
 def _dot(row, kv, kw):
     """(sum a_j kv_j, sum a_j kw_j) over one sparse tableau row."""
     sv = sw = 0.0
@@ -207,17 +231,32 @@ def _rms(x, y) -> float:
     return math.sqrt(x * x + y * y) / 2.0 ** 0.5
 
 
+def stride_grid(t0: float, t_last: float, stride: float) -> np.ndarray:
+    """t0, t0 +- stride, ... towards t_last, ending on t_last: the last
+    stride point moves onto it when within 1e-9 stride, else t_last is
+    appended."""
+    sgn = 1.0 if t_last > t0 else -1.0
+    npts = int(math.floor(abs(t_last - t0) / stride))
+    ts = t0 + sgn * stride * np.arange(npts + 1)
+    if abs(ts[-1] - t_last) <= 1e-9 * stride:
+        ts[-1] = t_last
+    else:
+        ts = np.append(ts, t_last)
+    return ts
+
+
 class Solution:
-    """Accepted-step grid, evaluation count and dense output of one run.
+    """Accepted-step grid, work counts and dense output of one run.
 
     t holds the start and every accepted step; when an event ends the
     run its last entry is the event time.  status is how the run ended.
     """
 
-    def __init__(self, t, nfev, status, steps: array):
+    def __init__(self, t, nfev, rejected, status, steps: array):
         self.t = np.array(t)
         self.nfev = nfev
         self.status = status
+        self.stats = SolverStats(nfev, len(t) - 1, rejected)
         self.steps = np.frombuffer(steps, dtype=float).reshape(-1, 18)
 
     def __call__(self, ts: np.ndarray):
@@ -298,6 +337,25 @@ def _brentq(f, xa, xb, tol=4 * EPS, maxiter=100):
     raise RuntimeError("event location did not converge")
 
 
+def _crossings(v_old: float, v_new: float, cap: float) -> list:
+    """The terminal events whose functions change sign over a step from
+    v_old to v_new, as solve_ivp's find_active_events: (kind, g(v))."""
+    hits = []
+    if v_old >= 0.0 and v_new <= 0.0:
+        hits.append((TerminationKind.POSITIVITY_LOST, lambda x: x))
+    if abs(v_old) - cap <= 0.0 and abs(v_new) - cap >= 0.0:
+        hits.append((TerminationKind.AMPLITUDE_CAP, lambda x: abs(x) - cap))
+    return hits
+
+
+def _first_event(hits, t_old, t_new, h, coef, direction) -> tuple:
+    """(time, kind) of the first of hits on the step from t_old to t_new,
+    each root-found on the step's v interpolant coef."""
+    return min(((_brentq(lambda tau: g(_horner(coef, (tau - t_old) / h)),
+                         t_old, t_new), kind) for kind, g in hits),
+               key=lambda root: direction * root[0])
+
+
 def _initial_step(fun, t0, v, w, fv, fw, t_bound, direction, rtol, atol,
                   max_step) -> float:
     """Hairer's starting-step heuristic (HNW I, section II.4)."""
@@ -317,6 +375,11 @@ def _initial_step(fun, t0, v, w, fv, fw, t_bound, direction, rtol, atol,
     return min(100.0 * h0, h1, span, max_step)
 
 
+def _growth(error: float) -> float:
+    """The controller's step factor before its clamps, for error > 0."""
+    return SAFETY * error ** ERROR_EXPONENT
+
+
 def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
               atol: float, max_step: float, cap: float) -> Solution:
     """Integrate y' = fun(t, y), y = (v, vdot), from t0 towards t_bound.
@@ -331,9 +394,8 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
     kv[0], kw[0] = fun(t, (v, w))
     h_abs = _initial_step(fun, t, v, w, kv[0], kw[0], t_bound, direction,
                           rtol, atol, max_step)
-    nfev = 2
+    nfev, n_rejected = 2, 0
     grid, steps = [t], array("d")
-    g_pos, g_cap = v, abs(v) - cap
     status = None
     while status is None:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -344,8 +406,8 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                return Solution(grid, nfev, TerminationKind.STEP_UNDERFLOW,
-                                steps)
+                return Solution(grid, nfev, n_rejected,
+                                TerminationKind.STEP_UNDERFLOW, steps)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0.0:
                 t_new = t_bound
@@ -367,19 +429,25 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
             e5v, e5w, e3v, e3w = e5v / sv, e5w / sw, e3v / sv, e3w / sw
             e5 = e5v * e5v + e5w * e5w
             e3 = e3v * e3v + e3w * e3w
+            denom = (e5 + 0.01 * e3) * 2.0
             if e5 == 0.0 and e3 == 0.0:
                 error = 0.0
+            elif denom == 0.0:
+                # e5 = 0 and 0.01 e3 underflows: scipy's 0/0 is nan,
+                # which rejects the step with the smallest factor
+                error = math.nan
             else:
-                error = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
+                error = h_abs * e5 / math.sqrt(denom)
             if error < 1.0:
                 factor = MAX_FACTOR if error == 0.0 else \
-                    min(MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+                    min(MAX_FACTOR, _growth(error))
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+            h_abs *= max(MIN_FACTOR, _growth(error))  # MIN_FACTOR for nan
             rejected = True
+            n_rejected += 1
 
         # dense output of the accepted step
         for s in range(13, 16):
@@ -393,29 +461,276 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
             step += (y_old, dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]),
                      *(h * f[i] for f in fd))
         steps.extend(step)
+        hits = _crossings(v, v_new, cap)
         t, v, w = t_new, v_new, w_new
         kv[0], kw[0] = kv[12], kw[12]
         if direction * (t - t_bound) >= 0.0:
             status = TerminationKind.REACHED_SPAN_END
-
-        # the two terminal events, as solve_ivp's find_active_events
-        g_pos_new, g_cap_new = v, abs(v) - cap
-        hits = []
-        if g_pos >= 0.0 and g_pos_new <= 0.0:
-            hits.append((TerminationKind.POSITIVITY_LOST, lambda x: x))
-        if g_cap <= 0.0 and g_cap_new >= 0.0:
-            hits.append((TerminationKind.AMPLITUDE_CAP,
-                         lambda x: abs(x) - cap))
-        g_pos, g_cap = g_pos_new, g_cap_new
         if hits:
-            t_old, coef = step[T_OLD], step[V_OLD:V_OLD + 8].__getitem__
-            t, status = min(
-                ((_brentq(lambda tau: g(_horner(coef, (tau - t_old) / h)),
-                          t_old, t), kind) for kind, g in hits),
-                key=lambda root: direction * root[0])
+            t_old = step[T_OLD]
+            t, status = _first_event(hits, t_old, t, h,
+                                     step[V_OLD:V_OLD + 8].__getitem__,
+                                     direction)
             if len(grid) > 1 and grid[-1] == t:
                 # the event sits on the previous grid point: drop the step
                 del steps[-len(step):]
                 break
         grid.append(t)
-    return Solution(grid, nfev, status, steps)
+    return Solution(grid, nfev, n_rejected, status, steps)
+
+
+# The lane core's tableau rows, dense (zeros add nothing to a sum taken
+# in tableau order): row s of A over stages 0..s-1; b, e5 and e3 over
+# stages 0..11; the four dense-output rows over stages 0..15.  Its sums
+# run along the stage axis of (stages, 2, L) arrays, one row after the
+# other.  numpy would sum a lone 1-d axis pairwise instead; the (v, vdot)
+# axis keeps the rows 2 wide even for one lane.
+def _dense(rows, width):
+    out = np.zeros((len(rows), width, 1, 1))
+    for i, row in enumerate(rows):
+        for j, a in row:
+            out[i, j] = a
+    return out
+
+
+A_LANES = [None] + [_dense([A[s]], s)[0] for s in range(1, 16)]
+BE_LANES = _dense([B, E5, E3], 12)
+D_LANES = _dense(D, 16)
+C_LANES = np.array(C)[:, None]
+
+
+class LaneRun(NamedTuple):
+    """One lane of solve_lanes: how it ended, its stride samples (t runs
+    from the start to the end of the run, see stride_grid) and its work."""
+
+    status: TerminationKind
+    t: np.ndarray
+    v: np.ndarray
+    vdot: np.ndarray
+    stats: SolverStats
+
+
+class _Lanes:
+    """The running lanes' state, the lane on the last axis of each array."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask) -> None:
+        for name, val in vars(self).items():
+            setattr(self, name, val[..., mask])
+
+
+class _Samples:
+    """The stride samples of L lanes, in order of their index.
+
+    A lane's i-th sample is its step interpolant at t0 + i (d stride).
+    New samples go to a window of `width` columns per lane, moved into
+    the lane's list of parts when full, so that memory follows the
+    samples taken rather than the longest run the span allows.
+    """
+
+    def __init__(self, n_lanes: int, stride: float, width: int):
+        self.stride = stride
+        self.window = np.empty((2, n_lanes, width))
+        self.fill = np.zeros(n_lanes, dtype=int)
+        self.taken = np.zeros(n_lanes, dtype=int)
+        self.parts = [[] for _ in range(n_lanes)]
+
+    def step(self, lane, t0, d, t_old, t_end, h, coef) -> None:
+        """Sample one accepted step of each of `lane` at the stride
+        points it has not taken up to t_end, on the step's interpolant
+        coef (8, 2, len(lane)) from t_old with size h."""
+        ds, nxt = d * self.stride, self.taken[lane]
+        top = np.floor((t_end - t0) / ds)
+        top = np.where(d * (t0 + ds * (top + 1.0) - t_end) <= 0.0,
+                       top + 1.0, top)
+        top = np.where(d * (t0 + ds * top - t_end) > 0.0, top - 1.0, top)
+        count = np.maximum(top.astype(int) - nxt + 1, 0)
+        if not count.any():
+            return
+        rows = np.repeat(np.arange(lane.size), count)
+        offset = np.arange(rows.size) - np.repeat(np.cumsum(count) - count,
+                                                  count)
+        x = (t0[rows] + ds[rows] * (nxt[rows] + offset) - t_old[rows]) \
+            / h[rows]
+        for i in lane[self.fill[lane] + count > self.window.shape[2]]:
+            self.parts[i].append(self.window[:, i, :self.fill[i]].copy())
+            self.fill[i] = 0
+        at = lane[rows]
+        self.window[:, at, self.fill[at] + offset] = _horner(
+            coef[:, :, rows].__getitem__, x)
+        self.fill[lane] += count
+        self.taken[lane] += count
+
+    def pop(self, i: int, out: np.ndarray) -> None:
+        """Copy lane i's first samples into out, (2, n), and release the
+        lane's parts."""
+        parts, self.parts[i] = self.parts[i], []
+        k = 0
+        for part in parts + [self.window[:, i, :self.fill[i]]]:
+            m = min(part.shape[1], out.shape[1] - k)
+            out[:, k:k + m] = part[:, :m]
+            k += m
+
+
+def _one_lane(fun):
+    """A lane evaluator fun(t, v, vdot) as solve_ivp's fun(t, y) on one
+    lane of floats."""
+    def one(t, y):
+        dv, dw = fun(np.array([t]), np.array([y[0]]), np.array([y[1]]))
+        return float(dv[0]), float(dw[0])
+    return one
+
+
+def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
+                max_step: float, cap: float, stride: float) -> list:
+    """Integrate L starts of y' = fun(t, v, vdot) in lockstep towards
+    t_bound; one LaneRun per start, in order.
+
+    fun evaluates the system on arrays of lanes.  t0 holds the L start
+    times, none of them t_bound, and y0 the (2, L) start states.  Each
+    lane ends as solve_ivp's run from its start ends, and its samples are
+    those integrate takes from that run: the points of stride_grid from
+    its start to its end, each on the step that holds it (a point on a
+    step boundary takes the earlier step).  The controller's power and
+    the initial step are taken per lane in floats, as solve_ivp takes
+    them; everything else is lane-wise array arithmetic.
+    """
+    t = np.array(t0, dtype=float)
+    y = np.array(y0, dtype=float).reshape(2, t.size)
+    n_lanes = t.size
+    d = np.where(t_bound > t, 1.0, -1.0)
+    K = np.empty((16, 2, n_lanes))
+    K[0, 0], K[0, 1] = fun(t, y[0], y[1])
+    one = _one_lane(fun)
+    h_abs = np.array([
+        _initial_step(one, *lane, t_bound, dl, rtol, atol, max_step)
+        for *lane, dl in zip(t.tolist(), *y.tolist(), *K[0].tolist(),
+                             d.tolist())])
+    nfev = np.full(n_lanes, 2)
+    steps = np.zeros(n_lanes, dtype=int)
+    rejected = np.zeros(n_lanes, dtype=int)
+    # one step holds at most max_step / stride + 1 stride points
+    samples = _Samples(n_lanes, stride,
+                       max(256, int(max_step / stride) + 3))
+    runs = [None] * n_lanes
+    t0_all, y0_all = t.copy(), y.copy()
+    s = _Lanes(lane=np.arange(n_lanes), t0=t0_all, t=t, y=y, K=K,
+               h_abs=h_abs, d=d, rej=np.zeros(n_lanes, dtype=bool),
+               coef=np.empty((8, 2, n_lanes)), t_old=np.empty(n_lanes),
+               h=np.empty(n_lanes))
+
+    def finish(i, status, t_last, coef, t_old, h):
+        ts = stride_grid(t0_all[i], t_last, stride)
+        vw = np.empty((2, ts.size))
+        if t_last == t0_all[i]:
+            vw[:, -1] = y0_all[:, i]
+        else:
+            samples.pop(i, vw[:, :-1])
+            vw[:, -1] = _horner(coef.__getitem__, (t_last - t_old) / h)
+        runs[i] = LaneRun(status, ts, vw[0], vw[1], SolverStats(
+            int(nfev[i]), int(steps[i]), int(rejected[i])))
+
+    while s.lane.size:
+        t, d = s.t, s.d
+        min_step = 10.0 * np.abs(np.nextafter(t, d * np.inf) - t)
+        h_abs = np.where(s.rej, s.h_abs, np.where(
+            s.h_abs > max_step, max_step,
+            np.where(s.h_abs < min_step, min_step, s.h_abs)))
+        under = h_abs < min_step
+        if under.any():
+            for j in np.flatnonzero(under):
+                finish(s.lane[j], TerminationKind.STEP_UNDERFLOW, t[j],
+                       s.coef[:, :, j], s.t_old[j], s.h[j])
+            s.h_abs = h_abs
+            s.keep(~under)
+            continue
+
+        # one step attempt on every lane
+        t_new = t + h_abs * d
+        t_new = np.where(d * (t_new - t_bound) > 0.0, t_bound, t_new)
+        h = t_new - t
+        h_abs = np.abs(h)
+        t_stage = t + C_LANES * h
+        y, K = s.y, s.K
+        for i in range(1, 12):
+            yi = y + (A_LANES[i] * K[:i]).sum(0) * h
+            K[i, 0], K[i, 1] = fun(t_stage[i], yi[0], yi[1])
+        b, e5, e3 = (BE_LANES * K[:12]).sum(1)
+        y_new = y + h * b
+        K[12, 0], K[12, 1] = fun(t_stage[12], y_new[0], y_new[1])
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        e5, e3 = e5 / scale, e3 / scale
+        e5 = e5[0] * e5[0] + e5[1] * e5[1]
+        e3 = e3[0] * e3[0] + e3[1] * e3[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            error = h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 2.0)
+        error[(e5 == 0.0) & (e3 == 0.0)] = 0.0
+        growth = np.array([_growth(e) if e else MAX_FACTOR
+                           for e in error.tolist()])
+        ok = error < 1.0
+        factor = np.where(ok, np.minimum(MAX_FACTOR, growth),
+                          np.fmax(MIN_FACTOR, growth))
+        factor = np.where(ok & s.rej, np.minimum(1.0, factor), factor)
+        s.h_abs = h_abs * factor
+        nfev[s.lane] += 12
+        rejected[s.lane[~ok]] += 1
+        s.rej = ~ok
+        if not ok.any():
+            continue
+
+        # the accepted lanes: dense output, events, samples
+        pos = np.flatnonzero(ok)
+        a = slice(None) if pos.size == ok.size else pos
+        lane, Ka, ha, ta = s.lane[a], K[:, :, a], h[a], t[a]
+        ya, yn, t_stage, da = y[:, a], y_new[:, a], t_stage[:, a], d[a]
+        for i in range(13, 16):
+            yi = ya + (A_LANES[i] * Ka[:i]).sum(0) * ha
+            Ka[i, 0], Ka[i, 1] = fun(t_stage[i], yi[0], yi[1])
+        nfev[lane] += 3
+        dy = yn - ya
+        coef = np.empty((8, 2, lane.size))
+        coef[0], coef[1] = ya, dy
+        coef[2] = ha * Ka[0] - dy
+        coef[3] = 2.0 * dy - ha * (Ka[12] + Ka[0])
+        coef[4:] = ha * (D_LANES * Ka).sum(1)
+
+        t_end = t_new[a].copy()
+        ended = {j: (TerminationKind.REACHED_SPAN_END, coef[:, :, j],
+                     ta[j], ha[j])
+                 for j in np.flatnonzero(da * (t_end - t_bound) >= 0.0)}
+        grew = np.ones(lane.size, dtype=int)
+        v0, v1 = ya[0], yn[0]
+        maybe = ((v0 >= 0.0) & (v1 <= 0.0)) \
+            | ((np.abs(v0) - cap <= 0.0) & (np.abs(v1) - cap >= 0.0))
+        for j in np.flatnonzero(maybe):
+            hits = _crossings(float(v0[j]), float(v1[j]), cap)
+            if not hits:
+                continue
+            t_old = float(ta[j])
+            t_ev, kind = _first_event(hits, t_old, float(t_end[j]),
+                                      float(ha[j]),
+                                      coef[:, 0, j].tolist().__getitem__,
+                                      float(da[j]))
+            t_end[j] = t_ev
+            prev = pos[j]
+            if steps[lane[j]] > 0 and t_ev == t_old:
+                # the event sits on the previous grid point: drop the step
+                grew[j] = 0
+                ended[j] = (kind, s.coef[:, :, prev], s.t_old[prev],
+                            s.h[prev])
+            else:
+                ended[j] = (kind, coef[:, :, j], ta[j], ha[j])
+        steps[lane] += grew
+
+        samples.step(lane, s.t0[a], da, ta, t_end, ha, coef)
+        for j, (kind, c, t_old, h_j) in ended.items():
+            finish(lane[j], kind, t_end[j], c, t_old, h_j)
+        s.t[a], s.y[:, a], s.K[0][:, a] = t_new[a], yn, Ka[12]
+        s.coef[:, :, a], s.t_old[a], s.h[a] = coef, ta, ha
+        if ended:
+            done = np.zeros(s.lane.size, dtype=bool)
+            done[pos[list(ended)]] = True
+            s.keep(~done)
+    return runs

@@ -20,6 +20,15 @@ Ordinary Differential Equations I*, sections II.5-II.6), with the
 tableau, error norm and step controller of scipy's DOP853, so it takes
 scipy's steps.  Integration stops at t_target, at a located loss of
 positivity, at the amplitude cap, or on a step-size underflow.
+
+It has two cores.  integrate runs one start through the scalar core,
+solve_ivp, on floats.  integrate_many runs many starts in one frame
+through the lane core, solve_lanes, which advances them in lockstep on
+numpy arrays; each lane takes the scalar core's steps and samples, up to
+numpy's exp and power rounding 1 ulp away from math's.  Both evaluate
+the one term table of log_frame_rhs, and both record the solver's work
+in Trajectory.stats.  The lockstep loop costs more per step than a
+scalar run and pays from about 16 starts.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dop853 import TerminationKind, solve_ivp
+from .dop853 import SolverStats, TerminationKind, solve_ivp, solve_lanes, \
+    stride_grid
 from .params import End, ProblemParams, frame_exp
 from .serialize import fmt_float
 
@@ -99,8 +109,9 @@ class Termination:
 class Trajectory:
     """Sampled solution in one frame, plus how the integration ended.
 
-    config is None for trajectories reloaded from CSV; the sample arrays
-    and the frame are always present.
+    config and stats (the solver's work, see dop853.SolverStats) are
+    None for trajectories reloaded from CSV; the sample arrays and the
+    frame are always present.
     """
 
     frame: Frame
@@ -109,6 +120,7 @@ class Trajectory:
     vdot: np.ndarray
     termination: Termination | None
     config: IntegratorConfig | None = None
+    stats: SolverStats | None = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -154,7 +166,8 @@ class Trajectory:
                              f"need >= {min_samples}")
         idx = order[inside]
         return Trajectory(self.frame, self.t[idx], self.v[idx],
-                          self.vdot[idx], self.termination, self.config)
+                          self.vdot[idx], self.termination, self.config,
+                          self.stats)
 
     def end_window(self, end: End, width: float | None = None) -> tuple:
         """The window of the sampled span on end's side of the t-axis:
@@ -189,13 +202,19 @@ class Trajectory:
         return Termination(TerminationKind.REACHED_SPAN_END, self.t_end)
 
 
+def _non_finite(t, v, vd, acc):
+    raise RuntimeError(f"non-finite state during integration at t={t}: "
+                       f"v={v}, vdot={vd}, vddot={acc}")
+
+
 def log_frame_rhs(params: ProblemParams, alpha: float):
     """The log-frame system in the alpha frame as solve_ivp's fun(t, y).
 
     Returns (dv/dt, d2v/dt2) for y = (v, dv/dt).  The power terms act on
     max(v, 0): an event-located crossing can overshoot to tiny negative
     v, which is clamped rather than rejected.  A non-finite state raises
-    RuntimeError.
+    RuntimeError.  The same term table evaluated on arrays of lanes is
+    the attribute `lanes(t, v, vdot)`, solve_lanes' fun.
     """
     n = params.n
     c = n - 2.0 - 2.0 * alpha
@@ -203,19 +222,58 @@ def log_frame_rhs(params: ProblemParams, alpha: float):
     terms = [(exp_, frame_exp(exp_, l, alpha), float(k))
              for exp_, l, k in params.active_terms()]
 
-    def rhs(t, y):
-        v, vd = y[0], y[1]
-        vp = v if v > 0.0 else 0.0
+    def accel(t, v, vd, vp, exp):
         acc = lin * v - c * vd
         for exp_, e, k in terms:
-            acc -= k * math.exp(e * t) * vp ** exp_
+            term = vp ** exp_
+            if e:  # e^{0 t} = 1 exactly
+                term = exp(e * t) * term
+            acc -= term if k == 1.0 else k * term
+        return acc
+
+    def rhs(t, y):
+        v, vd = y[0], y[1]
+        acc = accel(t, v, vd, v if v > 0.0 else 0.0, math.exp)
         if not (math.isfinite(acc) and math.isfinite(vd)):
-            raise RuntimeError(
-                f"non-finite state during integration at t={t}: "
-                f"v={v}, vdot={vd}, vddot={acc}")
+            _non_finite(t, v, vd, acc)
         return (vd, acc)
 
+    def lanes(t, v, vd):
+        acc = accel(t, v, vd, np.maximum(v, 0.0), np.exp)
+        # a non-finite v or vdot makes acc non-finite (c * inf is nan
+        # when c = 0), so one test covers the state
+        finite = np.isfinite(acc)
+        if not finite.all():
+            j = np.flatnonzero(~finite)[0]
+            _non_finite(t[j], v[j], vd[j], acc[j])
+        return (vd, acc)
+
+    rhs.lanes = lanes
     return rhs
+
+
+def _check_start(start: State, t_target: float) -> None:
+    for name, value in (("t_target", t_target), ("start.t", start.t),
+                        ("start.v", start.v), ("start.vdot", start.vdot)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not start.v > 0.0:
+        raise ValueError(f"start.v must be positive, got {start.v}")
+
+
+def _unmoved(start: State, frame: Frame, term: Termination,
+             config: IntegratorConfig, stats: SolverStats) -> Trajectory:
+    """The one-sample trajectory of a run that took no step."""
+    return Trajectory(frame, np.array([start.t]), np.array([start.v]),
+                      np.array([start.vdot]), term, config, stats)
+
+
+def _zero_span(start: State, frame: Frame,
+               config: IntegratorConfig) -> Trajectory:
+    """The run from start to t_target = start.t, which calls no solver."""
+    return _unmoved(start, frame, Termination(
+        TerminationKind.REACHED_SPAN_END, start.t), config,
+        SolverStats(0, 0, 0))
 
 
 def integrate(start: State, frame: Frame, t_target: float,
@@ -231,34 +289,55 @@ def integrate(start: State, frame: Frame, t_target: float,
     """
     if config is None:
         config = IntegratorConfig()
-    for name, value in (("t_target", t_target), ("start.t", start.t),
-                        ("start.v", start.v), ("start.vdot", start.vdot)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if not start.v > 0.0:
-        raise ValueError(f"start.v must be positive, got {start.v}")
-    term = Termination(TerminationKind.REACHED_SPAN_END, start.t)
-    if t_target != start.t:
-        sol = solve_ivp(log_frame_rhs(params, frame.alpha), start.t, t_target,
-                        (start.v, start.vdot), config.rtol, config.atol,
-                        config.max_step, config.amplitude_cap)
-        term = Termination(sol.status, float(sol.t[-1]))
+    _check_start(start, t_target)
+    if t_target == start.t:
+        return _zero_span(start, frame, config)
+    sol = solve_ivp(log_frame_rhs(params, frame.alpha), start.t, t_target,
+                    (start.v, start.vdot), config.rtol, config.atol,
+                    config.max_step, config.amplitude_cap)
+    term = Termination(sol.status, float(sol.t[-1]))
     if term.t == start.t:
-        # no step taken: a zero span, or an underflow at the first step
-        return Trajectory(frame, np.array([start.t]), np.array([start.v]),
-                          np.array([start.vdot]), term, config)
-
-    t_last = term.t
-    stride = config.dense_output_stride
-    sgn = 1.0 if t_last > start.t else -1.0
-    npts = int(math.floor(abs(t_last - start.t) / stride))
-    ts = start.t + sgn * stride * np.arange(npts + 1)
-    if abs(ts[-1] - t_last) <= 1e-9 * stride:
-        ts[-1] = t_last
-    else:
-        ts = np.append(ts, t_last)
+        # an underflow at the first step
+        return _unmoved(start, frame, term, config, sol.stats)
+    ts = stride_grid(start.t, term.t, config.dense_output_stride)
     v, vdot = sol(ts)
-    return Trajectory(frame, ts, v, vdot, term, config)
+    return Trajectory(frame, ts, v, vdot, term, config, sol.stats)
+
+
+def integrate_many(starts, frame: Frame, t_target: float,
+                   params: ProblemParams,
+                   config: IntegratorConfig | None = None) -> list:
+    """integrate() from each of `starts`, all run in lockstep by the lane
+    core dop853.solve_lanes.
+
+    Each lane takes the steps and samples that integrate takes; the two
+    differ only where numpy's exp and power round differently from
+    math's (1 ulp in a few percent of values), which moves the samples
+    at roundoff.  The lockstep loop pays from about 16 starts; below
+    that integrate is faster.
+    """
+    if config is None:
+        config = IntegratorConfig()
+    for start in starts:
+        _check_start(start, t_target)
+    moving = [start for start in starts if start.t != t_target]
+    runs = iter(solve_lanes(
+        log_frame_rhs(params, frame.alpha).lanes,
+        [start.t for start in moving], t_target,
+        [[start.v for start in moving], [start.vdot for start in moving]],
+        config.rtol, config.atol, config.max_step, config.amplitude_cap,
+        config.dense_output_stride) if moving else ())
+    trajs = []
+    for start in starts:
+        if start.t == t_target:
+            trajs.append(_zero_span(start, frame, config))
+        else:
+            run = next(runs)
+            trajs.append(Trajectory(
+                frame, run.t, run.v, run.vdot,
+                Termination(run.status, float(run.t[-1])), config,
+                run.stats))
+    return trajs
 
 
 def regular_series_start(a: float, r0: float, params: ProblemParams,
@@ -317,11 +396,12 @@ def reframe(traj: Trajectory, new_frame: Frame) -> Trajectory:
     d = new_frame.alpha - traj.frame.alpha
     if d == 0.0:
         return Trajectory(traj.frame, traj.t.copy(), traj.v.copy(),
-                          traj.vdot.copy(), traj.termination, traj.config)
+                          traj.vdot.copy(), traj.termination, traj.config,
+                          traj.stats)
     fac = np.exp(d * traj.t)
     return Trajectory(new_frame, traj.t.copy(), fac * traj.v,
                       fac * (traj.vdot + d * traj.v), traj.termination,
-                      traj.config)
+                      traj.config, traj.stats)
 
 
 CSV_HEADER = "t,r,u,du_dr,v,dv_dt,frame_alpha"

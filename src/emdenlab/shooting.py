@@ -22,7 +22,7 @@ import numpy as np
 
 from .classify import ClassificationReport, Kind, classify_end
 from .integrate import Frame, IntegratorConfig, Trajectory, integrate, \
-    regular_series_start, singular_seed_start
+    integrate_many, regular_series_start, singular_seed_start
 from .params import DerivedConstants, End, ProblemParams, classify_regime, \
     derive_constants
 from .serialize import SKIP, Record
@@ -49,6 +49,14 @@ def series_radius(a: float, params: ProblemParams) -> float:
     return r0
 
 
+def _regular_start(a: float, params: ProblemParams, frame: Frame) -> tuple:
+    """(r0, start) of the regular shot u(0) = a in frame."""
+    if not (isinstance(a, (int, float)) and a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"shooting amplitude must be positive, got {a!r}")
+    r0 = series_radius(a, params)
+    return r0, regular_series_start(a, r0, params, frame)
+
+
 @dataclass
 class ShotResult(Record):
     a: float
@@ -72,16 +80,34 @@ def shoot(a: float, params: ProblemParams,
     always holds; integration runs in the alpha1 frame where the p-term
     is autonomous.
     """
-    if not (isinstance(a, (int, float)) and a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"shooting amplitude must be positive, got {a!r}")
     if dc is None:
         dc = derive_constants(params)
     frame = Frame(dc.alpha1)
-    r0 = series_radius(a, params)
-    start = regular_series_start(a, r0, params, frame)
+    r0, start = _regular_start(a, params, frame)
     traj = integrate(start, frame, t_target, params, config)
     report = classify_end(traj, dc, "infinity", window=window)
     return ShotResult(float(a), r0, traj, report)
+
+
+def shoot_many(a_grid, params: ProblemParams,
+               dc: DerivedConstants | None = None,
+               config: IntegratorConfig | None = None,
+               t_target: float = T_TARGET,
+               window: tuple | None = None) -> list:
+    """shoot() at every amplitude of a_grid, the shots integrated in
+    lockstep as one lane batch (integrate_many); ShotResults in grid
+    order.  Worth it from about 16 amplitudes; single shots and
+    bisection midpoints go through shoot.
+    """
+    if dc is None:
+        dc = derive_constants(params)
+    frame = Frame(dc.alpha1)
+    starts = [_regular_start(a, params, frame) for a in a_grid]
+    trajs = integrate_many([start for _, start in starts], frame, t_target,
+                           params, config)
+    return [ShotResult(float(a), r0, traj,
+                       classify_end(traj, dc, "infinity", window=window))
+            for a, (r0, _), traj in zip(a_grid, starts, trajs)]
 
 
 @dataclass
@@ -200,9 +226,11 @@ def scan_thresholds(a_grid, params: ProblemParams,
                     bisect: bool = True) -> ThresholdScan:
     """Shoot a grid of amplitudes and bisect every kind change.
 
-    The grid must be strictly increasing with at least 16 points.
-    Shots come back in grid order (map_jobs), so the outcome is
-    identical for any worker count.
+    The grid must be strictly increasing with at least 16 points.  It is
+    shot as one contiguous lane batch per worker (shoot_many over
+    map_jobs); a lane's trajectory does not depend on the batch it rides
+    in and batches come back in grid order, so the outcome is identical
+    for any worker count.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size < 16:
@@ -211,9 +239,12 @@ def scan_thresholds(a_grid, params: ProblemParams,
         raise ValueError("grid must be strictly increasing")
     if dc is None:
         dc = derive_constants(params)
-    shots = map_jobs(partial(shoot, params=params, dc=dc, config=config,
-                             t_target=t_target, window=window),
-                     a_grid.tolist(), jobs)
+    batches = map_jobs(partial(shoot_many, params=params, dc=dc,
+                               config=config, t_target=t_target,
+                               window=window),
+                       [chunk.tolist() for chunk in
+                        np.array_split(a_grid, effective_jobs(jobs))], jobs)
+    shots = [shot for batch in batches for shot in batch]
     kinds = [s.kind for s in shots]
     boundaries = []
     if bisect:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from emdenlab import (
+    RAW,
     Frame,
     IntegratorConfig,
     ProblemParams,
+    SolverStats,
     State,
     Termination,
     TerminationKind,
@@ -79,6 +81,21 @@ class TestIntegrateCore:
                          Frame(dc_b.alpha2), -30.0, config_b, cfg)
         assert traj.termination.kind == TerminationKind.AMPLITUDE_CAP
         assert abs(traj.v[-1]) == pytest.approx(3.0, abs=1e-9)
+
+    def test_stats_count_the_work(self, config_a, dc_a, tmp_path):
+        # 12 stages per attempt and 3 dense-output stages per accepted
+        # step, after the 2 evaluations of the initial step
+        traj = integrate(State(0.0, 1.0, 0.0), Frame(dc_a.alpha1), 3.0,
+                         config_a, IntegratorConfig(max_step=0.5))
+        stats = traj.stats
+        assert stats.steps > 0 and stats.rejected > 0
+        assert stats.nfev == 2 + 15 * stats.steps + 12 * stats.rejected
+        assert reframe(traj, RAW).stats == traj.stats
+        assert traj.window((0.0, 1.0), 2).stats == traj.stats
+        assert integrate(State(1.0, 1.0, 0.0), RAW, 1.0,
+                         config_a).stats == SolverStats(0, 0, 0)
+        write_trajectory_csv(traj, tmp_path / "t.csv")
+        assert read_trajectory_csv(tmp_path / "t.csv").stats is None
 
     def test_underflow_at_the_first_step_is_reported(self, config_a, dc_a):
         # 10 ulp of t = 1e15 is 1.25, above max_step: no step is possible

@@ -10,6 +10,7 @@ from emdenlab import (
     scan_thresholds,
     series_radius,
     shoot,
+    shoot_many,
     shooting,
 )
 
@@ -91,6 +92,24 @@ class TestScan:
         assert serial.kinds == parallel.kinds
         for s, p in zip(serial.shots, parallel.shots):
             assert np.array_equal(s.trajectory.v, p.trajectory.v)
+
+    def test_lane_shots_are_the_scalar_shots(self, lab, config_a, dc_a):
+        # the default-horizon 64-point grid, shot as one lane batch
+        for shot in lab.scan_64.shots:
+            one = shoot(shot.a, config_a, dc_a)
+            assert shot.kind == one.kind
+            assert shot.trajectory.stats == one.trajectory.stats
+            assert shot.trajectory.t_end == pytest.approx(
+                one.trajectory.t_end, abs=1e-12)
+
+    def test_shoot_many_is_shoot_per_amplitude(self, config_a, dc_a):
+        grid = [0.5, 1.268, 3.0]
+        many = shoot_many(grid, config_a, dc_a, t_target=2.0)
+        assert [s.a for s in many] == grid
+        assert [s.kind for s in many] \
+            == [shoot(a, config_a, dc_a, t_target=2.0).kind for a in grid]
+        with pytest.raises(ValueError, match="amplitude must be positive"):
+            shoot_many([1.0, -1.0], config_a, dc_a)
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
