@@ -50,11 +50,20 @@ def series_radius(a: float, params: ProblemParams) -> float:
 
 
 def _regular_start(a: float, params: ProblemParams, frame: Frame) -> tuple:
-    """(r0, start) of the regular shot u(0) = a in frame."""
+    """(r0, start) of the regular shot u(0) = a in frame.
+
+    A tiny series radius and a large alpha1 can underflow the frame's
+    start v = r0^alpha1 u(r0) to 0, which raises ValueError."""
     if not (isinstance(a, (int, float)) and a > 0.0 and math.isfinite(a)):
         raise ValueError(f"shooting amplitude must be positive, got {a!r}")
     r0 = series_radius(a, params)
-    return r0, regular_series_start(a, r0, params, frame)
+    start = regular_series_start(a, r0, params, frame)
+    if start.v == 0.0:
+        raise ValueError(
+            f"the shot u(0) = {a!r} cannot start: its series radius "
+            f"r0 = {r0!r} raised to alpha1 = {frame.alpha!r} underflows, so "
+            "the start v = r0^alpha1 u(r0) is 0")
+    return r0, start
 
 
 @dataclass

@@ -16,6 +16,7 @@ from emdenlab import (
     csv_round_trip,
     derive_constants,
     integrate,
+    integrate_many,
     log_frame_rhs,
     read_trajectory_csv,
     reframe,
@@ -129,9 +130,25 @@ class TestIntegrateCore:
 
 
 class TestConfigValidation:
-    def test_stride_vs_max_step(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_step=0.01, dense_output_stride=0.2)
+    def test_stride_coarser_than_the_step_cap(self, config_a, dc_a):
+        # samples are read off the step interpolants and events are
+        # located on them, so a stride of 100 capped steps samples the
+        # same run as the default stride, in both cores
+        start = State(0.0, 1.0, 0.0)
+        coarse_cfg = IntegratorConfig(max_step=0.01, dense_output_stride=1.0)
+        fine_cfg = IntegratorConfig(max_step=0.01)
+        for run in (integrate,
+                    lambda s, *rest: integrate_many([s], *rest)[0]):
+            fine = run(start, Frame(dc_a.alpha1), 6.0, config_a, fine_cfg)
+            coarse = run(start, Frame(dc_a.alpha1), 6.0, config_a,
+                         coarse_cfg)
+            assert coarse.stats == fine.stats
+            assert coarse.termination == fine.termination
+            assert coarse.t[:-1] == pytest.approx(fine.t[:-1:100],
+                                                  abs=1e-13)
+            assert coarse.v[:-1] == pytest.approx(fine.v[:-1:100],
+                                                  abs=1e-12)
+            assert coarse.v[-1] == fine.v[-1]
 
     @pytest.mark.parametrize("kwargs", [
         dict(rtol=0.0), dict(atol=-1e-12), dict(max_step=0.0),

@@ -5,6 +5,7 @@ import pytest
 
 from emdenlab import (
     Kind,
+    ProblemParams,
     bisect_boundary,
     connecting_orbit,
     scan_thresholds,
@@ -35,6 +36,15 @@ class TestShoot:
             shoot(-1.0, config_a)
         with pytest.raises(ValueError):
             shoot(0.0, config_a)
+
+    def test_underflowed_start_is_named(self):
+        # alpha1 = 8 and a series radius near 1e-80: r0^alpha1 is 0
+        params = ProblemParams(n=3, p=1.25, q=1.3, l2=-1.9)
+        msg = r"r0 = .*e-80 raised to alpha1 = 8\.0 underflows"
+        with pytest.raises(ValueError, match=msg):
+            shoot(1.0, params)
+        with pytest.raises(ValueError, match="alpha1 = 8.0 underflows"):
+            shoot_many([0.01, 1.0], params)
 
     def test_crossing_kinds_on_dichotomy_config(self, lab):
         # every amplitude on this grid leaves the positive cone

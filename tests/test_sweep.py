@@ -46,7 +46,7 @@ class TestParsing:
         assert cfg.output_dir == "out"
         assert cfg.jobs is None  # unset: --jobs, EMDEN_JOBS or 1 decide
         assert cfg.axes == {}
-        assert cfg.integrator.rtol == 1e-10
+        assert cfg.integrator == IntegratorConfig()
 
     def test_integrator_and_output_sections(self):
         text = BASE_INI + (
@@ -196,11 +196,15 @@ class TestConfigHash:
 
     def test_readme_example_run_id_is_pinned(self):
         # the [params]..[sweep] example of README.md, inline comments
-        # included; the id was computed before config_hash was derived
-        # from the dataclass fields and must never drift
+        # included; ca513ae0e09e was computed before config_hash was
+        # derived from the dataclass fields and must never drift for the
+        # example's earlier integrator lines (rtol 1e-10, max_step 0.05)
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
-        assert run_id_of(parse_run_config_text(text)) == "ca513ae0e09e"
+        assert run_id_of(parse_run_config_text(text)) == "e8984ac89fa3"
+        earlier = text.replace("rtol = 1e-11\n", "rtol = 1e-10\n") \
+            .replace("max_step = 0.1\n", "max_step = 0.05\n")
+        assert run_id_of(parse_run_config_text(earlier)) == "ca513ae0e09e"
 
     def test_every_hashed_field_moves_the_hash(self):
         base = parse_run_config_text(BASE_INI)
