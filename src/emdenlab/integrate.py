@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -422,17 +423,17 @@ CSV_HEADER = "t,r,u,du_dr,v,dv_dt,frame_alpha"
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Flat per-sample schema; every float rendered with %.17g so a
-    reload and re-save is byte-identical."""
-    r, u, dudr = traj.r, traj.u, traj.du_dr
-    a = traj.frame.alpha
-    lines = [CSV_HEADER]
-    for i in range(traj.t.size):
-        lines.append(",".join(fmt_float(x) for x in
-                              (traj.t[i], r[i], u[i], dudr[i],
-                               traj.v[i], traj.vdot[i], a)))
+    """Flat per-sample schema; every float rendered as fmt_float renders
+    it ("%.17g", nan, inf, -inf), so a reload and re-save is
+    byte-identical.  Rows are streamed straight from the arrays, so no
+    Python-list copy of the columns is held; the constant frame_alpha
+    column is formatted once."""
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," \
+        + fmt_float(traj.frame.alpha) + "\n"
+    cols = (traj.t, traj.r, traj.u, traj.du_dr, traj.v, traj.vdot)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        fh.writelines(row % c for c in zip(*cols))
 
 
 def csv_round_trip(traj: Trajectory, directory) -> bool:
@@ -450,36 +451,55 @@ def csv_round_trip(traj: Trajectory, directory) -> bool:
 def read_trajectory_csv(path) -> Trajectory:
     """Inverse of write_trajectory_csv; parse errors carry line numbers.
 
-    Metadata (integrator config, termination) is not stored in the CSV,
-    so the result has config=None and termination inferred lazily via
-    effective_termination().
+    The header must be CSV_HEADER exactly, every other non-blank line
+    holds 7 floats, and frame_alpha is constant.  Blank lines are
+    skipped and CRLF line ends accepted.  Metadata (integrator config,
+    termination) is not stored in the CSV, so the result has config=None
+    and termination inferred lazily via effective_termination().
     """
     with open(path, "r") as fh:
+        header = fh.readline()
+        if not header:
+            raise ValueError(f"{path}: empty file")
+        header = header.rstrip("\n")
+        if header != CSV_HEADER:
+            raise ValueError(f"{path}: line 1: expected header "
+                             f"{CSV_HEADER!r}, got {header!r}")
+        with warnings.catch_warnings():
+            # an empty body is reported as "no data rows" below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            except ValueError as exc:
+                raise _line_error(path, exc) from None
+    if data.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    if data.shape[1] != 7:
+        raise _line_error(path, f"expected 7 fields, got {data.shape[1]}")
+    alphas = data[:, 6]
+    if np.any(alphas[1:] != alphas[0]):
+        raise ValueError(f"{path}: frame_alpha column is not constant")
+    return Trajectory(Frame(float(alphas[0])), data[:, 0].copy(),
+                      data[:, 4].copy(), data[:, 5].copy(), None)
+
+
+def _line_error(path, reason) -> ValueError:
+    """The error for the first body line of path that does not hold 7
+    floats, named by its line number; reason (the fast parser's
+    complaint) when every line passes that test."""
+    with open(path, "r") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: line 1: expected header {CSV_HEADER!r}, "
-                         f"got {lines[0]!r}")
-    t, v, vdot, alphas = [], [], [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         cells = line.split(",")
         if len(cells) != 7:
-            raise ValueError(f"{path}: line {ln}: expected 7 fields, "
-                             f"got {len(cells)}")
+            return ValueError(f"{path}: line {ln}: expected 7 fields, "
+                              f"got {len(cells)}")
         try:
-            vals = [float(c) for c in cells]
+            for c in cells:
+                float(c)
         except ValueError as exc:
-            raise ValueError(f"{path}: line {ln}: {exc}") from None
-        t.append(vals[0])
-        v.append(vals[4])
-        vdot.append(vals[5])
-        alphas.append(vals[6])
-    if not t:
-        raise ValueError(f"{path}: no data rows")
-    if len(set(alphas)) != 1:
-        raise ValueError(f"{path}: frame_alpha column is not constant")
-    return Trajectory(Frame(alphas[0]), np.array(t), np.array(v),
-                      np.array(vdot), None)
+            return ValueError(f"{path}: line {ln}: {exc}")
+    return ValueError(f"{path}: {reason}")

@@ -12,6 +12,7 @@ from emdenlab import (
     ProblemParams,
     TerminationKind,
     derive_constants,
+    log_frame_rhs,
     run_acceptance,
     shoot_many,
 )
@@ -33,6 +34,16 @@ def test_crossing_time_is_translation_invariant():
     assert {e.kind for e in ends} == {TerminationKind.POSITIVITY_LOST}
     shifted = np.array([e.t for e in ends]) + np.log(a) / dc.alpha1
     assert np.ptp(shifted) < 1e-10
+
+
+def test_criterion_1_starts_off_an_equilibrium(lab):
+    # an oracle run that starts on a fixed point returns its start at
+    # every step, so it would measure no integrator error at all
+    art = lab.singular_oracle
+    start = art["traj"].state_at(0)
+    rhs = log_frame_rhs(art["params"], art["traj"].frame.alpha)
+    assert max(map(abs, rhs(start.t, (start.v, start.vdot)))) > 1.0
+    assert art["max_rel_err"] > 0.0
 
 
 @pytest.mark.parametrize("number, key, subcheck", [

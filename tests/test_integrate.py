@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emdenlab import (
     RAW,
@@ -15,6 +16,7 @@ from emdenlab import (
     Trajectory,
     csv_round_trip,
     derive_constants,
+    fmt_float,
     integrate,
     integrate_many,
     log_frame_rhs,
@@ -25,7 +27,7 @@ from emdenlab import (
     singular_seed_start,
     write_trajectory_csv,
 )
-from emdenlab.integrate import RTOL_MIN
+from emdenlab.integrate import CSV_HEADER as HEADER, RTOL_MIN
 
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
 
@@ -301,20 +303,64 @@ class TestCsv:
 
     def test_field_count_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("t,r,u,du_dr,v,dv_dt,frame_alpha\n0,1,1,0,1,0\n")
-        with pytest.raises(ValueError, match="line 2"):
+        path.write_text(f"{HEADER}\n0,1,1,0,1,0\n")
+        with pytest.raises(ValueError,
+                           match="line 2: expected 7 fields, got 6"):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,1,1,0,1,0,0,0", "0,1,1,0,1,0,0,"])
+    def test_long_row_error_carries_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{HEADER}\n{row}\n")
+        with pytest.raises(ValueError,
+                           match="line 2: expected 7 fields, got 8"):
             read_trajectory_csv(path)
 
     def test_bad_float_error_carries_line(self, tmp_path):
+        # the bad value sits in column u, which the reader parses but the
+        # Trajectory drops; the blank line before it still counts
         path = tmp_path / "bad.csv"
-        path.write_text("t,r,u,du_dr,v,dv_dt,frame_alpha\n"
-                        "0,1,1,0,1,0,0\n0,1,x,0,1,0,0\n")
-        with pytest.raises(ValueError, match="line 3"):
+        path.write_text(f"{HEADER}\n0,1,1,0,1,0,0\n\n0.5,1,x,0,1,0,0\n")
+        with pytest.raises(ValueError, match="line 4: could not convert "
+                           "string to float: 'x'"):
+            read_trajectory_csv(path)
+
+    def test_comment_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{HEADER}\n0,1,1,0,1,0,0\n# note\n")
+        with pytest.raises(ValueError, match="line 3: expected 7 fields"):
+            read_trajectory_csv(path)
+
+    def test_underscore_digits_rejected(self, tmp_path):
+        # float() reads "1_0" as 10; the reader does not, and names the file
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{HEADER}\n1_0,1,1,0,1,0,0\n")
+        with pytest.raises(ValueError, match="bad.csv: .*'1_0'"):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("body", [
+        "0,1,1,0,1,0,0\r\n0.5,1,1,0,2,0,0\r\n",
+        "\n0,1,1,0,1,0,0\n\n\n0.5,1,1,0,2,0,0\n\n\n",
+        "0,1,1,0,1,0,0\n0.5,1,1,0,2,0,0",
+    ], ids=["crlf", "blank-lines", "no-final-newline"])
+    def test_line_ends_and_blank_lines(self, tmp_path, body):
+        path = tmp_path / "ok.csv"
+        path.write_bytes((HEADER + "\n" + body).encode())
+        loaded = read_trajectory_csv(path)
+        assert loaded.t.tolist() == [0.0, 0.5]
+        assert loaded.v.tolist() == [1.0, 2.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n"])
+    def test_header_only_has_no_data_rows(self, tmp_path, body):
+        path = tmp_path / "header.csv"
+        path.write_text(HEADER + body)
+        with pytest.raises(ValueError, match="no data rows"):
             read_trajectory_csv(path)
 
     def test_inconsistent_frame_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("t,r,u,du_dr,v,dv_dt,frame_alpha\n"
+        path.write_text(f"{HEADER}\n"
                         "0,1,1,0,1,0,0\n0.5,1,1,0,1,0,1\n")
         with pytest.raises(ValueError, match="frame_alpha"):
             read_trajectory_csv(path)
@@ -324,6 +370,47 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             read_trajectory_csv(path)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+           2.2250738585072014e-308, 1e-300, 1.7976931348623157e308,
+           -1.7976931348623157e308, 3e307, math.inf, -math.inf, math.nan]
+
+
+def floats64(allow_non_finite=True):
+    pool = [x for x in SPECIAL if allow_non_finite or math.isfinite(x)]
+    return st.one_of(st.sampled_from(pool),
+                     st.floats(allow_nan=allow_non_finite,
+                               allow_infinity=allow_non_finite))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(t=st.lists(floats64(False), min_size=1, max_size=12, unique=True),
+       v=st.lists(floats64(), min_size=12, max_size=12),
+       vdot=st.lists(floats64(), min_size=12, max_size=12),
+       alpha=floats64(False), ascending=st.booleans())
+def test_writer_bytes_are_fmt_float_rows(tmp_path_factory, t, v, vdot,
+                                         alpha, ascending):
+    # the rule of the original per-value writer, kept as the oracle: each
+    # row is ",".join(fmt_float(x)) of the sample's seven values
+    t = sorted(set(t), reverse=not ascending)
+    size = len(t)
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    with np.errstate(all="ignore"):
+        traj = Trajectory(Frame(alpha), t, v[:size], vdot[:size], None)
+        cols = (traj.t, traj.r, traj.u, traj.du_dr, traj.v, traj.vdot,
+                np.full(size, alpha))
+        write_trajectory_csv(traj, path)
+        written = path.read_bytes()
+        assert written.decode().split("\n") == [HEADER] + [
+            ",".join(fmt_float(c[i]) for c in cols)
+            for i in range(size)] + [""]
+        loaded = read_trajectory_csv(path)
+        for name in ("t", "v", "vdot"):
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(traj, name))
+        write_trajectory_csv(loaded, path)
+        assert path.read_bytes() == written
 
 
 class TestEndWindow:
