@@ -29,13 +29,12 @@ from .integrate import (
     TerminationKind,
     Trajectory,
     csv_round_trip,
+    forced_expansion,
     integrate,
     integrate_many,
     log_frame_rhs,
     read_trajectory_csv,
     reframe,
-    regular_series_start,
-    singular_seed_start,
     write_trajectory_csv,
 )
 from .energy import (
@@ -96,13 +95,13 @@ __all__ = [
     "canonical_json", "classify_end", "classify_regime", "config_hash",
     "connecting_orbit", "csv_round_trip", "derive_constants",
     "energy_trace", "exact_single_term_singular", "expanded_axes",
-    "fit_exponential_rate",
+    "fit_exponential_rate", "forced_expansion",
     "fit_power_tail", "fmt_float", "format_results", "integrate",
     "integrate_many",
     "log_frame_rhs", "oscillation_envelope", "parse_run_config",
     "parse_run_config_text", "quadratic_extrema",
-    "read_trajectory_csv", "reframe", "regular_series_start",
+    "read_trajectory_csv", "reframe",
     "run_acceptance", "run_id_of", "scan_thresholds",
-    "series_radius", "shoot", "shoot_many", "singular_seed_start", "sweep",
+    "series_radius", "shoot", "shoot_many", "sweep",
     "well_potential", "write_trajectory_csv",
 ]

@@ -19,12 +19,12 @@ import numpy as np
 from ._version import __version__
 from .classify import TOL_CLASS, classify_end
 from .integrate import Frame, IntegratorConfig, integrate, \
-    read_trajectory_csv, regular_series_start, write_trajectory_csv
+    read_trajectory_csv, write_trajectory_csv
 from .params import EPS_CRIT, ProblemParams, classify_regime, \
     derive_constants
 from .serialize import canonical_json
-from .shooting import T_TARGET, connecting_orbit, resolve_jobs, \
-    scan_thresholds, series_radius, shoot
+from .shooting import T_TARGET, _regular_start, connecting_orbit, \
+    resolve_jobs, scan_thresholds, shoot
 from .sweep import parse_run_config, seeded_run, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
@@ -80,8 +80,7 @@ def cmd_solve(args) -> int:
         if args.a is None:
             raise ValueError("--start series needs --a")
         frame = Frame(dc.alpha1)
-        start = regular_series_start(args.a, series_radius(args.a, params),
-                                     params, frame)
+        _, start = _regular_start(args.a, params, frame)
         traj = integrate(start, frame, cfg.t_max, params, integrator)
     else:
         traj = seeded_run(params, dc.end(args.start), cfg)
@@ -131,8 +130,7 @@ def cmd_scan(args) -> int:
 def cmd_connect(args) -> int:
     params, integrator = _resolve_params(args)
     dc = derive_constants(params)
-    orbit = connecting_orbit(params, dc, args.direction, eps=args.eps,
-                             config=integrator)
+    orbit = connecting_orbit(params, dc, args.direction, config=integrator)
     if args.out:
         write_trajectory_csv(orbit.trajectory, args.out)
         sys.stderr.write(f"wrote trajectory to {args.out}\n")
@@ -221,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--config")
     _add_param_flags(sp, required=False)
-    sp.add_argument("--eps", type=float)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_connect)
 

@@ -9,12 +9,12 @@ autonomous-plus-forcing system
 where E_i = frame_exp(exp_i, l_i, alpha) (params.py).  Choosing
 alpha = alpha1 kills the exponential on the p-term (E1 = 0, E2 = delta);
 alpha = alpha2 kills it on the q-term (E2 = 0, E1 = delta2); alpha = 0
-is the raw frame.  The singular seed of an End lives in that end's
-frame, Frame(end.alpha).  All trajectories are integrated with the one
-right-hand side log_frame_rhs at the accuracy IntegratorConfig's
-defaults were chosen for (the step cap bounds the dense-output and event
-error, rtol the step error), and sampled on a fixed stride for
-downstream fits and quadrature.
+is the raw frame.  Every run starts on forced_expansion, the closed-form
+amp + sum_i K_i e^{E_i t} about an End's lambda or a regular u(0).  All
+trajectories are integrated with the one right-hand side log_frame_rhs
+at the accuracy IntegratorConfig's defaults were chosen for (the step
+cap bounds the dense-output and event error, rtol the step error), and
+sampled on a fixed stride for downstream fits and quadrature.
 
 The integrator is the in-repo DOP853 of dop853.py: Dormand-Prince 8(5,3)
 with its 7th-order dense output (Hairer, Norsett & Wanner, *Solving
@@ -39,6 +39,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -355,52 +356,66 @@ def integrate_many(starts, frame: Frame, t_target: float,
     return trajs
 
 
-def regular_series_start(a: float, r0: float, params: ProblemParams,
-                         frame: Frame = RAW) -> State:
-    """Second-order series state of the regular solution u(0) = a.
+@dataclass(frozen=True)
+class Expansion:
+    """v = amp + sum_i K_i e^{E_i t} in the alpha frame, one (K_i, E_i)
+    in terms per forced power term (see forced_expansion)."""
 
-    u(r0)  = a - sum_i k_i a^{P_i} r0^{2+l_i} / ((2+l_i)(n+l_i)),
-    u'(r0) = - sum_i k_i a^{P_i} r0^{1+l_i} / (n+l_i),
+    alpha: float
+    amp: float
+    terms: tuple
+    gate: float
 
-    rejected unless every correction is below 1e-6 a (series gate).
+    def start(self, t: float, frame: Frame | None = None) -> State:
+        """The state at t, exactly re-expressed in frame (default its
+        own); ValueError unless every |K_i e^{E_i t}| < gate * amp."""
+        if not math.isfinite(t):
+            raise ValueError(f"start t must be finite, got {t}")
+        v, vdot = self.amp, 0.0
+        for k, e in self.terms:
+            w = k * math.exp(e * t)
+            if not abs(w) < self.gate * self.amp:
+                raise ValueError(f"t = {t} is too shallow a start: a term "
+                                 f"{abs(w):.3e} >= {self.gate:g} x amplitude")
+            v, vdot = v + w, vdot + e * w
+        d = 0.0 if frame is None else frame.alpha - self.alpha
+        fac = math.exp(d * t)  # 1.0 for d = 0: v and vdot unchanged
+        return State(t, fac * v, fac * (vdot + d * v))
+
+
+def forced_expansion(params: ProblemParams, center) -> Expansion:
+    """First-order expansion about a fixed point amp of the alpha frame:
+    each forced term k e^{E t} v^P adds K e^{E t} with the closed form
+    K = -k amp^P / (E^2 + damping E + L), L the restoring coefficient.
+    center is an End of derive_constants(params): amp = lambda in its
+    frame, its forced term if on, L = alpha (n-2-alpha) (auto_exp - 1),
+    gate 0.1.  Or a central value a, the regular solution u(0) = a:
+    alpha = 0, amp = a, L = 0, every term at rate 2 + l (the series'
+    first correction), gate 1e-6.  ValueError for an end without an
+    equilibrium (lambda undefined or its autonomous term off), for a
+    non-positive a and for a resonance (zero denominator).
     """
-    if not a > 0.0:
-        raise ValueError(f"central value a must be positive, got {a}")
-    if not r0 > 0.0:
-        raise ValueError(f"r0 must be positive, got {r0}")
     n = params.n
-    u, up = a, 0.0
-    for exp_, l, k in params.active_terms():
-        corr = a ** exp_ * r0 ** (2.0 + l) / ((2.0 + l) * (n + l))
-        if corr >= 1e-6 * a:
-            raise ValueError(
-                f"r0={r0} too large for series accuracy: correction "
-                f"{corr:.3e} exceeds 1e-6 a for the exponent-{exp_} term")
-        u -= k * corr
-        up -= k * a ** exp_ * r0 ** (1.0 + l) / (n + l)
-    t0 = math.log(r0)
-    alpha = frame.alpha
-    v = math.exp(alpha * t0) * u
-    vdot = alpha * v + math.exp((alpha + 1.0) * t0) * up
-    return State(t0, v, vdot)
-
-
-def singular_seed_start(end: End, eps: float, t_seed: float) -> State:
-    """Perturbed equilibrium seed near one end, in that end's own frame.
-
-    The seed is (end.lam + eps, eps end.rate): at infinity the
-    alpha1-frame equilibrium lambda1 with the forced exponent delta, at
-    the origin the alpha2-frame equilibrium lambda2 with delta2.
-    eps = 0 seeds the equilibrium itself, (lambda, 0).  |eps| must stay
-    below 0.1 lambda.
-    """
-    if end.lam is None:
-        raise ValueError(f"singular amplitude undefined at {end.name} for "
-                         "these parameters")
-    if not abs(eps) < 0.1 * end.lam:
-        raise ValueError(f"|eps| = {abs(eps)} must be below 0.1 lambda "
-                         f"= {0.1 * end.lam}")
-    return State(t_seed, end.lam + eps, eps * end.rate if eps else 0.0)
+    if isinstance(center, End):
+        if center.lam is None or not center.auto_k:
+            raise ValueError(f"no singular equilibrium at {center.name}")
+        alpha, amp, gate, damping = center.alpha, center.lam, 0.1, \
+            center.damping
+        restoring = alpha * (n - 2.0 - alpha) * (center.auto_exp - 1.0)
+        forced = [(center.force_k, center.rate, center.force_exp)] \
+            if center.force_k else []
+    else:
+        if not 0.0 < center < math.inf:
+            raise ValueError(f"amplitude must be positive, got {center!r}")
+        alpha, amp, gate, damping, restoring = 0.0, center, 1e-6, n - 2.0, 0.0
+        forced = [(k, 2.0 + l, exp_) for exp_, l, k in params.active_terms()]
+    terms = []
+    for k, e, exp_ in forced:
+        den = e * e + damping * e + restoring
+        if den == 0.0:
+            raise ValueError(f"resonance: rate {e} solves the linearisation")
+        terms.append((-k * amp ** exp_ / den, e))
+    return Expansion(alpha, amp, tuple(terms), gate)
 
 
 def reframe(traj: Trajectory, new_frame: Frame) -> Trajectory:
@@ -439,23 +454,22 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def csv_round_trip(traj: Trajectory, directory) -> bool:
     """Write, reload and rewrite the trajectory; True iff the two files
     are byte-identical (decimal-text exactness of the CSV schema)."""
-    import os
-    p1 = os.path.join(str(directory), "round_trip_a.csv")
-    p2 = os.path.join(str(directory), "round_trip_b.csv")
+    p1, p2 = (Path(directory) / f"round_trip_{x}.csv" for x in "ab")
     write_trajectory_csv(traj, p1)
     write_trajectory_csv(read_trajectory_csv(p1), p2)
-    with open(p1, "rb") as f1, open(p2, "rb") as f2:
-        return f1.read() == f2.read()
+    return p1.read_bytes() == p2.read_bytes()
 
 
 def read_trajectory_csv(path) -> Trajectory:
     """Inverse of write_trajectory_csv; parse errors carry line numbers.
 
     The header must be CSV_HEADER exactly, every other non-blank line
-    holds 7 floats, and frame_alpha is constant.  Blank lines are
-    skipped and CRLF line ends accepted.  Metadata (integrator config,
-    termination) is not stored in the CSV, so the result has config=None
-    and termination inferred lazily via effective_termination().
+    holds 7 floats, frame_alpha is constant, and r, u and du_dr agree
+    with the values t, v, dv_dt and frame_alpha give them (relative
+    1e-12, nan equal to nan).  Blank lines are skipped and CRLF line
+    ends accepted.  Metadata (integrator config, termination) is not
+    stored in the CSV, so the result has config=None and termination
+    inferred lazily via effective_termination().
     """
     with open(path, "r") as fh:
         header = fh.readline()
@@ -480,19 +494,35 @@ def read_trajectory_csv(path) -> Trajectory:
     alphas = data[:, 6]
     if np.any(alphas[1:] != alphas[0]):
         raise ValueError(f"{path}: frame_alpha column is not constant")
-    return Trajectory(Frame(float(alphas[0])), data[:, 0].copy(),
+    traj = Trajectory(Frame(float(alphas[0])), data[:, 0].copy(),
                       data[:, 4].copy(), data[:, 5].copy(), None)
+    with np.errstate(all="ignore"):
+        want = np.column_stack((traj.r, traj.u, traj.du_dr))
+    bad = ~np.isclose(data[:, 1:4], want, rtol=1e-12, atol=0.0,
+                      equal_nan=True)
+    if bad.any():
+        row, col = divmod(int(np.flatnonzero(bad)[0]), 3)  # first bad row
+        ln = list(_body_lines(path))[row][0]
+        raise ValueError(f"{path}: line {ln}: {('r', 'u', 'du_dr')[col]} = "
+                         f"{data[row, col + 1]:.17g} does not match "
+                         f"{want[row, col]:.17g} from t, v, dv_dt and "
+                         "frame_alpha")
+    return traj
+
+
+def _body_lines(path):
+    """(line number, text) of the non-blank lines after the header."""
+    with open(path, "r") as fh:
+        lines = fh.read().splitlines()
+    return ((ln, line) for ln, line in enumerate(lines[1:], start=2)
+            if line)
 
 
 def _line_error(path, reason) -> ValueError:
     """The error for the first body line of path that does not hold 7
     floats, named by its line number; reason (the fast parser's
     complaint) when every line passes that test."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
+    for ln, line in _body_lines(path):
         cells = line.split(",")
         if len(cells) != 7:
             return ValueError(f"{path}: line {ln}: expected 7 fields, "

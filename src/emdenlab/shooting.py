@@ -1,13 +1,13 @@
 """Shooting from the regular end and boundary hunting in the amplitude.
 
-A shot starts the regular series solution u(0) = a just off the origin,
-integrates outward in the alpha1 frame, and classifies the infinity end.
-Boundary hunting bisects between amplitudes whose shots end in different
-kinds; connecting orbits instead seed the singular behavior at one end
-and integrate across to the other.  That seed-and-cross step
-(seed_and_integrate, then classify_ends) is the one the sweep cells and
-`emdenlab solve` run too; the end is a DerivedConstants End record,
-dc.end("infinity") or dc.end("origin").
+A shot starts the regular solution u(0) = a on its series expansion
+(forced_expansion about a) at r0 = series_radius, integrates outward in
+the alpha1 frame, and classifies the infinity end.  Boundary hunting
+bisects between amplitudes whose shots end in different kinds;
+connecting orbits seed one end on its forced expansion about lambda at
+the caller's depth and integrate across to the other: the step
+(seed_and_integrate, then classify_ends) the sweep cells and `emdenlab
+solve` run too, for an End record dc.end("infinity") or dc.end("origin").
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from functools import partial
 import numpy as np
 
 from .classify import ClassificationReport, Kind, classify_end
-from .integrate import Frame, IntegratorConfig, Trajectory, integrate, \
-    integrate_many, regular_series_start, singular_seed_start
+from .integrate import Frame, IntegratorConfig, Trajectory, \
+    forced_expansion, integrate, integrate_many
 from .params import DerivedConstants, End, ProblemParams, classify_regime, \
     derive_constants
 from .serialize import SKIP, Record
@@ -36,28 +36,21 @@ BISECT_MAX_ITER = 80
 
 
 def series_radius(a: float, params: ProblemParams) -> float:
-    """Largest start radius (capped at 1e-4) keeping every series
-    correction below SERIES_BUDGET * a."""
-    r0 = 1e-4
-    for exp_, l, k in params.active_terms():
-        if not k:
-            continue
-        # correction a^P r0^{2+l} / ((2+l)(n+l)) == SERIES_BUDGET a at r0
-        r_term = (SERIES_BUDGET * a * (2.0 + l) * (params.n + l)
-                  / a ** exp_) ** (1.0 / (2.0 + l))
-        r0 = min(r0, r_term)
-    return r0
+    """Largest start radius (capped at 1e-4) keeping every first-order
+    term |K_i| r0^{E_i} of the expansion about a below SERIES_BUDGET a."""
+    # a^P can underflow to K = 0: that term is then negligible
+    return min([1e-4] + [(SERIES_BUDGET * a / abs(k)) ** (1.0 / e)
+                         for k, e in forced_expansion(params, a).terms
+                         if k])
 
 
 def _regular_start(a: float, params: ProblemParams, frame: Frame) -> tuple:
     """(r0, start) of the regular shot u(0) = a in frame.
 
-    A tiny series radius and a large alpha1 can underflow the frame's
-    start v = r0^alpha1 u(r0) to 0, which raises ValueError."""
-    if not (isinstance(a, (int, float)) and a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"shooting amplitude must be positive, got {a!r}")
+    ValueError for a non-positive a, and for a tiny r0 with a large alpha1,
+    which underflows the frame's start v = r0^alpha1 u(r0) to 0."""
     r0 = series_radius(a, params)
-    start = regular_series_start(a, r0, params, frame)
+    start = forced_expansion(params, a).start(math.log(r0), frame)
     if start.v == 0.0:
         raise ValueError(
             f"the shot u(0) = {a!r} cannot start: its series radius "
@@ -274,20 +267,17 @@ class ConnectingOrbit(Record):
 
 
 # seeding depth and crossing span, frozen by rate/stability calibration
-CONNECT_DEFAULTS = {
-    "from_infinity": {"t_seed": 14.0, "t_end": -34.0},
-    "from_origin": {"t_seed": -10.0, "t_end": 20.0},
-}
+CONNECT_DEFAULTS = {"from_infinity": (14.0, -34.0),
+                    "from_origin": (-10.0, 20.0)}  # (t_seed, t_end)
 END_WINDOW = 4.0
 
 
-def seed_and_integrate(params: ProblemParams, end: End, eps: float,
-                       t_seed: float, t_end: float,
-                       config: IntegratorConfig | None = None
+def seed_and_integrate(params: ProblemParams, end: End, t_seed: float,
+                       t_end: float, config: IntegratorConfig | None = None
                        ) -> Trajectory:
-    """Seed the singular behavior of `end` at t_seed and integrate to
-    t_end in that end's frame (see singular_seed_start for the seed)."""
-    start = singular_seed_start(end, eps, t_seed)
+    """Seed `end` at t_seed on its forced expansion lambda + K e^{rate t}
+    and integrate to t_end in that end's frame."""
+    start = forced_expansion(params, end).start(t_seed)
     return integrate(start, Frame(end.alpha), t_end, params, config)
 
 
@@ -307,40 +297,28 @@ def classify_ends(traj: Trajectory, dc: DerivedConstants) -> tuple:
 
 def connecting_orbit(params: ProblemParams, dc: DerivedConstants,
                      direction: str,
-                     eps: float | None = None,
                      t_seed: float | None = None,
                      t_end: float | None = None,
                      config: IntegratorConfig | None = None
                      ) -> ConnectingOrbit:
     """Seed the singular behavior at one end and integrate to the other.
 
-    from_infinity seeds (lambda1 + eps, eps delta) at t_seed in the
-    alpha1 frame and integrates down to t_end; from_origin does the
-    mirror run in the alpha2 frame.  Both ends are classified by
-    classify_ends.  eps defaults to 1e-4 lambda and must stay within
-    1e-3 lambda (eps = 0 runs on the equilibrium and records the
-    numerical drift).
+    from_infinity seeds lambda1 + K e^{delta t} at t_seed in the alpha1
+    frame (seed_and_integrate) and integrates down to t_end; from_origin
+    does the mirror run from lambda2 + K e^{delta2 t} in the alpha2
+    frame.  t_seed and t_end default to CONNECT_DEFAULTS.  Both ends are
+    classified by classify_ends.
     """
-    flags = classify_regime(params, dc)
-    wanted = {"from_infinity": "singular_at_infinity",
-              "from_origin": "singular_at_origin"}
-    if direction not in wanted:
-        raise ValueError(f"direction must be one of {sorted(wanted)}, "
-                         f"got {direction!r}")
-    if flags.theorem3_case != wanted[direction]:
-        raise ValueError(
-            f"{direction} needs regime {wanted[direction]}, but these "
-            f"parameters give {flags.theorem3_case!r}")
-    end = dc.end("infinity" if direction == "from_infinity" else "origin")
-    if eps is None:
-        eps = 1e-4 * end.lam
-    if abs(eps) > 1e-3 * end.lam:
-        raise ValueError(f"|eps| = {abs(eps)} exceeds 1e-3 lambda = "
-                         f"{1e-3 * end.lam}")
-    defaults = CONNECT_DEFAULTS[direction]
-    if t_seed is None:
-        t_seed = defaults["t_seed"]
-    if t_end is None:
-        t_end = defaults["t_end"]
-    traj = seed_and_integrate(params, end, eps, t_seed, t_end, config)
+    if direction not in CONNECT_DEFAULTS:
+        raise ValueError(f"direction must be one of "
+                         f"{sorted(CONNECT_DEFAULTS)}, got {direction!r}")
+    end = dc.end(direction.removeprefix("from_"))
+    case = classify_regime(params, dc).theorem3_case
+    if case != f"singular_at_{end.name}":
+        raise ValueError(f"{direction} needs regime singular_at_{end.name}, "
+                         f"but these parameters give {case!r}")
+    seed_default, end_default = CONNECT_DEFAULTS[direction]
+    traj = seed_and_integrate(params, end,
+                              seed_default if t_seed is None else t_seed,
+                              end_default if t_end is None else t_end, config)
     return ConnectingOrbit(direction, traj, *classify_ends(traj, dc))

@@ -1,17 +1,17 @@
 """Run configuration files, parameter sweeps, and reproducible manifests.
 
 A run configuration is an INI file with a [params] section plus optional
-[integrator], [spans], [seed], [output] and [sweep] sections.  Sweeps
-expand the [sweep] axes into a parameter grid, run one seeded crossing
-per cell from the End record dc.end(...) that has an amplitude (the
-seed-and-cross step of connecting_orbit: seed_and_integrate, then
+[integrator], [spans], [output] and [sweep] sections.  Sweeps expand the
+[sweep] axes into a parameter grid, run one crossing per cell from the
+first End of dc.ends with an equilibrium, seeded on its side of [spans]
+(the seed-and-cross step of connecting_orbit: seed_and_integrate, then
 classify_ends), and write a content-addressed output tree
 
     <output>/<run-id>/manifest.json
     <output>/<run-id>/cells/<index>/trajectory.csv
 
 where run-id is a hash of the semantic configuration (parameters,
-integrator, spans, seeds, axes; never the output directory or the worker
+integrator, spans, axes; never the output directory or the worker
 count).  Cells come back in grid order (shooting.map_jobs, capped at
 os.cpu_count() workers), so manifests and cell files are byte-identical
 for any worker count apart from the recorded wall-clock time.
@@ -41,7 +41,6 @@ _INT_KEYS = {"n", "jobs"}
 # [section] key -> RunConfig keyword, for the sections that hold one field
 _RUN_KEYS = {
     "spans": {"t_min": "t_min", "t_max": "t_max"},
-    "seed": {"eps_scale": "eps_scale"},
     "output": {"directory": "output_dir"},
 }
 _SCHEMA = {
@@ -58,7 +57,6 @@ class RunConfig:
     integrator: IntegratorConfig = IntegratorConfig()
     t_min: float = -14.0
     t_max: float = 14.0
-    eps_scale: float = 1e-4
     output_dir: str = "out"
     axes: dict = field(default_factory=dict)
     jobs: int | None = None
@@ -137,16 +135,12 @@ def parse_run_config(path) -> RunConfig:
 
 
 def seeded_run(params: ProblemParams, end: End, cfg: RunConfig):
-    """Seed `end` (an End record of derive_constants(params)) on its side
-    of [t_min, t_max] with eps = eps_scale lambda and cross to the other
-    side with the config's integrator: infinity (side +1) seeds at t_max,
-    the origin at t_min."""
-    if end.lam is None:
-        raise ValueError(f"no singular amplitude at {end.name}")
+    """Seed `end` of derive_constants(params) on its side of [t_min,
+    t_max] (t_max at infinity, t_min at the origin) and cross to the
+    other side with the config's integrator."""
     t_seed, t_stop = ((cfg.t_max, cfg.t_min) if end.side > 0
                       else (cfg.t_min, cfg.t_max))
-    return seed_and_integrate(params, end, cfg.eps_scale * end.lam, t_seed,
-                              t_stop, cfg.integrator)
+    return seed_and_integrate(params, end, t_seed, t_stop, cfg.integrator)
 
 
 def expanded_axes(cfg: RunConfig) -> dict:
@@ -207,10 +201,11 @@ def _cell_job(args) -> dict:
         flags = classify_regime(params, dc)
         cell["constants"] = dc.to_dict()
         cell["regime"] = flags.to_dict()
-        # infinity first: dc.ends is (infinity, origin)
-        end = next((e for e in dc.ends if e.lam is not None), None)
+        # infinity first; lambda is an equilibrium where auto_k is on
+        end = next((e for e in dc.ends
+                    if e.lam is not None and e.auto_k), None)
         if end is None:
-            raise ValueError("no singular amplitude in either frame")
+            raise ValueError("no singular equilibrium in either frame")
         traj = seeded_run(params, end, cfg)
         rep_inf, rep_ori = classify_ends(traj, dc)
         cell["seeded_end"] = end.name

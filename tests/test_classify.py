@@ -113,14 +113,18 @@ class TestClassifyEnd:
         rate = orbit_a.report_origin.rate
         assert rate == pytest.approx(-dc_a.c2coef / 2.0, rel=1e-2)
 
-    def test_orbit_seed_side_has_no_rate(self, orbit_a):
-        # on [10, 14] the seed transient puts an interior minimum into
-        # |v - lambda1|: no clean decay, so no rate (a log-linear fit
-        # read -0.993 against delta = -0.611)
-        rep = orbit_a.report_infinity
-        assert rep.window == (10.0, 14.0)
-        assert rep.kind == Kind.SLOW_DECAY_SINGULAR
-        assert rep.rate is None
+    def test_orbit_seed_side_reads_the_forced_rate(self, orbit_a, dc_a,
+                                                   orbit_c, dc_c):
+        # the seed sits on lambda + K e^{rate t}, so the seed-side window
+        # shows the forced rate: -0.61084 against delta = -0.61111 at
+        # infinity for config A, 0.87472 against delta2 = 0.875 at the
+        # origin for config C
+        for rep, window, rate in (
+                (orbit_a.report_infinity, (10.0, 14.0), dc_a.delta),
+                (orbit_c.report_origin, (-10.0, -6.0), dc_c.delta2)):
+            assert rep.window == window
+            assert rep.kind == Kind.SLOW_DECAY_SINGULAR
+            assert rep.rate == pytest.approx(rate, abs=5e-4)
 
     def test_bubble_fast_decay(self, lab):
         rep = lab.bubble["report"]

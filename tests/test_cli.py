@@ -4,6 +4,8 @@ import dataclasses
 import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 
 import emdenlab
 from emdenlab import ProblemParams, bisect_boundary, classify_end, \
-    classify_regime, scan_thresholds, shoot
+    classify_regime, scan_thresholds, shoot, write_trajectory_csv
 from emdenlab.cli import build_parser, main
 
 INI = """\
@@ -102,6 +104,66 @@ def test_solve_then_classify_round_trip(tmp_path, capsys):
     assert report["kind"] == "slow_decay_singular"
     assert report["fitted_constant"] == pytest.approx(1.8367404753952032,
                                                       rel=5e-3)
+
+
+def test_solve_series_start_is_the_shot(tmp_path, capsys):
+    # solve --start series starts where shoot does, so with the same
+    # horizon it writes the shot's trajectory
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI + "\n[spans]\nt_min = -6.0\nt_max = 2.0\n")
+    csv = tmp_path / "series.csv"
+    assert main(["solve", "--config", str(ini), "--out", str(csv),
+                 "--start", "series", "--a", "1.0"]) == 0
+    shot = shoot(1.0, ProblemParams(n=5, p=1.9, q=1.95, l1=0.0, l2=-0.5),
+                 t_target=2.0)
+    write_trajectory_csv(shot.trajectory, tmp_path / "shot.csv")
+    assert csv.read_bytes() == (tmp_path / "shot.csv").read_bytes()
+
+
+@pytest.mark.parametrize("ini,a,message", [
+    (INI, "-1.0", "amplitude must be positive"),
+    ("[params]\nn = 3\np = 1.25\nq = 1.3\nl2 = -1.9\n", "1.0",
+     "alpha1 = 8.0 underflows"),
+])
+def test_solve_series_start_errors(tmp_path, capsys, ini, a, message):
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    assert main(["solve", "--config", str(path), "--out",
+                 str(tmp_path / "x.csv"), "--start", "series",
+                 "--a", a]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_connect_has_no_seed_offset():
+    with pytest.raises(SystemExit) as exc:
+        main(["connect", "--direction", "from_infinity", *PARAM_FLAGS,
+              "--eps", "1e-4"])
+    assert exc.value.code == 2
+
+
+def readme_commands():
+    """Every `emdenlab ...` command in the README's code blocks, with
+    backslash continuations joined and # comments dropped."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("emdenlab "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    # parsed only, never run: a README showing a removed subcommand or
+    # flag fails here
+    commands = readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: emdenlab "
+                        f"{shlex.join(argv)}\n{capsys.readouterr().err}")
 
 
 def test_classify_missing_file_exits_1(capsys):

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from emdenlab import (
     RAW,
+    End,
     Frame,
     IntegratorConfig,
     ProblemParams,
+    RunConfig,
     SolverStats,
     State,
     Termination,
@@ -17,14 +19,14 @@ from emdenlab import (
     csv_round_trip,
     derive_constants,
     fmt_float,
+    forced_expansion,
     integrate,
     integrate_many,
     log_frame_rhs,
     read_trajectory_csv,
     reframe,
-    regular_series_start,
     series_radius,
-    singular_seed_start,
+    sweep,
     write_trajectory_csv,
 )
 from emdenlab.integrate import CSV_HEADER as HEADER, RTOL_MIN
@@ -44,8 +46,7 @@ class TestIntegrateCore:
         assert np.max(np.abs(traj.u - exact) / exact) < 1e-10
 
     def test_sampling_grid_stride(self, dc_a, config_a):
-        start = singular_seed_start(dc_a.end("infinity"),
-                                    1e-4 * dc_a.lambda1, 2.0)
+        start = State(2.0, 1.0001 * dc_a.lambda1, 0.0)
         traj = integrate(start, Frame(dc_a.alpha1), 0.0, config_a)
         steps = np.diff(traj.t)
         assert np.all(np.abs(steps[:-1] + 0.01) < 1e-12)
@@ -60,16 +61,15 @@ class TestIntegrateCore:
     def test_direction_symmetry(self, config_a, dc_a):
         # integrate backward over [0, 6], then forward from the endpoint;
         # the far endpoint must reproduce the seed within solver budget
-        start = singular_seed_start(dc_a.end("infinity"),
-                                    1e-3 * dc_a.lambda1, 6.0)
+        start = forced_expansion(config_a, dc_a.end("infinity")).start(6.0)
         back = integrate(start, Frame(dc_a.alpha1), 0.0, config_a)
         fwd = integrate(back.state_at(-1), Frame(dc_a.alpha1), 6.0, config_a)
         assert abs(fwd.v[-1] - start.v) < 1e-8
         assert abs(fwd.vdot[-1] - start.vdot) < 1e-8
 
     def test_positivity_event_is_located(self, config_a, dc_a):
-        r0 = series_radius(1.0, config_a)
-        start = regular_series_start(1.0, r0, config_a, Frame(dc_a.alpha1))
+        start = forced_expansion(config_a, 1.0).start(
+            math.log(series_radius(1.0, config_a)), Frame(dc_a.alpha1))
         traj = integrate(start, Frame(dc_a.alpha1), 12.0, config_a)
         assert traj.termination.kind == TerminationKind.POSITIVITY_LOST
         assert traj.t[-1] == pytest.approx(traj.termination.t, abs=1e-12)
@@ -168,16 +168,30 @@ class TestConfigValidation:
                        np.ones(3), np.zeros(3), None)
 
 
+def old_series_start(a, r0, params, frame):
+    """The regular start as the second-order series wrote it before it
+    became the raw-frame forced expansion: the oracle for that rule."""
+    u, up = a, 0.0
+    for exp_, l, k in params.active_terms():
+        u -= k * a ** exp_ * r0 ** (2.0 + l) / ((2.0 + l) * (params.n + l))
+        up -= k * a ** exp_ * r0 ** (1.0 + l) / (params.n + l)
+    t0 = math.log(r0)
+    v = math.exp(frame.alpha * t0) * u
+    return State(t0, v,
+                 frame.alpha * v + math.exp((frame.alpha + 1.0) * t0) * up)
+
+
 class TestSeries:
     def test_gate_rejects_large_radius(self, config_a):
         # at a = 50 the q-term correction at r0 = 1e-4 exceeds 1e-6 a
-        with pytest.raises(ValueError, match="series accuracy"):
-            regular_series_start(50.0, 1e-4, config_a)
+        with pytest.raises(ValueError, match="too shallow.* >= 1e-06 x "
+                           "amplitude"):
+            forced_expansion(config_a, 50.0).start(math.log(1e-4))
 
     def test_series_radius_respects_gate(self, config_a):
         for a in (0.01, 1.0, 50.0, 4000.0):
             r0 = series_radius(a, config_a)
-            state = regular_series_start(a, r0, config_a)
+            state = forced_expansion(config_a, a).start(math.log(r0))
             assert state.v == pytest.approx(a, rel=1e-5)
 
     def test_start_radius_insensitivity(self, config_a, dc_a):
@@ -187,7 +201,7 @@ class TestSeries:
         r0 = series_radius(a, config_a)
         ends = []
         for r in (r0, r0 / 2.0):
-            start = regular_series_start(a, r, config_a, frame)
+            start = forced_expansion(config_a, a).start(math.log(r), frame)
             ends.append(integrate(start, frame, 0.0, config_a))
         u1, u2 = ends[0].u[-1], ends[1].u[-1]
         d1, d2 = ends[0].du_dr[-1], ends[1].du_dr[-1]
@@ -195,41 +209,98 @@ class TestSeries:
         assert abs(d1 - d2) / abs(d1) < 1e-5
 
     def test_rejects_nonpositive_inputs(self, config_a):
-        with pytest.raises(ValueError):
-            regular_series_start(-1.0, 1e-5, config_a)
-        with pytest.raises(ValueError):
-            regular_series_start(1.0, 0.0, config_a)
+        with pytest.raises(ValueError, match="amplitude must be positive"):
+            forced_expansion(config_a, -1.0)
+        # r0 = 0 is t = -inf
+        with pytest.raises(ValueError, match="must be finite"):
+            forced_expansion(config_a, 1.0).start(-math.inf)
+
+    def test_regular_k_is_the_series_correction(self, config_a, dc_a):
+        # K = -a^P / ((2+l)(n+l)) at rate 2 + l, one per term, to 1 ulp;
+        # the start reframed to alpha1 is the old series start to 2 ulp
+        frame = Frame(dc_a.alpha1)
+        n = config_a.n
+        for a in np.logspace(-2.0, 2.0, 41):
+            exp = forced_expansion(config_a, a)
+            assert (exp.alpha, exp.amp) == (0.0, a)
+            assert len(exp.terms) == 2
+            for (k, e), (exp_, l, _) in zip(exp.terms,
+                                            config_a.active_terms()):
+                old = -a ** exp_ / ((2.0 + l) * (n + l))
+                assert e == 2.0 + l
+                assert abs(k - old) <= math.ulp(old)
+            r0 = series_radius(a, config_a)
+            new, old = exp.start(math.log(r0), frame), \
+                old_series_start(a, r0, config_a, frame)
+            assert new.t == old.t
+            assert abs(new.v - old.v) <= 2 * math.ulp(old.v)
+            assert abs(new.vdot - old.vdot) <= 2 * math.ulp(old.vdot)
 
 
 class TestSeeds:
-    def test_seed_values(self, dc_a):
-        s = singular_seed_start(dc_a.end("infinity"), 1e-3, 14.0)
-        assert s.v == dc_a.lambda1 + 1e-3
-        assert s.vdot == pytest.approx(1e-3 * dc_a.delta, rel=1e-15)
-        s2 = singular_seed_start(dc_a.end("origin"), -1e-3, -10.0)
-        assert s2.v == dc_a.lambda2 - 1e-3
-        assert s2.vdot == pytest.approx(-1e-3 * dc_a.delta2, rel=1e-15)
+    def test_seed_values(self, config_a, dc_a, config_c, dc_c):
+        # the closed form K = -lambda^q / (delta^2 + damping delta + L)
+        # of the forced tail lambda1 + K e^{delta t} (README criterion 6)
+        for params, dc, name, k_ref, t in (
+                (config_a, dc_a, "infinity", -1.1639, 14.0),
+                (config_c, dc_c, "origin", -0.3527, -10.0)):
+            end = dc.end(name)
+            exp = forced_expansion(params, end)
+            (k, e), = exp.terms
+            assert k == pytest.approx(k_ref, abs=5e-5)
+            assert e == end.rate
+            lin = end.alpha * (params.n - 2.0 - end.alpha)
+            assert k * (e * e + end.damping * e
+                        + lin * (end.auto_exp - 1.0)) \
+                == pytest.approx(-end.lam ** end.force_exp, rel=1e-14)
+            s = exp.start(t)
+            w = k * math.exp(e * t)
+            assert (s.t, s.v, s.vdot) == (t, end.lam + w, e * w)
 
     def test_seed_frame_mapping(self, dc_a):
         # seeds live in Frame(dc.end(name).alpha)
         assert dc_a.end("infinity").alpha == dc_a.alpha1
         assert dc_a.end("origin").alpha == dc_a.alpha2
 
-    def test_zero_eps_seeds_the_equilibrium(self, dc_a):
-        s = singular_seed_start(dc_a.end("infinity"), 0.0, 14.0)
-        assert (s.v, s.vdot) == (dc_a.lambda1, 0.0)
+    def test_zero_eps_seeds_the_equilibrium(self):
+        # q-term off: infinity has no forced term, so the seed offset
+        # eps = K e^{rate t} is zero and lambda1 is exact
+        dc = derive_constants(SINGLE)
+        exp = forced_expansion(SINGLE, dc.end("infinity"))
+        assert exp.terms == ()
+        s = exp.start(14.0)
+        assert (s.v, s.vdot) == (dc.lambda1, 0.0)
         assert math.copysign(1.0, s.vdot) == 1.0
 
-    def test_eps_bound(self, dc_a):
-        with pytest.raises(ValueError, match="0.1 lambda"):
-            singular_seed_start(dc_a.end("infinity"), 0.5 * dc_a.lambda1,
-                                0.0)
+    def test_eps_bound(self, config_a, dc_a):
+        # the seed offset eps = K e^{rate t_seed} must stay below 0.1
+        # lambda: |K| = 1.16 at t_seed = 0 is above 0.1 lambda1 = 0.18
+        exp = forced_expansion(config_a, dc_a.end("infinity"))
+        with pytest.raises(ValueError, match="too shallow.* >= 0.1 x "
+                           "amplitude"):
+            exp.start(0.0)
+        exp.start(4.0)
 
     def test_undefined_lambda_rejected(self):
         params = ProblemParams(n=3, p=1.2, q=5.0, l1=0.0, l2=-0.5)
         dc = derive_constants(params)
-        with pytest.raises(ValueError, match="undefined"):
-            singular_seed_start(dc.end("infinity"), 1e-4, 0.0)
+        with pytest.raises(ValueError, match="no singular equilibrium"):
+            forced_expansion(params, dc.end("infinity"))
+
+    def test_switched_off_autonomous_term_rejected(self):
+        # p-term off: lambda1 is no equilibrium of the alpha1 frame
+        params = ProblemParams(n=5, p=1.9, q=1.95, l2=-0.5, k1=0.0)
+        dc = derive_constants(params)
+        with pytest.raises(ValueError, match="no singular equilibrium"):
+            forced_expansion(params, dc.end("infinity"))
+
+    def test_resonance_rejected(self, config_a):
+        # alpha 1, n 5, P 2: L = 2; rate 1 and damping -3 make
+        # 1 - 3 + 2 = 0, the forcing rate a root of the linearisation
+        end = End("infinity", 1, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0, -3.0, 3.0,
+                  1.0, "b1")
+        with pytest.raises(ValueError, match="resonance"):
+            forced_expansion(config_a, end)
 
 
 class TestReframe:
@@ -270,6 +341,10 @@ class TestReframe:
             log_frame_rhs(config_a, 0.0)(0.0, (1.0, math.inf))
 
 
+# t = 0.5, v = 2, dv_dt = 0 in the raw frame: r = e^0.5, u = 2, du_dr = 0
+ROW_2 = "0.5,1.6487212707001282,2,0,2,0,0"
+
+
 class TestCsv:
     def test_round_trip_bit_exact(self, orbit_a, tmp_path):
         assert csv_round_trip(orbit_a.trajectory, tmp_path)
@@ -286,8 +361,8 @@ class TestCsv:
         assert term.kind == TerminationKind.REACHED_SPAN_END
 
     def test_crossing_termination_inferred(self, config_a, dc_a, tmp_path):
-        r0 = series_radius(1.0, config_a)
-        start = regular_series_start(1.0, r0, config_a, Frame(dc_a.alpha1))
+        start = forced_expansion(config_a, 1.0).start(
+            math.log(series_radius(1.0, config_a)), Frame(dc_a.alpha1))
         traj = integrate(start, Frame(dc_a.alpha1), 12.0, config_a)
         path = tmp_path / "cross.csv"
         write_trajectory_csv(traj, path)
@@ -339,9 +414,9 @@ class TestCsv:
             read_trajectory_csv(path)
 
     @pytest.mark.parametrize("body", [
-        "0,1,1,0,1,0,0\r\n0.5,1,1,0,2,0,0\r\n",
-        "\n0,1,1,0,1,0,0\n\n\n0.5,1,1,0,2,0,0\n\n\n",
-        "0,1,1,0,1,0,0\n0.5,1,1,0,2,0,0",
+        f"0,1,1,0,1,0,0\r\n{ROW_2}\r\n",
+        f"\n0,1,1,0,1,0,0\n\n\n{ROW_2}\n\n\n",
+        f"0,1,1,0,1,0,0\n{ROW_2}",
     ], ids=["crlf", "blank-lines", "no-final-newline"])
     def test_line_ends_and_blank_lines(self, tmp_path, body):
         path = tmp_path / "ok.csv"
@@ -357,6 +432,36 @@ class TestCsv:
         path.write_text(HEADER + body)
         with pytest.raises(ValueError, match="no data rows"):
             read_trajectory_csv(path)
+
+    def test_derived_columns_must_match(self, tmp_path):
+        # a README-sweep cell CSV with r, u and du_dr all set to 7
+        params = ProblemParams(n=5, p=1.9, q=1.95, l1=0.0, l2=-0.5)
+        cell = sweep(RunConfig(params, output_dir=str(tmp_path))).cells[0]
+        path = next(tmp_path.glob("*/" + cell["files"][0]))
+        rows = path.read_text().splitlines()
+        assert read_trajectory_csv(path).t.size == len(rows) - 1
+        bad = tmp_path / "sevens.csv"
+        bad.write_text("\n".join([rows[0]] + [
+            ",".join(c[:1] + ["7", "7", "7"] + c[4:])
+            for c in (row.split(",") for row in rows[1:])]) + "\n")
+        with pytest.raises(ValueError, match=r"sevens.csv: line 2: r = 7 "
+                           "does not match .* from t, v, dv_dt and "
+                           "frame_alpha"):
+            read_trajectory_csv(bad)
+
+    @pytest.mark.parametrize("value,line", [
+        ("2.0000000000001", None), ("2.00000000001", 4), ("nan", 4)])
+    def test_derived_column_tolerance(self, tmp_path, value, line):
+        # u of ROW_2 is 2: 5e-14 off passes, 5e-12 off or nan names the
+        # line, counting the blank line before it
+        path = tmp_path / "u.csv"
+        path.write_text(f"{HEADER}\n0,1,1,0,1,0,0\n\n"
+                        f"{ROW_2.replace(',2,0,2,', f',{value},0,2,')}\n")
+        if line is None:
+            assert read_trajectory_csv(path).v.tolist() == [1.0, 2.0]
+        else:
+            with pytest.raises(ValueError, match=f"line {line}: u = "):
+                read_trajectory_csv(path)
 
     def test_inconsistent_frame_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,13 +1,18 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from emdenlab import (
     Kind,
     ProblemParams,
     bisect_boundary,
+    classify_regime,
     connecting_orbit,
+    derive_constants,
+    forced_expansion,
     scan_thresholds,
     series_radius,
     shoot,
@@ -194,17 +199,69 @@ class TestConnectingOrbit:
             connecting_orbit(config_a, dc_a, "from_origin")
 
     def test_eps_bound(self, config_a, dc_a):
-        with pytest.raises(ValueError, match="1e-3"):
-            connecting_orbit(config_a, dc_a, "from_infinity",
-                             eps=0.01 * dc_a.lambda1)
-
-    def test_zero_eps_records_drift(self, config_a, dc_a):
-        orbit = connecting_orbit(config_a, dc_a, "from_infinity", eps=0.0,
-                                 t_end=6.0)
-        assert orbit.report_infinity.kind == Kind.SLOW_DECAY_SINGULAR
-        assert abs(orbit.report_infinity.fitted_constant
-                   - dc_a.lambda1) / dc_a.lambda1 < 1e-3
+        # the seed offset eps = K e^{delta t_seed} must stay below 0.1
+        # lambda1: |K| = 1.16 at t_seed = 0 is too shallow
+        with pytest.raises(ValueError, match="too shallow"):
+            connecting_orbit(config_a, dc_a, "from_infinity", t_seed=0.0)
 
     def test_direction_validation(self, config_a, dc_a):
         with pytest.raises(ValueError, match="direction"):
             connecting_orbit(config_a, dc_a, "sideways")
+
+
+@st.composite
+def theorem3_params(draw):
+    """Parameters with a singular end: serrin1 < p < q < sobolev2
+    (infinity) or sobolev1 < p < q (origin), with l2 = l1 - u (2 + l1)/2
+    for u in [0.1, 0.95], above the (l1 - 2)/2 the infinity case needs;
+    u >= 0.1 keeps |delta| away from 0, where the seed depth diverges."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    l1 = draw(st.floats(min_value=-0.95, max_value=0.0))
+    l2 = l1 - draw(st.floats(min_value=0.1, max_value=0.95)) \
+        * (2.0 + l1) / 2.0
+    serrin1, sobolev1 = (n + l1) / (n - 2.0), (n + 2.0 + 2.0 * l1) / (n - 2.0)
+    sobolev2 = (n + 2.0 + 2.0 * l2) / (n - 2.0)
+    lo, hi = (serrin1, sobolev2) if draw(st.booleans()) \
+        else (sobolev1, sobolev1 + 2.0)
+    x = draw(st.floats(min_value=0.02, max_value=0.9))
+    y = draw(st.floats(min_value=x + 0.05, max_value=0.98))
+    params = ProblemParams(n=n, p=lo + x * (hi - lo), q=lo + y * (hi - lo),
+                           l1=l1, l2=l2)
+    assume(classify_regime(params, derive_constants(params)).theorem3_case
+           != "none")
+    return params
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(params=theorem3_params())
+def test_forced_seed_reads_the_end_rate_and_leaves_the_far_end(params):
+    # The seed depth is the caller's, and connect's fixed defaults are too
+    # shallow for slow forced rates.  This one seeds where the first-order
+    # term is 1e-5 lambda on the inner edge of the seed-side window, so
+    # that window is read on every draw.  The seed-side rate is then the
+    # end's forced rate, and the far-end report does not depend on where
+    # the seed sits (t_seed +- 2).
+    dc = derive_constants(params)
+    end = dc.end(classify_regime(params, dc).theorem3_case
+                 .removeprefix("singular_at_"))
+    event(end.name)
+    (k, rate), = forced_expansion(params, end).terms
+    t_seed = math.log(1e-5 * end.lam / abs(k)) / rate \
+        + end.side * shooting.END_WINDOW
+    reports = []
+    for shift in (0.0, -2.0, 2.0):
+        orbit = connecting_orbit(params, dc, f"from_{end.name}",
+                                 t_seed=t_seed + shift)
+        # (seed side, far side)
+        reports.append((orbit.report_infinity, orbit.report_origin)
+                       [::end.side])
+    seed, far = reports[0]
+    assert seed.kind == Kind.SLOW_DECAY_SINGULAR
+    assert seed.rate == pytest.approx(end.rate, rel=5e-4)
+    for _, other in reports[1:]:
+        assert other.kind == far.kind
+        if far.fitted_constant is None:
+            assert other.fitted_constant is None
+        else:
+            assert other.fitted_constant == pytest.approx(
+                far.fitted_constant, rel=1e-9)

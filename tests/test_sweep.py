@@ -42,7 +42,6 @@ class TestParsing:
         assert cfg.t_min == -6.0
         assert cfg.t_max == 6.0
         # defaults
-        assert cfg.eps_scale == 1e-4
         assert cfg.output_dir == "out"
         assert cfg.jobs is None  # unset: --jobs, EMDEN_JOBS or 1 decide
         assert cfg.axes == {}
@@ -52,14 +51,12 @@ class TestParsing:
         text = BASE_INI + (
             "\n[integrator]\nrtol = 1e-8\nmax_step = 0.1\n"
             "\n[output]\ndirectory = runs/demo\n"
-            "\n[seed]\neps_scale = 1e-5\n"
         )
         cfg = parse_run_config_text(text)
         assert cfg.integrator.rtol == 1e-8
         assert cfg.integrator.max_step == 0.1
         assert cfg.integrator.atol == 1e-12
         assert cfg.output_dir == "runs/demo"
-        assert cfg.eps_scale == 1e-5
 
     def test_sweep_axes_parse_as_lists(self):
         text = BASE_INI + "\n[sweep]\np = 1.88, 1.9, 1.92\nq = 1.95,1.97\njobs = 4\n"
@@ -77,6 +74,12 @@ class TestParsing:
     def test_unknown_section_rejected_by_name(self):
         with pytest.raises(ValueError, match="telemetry"):
             parse_run_config_text(BASE_INI + "\n[telemetry]\nrate = 1\n")
+
+    def test_seed_section_is_unknown(self):
+        # every run starts on the closed-form forced expansion; no seed
+        # offset is configurable
+        with pytest.raises(ValueError, match=r"unknown section \[seed\]"):
+            parse_run_config_text(BASE_INI + "\n[seed]\neps_scale = 1e-4\n")
 
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ValueError, match="colour"):
@@ -127,11 +130,10 @@ class TestParsing:
         ("integrator", "amplitude_cap", "1e7", 1e7),
         ("integrator", "dense_output_stride", "0.02", 0.02),
         ("spans", "t_min", "-7", -7.0), ("spans", "t_max", "7", 7.0),
-        ("seed", "eps_scale", "1e-5", 1e-5),
         ("output", "directory", "elsewhere", "elsewhere"),
         ("sweep", "jobs", "3", 3),
     ]
-    RUN_FIELD = {"t_min": "t_min", "t_max": "t_max", "eps_scale": "eps_scale",
+    RUN_FIELD = {"t_min": "t_min", "t_max": "t_max",
                  "directory": "output_dir", "jobs": "jobs"}
 
     def test_schema_covers_every_scalar_field(self):
@@ -196,15 +198,17 @@ class TestConfigHash:
 
     def test_readme_example_run_id_is_pinned(self):
         # the [params]..[sweep] example of README.md, inline comments
-        # included; ca513ae0e09e was computed before config_hash was
-        # derived from the dataclass fields and must never drift for the
-        # example's earlier integrator lines (rtol 1e-10, max_step 0.05)
+        # included, and the variant with the example's earlier
+        # integrator lines (rtol 1e-10, max_step 0.05).  Both ids moved
+        # once, from e8984ac89fa3 and ca513ae0e09e, when the [seed]
+        # section left the schema: the seed changed, so the same config
+        # writes different cell files
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
-        assert run_id_of(parse_run_config_text(text)) == "e8984ac89fa3"
+        assert run_id_of(parse_run_config_text(text)) == "4a0f3a15e4ee"
         earlier = text.replace("rtol = 1e-11\n", "rtol = 1e-10\n") \
             .replace("max_step = 0.1\n", "max_step = 0.05\n")
-        assert run_id_of(parse_run_config_text(earlier)) == "ca513ae0e09e"
+        assert run_id_of(parse_run_config_text(earlier)) == "edea63768b64"
 
     def test_every_hashed_field_moves_the_hash(self):
         base = parse_run_config_text(BASE_INI)
@@ -214,7 +218,7 @@ class TestConfigHash:
             "integrator": {"rtol": 1e-9, "atol": 1e-11, "max_step": 0.04,
                            "amplitude_cap": 1e7,
                            "dense_output_stride": 0.02},
-            "t_min": -7.0, "t_max": 7.0, "eps_scale": 1e-5,
+            "t_min": -7.0, "t_max": 7.0,
             "axes": {"p": [1.88, 1.9]},
         }
         unhashed = {"output_dir", "jobs"}
