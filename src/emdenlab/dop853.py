@@ -14,7 +14,9 @@ There are two cores over one tableau, one controller and one event
 locator:
 
 - solve_ivp runs one start in plain floats and keeps every step's
-  dense-output coefficients (Solution).
+  dense-output coefficients (Solution).  Its step arithmetic is
+  straight-line code compiled at import from the tableau below
+  (_compile_core), one flat expression per stage sum.
 - solve_lanes runs L starts in lockstep on numpy arrays with the lane
   as the last axis.  Each lane keeps its own step size, error norm,
   accept/reject and events and is frozen when it ends; every accepted
@@ -23,7 +25,7 @@ locator:
   never a matrix product, so a lane's numbers do not depend on the
   batch it rides in, and with the same right-hand side values a lane
   takes the scalar core's steps bit for bit.  The lockstep loop costs
-  more per iteration than one scalar run; it pays from about 16 lanes.
+  more per iteration than one scalar run; it pays from about 12 lanes.
 """
 
 from __future__ import annotations
@@ -218,15 +220,6 @@ class SolverStats(NamedTuple):
     rejected: int
 
 
-def _dot(row, kv, kw):
-    """(sum a_j kv_j, sum a_j kw_j) over one sparse tableau row."""
-    sv = sw = 0.0
-    for j, a in row:
-        sv += a * kv[j]
-        sw += a * kw[j]
-    return sv, sw
-
-
 def _rms(x, y) -> float:
     return math.sqrt(x * x + y * y) / 2.0 ** 0.5
 
@@ -380,6 +373,69 @@ def _growth(error: float) -> float:
     return SAFETY * error ** ERROR_EXPONENT
 
 
+class _Core(NamedTuple):
+    """One step of the scalar core as straight-line float code over the
+    stage values k0v, k0w, ..., k15w (see _compile_core).
+
+    attempt(fun, t, h, v, w, k0v, k0w) evaluates stages 1-12 and returns
+    (v_new, w_new, k12v, k12w, e5v, e5w, e3v, e3w, ks): the new state,
+    f there, the unscaled error estimates and ks, the stage values k0v
+    ... k12w.  dense(fun, t, h, v, w, v_new, w_new, ks) evaluates stages
+    13-15 of the accepted step and returns its row of Solution.steps.
+    """
+
+    attempt: object
+    dense: object
+
+
+def _sum(row, y: str) -> str:
+    """sum_j a_j k<j><y> over a sparse tableau row, as Python source that
+    adds the products in the row's order."""
+    return " + ".join(f"{a!r} * k{j}{y}" for j, a in row)
+
+
+def _stage(s: int, row) -> str:
+    return (f"    k{s}v, k{s}w = fun(t + {C[s]!r} * h, (v + ({_sum(row, 'v')})"
+            f" * h, w + ({_sum(row, 'w')}) * h))\n")
+
+
+def _record(y: str, d) -> str:
+    """One component's half of a Solution.steps row: y_old, F0 ... F6."""
+    return (f"{y}, d{y}, h * k0{y} - d{y}, 2.0 * d{y} - h * (k12{y} + k0{y}), "
+            + ", ".join(f"h * ({_sum(row, y)})" for row in d))
+
+
+def _compile_core(a, b, e5, e3, d) -> _Core:
+    """The scalar core's step arithmetic for the tableau rows a (stages
+    1-11 and 13-15), b, e5, e3 and the dense-output rows d, compiled
+    from one flat expression per sum as Hairer's dop853.f writes them.
+    Each sum adds its products in its row's order, as the lane core does,
+    without a leading 0.0 (which could change only the sign of a sum
+    that is exactly zero)."""
+    ks = ", ".join(f"k{s}v, k{s}w" for s in range(13))
+    src = f"""\
+def attempt(fun, t, h, v, w, k0v, k0w):
+{"".join(_stage(s, a[s]) for s in range(1, 12))}\
+    v_new = v + h * ({_sum(b, 'v')})
+    w_new = w + h * ({_sum(b, 'w')})
+    k12v, k12w = fun(t + h, (v_new, w_new))
+    return (v_new, w_new, k12v, k12w, {_sum(e5, 'v')}, {_sum(e5, 'w')},
+            {_sum(e3, 'v')}, {_sum(e3, 'w')}, ({ks}))
+
+def dense(fun, t, h, v, w, v_new, w_new, ks):
+    {ks} = ks
+{"".join(_stage(s, a[s]) for s in range(13, 16))}\
+    dv, dw = v_new - v, w_new - w
+    return (t, h, {_record('v', d)}, {_record('w', d)})
+"""
+    code = {}
+    exec(compile(src, "<dop853 step>", "exec"), code)
+    return _Core(code["attempt"], code["dense"])
+
+
+_CORE = _compile_core(A, B, E5, E3, D)
+
+
 def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
               atol: float, max_step: float, cap: float) -> Solution:
     """Integrate y' = fun(t, y), y = (v, vdot), from t0 towards t_bound.
@@ -388,11 +444,11 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
     rises through cap (whichever comes first in the direction of
     integration), or when the step size underflows 10 ulp of t.
     """
+    attempt, dense = _CORE
     direction = 1.0 if t_bound > t0 else -1.0
-    kv, kw = [0.0] * 16, [0.0] * 16
     t, (v, w) = t0, y0
-    kv[0], kw[0] = fun(t, (v, w))
-    h_abs = _initial_step(fun, t, v, w, kv[0], kw[0], t_bound, direction,
+    k0v, k0w = fun(t, (v, w))
+    h_abs = _initial_step(fun, t, v, w, k0v, k0w, t_bound, direction,
                           rtol, atol, max_step)
     nfev, n_rejected = 2, 0
     grid, steps = [t], array("d")
@@ -413,19 +469,13 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            for s in range(1, 12):
-                dv, dw = _dot(A[s], kv, kw)
-                kv[s], kw[s] = fun(t + C[s] * h, (v + dv * h, w + dw * h))
-            dv, dw = _dot(B, kv, kw)
-            v_new, w_new = v + h * dv, w + h * dw
-            kv[12], kw[12] = fun(t + h, (v_new, w_new))
+            v_new, w_new, k12v, k12w, e5v, e5w, e3v, e3w, ks = attempt(
+                fun, t, h, v, w, k0v, k0w)
             nfev += 12
             sv = atol + max(abs(v), abs(v_new)) * rtol
             sw = atol + max(abs(w), abs(w_new)) * rtol
             # dop853.f's blend of the 5th- and 3rd-order error estimates,
             # in scipy's RMS form
-            e5v, e5w = _dot(E5, kv, kw)
-            e3v, e3w = _dot(E3, kv, kw)
             e5v, e5w, e3v, e3w = e5v / sv, e5w / sw, e3v / sv, e3w / sw
             e5 = e5v * e5v + e5w * e5w
             e3 = e3v * e3v + e3w * e3w
@@ -450,20 +500,12 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
             n_rejected += 1
 
         # dense output of the accepted step
-        for s in range(13, 16):
-            dv, dw = _dot(A[s], kv, kw)
-            kv[s], kw[s] = fun(t + C[s] * h, (v + dv * h, w + dw * h))
+        step = dense(fun, t, h, v, w, v_new, w_new, ks)
         nfev += 3
-        fd = [_dot(row, kv, kw) for row in D]
-        step = (t, h)
-        for i, y_old, y_new, k in ((0, v, v_new, kv), (1, w, w_new, kw)):
-            dy = y_new - y_old
-            step += (y_old, dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]),
-                     *(h * f[i] for f in fd))
         steps.extend(step)
         hits = _crossings(v, v_new, cap)
         t, v, w = t_new, v_new, w_new
-        kv[0], kw[0] = kv[12], kw[12]
+        k0v, k0w = k12v, k12w
         if direction * (t - t_bound) >= 0.0:
             status = TerminationKind.REACHED_SPAN_END
         if hits:

@@ -28,13 +28,15 @@ solve_ivp, on floats.  integrate_many runs many starts in one frame
 through the lane core, solve_lanes, which advances them in lockstep on
 numpy arrays; each lane takes the scalar core's steps and samples, up to
 numpy's exp and power rounding 1 ulp away from math's.  Both evaluate
-the one term table of log_frame_rhs, and both record the solver's work
-in Trajectory.stats.  The lockstep loop costs more per step than a
-scalar run and pays from about 16 starts.
+the one acceleration expression log_frame_rhs compiles from the term
+table, and both record the solver's work in Trajectory.stats.  The
+lockstep loop costs more per step than a scalar run and pays from about
+12 starts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -223,39 +225,22 @@ def _non_finite(t, v, vd, acc):
                        f"v={v}, vdot={vd}, vddot={acc}")
 
 
-def log_frame_rhs(params: ProblemParams, alpha: float):
-    """The log-frame system in the alpha frame as solve_ivp's fun(t, y).
-
-    Returns (dv/dt, d2v/dt2) for y = (v, dv/dt).  The power terms act on
-    max(v, 0): an event-located crossing can overshoot to tiny negative
-    v, which is clamped rather than rejected.  A non-finite state raises
-    RuntimeError.  The same term table evaluated on arrays of lanes is
-    the attribute `lanes(t, v, vdot)`, solve_lanes' fun.
-    """
-    n = params.n
-    c = n - 2.0 - 2.0 * alpha
-    lin = alpha * (n - 2.0 - alpha)
-    terms = [(exp_, frame_exp(exp_, l, alpha), float(k))
-             for exp_, l, k in params.active_terms()]
-
-    def accel(t, v, vd, vp, exp):
-        acc = lin * v - c * vd
-        for exp_, e, k in terms:
-            term = vp ** exp_
-            if e:  # e^{0 t} = 1 exactly
-                term = exp(e * t) * term
-            acc -= term if k == 1.0 else k * term
-        return acc
-
+# The log-frame system for one layout of the term table, as a factory
+# of its constants.  {scalar} and {lanes} are the one acceleration
+# expression of _rhs_maker, with math.exp and with np.exp.
+_RHS_SOURCE = """\
+def make(lin, c, {consts}):
     def rhs(t, y):
-        v, vd = y[0], y[1]
-        acc = accel(t, v, vd, v if v > 0.0 else 0.0, math.exp)
-        if not (math.isfinite(acc) and math.isfinite(vd)):
+        v, vd = y
+        vp = v if v > 0.0 else 0.0
+        acc = {scalar}
+        if not (isfinite(acc) and isfinite(vd)):
             _non_finite(t, v, vd, acc)
         return (vd, acc)
 
     def lanes(t, v, vd):
-        acc = accel(t, v, vd, np.maximum(v, 0.0), np.exp)
+        vp = np.maximum(v, 0.0)
+        acc = {lanes}
         # a non-finite v or vdot makes acc non-finite (c * inf is nan
         # when c = 0), so one test covers the state
         finite = np.isfinite(acc)
@@ -266,6 +251,48 @@ def log_frame_rhs(params: ProblemParams, alpha: float):
 
     rhs.lanes = lanes
     return rhs
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _rhs_maker(layout: tuple):
+    """The compiled _RHS_SOURCE for a term table whose i-th term has a
+    frame exponent e_i != 0 and a weight k_i != 1 as layout[i] says:
+    lin v - c vd, then each term subtracted in table order, e^{e_i t}
+    only where e_i != 0 (e^{0 t} = 1 exactly) and k_i only where
+    k_i != 1."""
+    acc = "lin * v - c * vd"
+    for i, (has_e, has_k) in enumerate(layout):
+        term = f"vp ** p{i}"
+        if has_e:
+            term = f"EXP(e{i} * t) * {term}"
+        if has_k:
+            term = f"k{i} * ({term})"
+        acc += f" - {term}"
+    src = _RHS_SOURCE.format(
+        consts=", ".join(f"p{i}, e{i}, k{i}" for i in range(len(layout))),
+        scalar=acc.replace("EXP", "exp"), lanes=acc.replace("EXP", "np.exp"))
+    code = {"np": np, "exp": math.exp, "isfinite": math.isfinite,
+            "_non_finite": _non_finite}
+    exec(compile(src, "<log_frame_rhs>", "exec"), code)
+    return code["make"]
+
+
+def log_frame_rhs(params: ProblemParams, alpha: float):
+    """The log-frame system in the alpha frame as solve_ivp's fun(t, y).
+
+    Returns (dv/dt, d2v/dt2) for y = (v, dv/dt).  The power terms act on
+    max(v, 0): an event-located crossing can overshoot to tiny negative
+    v, which is clamped rather than rejected.  A non-finite state raises
+    RuntimeError.  The same acceleration evaluated on arrays of lanes is
+    the attribute `lanes(t, v, vdot)`, solve_lanes' fun.
+    """
+    n = params.n
+    terms = [(exp_, frame_exp(exp_, l, alpha), float(k))
+             for exp_, l, k in params.active_terms()]
+    make = _rhs_maker(tuple((e != 0.0, k != 1.0) for _, e, k in terms))
+    return make(alpha * (n - 2.0 - alpha), n - 2.0 - 2.0 * alpha,
+                *(x for term in terms for x in term))
 
 
 def _check_start(start: State, t_target: float) -> None:
@@ -329,7 +356,7 @@ def integrate_many(starts, frame: Frame, t_target: float,
     Each lane takes the steps and samples that integrate takes; the two
     differ only where numpy's exp and power round differently from
     math's (1 ulp in a few percent of values), which moves the samples
-    at roundoff.  The lockstep loop pays from about 16 starts; below
+    at roundoff.  The lockstep loop pays from about 12 starts; below
     that integrate is faster.
     """
     if config is None:

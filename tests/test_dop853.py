@@ -1,5 +1,6 @@
 """The in-repo DOP853 against scipy's, which stays the tests' reference,
-and its lane core against the scalar core."""
+its generated scalar core against the loop formulation of the same
+tableau, and its lane core against the scalar core."""
 
 import math
 from unittest import mock
@@ -28,6 +29,8 @@ from emdenlab import (
     shoot_many,
     shooting,
 )
+from emdenlab.acceptance import CONFIG_A
+from emdenlab.params import frame_exp
 
 CONFIG = IntegratorConfig()
 
@@ -87,21 +90,27 @@ def problems(draw):
     return ProblemParams(n=n, p=p, q=q, l1=l1, l2=l2, k1=k1, k2=k2)
 
 
-def _dot_reversed(row, kv, kw):
-    """dop853._dot summed in the opposite order: the same sums, rounded
-    differently."""
-    sv = sw = 0.0
-    for j, a in reversed(row):
-        sv += a * kv[j]
-        sw += a * kw[j]
-    return sv, sw
+def reversed_rows(rows):
+    return tuple(tuple(reversed(row)) for row in rows)
 
 
-def run_ours(params, frame, start, t_target):
+# The scalar core with every stage sum taken in the opposite order: the
+# same sums, rounded differently.
+REVERSED_CORE = dop853._compile_core(
+    reversed_rows(dop853.A),
+    *reversed_rows((dop853.B, dop853.E5, dop853.E3)),
+    reversed_rows(dop853.D))
+
+
+def run_ours(params, frame, start, t_target, cap=CONFIG.amplitude_cap):
     return dop853.solve_ivp(log_frame_rhs(params, frame.alpha), start.t,
                             t_target, (start.v, start.vdot), CONFIG.rtol,
-                            CONFIG.atol, CONFIG.max_step,
-                            CONFIG.amplitude_cap)
+                            CONFIG.atol, CONFIG.max_step, cap)
+
+
+def run_reversed(params, frame, start, t_target):
+    with mock.patch.object(dop853, "_CORE", REVERSED_CORE):
+        return run_ours(params, frame, start, t_target)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -126,11 +135,10 @@ def test_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
     # near atol (dv/dt = 0 under a strong pull), the E5/E3 sums are
     # rounding noise and their rounding picks the growth factor.  scipy's
     # sums round as its BLAS build does, so no run has canonical steps
-    # there; summing in the opposite order exposes such runs.  They are
-    # held only to agree within the two runs' global errors (the largest
-    # seen in 4500 random draws was 1.2e-8 relative).
-    with mock.patch.object(dop853, "_dot", _dot_reversed):
-        reordered = run_ours(params, frame, start, t_target)
+    # there; summing in the opposite order (REVERSED_CORE) exposes such
+    # runs.  They are held only to agree within the two runs' global
+    # errors (the largest seen in 4500 random draws was 1.2e-8 relative).
+    reordered = run_reversed(params, frame, start, t_target)
     tol = 1e-6
     if ours.t.shape == reordered.t.shape \
             and np.max(np.abs(ours.t - reordered.t)) <= 1e-13:
@@ -172,12 +180,214 @@ def test_brentq_needs_a_sign_change():
         dop853._brentq(lambda x: x * x + 1.0, 0.0, 2.0)
 
 
+# a start whose steps rounding decides: with every sum taken in reverse
+# it rejects five more attempts on the way to the same crossing
+ROUNDING_DECIDED = (ProblemParams(n=3, p=2.55, q=4.25, l1=-0.86, l2=-1.4),
+                    Frame(0.0), State(-1.2, 2.8, 0.0), 2.1)
+
+
+def test_reversed_core_moves_a_rounding_decided_grid():
+    # the probe of test_same_run_as_scipy and same_grid is live: it
+    # changes the run where rounding picks the steps
+    plain = run_ours(*ROUNDING_DECIDED)
+    reordered = run_reversed(*ROUNDING_DECIDED)
+    assert plain.stats == SolverStats(389, 21, 6)
+    assert reordered.stats == SolverStats(449, 21, 11)
+    assert not same_grid(*ROUNDING_DECIDED)
+    assert abs(plain.t[-1] - reordered.t[-1]) <= 1e-12
+
+
+# The scalar core as it was written before its step arithmetic was
+# generated: every stage sum a loop over its tableau row from 0.0, and
+# the acceleration a loop over the term table.  It is the oracle of the
+# generated core and of both forms of the generated right-hand side.
+def _dot(row, kv, kw):
+    """(sum a_j kv_j, sum a_j kw_j) over one sparse tableau row."""
+    sv = sw = 0.0
+    for j, a in row:
+        sv += a * kv[j]
+        sw += a * kw[j]
+    return sv, sw
+
+
+def loop_attempt(fun, t, h, v, w, k0v, k0w):
+    kv, kw = [k0v] + [0.0] * 15, [k0w] + [0.0] * 15
+    for s in range(1, 12):
+        dv, dw = _dot(dop853.A[s], kv, kw)
+        kv[s], kw[s] = fun(t + dop853.C[s] * h, (v + dv * h, w + dw * h))
+    dv, dw = _dot(dop853.B, kv, kw)
+    v_new, w_new = v + h * dv, w + h * dw
+    kv[12], kw[12] = fun(t + h, (v_new, w_new))
+    return (v_new, w_new, kv[12], kw[12], *_dot(dop853.E5, kv, kw),
+            *_dot(dop853.E3, kv, kw), (kv, kw))
+
+
+def loop_dense(fun, t, h, v, w, v_new, w_new, ks):
+    kv, kw = ks
+    for s in range(13, 16):
+        dv, dw = _dot(dop853.A[s], kv, kw)
+        kv[s], kw[s] = fun(t + dop853.C[s] * h, (v + dv * h, w + dw * h))
+    fd = [_dot(row, kv, kw) for row in dop853.D]
+    step = (t, h)
+    for i, y_old, y_new, k in ((0, v, v_new, kv), (1, w, w_new, kw)):
+        dy = y_new - y_old
+        step += (y_old, dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]),
+                 *(h * f[i] for f in fd))
+    return step
+
+
+LOOP_CORE = dop853._Core(loop_attempt, loop_dense)
+
+
+def loop_rhs(params, alpha):
+    """log_frame_rhs with the acceleration summed in a loop over the
+    term table."""
+    n = params.n
+    c = n - 2.0 - 2.0 * alpha
+    lin = alpha * (n - 2.0 - alpha)
+    terms = [(exp_, frame_exp(exp_, l, alpha), float(k))
+             for exp_, l, k in params.active_terms()]
+
+    def accel(t, v, vd, vp, exp):
+        acc = lin * v - c * vd
+        for exp_, e, k in terms:
+            term = vp ** exp_
+            if e:  # e^{0 t} = 1 exactly
+                term = exp(e * t) * term
+            acc -= term if k == 1.0 else k * term
+        return acc
+
+    def rhs(t, y):
+        v, vd = y[0], y[1]
+        acc = accel(t, v, vd, v if v > 0.0 else 0.0, math.exp)
+        if not (math.isfinite(acc) and math.isfinite(vd)):
+            raise RuntimeError("non-finite state")
+        return (vd, acc)
+
+    def lanes(t, v, vd):
+        acc = accel(t, v, vd, np.maximum(v, 0.0), np.exp)
+        if not np.isfinite(acc).all():
+            raise RuntimeError("non-finite state")
+        return (vd, acc)
+
+    rhs.lanes = lanes
+    return rhs
+
+
+def assert_loop_core_run(params, frame, start, t_target, cap):
+    """The generated core's run is the loop core's bit for bit."""
+    ours = run_ours(params, frame, start, t_target, cap)
+    with mock.patch.object(dop853, "_CORE", LOOP_CORE):
+        ref = dop853.solve_ivp(loop_rhs(params, frame.alpha), start.t,
+                               t_target, (start.v, start.vdot), CONFIG.rtol,
+                               CONFIG.atol, CONFIG.max_step, cap)
+    assert ours.t.tobytes() == ref.t.tobytes()
+    assert ours.steps.tobytes() == ref.steps.tobytes()
+    assert (ours.stats, ours.status) == (ref.stats, ref.status)
+    return ours
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=problems(),
+       frame_name=st.sampled_from(["raw", "alpha1", "alpha2"]),
+       t0=st.floats(-2.0, 2.0), v0=st.floats(0.05, 3.0),
+       vdot0=st.floats(-2.0, 2.0), span=st.floats(0.2, 4.0),
+       forward=st.booleans(), cap=st.sampled_from([1e8, 4.0, 2.0]))
+def test_generated_core_is_the_loop_core(params, frame_name, t0, v0, vdot0,
+                                         span, forward, cap):
+    dc = derive_constants(params)
+    frame = Frame({"raw": 0.0, "alpha1": dc.alpha1,
+                   "alpha2": dc.alpha2}[frame_name])
+    assert_loop_core_run(params, frame, State(t0, v0, vdot0),
+                         t0 + span if forward else t0 - span, cap)
+
+
+@pytest.mark.parametrize("case,cap,kind,rejected", [
+    # the scalar amplitude-cap start of test_amplitude_cap_branch
+    ((CONFIG_A, "alpha1", State(0.0, 1.5, 3.0), 12.0), 2.0,
+     TerminationKind.AMPLITUDE_CAP, 0),
+    (ROUNDING_DECIDED, 1e8, TerminationKind.POSITIVITY_LOST, 6),
+    # backwards to the span end in the alpha2 frame
+    ((CONFIG_A, "alpha2", State(1.0, 1.2, 0.3), -1.5), 1e8,
+     TerminationKind.REACHED_SPAN_END, None),
+])
+def test_loop_core_cases(case, cap, kind, rejected):
+    params, frame, start, t_target = case
+    if isinstance(frame, str):
+        frame = Frame(getattr(derive_constants(params), frame))
+    sol = assert_loop_core_run(params, frame, start, t_target, cap)
+    assert sol.status == kind
+    assert len(sol.t) > 2
+    if rejected is not None:
+        assert sol.stats.rejected == rejected
+
+
+class Weighted:
+    """A stand-in term table with weights other than the 0/1 toggles of
+    ProblemParams."""
+
+    def __init__(self, n, terms):
+        self.n, self.terms = n, terms
+
+    def active_terms(self):
+        return self.terms
+
+
+@st.composite
+def term_tables(draw):
+    """(params, alpha): a problem in its raw, alpha1 or alpha2 frame (the
+    last two zero a term's frame exponent), or a stand-in table with
+    weights other than 1 and l = -2 terms (e = 0 in the raw frame)."""
+    if draw(st.booleans()):
+        params = draw(problems())
+        dc = derive_constants(params)
+        return params, draw(st.sampled_from([0.0, dc.alpha1, dc.alpha2]))
+    terms = draw(st.lists(st.tuples(
+        st.floats(1.2, 7.0), st.sampled_from([-2.0, -0.5, 0.0]),
+        st.sampled_from([1.0, -1.0, 0.5, 3.0])), max_size=3))
+    return Weighted(draw(st.integers(3, 6)), terms), \
+        draw(st.sampled_from([0.0, 0.5]))
+
+
+def outcome(f, *args):
+    """f(*args) as bytes, or RuntimeError when it raises that."""
+    try:
+        with np.errstate(invalid="ignore"):  # 0 * inf in lin * v
+            return np.array(f(*args)).tobytes()
+    except RuntimeError:
+        return RuntimeError
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(table=term_tables(), t=st.floats(-3.0, 3.0),
+       v=st.lists(st.floats(-1e-3, 0.0) | st.floats(0.0, 5.0), min_size=1,
+                  max_size=5),
+       vdot=st.floats(-3.0, 3.0),
+       bad=st.sampled_from([math.inf, -math.inf, math.nan]))
+def test_generated_rhs_is_the_term_loop(table, t, v, vdot, bad):
+    # the float form per value and the lane form on the whole array; v
+    # below 0 is clamped, problems() switches terms off (k = 0), and a
+    # non-finite v or vdot raises in both
+    params, alpha = table
+    ours, ref = log_frame_rhs(params, alpha), loop_rhs(params, alpha)
+    v = np.array(v)
+    ts, vd = np.full(v.size, t), np.full(v.size, vdot)
+    for x in v.tolist():
+        assert outcome(ours, t, (x, vdot)) == outcome(ref, t, (x, vdot))
+    assert outcome(ours.lanes, ts, v, vd) == outcome(ref.lanes, ts, v, vd)
+    for y in ((bad, vdot), (v[0], bad)):
+        assert outcome(ours, t, y) == outcome(ref, t, y) == RuntimeError
+        v_bad, vd_bad = v.copy(), vd.copy()
+        v_bad[0], vd_bad[0] = y
+        assert outcome(ours.lanes, ts, v_bad, vd_bad) \
+            == outcome(ref.lanes, ts, v_bad, vd_bad) == RuntimeError
+
+
 def same_grid(params, frame, start, t_target):
     """True unless summing the tableau rows in reverse moves the scalar
     core's step grid: the run's steps are then decided by rounding."""
     plain = run_ours(params, frame, start, t_target)
-    with mock.patch.object(dop853, "_dot", _dot_reversed):
-        reordered = run_ours(params, frame, start, t_target)
+    reordered = run_reversed(params, frame, start, t_target)
     return plain.t.shape == reordered.t.shape \
         and np.max(np.abs(plain.t - reordered.t)) <= 1e-13
 
