@@ -10,22 +10,24 @@ underflow test and Brent event location, so it takes the same steps.
 It is specialised to y = (v, dv/dt) and to the two events that end a
 log-frame run: v falls through 0, or |v| rises through the amplitude cap.
 
-There are two cores over one tableau, one controller and one event
-locator:
+There are two cores over one tableau, one controller, one event
+locator and one dense-output sampler, Solution:
 
-- solve_ivp runs one start in plain floats and keeps every step's
-  dense-output coefficients (Solution).  Its step arithmetic is
+- solve_ivp runs one start in plain floats.  Its step arithmetic is
   straight-line code compiled at import from the tableau below
   (_compile_core), one flat expression per stage sum.
 - solve_lanes runs L starts in lockstep on numpy arrays with the lane
   as the last axis.  Each lane keeps its own step size, error norm,
-  accept/reject and events and is frozen when it ends; every accepted
-  step's stride points are sampled as the step is taken.  Stage sums
+  accept/reject and events and leaves the batch when it ends.  Stage sums
   are lane-wise products summed along the stage axis in tableau order,
   never a matrix product, so a lane's numbers do not depend on the
   batch it rides in, and with the same right-hand side values a lane
   takes the scalar core's steps bit for bit.  The lockstep loop costs
-  more per iteration than one scalar run; it pays from about 12 lanes.
+  more per iteration than one scalar run; it pays from about 10 lanes.
+
+Both keep each accepted step as a row of its dense-output coefficients
+and build the run's Solution from those rows when it ends; integrate
+and the lane core sample that Solution on the same stride grid.
 """
 
 from __future__ import annotations
@@ -208,7 +210,7 @@ EPS = sys.float_info.epsilon
 
 # one accepted step, a row of Solution.steps: t_old, h, then
 # (y_old, F_0..F_6) for v and for vdot
-T_OLD, H, V_OLD, W_OLD = 0, 1, 2, 10
+T_OLD, H, V_OLD, W_OLD, ROW = 0, 1, 2, 10, 18
 
 
 class SolverStats(NamedTuple):
@@ -239,18 +241,20 @@ def stride_grid(t0: float, t_last: float, stride: float) -> np.ndarray:
 
 
 class Solution:
-    """Accepted-step grid, work counts and dense output of one run.
+    """Accepted steps, work counts and dense output of one run.
 
-    t holds the start and every accepted step; when an event ends the
-    run its last entry is the event time.  status is how the run ended.
+    steps holds one row per accepted step (see T_OLD) and t the start of
+    each step, then t_end, where the run ended (the event time when an
+    event ended it).  status is how the run ended.
     """
 
-    def __init__(self, t, nfev, rejected, status, steps: array):
-        self.t = np.array(t)
+    def __init__(self, rows, t_end: float, nfev: int, rejected: int,
+                 status):
+        self.steps = np.asarray(rows, dtype=float).reshape(-1, ROW)
+        self.t = np.append(self.steps[:, T_OLD], t_end)
         self.nfev = nfev
         self.status = status
-        self.stats = SolverStats(nfev, len(t) - 1, rejected)
-        self.steps = np.frombuffer(steps, dtype=float).reshape(-1, 18)
+        self.stats = SolverStats(nfev, len(self.steps), rejected)
 
     def __call__(self, ts: np.ndarray):
         """(v, vdot) at the times ts, each from its step's interpolant
@@ -451,7 +455,7 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
     h_abs = _initial_step(fun, t, v, w, k0v, k0w, t_bound, direction,
                           rtol, atol, max_step)
     nfev, n_rejected = 2, 0
-    grid, steps = [t], array("d")
+    steps = array("d")
     status = None
     while status is None:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -462,8 +466,8 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                return Solution(grid, nfev, n_rejected,
-                                TerminationKind.STEP_UNDERFLOW, steps)
+                return Solution(steps, t, nfev, n_rejected,
+                                TerminationKind.STEP_UNDERFLOW)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0.0:
                 t_new = t_bound
@@ -504,21 +508,18 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
         nfev += 3
         steps.extend(step)
         hits = _crossings(v, v_new, cap)
-        t, v, w = t_new, v_new, w_new
+        t_old, t, v, w = t, t_new, v_new, w_new
         k0v, k0w = k12v, k12w
         if direction * (t - t_bound) >= 0.0:
             status = TerminationKind.REACHED_SPAN_END
         if hits:
-            t_old = step[T_OLD]
             t, status = _first_event(hits, t_old, t, h,
                                      step[V_OLD:V_OLD + 8].__getitem__,
                                      direction)
-            if len(grid) > 1 and grid[-1] == t:
+            if t == t_old and len(steps) > ROW:
                 # the event sits on the previous grid point: drop the step
-                del steps[-len(step):]
-                break
-        grid.append(t)
-    return Solution(grid, nfev, n_rejected, status, steps)
+                del steps[-ROW:]
+    return Solution(steps, t, nfev, n_rejected, status)
 
 
 # The lane core's tableau rows, dense (zeros add nothing to a sum taken
@@ -563,57 +564,8 @@ class _Lanes:
             setattr(self, name, val[..., mask])
 
 
-class _Samples:
-    """The stride samples of L lanes, in order of their index.
-
-    A lane's i-th sample is its step interpolant at t0 + i (d stride).
-    New samples go to a window of `width` columns per lane, moved into
-    the lane's list of parts when full, so that memory follows the
-    samples taken rather than the longest run the span allows.
-    """
-
-    def __init__(self, n_lanes: int, stride: float, width: int):
-        self.stride = stride
-        self.window = np.empty((2, n_lanes, width))
-        self.fill = np.zeros(n_lanes, dtype=int)
-        self.taken = np.zeros(n_lanes, dtype=int)
-        self.parts = [[] for _ in range(n_lanes)]
-
-    def step(self, lane, t0, d, t_old, t_end, h, coef) -> None:
-        """Sample one accepted step of each of `lane` at the stride
-        points it has not taken up to t_end, on the step's interpolant
-        coef (8, 2, len(lane)) from t_old with size h."""
-        ds, nxt = d * self.stride, self.taken[lane]
-        top = np.floor((t_end - t0) / ds)
-        top = np.where(d * (t0 + ds * (top + 1.0) - t_end) <= 0.0,
-                       top + 1.0, top)
-        top = np.where(d * (t0 + ds * top - t_end) > 0.0, top - 1.0, top)
-        count = np.maximum(top.astype(int) - nxt + 1, 0)
-        if not count.any():
-            return
-        rows = np.repeat(np.arange(lane.size), count)
-        offset = np.arange(rows.size) - np.repeat(np.cumsum(count) - count,
-                                                  count)
-        x = (t0[rows] + ds[rows] * (nxt[rows] + offset) - t_old[rows]) \
-            / h[rows]
-        for i in lane[self.fill[lane] + count > self.window.shape[2]]:
-            self.parts[i].append(self.window[:, i, :self.fill[i]].copy())
-            self.fill[i] = 0
-        at = lane[rows]
-        self.window[:, at, self.fill[at] + offset] = _horner(
-            coef[:, :, rows].__getitem__, x)
-        self.fill[lane] += count
-        self.taken[lane] += count
-
-    def pop(self, i: int, out: np.ndarray) -> None:
-        """Copy lane i's first samples into out, (2, n), and release the
-        lane's parts."""
-        parts, self.parts[i] = self.parts[i], []
-        k = 0
-        for part in parts + [self.window[:, i, :self.fill[i]]]:
-            m = min(part.shape[1], out.shape[1] - k)
-            out[:, k:k + m] = part[:, :m]
-            k += m
+# a running lane keeps its Solution.steps rows in chunks of this many steps
+ROW_CHUNK = 16
 
 
 def _one_lane(fun):
@@ -632,12 +584,13 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
 
     fun evaluates the system on arrays of lanes.  t0 holds the L start
     times, none of them t_bound, and y0 the (2, L) start states.  Each
-    lane ends as solve_ivp's run from its start ends, and its samples are
-    those integrate takes from that run: the points of stride_grid from
-    its start to its end, each on the step that holds it (a point on a
-    step boundary takes the earlier step).  The controller's power and
-    the initial step are taken per lane in floats, as solve_ivp takes
-    them; everything else is lane-wise array arithmetic.
+    lane ends as solve_ivp's run from its start ends.  It keeps its
+    accepted steps as solve_ivp's Solution rows while it runs; when it
+    ends, its Solution is sampled as integrate samples one, on the points
+    of stride_grid from its start to its end, and the rows are released.
+    The controller's power and the initial step are taken per lane in
+    floats, as solve_ivp takes them; everything else is lane-wise array
+    arithmetic.
     """
     t = np.array(t0, dtype=float)
     y = np.array(y0, dtype=float).reshape(2, t.size)
@@ -653,26 +606,23 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     nfev = np.full(n_lanes, 2)
     steps = np.zeros(n_lanes, dtype=int)
     rejected = np.zeros(n_lanes, dtype=int)
-    # one step holds at most max_step / stride + 1 stride points
-    samples = _Samples(n_lanes, stride,
-                       max(256, int(max_step / stride) + 3))
+    # each lane's latest rows, and its full chunks
+    chunk = np.empty((n_lanes, ROW_CHUNK, ROW))
+    fill = np.zeros(n_lanes, dtype=int)
+    parts = [[] for _ in range(n_lanes)]
     runs = [None] * n_lanes
     t0_all, y0_all = t.copy(), y.copy()
-    s = _Lanes(lane=np.arange(n_lanes), t0=t0_all, t=t, y=y, K=K,
-               h_abs=h_abs, d=d, rej=np.zeros(n_lanes, dtype=bool),
-               coef=np.empty((8, 2, n_lanes)), t_old=np.empty(n_lanes),
-               h=np.empty(n_lanes))
+    s = _Lanes(lane=np.arange(n_lanes), t=t, y=y, K=K, h_abs=h_abs, d=d,
+               rej=np.zeros(n_lanes, dtype=bool))
 
-    def finish(i, status, t_last, coef, t_old, h):
-        ts = stride_grid(t0_all[i], t_last, stride)
-        vw = np.empty((2, ts.size))
-        if t_last == t0_all[i]:
-            vw[:, -1] = y0_all[:, i]
-        else:
-            samples.pop(i, vw[:, :-1])
-            vw[:, -1] = _horner(coef.__getitem__, (t_last - t_old) / h)
-        runs[i] = LaneRun(status, ts, vw[0], vw[1], SolverStats(
-            int(nfev[i]), int(steps[i]), int(rejected[i])))
+    def finish(i, status, t_end):
+        rows = np.concatenate(parts[i] + [chunk[i, :fill[i]]])
+        parts[i] = []
+        sol = Solution(rows, t_end, int(nfev[i]), int(rejected[i]), status)
+        ts = stride_grid(t0_all[i], t_end, stride)
+        # a run that ends where it starts is its start, as in integrate
+        v, vdot = sol(ts) if t_end != t0_all[i] else y0_all[:, i:i + 1]
+        runs[i] = LaneRun(status, ts, v, vdot, sol.stats)
 
     while s.lane.size:
         t, d = s.t, s.d
@@ -683,8 +633,7 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
         under = h_abs < min_step
         if under.any():
             for j in np.flatnonzero(under):
-                finish(s.lane[j], TerminationKind.STEP_UNDERFLOW, t[j],
-                       s.coef[:, :, j], s.t_old[j], s.h[j])
+                finish(s.lane[j], TerminationKind.STEP_UNDERFLOW, t[j])
             s.h_abs = h_abs
             s.keep(~under)
             continue
@@ -722,7 +671,7 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
         if not ok.any():
             continue
 
-        # the accepted lanes: dense output, events, samples
+        # the accepted lanes: dense output, events, rows
         pos = np.flatnonzero(ok)
         a = slice(None) if pos.size == ok.size else pos
         lane, Ka, ha, ta = s.lane[a], K[:, :, a], h[a], t[a]
@@ -732,17 +681,18 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
             Ka[i, 0], Ka[i, 1] = fun(t_stage[i], yi[0], yi[1])
         nfev[lane] += 3
         dy = yn - ya
-        coef = np.empty((8, 2, lane.size))
-        coef[0], coef[1] = ya, dy
-        coef[2] = ha * Ka[0] - dy
-        coef[3] = 2.0 * dy - ha * (Ka[12] + Ka[0])
-        coef[4:] = ha * (D_LANES * Ka).sum(1)
+        row = np.empty((ROW, lane.size))
+        row[T_OLD], row[H] = ta, ha
+        coef = row[V_OLD:].reshape(2, 8, lane.size)  # v's, then vdot's
+        coef[:, 0], coef[:, 1] = ya, dy
+        coef[:, 2] = ha * Ka[0] - dy
+        coef[:, 3] = 2.0 * dy - ha * (Ka[12] + Ka[0])
+        coef[:, 4:] = (ha * (D_LANES * Ka).sum(1)).swapaxes(0, 1)
 
         t_end = t_new[a].copy()
-        ended = {j: (TerminationKind.REACHED_SPAN_END, coef[:, :, j],
-                     ta[j], ha[j])
-                 for j in np.flatnonzero(da * (t_end - t_bound) >= 0.0)}
-        grew = np.ones(lane.size, dtype=int)
+        ended = dict.fromkeys(np.flatnonzero(da * (t_end - t_bound) >= 0.0),
+                              TerminationKind.REACHED_SPAN_END)
+        grew = np.ones(lane.size, dtype=bool)
         v0, v1 = ya[0], yn[0]
         maybe = ((v0 >= 0.0) & (v1 <= 0.0)) \
             | ((np.abs(v0) - cap <= 0.0) & (np.abs(v1) - cap >= 0.0))
@@ -751,26 +701,23 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
             if not hits:
                 continue
             t_old = float(ta[j])
-            t_ev, kind = _first_event(hits, t_old, float(t_end[j]),
-                                      float(ha[j]),
-                                      coef[:, 0, j].tolist().__getitem__,
-                                      float(da[j]))
-            t_end[j] = t_ev
-            prev = pos[j]
-            if steps[lane[j]] > 0 and t_ev == t_old:
-                # the event sits on the previous grid point: drop the step
-                grew[j] = 0
-                ended[j] = (kind, s.coef[:, :, prev], s.t_old[prev],
-                            s.h[prev])
-            else:
-                ended[j] = (kind, coef[:, :, j], ta[j], ha[j])
-        steps[lane] += grew
+            t_end[j], ended[j] = _first_event(
+                hits, t_old, float(t_end[j]), float(ha[j]),
+                row[V_OLD:V_OLD + 8, j].tolist().__getitem__, float(da[j]))
+            # an event on the previous grid point drops the step
+            grew[j] = t_end[j] != t_old or steps[lane[j]] == 0
 
-        samples.step(lane, s.t0[a], da, ta, t_end, ha, coef)
-        for j, (kind, c, t_old, h_j) in ended.items():
-            finish(lane[j], kind, t_end[j], c, t_old, h_j)
+        new = lane[grew]
+        chunk[new, fill[new]] = row[:, grew].T
+        fill[new] += 1
+        steps[new] += 1
+        full = new[fill[new] == ROW_CHUNK]
+        for i in full.tolist():
+            parts[i].append(chunk[i].copy())
+        fill[full] = 0
+        for j, kind in ended.items():
+            finish(lane[j], kind, t_end[j])
         s.t[a], s.y[:, a], s.K[0][:, a] = t_new[a], yn, Ka[12]
-        s.coef[:, :, a], s.t_old[a], s.h[a] = coef, ta, ha
         if ended:
             done = np.zeros(s.lane.size, dtype=bool)
             done[pos[list(ended)]] = True

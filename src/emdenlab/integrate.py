@@ -31,7 +31,7 @@ numpy's exp and power rounding 1 ulp away from math's.  Both evaluate
 the one acceleration expression log_frame_rhs compiles from the term
 table, and both record the solver's work in Trajectory.stats.  The
 lockstep loop costs more per step than a scalar run and pays from about
-12 starts.
+10 starts.
 """
 
 from __future__ import annotations
@@ -356,7 +356,7 @@ def integrate_many(starts, frame: Frame, t_target: float,
     Each lane takes the steps and samples that integrate takes; the two
     differ only where numpy's exp and power round differently from
     math's (1 ulp in a few percent of values), which moves the samples
-    at roundoff.  The lockstep loop pays from about 12 starts; below
+    at roundoff.  The lockstep loop pays from about 10 starts; below
     that integrate is faster.
     """
     if config is None:

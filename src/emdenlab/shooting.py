@@ -98,7 +98,7 @@ def shoot_many(a_grid, params: ProblemParams,
                window: tuple | None = None) -> list:
     """shoot() at every amplitude of a_grid, the shots integrated in
     lockstep as one lane batch (integrate_many); ShotResults in grid
-    order.  Worth it from about 12 amplitudes; single shots and
+    order.  Worth it from about 10 amplitudes; single shots and
     bisection midpoints go through shoot.
     """
     if dc is None:

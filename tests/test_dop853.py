@@ -3,6 +3,7 @@ its generated scalar core against the loop formulation of the same
 tableau, and its lane core against the scalar core."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -515,6 +516,50 @@ def test_underflow_and_zero_span_lanes(config_a, dc_a):
         assert traj.stats == integrate(start, frame, t_target,
                                        config_a).stats
     assert trajs[1].stats == SolverStats(0, 0, 0)
+
+
+def test_lanes_that_step_then_underflow(config_a, dc_a):
+    # near t = 2^46 a few steps fit before h falls under 10 ulp of t; the
+    # last sample sits at the end of the last step, not at its start.
+    # The stride is 0.05 because the default 0.01 is under 2 ulp there.
+    t_target, frame = 2.0 ** 46 + 1.0, Frame(dc_a.alpha1)
+    config = IntegratorConfig(dense_output_stride=0.05)
+    starts = [State(2.0 ** 46 - 0.5, 1.0, 0.0),
+              State(2.0 ** 46 - 0.8, 1.2, 0.1)]
+    rhs = log_frame_rhs(config_a, frame.alpha)
+    trajs = integrate_many(starts, frame, t_target, config_a, config)
+    for start, traj, steps in zip(starts, trajs, (6, 9)):
+        sol = dop853.solve_ivp(dop853._one_lane(rhs.lanes), start.t,
+                               t_target, (start.v, start.vdot), config.rtol,
+                               config.atol, config.max_step,
+                               config.amplitude_cap)
+        v, vdot = sol(traj.t)
+        assert traj.termination == Termination(
+            TerminationKind.STEP_UNDERFLOW, sol.t[-1])
+        assert traj.stats == sol.stats and sol.stats.steps == steps
+        assert np.array_equal(traj.t, dop853.stride_grid(
+            start.t, sol.t[-1], config.dense_output_stride))
+        assert np.array_equal(traj.v, v)
+        assert np.array_equal(traj.vdot, vdot)
+
+
+def test_lane_rows_are_released_when_a_lane_ends(config_a, dc_a):
+    # a lane keeps its steps' rows only while it runs: beyond the
+    # returned samples a 128-lane batch needs its row chunks, about 0.3
+    # MB, where keeping every lane's rows to the end would add 2.8 MB
+    frame = Frame(dc_a.alpha1)
+    starts = [shooting._regular_start(a, config_a, frame)[1]
+              for a in np.logspace(-2.0, 2.0, 128)]
+    integrate_many(starts[:2], frame, 12.0, config_a)
+    tracemalloc.start()
+    try:
+        trajs = integrate_many(starts, frame, 12.0, config_a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(traj.t.nbytes + traj.v.nbytes + traj.vdot.nbytes
+               for traj in trajs)
+    assert peak - kept < 1.5e6
 
 
 @pytest.mark.parametrize("t_target,bad,name", [
