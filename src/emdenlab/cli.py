@@ -18,13 +18,13 @@ import numpy as np
 
 from ._version import __version__
 from .classify import TOL_CLASS, classify_end
-from .integrate import Frame, IntegratorConfig, integrate, \
-    read_trajectory_csv, write_trajectory_csv
+from .integrate import IntegratorConfig, read_trajectory_csv, \
+    write_trajectory_csv
 from .params import EPS_CRIT, ProblemParams, classify_regime, \
     derive_constants
 from .serialize import canonical_json
-from .shooting import T_TARGET, _regular_start, connecting_orbit, \
-    resolve_jobs, scan_thresholds, shoot
+from .shooting import T_TARGET, connecting_orbit, resolve_jobs, \
+    scan_thresholds, shoot
 from .sweep import parse_run_config, seeded_run, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
@@ -79,9 +79,7 @@ def cmd_solve(args) -> int:
     if args.start == "series":
         if args.a is None:
             raise ValueError("--start series needs --a")
-        frame = Frame(dc.alpha1)
-        _, start = _regular_start(args.a, params, frame)
-        traj = integrate(start, frame, cfg.t_max, params, integrator)
+        traj = shoot(args.a, params, dc, integrator, cfg.t_max).trajectory
     else:
         traj = seeded_run(params, dc.end(args.start), cfg)
     write_trajectory_csv(traj, args.out)
@@ -228,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
-    sp.add_argument("--suite", choices=["acceptance"], default="acceptance")
     sp.add_argument("--only", type=int, nargs="+")
     sp.add_argument("--mutate", action="append", metavar="NAME=VALUE")
     sp.set_defaults(func=cmd_verify)

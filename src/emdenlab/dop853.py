@@ -11,23 +11,25 @@ It is specialised to y = (v, dv/dt) and to the two events that end a
 log-frame run: v falls through 0, or |v| rises through the amplitude cap.
 
 There are two cores over one tableau, one controller, one event
-locator and one dense-output sampler, Solution:
+locator and one result, Solution, whose __call__ is the dense output:
 
 - solve_ivp runs one start in plain floats.  Its step arithmetic is
   straight-line code compiled at import from the tableau below
   (_compile_core), one flat expression per stage sum.
 - solve_lanes runs L starts in lockstep on numpy arrays with the lane
   as the last axis.  Each lane keeps its own step size, error norm,
-  accept/reject and events and leaves the batch when it ends.  Stage sums
-  are lane-wise products summed along the stage axis in tableau order,
-  never a matrix product, so a lane's numbers do not depend on the
-  batch it rides in, and with the same right-hand side values a lane
-  takes the scalar core's steps bit for bit.  The lockstep loop costs
-  more per iteration than one scalar run; it pays from about 10 lanes.
+  accept/reject and events, and leaves the batch, its Solution yielded,
+  when it ends.  Stage sums are lane-wise products summed along the
+  stage axis in tableau order, never a matrix product, so a lane's
+  numbers do not depend on the batch it rides in, and with the same
+  right-hand side values a lane takes the scalar core's steps bit for
+  bit.  The lockstep loop costs more per iteration than one scalar run;
+  it pays from about 10 lanes.
 
 Both keep each accepted step as a row of its dense-output coefficients
-and build the run's Solution from those rows when it ends; integrate
-and the lane core sample that Solution on the same stride grid.
+and build the run's Solution from those rows when it ends; a zero span
+(t0 == t_bound) is a Solution without steps.  Neither samples: integrate
+reads every run through Solution.__call__.
 """
 
 from __future__ import annotations
@@ -224,20 +226,6 @@ class SolverStats(NamedTuple):
 
 def _rms(x, y) -> float:
     return math.sqrt(x * x + y * y) / 2.0 ** 0.5
-
-
-def stride_grid(t0: float, t_last: float, stride: float) -> np.ndarray:
-    """t0, t0 +- stride, ... towards t_last, ending on t_last: the last
-    stride point moves onto it when within 1e-9 stride, else t_last is
-    appended."""
-    sgn = 1.0 if t_last > t0 else -1.0
-    npts = int(math.floor(abs(t_last - t0) / stride))
-    ts = t0 + sgn * stride * np.arange(npts + 1)
-    if abs(ts[-1] - t_last) <= 1e-9 * stride:
-        ts[-1] = t_last
-    else:
-        ts = np.append(ts, t_last)
-    return ts
 
 
 class Solution:
@@ -446,8 +434,11 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
 
     The run ends at t_bound, at the first time v falls through 0 or |v|
     rises through cap (whichever comes first in the direction of
-    integration), or when the step size underflows 10 ulp of t.
+    integration), or when the step size underflows 10 ulp of t.  A zero
+    span (t0 == t_bound) takes no step and evaluates no fun.
     """
+    if t0 == t_bound:
+        return Solution((), t0, 0, 0, TerminationKind.REACHED_SPAN_END)
     attempt, dense = _CORE
     direction = 1.0 if t_bound > t0 else -1.0
     t, (v, w) = t0, y0
@@ -542,17 +533,6 @@ D_LANES = _dense(D, 16)
 C_LANES = np.array(C)[:, None]
 
 
-class LaneRun(NamedTuple):
-    """One lane of solve_lanes: how it ended, its stride samples (t runs
-    from the start to the end of the run, see stride_grid) and its work."""
-
-    status: TerminationKind
-    t: np.ndarray
-    v: np.ndarray
-    vdot: np.ndarray
-    stats: SolverStats
-
-
 class _Lanes:
     """The running lanes' state, the lane on the last axis of each array."""
 
@@ -578,31 +558,34 @@ def _one_lane(fun):
 
 
 def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
-                max_step: float, cap: float, stride: float) -> list:
+                max_step: float, cap: float):
     """Integrate L starts of y' = fun(t, v, vdot) in lockstep towards
-    t_bound; one LaneRun per start, in order.
+    t_bound, yielding (index, Solution) for each start as its lane ends.
 
     fun evaluates the system on arrays of lanes.  t0 holds the L start
-    times, none of them t_bound, and y0 the (2, L) start states.  Each
-    lane ends as solve_ivp's run from its start ends.  It keeps its
-    accepted steps as solve_ivp's Solution rows while it runs; when it
-    ends, its Solution is sampled as integrate samples one, on the points
-    of stride_grid from its start to its end, and the rows are released.
-    The controller's power and the initial step are taken per lane in
-    floats, as solve_ivp takes them; everything else is lane-wise array
-    arithmetic.
+    times and y0 the (2, L) start states.  Each lane ends as solve_ivp's
+    run from its start ends, with the same Solution; a start at t_bound
+    is yielded first, without steps.  A lane keeps its accepted steps as
+    Solution rows while it runs and hands them over when it ends, so
+    rows are held only for the running lanes.  The controller's power
+    and the initial step are taken per lane in floats, as solve_ivp
+    takes them; everything else is lane-wise array arithmetic.
     """
     t = np.array(t0, dtype=float)
     y = np.array(y0, dtype=float).reshape(2, t.size)
     n_lanes = t.size
+    for i in np.flatnonzero(t == t_bound).tolist():
+        yield i, Solution((), t[i], 0, 0, TerminationKind.REACHED_SPAN_END)
+    lane = np.flatnonzero(t != t_bound)
+    t, y = t[lane], y[:, lane]
     d = np.where(t_bound > t, 1.0, -1.0)
-    K = np.empty((16, 2, n_lanes))
+    K = np.empty((16, 2, lane.size))
     K[0, 0], K[0, 1] = fun(t, y[0], y[1])
     one = _one_lane(fun)
     h_abs = np.array([
-        _initial_step(one, *lane, t_bound, dl, rtol, atol, max_step)
-        for *lane, dl in zip(t.tolist(), *y.tolist(), *K[0].tolist(),
-                             d.tolist())])
+        _initial_step(one, *start, t_bound, dl, rtol, atol, max_step)
+        for *start, dl in zip(t.tolist(), *y.tolist(), *K[0].tolist(),
+                              d.tolist())])
     nfev = np.full(n_lanes, 2)
     steps = np.zeros(n_lanes, dtype=int)
     rejected = np.zeros(n_lanes, dtype=int)
@@ -610,19 +593,14 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     chunk = np.empty((n_lanes, ROW_CHUNK, ROW))
     fill = np.zeros(n_lanes, dtype=int)
     parts = [[] for _ in range(n_lanes)]
-    runs = [None] * n_lanes
-    t0_all, y0_all = t.copy(), y.copy()
-    s = _Lanes(lane=np.arange(n_lanes), t=t, y=y, K=K, h_abs=h_abs, d=d,
-               rej=np.zeros(n_lanes, dtype=bool))
+    s = _Lanes(lane=lane, t=t, y=y, K=K, h_abs=h_abs, d=d,
+               rej=np.zeros(lane.size, dtype=bool))
 
     def finish(i, status, t_end):
         rows = np.concatenate(parts[i] + [chunk[i, :fill[i]]])
         parts[i] = []
-        sol = Solution(rows, t_end, int(nfev[i]), int(rejected[i]), status)
-        ts = stride_grid(t0_all[i], t_end, stride)
-        # a run that ends where it starts is its start, as in integrate
-        v, vdot = sol(ts) if t_end != t0_all[i] else y0_all[:, i:i + 1]
-        runs[i] = LaneRun(status, ts, v, vdot, sol.stats)
+        return int(i), Solution(rows, t_end, int(nfev[i]), int(rejected[i]),
+                                status)
 
     while s.lane.size:
         t, d = s.t, s.d
@@ -633,7 +611,7 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
         under = h_abs < min_step
         if under.any():
             for j in np.flatnonzero(under):
-                finish(s.lane[j], TerminationKind.STEP_UNDERFLOW, t[j])
+                yield finish(s.lane[j], TerminationKind.STEP_UNDERFLOW, t[j])
             s.h_abs = h_abs
             s.keep(~under)
             continue
@@ -716,10 +694,9 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
             parts[i].append(chunk[i].copy())
         fill[full] = 0
         for j, kind in ended.items():
-            finish(lane[j], kind, t_end[j])
+            yield finish(lane[j], kind, t_end[j])
         s.t[a], s.y[:, a], s.K[0][:, a] = t_new[a], yn, Ka[12]
         if ended:
             done = np.zeros(s.lane.size, dtype=bool)
             done[pos[list(ended)]] = True
             s.keep(~done)
-    return runs

@@ -23,15 +23,17 @@ tableau, error norm and step controller of scipy's DOP853, so it takes
 scipy's steps.  Integration stops at t_target, at a located loss of
 positivity, at the amplitude cap, or on a step-size underflow.
 
-It has two cores.  integrate runs one start through the scalar core,
-solve_ivp, on floats.  integrate_many runs many starts in one frame
-through the lane core, solve_lanes, which advances them in lockstep on
-numpy arrays; each lane takes the scalar core's steps and samples, up to
+It has two cores, and both return a dop853.Solution per run: its steps,
+work counts and dense output.  integrate runs one start through the
+scalar core, solve_ivp, on floats.  integrate_many runs many starts in
+one frame through the lane core, solve_lanes, which advances them in
+lockstep on numpy arrays; each lane takes the scalar core's steps, up to
 numpy's exp and power rounding 1 ulp away from math's.  Both evaluate
 the one acceleration expression log_frame_rhs compiles from the term
-table, and both record the solver's work in Trajectory.stats.  The
-lockstep loop costs more per step than a scalar run and pays from about
-10 starts.
+table.  One function, _trajectory, turns every run into a Trajectory:
+the Solution sampled on stride_grid, its termination and its work in
+Trajectory.stats.  The lockstep loop costs more per step than a scalar
+run and pays from about 10 starts.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dop853 import SolverStats, TerminationKind, solve_ivp, solve_lanes, \
-    stride_grid
+from .dop853 import Solution, SolverStats, TerminationKind, solve_ivp, \
+    solve_lanes
 from .params import End, ProblemParams, frame_exp
 from .serialize import fmt_float
 
@@ -295,28 +297,60 @@ def log_frame_rhs(params: ProblemParams, alpha: float):
                 *(x for term in terms for x in term))
 
 
-def _check_start(start: State, t_target: float) -> None:
+def _check_start(start: State, t_target: float,
+                 config: IntegratorConfig) -> None:
+    """ValueError for a non-finite t_target or start field, a start.v
+    that is not positive, and a stride too fine for the span's t.
+
+    stride_grid's times sit within about 1 ulp of t of their exact
+    values, so they are distinct once the stride exceeds 2 ulp of the
+    span's largest |t|; a finer stride is rejected before the solver
+    runs.  A start whose step floor, 10 ulp of t, exceeds max_step is
+    left to the solver: it ends by step underflow at its start or after
+    one step.
+    """
     for name, value in (("t_target", t_target), ("start.t", start.t),
                         ("start.v", start.v), ("start.vdot", start.vdot)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if not start.v > 0.0:
         raise ValueError(f"start.v must be positive, got {start.v}")
+    stride = config.dense_output_stride
+    t_far = max(abs(start.t), abs(t_target))
+    if stride <= 2.0 * math.ulp(t_far) and start.t != t_target \
+            and 10.0 * math.ulp(start.t) <= config.max_step:
+        raise ValueError(f"dense_output_stride {stride!r} is not above 2 ulp "
+                         f"of t = {t_far!r} ({2.0 * math.ulp(t_far)!r}): "
+                         "its sample times would repeat")
 
 
-def _unmoved(start: State, frame: Frame, term: Termination,
-             config: IntegratorConfig, stats: SolverStats) -> Trajectory:
-    """The one-sample trajectory of a run that took no step."""
-    return Trajectory(frame, np.array([start.t]), np.array([start.v]),
-                      np.array([start.vdot]), term, config, stats)
+def stride_grid(t0: float, t_last: float, stride: float) -> np.ndarray:
+    """t0, t0 +- stride, ... towards t_last, ending on t_last: the last
+    stride point moves onto it when within 1e-9 stride, else t_last is
+    appended."""
+    sgn = 1.0 if t_last > t0 else -1.0
+    npts = int(math.floor(abs(t_last - t0) / stride))
+    ts = t0 + sgn * stride * np.arange(npts + 1)
+    if abs(ts[-1] - t_last) <= 1e-9 * stride:
+        ts[-1] = t_last
+    else:
+        ts = np.append(ts, t_last)
+    return ts
 
 
-def _zero_span(start: State, frame: Frame,
-               config: IntegratorConfig) -> Trajectory:
-    """The run from start to t_target = start.t, which calls no solver."""
-    return _unmoved(start, frame, Termination(
-        TerminationKind.REACHED_SPAN_END, start.t), config,
-        SolverStats(0, 0, 0))
+def _trajectory(start: State, frame: Frame, sol: Solution,
+                config: IntegratorConfig) -> Trajectory:
+    """The Trajectory of the solver run sol from start: sol sampled on
+    stride_grid from start.t to where the run ended, or the start alone
+    when it ended where it started (a zero span, an underflow at the
+    first step)."""
+    term = Termination(sol.status, float(sol.t[-1]))
+    if term.t == start.t:
+        ts, v, vdot = np.array([[start.t], [start.v], [start.vdot]])
+    else:
+        ts = stride_grid(start.t, term.t, config.dense_output_stride)
+        v, vdot = sol(ts)
+    return Trajectory(frame, ts, v, vdot, term, config, sol.stats)
 
 
 def integrate(start: State, frame: Frame, t_target: float,
@@ -327,24 +361,16 @@ def integrate(start: State, frame: Frame, t_target: float,
     Terminates early on loss of positivity (v crosses zero from above,
     event-located) or on |v| exceeding the amplitude cap; a solver
     step-size underflow is reported rather than raised, also before the
-    first step (a one-sample trajectory).  A non-finite t_target or
-    start field raises ValueError.
+    first step (a one-sample trajectory).  ValueError for a start or
+    stride that _check_start rejects.
     """
     if config is None:
         config = IntegratorConfig()
-    _check_start(start, t_target)
-    if t_target == start.t:
-        return _zero_span(start, frame, config)
+    _check_start(start, t_target, config)
     sol = solve_ivp(log_frame_rhs(params, frame.alpha), start.t, t_target,
                     (start.v, start.vdot), config.rtol, config.atol,
                     config.max_step, config.amplitude_cap)
-    term = Termination(sol.status, float(sol.t[-1]))
-    if term.t == start.t:
-        # an underflow at the first step
-        return _unmoved(start, frame, term, config, sol.stats)
-    ts = stride_grid(start.t, term.t, config.dense_output_stride)
-    v, vdot = sol(ts)
-    return Trajectory(frame, ts, v, vdot, term, config, sol.stats)
+    return _trajectory(start, frame, sol, config)
 
 
 def integrate_many(starts, frame: Frame, t_target: float,
@@ -353,33 +379,24 @@ def integrate_many(starts, frame: Frame, t_target: float,
     """integrate() from each of `starts`, all run in lockstep by the lane
     core dop853.solve_lanes.
 
-    Each lane takes the steps and samples that integrate takes; the two
-    differ only where numpy's exp and power round differently from
-    math's (1 ulp in a few percent of values), which moves the samples
-    at roundoff.  The lockstep loop pays from about 10 starts; below
-    that integrate is faster.
+    Each lane takes the steps that integrate takes, and its Solution is
+    sampled by the same _trajectory when the lane ends; the two differ
+    only where numpy's exp and power round differently from math's
+    (1 ulp in a few percent of values), which moves the samples at
+    roundoff.  The lockstep loop pays from about 10 starts; below that
+    integrate is faster.
     """
     if config is None:
         config = IntegratorConfig()
     for start in starts:
-        _check_start(start, t_target)
-    moving = [start for start in starts if start.t != t_target]
-    runs = iter(solve_lanes(
-        log_frame_rhs(params, frame.alpha).lanes,
-        [start.t for start in moving], t_target,
-        [[start.v for start in moving], [start.vdot for start in moving]],
-        config.rtol, config.atol, config.max_step, config.amplitude_cap,
-        config.dense_output_stride) if moving else ())
-    trajs = []
-    for start in starts:
-        if start.t == t_target:
-            trajs.append(_zero_span(start, frame, config))
-        else:
-            run = next(runs)
-            trajs.append(Trajectory(
-                frame, run.t, run.v, run.vdot,
-                Termination(run.status, float(run.t[-1])), config,
-                run.stats))
+        _check_start(start, t_target, config)
+    trajs = [None] * len(starts)
+    for i, sol in solve_lanes(
+            log_frame_rhs(params, frame.alpha).lanes,
+            [start.t for start in starts], t_target,
+            [[start.v for start in starts], [start.vdot for start in starts]],
+            config.rtol, config.atol, config.max_step, config.amplitude_cap):
+        trajs[i] = _trajectory(starts[i], frame, sol, config)
     return trajs
 
 

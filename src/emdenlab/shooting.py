@@ -94,8 +94,7 @@ def shoot(a: float, params: ProblemParams,
 def shoot_many(a_grid, params: ProblemParams,
                dc: DerivedConstants | None = None,
                config: IntegratorConfig | None = None,
-               t_target: float = T_TARGET,
-               window: tuple | None = None) -> list:
+               t_target: float = T_TARGET) -> list:
     """shoot() at every amplitude of a_grid, the shots integrated in
     lockstep as one lane batch (integrate_many); ShotResults in grid
     order.  Worth it from about 10 amplitudes; single shots and
@@ -108,7 +107,7 @@ def shoot_many(a_grid, params: ProblemParams,
     trajs = integrate_many([start for _, start in starts], frame, t_target,
                            params, config)
     return [ShotResult(float(a), r0, traj,
-                       classify_end(traj, dc, "infinity", window=window))
+                       classify_end(traj, dc, "infinity"))
             for a, (r0, _), traj in zip(a_grid, starts, trajs)]
 
 
@@ -135,8 +134,7 @@ class BoundaryResult(Record):
 def bisect_boundary(a_lo: float, a_hi: float, params: ProblemParams,
                     dc: DerivedConstants | None = None,
                     config: IntegratorConfig | None = None,
-                    t_target: float = T_TARGET,
-                    window: tuple | None = None) -> BoundaryResult:
+                    t_target: float = T_TARGET) -> BoundaryResult:
     """Bisect an amplitude bracket whose shots differ in kind.
 
     The bracket width contracts by exactly half per iteration; stops
@@ -149,7 +147,7 @@ def bisect_boundary(a_lo: float, a_hi: float, params: ProblemParams,
         dc = derive_constants(params)
 
     def kind_of(a):
-        return shoot(a, params, dc, config, t_target, window).kind
+        return shoot(a, params, dc, config, t_target).kind
 
     kind_lo = kind_of(a_lo)
     kind_hi = kind_of(a_hi)
@@ -169,7 +167,7 @@ def bisect_boundary(a_lo: float, a_hi: float, params: ProblemParams,
         widths.append(a_hi - a_lo)
         iterations += 1
     a_star = 0.5 * (a_lo + a_hi)
-    star = shoot(a_star, params, dc, config, t_target, window)
+    star = shoot(a_star, params, dc, config, t_target)
     return BoundaryResult(a_star, a_lo, a_hi, kind_lo, kind_hi, iterations,
                           widths, star.report)
 
@@ -223,7 +221,6 @@ def scan_thresholds(a_grid, params: ProblemParams,
                     dc: DerivedConstants | None = None,
                     config: IntegratorConfig | None = None,
                     t_target: float = T_TARGET,
-                    window: tuple | None = None,
                     jobs: int = 1,
                     bisect: bool = True) -> ThresholdScan:
     """Shoot a grid of amplitudes and bisect every kind change.
@@ -242,8 +239,7 @@ def scan_thresholds(a_grid, params: ProblemParams,
     if dc is None:
         dc = derive_constants(params)
     batches = map_jobs(partial(shoot_many, params=params, dc=dc,
-                               config=config, t_target=t_target,
-                               window=window),
+                               config=config, t_target=t_target),
                        [chunk.tolist() for chunk in
                         np.array_split(a_grid, effective_jobs(jobs))], jobs)
     shots = [shot for batch in batches for shot in batch]
@@ -254,7 +250,7 @@ def scan_thresholds(a_grid, params: ProblemParams,
             if kinds[i] != kinds[i + 1]:
                 boundaries.append(bisect_boundary(
                     float(a_grid[i]), float(a_grid[i + 1]), params, dc,
-                    config, t_target, window))
+                    config, t_target))
     return ThresholdScan(a_grid, kinds, shots, boundaries)
 
 

@@ -31,6 +31,7 @@ from emdenlab import (
     shooting,
 )
 from emdenlab.acceptance import CONFIG_A
+from emdenlab.integrate import stride_grid
 from emdenlab.params import frame_exp
 
 CONFIG = IntegratorConfig()
@@ -455,8 +456,8 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(config_a, dc_a):
                                (start.v, start.vdot), config.rtol,
                                config.atol, config.max_step,
                                config.amplitude_cap)
-        ts = dop853.stride_grid(start.t, float(sol.t[-1]),
-                                config.dense_output_stride)
+        ts = stride_grid(start.t, float(sol.t[-1]),
+                         config.dense_output_stride)
         v, vdot = sol(ts)
         assert traj.termination == Termination(sol.status, sol.t[-1])
         assert traj.stats == sol.stats
@@ -501,7 +502,7 @@ def test_amplitude_cap_on_a_lane(config_a, dc_a):
 
 def test_underflow_and_zero_span_lanes(config_a, dc_a):
     # 10 ulp of t = 1e15 is 1.25, above max_step: neither lane can step;
-    # a start already at t_target takes no step and calls no solver
+    # a start already at t_target takes no step and evaluates no fun
     t_target, frame = 1e15 + 1.0, Frame(dc_a.alpha1)
     starts = [State(1e15, 1.0, 0.0), State(t_target, 2.0, 0.5),
               State(1e15 + 0.5, 3.0, -1.0)]
@@ -516,6 +517,49 @@ def test_underflow_and_zero_span_lanes(config_a, dc_a):
         assert traj.stats == integrate(start, frame, t_target,
                                        config_a).stats
     assert trajs[1].stats == SolverStats(0, 0, 0)
+    # the lane core yields the scalar core's empty Solution for the
+    # zero-span lane, and yields it first
+    rhs = log_frame_rhs(config_a, frame.alpha)
+    runs = list(dop853.solve_lanes(
+        rhs.lanes, [s.t for s in starts], t_target,
+        [[s.v for s in starts], [s.vdot for s in starts]], CONFIG.rtol,
+        CONFIG.atol, CONFIG.max_step, CONFIG.amplitude_cap))
+    assert sorted(i for i, _ in runs) == [0, 1, 2] and runs[0][0] == 1
+    one = dop853.solve_ivp(rhs, t_target, t_target, (2.0, 0.5), CONFIG.rtol,
+                           CONFIG.atol, CONFIG.max_step, CONFIG.amplitude_cap)
+    for sol in (runs[0][1], one):
+        assert sol.t.tolist() == [t_target] and sol.steps.shape == (0, 18)
+        assert sol.stats == SolverStats(0, 0, 0)
+        assert sol.status == TerminationKind.REACHED_SPAN_END
+
+
+def test_zero_span_is_an_empty_solution():
+    # no step and no evaluation of fun: a fun that raises is not called
+    def fun(t, y):
+        raise AssertionError("fun evaluated on a zero span")
+
+    sol = dop853.solve_ivp(fun, 1.5, 1.5, (2.0, 0.5), CONFIG.rtol,
+                           CONFIG.atol, CONFIG.max_step,
+                           CONFIG.amplitude_cap)
+    assert sol.t.tolist() == [1.5] and len(sol.steps) == 0
+    assert sol.stats == SolverStats(0, 0, 0)
+    assert sol.status == TerminationKind.REACHED_SPAN_END
+
+
+def test_stride_under_the_spacing_of_t_is_rejected_before_the_run():
+    # near t = 2^46 the default stride 0.01 is under 2 ulp of t (0.031),
+    # so the stride grid would repeat times; the solver still steps
+    # there (10 ulp of 2^46 - 0.5 is 0.078, under max_step), so the span
+    # is rejected before the first step, naming t and the stride
+    params = ProblemParams(n=5, p=3.0, q=4.0, k2=0.0)
+    dc = derive_constants(params)
+    start = State(2.0 ** 46 - 0.5, dc.lambda1 + 0.1, 0.0)
+    with mock.patch.object(dop853, "_initial_step",
+                           side_effect=AssertionError("solver ran")):
+        for run in (integrate, lambda *a: integrate_many([a[0]], *a[1:])):
+            with pytest.raises(ValueError, match=r"stride 0\.01 .* t = "
+                               r"70368744177664\.08"):
+                run(start, Frame(dc.alpha1), 2.0 ** 46 + 0.08, params)
 
 
 def test_lanes_that_step_then_underflow(config_a, dc_a):
@@ -537,7 +581,7 @@ def test_lanes_that_step_then_underflow(config_a, dc_a):
         assert traj.termination == Termination(
             TerminationKind.STEP_UNDERFLOW, sol.t[-1])
         assert traj.stats == sol.stats and sol.stats.steps == steps
-        assert np.array_equal(traj.t, dop853.stride_grid(
+        assert np.array_equal(traj.t, stride_grid(
             start.t, sol.t[-1], config.dense_output_stride))
         assert np.array_equal(traj.v, v)
         assert np.array_equal(traj.vdot, vdot)
