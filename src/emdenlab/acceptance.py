@@ -81,7 +81,7 @@ class Lab:
     @cached_property
     def orbit_a(self):
         t0 = time.perf_counter()
-        orbit = connecting_orbit(CONFIG_A, self.dc_a, "from_infinity")
+        orbit = connecting_orbit(self.dc_a, "from_infinity")
         self.orbit_a_seconds = time.perf_counter() - t0
         return orbit
 
@@ -110,7 +110,7 @@ class Lab:
         dc = derive_constants(params)
         profile = aubin_talenti_profile(n)
         a = profile(0.0)
-        shot = shoot(a, params, dc, None, math.log(100.0),
+        shot = shoot(a, dc, None, math.log(100.0),
                      (math.log(50.0), math.log(100.0)))
         traj = shot.trajectory
         mask = traj.r >= 0.01
@@ -132,17 +132,15 @@ class Lab:
 
     @cached_property
     def shots_50(self):
-        return shoot_many(np.logspace(-2.0, 2.0, 50), CONFIG_A, self.dc_a)
+        return shoot_many(np.logspace(-2.0, 2.0, 50), self.dc_a)
 
     @cached_property
     def scan_64(self):
-        return scan_thresholds(np.logspace(-2.0, 2.0, 64), CONFIG_A,
-                               self.dc_a)
+        return scan_thresholds(np.logspace(-2.0, 2.0, 64), self.dc_a)
 
     @cached_property
     def scan_128(self):
-        return scan_thresholds(np.logspace(-2.0, 2.0, 128), CONFIG_A,
-                               self.dc_a)
+        return scan_thresholds(np.logspace(-2.0, 2.0, 128), self.dc_a)
 
 
 def criterion_01(lab: Lab, tol: dict) -> CriterionResult:

@@ -18,13 +18,13 @@ import numpy as np
 
 from ._version import __version__
 from .classify import TOL_CLASS, classify_end
-from .integrate import IntegratorConfig, read_trajectory_csv, \
-    write_trajectory_csv
+from .integrate import Frame, IntegratorConfig, integrate, \
+    read_trajectory_csv, write_trajectory_csv
 from .params import EPS_CRIT, ProblemParams, classify_regime, \
     derive_constants
 from .serialize import canonical_json
-from .shooting import T_TARGET, connecting_orbit, resolve_jobs, \
-    scan_thresholds, shoot
+from .shooting import T_TARGET, connecting_orbit, regular_start, \
+    resolve_jobs, scan_thresholds, shoot
 from .sweep import parse_run_config, seeded_run, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
@@ -51,12 +51,12 @@ def _params_from_args(args) -> ProblemParams:
     return ProblemParams(**values)
 
 
-def _resolve_params(args):
-    """(params, integrator) from --config or flags."""
+def _resolve_constants(args):
+    """(derive_constants(params), integrator) from --config or flags."""
     if getattr(args, "config", None):
         cfg = parse_run_config(args.config)
-        return cfg.params, cfg.integrator
-    return _params_from_args(args), IntegratorConfig()
+        return derive_constants(cfg.params), cfg.integrator
+    return derive_constants(_params_from_args(args)), IntegratorConfig()
 
 
 def cmd_exponents(args) -> int:
@@ -74,14 +74,16 @@ def cmd_exponents(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = parse_run_config(args.config)
-    params, integrator = cfg.params, cfg.integrator
-    dc = derive_constants(params)
+    dc = derive_constants(cfg.params)
     if args.start == "series":
         if args.a is None:
             raise ValueError("--start series needs --a")
-        traj = shoot(args.a, params, dc, integrator, cfg.t_max).trajectory
+        # the shot's run, left unclassified, so any span writes its CSV
+        start = regular_start(args.a, dc)[1]
+        traj = integrate(start, Frame(dc.alpha1), cfg.t_max, cfg.params,
+                         cfg.integrator)
     else:
-        traj = seeded_run(params, dc.end(args.start), cfg)
+        traj = seeded_run(cfg.params, dc.end(args.start), cfg)
     write_trajectory_csv(traj, args.out)
     sys.stderr.write(
         f"wrote {traj.t.size} samples to {args.out} "
@@ -101,19 +103,18 @@ def cmd_classify(args) -> int:
 
 
 def cmd_shoot(args) -> int:
-    params, integrator = _resolve_params(args)
-    res = shoot(args.a, params, config=integrator, t_target=args.t_target)
+    dc, integrator = _resolve_constants(args)
+    res = shoot(args.a, dc, integrator, args.t_target)
     sys.stdout.write(canonical_json(res.to_dict()))
     return 0
 
 
 def cmd_scan(args) -> int:
-    params, integrator = _resolve_params(args)
+    dc, integrator = _resolve_constants(args)
     jobs = resolve_jobs(args.jobs)
     grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max),
                        args.points)
-    res = scan_thresholds(grid, params, config=integrator,
-                          t_target=args.t_target, jobs=jobs)
+    res = scan_thresholds(grid, dc, integrator, args.t_target, jobs)
     text = canonical_json(res.to_dict())
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -126,9 +127,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    params, integrator = _resolve_params(args)
-    dc = derive_constants(params)
-    orbit = connecting_orbit(params, dc, args.direction, config=integrator)
+    dc, integrator = _resolve_constants(args)
+    orbit = connecting_orbit(dc, args.direction, integrator)
     if args.out:
         write_trajectory_csv(orbit.trajectory, args.out)
         sys.stderr.write(f"wrote trajectory to {args.out}\n")

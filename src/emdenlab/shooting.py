@@ -1,13 +1,17 @@
 """Shooting from the regular end and boundary hunting in the amplitude.
 
-A shot starts the regular solution u(0) = a on its series expansion
-(forced_expansion about a) at r0 = series_radius, integrates outward in
-the alpha1 frame, and classifies the infinity end.  Boundary hunting
-bisects between amplitudes whose shots end in different kinds;
-connecting orbits seed one end on its forced expansion about lambda at
-the caller's depth and integrate across to the other: the step
+Shots, scans and orbits take one DerivedConstants and read the equation
+from its dc.params, so no run is integrated in one parameter set's frame
+and classified against another's.  A shot starts the regular
+solution u(0) = a on its series expansion (forced_expansion about a) at
+r0 = series_radius (regular_start), integrates outward in the alpha1
+frame, and classifies the infinity end.  Boundary hunting bisects
+between amplitudes whose shots end in different kinds; connecting
+orbits seed one end on its forced expansion about lambda at the
+CONNECT_DEFAULTS depth and integrate across to the other: the step
 (seed_and_integrate, then classify_ends) the sweep cells and `emdenlab
-solve` run too, for an End record dc.end("infinity") or dc.end("origin").
+solve` run too, at their own depths, for an End record
+dc.end("infinity") or dc.end("origin").
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ import numpy as np
 from .classify import ClassificationReport, Kind, classify_end
 from .integrate import Frame, IntegratorConfig, Trajectory, \
     forced_expansion, integrate, integrate_many
-from .params import DerivedConstants, End, ProblemParams, classify_regime, \
-    derive_constants
+from .params import DerivedConstants, End, ProblemParams, classify_regime
 from .serialize import SKIP, Record
 
 
@@ -44,17 +47,18 @@ def series_radius(a: float, params: ProblemParams) -> float:
                          if k])
 
 
-def _regular_start(a: float, params: ProblemParams, frame: Frame) -> tuple:
-    """(r0, start) of the regular shot u(0) = a in frame.
+def regular_start(a: float, dc: DerivedConstants) -> tuple:
+    """(r0, start) of the regular shot u(0) = a in Frame(dc.alpha1).
 
     ValueError for a non-positive a, and for a tiny r0 with a large alpha1,
     which underflows the frame's start v = r0^alpha1 u(r0) to 0."""
-    r0 = series_radius(a, params)
-    start = forced_expansion(params, a).start(math.log(r0), frame)
+    r0 = series_radius(a, dc.params)
+    start = forced_expansion(dc.params, a).start(math.log(r0),
+                                                 Frame(dc.alpha1))
     if start.v == 0.0:
         raise ValueError(
             f"the shot u(0) = {a!r} cannot start: its series radius "
-            f"r0 = {r0!r} raised to alpha1 = {frame.alpha!r} underflows, so "
+            f"r0 = {r0!r} raised to alpha1 = {dc.alpha1!r} underflows, so "
             "the start v = r0^alpha1 u(r0) is 0")
     return r0, start
 
@@ -71,8 +75,7 @@ class ShotResult(Record):
         return self.report.kind
 
 
-def shoot(a: float, params: ProblemParams,
-          dc: DerivedConstants | None = None,
+def shoot(a: float, dc: DerivedConstants,
           config: IntegratorConfig | None = None,
           t_target: float = T_TARGET,
           window: tuple | None = None) -> ShotResult:
@@ -82,17 +85,13 @@ def shoot(a: float, params: ProblemParams,
     always holds; integration runs in the alpha1 frame where the p-term
     is autonomous.
     """
-    if dc is None:
-        dc = derive_constants(params)
-    frame = Frame(dc.alpha1)
-    r0, start = _regular_start(a, params, frame)
-    traj = integrate(start, frame, t_target, params, config)
+    r0, start = regular_start(a, dc)
+    traj = integrate(start, Frame(dc.alpha1), t_target, dc.params, config)
     report = classify_end(traj, dc, "infinity", window=window)
     return ShotResult(float(a), r0, traj, report)
 
 
-def shoot_many(a_grid, params: ProblemParams,
-               dc: DerivedConstants | None = None,
+def shoot_many(a_grid, dc: DerivedConstants,
                config: IntegratorConfig | None = None,
                t_target: float = T_TARGET) -> list:
     """shoot() at every amplitude of a_grid, the shots integrated in
@@ -100,12 +99,9 @@ def shoot_many(a_grid, params: ProblemParams,
     order.  Worth it from about 10 amplitudes; single shots and
     bisection midpoints go through shoot.
     """
-    if dc is None:
-        dc = derive_constants(params)
-    frame = Frame(dc.alpha1)
-    starts = [_regular_start(a, params, frame) for a in a_grid]
-    trajs = integrate_many([start for _, start in starts], frame, t_target,
-                           params, config)
+    starts = [regular_start(a, dc) for a in a_grid]
+    trajs = integrate_many([start for _, start in starts], Frame(dc.alpha1),
+                           t_target, dc.params, config)
     return [ShotResult(float(a), r0, traj,
                        classify_end(traj, dc, "infinity"))
             for a, (r0, _), traj in zip(a_grid, starts, trajs)]
@@ -121,7 +117,6 @@ class BoundaryResult(Record):
     kind_lo: Kind
     kind_hi: Kind
     iterations: int
-    widths: list = field(metadata=SKIP)
     report_star: ClassificationReport
 
     JSON_EXTRA = ("rel_width",)
@@ -131,8 +126,7 @@ class BoundaryResult(Record):
         return (self.a_hi - self.a_lo) / self.a_star
 
 
-def bisect_boundary(a_lo: float, a_hi: float, params: ProblemParams,
-                    dc: DerivedConstants | None = None,
+def bisect_boundary(a_lo: float, a_hi: float, dc: DerivedConstants,
                     config: IntegratorConfig | None = None,
                     t_target: float = T_TARGET) -> BoundaryResult:
     """Bisect an amplitude bracket whose shots differ in kind.
@@ -143,18 +137,15 @@ def bisect_boundary(a_lo: float, a_hi: float, params: ProblemParams,
     """
     if not a_lo < a_hi:
         raise ValueError(f"need a_lo < a_hi, got {a_lo} >= {a_hi}")
-    if dc is None:
-        dc = derive_constants(params)
 
     def kind_of(a):
-        return shoot(a, params, dc, config, t_target).kind
+        return shoot(a, dc, config, t_target).kind
 
     kind_lo = kind_of(a_lo)
     kind_hi = kind_of(a_hi)
     if kind_lo == kind_hi:
         raise ValueError(
             f"bracket endpoints agree ({kind_lo.value}); nothing to bisect")
-    widths = [a_hi - a_lo]
     iterations = 0
     while iterations < BISECT_MAX_ITER:
         mid = 0.5 * (a_lo + a_hi)
@@ -164,12 +155,11 @@ def bisect_boundary(a_lo: float, a_hi: float, params: ProblemParams,
             a_lo = mid
         else:
             a_hi = mid
-        widths.append(a_hi - a_lo)
         iterations += 1
     a_star = 0.5 * (a_lo + a_hi)
-    star = shoot(a_star, params, dc, config, t_target)
+    star = shoot(a_star, dc, config, t_target)
     return BoundaryResult(a_star, a_lo, a_hi, kind_lo, kind_hi, iterations,
-                          widths, star.report)
+                          star.report)
 
 
 def effective_jobs(jobs: int) -> int:
@@ -217,12 +207,10 @@ class ThresholdScan(Record):
     boundaries: list
 
 
-def scan_thresholds(a_grid, params: ProblemParams,
-                    dc: DerivedConstants | None = None,
+def scan_thresholds(a_grid, dc: DerivedConstants,
                     config: IntegratorConfig | None = None,
                     t_target: float = T_TARGET,
-                    jobs: int = 1,
-                    bisect: bool = True) -> ThresholdScan:
+                    jobs: int = 1) -> ThresholdScan:
     """Shoot a grid of amplitudes and bisect every kind change.
 
     The grid must be strictly increasing with at least 16 points.  It is
@@ -236,21 +224,15 @@ def scan_thresholds(a_grid, params: ProblemParams,
         raise ValueError(f"grid needs >= 16 points, got {a_grid.size}")
     if not np.all(np.diff(a_grid) > 0.0):
         raise ValueError("grid must be strictly increasing")
-    if dc is None:
-        dc = derive_constants(params)
-    batches = map_jobs(partial(shoot_many, params=params, dc=dc,
-                               config=config, t_target=t_target),
+    batches = map_jobs(partial(shoot_many, dc=dc, config=config,
+                               t_target=t_target),
                        [chunk.tolist() for chunk in
                         np.array_split(a_grid, effective_jobs(jobs))], jobs)
     shots = [shot for batch in batches for shot in batch]
     kinds = [s.kind for s in shots]
-    boundaries = []
-    if bisect:
-        for i in range(len(kinds) - 1):
-            if kinds[i] != kinds[i + 1]:
-                boundaries.append(bisect_boundary(
-                    float(a_grid[i]), float(a_grid[i + 1]), params, dc,
-                    config, t_target))
+    boundaries = [bisect_boundary(float(a_grid[i]), float(a_grid[i + 1]),
+                                  dc, config, t_target)
+                  for i in range(len(kinds) - 1) if kinds[i] != kinds[i + 1]]
     return ThresholdScan(a_grid, kinds, shots, boundaries)
 
 
@@ -291,30 +273,25 @@ def classify_ends(traj: Trajectory, dc: DerivedConstants) -> tuple:
                  for e in dc.ends)
 
 
-def connecting_orbit(params: ProblemParams, dc: DerivedConstants,
-                     direction: str,
-                     t_seed: float | None = None,
-                     t_end: float | None = None,
+def connecting_orbit(dc: DerivedConstants, direction: str,
                      config: IntegratorConfig | None = None
                      ) -> ConnectingOrbit:
     """Seed the singular behavior at one end and integrate to the other.
 
-    from_infinity seeds lambda1 + K e^{delta t} at t_seed in the alpha1
-    frame (seed_and_integrate) and integrates down to t_end; from_origin
-    does the mirror run from lambda2 + K e^{delta2 t} in the alpha2
-    frame.  t_seed and t_end default to CONNECT_DEFAULTS.  Both ends are
+    from_infinity seeds lambda1 + K e^{delta t} at the CONNECT_DEFAULTS
+    t_seed in the alpha1 frame (seed_and_integrate) and integrates down
+    to its t_end; from_origin does the mirror run from
+    lambda2 + K e^{delta2 t} in the alpha2 frame.  Both ends are
     classified by classify_ends.
     """
     if direction not in CONNECT_DEFAULTS:
         raise ValueError(f"direction must be one of "
                          f"{sorted(CONNECT_DEFAULTS)}, got {direction!r}")
     end = dc.end(direction.removeprefix("from_"))
-    case = classify_regime(params, dc).theorem3_case
+    case = classify_regime(dc.params, dc).theorem3_case
     if case != f"singular_at_{end.name}":
         raise ValueError(f"{direction} needs regime singular_at_{end.name}, "
                          f"but these parameters give {case!r}")
-    seed_default, end_default = CONNECT_DEFAULTS[direction]
-    traj = seed_and_integrate(params, end,
-                              seed_default if t_seed is None else t_seed,
-                              end_default if t_end is None else t_end, config)
+    traj = seed_and_integrate(dc.params, end, *CONNECT_DEFAULTS[direction],
+                              config)
     return ConnectingOrbit(direction, traj, *classify_ends(traj, dc))

@@ -52,8 +52,8 @@ def orbit_a(lab):
 
 
 @pytest.fixture(scope="session")
-def orbit_c(config_c, dc_c):
-    return connecting_orbit(config_c, dc_c, "from_origin")
+def orbit_c(dc_c):
+    return connecting_orbit(dc_c, "from_origin")
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ def test_crossing_time_is_translation_invariant():
     dc = derive_constants(params)
     a = np.logspace(-2.0, 2.0, 41)
     ends = [s.trajectory.termination
-            for s in shoot_many(a, params, dc, t_target=40.0)]
+            for s in shoot_many(a, dc, t_target=40.0)]
     assert {e.kind for e in ends} == {TerminationKind.POSITIVITY_LOST}
     shifted = np.array([e.t for e in ends]) + np.log(a) / dc.alpha1
     assert np.ptp(shifted) < 1e-10

@@ -14,7 +14,8 @@ import pytest
 
 import emdenlab
 from emdenlab import ProblemParams, bisect_boundary, classify_end, \
-    classify_regime, scan_thresholds, shoot, write_trajectory_csv
+    classify_regime, derive_constants, scan_thresholds, shoot, \
+    write_trajectory_csv
 from emdenlab.cli import build_parser, main
 
 INI = """\
@@ -114,10 +115,21 @@ def test_solve_series_start_is_the_shot(tmp_path, capsys):
     csv = tmp_path / "series.csv"
     assert main(["solve", "--config", str(ini), "--out", str(csv),
                  "--start", "series", "--a", "1.0"]) == 0
-    shot = shoot(1.0, ProblemParams(n=5, p=1.9, q=1.95, l1=0.0, l2=-0.5),
-                 t_target=2.0)
+    dc = derive_constants(ProblemParams(n=5, p=1.9, q=1.95, l1=0.0, l2=-0.5))
+    shot = shoot(1.0, dc, t_target=2.0)
     write_trajectory_csv(shot.trajectory, tmp_path / "shot.csv")
     assert csv.read_bytes() == (tmp_path / "shot.csv").read_bytes()
+
+
+def test_solve_series_start_is_not_classified(tmp_path, capsys):
+    # the span ends 0.07 past the start at t = -9.47: too few samples for
+    # a classifier window, but solve only writes the run
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI + "\n[spans]\nt_max = -9.4\n")
+    csv = tmp_path / "series.csv"
+    assert main(["solve", "--config", str(ini), "--out", str(csv),
+                 "--start", "series", "--a", "1.0"]) == 0
+    assert len(csv.read_text().splitlines()) == 1 + 9
 
 
 @pytest.mark.parametrize("ini,a,message", [
@@ -164,6 +176,15 @@ def test_readme_commands_parse(capsys):
         except SystemExit:
             pytest.fail(f"README command does not parse: emdenlab "
                         f"{shlex.join(argv)}\n{capsys.readouterr().err}")
+
+
+def test_readme_library_sketch_runs(capsys):
+    # run, not parsed: a README calling a changed signature fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sketch, = re.findall(r"^## Library sketch\n\n```python\n(.*?)^```",
+                         readme, re.S | re.M)
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert "slow_decay_singular" in capsys.readouterr().out.lower()
 
 
 def test_classify_missing_file_exits_1(capsys):

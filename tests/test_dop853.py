@@ -418,15 +418,14 @@ def test_lane_is_the_scalar_run(params, amplitudes, t_target):
     # test_same_run_as_scipy) the runs agree only to their global errors.
     dc = derive_constants(params)
     frame = Frame(dc.alpha1)
-    lanes = shoot_many(amplitudes, params, dc, t_target=t_target)
+    lanes = shoot_many(amplitudes, dc, t_target=t_target)
     for a, lane in zip(amplitudes, lanes):
-        one = shoot(a, params, dc, t_target=t_target)
+        one = shoot(a, dc, t_target=t_target)
         ours, theirs = lane.trajectory, one.trajectory
         assert lane.kind == one.kind
         assert ours.termination.kind == theirs.termination.kind
         tol = 1e-6
-        if same_grid(params, frame, shooting._regular_start(a, params,
-                                                             frame)[1],
+        if same_grid(params, frame, shooting.regular_start(a, dc)[1],
                      t_target):
             assert (ours.stats.nfev, ours.stats.steps) \
                 == (theirs.stats.nfev, theirs.stats.steps)
@@ -445,7 +444,7 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(config_a, dc_a):
     # ends six of the lanes, positivity three, and the last one runs
     # backwards to the span end
     frame, config = Frame(dc_a.alpha1), IntegratorConfig(amplitude_cap=2.0)
-    starts = [shooting._regular_start(a, config_a, frame)[1]
+    starts = [shooting.regular_start(a, dc_a)[1]
               for a in np.logspace(-2.0, 2.0, 6)] \
         + [State(0.0, 1.0, 0.0), State(0.0, 1.5, 3.0), State(0.0, 0.5, -1.0),
            State(13.5, 1.2, 0.1)]
@@ -468,7 +467,7 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(config_a, dc_a):
 
 def test_lane_does_not_depend_on_its_batch(config_a, dc_a):
     frame = Frame(dc_a.alpha1)
-    starts = [shooting._regular_start(a, config_a, frame)[1]
+    starts = [shooting.regular_start(a, dc_a)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
     alone = integrate_many([starts[40]], frame, 12.0, config_a)[0]
     in_64 = integrate_many(starts[::2], frame, 12.0, config_a)[20]
@@ -592,7 +591,7 @@ def test_lane_rows_are_released_when_a_lane_ends(config_a, dc_a):
     # returned samples a 128-lane batch needs its row chunks, about 0.3
     # MB, where keeping every lane's rows to the end would add 2.8 MB
     frame = Frame(dc_a.alpha1)
-    starts = [shooting._regular_start(a, config_a, frame)[1]
+    starts = [shooting.regular_start(a, dc_a)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
     integrate_many(starts[:2], frame, 12.0, config_a)
     tracemalloc.start()

@@ -12,7 +12,7 @@ from emdenlab.shooting import BoundaryResult, ConnectingOrbit, ShotResult, \
     ThresholdScan
 
 # the keys each record's to_dict() wrote when it was written out by hand:
-# trajectories, back-references and bisection widths stay out, the
+# trajectories and back-references stay out, the
 # derived n_extrema, omega and rel_width go in
 KEYS = {
     ClassificationReport: {"end", "kind", "window", "fitted_constant",
@@ -39,7 +39,7 @@ KEYS = {
 
 @pytest.fixture(scope="module")
 def records(config_a, dc_a, lab, orbit_a):
-    shot = shoot(1.0, config_a, dc_a)
+    shot = shoot(1.0, dc_a)
     return {
         ClassificationReport: shot.report,
         OscillationEnvelope: lab.envelope_b["envelope"],
@@ -47,10 +47,9 @@ def records(config_a, dc_a, lab, orbit_a):
         RegimeFlags: classify_regime(config_a, dc_a),
         BoundReport: apriori_bound_report(orbit_a.trajectory, dc_a),
         ShotResult: shot,
-        BoundaryResult: bisect_boundary(0.5, 5.0, config_a, dc_a,
-                                        t_target=2.0),
-        ThresholdScan: scan_thresholds(np.logspace(-0.3, 0.7, 16), config_a,
-                                       dc_a, t_target=2.0),
+        BoundaryResult: bisect_boundary(0.5, 5.0, dc_a, t_target=2.0),
+        ThresholdScan: scan_thresholds(np.logspace(-0.3, 0.7, 16), dc_a,
+                                       t_target=2.0),
         ConnectingOrbit: orbit_a,
     }
 

@@ -19,45 +19,46 @@ from emdenlab import (
     shoot_many,
     shooting,
 )
+from emdenlab.shooting import classify_ends, seed_and_integrate
 
 
 class TestShoot:
-    def test_deterministic(self, config_a, dc_a):
-        s1 = shoot(1.0, config_a, dc_a)
-        s2 = shoot(1.0, config_a, dc_a)
+    def test_deterministic(self, dc_a):
+        s1 = shoot(1.0, dc_a)
+        s2 = shoot(1.0, dc_a)
         assert np.array_equal(s1.trajectory.v, s2.trajectory.v)
         assert s1.kind == s2.kind
 
-    def test_adaptive_radius_shrinks_with_amplitude(self, config_a):
+    def test_adaptive_radius_shrinks_with_amplitude(self, config_a, dc_a):
         radii = [series_radius(a, config_a) for a in (0.1, 1.0, 100.0)]
         assert radii[0] == 1e-4
         assert radii[1] < 1e-4
         assert radii[2] < radii[1]
         # the shot itself must clear the series gate at any amplitude
-        shoot(4000.0, config_a, t_target=-8.0)
+        shoot(4000.0, dc_a, t_target=-8.0)
 
-    def test_rejects_bad_amplitude(self, config_a):
+    def test_rejects_bad_amplitude(self, dc_a):
         with pytest.raises(ValueError):
-            shoot(-1.0, config_a)
+            shoot(-1.0, dc_a)
         with pytest.raises(ValueError):
-            shoot(0.0, config_a)
+            shoot(0.0, dc_a)
 
     def test_underflowed_start_is_named(self):
         # alpha1 = 8 and a series radius near 1e-80: r0^alpha1 is 0
-        params = ProblemParams(n=3, p=1.25, q=1.3, l2=-1.9)
+        dc = derive_constants(ProblemParams(n=3, p=1.25, q=1.3, l2=-1.9))
         msg = r"r0 = .*e-80 raised to alpha1 = 8\.0 underflows"
         with pytest.raises(ValueError, match=msg):
-            shoot(1.0, params)
+            shoot(1.0, dc)
         with pytest.raises(ValueError, match="alpha1 = 8.0 underflows"):
-            shoot_many([0.01, 1.0], params)
+            shoot_many([0.01, 1.0], dc)
 
     def test_crossing_kinds_on_dichotomy_config(self, lab):
         # every amplitude on this grid leaves the positive cone
         kinds = {s.kind for s in lab.shots_50}
         assert kinds == {Kind.CROSSES_ZERO}
 
-    def test_report_serializes(self, config_a, dc_a):
-        d = shoot(1.0, config_a, dc_a).to_dict()
+    def test_report_serializes(self, dc_a):
+        d = shoot(1.0, dc_a).to_dict()
         assert d["a"] == 1.0
         assert d["report"]["kind"] == "crosses_zero"
 
@@ -65,66 +66,65 @@ class TestShoot:
 class TestBisect:
     # short-span fixture: stopping at t = 2 splits amplitudes into
     # span-enders and crossers with a genuine boundary near a = 1.268
-    def test_boundary_bracket_and_contraction(self, config_a, dc_a):
-        res = bisect_boundary(0.5, 5.0, config_a, dc_a, t_target=2.0)
+    def test_boundary_bracket_and_contraction(self, dc_a):
+        res = bisect_boundary(0.5, 5.0, dc_a, t_target=2.0)
         assert res.kind_lo != res.kind_hi
         assert res.kind_hi == Kind.CROSSES_ZERO
         assert res.a_star == pytest.approx(1.26797, rel=1e-4)
         assert res.rel_width < 1e-12
-        # arithmetic bisection halves the bracket every step
-        for w1, w2 in zip(res.widths, res.widths[1:]):
-            assert w2 == pytest.approx(0.5 * w1, rel=1e-9)
+        # arithmetic bisection halves the dyadic bracket exactly every step
+        assert res.a_hi - res.a_lo == (5.0 - 0.5) / 2 ** res.iterations
 
-    def test_equal_kinds_rejected(self, config_a, dc_a):
+    def test_equal_kinds_rejected(self, dc_a):
         with pytest.raises(ValueError, match="agree"):
-            bisect_boundary(0.5, 0.6, config_a, dc_a, t_target=2.0)
+            bisect_boundary(0.5, 0.6, dc_a, t_target=2.0)
 
-    def test_bad_bracket_rejected(self, config_a, dc_a):
+    def test_bad_bracket_rejected(self, dc_a):
         with pytest.raises(ValueError, match="a_lo < a_hi"):
-            bisect_boundary(2.0, 1.0, config_a, dc_a)
+            bisect_boundary(2.0, 1.0, dc_a)
 
 
 class TestScan:
-    def test_grid_validation(self, config_a, dc_a):
+    def test_grid_validation(self, dc_a):
         with pytest.raises(ValueError, match=">= 16"):
-            scan_thresholds(np.linspace(0.5, 5.0, 8), config_a, dc_a)
+            scan_thresholds(np.linspace(0.5, 5.0, 8), dc_a)
         bad = np.concatenate([np.linspace(0.5, 5.0, 15), [4.0]])
         with pytest.raises(ValueError, match="increasing"):
-            scan_thresholds(bad, config_a, dc_a)
+            scan_thresholds(bad, dc_a)
 
-    def test_short_span_scan_finds_one_boundary(self, config_a, dc_a):
+    def test_short_span_scan_finds_one_boundary(self, dc_a):
         grid = np.logspace(-0.3, 0.7, 16)
-        scan = scan_thresholds(grid, config_a, dc_a, t_target=2.0)
+        scan = scan_thresholds(grid, dc_a, t_target=2.0)
         assert len(scan.boundaries) == 1
         assert scan.boundaries[0].a_star == pytest.approx(1.26797, rel=1e-4)
 
-    def test_jobs_do_not_change_results(self, config_a, dc_a):
-        grid = np.logspace(-0.3, 0.7, 16)
-        serial = scan_thresholds(grid, config_a, dc_a, t_target=2.0,
-                                 jobs=1, bisect=False)
-        parallel = scan_thresholds(grid, config_a, dc_a, t_target=2.0,
-                                   jobs=4, bisect=False)
+    def test_jobs_do_not_change_results(self, dc_a):
+        # a grid without a kind change at t = 2, so nothing is bisected
+        grid = np.logspace(0.3, 1.0, 16)
+        serial = scan_thresholds(grid, dc_a, t_target=2.0, jobs=1)
+        parallel = scan_thresholds(grid, dc_a, t_target=2.0, jobs=4)
+        assert serial.boundaries == parallel.boundaries == []
         assert serial.kinds == parallel.kinds
         for s, p in zip(serial.shots, parallel.shots):
             assert np.array_equal(s.trajectory.v, p.trajectory.v)
 
-    def test_lane_shots_are_the_scalar_shots(self, lab, config_a, dc_a):
+    def test_lane_shots_are_the_scalar_shots(self, lab, dc_a):
         # the default-horizon 64-point grid, shot as one lane batch
         for shot in lab.scan_64.shots:
-            one = shoot(shot.a, config_a, dc_a)
+            one = shoot(shot.a, dc_a)
             assert shot.kind == one.kind
             assert shot.trajectory.stats == one.trajectory.stats
             assert shot.trajectory.t_end == pytest.approx(
                 one.trajectory.t_end, abs=1e-12)
 
-    def test_shoot_many_is_shoot_per_amplitude(self, config_a, dc_a):
+    def test_shoot_many_is_shoot_per_amplitude(self, dc_a):
         grid = [0.5, 1.268, 3.0]
-        many = shoot_many(grid, config_a, dc_a, t_target=2.0)
+        many = shoot_many(grid, dc_a, t_target=2.0)
         assert [s.a for s in many] == grid
         assert [s.kind for s in many] \
-            == [shoot(a, config_a, dc_a, t_target=2.0).kind for a in grid]
+            == [shoot(a, dc_a, t_target=2.0).kind for a in grid]
         with pytest.raises(ValueError, match="amplitude must be positive"):
-            shoot_many([1.0, -1.0], config_a, dc_a)
+            shoot_many([1.0, -1.0], dc_a)
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
@@ -164,10 +164,9 @@ class TestScan:
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: 1)
         assert shooting.map_jobs(lambda x: 2 * x, [3, 1, 2], 8) == [6, 2, 4]
 
-    def test_scan_serializes(self, config_a, dc_a):
-        grid = np.logspace(-0.3, 0.7, 16)
-        d = scan_thresholds(grid, config_a, dc_a, t_target=2.0,
-                            bisect=False).to_dict()
+    def test_scan_serializes(self, dc_a):
+        grid = np.logspace(0.3, 1.0, 16)
+        d = scan_thresholds(grid, dc_a, t_target=2.0).to_dict()
         assert len(d["kinds"]) == 16
         assert len(d["shots"]) == 16
 
@@ -190,23 +189,24 @@ class TestConnectingOrbit:
         assert orbit_c.report_infinity.fitted_constant == pytest.approx(
             dc_c.lambda1, rel=5e-3)
 
-    def test_regime_mismatch_rejected(self, config_b, dc_b):
+    def test_regime_mismatch_rejected(self, dc_b):
         with pytest.raises(ValueError, match="regime"):
-            connecting_orbit(config_b, dc_b, "from_infinity")
+            connecting_orbit(dc_b, "from_infinity")
 
-    def test_wrong_direction_for_regime(self, config_a, dc_a):
+    def test_wrong_direction_for_regime(self, dc_a):
         with pytest.raises(ValueError, match="regime"):
-            connecting_orbit(config_a, dc_a, "from_origin")
+            connecting_orbit(dc_a, "from_origin")
 
     def test_eps_bound(self, config_a, dc_a):
         # the seed offset eps = K e^{delta t_seed} must stay below 0.1
         # lambda1: |K| = 1.16 at t_seed = 0 is too shallow
+        t_end = shooting.CONNECT_DEFAULTS["from_infinity"][1]
         with pytest.raises(ValueError, match="too shallow"):
-            connecting_orbit(config_a, dc_a, "from_infinity", t_seed=0.0)
+            seed_and_integrate(config_a, dc_a.end("infinity"), 0.0, t_end)
 
-    def test_direction_validation(self, config_a, dc_a):
+    def test_direction_validation(self, dc_a):
         with pytest.raises(ValueError, match="direction"):
-            connecting_orbit(config_a, dc_a, "sideways")
+            connecting_orbit(dc_a, "sideways")
 
 
 @st.composite
@@ -235,12 +235,12 @@ def theorem3_params(draw):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(params=theorem3_params())
 def test_forced_seed_reads_the_end_rate_and_leaves_the_far_end(params):
-    # The seed depth is the caller's, and connect's fixed defaults are too
-    # shallow for slow forced rates.  This one seeds where the first-order
-    # term is 1e-5 lambda on the inner edge of the seed-side window, so
-    # that window is read on every draw.  The seed-side rate is then the
-    # end's forced rate, and the far-end report does not depend on where
-    # the seed sits (t_seed +- 2).
+    # connect's fixed seed depths are too shallow for slow forced rates,
+    # so this seeds through seed_and_integrate, where the first-order
+    # term is 1e-5 lambda on the inner edge of the seed-side window, and
+    # crosses to connect's far end; that window is read on every draw.
+    # The seed-side rate is then the end's forced rate, and the far-end
+    # report does not depend on where the seed sits (t_seed +- 2).
     dc = derive_constants(params)
     end = dc.end(classify_regime(params, dc).theorem3_case
                  .removeprefix("singular_at_"))
@@ -248,13 +248,12 @@ def test_forced_seed_reads_the_end_rate_and_leaves_the_far_end(params):
     (k, rate), = forced_expansion(params, end).terms
     t_seed = math.log(1e-5 * end.lam / abs(k)) / rate \
         + end.side * shooting.END_WINDOW
+    t_end = shooting.CONNECT_DEFAULTS[f"from_{end.name}"][1]
     reports = []
     for shift in (0.0, -2.0, 2.0):
-        orbit = connecting_orbit(params, dc, f"from_{end.name}",
-                                 t_seed=t_seed + shift)
+        traj = seed_and_integrate(params, end, t_seed + shift, t_end)
         # (seed side, far side)
-        reports.append((orbit.report_infinity, orbit.report_origin)
-                       [::end.side])
+        reports.append(classify_ends(traj, dc)[::end.side])
     seed, far = reports[0]
     assert seed.kind == Kind.SLOW_DECAY_SINGULAR
     assert seed.rate == pytest.approx(end.rate, rel=5e-4)
