@@ -241,7 +241,6 @@ class OscillationEnvelope(Record):
     mu2: float
     spread_min: float
     spread_max: float
-    potential: str
     b_mu1: float
     b_mu2: float
     b_match_rel: float
@@ -300,6 +299,6 @@ def oscillation_envelope(traj: Trajectory, dc: DerivedConstants,
         mu1=mu1, mu2=mu2,
         spread_min=float(np.max(vmin[-3:]) - np.min(vmin[-3:])),
         spread_max=float(np.max(vmax[-3:]) - np.min(vmax[-3:])),
-        potential=well.well, b_mu1=b1v, b_mu2=b2v,
+        b_mu1=b1v, b_mu2=b2v,
         b_match_rel=abs(b1v - b2v) / scale,
     )

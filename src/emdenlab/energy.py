@@ -1,13 +1,13 @@
-"""Energy identities and a-priori bounds in the singular frames.
+"""Energy identities and a-priori bounds in the log frames.
 
-In the alpha1 frame the autonomous part of the system has the Lyapunov
-energy E = vdot^2/2 - lambda1^{p-1} v^2/2 + v^{p+1}/(p+1); the damping
-term c1 vdot and the non-autonomous q-term inject the two work integrals
-tracked here, and E(t) - forcing_work(t) - damping_work(t) is constant
-along trajectories (the discrete residual of that identity is the main
-correctness probe for the integrator).  The alpha2 frame swaps the roles
-of the two power terms; which term plays which role is read from the End
-record of the trajectory's frame, dc.frame_end(alpha).
+In any alpha frame (integrate.py's system, lin = alpha (n-2-alpha),
+damping c = n-2-2 alpha, E_i = frame_exp(P_i, l_i, alpha)) the energy
+H = vdot^2/2 - lin v^2/2 + sum_i k_i e^{E_i t} v_+^{P_i+1}/(P_i+1) obeys
+dH/dt = -c vdot^2 + sum_i k_i E_i e^{E_i t} v_+^{P_i+1}/(P_i+1); the two
+terms are the damping and forcing work, and H - forcing_work -
+damping_work is constant along trajectories (its discrete residual is
+the main correctness probe for the integrator).  At alpha0 = (n-2)/2
+the damping vanishes: the radial Pohozaev identity.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import TerminationKind, Trajectory
-from .params import DerivedConstants, End
+from .params import DerivedConstants, End, frame_exp
 from .serialize import Record
 
 
@@ -101,30 +101,29 @@ class EnergyTrace:
 
 
 def energy_trace(traj: Trajectory, dc: DerivedConstants) -> EnergyTrace:
-    """Energy and work integrals for a singular-frame trajectory.
+    """H and its work integrals (module docstring) for the equation
+    dc.params, in the trajectory's own frame, whatever its alpha.
 
-    Requires the trajectory frame to be alpha1 or alpha2 (the only
-    frames with an autonomous well).  Quadrature is cumulative Simpson
-    on the sample grid; the dense stride controls the residual floor.
+    Quadrature is cumulative Simpson on the sample grid; the dense
+    stride controls the residual floor.
     """
-    end = dc.frame_end(traj.frame.alpha)
     order = np.argsort(traj.t)
     t = traj.t[order]
     v = traj.v[order]
     vd = traj.vdot[order]
     a = traj.frame.alpha
-    lin = a * (dc.params.n - 2.0 - a)
+    n = dc.params.n
     vp = np.maximum(v, 0.0)
-    k_auto = end.auto_exp
-    energy = (0.5 * vd ** 2 - 0.5 * lin * v ** 2
-              + end.auto_k * vp ** (k_auto + 1.0) / (k_auto + 1.0))
-    if t.size < 2:
-        zero = np.zeros_like(t)
-        return EnergyTrace(t, energy, zero, zero.copy())
-    f_rate = -end.force_k * np.exp(end.rate * t) * vp ** end.force_exp * vd
-    d_rate = -end.damping * vd ** 2
-    forcing = cumulative_simpson(f_rate, t)
-    damping = cumulative_simpson(d_rate, t)
+    potential = np.zeros_like(t)
+    power = np.zeros_like(t)
+    for exp_, l, k in dc.params.active_terms():
+        rate = frame_exp(exp_, l, a)
+        term = k * np.exp(rate * t) * vp ** (exp_ + 1.0) / (exp_ + 1.0)
+        potential += term
+        power += rate * term
+    energy = 0.5 * vd ** 2 - 0.5 * a * (n - 2.0 - a) * v ** 2 + potential
+    forcing = cumulative_simpson(power, t)
+    damping = cumulative_simpson(-(n - 2.0 - 2.0 * a) * vd ** 2, t)
     return EnergyTrace(t, energy, forcing, damping)
 
 

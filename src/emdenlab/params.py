@@ -10,7 +10,7 @@ parameter quintuple: scaling exponents alpha1/alpha2, the exact singular
 amplitudes lambda1/lambda2, the Serrin and Sobolev-type thresholds, the
 log-frame forcing exponents delta/delta2, and the regime flags that decide
 which asymptotic theorems apply.  The pairing of each end with its frame
-(alpha, lambda, forced rate, damping, well) is the End record,
+(alpha, lambda, forced rate, damping) is the End record,
 dc.end("infinity") / dc.end("origin"); no other module re-derives it.
 """
 
@@ -97,20 +97,17 @@ def frame_exp(exponent: float, weight: float, alpha: float) -> float:
     return weight - (exponent - 1.0) * alpha + 2.0
 
 
-_FRAME_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class End:
     """One end of the radial line paired with its singular frame.
 
     Infinity lives in the alpha1 frame: amplitude lambda1, the p-term
-    autonomous, the q-term forced at rate delta, well b1.  The origin
-    lives in the alpha2 frame: lambda2, the q-term autonomous, the p-term
-    forced at rate delta2, well b.  lam is None when the amplitude is
-    undefined; damping is the frame's n-2-2 alpha.  side is the end's
-    side of the t-axis (+1 large t, -1 small t) and regular_exp the s of
-    its regular law u ~ c r^{-s} (n-2 at infinity, 0 at the origin).
+    autonomous, the q-term forced at rate delta.  The origin lives in the
+    alpha2 frame: lambda2, the q-term autonomous, the p-term forced at
+    rate delta2.  lam is None when the amplitude is undefined; damping
+    is the frame's n-2-2 alpha.  side is the end's side of the t-axis
+    (+1 large t, -1 small t) and regular_exp the s of its regular law
+    u ~ c r^{-s} (n-2 at infinity, 0 at the origin).
     """
 
     name: str
@@ -124,7 +121,6 @@ class End:
     damping: float
     force_exp: float
     force_k: float
-    well: str
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ class DerivedConstants(Record):
     lambda1/lambda2 are None when alpha (n-2-alpha) <= 0 (no real
     amplitude); omega_sq carries its sign, the root is taken only when
     positive.  ends holds the (infinity, origin) End records, reached
-    by name as dc.end(name) or by frame exponent as dc.frame_end(alpha).
+    by name as dc.end(name).
     """
 
     params: ProblemParams = field(metadata=SKIP)
@@ -159,15 +155,6 @@ class DerivedConstants(Record):
             if e.name == name:
                 return e
         raise ValueError(f"end must be 'origin' or 'infinity', got {name!r}")
-
-    def frame_end(self, alpha: float) -> End:
-        """The end whose singular frame has exponent alpha (within 1e-9)."""
-        for e in self.ends:
-            if abs(alpha - e.alpha) <= _FRAME_TOL:
-                return e
-        raise ValueError(
-            f"energy accounting is defined in the alpha1 ({self.alpha1}) or "
-            f"alpha2 ({self.alpha2}) frame, not alpha={alpha}")
 
     @property
     def omega(self) -> float | None:
@@ -213,9 +200,9 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
         omega_sq=(2.0 + l1) * (n - 2.0 - alpha1)
         - 0.25 * (n - 2.0 - 2.0 * alpha1) ** 2,
         ends=(End("infinity", 1, n - 2.0, alpha1, lambda1, delta, p, k1,
-                  c1coef, q, k2, "b1"),
+                  c1coef, q, k2),
               End("origin", -1, 0.0, alpha2, lambda2, delta2, q, k2, c2coef,
-                  p, k1, "b")),
+                  p, k1)),
     )
 
 
@@ -245,7 +232,12 @@ def classify_regime(params: ProblemParams, dc: DerivedConstants,
     exponents away from their critical values.  Criticality means exact
     equality with a Sobolev-type threshold, hence the tight default
     eps_crit.  All theorem-keyed flags require both terms active.
+    dc must be derive_constants(params); a pair of two parameter sets is
+    a ValueError.
     """
+    if dc.params != params:
+        raise ValueError(f"dc holds the constants of {dc.params}, "
+                         f"not of {params}")
     p, q = params.p, params.q
     margins = {
         "p_minus_sobolev1": p - dc.sobolev1,

@@ -182,7 +182,6 @@ class TestEnvelope:
         assert env.mu1 < dc_b.lambda2 < env.mu2
         assert env.spread_min < 1e-4
         assert env.spread_max < 1e-4
-        assert env.potential == "b"
         assert env.b_match_rel < 2e-4
         assert env.b_mu1 < 0.0
 

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from emdenlab import (
+    TOLERANCES,
     Frame,
     IntegratorConfig,
+    Kind,
     ProblemParams,
     State,
     apriori_bound_report,
@@ -15,9 +18,11 @@ from emdenlab import (
     forced_expansion,
     integrate,
     reframe,
+    shoot,
     well_potential,
 )
 from emdenlab.energy import cumulative_simpson
+from emdenlab.params import frame_exp
 
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
 
@@ -37,7 +42,6 @@ class TestPotentials:
     def test_b_exact_values(self, dc_b):
         # q = 2, lambda2 = 9/4: b(v) = v^3/3 - (9/4) v^2/2
         b = dc_b.end("origin")
-        assert b.well == "b"
         assert well_potential(2.25, b) == pytest.approx(-1.8984375,
                                                         rel=1e-15)
         assert well_potential(0.0, b) == 0.0
@@ -46,7 +50,6 @@ class TestPotentials:
 
     def test_b1_critical_point_is_minimum(self, dc_a):
         b1 = dc_a.end("infinity")
-        assert b1.well == "b1"
         lam = dc_a.lambda1
         assert well_potential(lam, b1) < 0.0
         for off in (0.9, 1.1):
@@ -100,10 +103,50 @@ class TestEnergyTrace:
         assert np.max(np.abs(tr.forcing_work)) > 0.0
         assert tr.balance_residual() < 1e-6
 
-    def test_wrong_frame_rejected(self, orbit_a, dc_a):
-        raw = reframe(orbit_a.trajectory, Frame(0.0))
-        with pytest.raises(ValueError, match="frame"):
-            energy_trace(raw, dc_a)
+
+@st.composite
+def balance_configs(draw):
+    """A parameter set and start amp * lambda1 from criterion 7's ranges
+    (acceptance.sample_balance_configs)."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    l1 = draw(st.floats(min_value=-0.9, max_value=0.0))
+    l2 = draw(st.floats(min_value=max(-1.9, l1 - 1.0), max_value=l1 - 0.01))
+    serrin1 = (n + l1) / (n - 2.0)
+    p = draw(st.floats(min_value=serrin1 + 0.05, max_value=serrin1 + 1.0))
+    q = draw(st.floats(min_value=p + 0.02, max_value=p + 0.8))
+    amp = draw(st.floats(min_value=1.1, max_value=1.4))
+    return ProblemParams(n=n, p=p, q=q, l1=l1, l2=l2), amp
+
+
+@given(balance_configs())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_balance_holds_in_every_frame(config):
+    # one run read in the raw, Pohozaev (alpha0), alpha1 and alpha2 frames
+    params, amp = config
+    dc = derive_constants(params)
+    traj = integrate(State(0.0, amp * dc.lambda1, 0.0), Frame(dc.alpha1),
+                     8.0, params, IntegratorConfig(dense_output_stride=0.0025))
+    for alpha in (0.0, (params.n - 2.0) / 2.0, dc.alpha1, dc.alpha2):
+        tr = energy_trace(reframe(traj, Frame(alpha)), dc)
+        assert tr.balance_residual() < TOLERANCES["c7_balance"], alpha
+
+
+@pytest.mark.parametrize("a", [0.05, 1.0, 20.0])
+def test_pohozaev_frame_forbids_positive_config_a_shots(config_a, dc_a, a):
+    # alpha0 = (n-2)/2 has no damping and both CONFIG_A rates positive
+    # (0.650, 0.075), so H starts at 0 on a regular start and only rises
+    # while v > 0; a positive tail would need H -> 0, so every shot
+    # crosses zero (README, "Known infeasible checks")
+    alpha0 = (config_a.n - 2.0) / 2.0
+    assert min(frame_exp(e, l, alpha0)
+               for e, l, _ in config_a.active_terms()) > 0.0
+    shot = shoot(a, dc_a, IntegratorConfig(dense_output_stride=0.0025), 12.0)
+    tr = energy_trace(reframe(shot.trajectory, Frame(alpha0)), dc_a)
+    scale = float(np.max(np.abs(tr.energy)))
+    assert np.all(tr.damping_work == 0.0)
+    assert abs(tr.energy[0]) <= 1e-12 * scale
+    assert np.min(np.diff(tr.forcing_work)) >= -1e-10 * scale
+    assert shot.report.kind == Kind.CROSSES_ZERO
 
 
 class TestBoundReport:

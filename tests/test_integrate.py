@@ -297,8 +297,7 @@ class TestSeeds:
     def test_resonance_rejected(self, config_a):
         # alpha 1, n 5, P 2: L = 2; rate 1 and damping -3 make
         # 1 - 3 + 2 = 0, the forcing rate a root of the linearisation
-        end = End("infinity", 1, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0, -3.0, 3.0,
-                  1.0, "b1")
+        end = End("infinity", 1, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0, -3.0, 3.0, 1.0)
         with pytest.raises(ValueError, match="resonance"):
             forced_expansion(config_a, end)
 

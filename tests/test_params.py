@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -61,8 +62,6 @@ class TestDerivedConstants:
         assert dc_a.end("origin").rate == dc_a.delta2
         with pytest.raises(ValueError, match="end must be"):
             dc_a.end("middle")
-        with pytest.raises(ValueError, match="frame"):
-            dc_a.frame_end(0.0)
 
     def test_rejects_active_unit_exponent(self):
         with pytest.raises(ValueError):
@@ -153,6 +152,12 @@ class TestRegimeFlags:
         assert fl.theorem2_case == "none"
         assert fl.theorem3_case == "none"
 
+    def test_constants_of_another_parameter_set_rejected(self, config_a):
+        # n = 6 constants would read CONFIG_A as theorem3_case none
+        other = derive_constants(replace(config_a, n=6))
+        with pytest.raises(ValueError, match="constants of"):
+            classify_regime(config_a, other)
+
 
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
@@ -233,7 +238,6 @@ class TestIdentities:
                 assert end.lam is None
             assert end.damping == pytest.approx(n - 2.0 - 2.0 * alpha,
                                                 rel=1e-13, abs=1e-13)
-            assert dc.frame_end(end.alpha) is end
         assert inf.rate == pytest.approx(
             (2.0 + l1) * (1.0 - q) / (p - 1.0) + 2.0 + l2, rel=1e-13,
             abs=1e-13)

@@ -19,7 +19,7 @@ KEYS = {
                            "residual", "rate", "diagnostics"},
     OscillationEnvelope: {"end", "times_min", "values_min", "times_max",
                           "values_max", "mu1", "mu2", "spread_min",
-                          "spread_max", "potential", "b_mu1", "b_mu2",
+                          "spread_max", "b_mu1", "b_mu2",
                           "b_match_rel", "n_extrema"},
     DerivedConstants: {"alpha1", "alpha2", "lambda1", "lambda2", "serrin1",
                        "sobolev1", "sobolev2", "c1coef", "c2coef", "delta",
