@@ -352,9 +352,8 @@ def criterion_10(lab: Lab, tol: dict) -> CriterionResult:
         _sub(subs, "csv_round_trip", rt_ok,
              f"reference orbit, bit-exact={rt_ok}")
 
-        base = RunConfig(
-            params=ProblemParams(n=5, p=1.9, q=1.95, l1=0.0, l2=-0.5),
-            axes={"p": [1.88, 1.9, 1.92], "q": [1.93, 1.95, 1.97]})
+        base = RunConfig(CONFIG_A, axes={"p": [1.88, 1.9, 1.92],
+                                         "q": [1.93, 1.95, 1.97]})
         pooled = effective_jobs(8)
         m1 = sweep(replace(base, output_dir=str(tmp / "serial")), jobs=1)
         mp = sweep(replace(base, output_dir=str(tmp / "parallel")),

@@ -122,7 +122,6 @@ def fit_exponential_rate(traj: Trajectory, lambda_target: float,
 
 
 def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
-                 tol_class: float = TOL_CLASS,
                  window: tuple | None = None) -> ClassificationReport:
     """Classify the behavior of a trajectory toward one end.
 
@@ -131,7 +130,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
     vdot, a contracting envelope (first/last deviation >
     SPIRAL_CONTRACTION) centered on lambda is SLOW_DECAY_SINGULAR, a fat
     envelope (relative amplitude > OSC_RELAMP) is OSCILLATORY; (3) a flat
-    window (|drift| < SLOPE_TOL) with mean within tol_class of lambda is
+    window (|drift| < SLOPE_TOL) with mean within TOL_CLASS of lambda is
     SLOW_DECAY_SINGULAR; (4) a fixed-exponent power fit of u with RMS
     ln-residual < POWER_RESID_TOL gives the regular kind for the end;
     (5) otherwise UNDETERMINED, with all statistics in diagnostics.
@@ -188,7 +187,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
         except (SaturationError, ValueError):
             return None
 
-    lam_ok = lam is not None and abs(mean - lam) <= tol_class * lam
+    lam_ok = lam is not None and abs(mean - lam) <= TOL_CLASS * lam
     if nsc >= 3:
         if contraction is not None and contraction > SPIRAL_CONTRACTION:
             # contracting spiral onto the equilibrium: slope gate waived

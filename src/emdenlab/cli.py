@@ -17,14 +17,13 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .classify import TOL_CLASS, classify_end
+from .classify import classify_end
 from .integrate import Frame, IntegratorConfig, integrate, \
     read_trajectory_csv, write_trajectory_csv
-from .params import EPS_CRIT, ProblemParams, classify_regime, \
-    derive_constants
+from .params import ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json
 from .shooting import T_TARGET, connecting_orbit, regular_start, \
-    resolve_jobs, scan_thresholds, shoot
+    scan_thresholds, shoot
 from .sweep import parse_run_config, seeded_run, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
@@ -62,7 +61,7 @@ def _resolve_constants(args):
 def cmd_exponents(args) -> int:
     params = _params_from_args(args)
     dc = derive_constants(params)
-    flags = classify_regime(params, dc, eps_crit=args.eps_crit)
+    flags = classify_regime(params, dc)
     payload = {
         "params": dataclasses.asdict(params),
         "constants": dc.to_dict(),
@@ -96,8 +95,7 @@ def cmd_classify(args) -> int:
     dc = derive_constants(params)
     traj = read_trajectory_csv(args.csv)
     window = tuple(args.window) if args.window else None
-    report = classify_end(traj, dc, args.end, tol_class=args.tol_class,
-                          window=window)
+    report = classify_end(traj, dc, args.end, window=window)
     sys.stdout.write(canonical_json(report.to_dict()))
     return 0
 
@@ -111,10 +109,9 @@ def cmd_shoot(args) -> int:
 
 def cmd_scan(args) -> int:
     dc, integrator = _resolve_constants(args)
-    jobs = resolve_jobs(args.jobs)
     grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max),
                        args.points)
-    res = scan_thresholds(grid, dc, integrator, args.t_target, jobs)
+    res = scan_thresholds(grid, dc, integrator, args.t_target, args.jobs)
     text = canonical_json(res.to_dict())
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -172,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exponents", help="closed-form constants and "
                                           "regime flags")
     _add_param_flags(sp)
-    sp.add_argument("--eps-crit", type=float, default=EPS_CRIT)
     sp.set_defaults(func=cmd_exponents)
 
     sp = sub.add_parser("solve", help="integrate one trajectory to CSV")
@@ -189,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--end", choices=["origin", "infinity"], required=True)
     _add_param_flags(sp)
     sp.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"))
-    sp.add_argument("--tol-class", type=float, default=TOL_CLASS)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("shoot", help="one regular shot, classified at "
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config")
     _add_param_flags(sp, required=False)
     sp.add_argument("--t-target", type=float, default=T_TARGET)
-    sp.add_argument("--jobs", type=int)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_scan)
 
@@ -222,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="run a parameter sweep with manifest")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--jobs", type=int)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")

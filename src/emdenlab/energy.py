@@ -146,20 +146,16 @@ STEP_TOL = 1e-10
 
 
 def apriori_bound_report(traj: Trajectory, dc: DerivedConstants,
-                         window: tuple | None = None) -> BoundReport:
+                         window: tuple) -> BoundReport:
     """Tail-bound observables over a window of a positive trajectory.
 
-    The window defaults to the outer quarter on the infinity side
-    (Trajectory.end_window).  sup v and sup |vdot| are read in the
-    trajectory's own frame; r^{n-2} u nondecreasing and r^{n-1} u'
-    nonincreasing are the two monotone quantities of the radial operator,
-    checked per sample step with relative slack STEP_TOL.  Trajectories
-    that lost positivity are flagged non-applicable (the bounds concern
-    positive solutions).
+    sup v and sup |vdot| are read in the trajectory's own frame;
+    r^{n-2} u nondecreasing and r^{n-1} u' nonincreasing are the two
+    monotone quantities of the radial operator, checked per sample step
+    with relative slack STEP_TOL.  Trajectories that lost positivity are
+    flagged non-applicable (the bounds concern positive solutions).
     """
     t_lo_all, t_hi_all = float(np.min(traj.t)), float(np.max(traj.t))
-    if window is None:
-        window = traj.end_window(dc.end("infinity"))
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (t_lo_all - 1e-12 <= t_lo < t_hi <= t_hi_all + 1e-12):
         raise ValueError(f"window {window} is not inside the sampled span "

@@ -197,9 +197,6 @@ class Trajectory:
             width = 0.25 * (hi - lo)
         return (hi - width, hi) if end.side > 0 else (lo, lo + width)
 
-    def state_at(self, i: int) -> State:
-        return State(float(self.t[i]), float(self.v[i]), float(self.vdot[i]))
-
     def effective_termination(self) -> Termination:
         """Recorded termination, or one inferred from the final sample
         (used for CSV-reloaded trajectories that carry no metadata).

@@ -224,14 +224,14 @@ class RegimeFlags(Record):
 EPS_CRIT = 1e-12
 
 
-def classify_regime(params: ProblemParams, dc: DerivedConstants,
-                    eps_crit: float = EPS_CRIT) -> RegimeFlags:
+def classify_regime(params: ProblemParams,
+                    dc: DerivedConstants) -> RegimeFlags:
     """Regime flags from the exponent thresholds.
 
     theorem1_applies needs the Serrin bound serrin1 < p < q with both
     exponents away from their critical values.  Criticality means exact
-    equality with a Sobolev-type threshold, hence the tight default
-    eps_crit.  All theorem-keyed flags require both terms active.
+    equality with a Sobolev-type threshold, hence the tight EPS_CRIT.
+    All theorem-keyed flags require both terms active.
     dc must be derive_constants(params); a pair of two parameter sets is
     a ValueError.
     """
@@ -248,8 +248,8 @@ def classify_regime(params: ProblemParams, dc: DerivedConstants,
     if not (params.k1 and params.k2):
         return RegimeFlags(False, "none", "none", margins)
 
-    q_critical = abs(q - dc.sobolev2) <= eps_crit
-    p_critical = abs(p - dc.sobolev1) <= eps_crit
+    q_critical = abs(q - dc.sobolev2) <= EPS_CRIT
+    p_critical = abs(p - dc.sobolev1) <= EPS_CRIT
     theorem1 = dc.serrin1 < p < q and not p_critical and not q_critical
 
     if q_critical:

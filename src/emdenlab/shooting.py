@@ -163,30 +163,11 @@ def bisect_boundary(a_lo: float, a_hi: float, dc: DerivedConstants,
 
 
 def effective_jobs(jobs: int) -> int:
-    """Worker processes used for `jobs` requested: at least 1, at most
-    os.cpu_count()."""
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
-def resolve_jobs(requested: int | None = None,
-                 configured: int | None = None) -> int:
-    """Worker count asked for: `requested` (--jobs), else `configured`
-    ([sweep] jobs), else the EMDEN_JOBS environment variable (unset or
-    empty counts as absent), else 1.  The value taken must be an integer
-    >= 1; otherwise ValueError names its source."""
-    for source, raw in (("--jobs", requested), ("[sweep] jobs", configured),
-                        ("EMDEN_JOBS", os.environ.get("EMDEN_JOBS") or None)):
-        if raw is None:
-            continue
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(f"{source}: cannot parse {raw!r} as an "
-                             "integer") from None
-        if jobs < 1:
-            raise ValueError(f"{source} must be >= 1, got {jobs}")
-        return jobs
-    return 1
+    """Worker processes used for `jobs` requested: at most
+    os.cpu_count().  A count below 1 is a ValueError."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def map_jobs(fn, items, jobs: int) -> list:

@@ -11,10 +11,11 @@ classify_ends), and write a content-addressed output tree
     <output>/<run-id>/cells/<index>/trajectory.csv
 
 where run-id is a hash of the semantic configuration (parameters,
-integrator, spans, axes; never the output directory or the worker
-count).  Cells come back in grid order (shooting.map_jobs, capped at
-os.cpu_count() workers), so manifests and cell files are byte-identical
-for any worker count apart from the recorded wall-clock time.
+integrator, spans, axes; never the output directory).  The worker count
+is sweep's `jobs` argument, not part of the configuration.  Cells come
+back in grid order (shooting.map_jobs, capped at os.cpu_count()
+workers), so manifests and cell files are byte-identical for any worker
+count apart from the recorded wall-clock time.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from ._version import __version__
 from .integrate import IntegratorConfig, write_trajectory_csv
 from .params import End, ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json, fmt_float
-from .shooting import classify_ends, map_jobs, resolve_jobs, \
+from .shooting import classify_ends, effective_jobs, map_jobs, \
     seed_and_integrate
 
 _AXIS_ORDER = ("n", "p", "q", "l1", "l2")
-_INT_KEYS = {"n", "jobs"}
 # [section] key -> RunConfig keyword, for the sections that hold one field
 _RUN_KEYS = {
     "spans": {"t_min": "t_min", "t_max": "t_max"},
@@ -47,7 +47,7 @@ _SCHEMA = {
     "params": {f.name for f in dataclasses.fields(ProblemParams)},
     "integrator": {f.name for f in dataclasses.fields(IntegratorConfig)},
     **{section: set(keys) for section, keys in _RUN_KEYS.items()},
-    "sweep": {*_AXIS_ORDER, "jobs"},
+    "sweep": set(_AXIS_ORDER),
 }
 
 
@@ -59,16 +59,15 @@ class RunConfig:
     t_max: float = 14.0
     output_dir: str = "out"
     axes: dict = field(default_factory=dict)
-    jobs: int | None = None
 
 
 def _parse_number(section, key, raw):
-    """An integer for _INT_KEYS, a float otherwise; errors name the
-    section and key."""
+    """An integer for n, a float otherwise; errors name the section and
+    key."""
     try:
-        return int(raw) if key in _INT_KEYS else float(raw)
+        return int(raw) if key == "n" else float(raw)
     except ValueError:
-        what = "an integer" if key in _INT_KEYS else "a number"
+        what = "an integer" if key == "n" else "a number"
         raise ValueError(f"[{section}] {key}: cannot parse {raw!r} as "
                          f"{what}") from None
 
@@ -78,7 +77,7 @@ def _parse_value(section, key, raw):
     otherwise."""
     if section == "output":
         return raw
-    if section != "sweep" or key == "jobs":
+    if section != "sweep":
         return _parse_number(section, key, raw)
     vals = [_parse_number(section, key, cell.strip())
             for cell in raw.split(",") if cell.strip()]
@@ -115,14 +114,12 @@ def parse_run_config_text(text: str) -> RunConfig:
     values = {section: {key: _parse_value(section, key, raw)
                         for key, raw in cp[section].items()}
               for section in cp.sections()}
-    axes = values.get("sweep", {})
-    jobs = axes.pop("jobs", None)
     run_kw = {_RUN_KEYS[section][key]: val
               for section in _RUN_KEYS
               for key, val in values.get(section, {}).items()}
     cfg = RunConfig(ProblemParams(**values["params"]),
                     IntegratorConfig(**values.get("integrator", {})),
-                    axes=axes, jobs=jobs, **run_kw)
+                    axes=values.get("sweep", {}), **run_kw)
     if not cfg.t_min < cfg.t_max:
         raise ValueError(f"need t_min < t_max, got {cfg.t_min} >= "
                          f"{cfg.t_max}")
@@ -150,7 +147,7 @@ def expanded_axes(cfg: RunConfig) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Hash of the semantic configuration (excludes output dir and jobs).
+    """Hash of the semantic configuration (excludes the output dir).
 
     One `section.key=value` line per field of RunConfig and of its
     params/integrator dataclasses, sections named as in the INI schema,
@@ -159,7 +156,7 @@ def config_hash(cfg: RunConfig) -> str:
     """
     lines = []
     for f in dataclasses.fields(cfg):
-        if f.name in ("output_dir", "jobs"):
+        if f.name == "output_dir":
             continue
         val = getattr(cfg, f.name)
         if f.name == "axes":
@@ -235,16 +232,17 @@ class SweepManifest:
         return self.data["cells"]
 
 
-def sweep(cfg: RunConfig, jobs: int | None = None) -> SweepManifest:
+def sweep(cfg: RunConfig, jobs: int = 1) -> SweepManifest:
     """Run the sweep grid and write the manifest tree.
 
     A rerun with the same semantic configuration and output directory is
     a no-op: the existing manifest is loaded and returned, provided it
     parses and records this config_hash and tool version; otherwise the
-    sweep runs again.  The manifest is written atomically.  The worker
-    count is resolve_jobs(jobs, cfg.jobs).
+    sweep runs again.  The manifest is written atomically.  The cells run
+    on effective_jobs(jobs) workers; a count below 1 is a ValueError
+    before any directory is made.
     """
-    jobs = resolve_jobs(jobs, cfg.jobs)
+    jobs = effective_jobs(jobs)
     rid = run_id_of(cfg)
     out_dir = Path(cfg.output_dir) / rid
     manifest_path = out_dir / "manifest.json"

@@ -15,6 +15,7 @@ from emdenlab import (
     oscillation_envelope,
     quadratic_extrema,
 )
+from emdenlab.classify import TOL_CLASS
 
 
 def synthetic(t, v, vdot, alpha=0.0):
@@ -153,6 +154,21 @@ class TestClassifyEnd:
         with pytest.raises(ValueError, match=">= 10"):
             classify_end(orbit_a.trajectory, dc_a, "infinity",
                          window=(13.95, 14.0))
+
+    @pytest.mark.parametrize("factor,kind", [
+        (1.0 + 0.9 * TOL_CLASS, Kind.SLOW_DECAY_SINGULAR),
+        (1.0 - 0.9 * TOL_CLASS, Kind.SLOW_DECAY_SINGULAR),
+        (1.0 + 1.1 * TOL_CLASS, Kind.UNDETERMINED),
+        (1.0 - 1.1 * TOL_CLASS, Kind.UNDETERMINED),
+    ])
+    def test_flat_window_reads_lambda_within_tol_class(self, dc_a, factor,
+                                                       kind):
+        # a flat window is the singular kind only with its mean within
+        # TOL_CLASS (relative) of lambda
+        t = np.linspace(0.0, 4.0, 400)
+        v = np.full(t.size, factor * dc_a.lambda1)
+        traj = synthetic(t, v, np.zeros(t.size), alpha=dc_a.alpha1)
+        assert classify_end(traj, dc_a, "infinity").kind == kind
 
     def test_undetermined_on_unstructured_data(self, dc_a):
         t = np.linspace(0.0, 4.0, 400)

@@ -13,9 +13,8 @@ from pathlib import Path
 import pytest
 
 import emdenlab
-from emdenlab import ProblemParams, bisect_boundary, classify_end, \
-    classify_regime, derive_constants, scan_thresholds, shoot, \
-    write_trajectory_csv
+from emdenlab import ProblemParams, bisect_boundary, derive_constants, \
+    scan_thresholds, shoot, sweep, write_trajectory_csv
 from emdenlab.cli import build_parser, main
 
 INI = """\
@@ -70,9 +69,8 @@ def test_exponents_params_are_the_dataclass_fields(capsys):
 
 
 @pytest.mark.parametrize("argv,dest,functions", [
-    (["exponents", *PARAM_FLAGS], "eps_crit", [classify_regime]),
-    (["classify", "--csv", "x.csv", "--end", "origin", *PARAM_FLAGS],
-     "tol_class", [classify_end]),
+    (["scan"], "jobs", [scan_thresholds]),
+    (["sweep", "--config", "x.ini"], "jobs", [sweep]),
     (["shoot", "--a", "1"], "t_target", [shoot]),
     (["scan"], "t_target", [scan_thresholds, bisect_boundary, shoot]),
 ])
@@ -221,28 +219,33 @@ def test_scan_writes_boundaries(tmp_path, capsys):
         1.2679701365338474, rel=1e-4)
 
 
-@pytest.mark.parametrize("command,env,message", [
-    ("scan", None, "--jobs must be >= 1, got 0"),
-    ("sweep", None, "--jobs must be >= 1, got 0"),
-    ("scan", "abc", "EMDEN_JOBS: cannot parse 'abc'"),
-])
-def test_bad_worker_count_exits_1(tmp_path, capsys, monkeypatch, command,
-                                  env, message):
-    monkeypatch.delenv("EMDEN_JOBS", raising=False)
-    argv = [command]
-    if env is None:
-        argv += ["--jobs", "0"]
-    else:
-        monkeypatch.setenv("EMDEN_JOBS", env)
+def _worker_argv(command, tmp_path):
+    """A small scan, or a one-cell sweep writing under tmp_path/runs."""
     if command == "scan":
-        argv += PARAM_FLAGS
-    else:
-        ini = tmp_path / "run.ini"
-        ini.write_text(INI + f"\n[output]\ndirectory = {tmp_path}/runs\n")
-        argv += ["--config", str(ini)]
-    assert main(argv) == 1
-    assert message in capsys.readouterr().err
+        return ["scan", "--a-min", "1.0", "--a-max", "1.35", "--points",
+                "16", *PARAM_FLAGS, "--t-target", "2.0"]
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI + "\n[spans]\nt_min = -6.0\nt_max = 6.0\n"
+                         f"\n[output]\ndirectory = {tmp_path}/runs\n")
+    return ["sweep", "--config", str(ini)]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["scan", "sweep"])
+def test_bad_worker_count_exits_1(tmp_path, capsys, command, jobs):
+    assert main([*_worker_argv(command, tmp_path), "--jobs", jobs]) == 1
+    assert f"error: jobs must be >= 1, got {jobs}" \
+        in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "sweep"])
+def test_environment_does_not_set_jobs(tmp_path, capsys, monkeypatch,
+                                       command):
+    # the worker count is --jobs alone; no environment variable is read
+    monkeypatch.setenv("EMDEN_JOBS", "abc")
+    assert main(_worker_argv(command, tmp_path)) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_connect_json(capsys):

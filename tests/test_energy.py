@@ -177,7 +177,9 @@ class TestBoundReport:
 
     def test_crossing_flagged_not_applicable(self, lab, dc_a):
         shot = lab.shots_50[-1]
-        rep = apriori_bound_report(shot.trajectory, dc_a)
+        rep = apriori_bound_report(
+            shot.trajectory, dc_a,
+            shot.trajectory.end_window(dc_a.end("infinity")))
         assert not rep.applicable
         assert "positivity" in rep.reason
 
@@ -190,12 +192,6 @@ class TestBoundReport:
         assert rep.applicable
         assert rep.flux_monotone_ok
         assert rep.margins["max_flux_step_rel"] <= 1e-10
-
-    def test_default_window_is_last_quarter(self, orbit_a, dc_a):
-        rep = apriori_bound_report(orbit_a.trajectory, dc_a)
-        lo, hi = rep.window
-        assert hi == pytest.approx(14.0)
-        assert lo == pytest.approx(14.0 - 0.25 * 48.0)
 
     def test_to_dict_round_trips_keys(self, orbit_a, dc_a):
         d = apriori_bound_report(orbit_a.trajectory, dc_a,

@@ -63,7 +63,8 @@ class TestIntegrateCore:
         # the far endpoint must reproduce the seed within solver budget
         start = forced_expansion(config_a, dc_a.end("infinity")).start(6.0)
         back = integrate(start, Frame(dc_a.alpha1), 0.0, config_a)
-        fwd = integrate(back.state_at(-1), Frame(dc_a.alpha1), 6.0, config_a)
+        end = State(back.t_end, float(back.v[-1]), float(back.vdot[-1]))
+        fwd = integrate(end, Frame(dc_a.alpha1), 6.0, config_a)
         assert abs(fwd.v[-1] - start.v) < 1e-8
         assert abs(fwd.vdot[-1] - start.vdot) < 1e-8
 

@@ -43,7 +43,6 @@ class TestParsing:
         assert cfg.t_max == 6.0
         # defaults
         assert cfg.output_dir == "out"
-        assert cfg.jobs is None  # unset: --jobs, EMDEN_JOBS or 1 decide
         assert cfg.axes == {}
         assert cfg.integrator == IntegratorConfig()
 
@@ -59,11 +58,10 @@ class TestParsing:
         assert cfg.output_dir == "runs/demo"
 
     def test_sweep_axes_parse_as_lists(self):
-        text = BASE_INI + "\n[sweep]\np = 1.88, 1.9, 1.92\nq = 1.95,1.97\njobs = 4\n"
+        text = BASE_INI + "\n[sweep]\np = 1.88, 1.9, 1.92\nq = 1.95,1.97\n"
         cfg = parse_run_config_text(text)
         assert list(cfg.axes["p"]) == [1.88, 1.9, 1.92]
         assert list(cfg.axes["q"]) == [1.95, 1.97]
-        assert cfg.jobs == 4
 
     def test_n_axis_coerces_to_int(self):
         text = BASE_INI + "\n[sweep]\nn = 4, 5, 6\n"
@@ -80,6 +78,13 @@ class TestParsing:
         # offset is configurable
         with pytest.raises(ValueError, match=r"unknown section \[seed\]"):
             parse_run_config_text(BASE_INI + "\n[seed]\neps_scale = 1e-4\n")
+
+    def test_jobs_key_is_unknown(self):
+        # the worker count is sweep's jobs argument (--jobs), never part
+        # of a run configuration
+        with pytest.raises(ValueError,
+                           match=re.escape("unknown key 'jobs' in [sweep]")):
+            parse_run_config_text(BASE_INI + "\n[sweep]\njobs = 4\n")
 
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ValueError, match="colour"):
@@ -100,8 +105,6 @@ class TestParsing:
         ("n = 5", "n = 5.5", "[params] n: cannot parse '5.5'"),
         ("l2 = -0.5", "l2 = -0.5\nk1 = x", "[params] k1: cannot parse 'x'"),
         ("l2 = -0.5", "l2 = -0.5\nk2 = x", "[params] k2: cannot parse 'x'"),
-        ("t_max = 6.0", "t_max = 6.0\n[sweep]\njobs = x",
-         "[sweep] jobs: cannot parse 'x'"),
         ("t_max = 6.0", "t_max = 6.0\n[sweep]\nn = 4.5, 5.9",
          "[sweep] n: cannot parse '4.5' as an integer"),
     ])
@@ -131,10 +134,9 @@ class TestParsing:
         ("integrator", "dense_output_stride", "0.02", 0.02),
         ("spans", "t_min", "-7", -7.0), ("spans", "t_max", "7", 7.0),
         ("output", "directory", "elsewhere", "elsewhere"),
-        ("sweep", "jobs", "3", 3),
     ]
     RUN_FIELD = {"t_min": "t_min", "t_max": "t_max",
-                 "directory": "output_dir", "jobs": "jobs"}
+                 "directory": "output_dir"}
 
     def test_schema_covers_every_scalar_field(self):
         keys = {(sec, key) for sec, key, _, _ in self.NON_DEFAULT}
@@ -179,10 +181,10 @@ class TestParsing:
 
 
 class TestConfigHash:
-    def test_hash_ignores_output_dir_and_jobs(self):
+    def test_hash_ignores_output_dir(self):
         a = parse_run_config_text(BASE_INI)
         b = parse_run_config_text(
-            BASE_INI + "\n[output]\ndirectory = elsewhere\n\n[sweep]\njobs = 7\n"
+            BASE_INI + "\n[output]\ndirectory = elsewhere\n"
         )
         assert config_hash(a) == config_hash(b)
 
@@ -221,7 +223,7 @@ class TestConfigHash:
             "t_min": -7.0, "t_max": 7.0,
             "axes": {"p": [1.88, 1.9]},
         }
-        unhashed = {"output_dir", "jobs"}
+        unhashed = {"output_dir"}
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         assert set(perturbed) == fields - unhashed
         seen = {config_hash(base)}
@@ -314,13 +316,19 @@ class TestSweep:
             dataclasses.asdict(dataclasses.replace(cfg.params, p=p))
             for p in (1.88, 1.9)]
 
-    def test_config_jobs_beats_environment(self, tmp_path, monkeypatch):
-        # [sweep] jobs = 1 is taken, so EMDEN_JOBS is never read
+    def test_environment_does_not_set_jobs(self, tmp_path, monkeypatch):
+        # the worker count is the jobs argument alone
         monkeypatch.setenv("EMDEN_JOBS", "abc")
-        manifest = sweep(self._cfg(tmp_path, extra="\n[sweep]\njobs = 1\n"))
+        manifest = sweep(self._cfg(tmp_path))
         assert manifest.cells[0]["error"] is None
-        with pytest.raises(ValueError, match="EMDEN_JOBS: cannot parse"):
-            sweep(self._cfg(tmp_path / "env"))
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_worker_count_below_1_rejected(self, tmp_path, jobs):
+        # the one effective_jobs check, before any directory is made
+        with pytest.raises(ValueError,
+                           match=re.escape(f"jobs must be >= 1, got {jobs}")):
+            sweep(self._cfg(tmp_path), jobs=jobs)
+        assert not (tmp_path / "runs").exists()
 
     def test_axes_product_order(self, tmp_path):
         cfg = self._cfg(tmp_path, extra="\n[sweep]\np = 1.88, 1.9\nq = 1.95, 1.97\n")
@@ -330,9 +338,9 @@ class TestSweep:
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg_a = self._cfg(tmp_path / "a", extra="\n[sweep]\np = 1.88, 1.9, 1.92\n")
-        cfg_b = self._cfg(tmp_path / "b", extra="\n[sweep]\np = 1.88, 1.9, 1.92\njobs = 4\n")
+        cfg_b = self._cfg(tmp_path / "b", extra="\n[sweep]\np = 1.88, 1.9, 1.92\n")
         m_serial = sweep(cfg_a)
-        m_par = sweep(cfg_b)
+        m_par = sweep(cfg_b, jobs=4)
         da = dict(m_serial.data)
         db = dict(m_par.data)
         da.pop("wall_clock_seconds")
