@@ -141,6 +141,14 @@ class TestScan:
             scan_thresholds(np.logspace(0.3, 1.0, 16), dc_a, t_target=2.0,
                             jobs=jobs)
 
+    def test_environment_does_not_set_jobs(self, dc_a, monkeypatch):
+        # the worker count is the jobs argument alone
+        monkeypatch.setenv("EMDEN_JOBS", "abc")
+        grid = np.logspace(0.3, 1.0, 16)
+        scan = scan_thresholds(grid, dc_a, t_target=2.0)
+        assert scan.kinds \
+            == scan_thresholds(grid, dc_a, t_target=2.0, jobs=1).kinds
+
     def test_one_worker_maps_in_process(self, monkeypatch):
         # a lambda cannot be pickled, so this only passes without a pool
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: 1)
