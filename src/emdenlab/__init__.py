@@ -63,7 +63,6 @@ from .shooting import (
     bisect_boundary,
     connecting_orbit,
     scan_thresholds,
-    series_radius,
     shoot,
     shoot_many,
 )
@@ -102,6 +101,6 @@ __all__ = [
     "parse_run_config_text", "quadratic_extrema",
     "read_trajectory_csv", "reframe",
     "run_acceptance", "run_id_of", "scan_thresholds",
-    "series_radius", "shoot", "shoot_many", "sweep",
+    "shoot", "shoot_many", "sweep",
     "well_potential", "write_trajectory_csv",
 ]

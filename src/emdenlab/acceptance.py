@@ -90,24 +90,23 @@ class Lab:
         """Single-term exact profile sqrt(2) r^{-1} on r in [1, 1e3],
         integrated in the raw frame (v = u, dv/dt = -u); in the alpha1
         frame it is an equilibrium, which no integrator error can move."""
-        params = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
-        dc = derive_constants(params)
+        dc = derive_constants(ProblemParams(n=5, p=3.0, q=2.0, k2=0.0))
         t0 = time.perf_counter()
         traj = integrate(State(0.0, math.sqrt(2.0), -math.sqrt(2.0)),
-                         Frame(0.0), math.log(1e3), params)
+                         Frame(0.0), math.log(1e3), dc.params)
         seconds = time.perf_counter() - t0
         exact = math.sqrt(2.0) * np.exp(-traj.t)
         rel = float(np.max(np.abs(traj.u - exact) / exact))
-        return {"traj": traj, "dc": dc, "params": params,
-                "max_rel_err": rel, "seconds": seconds}
+        return {"traj": traj, "dc": dc, "max_rel_err": rel,
+                "seconds": seconds}
 
     @cached_property
     def bubble(self):
         """Critical single-term ground state in n=5, checked on
         r in [0.01, 100] against the closed form."""
         n = 5
-        params = ProblemParams(n=n, p=(n + 2.0) / (n - 2.0), q=4.0, k2=0.0)
-        dc = derive_constants(params)
+        dc = derive_constants(
+            ProblemParams(n=n, p=(n + 2.0) / (n - 2.0), q=4.0, k2=0.0))
         profile = aubin_talenti_profile(n)
         a = profile(0.0)
         shot = shoot(a, dc, None, math.log(100.0),
@@ -116,8 +115,8 @@ class Lab:
         mask = traj.r >= 0.01
         exact = profile(traj.r[mask])
         rel = float(np.max(np.abs(traj.u[mask] - exact) / exact))
-        return {"traj": traj, "dc": dc, "params": params, "a": a,
-                "max_rel_err": rel, "report": shot.report}
+        return {"traj": traj, "dc": dc, "a": a, "max_rel_err": rel,
+                "report": shot.report}
 
     @cached_property
     def envelope_b(self):

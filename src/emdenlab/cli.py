@@ -23,36 +23,45 @@ from .integrate import Frame, IntegratorConfig, integrate, \
 from .params import ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json
 from .shooting import T_TARGET, connecting_orbit, regular_start, \
-    scan_thresholds, shoot
-from .sweep import parse_run_config, seeded_run, sweep
+    scan_thresholds, seed_and_integrate, shoot
+from .sweep import parse_run_config, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
 
 def _add_param_flags(sp, required=True):
+    # a flag left out is None: the ProblemParams default
     sp.add_argument("--n", type=int, required=required)
     sp.add_argument("--p", type=float, required=required)
     sp.add_argument("--q", type=float, required=required)
-    # a dataclass field's default is its class attribute
-    sp.add_argument("--l1", type=float, default=ProblemParams.l1)
-    sp.add_argument("--l2", type=float, default=ProblemParams.l2)
-    sp.add_argument("--k1", type=float, default=ProblemParams.k1,
-                    choices=[0.0, 1.0])
-    sp.add_argument("--k2", type=float, default=ProblemParams.k2,
-                    choices=[0.0, 1.0])
+    sp.add_argument("--l1", type=float)
+    sp.add_argument("--l2", type=float)
+    sp.add_argument("--k1", type=float, choices=[0.0, 1.0])
+    sp.add_argument("--k2", type=float, choices=[0.0, 1.0])
+
+
+def _given_params(args) -> dict:
+    """The problem flags given on the command line, by field name."""
+    return {f.name: getattr(args, f.name)
+            for f in dataclasses.fields(ProblemParams)
+            if getattr(args, f.name) is not None}
 
 
 def _params_from_args(args) -> ProblemParams:
-    values = {f.name: getattr(args, f.name)
-              for f in dataclasses.fields(ProblemParams)}
-    missing = [f"--{name}" for name, val in values.items() if val is None]
+    values = _given_params(args)
+    missing = [f"--{f.name}" for f in dataclasses.fields(ProblemParams)
+               if f.default is dataclasses.MISSING and f.name not in values]
     if missing:
         raise ValueError(f"provide --config or {'/'.join(missing)}")
     return ProblemParams(**values)
 
 
 def _resolve_constants(args):
-    """(derive_constants(params), integrator) from --config or flags."""
-    if getattr(args, "config", None):
+    """(derive_constants(params), integrator) from --config or flags;
+    problem flags beside --config are an error, not overridden."""
+    if args.config:
+        given = " ".join(f"--{name}" for name in _given_params(args))
+        if given:
+            raise ValueError(f"--config sets the problem; drop {given}")
         cfg = parse_run_config(args.config)
         return derive_constants(cfg.params), cfg.integrator
     return derive_constants(_params_from_args(args)), IntegratorConfig()
@@ -79,10 +88,11 @@ def cmd_solve(args) -> int:
             raise ValueError("--start series needs --a")
         # the shot's run, left unclassified, so any span writes its CSV
         start = regular_start(args.a, dc)[1]
-        traj = integrate(start, Frame(dc.alpha1), cfg.t_max, cfg.params,
+        traj = integrate(start, Frame(dc.alpha1), cfg.t_max, dc.params,
                          cfg.integrator)
     else:
-        traj = seeded_run(cfg.params, dc.end(args.start), cfg)
+        traj = seed_and_integrate(dc, args.start, (cfg.t_min, cfg.t_max),
+                                  cfg.integrator)
     write_trajectory_csv(traj, args.out)
     sys.stderr.write(
         f"wrote {traj.t.size} samples to {args.out} "

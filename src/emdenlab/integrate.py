@@ -10,7 +10,7 @@ where E_i = frame_exp(exp_i, l_i, alpha) (params.py).  Choosing
 alpha = alpha1 kills the exponential on the p-term (E1 = 0, E2 = delta);
 alpha = alpha2 kills it on the q-term (E2 = 0, E1 = delta2); alpha = 0
 is the raw frame.  Every run starts on forced_expansion, the closed-form
-amp + sum_i K_i e^{E_i t} about an End's lambda or a regular u(0).  All
+amp + sum_i K_i e^{E_i t} about an end's lambda or a regular u(0).  All
 trajectories are integrated with the one right-hand side log_frame_rhs
 at the accuracy IntegratorConfig's defaults were chosen for (the step
 cap bounds the dense-output and event error, rtol the step error), and
@@ -49,7 +49,7 @@ import numpy as np
 
 from .dop853 import Solution, SolverStats, TerminationKind, solve_ivp, \
     solve_lanes
-from .params import End, ProblemParams, frame_exp
+from .params import DerivedConstants, End, ProblemParams, frame_exp
 from .serialize import fmt_float
 
 
@@ -424,32 +424,34 @@ class Expansion:
         return State(t, fac * v, fac * (vdot + d * v))
 
 
-def forced_expansion(params: ProblemParams, center) -> Expansion:
+def forced_expansion(dc: DerivedConstants, center) -> Expansion:
     """First-order expansion about a fixed point amp of the alpha frame:
     each forced term k e^{E t} v^P adds K e^{E t} with the closed form
     K = -k amp^P / (E^2 + damping E + L), L the restoring coefficient.
-    center is an End of derive_constants(params): amp = lambda in its
+    center is the name of an end, dc.end(center): amp = lambda in its
     frame, its forced term if on, L = alpha (n-2-alpha) (auto_exp - 1),
-    gate 0.1.  Or a central value a, the regular solution u(0) = a:
-    alpha = 0, amp = a, L = 0, every term at rate 2 + l (the series'
-    first correction), gate 1e-6.  ValueError for an end without an
-    equilibrium (lambda undefined or its autonomous term off), for a
-    non-positive a and for a resonance (zero denominator).
+    gate 0.1.  Or a central value a, the regular solution u(0) = a of
+    dc.params: alpha = 0, amp = a, L = 0, every term at rate 2 + l (the
+    series' first correction), gate 1e-6.  ValueError for an unknown end
+    name, an end without an equilibrium (lambda undefined or its
+    autonomous term off), a non-positive a and a resonance (zero
+    denominator).
     """
-    n = params.n
-    if isinstance(center, End):
-        if center.lam is None or not center.auto_k:
-            raise ValueError(f"no singular equilibrium at {center.name}")
-        alpha, amp, gate, damping = center.alpha, center.lam, 0.1, \
-            center.damping
-        restoring = alpha * (n - 2.0 - alpha) * (center.auto_exp - 1.0)
-        forced = [(center.force_k, center.rate, center.force_exp)] \
-            if center.force_k else []
+    n = dc.params.n
+    if isinstance(center, str):
+        end = dc.end(center)
+        if end.lam is None or not end.auto_k:
+            raise ValueError(f"no singular equilibrium at {end.name}")
+        alpha, amp, gate, damping = end.alpha, end.lam, 0.1, end.damping
+        restoring = alpha * (n - 2.0 - alpha) * (end.auto_exp - 1.0)
+        forced = [(end.force_k, end.rate, end.force_exp)] \
+            if end.force_k else []
     else:
         if not 0.0 < center < math.inf:
             raise ValueError(f"amplitude must be positive, got {center!r}")
         alpha, amp, gate, damping, restoring = 0.0, center, 1e-6, n - 2.0, 0.0
-        forced = [(k, 2.0 + l, exp_) for exp_, l, k in params.active_terms()]
+        forced = [(k, 2.0 + l, exp_)
+                  for exp_, l, k in dc.params.active_terms()]
     terms = []
     for k, e, exp_ in forced:
         den = e * e + damping * e + restoring

@@ -172,10 +172,6 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     """
     n, p, q, l1, l2 = params.n, params.p, params.q, params.l1, params.l2
     k1, k2 = params.k1, params.k2
-    if k1 and p == 1.0:
-        raise ValueError("p = 1 makes alpha1 undefined")
-    if k2 and q == 1.0:
-        raise ValueError("q = 1 makes alpha2 undefined")
     alpha1 = (2.0 + l1) / (p - 1.0) if p != 1.0 else math.inf
     alpha2 = (2.0 + l2) / (q - 1.0) if q != 1.0 else math.inf
     lambda1 = _amplitude(alpha1, n, p) if math.isfinite(alpha1) else None

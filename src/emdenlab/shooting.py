@@ -4,14 +4,14 @@ Shots, scans and orbits take one DerivedConstants and read the equation
 from its dc.params, so no run is integrated in one parameter set's frame
 and classified against another's.  A shot starts the regular
 solution u(0) = a on its series expansion (forced_expansion about a) at
-r0 = series_radius (regular_start), integrates outward in the alpha1
-frame, and classifies the infinity end.  Boundary hunting bisects
-between amplitudes whose shots end in different kinds; connecting
-orbits seed one end on its forced expansion about lambda at the
-CONNECT_DEFAULTS depth and integrate across to the other: the step
-(seed_and_integrate, then classify_ends) the sweep cells and `emdenlab
-solve` run too, at their own depths, for an End record
-dc.end("infinity") or dc.end("origin").
+the largest radius r0 its SERIES_BUDGET allows (regular_start),
+integrates outward in the alpha1 frame, and classifies the infinity
+end.  Boundary hunting bisects between amplitudes whose shots end in
+different kinds.  A crossing seeds one end, named as in dc.end, on its
+forced expansion about lambda at its own side of a span (t_min, t_max)
+and integrates to the other side (seed_and_integrate), then classifies
+both ends (classify_ends): connecting orbits over their CONNECT_DEFAULTS
+span, sweep cells and `emdenlab solve` over the run config's [spans].
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .classify import ClassificationReport, Kind, classify_end
 from .integrate import Frame, IntegratorConfig, Trajectory, \
     forced_expansion, integrate, integrate_many
-from .params import DerivedConstants, End, ProblemParams, classify_regime
+from .params import DerivedConstants, classify_regime
 from .serialize import SKIP, Record
 
 
@@ -38,23 +38,17 @@ BISECT_REL_WIDTH = 1e-12
 BISECT_MAX_ITER = 80
 
 
-def series_radius(a: float, params: ProblemParams) -> float:
-    """Largest start radius (capped at 1e-4) keeping every first-order
-    term |K_i| r0^{E_i} of the expansion about a below SERIES_BUDGET a."""
-    # a^P can underflow to K = 0: that term is then negligible
-    return min([1e-4] + [(SERIES_BUDGET * a / abs(k)) ** (1.0 / e)
-                         for k, e in forced_expansion(params, a).terms
-                         if k])
-
-
 def regular_start(a: float, dc: DerivedConstants) -> tuple:
-    """(r0, start) of the regular shot u(0) = a in Frame(dc.alpha1).
-
-    ValueError for a non-positive a, and for a tiny r0 with a large alpha1,
-    which underflows the frame's start v = r0^alpha1 u(r0) to 0."""
-    r0 = series_radius(a, dc.params)
-    start = forced_expansion(dc.params, a).start(math.log(r0),
-                                                 Frame(dc.alpha1))
+    """(r0, start) of the regular shot u(0) = a in Frame(dc.alpha1), r0
+    the largest radius (at most 1e-4) keeping every first-order term
+    |K_i| r0^{E_i} of the expansion about a below SERIES_BUDGET a.
+    ValueError for a non-positive a, and for a tiny r0 with a large
+    alpha1, which underflows the frame's start v = r0^alpha1 u(r0) to 0."""
+    expansion = forced_expansion(dc, a)
+    # a^P can underflow to K = 0: that term is then negligible
+    r0 = min([1e-4] + [(SERIES_BUDGET * a / abs(k)) ** (1.0 / e)
+                       for k, e in expansion.terms if k])
+    start = expansion.start(math.log(r0), Frame(dc.alpha1))
     if start.v == 0.0:
         raise ValueError(
             f"the shot u(0) = {a!r} cannot start: its series radius "
@@ -164,7 +158,9 @@ def bisect_boundary(a_lo: float, a_hi: float, dc: DerivedConstants,
 
 def effective_jobs(jobs: int) -> int:
     """Worker processes used for `jobs` requested: at most
-    os.cpu_count().  A count below 1 is a ValueError."""
+    os.cpu_count().  A non-int count or one below 1 is a ValueError."""
+    if not isinstance(jobs, int):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return min(jobs, os.cpu_count() or 1)
@@ -225,19 +221,22 @@ class ConnectingOrbit(Record):
     report_origin: ClassificationReport
 
 
-# seeding depth and crossing span, frozen by rate/stability calibration
-CONNECT_DEFAULTS = {"from_infinity": (14.0, -34.0),
-                    "from_origin": (-10.0, 20.0)}  # (t_seed, t_end)
+# crossing (t_min, t_max) per direction, frozen by rate/stability calibration
+CONNECT_DEFAULTS = {"from_infinity": (-34.0, 14.0),
+                    "from_origin": (-10.0, 20.0)}
 END_WINDOW = 4.0
 
 
-def seed_and_integrate(params: ProblemParams, end: End, t_seed: float,
-                       t_end: float, config: IntegratorConfig | None = None
+def seed_and_integrate(dc: DerivedConstants, end: str, span: tuple,
+                       config: IntegratorConfig | None = None
                        ) -> Trajectory:
-    """Seed `end` at t_seed on its forced expansion lambda + K e^{rate t}
-    and integrate to t_end in that end's frame."""
-    start = forced_expansion(params, end).start(t_seed)
-    return integrate(start, Frame(end.alpha), t_end, params, config)
+    """Seed dc.end(end) on its forced expansion lambda + K e^{rate t} at
+    its side of span = (t_min, t_max), t_max at infinity and t_min at
+    the origin, and integrate to the other side in that end's frame."""
+    e = dc.end(end)
+    t_seed, t_stop = span[::-e.side]
+    start = forced_expansion(dc, end).start(t_seed)
+    return integrate(start, Frame(e.alpha), t_stop, dc.params, config)
 
 
 def classify_ends(traj: Trajectory, dc: DerivedConstants) -> tuple:
@@ -259,10 +258,10 @@ def connecting_orbit(dc: DerivedConstants, direction: str,
                      ) -> ConnectingOrbit:
     """Seed the singular behavior at one end and integrate to the other.
 
-    from_infinity seeds lambda1 + K e^{delta t} at the CONNECT_DEFAULTS
-    t_seed in the alpha1 frame (seed_and_integrate) and integrates down
-    to its t_end; from_origin does the mirror run from
-    lambda2 + K e^{delta2 t} in the alpha2 frame.  Both ends are
+    from_infinity seeds lambda1 + K e^{delta t} at the top of its
+    CONNECT_DEFAULTS span in the alpha1 frame (seed_and_integrate) and
+    integrates down to the bottom; from_origin does the mirror run up
+    from lambda2 + K e^{delta2 t} in the alpha2 frame.  Both ends are
     classified by classify_ends.
     """
     if direction not in CONNECT_DEFAULTS:
@@ -273,6 +272,6 @@ def connecting_orbit(dc: DerivedConstants, direction: str,
     if case != f"singular_at_{end.name}":
         raise ValueError(f"{direction} needs regime singular_at_{end.name}, "
                          f"but these parameters give {case!r}")
-    traj = seed_and_integrate(dc.params, end, *CONNECT_DEFAULTS[direction],
+    traj = seed_and_integrate(dc, end.name, CONNECT_DEFAULTS[direction],
                               config)
     return ConnectingOrbit(direction, traj, *classify_ends(traj, dc))

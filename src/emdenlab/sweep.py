@@ -3,9 +3,9 @@
 A run configuration is an INI file with a [params] section plus optional
 [integrator], [spans], [output] and [sweep] sections.  Sweeps expand the
 [sweep] axes into a parameter grid, run one crossing per cell from the
-first End of dc.ends with an equilibrium, seeded on its side of [spans]
-(the seed-and-cross step of connecting_orbit: seed_and_integrate, then
-classify_ends), and write a content-addressed output tree
+first end of dc.ends with an equilibrium, seeded on its side of [spans]
+(seed_and_integrate, the step of connecting_orbit and `emdenlab solve`,
+then classify_ends), and write a content-addressed output tree
 
     <output>/<run-id>/manifest.json
     <output>/<run-id>/cells/<index>/trajectory.csv
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .integrate import IntegratorConfig, write_trajectory_csv
-from .params import End, ProblemParams, classify_regime, derive_constants
+from .params import ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json, fmt_float
 from .shooting import classify_ends, effective_jobs, map_jobs, \
     seed_and_integrate
@@ -131,15 +131,6 @@ def parse_run_config(path) -> RunConfig:
         return parse_run_config_text(fh.read())
 
 
-def seeded_run(params: ProblemParams, end: End, cfg: RunConfig):
-    """Seed `end` of derive_constants(params) on its side of [t_min,
-    t_max] (t_max at infinity, t_min at the origin) and cross to the
-    other side with the config's integrator."""
-    t_seed, t_stop = ((cfg.t_max, cfg.t_min) if end.side > 0
-                      else (cfg.t_min, cfg.t_max))
-    return seed_and_integrate(params, end, t_seed, t_stop, cfg.integrator)
-
-
 def expanded_axes(cfg: RunConfig) -> dict:
     """Sweep axes with singleton fallbacks from [params]."""
     return {name: list(cfg.axes.get(name, [getattr(cfg.params, name)]))
@@ -193,9 +184,8 @@ def _cell_job(args) -> dict:
         "files": [],
     }
     try:
-        params = dataclasses.replace(cfg.params, **values)
-        dc = derive_constants(params)
-        flags = classify_regime(params, dc)
+        dc = derive_constants(dataclasses.replace(cfg.params, **values))
+        flags = classify_regime(dc.params, dc)
         cell["constants"] = dc.to_dict()
         cell["regime"] = flags.to_dict()
         # infinity first; lambda is an equilibrium where auto_k is on
@@ -203,7 +193,8 @@ def _cell_job(args) -> dict:
                     if e.lam is not None and e.auto_k), None)
         if end is None:
             raise ValueError("no singular equilibrium in either frame")
-        traj = seeded_run(params, end, cfg)
+        traj = seed_and_integrate(dc, end.name, (cfg.t_min, cfg.t_max),
+                                  cfg.integrator)
         rep_inf, rep_ori = classify_ends(traj, dc)
         cell["seeded_end"] = end.name
         cell["termination"] = traj.termination.kind.value

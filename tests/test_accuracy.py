@@ -41,7 +41,7 @@ def test_criterion_1_starts_off_an_equilibrium(lab):
     # every step, so it would measure no integrator error at all
     art = lab.singular_oracle
     traj = art["traj"]
-    rhs = log_frame_rhs(art["params"], traj.frame.alpha)
+    rhs = log_frame_rhs(art["dc"].params, traj.frame.alpha)
     assert max(map(abs, rhs(traj.t[0], (traj.v[0], traj.vdot[0])))) > 1.0
     assert art["max_rel_err"] > 0.0
 

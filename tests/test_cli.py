@@ -257,6 +257,44 @@ def test_connect_json(capsys):
     assert payload["report_origin"]["kind"] == "slow_decay_singular"
 
 
+@pytest.mark.parametrize("command", [
+    ["shoot", "--a", "1.0"],
+    ["scan", "--points", "16"],
+    ["connect", "--direction", "from_infinity"],
+])
+def test_problem_flags_beside_config_exit_1(tmp_path, capsys, command):
+    # the problem comes from one source: --config or the flags, never a
+    # mix where the flags would be silently dropped
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI)
+    rc = main([*command, "--config", str(ini), "--p", "2.3", "--q", "2.5"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: --config sets the problem; drop --p --q" in err
+
+
+@pytest.mark.parametrize("params, direction, spans", [
+    (INI, "from_infinity", "t_min = -34\nt_max = 14\n"),
+    (INI.replace("p = 1.9", "p = 2.5").replace("q = 1.95", "q = 3.0"),
+     "from_origin", "t_min = -10\nt_max = 20\n"),
+])
+def test_solve_and_connect_write_one_seeded_path(tmp_path, capsys, params,
+                                                direction, spans):
+    # solve seeds its end on that end's side of [spans], connect on its
+    # side of the direction's default span: over the same span they are
+    # one run and write the same bytes
+    ini = tmp_path / "run.ini"
+    ini.write_text(params + "[spans]\n" + spans)
+    solved, connected = tmp_path / "solve.csv", tmp_path / "connect.csv"
+    assert main(["solve", "--config", str(ini), "--out", str(solved),
+                 "--start", direction.removeprefix("from_")]) == 0
+    assert main(["connect", "--direction", direction, "--config", str(ini),
+                 "--out", str(connected)]) == 0
+    capsys.readouterr()
+    assert solved.read_bytes() == connected.read_bytes()
+
+
 def test_connect_regime_mismatch_exits_1(capsys):
     rc = main(["connect", "--direction", "from_origin", *PARAM_FLAGS])
     assert rc == 1

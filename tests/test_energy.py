@@ -157,8 +157,7 @@ class TestBoundReport:
         # the forced-mode slope |delta K| e^{delta t} at the window's
         # inner edge t = 10, with the closed-form K of the seed (1.578e-3
         # predicted, 1.574e-3 read)
-        (k, delta), = forced_expansion(dc_a.params,
-                                       dc_a.end("infinity")).terms
+        (k, delta), = forced_expansion(dc_a, "infinity").terms
         assert rep.sup_abs_vdot == pytest.approx(
             abs(delta * k) * math.exp(10.0 * delta), rel=5e-3)
         assert rep.integral_vdot_sq > 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,11 +26,11 @@ from emdenlab import (
     log_frame_rhs,
     read_trajectory_csv,
     reframe,
-    series_radius,
     sweep,
     write_trajectory_csv,
 )
 from emdenlab.integrate import CSV_HEADER as HEADER, RTOL_MIN
+from emdenlab.shooting import regular_start
 
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
 
@@ -61,7 +62,7 @@ class TestIntegrateCore:
     def test_direction_symmetry(self, config_a, dc_a):
         # integrate backward over [0, 6], then forward from the endpoint;
         # the far endpoint must reproduce the seed within solver budget
-        start = forced_expansion(config_a, dc_a.end("infinity")).start(6.0)
+        start = forced_expansion(dc_a, "infinity").start(6.0)
         back = integrate(start, Frame(dc_a.alpha1), 0.0, config_a)
         end = State(back.t_end, float(back.v[-1]), float(back.vdot[-1]))
         fwd = integrate(end, Frame(dc_a.alpha1), 6.0, config_a)
@@ -69,8 +70,7 @@ class TestIntegrateCore:
         assert abs(fwd.vdot[-1] - start.vdot) < 1e-8
 
     def test_positivity_event_is_located(self, config_a, dc_a):
-        start = forced_expansion(config_a, 1.0).start(
-            math.log(series_radius(1.0, config_a)), Frame(dc_a.alpha1))
+        start = regular_start(1.0, dc_a)[1]
         traj = integrate(start, Frame(dc_a.alpha1), 12.0, config_a)
         assert traj.termination.kind == TerminationKind.POSITIVITY_LOST
         assert traj.t[-1] == pytest.approx(traj.termination.t, abs=1e-12)
@@ -183,38 +183,38 @@ def old_series_start(a, r0, params, frame):
 
 
 class TestSeries:
-    def test_gate_rejects_large_radius(self, config_a):
+    def test_gate_rejects_large_radius(self, dc_a):
         # at a = 50 the q-term correction at r0 = 1e-4 exceeds 1e-6 a
         with pytest.raises(ValueError, match="too shallow.* >= 1e-06 x "
                            "amplitude"):
-            forced_expansion(config_a, 50.0).start(math.log(1e-4))
+            forced_expansion(dc_a, 50.0).start(math.log(1e-4))
 
-    def test_series_radius_respects_gate(self, config_a):
+    def test_series_radius_respects_gate(self, dc_a):
         for a in (0.01, 1.0, 50.0, 4000.0):
-            r0 = series_radius(a, config_a)
-            state = forced_expansion(config_a, a).start(math.log(r0))
+            r0 = regular_start(a, dc_a)[0]
+            state = forced_expansion(dc_a, a).start(math.log(r0))
             assert state.v == pytest.approx(a, rel=1e-5)
 
     def test_start_radius_insensitivity(self, config_a, dc_a):
         # starting the same shot at r0 and r0/2 must agree downstream
         frame = Frame(dc_a.alpha1)
         a = 1.3
-        r0 = series_radius(a, config_a)
+        r0 = regular_start(a, dc_a)[0]
         ends = []
         for r in (r0, r0 / 2.0):
-            start = forced_expansion(config_a, a).start(math.log(r), frame)
+            start = forced_expansion(dc_a, a).start(math.log(r), frame)
             ends.append(integrate(start, frame, 0.0, config_a))
         u1, u2 = ends[0].u[-1], ends[1].u[-1]
         d1, d2 = ends[0].du_dr[-1], ends[1].du_dr[-1]
         assert abs(u1 - u2) / abs(u1) < 1e-9
         assert abs(d1 - d2) / abs(d1) < 1e-5
 
-    def test_rejects_nonpositive_inputs(self, config_a):
+    def test_rejects_nonpositive_inputs(self, dc_a):
         with pytest.raises(ValueError, match="amplitude must be positive"):
-            forced_expansion(config_a, -1.0)
+            forced_expansion(dc_a, -1.0)
         # r0 = 0 is t = -inf
         with pytest.raises(ValueError, match="must be finite"):
-            forced_expansion(config_a, 1.0).start(-math.inf)
+            forced_expansion(dc_a, 1.0).start(-math.inf)
 
     def test_regular_k_is_the_series_correction(self, config_a, dc_a):
         # K = -a^P / ((2+l)(n+l)) at rate 2 + l, one per term, to 1 ulp;
@@ -222,7 +222,7 @@ class TestSeries:
         frame = Frame(dc_a.alpha1)
         n = config_a.n
         for a in np.logspace(-2.0, 2.0, 41):
-            exp = forced_expansion(config_a, a)
+            exp = forced_expansion(dc_a, a)
             assert (exp.alpha, exp.amp) == (0.0, a)
             assert len(exp.terms) == 2
             for (k, e), (exp_, l, _) in zip(exp.terms,
@@ -230,7 +230,7 @@ class TestSeries:
                 old = -a ** exp_ / ((2.0 + l) * (n + l))
                 assert e == 2.0 + l
                 assert abs(k - old) <= math.ulp(old)
-            r0 = series_radius(a, config_a)
+            r0 = regular_start(a, dc_a)[0]
             new, old = exp.start(math.log(r0), frame), \
                 old_series_start(a, r0, config_a, frame)
             assert new.t == old.t
@@ -246,7 +246,7 @@ class TestSeeds:
                 (config_a, dc_a, "infinity", -1.1639, 14.0),
                 (config_c, dc_c, "origin", -0.3527, -10.0)):
             end = dc.end(name)
-            exp = forced_expansion(params, end)
+            exp = forced_expansion(dc, name)
             (k, e), = exp.terms
             assert k == pytest.approx(k_ref, abs=5e-5)
             assert e == end.rate
@@ -267,16 +267,16 @@ class TestSeeds:
         # q-term off: infinity has no forced term, so the seed offset
         # eps = K e^{rate t} is zero and lambda1 is exact
         dc = derive_constants(SINGLE)
-        exp = forced_expansion(SINGLE, dc.end("infinity"))
+        exp = forced_expansion(dc, "infinity")
         assert exp.terms == ()
         s = exp.start(14.0)
         assert (s.v, s.vdot) == (dc.lambda1, 0.0)
         assert math.copysign(1.0, s.vdot) == 1.0
 
-    def test_eps_bound(self, config_a, dc_a):
+    def test_eps_bound(self, dc_a):
         # the seed offset eps = K e^{rate t_seed} must stay below 0.1
         # lambda: |K| = 1.16 at t_seed = 0 is above 0.1 lambda1 = 0.18
-        exp = forced_expansion(config_a, dc_a.end("infinity"))
+        exp = forced_expansion(dc_a, "infinity")
         with pytest.raises(ValueError, match="too shallow.* >= 0.1 x "
                            "amplitude"):
             exp.start(0.0)
@@ -286,21 +286,22 @@ class TestSeeds:
         params = ProblemParams(n=3, p=1.2, q=5.0, l1=0.0, l2=-0.5)
         dc = derive_constants(params)
         with pytest.raises(ValueError, match="no singular equilibrium"):
-            forced_expansion(params, dc.end("infinity"))
+            forced_expansion(dc, "infinity")
 
     def test_switched_off_autonomous_term_rejected(self):
         # p-term off: lambda1 is no equilibrium of the alpha1 frame
         params = ProblemParams(n=5, p=1.9, q=1.95, l2=-0.5, k1=0.0)
         dc = derive_constants(params)
         with pytest.raises(ValueError, match="no singular equilibrium"):
-            forced_expansion(params, dc.end("infinity"))
+            forced_expansion(dc, "infinity")
 
-    def test_resonance_rejected(self, config_a):
+    def test_resonance_rejected(self, dc_a):
         # alpha 1, n 5, P 2: L = 2; rate 1 and damping -3 make
         # 1 - 3 + 2 = 0, the forcing rate a root of the linearisation
         end = End("infinity", 1, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0, -3.0, 3.0, 1.0)
         with pytest.raises(ValueError, match="resonance"):
-            forced_expansion(config_a, end)
+            forced_expansion(dataclasses.replace(dc_a, ends=(end,)),
+                             "infinity")
 
 
 class TestReframe:
@@ -361,8 +362,7 @@ class TestCsv:
         assert term.kind == TerminationKind.REACHED_SPAN_END
 
     def test_crossing_termination_inferred(self, config_a, dc_a, tmp_path):
-        start = forced_expansion(config_a, 1.0).start(
-            math.log(series_radius(1.0, config_a)), Frame(dc_a.alpha1))
+        start = regular_start(1.0, dc_a)[1]
         traj = integrate(start, Frame(dc_a.alpha1), 12.0, config_a)
         path = tmp_path / "cross.csv"
         write_trajectory_csv(traj, path)

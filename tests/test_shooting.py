@@ -14,12 +14,12 @@ from emdenlab import (
     derive_constants,
     forced_expansion,
     scan_thresholds,
-    series_radius,
     shoot,
     shoot_many,
     shooting,
 )
-from emdenlab.shooting import classify_ends, seed_and_integrate
+from emdenlab.shooting import classify_ends, regular_start, \
+    seed_and_integrate
 
 
 class TestShoot:
@@ -29,8 +29,8 @@ class TestShoot:
         assert np.array_equal(s1.trajectory.v, s2.trajectory.v)
         assert s1.kind == s2.kind
 
-    def test_adaptive_radius_shrinks_with_amplitude(self, config_a, dc_a):
-        radii = [series_radius(a, config_a) for a in (0.1, 1.0, 100.0)]
+    def test_adaptive_radius_shrinks_with_amplitude(self, dc_a):
+        radii = [regular_start(a, dc_a)[0] for a in (0.1, 1.0, 100.0)]
         assert radii[0] == 1e-4
         assert radii[1] < 1e-4
         assert radii[2] < radii[1]
@@ -132,9 +132,10 @@ class TestScan:
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: None)
         assert shooting.effective_jobs(8) == 1
 
-    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0])
     def test_worker_count_below_1_rejected(self, dc_a, jobs):
-        message = f"jobs must be >= 1, got {jobs}"
+        message = f"jobs must be >= 1, got {jobs}" if isinstance(jobs, int) \
+            else f"jobs must be an integer, got {jobs!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             shooting.effective_jobs(jobs)
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -187,12 +188,18 @@ class TestConnectingOrbit:
         with pytest.raises(ValueError, match="regime"):
             connecting_orbit(dc_a, "from_origin")
 
-    def test_eps_bound(self, config_a, dc_a):
+    def test_eps_bound(self, dc_a):
         # the seed offset eps = K e^{delta t_seed} must stay below 0.1
-        # lambda1: |K| = 1.16 at t_seed = 0 is too shallow
-        t_end = shooting.CONNECT_DEFAULTS["from_infinity"][1]
+        # lambda1: |K| = 1.16 at t_seed = 0 is too shallow; infinity
+        # seeds at the top of the span
+        t_min = shooting.CONNECT_DEFAULTS["from_infinity"][0]
         with pytest.raises(ValueError, match="too shallow"):
-            seed_and_integrate(config_a, dc_a.end("infinity"), 0.0, t_end)
+            seed_and_integrate(dc_a, "infinity", (t_min, 0.0))
+
+    def test_unknown_end_rejected(self, dc_a):
+        with pytest.raises(ValueError,
+                           match="end must be 'origin' or 'infinity'"):
+            seed_and_integrate(dc_a, "sideways", (-34.0, 14.0))
 
     def test_direction_validation(self, dc_a):
         with pytest.raises(ValueError, match="direction"):
@@ -235,13 +242,15 @@ def test_forced_seed_reads_the_end_rate_and_leaves_the_far_end(params):
     end = dc.end(classify_regime(params, dc).theorem3_case
                  .removeprefix("singular_at_"))
     event(end.name)
-    (k, rate), = forced_expansion(params, end).terms
+    (k, rate), = forced_expansion(dc, end.name).terms
     t_seed = math.log(1e-5 * end.lam / abs(k)) / rate \
         + end.side * shooting.END_WINDOW
-    t_end = shooting.CONNECT_DEFAULTS[f"from_{end.name}"][1]
+    t_min, t_max = shooting.CONNECT_DEFAULTS[f"from_{end.name}"]
     reports = []
     for shift in (0.0, -2.0, 2.0):
-        traj = seed_and_integrate(params, end, t_seed + shift, t_end)
+        span = (t_min, t_seed + shift) if end.side > 0 \
+            else (t_seed + shift, t_max)
+        traj = seed_and_integrate(dc, end.name, span)
         # (seed side, far side)
         reports.append(classify_ends(traj, dc)[::end.side])
     seed, far = reports[0]

@@ -322,11 +322,12 @@ class TestSweep:
         manifest = sweep(self._cfg(tmp_path))
         assert manifest.cells[0]["error"] is None
 
-    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0])
     def test_worker_count_below_1_rejected(self, tmp_path, jobs):
         # the one effective_jobs check, before any directory is made
-        with pytest.raises(ValueError,
-                           match=re.escape(f"jobs must be >= 1, got {jobs}")):
+        message = f"jobs must be >= 1, got {jobs}" if isinstance(jobs, int) \
+            else f"jobs must be an integer, got {jobs!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             sweep(self._cfg(tmp_path), jobs=jobs)
         assert not (tmp_path / "runs").exists()
 
