@@ -4,8 +4,8 @@ The equation under study is
 
     u'' + (n-1)/r u' + k1 r^{l1} u^p + k2 r^{l2} u^q = 0,   r > 0,
 
-with n >= 3, 1 < p < q and -2 < l2 < l1 <= 0 when both power terms are
-active.  Everything in this module is closed-form algebra over the
+with n >= 3, p > 1, q > 1, and p < q, -2 < l2 < l1 <= 0 when both power
+terms are active.  Everything in this module is closed-form algebra over the
 parameter quintuple: scaling exponents alpha1/alpha2, the exact singular
 amplitudes lambda1/lambda2, the Serrin and Sobolev-type thresholds, the
 log-frame forcing exponents delta/delta2, and the regime flags that decide
@@ -35,7 +35,8 @@ class ProblemParams:
     """The quintuple (n, p, q, l1, l2) plus the k1/k2 term toggles.
 
     k1 and k2 take values in {0, 1}; switching one off gives the
-    single-term degenerate modes used as closed-form oracles.
+    single-term degenerate modes used as closed-form oracles.  p and q
+    exceed 1 even when their term is off: both frames are derived.
     """
 
     n: int
@@ -52,20 +53,22 @@ class ProblemParams:
         for name in ("p", "q", "l1", "l2"):
             if not _is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number")
+        for name in ("p", "q"):
+            if not getattr(self, name) > 1.0:
+                raise ValueError(f"{name} must exceed 1, got "
+                                 f"{getattr(self, name)}")
         if self.k1 not in (0, 1, 0.0, 1.0) or self.k2 not in (0, 1, 0.0, 1.0):
             raise ValueError("k1 and k2 are toggles in {0, 1}")
         if not (self.k1 or self.k2):
             raise ValueError("at least one power term must be active")
         if self.k1 and self.k2:
-            if not (1.0 < self.p < self.q):
+            if not self.p < self.q:
                 raise ValueError(f"need 1 < p < q, got p={self.p}, q={self.q}")
             if not (-2.0 < self.l2 < self.l1 <= 0.0):
                 raise ValueError(
                     f"need -2 < l2 < l1 <= 0, got l1={self.l1}, l2={self.l2}")
         else:
-            exp, wt = (self.p, self.l1) if self.k1 else (self.q, self.l2)
-            if not exp > 1.0:
-                raise ValueError(f"active exponent must exceed 1, got {exp}")
+            wt = self.l1 if self.k1 else self.l2
             if not wt > -2.0:
                 raise ValueError(f"active weight must exceed -2, got {wt}")
 
@@ -172,10 +175,10 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     """
     n, p, q, l1, l2 = params.n, params.p, params.q, params.l1, params.l2
     k1, k2 = params.k1, params.k2
-    alpha1 = (2.0 + l1) / (p - 1.0) if p != 1.0 else math.inf
-    alpha2 = (2.0 + l2) / (q - 1.0) if q != 1.0 else math.inf
-    lambda1 = _amplitude(alpha1, n, p) if math.isfinite(alpha1) else None
-    lambda2 = _amplitude(alpha2, n, q) if math.isfinite(alpha2) else None
+    alpha1 = (2.0 + l1) / (p - 1.0)
+    alpha2 = (2.0 + l2) / (q - 1.0)
+    lambda1 = _amplitude(alpha1, n, p)
+    lambda2 = _amplitude(alpha2, n, q)
     c1coef = n - 2.0 - 2.0 * alpha1
     c2coef = n - 2.0 - 2.0 * alpha2
     delta = (2.0 + l1) * (1.0 - q) / (p - 1.0) + 2.0 + l2

@@ -57,10 +57,6 @@ def fmt_float(x: float) -> str:
     """Decimal text that round-trips the double exactly."""
     if isinstance(x, bool):
         raise TypeError("bool is not a float")
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".17g")
 
 

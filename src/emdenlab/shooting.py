@@ -71,8 +71,7 @@ class ShotResult(Record):
 
 def shoot(a: float, dc: DerivedConstants,
           config: IntegratorConfig | None = None,
-          t_target: float = T_TARGET,
-          window: tuple | None = None) -> ShotResult:
+          t_target: float = T_TARGET) -> ShotResult:
     """One regular shot u(0) = a, classified at the infinity end.
 
     The start radius shrinks automatically with a so the series gate
@@ -81,8 +80,7 @@ def shoot(a: float, dc: DerivedConstants,
     """
     r0, start = regular_start(a, dc)
     traj = integrate(start, Frame(dc.alpha1), t_target, dc.params, config)
-    report = classify_end(traj, dc, "infinity", window=window)
-    return ShotResult(float(a), r0, traj, report)
+    return ShotResult(float(a), r0, traj, classify_end(traj, dc, "infinity"))
 
 
 def shoot_many(a_grid, dc: DerivedConstants,
@@ -90,8 +88,8 @@ def shoot_many(a_grid, dc: DerivedConstants,
                t_target: float = T_TARGET) -> list:
     """shoot() at every amplitude of a_grid, the shots integrated in
     lockstep as one lane batch (integrate_many); ShotResults in grid
-    order.  Worth it from about 10 amplitudes; single shots and
-    bisection midpoints go through shoot.
+    order.  Worth it from about 10 amplitudes (a scan's grid); single
+    shots and bisection midpoints go through shoot.
     """
     starts = [regular_start(a, dc) for a in a_grid]
     trajs = integrate_many([start for _, start in starts], Frame(dc.alpha1),
@@ -166,14 +164,14 @@ def effective_jobs(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def map_jobs(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], fanned out over effective_jobs(jobs)
-    processes when that exceeds 1; results come back in item order."""
-    workers = effective_jobs(jobs)
-    if workers == 1:
-        return [fn(x) for x in items]
+def map_jobs(fn, arg_tuples: list, jobs: int) -> list:
+    """[fn(*args) for args in arg_tuples] in order, over effective_jobs(jobs)
+    processes but at most one per call; in-process when that is 1."""
+    workers = min(effective_jobs(jobs), len(arg_tuples))
+    if workers <= 1:
+        return [fn(*args) for args in arg_tuples]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*arg_tuples)))
 
 
 @dataclass
@@ -191,25 +189,23 @@ def scan_thresholds(a_grid, dc: DerivedConstants,
     """Shoot a grid of amplitudes and bisect every kind change.
 
     The grid must be strictly increasing with at least 16 points.  It is
-    shot as one contiguous lane batch per worker (shoot_many over
-    map_jobs); a lane's trajectory does not depend on the batch it rides
-    in and batches come back in grid order, so the outcome is identical
-    for any worker count.
+    shot in this process as one lane batch (shoot_many); the brackets
+    (a_grid[i], a_grid[i+1]) whose shots differ in kind are bisected
+    over map_jobs, each on one worker, and come back in grid order.  A
+    bad jobs is a ValueError before the first shot.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size < 16:
         raise ValueError(f"grid needs >= 16 points, got {a_grid.size}")
     if not np.all(np.diff(a_grid) > 0.0):
         raise ValueError("grid must be strictly increasing")
-    batches = map_jobs(partial(shoot_many, dc=dc, config=config,
-                               t_target=t_target),
-                       [chunk.tolist() for chunk in
-                        np.array_split(a_grid, effective_jobs(jobs))], jobs)
-    shots = [shot for batch in batches for shot in batch]
+    jobs = effective_jobs(jobs)
+    shots = shoot_many(a_grid.tolist(), dc, config, t_target)
     kinds = [s.kind for s in shots]
-    boundaries = [bisect_boundary(float(a_grid[i]), float(a_grid[i + 1]),
-                                  dc, config, t_target)
-                  for i in range(len(kinds) - 1) if kinds[i] != kinds[i + 1]]
+    brackets = [(float(a_grid[i]), float(a_grid[i + 1]))
+                for i in range(len(kinds) - 1) if kinds[i] != kinds[i + 1]]
+    boundaries = map_jobs(partial(bisect_boundary, dc=dc, config=config,
+                                  t_target=t_target), brackets, jobs)
     return ThresholdScan(a_grid, kinds, shots, boundaries)
 
 

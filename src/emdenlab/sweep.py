@@ -13,9 +13,9 @@ then classify_ends), and write a content-addressed output tree
 where run-id is a hash of the semantic configuration (parameters,
 integrator, spans, axes; never the output directory).  The worker count
 is sweep's `jobs` argument, not part of the configuration.  Cells come
-back in grid order (shooting.map_jobs, capped at os.cpu_count()
-workers), so manifests and cell files are byte-identical for any worker
-count apart from the recorded wall-clock time.
+back in grid order (shooting.map_jobs, at most os.cpu_count() workers
+and one per cell), so manifests and cell files are byte-identical for
+any worker count apart from the recorded wall-clock time.
 """
 
 from __future__ import annotations
@@ -173,10 +173,10 @@ def run_id_of(cfg: RunConfig) -> str:
     return config_hash(cfg)[:12]
 
 
-def _cell_job(args) -> dict:
+def _cell_job(index: int, values: dict, cfg: RunConfig,
+              out_dir: str) -> dict:
     """One sweep cell: derive, seed the available singular end, cross,
     classify both ends.  Failures are captured per cell."""
-    index, values, cfg, out_dir = args
     cell = {
         "index": index,
         "params": {**dataclasses.asdict(cfg.params), **values},

@@ -86,6 +86,21 @@ def test_exponents_invalid_params_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["exponents", "--n", "5", "--p", "3", "--q", "1", "--k2", "0"],
+     "error: q must exceed 1, got 1.0\n"),
+    (["shoot", "--a", "1"], "error: p must exceed 1, got 1.0\n"),
+])
+def test_unit_exponent_of_a_switched_off_term_exits_1(tmp_path, capsys,
+                                                       argv, message):
+    if argv[0] == "shoot":
+        ini = tmp_path / "run.ini"
+        ini.write_text("[params]\nn = 5\np = 1.0\nq = 3.0\nk1 = 0\n")
+        argv = [*argv, "--config", str(ini)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_solve_then_classify_round_trip(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text(INI)

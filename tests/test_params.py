@@ -67,6 +67,17 @@ class TestDerivedConstants:
         with pytest.raises(ValueError):
             ProblemParams(n=5, p=1.0, q=2.0)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(p=1.0, q=3.0, k1=0), "p"),
+        (dict(p=3.0, q=1.0, k2=0), "q"),
+        (dict(p=0.5, q=3.0, k1=0), "p"),
+    ])
+    def test_switched_off_exponent_must_exceed_1(self, kwargs, name):
+        # both frames are derived from p and q, on or off; p = 1 used to
+        # divide by zero in derive_constants and q = 1 to give alpha2 inf
+        with pytest.raises(ValueError, match=f"^{name} must exceed 1, got "):
+            ProblemParams(n=5, **kwargs)
+
 
 class TestSingleTermOracles:
     @pytest.mark.parametrize("n,l,exp,alpha,lam", [

@@ -1,10 +1,12 @@
 """The JSON schema of every result record (serialize.Record)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from emdenlab import apriori_bound_report, bisect_boundary, canonical_json, \
-    classify_regime, scan_thresholds, shoot
+    classify_regime, fmt_float, scan_thresholds, shoot
 from emdenlab.classify import ClassificationReport, OscillationEnvelope
 from emdenlab.energy import BoundReport
 from emdenlab.params import DerivedConstants, RegimeFlags
@@ -62,3 +64,17 @@ def test_record_json_schema(records, cls):
     d = rec.to_dict()
     assert set(d) == KEYS[cls]
     assert canonical_json(d).endswith("}\n")
+
+
+@pytest.mark.parametrize("x,text", [
+    (math.nan, "nan"), (-math.nan, "nan"), (math.inf, "inf"),
+    (-math.inf, "-inf"), (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
+    (0.1, "0.10000000000000001"), (np.float64(-math.inf), "-inf"),
+])
+def test_fmt_float_strings(x, text):
+    assert fmt_float(x) == text
+
+
+def test_fmt_float_rejects_bool():
+    with pytest.raises(TypeError, match="bool"):
+        fmt_float(True)

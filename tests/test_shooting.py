@@ -9,6 +9,7 @@ from emdenlab import (
     Kind,
     ProblemParams,
     bisect_boundary,
+    canonical_json,
     classify_regime,
     connecting_orbit,
     derive_constants,
@@ -98,15 +99,41 @@ class TestScan:
         assert len(scan.boundaries) == 1
         assert scan.boundaries[0].a_star == pytest.approx(1.26797, rel=1e-4)
 
-    def test_jobs_do_not_change_results(self, dc_a):
-        # a grid without a kind change at t = 2, so nothing is bisected
-        grid = np.logspace(0.3, 1.0, 16)
-        serial = scan_thresholds(grid, dc_a, t_target=2.0, jobs=1)
-        parallel = scan_thresholds(grid, dc_a, t_target=2.0, jobs=4)
-        assert serial.boundaries == parallel.boundaries == []
-        assert serial.kinds == parallel.kinds
-        for s, p in zip(serial.shots, parallel.shots):
-            assert np.array_equal(s.trajectory.v, p.trajectory.v)
+    def test_jobs_do_not_change_results(self, monkeypatch):
+        # two kind changes, so two brackets go to the pool of 2
+        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
+        dc = derive_constants(ProblemParams(n=5, p=2.3, q=2.5, l2=-0.5))
+        grid = np.logspace(-2.0, 4.0, 16)
+        serial = scan_thresholds(grid, dc, t_target=20.0, jobs=1)
+        parallel = scan_thresholds(grid, dc, t_target=20.0, jobs=2)
+        assert len(serial.boundaries) >= 2
+        assert canonical_json(serial.to_dict()) \
+            == canonical_json(parallel.to_dict())
+
+    def test_pool_gets_the_kind_change_brackets(self, monkeypatch):
+        # the grid is one shoot_many call; the pool sees only brackets
+        dc = derive_constants(ProblemParams(n=5, p=2.3, q=2.5, l2=-0.5))
+        batches, pooled = [], []
+        shoot_many_ = shooting.shoot_many
+
+        def recording_shoot_many(a_grid, *args):
+            batches.append(a_grid)
+            return shoot_many_(a_grid, *args)
+
+        def recording_map_jobs(fn, arg_tuples, jobs):
+            pooled.append((arg_tuples, jobs))
+            return [f"boundary {i}" for i in range(len(arg_tuples))]
+
+        monkeypatch.setattr(shooting, "shoot_many", recording_shoot_many)
+        monkeypatch.setattr(shooting, "map_jobs", recording_map_jobs)
+        grid = np.logspace(-2.0, 4.0, 16)
+        scan = scan_thresholds(grid, dc, t_target=20.0, jobs=1)
+        assert batches == [grid.tolist()]
+        changes = [i for i in range(15) if scan.kinds[i] != scan.kinds[i + 1]]
+        assert len(changes) >= 2
+        assert pooled == [([(grid[i], grid[i + 1]) for i in changes], 1)]
+        assert scan.boundaries == [f"boundary {i}"
+                                   for i in range(len(changes))]
 
     def test_lane_shots_are_the_scalar_shots(self, lab, dc_a):
         # the default-horizon 64-point grid, shot as one lane batch
@@ -133,11 +160,17 @@ class TestScan:
         assert shooting.effective_jobs(8) == 1
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0])
-    def test_worker_count_below_1_rejected(self, dc_a, jobs):
+    def test_worker_count_below_1_rejected(self, dc_a, jobs, monkeypatch):
         message = f"jobs must be >= 1, got {jobs}" if isinstance(jobs, int) \
             else f"jobs must be an integer, got {jobs!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             shooting.effective_jobs(jobs)
+
+        def no_shot(*args, **kwargs):
+            raise AssertionError("a shot ran before jobs was checked")
+
+        monkeypatch.setattr(shooting, "shoot_many", no_shot)
+        monkeypatch.setattr(shooting, "shoot", no_shot)
         with pytest.raises(ValueError, match=re.escape(message)):
             scan_thresholds(np.logspace(0.3, 1.0, 16), dc_a, t_target=2.0,
                             jobs=jobs)
@@ -153,7 +186,12 @@ class TestScan:
     def test_one_worker_maps_in_process(self, monkeypatch):
         # a lambda cannot be pickled, so this only passes without a pool
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: 1)
-        assert shooting.map_jobs(lambda x: 2 * x, [3, 1, 2], 8) == [6, 2, 4]
+        assert shooting.map_jobs(lambda x: 2 * x, [(3,), (1,), (2,)], 8) \
+            == [6, 2, 4]
+        # no more workers than calls: one call starts no pool either
+        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
+        assert shooting.map_jobs(lambda x, y: x - y, [(3, 1)], 8) == [2]
+        assert shooting.map_jobs(lambda x: 2 * x, [], 8) == []
 
     def test_scan_serializes(self, dc_a):
         grid = np.logspace(0.3, 1.0, 16)
