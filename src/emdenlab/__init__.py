@@ -50,6 +50,7 @@ from .classify import (
     OscillationEnvelope,
     SaturationError,
     classify_end,
+    end_window,
     fit_exponential_rate,
     fit_power_tail,
     oscillation_envelope,
@@ -93,7 +94,8 @@ __all__ = [
     "apriori_bound_report", "aubin_talenti_profile", "bisect_boundary",
     "canonical_json", "classify_end", "classify_regime", "config_hash",
     "connecting_orbit", "csv_round_trip", "derive_constants",
-    "energy_trace", "exact_single_term_singular", "expanded_axes",
+    "end_window", "energy_trace", "exact_single_term_singular",
+    "expanded_axes",
     "fit_exponential_rate", "forced_expansion",
     "fit_power_tail", "fmt_float", "format_results", "integrate",
     "integrate_many",

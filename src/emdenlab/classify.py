@@ -19,8 +19,9 @@ from enum import Enum
 import numpy as np
 
 from .energy import well_potential
-from .integrate import Frame, TerminationKind, Trajectory, reframe
-from .params import DerivedConstants, classify_regime
+from .integrate import Frame, IntegratorConfig, TerminationKind, \
+    Trajectory, reframe
+from .params import DerivedConstants, End, classify_regime
 from .serialize import Record
 
 
@@ -107,7 +108,8 @@ def fit_exponential_rate(traj: Trajectory, lambda_target: float,
     """
     sub = traj.window(window, 10)
     t, w = sub.t, np.abs(sub.v - lambda_target)
-    atol = traj.config.atol if traj.config is not None else 1e-12
+    atol = (traj.config.atol if traj.config is not None
+            else IntegratorConfig.atol)
     floor = 100.0 * atol
     pt, pv, pk = quadratic_extrema(t, w)
     if pt.size == 0:  # no interior extremum: every sample is a point
@@ -121,12 +123,24 @@ def fit_exponential_rate(traj: Trajectory, lambda_target: float,
     return float(np.polyfit(pt, np.log(pv), 1)[0])
 
 
+def end_window(traj: Trajectory, end: End,
+               width: float | None = None) -> tuple:
+    """The window of traj's sampled span on end's side of the t-axis:
+    `width` wide, or the span's outer quarter when width is None."""
+    lo, hi = float(np.min(traj.t)), float(np.max(traj.t))
+    if width is None:
+        width = 0.25 * (hi - lo)
+    return (hi - width, hi) if end.side > 0 else (lo, lo + width)
+
+
 def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
                  window: tuple | None = None) -> ClassificationReport:
     """Classify the behavior of a trajectory toward one end.
 
-    Decision order: (1) an event termination decides immediately
-    (positivity lost => CROSSES_ZERO); (2) with >= 3 sign changes of
+    Decision order: (1) traj.termination decides the side where the run
+    stopped (positivity lost => CROSSES_ZERO; amplitude cap or step
+    underflow => UNDETERMINED), whether the solver recorded it or
+    read_trajectory_csv inferred it; (2) with >= 3 sign changes of
     vdot, a contracting envelope (first/last deviation >
     SPIRAL_CONTRACTION) centered on lambda is SLOW_DECAY_SINGULAR, a fat
     envelope (relative amplitude > OSC_RELAMP) is OSCILLATORY; (3) a flat
@@ -135,12 +149,12 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
     ln-residual < POWER_RESID_TOL gives the regular kind for the end;
     (5) otherwise UNDETERMINED, with all statistics in diagnostics.
     The window defaults to the outer quarter of the span on the end's
-    side (Trajectory.end_window); the rate is fitted in the end's frame
+    side (end_window); the rate is fitted in the end's frame
     (fit_exponential_rate) and is None when that fit finds no clean
     decay.
     """
     e = dc.end(end)
-    term = traj.effective_termination()
+    term = traj.termination
     # event terminations decide only the side where integration stopped;
     # the seed side of a crossing shot still has analyzable data
     terminal_side = 1 if traj.t[-1] >= traj.t[0] else -1
@@ -157,7 +171,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
                  "reason": "integration did not reach the requested end"})
 
     if window is None:
-        window = traj.end_window(e)
+        window = end_window(traj, e)
     sub = reframe(traj.window(window, 10), Frame(e.alpha))
     t, v, vd = sub.t, sub.v, sub.vdot
     lam = e.lam

@@ -676,8 +676,6 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
             | ((np.abs(v0) - cap <= 0.0) & (np.abs(v1) - cap >= 0.0))
         for j in np.flatnonzero(maybe):
             hits = _crossings(float(v0[j]), float(v1[j]), cap)
-            if not hits:
-                continue
             t_old = float(ta[j])
             t_end[j], ended[j] = _first_event(
                 hits, t_old, float(t_end[j]), float(ha[j]),

@@ -173,7 +173,7 @@ def apriori_bound_report(traj: Trajectory, dc: DerivedConstants,
     mass_ok = bool(np.all(mass_steps >= -STEP_TOL))
     flux_ok = bool(np.all(flux_steps <= STEP_TOL))
 
-    term = traj.effective_termination()
+    term = traj.termination
     applicable = term.kind != TerminationKind.POSITIVITY_LOST
     reason = "" if applicable else (
         f"positivity lost at t={term.t}; bounds concern positive solutions")

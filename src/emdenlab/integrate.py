@@ -49,7 +49,7 @@ import numpy as np
 
 from .dop853 import Solution, SolverStats, TerminationKind, solve_ivp, \
     solve_lanes
-from .params import DerivedConstants, End, ProblemParams, frame_exp
+from .params import DerivedConstants, ProblemParams, frame_exp
 from .serialize import fmt_float
 
 
@@ -130,15 +130,16 @@ class Trajectory:
     """Sampled solution in one frame, plus how the integration ended.
 
     config and stats (the solver's work, see dop853.SolverStats) are
-    None for trajectories reloaded from CSV; the sample arrays and the
-    frame are always present.
+    None for trajectories reloaded from CSV; the sample arrays, the
+    frame and the termination are always present (read_trajectory_csv
+    infers a reloaded run's termination from its last samples).
     """
 
     frame: Frame
     t: np.ndarray
     v: np.ndarray
     vdot: np.ndarray
-    termination: Termination | None
+    termination: Termination
     config: IntegratorConfig | None = None
     stats: SolverStats | None = None
 
@@ -188,35 +189,6 @@ class Trajectory:
         return Trajectory(self.frame, self.t[idx], self.v[idx],
                           self.vdot[idx], self.termination, self.config,
                           self.stats)
-
-    def end_window(self, end: End, width: float | None = None) -> tuple:
-        """The window of the sampled span on end's side of the t-axis:
-        `width` wide, or the span's outer quarter when width is None."""
-        lo, hi = float(np.min(self.t)), float(np.max(self.t))
-        if width is None:
-            width = 0.25 * (hi - lo)
-        return (hi - width, hi) if end.side > 0 else (lo, lo + width)
-
-    def effective_termination(self) -> Termination:
-        """Recorded termination, or one inferred from the final sample
-        (used for CSV-reloaded trajectories that carry no metadata).
-
-        A crossing leaves the last sample many orders below its recent
-        neighbors, so the inference compares against a trailing local
-        scale; a smooth exponential tail stays within a few percent of
-        its neighbors however small it gets and is never flagged.
-        """
-        if self.termination is not None:
-            return self.termination
-        if self.v[-1] <= 0.0:
-            return Termination(TerminationKind.POSITIVITY_LOST, self.t_end)
-        if self.v.size > 1:
-            tail = self.v[max(0, self.v.size - 11):-1]
-            local = float(np.max(np.abs(tail)))
-            if local > 0.0 and self.v[-1] <= 1e-6 * local:
-                return Termination(TerminationKind.POSITIVITY_LOST,
-                                   self.t_end)
-        return Termination(TerminationKind.REACHED_SPAN_END, self.t_end)
 
 
 def _non_finite(t, v, vd, acc):
@@ -511,8 +483,13 @@ def read_trajectory_csv(path) -> Trajectory:
     with the values t, v, dv_dt and frame_alpha give them (relative
     1e-12, nan equal to nan).  Blank lines are skipped and CRLF line
     ends accepted.  Metadata (integrator config, termination) is not
-    stored in the CSV, so the result has config=None and termination
-    inferred lazily via effective_termination().
+    stored in the CSV, so the result has config=None and a termination
+    inferred from the last samples, at t[-1]: POSITIVITY_LOST when the
+    last v is <= 0 or <= 1e-6 x the largest |v| of the (up to 10)
+    samples before it, else REACHED_SPAN_END.  A crossing leaves the
+    last sample many orders below its recent neighbors; a smooth
+    exponential tail stays within a few percent of them however small
+    it gets and is never read as one.
     """
     with open(path, "r") as fh:
         header = fh.readline()
@@ -537,8 +514,16 @@ def read_trajectory_csv(path) -> Trajectory:
     alphas = data[:, 6]
     if np.any(alphas[1:] != alphas[0]):
         raise ValueError(f"{path}: frame_alpha column is not constant")
-    traj = Trajectory(Frame(float(alphas[0])), data[:, 0].copy(),
-                      data[:, 4].copy(), data[:, 5].copy(), None)
+    v = data[:, 4]
+    kind = TerminationKind.REACHED_SPAN_END
+    if v[-1] <= 0.0:
+        kind = TerminationKind.POSITIVITY_LOST
+    elif v.size > 1:
+        local = float(np.max(np.abs(v[max(0, v.size - 11):-1])))
+        if local > 0.0 and v[-1] <= 1e-6 * local:
+            kind = TerminationKind.POSITIVITY_LOST
+    traj = Trajectory(Frame(float(alphas[0])), data[:, 0].copy(), v.copy(),
+                      data[:, 5].copy(), Termination(kind, float(data[-1, 0])))
     with np.errstate(all="ignore"):
         want = np.column_stack((traj.r, traj.u, traj.du_dr))
     bad = ~np.isclose(data[:, 1:4], want, rtol=1e-12, atol=0.0,

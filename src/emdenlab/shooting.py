@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .classify import ClassificationReport, Kind, classify_end
+from .classify import ClassificationReport, Kind, classify_end, end_window
 from .integrate import Frame, IntegratorConfig, Trajectory, \
     forced_expansion, integrate, integrate_many
 from .params import DerivedConstants, classify_regime
@@ -238,14 +238,14 @@ def seed_and_integrate(dc: DerivedConstants, end: str, span: tuple,
 def classify_ends(traj: Trajectory, dc: DerivedConstants) -> tuple:
     """(report_infinity, report_origin) of a crossing trajectory.
 
-    Each end is read on the END_WINDOW-wide Trajectory.end_window (the
-    default outer quarter is too wide on long crossings); spans shorter
-    than 2 END_WINDOW use the default.
+    Each end is read on its END_WINDOW-wide end_window (the default
+    outer quarter is too wide on long crossings); spans shorter than 2
+    END_WINDOW use the default.
     """
     lo, hi = float(traj.t.min()), float(traj.t.max())
     width = END_WINDOW if hi - lo >= 2.0 * END_WINDOW else None
     return tuple(classify_end(traj, dc, e.name,
-                              window=traj.end_window(e, width))
+                              window=end_window(traj, e, width))
                  for e in dc.ends)
 
 

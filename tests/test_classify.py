@@ -7,6 +7,8 @@ from emdenlab import (
     Frame,
     Kind,
     SaturationError,
+    Termination,
+    TerminationKind,
     Trajectory,
     canonical_json,
     classify_end,
@@ -15,11 +17,13 @@ from emdenlab import (
     oscillation_envelope,
     quadratic_extrema,
 )
-from emdenlab.classify import TOL_CLASS
+from emdenlab.classify import SPIRAL_CONTRACTION, TOL_CLASS
 
 
 def synthetic(t, v, vdot, alpha=0.0):
-    return Trajectory(Frame(alpha), t, v, vdot, None)
+    """A run that reached the end of its span at t[-1]."""
+    end = Termination(TerminationKind.REACHED_SPAN_END, float(t[-1]))
+    return Trajectory(Frame(alpha), t, v, vdot, end)
 
 
 class TestQuadraticExtrema:
@@ -177,6 +181,30 @@ class TestClassifyEnd:
         rep = classify_end(traj, dc_a, "infinity")
         assert rep.kind == Kind.UNDETERMINED
         assert "reason" in rep.diagnostics
+
+    def test_spiral_away_from_lambda_undetermined(self, dc_a):
+        # a contracting spiral is the singular kind only about lambda
+        t = np.linspace(0.0, 8.0, 801)
+        w = np.exp(-t) * np.cos(10.0 * t)
+        dw = -np.exp(-t) * (np.cos(10.0 * t) + 10.0 * np.sin(10.0 * t))
+        traj = synthetic(t, 0.5 * dc_a.lambda1 + w, dw, alpha=dc_a.alpha1)
+        rep = classify_end(traj, dc_a, "infinity")
+        assert rep.kind == Kind.UNDETERMINED
+        assert rep.diagnostics["nsc"] >= 3
+        assert rep.diagnostics["contraction"] > SPIRAL_CONTRACTION
+        assert rep.diagnostics["reason"] \
+            == "contracting spiral away from lambda"
+
+    def test_power_fit_skipped_where_u_is_not_positive(self, dc_a):
+        # a run that reached its span end below zero: no power fit, and
+        # no rule reads the window
+        t = np.linspace(0.0, 4.0, 400)
+        traj = synthetic(t, 1.0 - 0.5 * t, np.full(t.size, -0.5),
+                         alpha=dc_a.alpha1)
+        rep = classify_end(traj, dc_a, "infinity")
+        assert rep.kind == Kind.UNDETERMINED
+        assert rep.diagnostics["power_residual"] is None
+        assert rep.diagnostics["reason"] == "no decision rule matched"
 
     def test_bad_end_rejected(self, orbit_a, dc_a):
         with pytest.raises(ValueError, match="end"):

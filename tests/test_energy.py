@@ -14,6 +14,7 @@ from emdenlab import (
     State,
     apriori_bound_report,
     derive_constants,
+    end_window,
     energy_trace,
     forced_expansion,
     integrate,
@@ -178,7 +179,7 @@ class TestBoundReport:
         shot = lab.shots_50[-1]
         rep = apriori_bound_report(
             shot.trajectory, dc_a,
-            shot.trajectory.end_window(dc_a.end("infinity")))
+            end_window(shot.trajectory, dc_a.end("infinity")))
         assert not rep.applicable
         assert "positivity" in rep.reason
 

@@ -17,8 +17,11 @@ from emdenlab import (
     Termination,
     TerminationKind,
     Trajectory,
+    canonical_json,
+    classify_end,
     csv_round_trip,
     derive_constants,
+    end_window,
     fmt_float,
     forced_expansion,
     integrate,
@@ -26,11 +29,12 @@ from emdenlab import (
     log_frame_rhs,
     read_trajectory_csv,
     reframe,
+    shoot,
     sweep,
     write_trajectory_csv,
 )
 from emdenlab.integrate import CSV_HEADER as HEADER, RTOL_MIN
-from emdenlab.shooting import regular_start
+from emdenlab.shooting import classify_ends, regular_start
 
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
 
@@ -166,7 +170,8 @@ class TestConfigValidation:
     def test_trajectory_needs_monotone_grid(self):
         with pytest.raises(ValueError):
             Trajectory(Frame(0.0), np.array([0.0, 1.0, 1.0]),
-                       np.ones(3), np.zeros(3), None)
+                       np.ones(3), np.zeros(3),
+                       Termination(TerminationKind.REACHED_SPAN_END, 1.0))
 
 
 def old_series_start(a, r0, params, frame):
@@ -358,17 +363,42 @@ class TestCsv:
         assert np.array_equal(loaded.t, orbit_a.trajectory.t)
         assert np.array_equal(loaded.v, orbit_a.trajectory.v)
         assert np.array_equal(loaded.vdot, orbit_a.trajectory.vdot)
-        term = loaded.effective_termination()
-        assert term.kind == TerminationKind.REACHED_SPAN_END
+        assert orbit_a.trajectory.termination.kind \
+            == TerminationKind.REACHED_SPAN_END
+        assert loaded.termination == orbit_a.trajectory.termination
 
-    def test_crossing_termination_inferred(self, config_a, dc_a, tmp_path):
-        start = regular_start(1.0, dc_a)[1]
-        traj = integrate(start, Frame(dc_a.alpha1), 12.0, config_a)
+    def test_reloaded_orbit_classifies_as_written(self, orbit_a, dc_a,
+                                                  tmp_path):
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(orbit_a.trajectory, path)
+        reports = classify_ends(read_trajectory_csv(path), dc_a)
+        assert [canonical_json(r.to_dict()) for r in reports] == [
+            canonical_json(r.to_dict())
+            for r in (orbit_a.report_infinity, orbit_a.report_origin)]
+
+    def test_crossing_termination_inferred(self, dc_a, tmp_path):
+        shot = shoot(1.0, dc_a)
         path = tmp_path / "cross.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv(shot.trajectory, path)
         loaded = read_trajectory_csv(path)
-        assert loaded.effective_termination().kind \
+        assert shot.trajectory.termination.kind \
             == TerminationKind.POSITIVITY_LOST
+        assert loaded.termination == shot.trajectory.termination
+        report = classify_end(loaded, dc_a, "infinity")
+        assert canonical_json(report.to_dict()) \
+            == canonical_json(shot.report.to_dict())
+
+    @pytest.mark.parametrize("v", [[-0.5], [0.0, 0.0]])
+    def test_nonpositive_last_v_reads_positivity_lost(self, tmp_path, v):
+        # no earlier sample is above zero, so only the sign of the last
+        # v can read the run as a crossing
+        t = np.arange(len(v), dtype=float)
+        path = tmp_path / "neg.csv"
+        write_trajectory_csv(Trajectory(
+            RAW, t, v, np.zeros(t.size),
+            Termination(TerminationKind.REACHED_SPAN_END, t[-1])), path)
+        assert read_trajectory_csv(path).termination == Termination(
+            TerminationKind.POSITIVITY_LOST, t[-1])
 
     def test_header_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -502,7 +532,9 @@ def test_writer_bytes_are_fmt_float_rows(tmp_path_factory, t, v, vdot,
     size = len(t)
     path = tmp_path_factory.getbasetemp() / "property.csv"
     with np.errstate(all="ignore"):
-        traj = Trajectory(Frame(alpha), t, v[:size], vdot[:size], None)
+        traj = Trajectory(Frame(alpha), t, v[:size], vdot[:size],
+                          Termination(TerminationKind.REACHED_SPAN_END,
+                                      t[-1]))
         cols = (traj.t, traj.r, traj.u, traj.du_dr, traj.v, traj.vdot,
                 np.full(size, alpha))
         write_trajectory_csv(traj, path)
@@ -528,6 +560,7 @@ class TestEndWindow:
     def test_window_on_each_side(self, dc_a, t, width, inf, ori):
         # no width: the outer quarter of the span, whatever the direction
         traj = Trajectory(Frame(0.0), t, np.ones_like(t), np.zeros_like(t),
-                          None)
-        assert traj.end_window(dc_a.end("infinity"), width) == inf
-        assert traj.end_window(dc_a.end("origin"), width) == ori
+                          Termination(TerminationKind.REACHED_SPAN_END,
+                                      float(t[-1])))
+        assert end_window(traj, dc_a.end("infinity"), width) == inf
+        assert end_window(traj, dc_a.end("origin"), width) == ori
