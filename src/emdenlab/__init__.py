@@ -13,11 +13,9 @@ from .params import (
     End,
     ProblemParams,
     RegimeFlags,
-    UndefinedLambdaError,
     aubin_talenti_profile,
     classify_regime,
     derive_constants,
-    exact_single_term_singular,
 )
 from .integrate import (
     RAW,
@@ -90,12 +88,11 @@ __all__ = [
     "RunConfig", "SaturationError", "ShotResult", "SolverStats", "State",
     "SweepManifest",
     "Termination", "TerminationKind", "ThresholdScan", "TOLERANCES",
-    "Trajectory", "UndefinedLambdaError",
+    "Trajectory",
     "apriori_bound_report", "aubin_talenti_profile", "bisect_boundary",
     "canonical_json", "classify_end", "classify_regime", "config_hash",
     "connecting_orbit", "csv_round_trip", "derive_constants",
-    "end_window", "energy_trace", "exact_single_term_singular",
-    "expanded_axes",
+    "end_window", "energy_trace", "expanded_axes",
     "fit_exponential_rate", "forced_expansion",
     "fit_power_tail", "fmt_float", "format_results", "integrate",
     "integrate_many",

@@ -1,7 +1,7 @@
 """Energy identities and a-priori bounds in the log frames.
 
-In any alpha frame (integrate.py's system, lin = alpha (n-2-alpha),
-damping c = n-2-2 alpha, E_i = frame_exp(P_i, l_i, alpha)) the energy
+In any alpha frame (the FrameEquation of params.frame_equation: lin,
+damping c and one (P_i, E_i, k_i) per term) the energy
 H = vdot^2/2 - lin v^2/2 + sum_i k_i e^{E_i t} v_+^{P_i+1}/(P_i+1) obeys
 dH/dt = -c vdot^2 + sum_i k_i E_i e^{E_i t} v_+^{P_i+1}/(P_i+1); the two
 terms are the damping and forcing work, and H - forcing_work -
@@ -17,25 +17,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import TerminationKind, Trajectory
-from .params import DerivedConstants, End, frame_exp
+from .params import DerivedConstants, End, frame_equation
 from .serialize import Record
 
 
+def _potential(lin, terms, t, v):
+    """sum k e^{E t} v_+^{P+1}/(P+1) - lin v^2/2 over the (P, E, k)
+    terms, and its forcing power sum E k e^{E t} v_+^{P+1}/(P+1)."""
+    vp = np.maximum(v, 0.0)
+    well = power = 0.0
+    for exp_, e, k in terms:
+        term = k * np.exp(e * t) * vp ** (exp_ + 1.0) / (exp_ + 1.0)
+        well = well + term
+        power = power + e * term
+    return well - 0.5 * lin * v ** 2, power
+
+
 def well_potential(v, end: End):
-    """The autonomous well of an end's frame,
-
-        v^{k+1}/(k+1) - lambda^{k-1} v^2/2,  k = end.auto_exp,
-
-    i.e. b1 (p, lambda1) at infinity and b (q, lambda2) at the origin.
-    The power term is clamped to the positive cone.
+    """The autonomous well of an end's frame: energy_trace's potential
+    limited to the end's autonomous term, v_+^{P+1}/(P+1) - lin v^2/2
+    with lin = lambda^{P-1}: b1 (p, lambda1) at infinity and
+    b (q, lambda2) at the origin.
     """
     if end.lam is None:
         raise ValueError(f"the well at {end.name} needs a defined singular "
                          "amplitude")
-    k = end.auto_exp
-    v = np.asarray(v, dtype=float)
-    out = np.where(v > 0.0, np.abs(v) ** (k + 1.0), 0.0) / (k + 1.0) \
-        - end.lam ** (k - 1.0) * v ** 2 / 2.0
+    eq = end.equation
+    out, _ = _potential(eq.lin, [term for term in eq.terms if term[1] == 0.0],
+                        0.0, np.asarray(v, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -111,19 +120,11 @@ def energy_trace(traj: Trajectory, dc: DerivedConstants) -> EnergyTrace:
     t = traj.t[order]
     v = traj.v[order]
     vd = traj.vdot[order]
-    a = traj.frame.alpha
-    n = dc.params.n
-    vp = np.maximum(v, 0.0)
-    potential = np.zeros_like(t)
-    power = np.zeros_like(t)
-    for exp_, l, k in dc.params.active_terms():
-        rate = frame_exp(exp_, l, a)
-        term = k * np.exp(rate * t) * vp ** (exp_ + 1.0) / (exp_ + 1.0)
-        potential += term
-        power += rate * term
-    energy = 0.5 * vd ** 2 - 0.5 * a * (n - 2.0 - a) * v ** 2 + potential
+    eq = frame_equation(dc.params, traj.frame.alpha)
+    potential, power = _potential(eq.lin, eq.terms, t, v)
+    energy = 0.5 * vd ** 2 + potential
     forcing = cumulative_simpson(power, t)
-    damping = cumulative_simpson(-(n - 2.0 - 2.0 * a) * vd ** 2, t)
+    damping = cumulative_simpson(-eq.damping * vd ** 2, t)
     return EnergyTrace(t, energy, forcing, damping)
 
 

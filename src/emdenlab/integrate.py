@@ -1,20 +1,20 @@
 """Log-radius integration frames for the double-power radial equation.
 
 With t = ln r and v = r^alpha u the radial equation becomes the
-autonomous-plus-forcing system
+autonomous-plus-forcing system of params.FrameEquation,
 
-    v'' + (n-2-2 alpha) v' - alpha (n-2-alpha) v
-        + k1 e^{E1 t} v^p + k2 e^{E2 t} v^q = 0,
+    v'' + damping v' - lin v + k1 e^{E1 t} v^p + k2 e^{E2 t} v^q = 0,
 
-where E_i = frame_exp(exp_i, l_i, alpha) (params.py).  Choosing
-alpha = alpha1 kills the exponential on the p-term (E1 = 0, E2 = delta);
-alpha = alpha2 kills it on the q-term (E2 = 0, E1 = delta2); alpha = 0
-is the raw frame.  Every run starts on forced_expansion, the closed-form
-amp + sum_i K_i e^{E_i t} about an end's lambda or a regular u(0).  All
-trajectories are integrated with the one right-hand side log_frame_rhs
-at the accuracy IntegratorConfig's defaults were chosen for (the step
-cap bounds the dense-output and event error, rtol the step error), and
-sampled on a fixed stride for downstream fits and quadrature.
+built for each alpha by params.frame_equation, the one source of its
+coefficients.  Choosing alpha = alpha1 makes the p-term autonomous
+(E1 = 0 exactly, E2 = delta); alpha = alpha2 the q-term (E2 = 0,
+E1 = delta2); alpha = 0 is the raw frame.  Every run starts on
+forced_expansion, the closed-form amp + sum_i K_i e^{E_i t} about an
+end's lambda or a regular u(0).  All trajectories are integrated with
+the one right-hand side log_frame_rhs at the accuracy IntegratorConfig's
+defaults were chosen for (the step cap bounds the dense-output and event
+error, rtol the step error), and sampled on a fixed stride for
+downstream fits and quadrature.
 
 The integrator is the in-repo DOP853 of dop853.py: Dormand-Prince 8(5,3)
 with its 7th-order dense output (Hairer, Norsett & Wanner, *Solving
@@ -49,7 +49,7 @@ import numpy as np
 
 from .dop853 import Solution, SolverStats, TerminationKind, solve_ivp, \
     solve_lanes
-from .params import DerivedConstants, ProblemParams, frame_exp
+from .params import DerivedConstants, ProblemParams, frame_equation
 from .serialize import fmt_float
 
 
@@ -258,12 +258,9 @@ def log_frame_rhs(params: ProblemParams, alpha: float):
     RuntimeError.  The same acceleration evaluated on arrays of lanes is
     the attribute `lanes(t, v, vdot)`, solve_lanes' fun.
     """
-    n = params.n
-    terms = [(exp_, frame_exp(exp_, l, alpha), float(k))
-             for exp_, l, k in params.active_terms()]
-    make = _rhs_maker(tuple((e != 0.0, k != 1.0) for _, e, k in terms))
-    return make(alpha * (n - 2.0 - alpha), n - 2.0 - 2.0 * alpha,
-                *(x for term in terms for x in term))
+    eq = frame_equation(params, alpha)
+    make = _rhs_maker(tuple((e != 0.0, k != 1.0) for _, e, k in eq.terms))
+    return make(eq.lin, eq.damping, *(x for term in eq.terms for x in term))
 
 
 def _check_start(start: State, t_target: float,
@@ -397,40 +394,37 @@ class Expansion:
 
 
 def forced_expansion(dc: DerivedConstants, center) -> Expansion:
-    """First-order expansion about a fixed point amp of the alpha frame:
+    """First-order expansion about a fixed point amp of a FrameEquation:
     each forced term k e^{E t} v^P adds K e^{E t} with the closed form
-    K = -k amp^P / (E^2 + damping E + L), L the restoring coefficient.
-    center is the name of an end, dc.end(center): amp = lambda in its
-    frame, its forced term if on, L = alpha (n-2-alpha) (auto_exp - 1),
-    gate 0.1.  Or a central value a, the regular solution u(0) = a of
-    dc.params: alpha = 0, amp = a, L = 0, every term at rate 2 + l (the
-    series' first correction), gate 1e-6.  ValueError for an unknown end
-    name, an end without an equilibrium (lambda undefined or its
-    autonomous term off), a non-positive a and a resonance (zero
-    denominator).
+    K = -k amp^P / (E^2 + damping E + L), L = lin (P - 1) summed over the
+    autonomous terms (0 when there are none).  center is the name of an
+    end, dc.end(center): its equation, amp = lambda, gate 0.1.  Or a
+    central value a, the regular solution u(0) = a of dc.params: the
+    alpha = 0 equation, where every term is forced at rate 2 + l (the
+    series' first correction), amp = a, gate 1e-6.  ValueError for an
+    unknown end name, an end without an equilibrium (lam None), a
+    non-positive a and a resonance (zero denominator).
     """
-    n = dc.params.n
     if isinstance(center, str):
         end = dc.end(center)
-        if end.lam is None or not end.auto_k:
+        if end.lam is None:
             raise ValueError(f"no singular equilibrium at {end.name}")
-        alpha, amp, gate, damping = end.alpha, end.lam, 0.1, end.damping
-        restoring = alpha * (n - 2.0 - alpha) * (end.auto_exp - 1.0)
-        forced = [(end.force_k, end.rate, end.force_exp)] \
-            if end.force_k else []
+        eq, amp, gate = end.equation, end.lam, 0.1
     else:
         if not 0.0 < center < math.inf:
             raise ValueError(f"amplitude must be positive, got {center!r}")
-        alpha, amp, gate, damping, restoring = 0.0, center, 1e-6, n - 2.0, 0.0
-        forced = [(k, 2.0 + l, exp_)
-                  for exp_, l, k in dc.params.active_terms()]
+        eq, amp, gate = frame_equation(dc.params, 0.0), center, 1e-6
+    restoring = sum(eq.lin * (exp_ - 1.0) for exp_, e, _ in eq.terms
+                    if e == 0.0)
     terms = []
-    for k, e, exp_ in forced:
-        den = e * e + damping * e + restoring
-        if den == 0.0:
-            raise ValueError(f"resonance: rate {e} solves the linearisation")
-        terms.append((-k * amp ** exp_ / den, e))
-    return Expansion(alpha, amp, tuple(terms), gate)
+    for exp_, e, k in eq.terms:
+        if e != 0.0:
+            den = e * e + eq.damping * e + restoring
+            if den == 0.0:
+                raise ValueError(
+                    f"resonance: rate {e} solves the linearisation")
+            terms.append((-k * amp ** exp_ / den, e))
+    return Expansion(eq.alpha, amp, tuple(terms), gate)
 
 
 def reframe(traj: Trajectory, new_frame: Frame) -> Trajectory:

@@ -9,9 +9,10 @@ terms are active.  Everything in this module is closed-form algebra over the
 parameter quintuple: scaling exponents alpha1/alpha2, the exact singular
 amplitudes lambda1/lambda2, the Serrin and Sobolev-type thresholds, the
 log-frame forcing exponents delta/delta2, and the regime flags that decide
-which asymptotic theorems apply.  The pairing of each end with its frame
-(alpha, lambda, forced rate, damping) is the End record,
-dc.end("infinity") / dc.end("origin"); no other module re-derives it.
+which asymptotic theorems apply.  The equation in any log frame is one
+FrameEquation (frame_equation); the pairing of each end with its frame
+(alpha, lambda, equation) is the End record, dc.end("infinity") /
+dc.end("origin"); no other module re-derives either.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 from .serialize import SKIP, Record
-
-
-class UndefinedLambdaError(ValueError):
-    """alpha (n-2-alpha) <= 0, so the singular amplitude does not exist."""
 
 
 def _is_number(x) -> bool:
@@ -82,33 +79,62 @@ class ProblemParams:
         return terms
 
 
-def _amplitude(alpha: float, n: int, exponent: float):
-    """lambda = [alpha (n-2-alpha)]^{1/(exponent-1)}, None when undefined."""
-    prod = alpha * (n - 2 - alpha)
-    if prod <= 0.0:
-        return None
-    return prod ** (1.0 / (exponent - 1.0))
+def _amplitude(lin: float, exponent: float):
+    """lambda = lin^{1/(exponent-1)}, lin = alpha (n-2-alpha) of the
+    frame; None when lin <= 0."""
+    return lin ** (1.0 / (exponent - 1.0)) if lin > 0.0 else None
 
 
 def frame_exp(exponent: float, weight: float, alpha: float) -> float:
     """Exponent of e^{.t} multiplying the power term r^weight u^exponent
     in the alpha log-frame: weight - (exponent - 1) alpha + 2.
 
-    It vanishes identically for the p-term at alpha1 and the q-term at
-    alpha2; the cross terms give delta and delta2.
+    Exactly 0.0 in the term's own frame, alpha = (2 + weight) /
+    (exponent - 1) as derive_constants computes alpha1 and alpha2, so a
+    term is autonomous there bit for bit.
     """
+    if alpha == (2.0 + weight) / (exponent - 1.0):
+        return 0.0
     return weight - (exponent - 1.0) * alpha + 2.0
+
+
+@dataclass(frozen=True)
+class FrameEquation:
+    """The radial equation in the alpha frame v = r^alpha u, t = ln r:
+
+        v'' + damping v' - lin v + sum_i k_i e^{E_i t} v_+^{P_i} = 0,
+
+    lin = alpha (n-2-alpha), damping = n-2-2 alpha, and terms one
+    (P_i, E_i, k_i) per active power term, E_i = frame_exp(P_i, l_i,
+    alpha).  A term with E_i = 0 is autonomous in this frame, the others
+    are forced.
+    """
+
+    alpha: float
+    lin: float
+    damping: float
+    terms: tuple
+
+
+def frame_equation(params: ProblemParams, alpha: float) -> FrameEquation:
+    """The FrameEquation of params in the alpha frame."""
+    n = params.n
+    return FrameEquation(
+        alpha, alpha * (n - 2.0 - alpha), n - 2.0 - 2.0 * alpha,
+        tuple((exp_, frame_exp(exp_, l, alpha), float(k))
+              for exp_, l, k in params.active_terms()))
 
 
 @dataclass(frozen=True)
 class End:
     """One end of the radial line paired with its singular frame.
 
-    Infinity lives in the alpha1 frame: amplitude lambda1, the p-term
-    autonomous, the q-term forced at rate delta.  The origin lives in the
-    alpha2 frame: lambda2, the q-term autonomous, the p-term forced at
-    rate delta2.  lam is None when the amplitude is undefined; damping
-    is the frame's n-2-2 alpha.  side is the end's side of the t-axis
+    Infinity lives in the alpha1 frame, where the p-term is autonomous
+    and the q-term forced at rate delta; the origin in the alpha2 frame,
+    the q-term autonomous and the p-term forced at rate delta2.
+    equation is that frame's FrameEquation.  lam is the equilibrium
+    amplitude (lambda1 or lambda2), None when it is undefined or the
+    autonomous term is off.  side is the end's side of the t-axis
     (+1 large t, -1 small t) and regular_exp the s of its regular law
     u ~ c r^{-s} (n-2 at infinity, 0 at the origin).
     """
@@ -118,12 +144,7 @@ class End:
     regular_exp: float
     alpha: float
     lam: float | None
-    rate: float
-    auto_exp: float
-    auto_k: float
-    damping: float
-    force_exp: float
-    force_k: float
+    equation: FrameEquation
 
 
 @dataclass(frozen=True)
@@ -168,21 +189,18 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     """All Section-1 closed forms for a parameter set.
 
     alpha1 = (2+l1)/(p-1), alpha2 = (2+l2)/(q-1),
-    lambda_i = [alpha_i (n-2-alpha_i)]^{1/(exp-1)},
-    delta = (2+l1)(1-q)/(p-1) + 2 + l2 (the q-term exponent in the
-    alpha1 frame), delta2 = (p-1)(alpha1-alpha2) (the p-term exponent in
-    the alpha2 frame), omega_sq = (2+l1)(n-2-alpha1) - (n-2-2 alpha1)^2/4.
+    lambda_i = [alpha_i (n-2-alpha_i)]^{1/(exp-1)}, delta and delta2 the
+    frame_exp of the q-term at alpha1 and of the p-term at alpha2,
+    c1coef/c2coef the two frames' damping, omega_sq = (2+l1)(n-2-alpha1)
+    - (n-2-2 alpha1)^2/4.
     """
     n, p, q, l1, l2 = params.n, params.p, params.q, params.l1, params.l2
-    k1, k2 = params.k1, params.k2
     alpha1 = (2.0 + l1) / (p - 1.0)
     alpha2 = (2.0 + l2) / (q - 1.0)
-    lambda1 = _amplitude(alpha1, n, p)
-    lambda2 = _amplitude(alpha2, n, q)
-    c1coef = n - 2.0 - 2.0 * alpha1
-    c2coef = n - 2.0 - 2.0 * alpha2
-    delta = (2.0 + l1) * (1.0 - q) / (p - 1.0) + 2.0 + l2
-    delta2 = (p - 1.0) * (alpha1 - alpha2)
+    eq1 = frame_equation(params, alpha1)
+    eq2 = frame_equation(params, alpha2)
+    lambda1 = _amplitude(eq1.lin, p)
+    lambda2 = _amplitude(eq2.lin, q)
     return DerivedConstants(
         params=params,
         alpha1=alpha1,
@@ -192,16 +210,15 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
         serrin1=(n + l1) / (n - 2.0),
         sobolev1=(n + 2.0 + 2.0 * l1) / (n - 2.0),
         sobolev2=(n + 2.0 + 2.0 * l2) / (n - 2.0),
-        c1coef=c1coef,
-        c2coef=c2coef,
-        delta=delta,
-        delta2=delta2,
-        omega_sq=(2.0 + l1) * (n - 2.0 - alpha1)
-        - 0.25 * (n - 2.0 - 2.0 * alpha1) ** 2,
-        ends=(End("infinity", 1, n - 2.0, alpha1, lambda1, delta, p, k1,
-                  c1coef, q, k2),
-              End("origin", -1, 0.0, alpha2, lambda2, delta2, q, k2, c2coef,
-                  p, k1)),
+        c1coef=eq1.damping,
+        c2coef=eq2.damping,
+        delta=frame_exp(q, l2, alpha1),
+        delta2=frame_exp(p, l1, alpha2),
+        omega_sq=(2.0 + l1) * (n - 2.0 - alpha1) - 0.25 * eq1.damping ** 2,
+        ends=(End("infinity", 1, n - 2.0, alpha1,
+                  lambda1 if params.k1 else None, eq1),
+              End("origin", -1, 0.0, alpha2,
+                  lambda2 if params.k2 else None, eq2)),
     )
 
 
@@ -266,24 +283,6 @@ def classify_regime(params: ProblemParams,
         theorem3 = "none"
 
     return RegimeFlags(theorem1, theorem2, theorem3, margins)
-
-
-def exact_single_term_singular(n: int, l: float, exponent: float):
-    """The exact singular profile u = lambda r^{-alpha} of the single-term
-    equation u'' + (n-1)/r u' + r^l u^exponent = 0.
-
-    alpha = (2+l)/(exponent-1), lambda = [alpha (n-2-alpha)]^{1/(exponent-1)};
-    substituting lambda r^{-alpha} makes the residual vanish identically.
-    """
-    if exponent == 1.0:
-        raise ValueError("exponent = 1 makes alpha undefined")
-    alpha = (2.0 + l) / (exponent - 1.0)
-    lam = _amplitude(alpha, n, exponent)
-    if lam is None:
-        raise UndefinedLambdaError(
-            f"alpha (n-2-alpha) = {alpha * (n - 2 - alpha)} <= 0 for "
-            f"n={n}, l={l}, exponent={exponent}")
-    return alpha, lam
 
 
 def aubin_talenti_profile(n: int):

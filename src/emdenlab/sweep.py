@@ -188,9 +188,8 @@ def _cell_job(index: int, values: dict, cfg: RunConfig,
         flags = classify_regime(dc.params, dc)
         cell["constants"] = dc.to_dict()
         cell["regime"] = flags.to_dict()
-        # infinity first; lambda is an equilibrium where auto_k is on
-        end = next((e for e in dc.ends
-                    if e.lam is not None and e.auto_k), None)
+        # infinity first
+        end = next((e for e in dc.ends if e.lam is not None), None)
         if end is None:
             raise ValueError("no singular equilibrium in either frame")
         traj = seed_and_integrate(dc, end.name, (cfg.t_min, cfg.t_max),

@@ -34,6 +34,7 @@ from emdenlab import (
     write_trajectory_csv,
 )
 from emdenlab.integrate import CSV_HEADER as HEADER, RTOL_MIN
+from emdenlab.params import FrameEquation
 from emdenlab.shooting import classify_ends, regular_start
 
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
@@ -245,23 +246,45 @@ class TestSeries:
 
 class TestSeeds:
     def test_seed_values(self, config_a, dc_a, config_c, dc_c):
-        # the closed form K = -lambda^q / (delta^2 + damping delta + L)
-        # of the forced tail lambda1 + K e^{delta t} (README criterion 6)
-        for params, dc, name, k_ref, t in (
-                (config_a, dc_a, "infinity", -1.1639, 14.0),
-                (config_c, dc_c, "origin", -0.3527, -10.0)):
+        # the closed form K = -lambda^P_force / (rate^2 + damping rate + L),
+        # L = alpha (n-2-alpha) (P_auto - 1), of the forced tail
+        # lambda + K e^{rate t} (README criterion 6)
+        a, c = config_a, config_c
+        for params, dc, name, k_ref, t, rate, damping, p_auto, p_force in (
+                (a, dc_a, "infinity", -1.1639, 14.0, dc_a.delta,
+                 dc_a.c1coef, a.p, a.q),
+                (c, dc_c, "origin", -0.3527, -10.0, dc_c.delta2,
+                 dc_c.c2coef, c.q, c.p)):
             end = dc.end(name)
             exp = forced_expansion(dc, name)
             (k, e), = exp.terms
             assert k == pytest.approx(k_ref, abs=5e-5)
-            assert e == end.rate
+            assert e == rate
             lin = end.alpha * (params.n - 2.0 - end.alpha)
-            assert k * (e * e + end.damping * e
-                        + lin * (end.auto_exp - 1.0)) \
-                == pytest.approx(-end.lam ** end.force_exp, rel=1e-14)
+            assert k * (e * e + damping * e + lin * (p_auto - 1.0)) \
+                == pytest.approx(-end.lam ** p_force, rel=1e-14)
             s = exp.start(t)
             w = k * math.exp(e * t)
             assert (s.t, s.v, s.vdot) == (t, end.lam + w, e * w)
+
+    @pytest.mark.parametrize("p,q,name", [
+        *((p, q, "infinity") for p in (1.88, 1.9, 1.92)
+          for q in (1.93, 1.95, 1.97)),
+        (2.5, 3.0, "origin"),
+    ])
+    def test_seed_rate_is_the_integrated_rate(self, p, q, name):
+        # the README sweep cells and CONFIG_C: the forced rate of the
+        # seed is, bit for bit, the one e^{E t} the compiled right-hand
+        # side of the end's frame multiplies (its free e0/e1 constants;
+        # an autonomous term has none)
+        params = ProblemParams(n=5, p=p, q=q, l1=0.0, l2=-0.5)
+        dc = derive_constants(params)
+        rhs = log_frame_rhs(params, dc.end(name).alpha)
+        consts = dict(zip(rhs.__code__.co_freevars,
+                          (cell.cell_contents for cell in rhs.__closure__)))
+        rates = [v for key, v in sorted(consts.items())
+                 if key.startswith("e")]
+        assert [e for _, e in forced_expansion(dc, name).terms] == rates
 
     def test_seed_frame_mapping(self, dc_a):
         # seeds live in Frame(dc.end(name).alpha)
@@ -303,7 +326,8 @@ class TestSeeds:
     def test_resonance_rejected(self, dc_a):
         # alpha 1, n 5, P 2: L = 2; rate 1 and damping -3 make
         # 1 - 3 + 2 = 0, the forcing rate a root of the linearisation
-        end = End("infinity", 1, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0, -3.0, 3.0, 1.0)
+        eq = FrameEquation(1.0, 2.0, -3.0, ((2.0, 0.0, 1.0), (3.0, 1.0, 1.0)))
+        end = End("infinity", 1, 3.0, 1.0, 2.0, eq)
         with pytest.raises(ValueError, match="resonance"):
             forced_expansion(dataclasses.replace(dc_a, ends=(end,)),
                              "infinity")

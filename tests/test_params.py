@@ -2,17 +2,16 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdenlab import (
     ProblemParams,
-    UndefinedLambdaError,
     aubin_talenti_profile,
     classify_regime,
     derive_constants,
-    exact_single_term_singular,
 )
+from emdenlab.acceptance import sample_balance_configs
 from emdenlab.params import frame_exp
 
 
@@ -59,9 +58,19 @@ class TestDerivedConstants:
 
     def test_end_lookup(self, dc_a):
         assert dc_a.end("infinity").lam == dc_a.lambda1
-        assert dc_a.end("origin").rate == dc_a.delta2
+        # the origin frame forces the p-term at delta2
+        assert dc_a.end("origin").equation.terms[0] \
+            == (dc_a.params.p, dc_a.delta2, 1.0)
         with pytest.raises(ValueError, match="end must be"):
             dc_a.end("middle")
+
+    def test_end_lam_needs_its_autonomous_term(self):
+        # p-term off: lambda1 exists but is no equilibrium at infinity
+        dc = derive_constants(ProblemParams(n=5, p=1.9, q=1.95, l2=-0.5,
+                                            k1=0.0))
+        assert dc.lambda1 is not None
+        assert dc.end("infinity").lam is None
+        assert dc.end("origin").lam == dc.lambda2
 
     def test_rejects_active_unit_exponent(self):
         with pytest.raises(ValueError):
@@ -79,6 +88,13 @@ class TestDerivedConstants:
             ProblemParams(n=5, **kwargs)
 
 
+def single_term(n, l, exp):
+    """The constants of u'' + (n-1)/r u' + r^l u^exp = 0, whose exact
+    singular profile is lambda1 r^{-alpha1}."""
+    return derive_constants(ProblemParams(n, p=exp, q=exp + 1.0, l1=l,
+                                          k2=0.0))
+
+
 class TestSingleTermOracles:
     @pytest.mark.parametrize("n,l,exp,alpha,lam", [
         (5, 0.0, 3.0, 1.0, 1.4142135623730951),
@@ -86,18 +102,15 @@ class TestSingleTermOracles:
         (5, -1.0, 2.0, 1.0, 2.0),
     ])
     def test_exact_profiles(self, n, l, exp, alpha, lam):
-        a, m = exact_single_term_singular(n, l, exp)
-        assert a == pytest.approx(alpha, rel=1e-15)
-        assert m == pytest.approx(lam, rel=1e-14)
+        dc = single_term(n, l, exp)
+        assert dc.alpha1 == pytest.approx(alpha, rel=1e-15)
+        assert dc.lambda1 == pytest.approx(lam, rel=1e-14)
 
-    def test_undefined_amplitude_raises(self):
+    def test_undefined_amplitude_is_none(self):
         # alpha = 2 equals n-2 in n=4, so alpha (n-2-alpha) = 0
-        with pytest.raises(UndefinedLambdaError):
-            exact_single_term_singular(4, 0.0, 2.0)
-
-    def test_unit_exponent_raises(self):
-        with pytest.raises(ValueError):
-            exact_single_term_singular(5, 0.0, 1.0)
+        dc = single_term(4, 0.0, 2.0)
+        assert dc.lambda1 is None
+        assert dc.end("infinity").lam is None
 
     def test_aubin_talenti_point_values(self):
         prof = aubin_talenti_profile(3)
@@ -206,20 +219,19 @@ def param_sets(draw):
 
 class TestIdentities:
     @given(param_sets())
+    # criterion 7's draw 4: l2 - (q-1) alpha2 + 2 rounds to 2.2e-16
+    @example(sample_balance_configs()[4][0])
     @settings(max_examples=200, deadline=None)
     def test_frame_exponent_identities(self, params):
         dc = derive_constants(params)
-        scale = max(1.0, abs(dc.alpha1) * params.p, abs(dc.alpha2) * params.q)
         # the defining property of alpha1/alpha2: their own term is
-        # autonomous in their frame
+        # autonomous in their frame, bit for bit
         p, q, l1, l2 = params.p, params.q, params.l1, params.l2
-        assert abs(frame_exp(p, l1, dc.alpha1)) <= 1e-13 * scale
-        assert abs(frame_exp(q, l2, dc.alpha2)) <= 1e-13 * scale
+        assert frame_exp(p, l1, dc.alpha1) == 0.0
+        assert frame_exp(q, l2, dc.alpha2) == 0.0
         # delta/delta2 are the cross-term exponents
-        assert frame_exp(q, l2, dc.alpha1) == pytest.approx(
-            dc.delta, rel=1e-10, abs=1e-12 * scale)
-        assert frame_exp(p, l1, dc.alpha2) == pytest.approx(
-            dc.delta2, rel=1e-10, abs=1e-12 * scale)
+        assert frame_exp(q, l2, dc.alpha1) == dc.delta
+        assert frame_exp(p, l1, dc.alpha2) == dc.delta2
 
     @given(param_sets())
     @settings(max_examples=200, deadline=None)
@@ -247,18 +259,20 @@ class TestIdentities:
                     prod ** (1.0 / (exp_ - 1.0)), rel=1e-13)
             else:
                 assert end.lam is None
-            assert end.damping == pytest.approx(n - 2.0 - 2.0 * alpha,
-                                                rel=1e-13, abs=1e-13)
-        assert inf.rate == pytest.approx(
+            eq = end.equation
+            assert eq.alpha == end.alpha
+            assert eq.lin == pytest.approx(alpha * (n - 2.0 - alpha),
+                                           rel=1e-13, abs=1e-13)
+            assert eq.damping == pytest.approx(n - 2.0 - 2.0 * alpha,
+                                               rel=1e-13, abs=1e-13)
+        assert dc.delta == pytest.approx(
             (2.0 + l1) * (1.0 - q) / (p - 1.0) + 2.0 + l2, rel=1e-13,
             abs=1e-13)
-        assert ori.rate == pytest.approx((p - 1.0) * (alpha1 - alpha2),
-                                         rel=1e-13, abs=1e-13)
+        assert dc.delta2 == pytest.approx((p - 1.0) * (alpha1 - alpha2),
+                                          rel=1e-13, abs=1e-13)
         # each frame freezes its own term and forces the other one
-        assert (inf.auto_exp, inf.auto_k, inf.force_exp, inf.force_k) \
-            == (p, params.k1, q, params.k2)
-        assert (ori.auto_exp, ori.auto_k, ori.force_exp, ori.force_k) \
-            == (q, params.k2, p, params.k1)
+        assert inf.equation.terms == ((p, 0.0, 1.0), (q, dc.delta, 1.0))
+        assert ori.equation.terms == ((p, dc.delta2, 1.0), (q, 0.0, 1.0))
         # infinity is the large-t side with the regular law r^{-(n-2)};
         # the origin is the small-t side with u flat
         assert (inf.side, inf.regular_exp) == (1, n - 2.0)

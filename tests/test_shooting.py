@@ -293,7 +293,7 @@ def test_forced_seed_reads_the_end_rate_and_leaves_the_far_end(params):
         reports.append(classify_ends(traj, dc)[::end.side])
     seed, far = reports[0]
     assert seed.kind == Kind.SLOW_DECAY_SINGULAR
-    assert seed.rate == pytest.approx(end.rate, rel=5e-4)
+    assert seed.rate == pytest.approx(rate, rel=5e-4)
     for _, other in reports[1:]:
         assert other.kind == far.kind
         if far.fitted_constant is None:
