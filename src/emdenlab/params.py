@@ -191,8 +191,8 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     alpha1 = (2+l1)/(p-1), alpha2 = (2+l2)/(q-1),
     lambda_i = [alpha_i (n-2-alpha_i)]^{1/(exp-1)}, delta and delta2 the
     frame_exp of the q-term at alpha1 and of the p-term at alpha2,
-    c1coef/c2coef the two frames' damping, omega_sq = (2+l1)(n-2-alpha1)
-    - (n-2-2 alpha1)^2/4.
+    c1coef/c2coef the frames' damping, omega_sq = L - c1coef^2/4 with
+    the alpha1 frame's restoring L = lin (p-1), as in forced_expansion.
     """
     n, p, q, l1, l2 = params.n, params.p, params.q, params.l1, params.l2
     alpha1 = (2.0 + l1) / (p - 1.0)
@@ -214,7 +214,7 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
         c2coef=eq2.damping,
         delta=frame_exp(q, l2, alpha1),
         delta2=frame_exp(p, l1, alpha2),
-        omega_sq=(2.0 + l1) * (n - 2.0 - alpha1) - 0.25 * eq1.damping ** 2,
+        omega_sq=eq1.lin * (p - 1.0) - 0.25 * eq1.damping ** 2,
         ends=(End("infinity", 1, n - 2.0, alpha1,
                   lambda1 if params.k1 else None, eq1),
               End("origin", -1, 0.0, alpha2,

@@ -2,16 +2,17 @@
 
 Shots, scans and orbits take one DerivedConstants and read the equation
 from its dc.params, so no run is integrated in one parameter set's frame
-and classified against another's.  A shot starts the regular
-solution u(0) = a on its series expansion (forced_expansion about a) at
-the largest radius r0 its SERIES_BUDGET allows (regular_start),
-integrates outward in the alpha1 frame, and classifies the infinity
-end.  Boundary hunting bisects between amplitudes whose shots end in
-different kinds.  A crossing seeds one end, named as in dc.end, on its
-forced expansion about lambda at its own side of a span (t_min, t_max)
-and integrates to the other side (seed_and_integrate), then classifies
-both ends (classify_ends): connecting orbits over their CONNECT_DEFAULTS
-span, sweep cells and `emdenlab solve` over the run config's [spans].
+and classified against another's.  A shot starts the regular solution
+u(0) = a on its series expansion (forced_expansion about a) at the
+largest radius r0 its SERIES_BUDGET allows (regular_start), integrates
+outward in the alpha1 frame to a later t_target, and classifies the
+infinity end.  Boundary hunting bisects between two neighbouring grid
+shots of different kinds without shooting either again.  A crossing
+seeds one end, named as in dc.end, on its forced expansion about lambda
+at its own side of a span (t_min, t_max) and integrates to the other
+side (seed_and_integrate), then classifies both ends (classify_ends):
+connecting orbits over their CONNECT_DEFAULTS span, sweep cells and
+`emdenlab solve` over the run config's [spans].
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -57,6 +57,15 @@ def regular_start(a: float, dc: DerivedConstants) -> tuple:
     return r0, start
 
 
+def _shot_start(a: float, dc: DerivedConstants, t_target: float) -> tuple:
+    """regular_start(a, dc); a ValueError unless t_target lies past it."""
+    r0, start = regular_start(a, dc)
+    if t_target <= start.t:
+        raise ValueError(f"t_target = {t_target!r} must exceed the shot's "
+                         f"start t = ln r0 = {start.t!r}")
+    return r0, start
+
+
 @dataclass
 class ShotResult(Record):
     a: float
@@ -72,13 +81,10 @@ class ShotResult(Record):
 def shoot(a: float, dc: DerivedConstants,
           config: IntegratorConfig | None = None,
           t_target: float = T_TARGET) -> ShotResult:
-    """One regular shot u(0) = a, classified at the infinity end.
-
-    The start radius shrinks automatically with a so the series gate
-    always holds; integration runs in the alpha1 frame where the p-term
-    is autonomous.
-    """
-    r0, start = regular_start(a, dc)
+    """One regular shot u(0) = a, classified at the infinity end.  Its
+    start radius shrinks with a so the series gate always holds; it runs
+    in the alpha1 frame, where the p-term is autonomous."""
+    r0, start = _shot_start(a, dc, t_target)
     traj = integrate(start, Frame(dc.alpha1), t_target, dc.params, config)
     return ShotResult(float(a), r0, traj, classify_end(traj, dc, "infinity"))
 
@@ -91,7 +97,7 @@ def shoot_many(a_grid, dc: DerivedConstants,
     order.  Worth it from about 10 amplitudes (a scan's grid); single
     shots and bisection midpoints go through shoot.
     """
-    starts = [regular_start(a, dc) for a in a_grid]
+    starts = [_shot_start(a, dc, t_target) for a in a_grid]
     trajs = integrate_many([start for _, start in starts], Frame(dc.alpha1),
                            t_target, dc.params, config)
     return [ShotResult(float(a), r0, traj,
@@ -118,39 +124,34 @@ class BoundaryResult(Record):
         return (self.a_hi - self.a_lo) / self.a_star
 
 
-def bisect_boundary(a_lo: float, a_hi: float, dc: DerivedConstants,
+def bisect_boundary(lo: ShotResult, hi: ShotResult, dc: DerivedConstants,
                     config: IntegratorConfig | None = None,
                     t_target: float = T_TARGET) -> BoundaryResult:
-    """Bisect an amplitude bracket whose shots differ in kind.
-
-    The bracket width contracts by exactly half per iteration; stops
-    when (a_hi - a_lo)/a_mid < BISECT_REL_WIDTH or after BISECT_MAX_ITER
+    """Bisect between two shots of different kinds, lo.a < hi.a, both
+    made with this config to this t_target and not shot again.  The
+    bracket width contracts by exactly half per iteration; stops when
+    (a_hi - a_lo)/a_mid < BISECT_REL_WIDTH or after BISECT_MAX_ITER
     steps.
     """
-    if not a_lo < a_hi:
-        raise ValueError(f"need a_lo < a_hi, got {a_lo} >= {a_hi}")
-
-    def kind_of(a):
-        return shoot(a, dc, config, t_target).kind
-
-    kind_lo = kind_of(a_lo)
-    kind_hi = kind_of(a_hi)
-    if kind_lo == kind_hi:
+    if not lo.a < hi.a:
+        raise ValueError(f"need a_lo < a_hi, got {lo.a} >= {hi.a}")
+    if lo.kind == hi.kind:
         raise ValueError(
-            f"bracket endpoints agree ({kind_lo.value}); nothing to bisect")
+            f"bracket endpoints agree ({lo.kind.value}); nothing to bisect")
+    a_lo, a_hi = lo.a, hi.a
     iterations = 0
     while iterations < BISECT_MAX_ITER:
         mid = 0.5 * (a_lo + a_hi)
         if (a_hi - a_lo) / mid < BISECT_REL_WIDTH:
             break
-        if kind_of(mid) == kind_lo:
+        if shoot(mid, dc, config, t_target).kind == lo.kind:
             a_lo = mid
         else:
             a_hi = mid
         iterations += 1
     a_star = 0.5 * (a_lo + a_hi)
     star = shoot(a_star, dc, config, t_target)
-    return BoundaryResult(a_star, a_lo, a_hi, kind_lo, kind_hi, iterations,
+    return BoundaryResult(a_star, a_lo, a_hi, lo.kind, hi.kind, iterations,
                           star.report)
 
 
@@ -189,9 +190,9 @@ def scan_thresholds(a_grid, dc: DerivedConstants,
     """Shoot a grid of amplitudes and bisect every kind change.
 
     The grid must be strictly increasing with at least 16 points.  It is
-    shot in this process as one lane batch (shoot_many); the brackets
-    (a_grid[i], a_grid[i+1]) whose shots differ in kind are bisected
-    over map_jobs, each on one worker, and come back in grid order.  A
+    shot in this process as one lane batch (shoot_many); each pair of
+    neighbouring shots of different kinds is a bracket, bisected from
+    those shots over map_jobs, one per worker, back in grid order.  A
     bad jobs is a ValueError before the first shot.
     """
     a_grid = np.asarray(a_grid, dtype=float)
@@ -201,12 +202,10 @@ def scan_thresholds(a_grid, dc: DerivedConstants,
         raise ValueError("grid must be strictly increasing")
     jobs = effective_jobs(jobs)
     shots = shoot_many(a_grid.tolist(), dc, config, t_target)
-    kinds = [s.kind for s in shots]
-    brackets = [(float(a_grid[i]), float(a_grid[i + 1]))
-                for i in range(len(kinds) - 1) if kinds[i] != kinds[i + 1]]
-    boundaries = map_jobs(partial(bisect_boundary, dc=dc, config=config,
-                                  t_target=t_target), brackets, jobs)
-    return ThresholdScan(a_grid, kinds, shots, boundaries)
+    brackets = [(lo, hi, dc, config, t_target)
+                for lo, hi in zip(shots, shots[1:]) if lo.kind != hi.kind]
+    return ThresholdScan(a_grid, [s.kind for s in shots], shots,
+                         map_jobs(bisect_boundary, brackets, jobs))
 
 
 @dataclass

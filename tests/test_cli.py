@@ -367,6 +367,23 @@ def test_nonfinite_horizon_exits_1(capsys, argv):
     assert "t_target must be finite, got inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--a", "1"],
+    ["scan", "--points", "16"],
+])
+def test_horizon_before_the_start_exits_1(tmp_path, capsys, argv):
+    # the shots start near t = ln 1e-4: a horizon at -20 lies behind them
+    out = tmp_path / "out.json"
+    if argv[0] == "scan":
+        argv = [*argv, "--out", str(out)]
+    assert main([*argv, *PARAM_FLAGS, "--t-target", "-20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: t_target = -20\.0 must exceed the shot's "
+                        r"start t = ln r0 = -\d+\.\d+\n", captured.err)
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is the tests' reference, not a runtime dependency
     src = str(Path(emdenlab.__file__).parents[1])

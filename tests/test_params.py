@@ -46,9 +46,20 @@ class TestDerivedConstants:
         assert dc_c.delta2 == pytest.approx(0.875, rel=1e-15)
         assert dc_c.omega_sq == pytest.approx(3.3055555555555556, rel=1e-14)
 
+    @pytest.mark.parametrize("q", [1.93, 1.95, 1.97])
+    @pytest.mark.parametrize("p", [1.88, 1.9, 1.92])
+    def test_omega_sq_reads_the_frame_equation(self, p, q):
+        # the README sweep's cells: omega_sq is the discriminant of
+        # mu^2 + damping mu + L = 0 with forced_expansion's restoring L
+        dc = derive_constants(ProblemParams(n=5, p=p, q=q, l1=0.0, l2=-0.5))
+        eq = dc.end("infinity").equation
+        restoring = sum(eq.lin * (exp_ - 1.0) for exp_, e, _ in eq.terms
+                        if e == 0.0)
+        assert dc.omega_sq == restoring - 0.25 * eq.damping ** 2
+
     def test_negative_discriminant_leaves_omega_none(self):
         # large alpha1 pushes the linearization discriminant positive,
-        # c1^2/4 > (2+l1)(n-2-alpha1) makes omega_sq negative
+        # c1^2/4 > lin (p-1) makes omega_sq negative
         params = ProblemParams(n=3, p=1.2, q=5.0, l1=0.0, l2=-0.5)
         dc = derive_constants(params)
         assert dc.alpha1 == pytest.approx(10.0)

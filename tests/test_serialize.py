@@ -50,7 +50,9 @@ def records(config_a, dc_a, lab, orbit_a):
         BoundReport: apriori_bound_report(orbit_a.trajectory, dc_a,
                                           (10.0, 14.0)),
         ShotResult: shot,
-        BoundaryResult: bisect_boundary(0.5, 5.0, dc_a, t_target=2.0),
+        BoundaryResult: bisect_boundary(shoot(0.5, dc_a, t_target=2.0),
+                                        shoot(5.0, dc_a, t_target=2.0),
+                                        dc_a, t_target=2.0),
         ThresholdScan: scan_thresholds(np.logspace(-0.3, 0.7, 16), dc_a,
                                        t_target=2.0),
         ConnectingOrbit: orbit_a,

@@ -38,6 +38,19 @@ class TestShoot:
         # the shot itself must clear the series gate at any amplitude
         shoot(4000.0, dc_a, t_target=-8.0)
 
+    def test_horizon_before_the_start_rejected(self, dc_a):
+        # a = 1 starts at t = ln r0 ~ -9.47: a horizon there or before it
+        # would integrate inward
+        t0 = regular_start(1.0, dc_a)[1].t
+        message = re.escape(f"t_target = {t0!r} must exceed the shot's "
+                            f"start t = ln r0 = {t0!r}")
+        with pytest.raises(ValueError, match=message):
+            shoot(1.0, dc_a, t_target=t0)
+        with pytest.raises(ValueError, match=message):
+            shoot_many([1.0, 2.0], dc_a, t_target=t0)
+        with pytest.raises(ValueError, match="must exceed the shot's"):
+            scan_thresholds(np.logspace(-0.3, 0.7, 16), dc_a, t_target=-20.0)
+
     def test_rejects_bad_amplitude(self, dc_a):
         with pytest.raises(ValueError):
             shoot(-1.0, dc_a)
@@ -64,11 +77,17 @@ class TestShoot:
         assert d["report"]["kind"] == "crosses_zero"
 
 
+def shot_pair(a_lo, a_hi, dc):
+    return [shoot(a, dc, t_target=2.0) for a in (a_lo, a_hi)]
+
+
 class TestBisect:
-    # short-span fixture: stopping at t = 2 splits amplitudes into
-    # span-enders and crossers with a genuine boundary near a = 1.268
+    # short-span fixture with a horizon boundary near a = 1.268: shots
+    # that cross zero before t = 2 against shots still positive there
+    # (undetermined)
     def test_boundary_bracket_and_contraction(self, dc_a):
-        res = bisect_boundary(0.5, 5.0, dc_a, t_target=2.0)
+        res = bisect_boundary(*shot_pair(0.5, 5.0, dc_a), dc_a,
+                              t_target=2.0)
         assert res.kind_lo != res.kind_hi
         assert res.kind_hi == Kind.CROSSES_ZERO
         assert res.a_star == pytest.approx(1.26797, rel=1e-4)
@@ -78,11 +97,13 @@ class TestBisect:
 
     def test_equal_kinds_rejected(self, dc_a):
         with pytest.raises(ValueError, match="agree"):
-            bisect_boundary(0.5, 0.6, dc_a, t_target=2.0)
+            bisect_boundary(*shot_pair(0.5, 0.6, dc_a), dc_a,
+                            t_target=2.0)
 
     def test_bad_bracket_rejected(self, dc_a):
         with pytest.raises(ValueError, match="a_lo < a_hi"):
-            bisect_boundary(2.0, 1.0, dc_a)
+            bisect_boundary(*shot_pair(2.0, 1.0, dc_a), dc_a,
+                            t_target=2.0)
 
 
 class TestScan:
@@ -99,6 +120,25 @@ class TestScan:
         assert len(scan.boundaries) == 1
         assert scan.boundaries[0].a_star == pytest.approx(1.26797, rel=1e-4)
 
+    def test_grid_amplitudes_are_shot_once(self, dc_a, monkeypatch):
+        # the lane batch gives each grid amplitude its one verdict; the
+        # bisection shoots only midpoints and a*
+        grid = np.logspace(-0.3, 0.7, 16)
+        shot, shoot_ = [], shooting.shoot
+
+        def recording_shoot(a, *args):
+            shot.append(a)
+            return shoot_(a, *args)
+
+        monkeypatch.setattr(shooting, "shoot", recording_shoot)
+        scan = scan_thresholds(grid, dc_a, t_target=2.0)
+        assert len(scan.boundaries) == 1 and shot
+        assert not set(shot) & set(grid.tolist())
+        i = int(np.searchsorted(grid, scan.boundaries[0].a_star)) - 1
+        assert scan.kinds[i] != scan.kinds[i + 1]
+        assert (scan.boundaries[0].kind_lo, scan.boundaries[0].kind_hi) \
+            == (scan.kinds[i], scan.kinds[i + 1])
+
     def test_jobs_do_not_change_results(self, monkeypatch):
         # two kind changes, so two brackets go to the pool of 2
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
@@ -111,7 +151,8 @@ class TestScan:
             == canonical_json(parallel.to_dict())
 
     def test_pool_gets_the_kind_change_brackets(self, monkeypatch):
-        # the grid is one shoot_many call; the pool sees only brackets
+        # the grid is one shoot_many call; the pool sees only brackets,
+        # each the pair of neighbouring grid shots whose kinds differ
         dc = derive_constants(ProblemParams(n=5, p=2.3, q=2.5, l2=-0.5))
         batches, pooled = [], []
         shoot_many_ = shooting.shoot_many
@@ -131,7 +172,12 @@ class TestScan:
         assert batches == [grid.tolist()]
         changes = [i for i in range(15) if scan.kinds[i] != scan.kinds[i + 1]]
         assert len(changes) >= 2
-        assert pooled == [([(grid[i], grid[i + 1]) for i in changes], 1)]
+        (arg_tuples, jobs), = pooled
+        assert jobs == 1
+        assert [(lo.a, hi.a) for lo, hi, *_ in arg_tuples] \
+            == [(grid[i], grid[i + 1]) for i in changes]
+        assert [tuple(args[2:]) for args in arg_tuples] \
+            == [(dc, None, 20.0)] * len(changes)
         assert scan.boundaries == [f"boundary {i}"
                                    for i in range(len(changes))]
 
