@@ -18,8 +18,6 @@ from .params import (
     derive_constants,
 )
 from .integrate import (
-    RAW,
-    Frame,
     IntegratorConfig,
     SolverStats,
     State,
@@ -83,8 +81,8 @@ __all__ = [
     "__version__",
     "BoundReport", "BoundaryResult", "ClassificationReport",
     "ConnectingOrbit", "CriterionResult", "DerivedConstants",
-    "End", "EnergyTrace", "Frame", "IntegratorConfig", "Kind",
-    "Lab", "OscillationEnvelope", "ProblemParams", "RAW", "RegimeFlags",
+    "End", "EnergyTrace", "IntegratorConfig", "Kind",
+    "Lab", "OscillationEnvelope", "ProblemParams", "RegimeFlags",
     "RunConfig", "SaturationError", "ShotResult", "SolverStats", "State",
     "SweepManifest",
     "Termination", "TerminationKind", "ThresholdScan", "TOLERANCES",

@@ -25,9 +25,9 @@ import numpy as np
 from .classify import Kind, classify_end, fit_exponential_rate, \
     oscillation_envelope
 from .energy import apriori_bound_report, energy_trace, well_potential
-from .integrate import Frame, IntegratorConfig, State, csv_round_trip, \
-    integrate
-from .params import ProblemParams, aubin_talenti_profile, derive_constants
+from .integrate import IntegratorConfig, State, csv_round_trip, integrate
+from .params import ProblemParams, aubin_talenti_profile, derive_constants, \
+    frame_equation
 from .shooting import connecting_orbit, effective_jobs, scan_thresholds, \
     shoot, shoot_many
 from .sweep import RunConfig, sweep
@@ -93,7 +93,7 @@ class Lab:
         dc = derive_constants(ProblemParams(n=5, p=3.0, q=2.0, k2=0.0))
         t0 = time.perf_counter()
         traj = integrate(State(0.0, math.sqrt(2.0), -math.sqrt(2.0)),
-                         Frame(0.0), math.log(1e3), dc.params)
+                         frame_equation(dc.params, 0.0), math.log(1e3))
         seconds = time.perf_counter() - t0
         exact = math.sqrt(2.0) * np.exp(-traj.t)
         rel = float(np.max(np.abs(traj.u - exact) / exact))
@@ -124,7 +124,7 @@ class Lab:
         alpha2 equilibrium and driven toward the origin."""
         dc = derive_constants(CONFIG_B)
         traj = integrate(State(-2.0, dc.lambda2 + 0.5, 0.0),
-                         Frame(dc.alpha2), -30.0, CONFIG_B)
+                         dc.end("origin").equation, -30.0)
         env = oscillation_envelope(traj, dc, "origin")
         report = classify_end(traj, dc, "origin")
         return {"traj": traj, "dc": dc, "envelope": env, "report": report}
@@ -292,7 +292,7 @@ def criterion_07(lab: Lab, tol: dict) -> CriterionResult:
     for i, (params, amp) in enumerate(sample_balance_configs()):
         dc = derive_constants(params)
         traj = integrate(State(0.0, amp * dc.lambda1, 0.0),
-                         Frame(dc.alpha1), 8.0, params, config)
+                         dc.end("infinity").equation, 8.0, config)
         res = energy_trace(traj, dc).balance_residual()
         worst = max(worst, res)
         ok &= _sub(subs, f"config_{i}", res < tol["c7_balance"],

@@ -5,7 +5,7 @@ persistently around the singular amplitude (critical exponents), settle
 on the amplitude (slow decay, i.e. the singular behavior), or follow the
 regular power law (r^{-(n-2)} at infinity, a constant at the origin).
 The decision procedure reads windowed statistics of v in the end's own
-frame, Frame(dc.end(end).alpha): sign changes of vdot, relative
+frame, dc.end(end).equation.alpha: sign changes of vdot, relative
 amplitude, envelope contraction, least-squares drift, and a
 fixed-exponent power-law fit of u.
 """
@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .energy import well_potential
-from .integrate import Frame, IntegratorConfig, TerminationKind, \
-    Trajectory, reframe
+from .integrate import IntegratorConfig, TerminationKind, Trajectory, \
+    reframe
 from .params import DerivedConstants, End, classify_regime
 from .serialize import Record
 
@@ -172,7 +172,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
 
     if window is None:
         window = end_window(traj, e)
-    sub = reframe(traj.window(window, 10), Frame(e.alpha))
+    sub = reframe(traj.window(window, 10), e.equation.alpha)
     t, v, vd = sub.t, sub.v, sub.vdot
     lam = e.lam
 
@@ -275,7 +275,7 @@ def oscillation_envelope(traj: Trajectory, dc: DerivedConstants,
     """
     e = dc.end(end)
     window = (float(np.min(traj.t)), float(np.max(traj.t)))
-    sub = reframe(traj.window(window, 10), Frame(e.alpha))
+    sub = reframe(traj.window(window, 10), e.equation.alpha)
     t, v = sub.t, sub.v
     ext_t, ext_v, ext_k = quadratic_extrema(t, v)
     if np.any(ext_k[1:] == ext_k[:-1]):

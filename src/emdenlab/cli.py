@@ -18,8 +18,8 @@ import numpy as np
 
 from ._version import __version__
 from .classify import classify_end
-from .integrate import Frame, IntegratorConfig, integrate, \
-    read_trajectory_csv, write_trajectory_csv
+from .integrate import IntegratorConfig, integrate, read_trajectory_csv, \
+    write_trajectory_csv
 from .params import ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json
 from .shooting import T_TARGET, connecting_orbit, regular_start, \
@@ -28,51 +28,43 @@ from .sweep import parse_run_config, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
 
-def _add_param_flags(sp, required=True):
-    # a flag left out is None: the ProblemParams default
-    sp.add_argument("--n", type=int, required=required)
-    sp.add_argument("--p", type=float, required=required)
-    sp.add_argument("--q", type=float, required=required)
+def _add_param_flags(sp):
+    """--config or the problem flags; a flag left out is None, the
+    ProblemParams default."""
+    sp.add_argument("--config")
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--p", type=float)
+    sp.add_argument("--q", type=float)
     sp.add_argument("--l1", type=float)
     sp.add_argument("--l2", type=float)
     sp.add_argument("--k1", type=float, choices=[0.0, 1.0])
     sp.add_argument("--k2", type=float, choices=[0.0, 1.0])
 
 
-def _given_params(args) -> dict:
-    """The problem flags given on the command line, by field name."""
-    return {f.name: getattr(args, f.name)
-            for f in dataclasses.fields(ProblemParams)
-            if getattr(args, f.name) is not None}
-
-
-def _params_from_args(args) -> ProblemParams:
-    values = _given_params(args)
-    missing = [f"--{f.name}" for f in dataclasses.fields(ProblemParams)
-               if f.default is dataclasses.MISSING and f.name not in values]
-    if missing:
-        raise ValueError(f"provide --config or {'/'.join(missing)}")
-    return ProblemParams(**values)
-
-
 def _resolve_constants(args):
-    """(derive_constants(params), integrator) from --config or flags;
-    problem flags beside --config are an error, not overridden."""
+    """(derive_constants(params), integrator) from --config or the
+    problem flags; flags beside --config are an error, not overridden."""
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(ProblemParams)
+             if getattr(args, f.name) is not None}
     if args.config:
-        given = " ".join(f"--{name}" for name in _given_params(args))
         if given:
-            raise ValueError(f"--config sets the problem; drop {given}")
+            raise ValueError("--config sets the problem; drop "
+                             + " ".join(f"--{name}" for name in given))
         cfg = parse_run_config(args.config)
         return derive_constants(cfg.params), cfg.integrator
-    return derive_constants(_params_from_args(args)), IntegratorConfig()
+    missing = [f"--{f.name}" for f in dataclasses.fields(ProblemParams)
+               if f.default is dataclasses.MISSING and f.name not in given]
+    if missing:
+        raise ValueError(f"provide --config or {'/'.join(missing)}")
+    return derive_constants(ProblemParams(**given)), IntegratorConfig()
 
 
 def cmd_exponents(args) -> int:
-    params = _params_from_args(args)
-    dc = derive_constants(params)
-    flags = classify_regime(params, dc)
+    dc, _ = _resolve_constants(args)
+    flags = classify_regime(dc.params, dc)
     payload = {
-        "params": dataclasses.asdict(params),
+        "params": dataclasses.asdict(dc.params),
         "constants": dc.to_dict(),
         "regime": flags.to_dict(),
     }
@@ -88,7 +80,7 @@ def cmd_solve(args) -> int:
             raise ValueError("--start series needs --a")
         # the shot's run, left unclassified, so any span writes its CSV
         start = regular_start(args.a, dc)[1]
-        traj = integrate(start, Frame(dc.alpha1), cfg.t_max, dc.params,
+        traj = integrate(start, dc.end("infinity").equation, cfg.t_max,
                          cfg.integrator)
     else:
         traj = seed_and_integrate(dc, args.start, (cfg.t_min, cfg.t_max),
@@ -101,8 +93,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    params = _params_from_args(args)
-    dc = derive_constants(params)
+    dc, _ = _resolve_constants(args)
     traj = read_trajectory_csv(args.csv)
     window = tuple(args.window) if args.window else None
     report = classify_end(traj, dc, args.end, window=window)
@@ -200,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("shoot", help="one regular shot, classified at "
                                       "infinity")
     sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--config")
-    _add_param_flags(sp, required=False)
+    _add_param_flags(sp)
     sp.add_argument("--t-target", type=float, default=T_TARGET)
     sp.set_defaults(func=cmd_shoot)
 
@@ -210,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a-min", type=float, default=1e-2)
     sp.add_argument("--a-max", type=float, default=1e2)
     sp.add_argument("--points", type=int, default=64)
-    sp.add_argument("--config")
-    _add_param_flags(sp, required=False)
+    _add_param_flags(sp)
     sp.add_argument("--t-target", type=float, default=T_TARGET)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out")
@@ -220,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("connect", help="seed one singular end and cross")
     sp.add_argument("--direction", choices=["from_infinity", "from_origin"],
                     required=True)
-    sp.add_argument("--config")
-    _add_param_flags(sp, required=False)
+    _add_param_flags(sp)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_connect)
 

@@ -120,7 +120,7 @@ def energy_trace(traj: Trajectory, dc: DerivedConstants) -> EnergyTrace:
     t = traj.t[order]
     v = traj.v[order]
     vd = traj.vdot[order]
-    eq = frame_equation(dc.params, traj.frame.alpha)
+    eq = frame_equation(dc.params, traj.alpha)
     potential, power = _potential(eq.lin, eq.terms, t, v)
     energy = 0.5 * vd ** 2 + potential
     forcing = cumulative_simpson(power, t)

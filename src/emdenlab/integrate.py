@@ -6,15 +6,16 @@ autonomous-plus-forcing system of params.FrameEquation,
     v'' + damping v' - lin v + k1 e^{E1 t} v^p + k2 e^{E2 t} v^q = 0,
 
 built for each alpha by params.frame_equation, the one source of its
-coefficients.  Choosing alpha = alpha1 makes the p-term autonomous
-(E1 = 0 exactly, E2 = delta); alpha = alpha2 the q-term (E2 = 0,
-E1 = delta2); alpha = 0 is the raw frame.  Every run starts on
-forced_expansion, the closed-form amp + sum_i K_i e^{E_i t} about an
-end's lambda or a regular u(0).  All trajectories are integrated with
-the one right-hand side log_frame_rhs at the accuracy IntegratorConfig's
-defaults were chosen for (the step cap bounds the dense-output and event
-error, rtol the step error), and sampled on a fixed stride for
-downstream fits and quadrature.
+coefficients.  A run takes the FrameEquation it solves, and its
+Trajectory carries that frame's alpha.  Choosing alpha = alpha1 makes
+the p-term autonomous (E1 = 0 exactly, E2 = delta); alpha = alpha2 the
+q-term (E2 = 0, E1 = delta2); alpha = 0 is the raw frame.  Every run
+starts on forced_expansion, the closed-form amp + sum_i K_i e^{E_i t}
+about an end's lambda or a regular u(0).  All trajectories are
+integrated with the one right-hand side log_frame_rhs at the accuracy
+IntegratorConfig's defaults were chosen for (the step cap bounds the
+dense-output and event error, rtol the step error), and sampled on a
+fixed stride for downstream fits and quadrature.
 
 The integrator is the in-repo DOP853 of dop853.py: Dormand-Prince 8(5,3)
 with its 7th-order dense output (Hairer, Norsett & Wanner, *Solving
@@ -49,22 +50,8 @@ import numpy as np
 
 from .dop853 import Solution, SolverStats, TerminationKind, solve_ivp, \
     solve_lanes
-from .params import DerivedConstants, ProblemParams, frame_equation
+from .params import DerivedConstants, FrameEquation, frame_equation
 from .serialize import fmt_float
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Log-radius frame v = r^alpha u."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError("frame alpha must be finite")
-
-
-RAW = Frame(0.0)
 
 RTOL_MIN = 100.0 * sys.float_info.epsilon
 
@@ -127,15 +114,17 @@ class Termination:
 
 @dataclass
 class Trajectory:
-    """Sampled solution in one frame, plus how the integration ended.
+    """Sampled solution in the alpha frame v = r^alpha u, plus how the
+    integration ended.
 
     config and stats (the solver's work, see dop853.SolverStats) are
     None for trajectories reloaded from CSV; the sample arrays, the
-    frame and the termination are always present (read_trajectory_csv
-    infers a reloaded run's termination from its last samples).
+    frame's finite alpha and the termination are always present
+    (read_trajectory_csv infers a reloaded run's termination from its
+    last samples).
     """
 
-    frame: Frame
+    alpha: float
     t: np.ndarray
     v: np.ndarray
     vdot: np.ndarray
@@ -144,6 +133,8 @@ class Trajectory:
     stats: SolverStats | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError("frame alpha must be finite")
         self.t = np.asarray(self.t, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
         self.vdot = np.asarray(self.vdot, dtype=float)
@@ -162,11 +153,11 @@ class Trajectory:
 
     @property
     def u(self) -> np.ndarray:
-        return self.v * np.exp(-self.frame.alpha * self.t)
+        return self.v * np.exp(-self.alpha * self.t)
 
     @property
     def du_dr(self) -> np.ndarray:
-        a = self.frame.alpha
+        a = self.alpha
         return (self.vdot - a * self.v) * np.exp(-(a + 1.0) * self.t)
 
     @property
@@ -186,7 +177,7 @@ class Trajectory:
             raise ValueError(f"window {window} holds {count} samples; "
                              f"need >= {min_samples}")
         idx = order[inside]
-        return Trajectory(self.frame, self.t[idx], self.v[idx],
+        return Trajectory(self.alpha, self.t[idx], self.v[idx],
                           self.vdot[idx], self.termination, self.config,
                           self.stats)
 
@@ -249,8 +240,8 @@ def _rhs_maker(layout: tuple):
     return code["make"]
 
 
-def log_frame_rhs(params: ProblemParams, alpha: float):
-    """The log-frame system in the alpha frame as solve_ivp's fun(t, y).
+def log_frame_rhs(eq: FrameEquation):
+    """The log-frame system of eq as solve_ivp's fun(t, y).
 
     Returns (dv/dt, d2v/dt2) for y = (v, dv/dt).  The power terms act on
     max(v, 0): an event-located crossing can overshoot to tiny negative
@@ -258,7 +249,6 @@ def log_frame_rhs(params: ProblemParams, alpha: float):
     RuntimeError.  The same acceleration evaluated on arrays of lanes is
     the attribute `lanes(t, v, vdot)`, solve_lanes' fun.
     """
-    eq = frame_equation(params, alpha)
     make = _rhs_maker(tuple((e != 0.0, k != 1.0) for _, e, k in eq.terms))
     return make(eq.lin, eq.damping, *(x for term in eq.terms for x in term))
 
@@ -304,7 +294,7 @@ def stride_grid(t0: float, t_last: float, stride: float) -> np.ndarray:
     return ts
 
 
-def _trajectory(start: State, frame: Frame, sol: Solution,
+def _trajectory(start: State, alpha: float, sol: Solution,
                 config: IntegratorConfig) -> Trajectory:
     """The Trajectory of the solver run sol from start: sol sampled on
     stride_grid from start.t to where the run ended, or the start alone
@@ -316,13 +306,13 @@ def _trajectory(start: State, frame: Frame, sol: Solution,
     else:
         ts = stride_grid(start.t, term.t, config.dense_output_stride)
         v, vdot = sol(ts)
-    return Trajectory(frame, ts, v, vdot, term, config, sol.stats)
+    return Trajectory(alpha, ts, v, vdot, term, config, sol.stats)
 
 
-def integrate(start: State, frame: Frame, t_target: float,
-              params: ProblemParams,
+def integrate(start: State, eq: FrameEquation, t_target: float,
               config: IntegratorConfig | None = None) -> Trajectory:
-    """Integrate from `start` to t_target (either direction) in `frame`.
+    """Integrate eq from `start` to t_target (either direction), in eq's
+    frame.
 
     Terminates early on loss of positivity (v crosses zero from above,
     event-located) or on |v| exceeding the amplitude cap; a solver
@@ -333,14 +323,13 @@ def integrate(start: State, frame: Frame, t_target: float,
     if config is None:
         config = IntegratorConfig()
     _check_start(start, t_target, config)
-    sol = solve_ivp(log_frame_rhs(params, frame.alpha), start.t, t_target,
+    sol = solve_ivp(log_frame_rhs(eq), start.t, t_target,
                     (start.v, start.vdot), config.rtol, config.atol,
                     config.max_step, config.amplitude_cap)
-    return _trajectory(start, frame, sol, config)
+    return _trajectory(start, eq.alpha, sol, config)
 
 
-def integrate_many(starts, frame: Frame, t_target: float,
-                   params: ProblemParams,
+def integrate_many(starts, eq: FrameEquation, t_target: float,
                    config: IntegratorConfig | None = None) -> list:
     """integrate() from each of `starts`, all run in lockstep by the lane
     core dop853.solve_lanes.
@@ -358,11 +347,11 @@ def integrate_many(starts, frame: Frame, t_target: float,
         _check_start(start, t_target, config)
     trajs = [None] * len(starts)
     for i, sol in solve_lanes(
-            log_frame_rhs(params, frame.alpha).lanes,
+            log_frame_rhs(eq).lanes,
             [start.t for start in starts], t_target,
             [[start.v for start in starts], [start.vdot for start in starts]],
             config.rtol, config.atol, config.max_step, config.amplitude_cap):
-        trajs[i] = _trajectory(starts[i], frame, sol, config)
+        trajs[i] = _trajectory(starts[i], eq.alpha, sol, config)
     return trajs
 
 
@@ -376,9 +365,10 @@ class Expansion:
     terms: tuple
     gate: float
 
-    def start(self, t: float, frame: Frame | None = None) -> State:
-        """The state at t, exactly re-expressed in frame (default its
-        own); ValueError unless every |K_i e^{E_i t}| < gate * amp."""
+    def start(self, t: float, alpha: float | None = None) -> State:
+        """The state at t, exactly re-expressed in the alpha frame
+        (default its own); ValueError unless every |K_i e^{E_i t}| <
+        gate * amp."""
         if not math.isfinite(t):
             raise ValueError(f"start t must be finite, got {t}")
         v, vdot = self.amp, 0.0
@@ -388,7 +378,7 @@ class Expansion:
                 raise ValueError(f"t = {t} is too shallow a start: a term "
                                  f"{abs(w):.3e} >= {self.gate:g} x amplitude")
             v, vdot = v + w, vdot + e * w
-        d = 0.0 if frame is None else frame.alpha - self.alpha
+        d = 0.0 if alpha is None else alpha - self.alpha
         fac = math.exp(d * t)  # 1.0 for d = 0: v and vdot unchanged
         return State(t, fac * v, fac * (vdot + d * v))
 
@@ -427,18 +417,19 @@ def forced_expansion(dc: DerivedConstants, center) -> Expansion:
     return Expansion(eq.alpha, amp, tuple(terms), gate)
 
 
-def reframe(traj: Trajectory, new_frame: Frame) -> Trajectory:
-    """Re-express a trajectory in another frame (exact pointwise algebra).
+def reframe(traj: Trajectory, alpha: float) -> Trajectory:
+    """Re-express a trajectory in the alpha frame (exact pointwise
+    algebra).
 
     v_new = e^{(b-a) t} v,  vdot_new = e^{(b-a) t} (vdot + (b-a) v).
     """
-    d = new_frame.alpha - traj.frame.alpha
+    d = alpha - traj.alpha
     if d == 0.0:
-        return Trajectory(traj.frame, traj.t.copy(), traj.v.copy(),
+        return Trajectory(traj.alpha, traj.t.copy(), traj.v.copy(),
                           traj.vdot.copy(), traj.termination, traj.config,
                           traj.stats)
     fac = np.exp(d * traj.t)
-    return Trajectory(new_frame, traj.t.copy(), fac * traj.v,
+    return Trajectory(alpha, traj.t.copy(), fac * traj.v,
                       fac * (traj.vdot + d * traj.v), traj.termination,
                       traj.config, traj.stats)
 
@@ -453,7 +444,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     Python-list copy of the columns is held; the constant frame_alpha
     column is formatted once."""
     row = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," \
-        + fmt_float(traj.frame.alpha) + "\n"
+        + fmt_float(traj.alpha) + "\n"
     cols = (traj.t, traj.r, traj.u, traj.du_dr, traj.v, traj.vdot)
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -470,7 +461,8 @@ def csv_round_trip(traj: Trajectory, directory) -> bool:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Inverse of write_trajectory_csv; parse errors carry line numbers.
+    """Inverse of write_trajectory_csv; every rejection names the file,
+    and parse errors carry line numbers.
 
     The header must be CSV_HEADER exactly, every other non-blank line
     holds 7 floats, frame_alpha is constant, and r, u and du_dr agree
@@ -516,8 +508,12 @@ def read_trajectory_csv(path) -> Trajectory:
         local = float(np.max(np.abs(v[max(0, v.size - 11):-1])))
         if local > 0.0 and v[-1] <= 1e-6 * local:
             kind = TerminationKind.POSITIVITY_LOST
-    traj = Trajectory(Frame(float(alphas[0])), data[:, 0].copy(), v.copy(),
-                      data[:, 5].copy(), Termination(kind, float(data[-1, 0])))
+    try:
+        traj = Trajectory(float(alphas[0]), data[:, 0].copy(), v.copy(),
+                          data[:, 5].copy(),
+                          Termination(kind, float(data[-1, 0])))
+    except ValueError as exc:  # a non-finite alpha, a non-monotone grid
+        raise ValueError(f"{path}: {exc}") from None
     with np.errstate(all="ignore"):
         want = np.column_stack((traj.r, traj.u, traj.du_dr))
     bad = ~np.isclose(data[:, 1:4], want, rtol=1e-12, atol=0.0,

@@ -4,7 +4,7 @@ The equation under study is
 
     u'' + (n-1)/r u' + k1 r^{l1} u^p + k2 r^{l2} u^q = 0,   r > 0,
 
-with n >= 3, p > 1, q > 1, and p < q, -2 < l2 < l1 <= 0 when both power
+with n >= 3, p > 1, q > 1, and p < q, -2 < l2 <= l1 <= 0 when both power
 terms are active.  Everything in this module is closed-form algebra over the
 parameter quintuple: scaling exponents alpha1/alpha2, the exact singular
 amplitudes lambda1/lambda2, the Serrin and Sobolev-type thresholds, the
@@ -61,9 +61,9 @@ class ProblemParams:
         if self.k1 and self.k2:
             if not self.p < self.q:
                 raise ValueError(f"need 1 < p < q, got p={self.p}, q={self.q}")
-            if not (-2.0 < self.l2 < self.l1 <= 0.0):
+            if not (-2.0 < self.l2 <= self.l1 <= 0.0):
                 raise ValueError(
-                    f"need -2 < l2 < l1 <= 0, got l1={self.l1}, l2={self.l2}")
+                    f"need -2 < l2 <= l1 <= 0, got l1={self.l1}, l2={self.l2}")
         else:
             wt = self.l1 if self.k1 else self.l2
             if not wt > -2.0:
@@ -117,7 +117,10 @@ class FrameEquation:
 
 
 def frame_equation(params: ProblemParams, alpha: float) -> FrameEquation:
-    """The FrameEquation of params in the alpha frame."""
+    """The FrameEquation of params in the alpha frame; ValueError for a
+    non-finite alpha."""
+    if not math.isfinite(alpha):
+        raise ValueError("frame alpha must be finite")
     n = params.n
     return FrameEquation(
         alpha, alpha * (n - 2.0 - alpha), n - 2.0 - 2.0 * alpha,
@@ -132,17 +135,17 @@ class End:
     Infinity lives in the alpha1 frame, where the p-term is autonomous
     and the q-term forced at rate delta; the origin in the alpha2 frame,
     the q-term autonomous and the p-term forced at rate delta2.
-    equation is that frame's FrameEquation.  lam is the equilibrium
-    amplitude (lambda1 or lambda2), None when it is undefined or the
-    autonomous term is off.  side is the end's side of the t-axis
-    (+1 large t, -1 small t) and regular_exp the s of its regular law
-    u ~ c r^{-s} (n-2 at infinity, 0 at the origin).
+    equation is that frame's FrameEquation, and equation.alpha names
+    the frame.  lam is the equilibrium amplitude (lambda1 or lambda2),
+    None when it is undefined or the autonomous term is off.  side is
+    the end's side of the t-axis (+1 large t, -1 small t) and
+    regular_exp the s of its regular law u ~ c r^{-s} (n-2 at infinity,
+    0 at the origin).
     """
 
     name: str
     side: int
     regular_exp: float
-    alpha: float
     lam: float | None
     equation: FrameEquation
 
@@ -215,10 +218,9 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
         delta=frame_exp(q, l2, alpha1),
         delta2=frame_exp(p, l1, alpha2),
         omega_sq=eq1.lin * (p - 1.0) - 0.25 * eq1.damping ** 2,
-        ends=(End("infinity", 1, n - 2.0, alpha1,
-                  lambda1 if params.k1 else None, eq1),
-              End("origin", -1, 0.0, alpha2,
-                  lambda2 if params.k2 else None, eq2)),
+        ends=(End("infinity", 1, n - 2.0, lambda1 if params.k1 else None,
+                  eq1),
+              End("origin", -1, 0.0, lambda2 if params.k2 else None, eq2)),
     )
 
 
@@ -247,7 +249,8 @@ def classify_regime(params: ProblemParams,
     theorem1_applies needs the Serrin bound serrin1 < p < q with both
     exponents away from their critical values.  Criticality means exact
     equality with a Sobolev-type threshold, hence the tight EPS_CRIT.
-    All theorem-keyed flags require both terms active.
+    All theorem-keyed flags require both terms active with l2 < l1, the
+    order the theorems are stated for; equal weights get none.
     dc must be derive_constants(params); a pair of two parameter sets is
     a ValueError.
     """
@@ -261,7 +264,7 @@ def classify_regime(params: ProblemParams,
         "p_minus_serrin1": p - dc.serrin1,
         "abs_q_minus_sobolev2": abs(q - dc.sobolev2),
     }
-    if not (params.k1 and params.k2):
+    if not (params.k1 and params.k2 and params.l2 < params.l1):
         return RegimeFlags(False, "none", "none", margins)
 
     q_critical = abs(q - dc.sobolev2) <= EPS_CRIT

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import ClassificationReport, Kind, classify_end, end_window
-from .integrate import Frame, IntegratorConfig, Trajectory, \
-    forced_expansion, integrate, integrate_many
+from .integrate import IntegratorConfig, Trajectory, forced_expansion, \
+    integrate, integrate_many
 from .params import DerivedConstants, classify_regime
 from .serialize import SKIP, Record
 
@@ -39,7 +39,7 @@ BISECT_MAX_ITER = 80
 
 
 def regular_start(a: float, dc: DerivedConstants) -> tuple:
-    """(r0, start) of the regular shot u(0) = a in Frame(dc.alpha1), r0
+    """(r0, start) of the regular shot u(0) = a in the alpha1 frame, r0
     the largest radius (at most 1e-4) keeping every first-order term
     |K_i| r0^{E_i} of the expansion about a below SERIES_BUDGET a.
     ValueError for a non-positive a, and for a tiny r0 with a large
@@ -48,7 +48,7 @@ def regular_start(a: float, dc: DerivedConstants) -> tuple:
     # a^P can underflow to K = 0: that term is then negligible
     r0 = min([1e-4] + [(SERIES_BUDGET * a / abs(k)) ** (1.0 / e)
                        for k, e in expansion.terms if k])
-    start = expansion.start(math.log(r0), Frame(dc.alpha1))
+    start = expansion.start(math.log(r0), dc.alpha1)
     if start.v == 0.0:
         raise ValueError(
             f"the shot u(0) = {a!r} cannot start: its series radius "
@@ -85,7 +85,7 @@ def shoot(a: float, dc: DerivedConstants,
     start radius shrinks with a so the series gate always holds; it runs
     in the alpha1 frame, where the p-term is autonomous."""
     r0, start = _shot_start(a, dc, t_target)
-    traj = integrate(start, Frame(dc.alpha1), t_target, dc.params, config)
+    traj = integrate(start, dc.end("infinity").equation, t_target, config)
     return ShotResult(float(a), r0, traj, classify_end(traj, dc, "infinity"))
 
 
@@ -98,8 +98,8 @@ def shoot_many(a_grid, dc: DerivedConstants,
     shots and bisection midpoints go through shoot.
     """
     starts = [_shot_start(a, dc, t_target) for a in a_grid]
-    trajs = integrate_many([start for _, start in starts], Frame(dc.alpha1),
-                           t_target, dc.params, config)
+    trajs = integrate_many([start for _, start in starts],
+                           dc.end("infinity").equation, t_target, config)
     return [ShotResult(float(a), r0, traj,
                        classify_end(traj, dc, "infinity"))
             for a, (r0, _), traj in zip(a_grid, starts, trajs)]
@@ -231,7 +231,7 @@ def seed_and_integrate(dc: DerivedConstants, end: str, span: tuple,
     e = dc.end(end)
     t_seed, t_stop = span[::-e.side]
     start = forced_expansion(dc, end).start(t_seed)
-    return integrate(start, Frame(e.alpha), t_stop, dc.params, config)
+    return integrate(start, e.equation, t_stop, config)
 
 
 def classify_ends(traj: Trajectory, dc: DerivedConstants) -> tuple:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from emdenlab import (
-    Frame,
     Kind,
     SaturationError,
     Termination,
@@ -23,7 +22,7 @@ from emdenlab.classify import SPIRAL_CONTRACTION, TOL_CLASS
 def synthetic(t, v, vdot, alpha=0.0):
     """A run that reached the end of its span at t[-1]."""
     end = Termination(TerminationKind.REACHED_SPAN_END, float(t[-1]))
-    return Trajectory(Frame(alpha), t, v, vdot, end)
+    return Trajectory(alpha, t, v, vdot, end)
 
 
 class TestQuadraticExtrema:
@@ -236,10 +235,10 @@ class TestEnvelope:
         is_min = np.isin(merged, env.times_min)
         assert np.all(is_min[1:] != is_min[:-1])
 
-    def test_too_few_extrema_raises(self, config_b, dc_b):
+    def test_too_few_extrema_raises(self, dc_b):
         from emdenlab import State, integrate
         traj = integrate(State(-2.0, dc_b.lambda2 + 0.5, 0.0),
-                         Frame(dc_b.alpha2), -6.0, config_b)
+                         dc_b.end("origin").equation, -6.0)
         with pytest.raises(ValueError, match="extrema"):
             oscillation_envelope(traj, dc_b, "origin")
 

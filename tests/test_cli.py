@@ -80,6 +80,34 @@ def test_parser_defaults_are_the_function_defaults(argv, dest, functions):
         assert inspect.signature(fn).parameters[dest].default == default
 
 
+def test_papers_equation_exit_0(capsys):
+    # (1.4): the weights left at their defaults l1 = l2 = 0
+    assert main(["exponents", "--n", "5", "--p", "1.9", "--q", "2.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    consts = payload["constants"]
+    assert consts["sobolev1"] == consts["sobolev2"] == 7.0 / 3.0
+    assert payload["regime"]["theorem1_applies"] is False
+    assert main(["shoot", "--a", "1", "--n", "5", "--p", "1.9",
+                 "--q", "2.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["kind"] \
+        == "crosses_zero"
+
+
+def test_exponents_and_classify_take_the_config(tmp_path, capsys):
+    # --config and the problem flags state the same problem, byte for byte
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI)
+    csv = tmp_path / "orbit.csv"
+    assert main(["solve", "--config", str(ini), "--out", str(csv)]) == 0
+    capsys.readouterr()
+    for command in (["exponents"],
+                    ["classify", "--csv", str(csv), "--end", "origin"]):
+        assert main([*command, "--config", str(ini)]) == 0
+        from_config = capsys.readouterr().out
+        assert main([*command, *PARAM_FLAGS]) == 0
+        assert capsys.readouterr().out == from_config
+
+
 def test_exponents_invalid_params_exit_1(capsys):
     rc = main(["exponents", "--n", "5", "--p", "2.0", "--q", "1.9"])
     assert rc == 1
@@ -276,6 +304,8 @@ def test_connect_json(capsys):
     ["shoot", "--a", "1.0"],
     ["scan", "--points", "16"],
     ["connect", "--direction", "from_infinity"],
+    ["exponents"],
+    ["classify", "--csv", "orbit.csv", "--end", "infinity"],
 ])
 def test_problem_flags_beside_config_exit_1(tmp_path, capsys, command):
     # the problem comes from one source: --config or the flags, never a

@@ -14,7 +14,6 @@ from scipy.integrate._ivp import dop853_coefficients as ref
 from scipy.optimize import brentq as scipy_brentq
 
 from emdenlab import (
-    Frame,
     IntegratorConfig,
     ProblemParams,
     SolverStats,
@@ -32,7 +31,7 @@ from emdenlab import (
 )
 from emdenlab.acceptance import CONFIG_A
 from emdenlab.integrate import stride_grid
-from emdenlab.params import frame_exp
+from emdenlab.params import frame_equation, frame_exp
 
 CONFIG = IntegratorConfig()
 
@@ -55,7 +54,7 @@ def test_tableau_is_scipys():
     assert np.array_equal(dense(dop853.D, ref.D.shape), ref.D)
 
 
-def scipy_run(params, frame, start, t_target, config):
+def scipy_run(params, alpha, start, t_target, config):
     """scipy's solve_ivp with the options and terminal events that
     integrate runs, and the termination kind it reports."""
     def positivity(t, y):
@@ -67,7 +66,7 @@ def scipy_run(params, frame, start, t_target, config):
     positivity.terminal = cap.terminal = True
     positivity.direction, cap.direction = -1.0, 1.0
     sol = scipy_solve_ivp(
-        log_frame_rhs(params, frame.alpha), (start.t, t_target),
+        log_frame_rhs(frame_equation(params, alpha)), (start.t, t_target),
         [start.v, start.vdot], method="DOP853", rtol=config.rtol,
         atol=config.atol, max_step=config.max_step, dense_output=True,
         events=(positivity, cap))
@@ -104,15 +103,15 @@ REVERSED_CORE = dop853._compile_core(
     reversed_rows(dop853.D))
 
 
-def run_ours(params, frame, start, t_target, cap=CONFIG.amplitude_cap):
-    return dop853.solve_ivp(log_frame_rhs(params, frame.alpha), start.t,
-                            t_target, (start.v, start.vdot), CONFIG.rtol,
-                            CONFIG.atol, CONFIG.max_step, cap)
+def run_ours(params, alpha, start, t_target, cap=CONFIG.amplitude_cap):
+    return dop853.solve_ivp(log_frame_rhs(frame_equation(params, alpha)),
+                            start.t, t_target, (start.v, start.vdot),
+                            CONFIG.rtol, CONFIG.atol, CONFIG.max_step, cap)
 
 
-def run_reversed(params, frame, start, t_target):
+def run_reversed(params, alpha, start, t_target):
     with mock.patch.object(dop853, "_CORE", REVERSED_CORE):
-        return run_ours(params, frame, start, t_target)
+        return run_ours(params, alpha, start, t_target)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -124,13 +123,13 @@ def run_reversed(params, frame, start, t_target):
 def test_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
                            forward):
     dc = derive_constants(params)
-    frame = Frame({"raw": 0.0, "alpha1": dc.alpha1,
-                   "alpha2": dc.alpha2}[frame_name])
+    alpha = {"raw": 0.0, "alpha1": dc.alpha1,
+             "alpha2": dc.alpha2}[frame_name]
     start = State(t0, v0, vdot0)
     t_target = t0 + span if forward else t0 - span
-    theirs, kind = scipy_run(params, frame, start, t_target, CONFIG)
-    ours = run_ours(params, frame, start, t_target)
-    traj = integrate(start, frame, t_target, params, CONFIG)
+    theirs, kind = scipy_run(params, alpha, start, t_target, CONFIG)
+    ours = run_ours(params, alpha, start, t_target)
+    traj = integrate(start, frame_equation(params, alpha), t_target, CONFIG)
     assert ours.status == traj.termination.kind == kind
 
     # While h ramps up from a start whose error scale in one component is
@@ -140,7 +139,7 @@ def test_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
     # there; summing in the opposite order (REVERSED_CORE) exposes such
     # runs.  They are held only to agree within the two runs' global
     # errors (the largest seen in 4500 random draws was 1.2e-8 relative).
-    reordered = run_reversed(params, frame, start, t_target)
+    reordered = run_reversed(params, alpha, start, t_target)
     tol = 1e-6
     if ours.t.shape == reordered.t.shape \
             and np.max(np.abs(ours.t - reordered.t)) <= 1e-13:
@@ -154,10 +153,10 @@ def test_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
         <= tol * max(np.max(np.abs(vdot)), 1.0)
 
 
-def test_amplitude_cap_branch(config_a, dc_a):
+def test_amplitude_cap_branch(dc_a):
     # v rises from 1.5 through the cap at 2 within the first few steps
-    traj = integrate(State(0.0, 1.5, 3.0), Frame(dc_a.alpha1), 12.0,
-                     config_a, IntegratorConfig(amplitude_cap=2.0))
+    traj = integrate(State(0.0, 1.5, 3.0), dc_a.end("infinity").equation,
+                     12.0, IntegratorConfig(amplitude_cap=2.0))
     assert traj.termination.kind == TerminationKind.AMPLITUDE_CAP
     assert traj.termination.t == pytest.approx(0.157841792994667, abs=1e-12)
     assert traj.v[-1] == pytest.approx(2.0, abs=1e-12)
@@ -185,7 +184,7 @@ def test_brentq_needs_a_sign_change():
 # a start whose steps rounding decides: with every sum taken in reverse
 # it rejects five more attempts on the way to the same crossing
 ROUNDING_DECIDED = (ProblemParams(n=3, p=2.55, q=4.25, l1=-0.86, l2=-1.4),
-                    Frame(0.0), State(-1.2, 2.8, 0.0), 2.1)
+                    0.0, State(-1.2, 2.8, 0.0), 2.1)
 
 
 def test_reversed_core_moves_a_rounding_decided_grid():
@@ -276,11 +275,11 @@ def loop_rhs(params, alpha):
     return rhs
 
 
-def assert_loop_core_run(params, frame, start, t_target, cap):
+def assert_loop_core_run(params, alpha, start, t_target, cap):
     """The generated core's run is the loop core's bit for bit."""
-    ours = run_ours(params, frame, start, t_target, cap)
+    ours = run_ours(params, alpha, start, t_target, cap)
     with mock.patch.object(dop853, "_CORE", LOOP_CORE):
-        ref = dop853.solve_ivp(loop_rhs(params, frame.alpha), start.t,
+        ref = dop853.solve_ivp(loop_rhs(params, alpha), start.t,
                                t_target, (start.v, start.vdot), CONFIG.rtol,
                                CONFIG.atol, CONFIG.max_step, cap)
     assert ours.t.tobytes() == ref.t.tobytes()
@@ -298,9 +297,9 @@ def assert_loop_core_run(params, frame, start, t_target, cap):
 def test_generated_core_is_the_loop_core(params, frame_name, t0, v0, vdot0,
                                          span, forward, cap):
     dc = derive_constants(params)
-    frame = Frame({"raw": 0.0, "alpha1": dc.alpha1,
-                   "alpha2": dc.alpha2}[frame_name])
-    assert_loop_core_run(params, frame, State(t0, v0, vdot0),
+    alpha = {"raw": 0.0, "alpha1": dc.alpha1,
+             "alpha2": dc.alpha2}[frame_name]
+    assert_loop_core_run(params, alpha, State(t0, v0, vdot0),
                          t0 + span if forward else t0 - span, cap)
 
 
@@ -314,10 +313,10 @@ def test_generated_core_is_the_loop_core(params, frame_name, t0, v0, vdot0,
      TerminationKind.REACHED_SPAN_END, None),
 ])
 def test_loop_core_cases(case, cap, kind, rejected):
-    params, frame, start, t_target = case
-    if isinstance(frame, str):
-        frame = Frame(getattr(derive_constants(params), frame))
-    sol = assert_loop_core_run(params, frame, start, t_target, cap)
+    params, alpha, start, t_target = case
+    if isinstance(alpha, str):
+        alpha = getattr(derive_constants(params), alpha)
+    sol = assert_loop_core_run(params, alpha, start, t_target, cap)
     assert sol.status == kind
     assert len(sol.t) > 2
     if rejected is not None:
@@ -371,7 +370,8 @@ def test_generated_rhs_is_the_term_loop(table, t, v, vdot, bad):
     # below 0 is clamped, problems() switches terms off (k = 0), and a
     # non-finite v or vdot raises in both
     params, alpha = table
-    ours, ref = log_frame_rhs(params, alpha), loop_rhs(params, alpha)
+    ours = log_frame_rhs(frame_equation(params, alpha))
+    ref = loop_rhs(params, alpha)
     v = np.array(v)
     ts, vd = np.full(v.size, t), np.full(v.size, vdot)
     for x in v.tolist():
@@ -385,11 +385,11 @@ def test_generated_rhs_is_the_term_loop(table, t, v, vdot, bad):
             == outcome(ref.lanes, ts, v_bad, vd_bad) == RuntimeError
 
 
-def same_grid(params, frame, start, t_target):
+def same_grid(params, alpha, start, t_target):
     """True unless summing the tableau rows in reverse moves the scalar
     core's step grid: the run's steps are then decided by rounding."""
-    plain = run_ours(params, frame, start, t_target)
-    reordered = run_reversed(params, frame, start, t_target)
+    plain = run_ours(params, alpha, start, t_target)
+    reordered = run_reversed(params, alpha, start, t_target)
     return plain.t.shape == reordered.t.shape \
         and np.max(np.abs(plain.t - reordered.t)) <= 1e-13
 
@@ -417,7 +417,6 @@ def test_lane_is_the_scalar_run(params, amplitudes, t_target):
     # scalar core's steps.  Where rounding decides the steps (see
     # test_same_run_as_scipy) the runs agree only to their global errors.
     dc = derive_constants(params)
-    frame = Frame(dc.alpha1)
     lanes = shoot_many(amplitudes, dc, t_target=t_target)
     for a, lane in zip(amplitudes, lanes):
         one = shoot(a, dc, t_target=t_target)
@@ -425,7 +424,7 @@ def test_lane_is_the_scalar_run(params, amplitudes, t_target):
         assert lane.kind == one.kind
         assert ours.termination.kind == theirs.termination.kind
         tol = 1e-6
-        if same_grid(params, frame, shooting.regular_start(a, dc)[1],
+        if same_grid(params, dc.alpha1, shooting.regular_start(a, dc)[1],
                      t_target):
             assert (ours.stats.nfev, ours.stats.steps) \
                 == (theirs.stats.nfev, theirs.stats.steps)
@@ -438,19 +437,19 @@ def test_lane_is_the_scalar_run(params, amplitudes, t_target):
             assert abs(x[-1] - y[-1]) <= tol * scale
 
 
-def test_lane_core_with_the_same_rhs_is_the_scalar_core(config_a, dc_a):
+def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a):
     # fed the values the lanes compute, the scalar core takes the same
     # steps bit for bit and its stride samples are the lane's; the cap
     # ends six of the lanes, positivity three, and the last one runs
     # backwards to the span end
-    frame, config = Frame(dc_a.alpha1), IntegratorConfig(amplitude_cap=2.0)
+    eq = dc_a.end("infinity").equation
+    config = IntegratorConfig(amplitude_cap=2.0)
     starts = [shooting.regular_start(a, dc_a)[1]
               for a in np.logspace(-2.0, 2.0, 6)] \
         + [State(0.0, 1.0, 0.0), State(0.0, 1.5, 3.0), State(0.0, 0.5, -1.0),
            State(13.5, 1.2, 0.1)]
-    rhs = log_frame_rhs(config_a, frame.alpha)
-    for start, traj in zip(starts, integrate_many(starts, frame, 12.0,
-                                                  config_a, config)):
+    rhs = log_frame_rhs(eq)
+    for start, traj in zip(starts, integrate_many(starts, eq, 12.0, config)):
         sol = dop853.solve_ivp(dop853._one_lane(rhs.lanes), start.t, 12.0,
                                (start.v, start.vdot), config.rtol,
                                config.atol, config.max_step,
@@ -465,13 +464,13 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(config_a, dc_a):
         assert np.array_equal(traj.vdot, vdot)
 
 
-def test_lane_does_not_depend_on_its_batch(config_a, dc_a):
-    frame = Frame(dc_a.alpha1)
+def test_lane_does_not_depend_on_its_batch(dc_a):
+    eq = dc_a.end("infinity").equation
     starts = [shooting.regular_start(a, dc_a)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
-    alone = integrate_many([starts[40]], frame, 12.0, config_a)[0]
-    in_64 = integrate_many(starts[::2], frame, 12.0, config_a)[20]
-    in_128 = integrate_many(starts[::-1], frame, 12.0, config_a)[87]
+    alone = integrate_many([starts[40]], eq, 12.0)[0]
+    in_64 = integrate_many(starts[::2], eq, 12.0)[20]
+    in_128 = integrate_many(starts[::-1], eq, 12.0)[87]
     for traj in (in_64, in_128):
         assert traj.termination == alone.termination
         assert traj.stats == alone.stats
@@ -479,33 +478,34 @@ def test_lane_does_not_depend_on_its_batch(config_a, dc_a):
             assert np.array_equal(getattr(traj, name), getattr(alone, name))
 
 
-def test_amplitude_cap_on_a_lane(config_a, dc_a):
+def test_amplitude_cap_on_a_lane(dc_a):
     # the scalar test_amplitude_cap_branch start, between two lanes that
     # stay under the cap
-    frame, config = Frame(dc_a.alpha1), IntegratorConfig(amplitude_cap=2.0)
+    eq = dc_a.end("infinity").equation
+    config = IntegratorConfig(amplitude_cap=2.0)
     starts = [State(0.0, 1.0, 0.0), State(0.0, 1.5, 3.0),
               State(0.0, 1.2, -0.5)]
-    trajs = integrate_many(starts, frame, 12.0, config_a, config)
+    trajs = integrate_many(starts, eq, 12.0, config)
     capped = trajs[1]
     assert capped.termination.kind == TerminationKind.AMPLITUDE_CAP
     assert capped.termination.t == pytest.approx(0.157841792994667,
                                                  abs=1e-12)
     assert capped.v[-1] == pytest.approx(2.0, abs=1e-12)
     for start, traj in zip(starts, trajs):
-        one = integrate(start, frame, 12.0, config_a, config)
+        one = integrate(start, eq, 12.0, config)
         assert traj.termination.kind == one.termination.kind
         assert traj.stats == one.stats
         assert traj.termination.t == pytest.approx(one.termination.t,
                                                    abs=1e-12)
 
 
-def test_underflow_and_zero_span_lanes(config_a, dc_a):
+def test_underflow_and_zero_span_lanes(dc_a):
     # 10 ulp of t = 1e15 is 1.25, above max_step: neither lane can step;
     # a start already at t_target takes no step and evaluates no fun
-    t_target, frame = 1e15 + 1.0, Frame(dc_a.alpha1)
+    t_target, eq = 1e15 + 1.0, dc_a.end("infinity").equation
     starts = [State(1e15, 1.0, 0.0), State(t_target, 2.0, 0.5),
               State(1e15 + 0.5, 3.0, -1.0)]
-    trajs = integrate_many(starts, frame, t_target, config_a)
+    trajs = integrate_many(starts, eq, t_target)
     kinds = [TerminationKind.STEP_UNDERFLOW,
              TerminationKind.REACHED_SPAN_END,
              TerminationKind.STEP_UNDERFLOW]
@@ -513,12 +513,11 @@ def test_underflow_and_zero_span_lanes(config_a, dc_a):
         assert traj.termination == Termination(kind, start.t)
         assert (traj.t.tolist(), traj.v.tolist(), traj.vdot.tolist()) \
             == ([start.t], [start.v], [start.vdot])
-        assert traj.stats == integrate(start, frame, t_target,
-                                       config_a).stats
+        assert traj.stats == integrate(start, eq, t_target).stats
     assert trajs[1].stats == SolverStats(0, 0, 0)
     # the lane core yields the scalar core's empty Solution for the
     # zero-span lane, and yields it first
-    rhs = log_frame_rhs(config_a, frame.alpha)
+    rhs = log_frame_rhs(eq)
     runs = list(dop853.solve_lanes(
         rhs.lanes, [s.t for s in starts], t_target,
         [[s.v for s in starts], [s.vdot for s in starts]], CONFIG.rtol,
@@ -558,19 +557,19 @@ def test_stride_under_the_spacing_of_t_is_rejected_before_the_run():
         for run in (integrate, lambda *a: integrate_many([a[0]], *a[1:])):
             with pytest.raises(ValueError, match=r"stride 0\.01 .* t = "
                                r"70368744177664\.08"):
-                run(start, Frame(dc.alpha1), 2.0 ** 46 + 0.08, params)
+                run(start, frame_equation(params, dc.alpha1), 2.0 ** 46 + 0.08)
 
 
-def test_lanes_that_step_then_underflow(config_a, dc_a):
+def test_lanes_that_step_then_underflow(dc_a):
     # near t = 2^46 a few steps fit before h falls under 10 ulp of t; the
     # last sample sits at the end of the last step, not at its start.
     # The stride is 0.05 because the default 0.01 is under 2 ulp there.
-    t_target, frame = 2.0 ** 46 + 1.0, Frame(dc_a.alpha1)
+    t_target, eq = 2.0 ** 46 + 1.0, dc_a.end("infinity").equation
     config = IntegratorConfig(dense_output_stride=0.05)
     starts = [State(2.0 ** 46 - 0.5, 1.0, 0.0),
               State(2.0 ** 46 - 0.8, 1.2, 0.1)]
-    rhs = log_frame_rhs(config_a, frame.alpha)
-    trajs = integrate_many(starts, frame, t_target, config_a, config)
+    rhs = log_frame_rhs(eq)
+    trajs = integrate_many(starts, eq, t_target, config)
     for start, traj, steps in zip(starts, trajs, (6, 9)):
         sol = dop853.solve_ivp(dop853._one_lane(rhs.lanes), start.t,
                                t_target, (start.v, start.vdot), config.rtol,
@@ -586,17 +585,17 @@ def test_lanes_that_step_then_underflow(config_a, dc_a):
         assert np.array_equal(traj.vdot, vdot)
 
 
-def test_lane_rows_are_released_when_a_lane_ends(config_a, dc_a):
+def test_lane_rows_are_released_when_a_lane_ends(dc_a):
     # a lane keeps its steps' rows only while it runs: beyond the
     # returned samples a 128-lane batch needs its row chunks, about 0.3
     # MB, where keeping every lane's rows to the end would add 2.8 MB
-    frame = Frame(dc_a.alpha1)
+    eq = dc_a.end("infinity").equation
     starts = [shooting.regular_start(a, dc_a)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
-    integrate_many(starts[:2], frame, 12.0, config_a)
+    integrate_many(starts[:2], eq, 12.0)
     tracemalloc.start()
     try:
-        trajs = integrate_many(starts, frame, 12.0, config_a)
+        trajs = integrate_many(starts, eq, 12.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -610,13 +609,13 @@ def test_lane_rows_are_released_when_a_lane_ends(config_a, dc_a):
     (1.0, State(0.0, math.nan, 0.0), "start.v"),
     (1.0, State(0.0, 1.0, -math.inf), "start.vdot"),
 ])
-def test_lane_rejects_nonfinite_input(config_a, dc_a, t_target, bad, name):
+def test_lane_rejects_nonfinite_input(dc_a, t_target, bad, name):
     starts = [State(0.0, math.sqrt(2.0), 0.0), bad]
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        integrate_many(starts, Frame(dc_a.alpha1), t_target, config_a)
+        integrate_many(starts, dc_a.end("infinity").equation, t_target)
 
 
 def test_lane_rhs_rejects_nonfinite_state(config_a):
-    lanes = log_frame_rhs(config_a, 0.0).lanes
+    lanes = log_frame_rhs(frame_equation(config_a, 0.0)).lanes
     with pytest.raises(RuntimeError, match="non-finite"):
         lanes(np.zeros(3), np.ones(3), np.array([0.0, math.inf, 0.0]))

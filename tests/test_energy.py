@@ -7,7 +7,6 @@ from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from emdenlab import (
     TOLERANCES,
-    Frame,
     IntegratorConfig,
     Kind,
     ProblemParams,
@@ -23,7 +22,7 @@ from emdenlab import (
     well_potential,
 )
 from emdenlab.energy import cumulative_simpson
-from emdenlab.params import frame_exp
+from emdenlab.params import frame_equation, frame_exp
 
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
 
@@ -76,17 +75,17 @@ class TestEnergyTrace:
     def test_single_term_equilibrium_conserves(self):
         # no forcing term: E is a strict invariant and forcing_work = 0
         dc = derive_constants(SINGLE)
-        traj = integrate(State(0.0, math.sqrt(2.0), 0.0), Frame(dc.alpha1),
-                         5.0, SINGLE)
+        traj = integrate(State(0.0, math.sqrt(2.0), 0.0),
+                         frame_equation(SINGLE, dc.alpha1), 5.0)
         tr = energy_trace(traj, dc)
         assert np.all(tr.forcing_work == 0.0)
         assert tr.balance_residual() < 1e-12
         assert np.max(np.abs(tr.energy - tr.energy[0])) \
             <= 1e-10 * abs(tr.energy[0])
 
-    def test_balance_on_forced_run(self, config_a, dc_a):
+    def test_balance_on_forced_run(self, dc_a):
         traj = integrate(State(0.0, 1.2 * dc_a.lambda1, 0.0),
-                         Frame(dc_a.alpha1), 8.0, config_a,
+                         dc_a.end("infinity").equation, 8.0,
                          IntegratorConfig(dense_output_stride=0.0025))
         res = energy_trace(traj, dc_a).balance_residual()
         assert res < 1e-6
@@ -96,9 +95,9 @@ class TestEnergyTrace:
         assert np.all(np.diff(tr.t) > 0.0)
         assert tr.balance_residual() < 1e-5
 
-    def test_alpha2_frame_uses_swapped_roles(self, config_b, dc_b):
+    def test_alpha2_frame_uses_swapped_roles(self, dc_b):
         traj = integrate(State(-2.0, dc_b.lambda2 + 0.5, 0.0),
-                         Frame(dc_b.alpha2), -20.0, config_b)
+                         dc_b.end("origin").equation, -20.0)
         tr = energy_trace(traj, dc_b)
         # forcing (the p-term, exponent delta2) does real work here
         assert np.max(np.abs(tr.forcing_work)) > 0.0
@@ -125,10 +124,11 @@ def test_balance_holds_in_every_frame(config):
     # one run read in the raw, Pohozaev (alpha0), alpha1 and alpha2 frames
     params, amp = config
     dc = derive_constants(params)
-    traj = integrate(State(0.0, amp * dc.lambda1, 0.0), Frame(dc.alpha1),
-                     8.0, params, IntegratorConfig(dense_output_stride=0.0025))
+    traj = integrate(State(0.0, amp * dc.lambda1, 0.0),
+                     dc.end("infinity").equation, 8.0,
+                     IntegratorConfig(dense_output_stride=0.0025))
     for alpha in (0.0, (params.n - 2.0) / 2.0, dc.alpha1, dc.alpha2):
-        tr = energy_trace(reframe(traj, Frame(alpha)), dc)
+        tr = energy_trace(reframe(traj, alpha), dc)
         assert tr.balance_residual() < TOLERANCES["c7_balance"], alpha
 
 
@@ -142,7 +142,7 @@ def test_pohozaev_frame_forbids_positive_config_a_shots(config_a, dc_a, a):
     assert min(frame_exp(e, l, alpha0)
                for e, l, _ in config_a.active_terms()) > 0.0
     shot = shoot(a, dc_a, IntegratorConfig(dense_output_stride=0.0025), 12.0)
-    tr = energy_trace(reframe(shot.trajectory, Frame(alpha0)), dc_a)
+    tr = energy_trace(reframe(shot.trajectory, alpha0), dc_a)
     scale = float(np.max(np.abs(tr.energy)))
     assert np.all(tr.damping_work == 0.0)
     assert abs(tr.energy[0]) <= 1e-12 * scale

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emdenlab import (
-    RAW,
     End,
-    Frame,
     IntegratorConfig,
     ProblemParams,
     RunConfig,
@@ -34,7 +32,7 @@ from emdenlab import (
     write_trajectory_csv,
 )
 from emdenlab.integrate import CSV_HEADER as HEADER, RTOL_MIN
-from emdenlab.params import FrameEquation
+from emdenlab.params import FrameEquation, frame_equation
 from emdenlab.shooting import classify_ends, regular_start
 
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
@@ -45,71 +43,72 @@ class TestIntegrateCore:
         # u = sqrt(2)/r solves the single-term equation; in the alpha1
         # frame it is the constant v = sqrt(2)
         dc = derive_constants(SINGLE)
-        traj = integrate(State(0.0, math.sqrt(2.0), 0.0), Frame(dc.alpha1),
-                         math.log(10.0), SINGLE)
+        traj = integrate(State(0.0, math.sqrt(2.0), 0.0),
+                         dc.end("infinity").equation, math.log(10.0))
         exact = math.sqrt(2.0) * np.exp(-traj.t)
         assert traj.termination.kind == TerminationKind.REACHED_SPAN_END
         assert np.max(np.abs(traj.u - exact) / exact) < 1e-10
 
-    def test_sampling_grid_stride(self, dc_a, config_a):
+    def test_sampling_grid_stride(self, dc_a):
         start = State(2.0, 1.0001 * dc_a.lambda1, 0.0)
-        traj = integrate(start, Frame(dc_a.alpha1), 0.0, config_a)
+        traj = integrate(start, dc_a.end("infinity").equation, 0.0)
         steps = np.diff(traj.t)
         assert np.all(np.abs(steps[:-1] + 0.01) < 1e-12)
         assert abs(traj.t[0] - 2.0) == 0.0
         assert traj.t[-1] == 0.0
 
     def test_zero_span_returns_single_sample(self, config_a):
-        traj = integrate(State(1.0, 2.0, 0.5), Frame(0.0), 1.0, config_a)
+        traj = integrate(State(1.0, 2.0, 0.5), frame_equation(config_a, 0.0),
+                         1.0)
         assert traj.t.size == 1
         assert traj.termination.kind == TerminationKind.REACHED_SPAN_END
 
-    def test_direction_symmetry(self, config_a, dc_a):
+    def test_direction_symmetry(self, dc_a):
         # integrate backward over [0, 6], then forward from the endpoint;
         # the far endpoint must reproduce the seed within solver budget
         start = forced_expansion(dc_a, "infinity").start(6.0)
-        back = integrate(start, Frame(dc_a.alpha1), 0.0, config_a)
+        back = integrate(start, dc_a.end("infinity").equation, 0.0)
         end = State(back.t_end, float(back.v[-1]), float(back.vdot[-1]))
-        fwd = integrate(end, Frame(dc_a.alpha1), 6.0, config_a)
+        fwd = integrate(end, dc_a.end("infinity").equation, 6.0)
         assert abs(fwd.v[-1] - start.v) < 1e-8
         assert abs(fwd.vdot[-1] - start.vdot) < 1e-8
 
-    def test_positivity_event_is_located(self, config_a, dc_a):
+    def test_positivity_event_is_located(self, dc_a):
         start = regular_start(1.0, dc_a)[1]
-        traj = integrate(start, Frame(dc_a.alpha1), 12.0, config_a)
+        traj = integrate(start, dc_a.end("infinity").equation, 12.0)
         assert traj.termination.kind == TerminationKind.POSITIVITY_LOST
         assert traj.t[-1] == pytest.approx(traj.termination.t, abs=1e-12)
         # the event sample itself sits on the zero crossing
         assert abs(traj.v[-1]) < 1e-11
 
-    def test_amplitude_cap_terminates(self, config_b, dc_b):
+    def test_amplitude_cap_terminates(self, dc_b):
         # the critical-q oscillation rises above 3.2; a cap at 3.0 sits
         # between the seed (2.75) and the first envelope maximum
         cfg = IntegratorConfig(amplitude_cap=3.0)
         traj = integrate(State(-2.0, dc_b.lambda2 + 0.5, 0.0),
-                         Frame(dc_b.alpha2), -30.0, config_b, cfg)
+                         dc_b.end("origin").equation, -30.0, cfg)
         assert traj.termination.kind == TerminationKind.AMPLITUDE_CAP
         assert abs(traj.v[-1]) == pytest.approx(3.0, abs=1e-9)
 
     def test_stats_count_the_work(self, config_a, dc_a, tmp_path):
         # 12 stages per attempt and 3 dense-output stages per accepted
         # step, after the 2 evaluations of the initial step
-        traj = integrate(State(0.0, 1.0, 0.0), Frame(dc_a.alpha1), 3.0,
-                         config_a, IntegratorConfig(max_step=0.5))
+        traj = integrate(State(0.0, 1.0, 0.0), dc_a.end("infinity").equation,
+                         3.0, IntegratorConfig(max_step=0.5))
         stats = traj.stats
         assert stats.steps > 0 and stats.rejected > 0
         assert stats.nfev == 2 + 15 * stats.steps + 12 * stats.rejected
-        assert reframe(traj, RAW).stats == traj.stats
+        assert reframe(traj, 0.0).stats == traj.stats
         assert traj.window((0.0, 1.0), 2).stats == traj.stats
-        assert integrate(State(1.0, 1.0, 0.0), RAW, 1.0,
-                         config_a).stats == SolverStats(0, 0, 0)
+        assert integrate(State(1.0, 1.0, 0.0), frame_equation(config_a, 0.0),
+                         1.0).stats == SolverStats(0, 0, 0)
         write_trajectory_csv(traj, tmp_path / "t.csv")
         assert read_trajectory_csv(tmp_path / "t.csv").stats is None
 
-    def test_underflow_at_the_first_step_is_reported(self, config_a, dc_a):
+    def test_underflow_at_the_first_step_is_reported(self, dc_a):
         # 10 ulp of t = 1e15 is 1.25, above max_step: no step is possible
-        traj = integrate(State(1e15, 1.0, 0.0), Frame(dc_a.alpha1),
-                         1e15 + 1.0, config_a)
+        traj = integrate(State(1e15, 1.0, 0.0), dc_a.end("infinity").equation,
+                         1e15 + 1.0)
         assert traj.termination == Termination(
             TerminationKind.STEP_UNDERFLOW, 1e15)
         assert (traj.t.tolist(), traj.v.tolist(), traj.vdot.tolist()) \
@@ -126,19 +125,22 @@ class TestIntegrateCore:
         # from the criterion-1 equilibrium, t_target = inf would run forever
         dc = derive_constants(SINGLE)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            integrate(start, Frame(dc.alpha1), t_target, SINGLE)
+            integrate(start, frame_equation(SINGLE, dc.alpha1), t_target)
 
     def test_rejects_nonpositive_start(self, config_a):
         with pytest.raises(ValueError):
-            integrate(State(0.0, 0.0, 1.0), Frame(0.0), 1.0, config_a)
+            integrate(State(0.0, 0.0, 1.0), frame_equation(config_a, 0.0),
+                      1.0)
 
-    def test_nonfinite_frame_rejected(self):
-        with pytest.raises(ValueError):
-            Frame(math.inf)
+    def test_nonfinite_frame_rejected(self, config_a):
+        for alpha in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="frame alpha must be "
+                               "finite"):
+                frame_equation(config_a, alpha)
 
 
 class TestConfigValidation:
-    def test_stride_coarser_than_the_step_cap(self, config_a, dc_a):
+    def test_stride_coarser_than_the_step_cap(self, dc_a):
         # samples are read off the step interpolants and events are
         # located on them, so a stride of 100 capped steps samples the
         # same run as the default stride, in both cores
@@ -147,8 +149,8 @@ class TestConfigValidation:
         fine_cfg = IntegratorConfig(max_step=0.01)
         for run in (integrate,
                     lambda s, *rest: integrate_many([s], *rest)[0]):
-            fine = run(start, Frame(dc_a.alpha1), 6.0, config_a, fine_cfg)
-            coarse = run(start, Frame(dc_a.alpha1), 6.0, config_a,
+            fine = run(start, dc_a.end("infinity").equation, 6.0, fine_cfg)
+            coarse = run(start, dc_a.end("infinity").equation, 6.0,
                          coarse_cfg)
             assert coarse.stats == fine.stats
             assert coarse.termination == fine.termination
@@ -170,12 +172,12 @@ class TestConfigValidation:
 
     def test_trajectory_needs_monotone_grid(self):
         with pytest.raises(ValueError):
-            Trajectory(Frame(0.0), np.array([0.0, 1.0, 1.0]),
+            Trajectory(0.0, np.array([0.0, 1.0, 1.0]),
                        np.ones(3), np.zeros(3),
                        Termination(TerminationKind.REACHED_SPAN_END, 1.0))
 
 
-def old_series_start(a, r0, params, frame):
+def old_series_start(a, r0, params, alpha):
     """The regular start as the second-order series wrote it before it
     became the raw-frame forced expansion: the oracle for that rule."""
     u, up = a, 0.0
@@ -183,9 +185,8 @@ def old_series_start(a, r0, params, frame):
         u -= k * a ** exp_ * r0 ** (2.0 + l) / ((2.0 + l) * (params.n + l))
         up -= k * a ** exp_ * r0 ** (1.0 + l) / (params.n + l)
     t0 = math.log(r0)
-    v = math.exp(frame.alpha * t0) * u
-    return State(t0, v,
-                 frame.alpha * v + math.exp((frame.alpha + 1.0) * t0) * up)
+    v = math.exp(alpha * t0) * u
+    return State(t0, v, alpha * v + math.exp((alpha + 1.0) * t0) * up)
 
 
 class TestSeries:
@@ -201,15 +202,14 @@ class TestSeries:
             state = forced_expansion(dc_a, a).start(math.log(r0))
             assert state.v == pytest.approx(a, rel=1e-5)
 
-    def test_start_radius_insensitivity(self, config_a, dc_a):
+    def test_start_radius_insensitivity(self, dc_a):
         # starting the same shot at r0 and r0/2 must agree downstream
-        frame = Frame(dc_a.alpha1)
         a = 1.3
         r0 = regular_start(a, dc_a)[0]
         ends = []
         for r in (r0, r0 / 2.0):
-            start = forced_expansion(dc_a, a).start(math.log(r), frame)
-            ends.append(integrate(start, frame, 0.0, config_a))
+            start = forced_expansion(dc_a, a).start(math.log(r), dc_a.alpha1)
+            ends.append(integrate(start, dc_a.end("infinity").equation, 0.0))
         u1, u2 = ends[0].u[-1], ends[1].u[-1]
         d1, d2 = ends[0].du_dr[-1], ends[1].du_dr[-1]
         assert abs(u1 - u2) / abs(u1) < 1e-9
@@ -225,7 +225,6 @@ class TestSeries:
     def test_regular_k_is_the_series_correction(self, config_a, dc_a):
         # K = -a^P / ((2+l)(n+l)) at rate 2 + l, one per term, to 1 ulp;
         # the start reframed to alpha1 is the old series start to 2 ulp
-        frame = Frame(dc_a.alpha1)
         n = config_a.n
         for a in np.logspace(-2.0, 2.0, 41):
             exp = forced_expansion(dc_a, a)
@@ -237,8 +236,8 @@ class TestSeries:
                 assert e == 2.0 + l
                 assert abs(k - old) <= math.ulp(old)
             r0 = regular_start(a, dc_a)[0]
-            new, old = exp.start(math.log(r0), frame), \
-                old_series_start(a, r0, config_a, frame)
+            new, old = exp.start(math.log(r0), dc_a.alpha1), \
+                old_series_start(a, r0, config_a, dc_a.alpha1)
             assert new.t == old.t
             assert abs(new.v - old.v) <= 2 * math.ulp(old.v)
             assert abs(new.vdot - old.vdot) <= 2 * math.ulp(old.vdot)
@@ -260,7 +259,8 @@ class TestSeeds:
             (k, e), = exp.terms
             assert k == pytest.approx(k_ref, abs=5e-5)
             assert e == rate
-            lin = end.alpha * (params.n - 2.0 - end.alpha)
+            alpha = end.equation.alpha
+            lin = alpha * (params.n - 2.0 - alpha)
             assert k * (e * e + damping * e + lin * (p_auto - 1.0)) \
                 == pytest.approx(-end.lam ** p_force, rel=1e-14)
             s = exp.start(t)
@@ -279,7 +279,7 @@ class TestSeeds:
         # an autonomous term has none)
         params = ProblemParams(n=5, p=p, q=q, l1=0.0, l2=-0.5)
         dc = derive_constants(params)
-        rhs = log_frame_rhs(params, dc.end(name).alpha)
+        rhs = log_frame_rhs(dc.end(name).equation)
         consts = dict(zip(rhs.__code__.co_freevars,
                           (cell.cell_contents for cell in rhs.__closure__)))
         rates = [v for key, v in sorted(consts.items())
@@ -287,9 +287,9 @@ class TestSeeds:
         assert [e for _, e in forced_expansion(dc, name).terms] == rates
 
     def test_seed_frame_mapping(self, dc_a):
-        # seeds live in Frame(dc.end(name).alpha)
-        assert dc_a.end("infinity").alpha == dc_a.alpha1
-        assert dc_a.end("origin").alpha == dc_a.alpha2
+        # seeds live in the frame dc.end(name).equation.alpha
+        assert dc_a.end("infinity").equation.alpha == dc_a.alpha1
+        assert dc_a.end("origin").equation.alpha == dc_a.alpha2
 
     def test_zero_eps_seeds_the_equilibrium(self):
         # q-term off: infinity has no forced term, so the seed offset
@@ -327,7 +327,7 @@ class TestSeeds:
         # alpha 1, n 5, P 2: L = 2; rate 1 and damping -3 make
         # 1 - 3 + 2 = 0, the forcing rate a root of the linearisation
         eq = FrameEquation(1.0, 2.0, -3.0, ((2.0, 0.0, 1.0), (3.0, 1.0, 1.0)))
-        end = End("infinity", 1, 3.0, 1.0, 2.0, eq)
+        end = End("infinity", 1, 3.0, 2.0, eq)
         with pytest.raises(ValueError, match="resonance"):
             forced_expansion(dataclasses.replace(dc_a, ends=(end,)),
                              "infinity")
@@ -336,11 +336,11 @@ class TestSeeds:
 class TestReframe:
     def test_round_trip_and_invariance(self, orbit_a, dc_a):
         traj = orbit_a.trajectory
-        raw = reframe(traj, Frame(0.0))
+        raw = reframe(traj, 0.0)
         # u is frame-invariant
         assert np.max(np.abs(raw.u - traj.u)
                       / np.maximum(np.abs(traj.u), 1e-300)) < 1e-12
-        back = reframe(raw, Frame(dc_a.alpha1))
+        back = reframe(raw, dc_a.alpha1)
         assert np.max(np.abs(back.v - traj.v)) < 1e-12 * np.max(traj.v)
         assert np.max(np.abs(back.vdot - traj.vdot)) < 1e-10
 
@@ -351,7 +351,8 @@ class TestReframe:
         for alpha in (0.0, dc_a.alpha1, dc_a.alpha2):
             v = math.exp(alpha * t0) * u0
             vdot = alpha * v + math.exp((alpha + 1.0) * t0) * up0
-            vd, vdd = log_frame_rhs(config_a, alpha)(t0, (v, vdot))
+            rhs = log_frame_rhs(frame_equation(config_a, alpha))
+            vd, vdd = rhs(t0, (v, vdot))
             # reconstruct r^2 u'' from the frame quantities
             upp = (vdd - (2.0 * alpha + 1.0) * vdot
                    + alpha * (alpha + 1.0) * v) * math.exp(-(alpha + 2) * t0)
@@ -363,12 +364,12 @@ class TestReframe:
     def test_rhs_clamps_negative_v(self, config_a):
         # an event-located crossing may overshoot below zero; the power
         # terms then act on max(v, 0) and only the linear part remains
-        rhs = log_frame_rhs(config_a, 0.0)
+        rhs = log_frame_rhs(frame_equation(config_a, 0.0))
         assert rhs(0.0, (-0.1, 0.2)) == (0.2, -3.0 * 0.2)
 
     def test_rhs_rejects_nonfinite_state(self, config_a):
         with pytest.raises(RuntimeError, match="non-finite"):
-            log_frame_rhs(config_a, 0.0)(0.0, (1.0, math.inf))
+            log_frame_rhs(frame_equation(config_a, 0.0))(0.0, (1.0, math.inf))
 
 
 # t = 0.5, v = 2, dv_dt = 0 in the raw frame: r = e^0.5, u = 2, du_dr = 0
@@ -383,7 +384,7 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_trajectory_csv(orbit_a.trajectory, path)
         loaded = read_trajectory_csv(path)
-        assert loaded.frame.alpha == orbit_a.trajectory.frame.alpha
+        assert loaded.alpha == orbit_a.trajectory.alpha
         assert np.array_equal(loaded.t, orbit_a.trajectory.t)
         assert np.array_equal(loaded.v, orbit_a.trajectory.v)
         assert np.array_equal(loaded.vdot, orbit_a.trajectory.vdot)
@@ -419,7 +420,7 @@ class TestCsv:
         t = np.arange(len(v), dtype=float)
         path = tmp_path / "neg.csv"
         write_trajectory_csv(Trajectory(
-            RAW, t, v, np.zeros(t.size),
+            0.0, t, v, np.zeros(t.size),
             Termination(TerminationKind.REACHED_SPAN_END, t[-1])), path)
         assert read_trajectory_csv(path).termination == Termination(
             TerminationKind.POSITIVITY_LOST, t[-1])
@@ -524,6 +525,17 @@ class TestCsv:
         with pytest.raises(ValueError, match="frame_alpha"):
             read_trajectory_csv(path)
 
+    @pytest.mark.parametrize("body,reason", [
+        ("0,1,1,0,1,0,inf\n", "frame alpha must be finite"),
+        ("0,1,1,0,1,0,0\n0,1,1,0,1,0,0\n",
+         "sample grid must be strictly monotone in t"),
+    ], ids=["infinite-frame", "repeated-t"])
+    def test_trajectory_errors_name_the_file(self, tmp_path, body, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{HEADER}\n{body}")
+        with pytest.raises(ValueError, match=f"bad.csv: {reason}$"):
+            read_trajectory_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -556,7 +568,7 @@ def test_writer_bytes_are_fmt_float_rows(tmp_path_factory, t, v, vdot,
     size = len(t)
     path = tmp_path_factory.getbasetemp() / "property.csv"
     with np.errstate(all="ignore"):
-        traj = Trajectory(Frame(alpha), t, v[:size], vdot[:size],
+        traj = Trajectory(alpha, t, v[:size], vdot[:size],
                           Termination(TerminationKind.REACHED_SPAN_END,
                                       t[-1]))
         cols = (traj.t, traj.r, traj.u, traj.du_dr, traj.v, traj.vdot,
@@ -583,7 +595,7 @@ class TestEndWindow:
                                    np.linspace(10.0, -6.0, 161)])
     def test_window_on_each_side(self, dc_a, t, width, inf, ori):
         # no width: the outer quarter of the span, whatever the direction
-        traj = Trajectory(Frame(0.0), t, np.ones_like(t), np.zeros_like(t),
+        traj = Trajectory(0.0, t, np.ones_like(t), np.zeros_like(t),
                           Termination(TerminationKind.REACHED_SPAN_END,
                                       float(t[-1])))
         assert end_window(traj, dc_a.end("infinity"), width) == inf

@@ -187,6 +187,17 @@ class TestRegimeFlags:
         assert fl.theorem2_case == "none"
         assert fl.theorem3_case == "none"
 
+    def test_equal_weights_are_the_papers_equation(self):
+        # (1.4): l1 = l2 = 0, the defaults; the theorems are stated for
+        # l2 < l1, so no flag is raised, though serrin1 < p < q holds
+        params = ProblemParams(n=5, p=1.9, q=2.5)
+        dc = derive_constants(params)
+        assert dc.alpha2 < dc.alpha1 and dc.delta < 0.0 < dc.delta2
+        fl = classify_regime(params, dc)
+        assert (fl.theorem1_applies, fl.theorem2_case, fl.theorem3_case) \
+            == (False, "none", "none")
+        assert fl.criticality_margins["p_minus_serrin1"] > 0.0
+
     def test_constants_of_another_parameter_set_rejected(self, config_a):
         # n = 6 constants would read CONFIG_A as theorem3_case none
         other = derive_constants(replace(config_a, n=6))
@@ -194,19 +205,24 @@ class TestRegimeFlags:
             classify_regime(config_a, other)
 
 
+BAD_PARAMS = [
+    (dict(n=2, p=1.9, q=1.95), "n must be an integer >= 3"),
+    (dict(n=5, p=1.95, q=1.9), "need 1 < p < q"),
+    (dict(n=5, p=1.9, q=1.95, l1=-0.5, l2=0.0), "need -2 < l2 <= l1"),
+    (dict(n=5, p=1.9, q=1.95, l2=-2.5), "need -2 < l2 <= l1"),
+    (dict(n=5, p=1.9, q=1.95, l1=0.5), "need -2 < l2 <= l1 <= 0"),
+    (dict(n=5, p=1.9, q=1.95, k1=0.0, k2=0.0), "at least one power"),
+    (dict(n=5, p=1.9, q=1.95, k1=0.5), "toggles"),
+    (dict(n=5, p=0.9, q=1.95), "p must exceed 1"),
+]
+
+
 class TestValidation:
-    @pytest.mark.parametrize("kwargs", [
-        dict(n=2, p=1.9, q=1.95),
-        dict(n=5, p=1.95, q=1.9),
-        dict(n=5, p=1.9, q=1.95, l1=-0.5, l2=0.0),
-        dict(n=5, p=1.9, q=1.95, l2=-2.5),
-        dict(n=5, p=1.9, q=1.95, l1=0.5),
-        dict(n=5, p=1.9, q=1.95, k1=0.0, k2=0.0),
-        dict(n=5, p=1.9, q=1.95, k1=0.5),
-        dict(n=5, p=0.9, q=1.95),
-    ])
-    def test_rejects_bad_params(self, kwargs):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "kwargs,reason", BAD_PARAMS,
+        ids=[f"kwargs{i}" for i in range(len(BAD_PARAMS))])
+    def test_rejects_bad_params(self, kwargs, reason):
+        with pytest.raises(ValueError, match=reason):
             ProblemParams(**kwargs)
 
     def test_single_term_ignores_inactive_side(self):
@@ -263,15 +279,14 @@ class TestIdentities:
         alpha1, alpha2 = (2.0 + l1) / (p - 1.0), (2.0 + l2) / (q - 1.0)
         inf, ori = dc.end("infinity"), dc.end("origin")
         for end, alpha, exp_ in ((inf, alpha1, p), (ori, alpha2, q)):
-            assert end.alpha == pytest.approx(alpha, rel=1e-15)
+            eq = end.equation
+            assert eq.alpha == pytest.approx(alpha, rel=1e-15)
             prod = alpha * (n - 2.0 - alpha)
             if prod > 0.0:
                 assert end.lam == pytest.approx(
                     prod ** (1.0 / (exp_ - 1.0)), rel=1e-13)
             else:
                 assert end.lam is None
-            eq = end.equation
-            assert eq.alpha == end.alpha
             assert eq.lin == pytest.approx(alpha * (n - 2.0 - alpha),
                                            rel=1e-13, abs=1e-13)
             assert eq.damping == pytest.approx(n - 2.0 - 2.0 * alpha,
