@@ -28,8 +28,8 @@ from .energy import apriori_bound_report, energy_trace, well_potential
 from .integrate import IntegratorConfig, State, csv_round_trip, integrate
 from .params import ProblemParams, aubin_talenti_profile, derive_constants, \
     frame_equation
-from .shooting import connecting_orbit, effective_jobs, scan_thresholds, \
-    shoot, shoot_many
+from .shooting import bisect_kind_changes, connecting_orbit, \
+    effective_jobs, shoot, shoot_many
 from .sweep import RunConfig, sweep
 
 TOLERANCES = {
@@ -72,7 +72,13 @@ def _sub(subchecks, name, ok, detail):
 
 
 class Lab:
-    """Shared, lazily built artifacts for the acceptance criteria."""
+    """Shared, lazily built artifacts for the acceptance criteria.
+
+    Criteria 8 and 9 share one 242-lane batch, grid_shots, and a lane
+    does not depend on its batch, so each grid's slice is the batch that
+    grid alone would shoot.  The first of them to run shoots all three
+    grids: `verify --only 8` (or 9) alone pays for every shot of both.
+    """
 
     @cached_property
     def dc_a(self):
@@ -130,16 +136,26 @@ class Lab:
         return {"traj": traj, "dc": dc, "envelope": env, "report": report}
 
     @cached_property
+    def grid_shots(self):
+        """The CONFIG_A shots over np.logspace(-2, 2, n) by n: criterion
+        8's 50 and criterion 9's 64 and 128 amplitudes, one lane batch."""
+        sizes = (50, 64, 128)
+        shots = shoot_many(np.concatenate(
+            [np.logspace(-2.0, 2.0, n) for n in sizes]), self.dc_a)
+        return {n: shots[end - n:end]
+                for n, end in zip(sizes, np.cumsum(sizes))}
+
+    @cached_property
     def shots_50(self):
-        return shoot_many(np.logspace(-2.0, 2.0, 50), self.dc_a)
+        return self.grid_shots[50]
 
     @cached_property
     def scan_64(self):
-        return scan_thresholds(np.logspace(-2.0, 2.0, 64), self.dc_a)
+        return bisect_kind_changes(self.grid_shots[64], self.dc_a)
 
     @cached_property
     def scan_128(self):
-        return scan_thresholds(np.logspace(-2.0, 2.0, 128), self.dc_a)
+        return bisect_kind_changes(self.grid_shots[128], self.dc_a)
 
 
 def criterion_01(lab: Lab, tol: dict) -> CriterionResult:

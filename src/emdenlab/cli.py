@@ -93,8 +93,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    dc, _ = _resolve_constants(args)
+    dc, integrator = _resolve_constants(args)
     traj = read_trajectory_csv(args.csv)
+    if args.config:
+        # the run's integrator, so rates are fitted above its 100 atol
+        traj.config = integrator
     window = tuple(args.window) if args.window else None
     report = classify_end(traj, dc, args.end, window=window)
     sys.stdout.write(canonical_json(report.to_dict()))

@@ -24,7 +24,7 @@ locator and one result, Solution, whose __call__ is the dense output:
   numbers do not depend on the batch it rides in, and with the same
   right-hand side values a lane takes the scalar core's steps bit for
   bit.  The lockstep loop costs more per iteration than one scalar run;
-  it pays from about 10 lanes.
+  it pays from about 12 lanes.
 
 Both keep each accepted step as a row of its dense-output coefficients
 and build the run's Solution from those rows when it ends; a zero span

@@ -34,7 +34,7 @@ the one acceleration expression log_frame_rhs compiles from the term
 table.  One function, _trajectory, turns every run into a Trajectory:
 the Solution sampled on stride_grid, its termination and its work in
 Trajectory.stats.  The lockstep loop costs more per step than a scalar
-run and pays from about 10 starts.
+run and pays from about 12 starts.
 """
 
 from __future__ import annotations
@@ -338,7 +338,7 @@ def integrate_many(starts, eq: FrameEquation, t_target: float,
     sampled by the same _trajectory when the lane ends; the two differ
     only where numpy's exp and power round differently from math's
     (1 ulp in a few percent of values), which moves the samples at
-    roundoff.  The lockstep loop pays from about 10 starts; below that
+    roundoff.  The lockstep loop pays from about 12 starts; below that
     integrate is faster.
     """
     if config is None:

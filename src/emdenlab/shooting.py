@@ -94,7 +94,7 @@ def shoot_many(a_grid, dc: DerivedConstants,
                t_target: float = T_TARGET) -> list:
     """shoot() at every amplitude of a_grid, the shots integrated in
     lockstep as one lane batch (integrate_many); ShotResults in grid
-    order.  Worth it from about 10 amplitudes (a scan's grid); single
+    order.  Worth it from about 12 amplitudes (a scan's grid); single
     shots and bisection midpoints go through shoot.
     """
     starts = [_shot_start(a, dc, t_target) for a in a_grid]
@@ -190,10 +190,9 @@ def scan_thresholds(a_grid, dc: DerivedConstants,
     """Shoot a grid of amplitudes and bisect every kind change.
 
     The grid must be strictly increasing with at least 16 points.  It is
-    shot in this process as one lane batch (shoot_many); each pair of
-    neighbouring shots of different kinds is a bracket, bisected from
-    those shots over map_jobs, one per worker, back in grid order.  A
-    bad jobs is a ValueError before the first shot.
+    shot in this process as one lane batch (shoot_many) and its kind
+    changes bisected by bisect_kind_changes.  A bad jobs is a ValueError
+    before the first shot.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size < 16:
@@ -202,9 +201,21 @@ def scan_thresholds(a_grid, dc: DerivedConstants,
         raise ValueError("grid must be strictly increasing")
     jobs = effective_jobs(jobs)
     shots = shoot_many(a_grid.tolist(), dc, config, t_target)
+    return bisect_kind_changes(shots, dc, config, t_target, jobs)
+
+
+def bisect_kind_changes(shots: list, dc: DerivedConstants,
+                        config: IntegratorConfig | None = None,
+                        t_target: float = T_TARGET,
+                        jobs: int = 1) -> ThresholdScan:
+    """The ThresholdScan of shots already made in increasing amplitude
+    with this config to this t_target: each pair of neighbouring shots
+    of different kinds is a bracket, bisected from those shots over
+    map_jobs, one per worker, back in grid order."""
     brackets = [(lo, hi, dc, config, t_target)
                 for lo, hi in zip(shots, shots[1:]) if lo.kind != hi.kind]
-    return ThresholdScan(a_grid, [s.kind for s in shots], shots,
+    return ThresholdScan(np.array([s.a for s in shots]),
+                         [s.kind for s in shots], shots,
                          map_jobs(bisect_boundary, brackets, jobs))
 
 

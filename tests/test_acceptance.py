@@ -12,10 +12,13 @@ infeasible checks"):
   threshold to bisect.
 """
 
+import numpy as np
 import pytest
 
+from emdenlab import acceptance, canonical_json, shooting
 from emdenlab.acceptance import (
     CriterionResult,
+    Lab,
     TOLERANCES,
     format_results,
     run_acceptance,
@@ -116,6 +119,35 @@ def test_criterion_10_determinism_and_mutation(lab, record_criterion):
     res = _run(lab, 10)
     record_criterion(res.line())
     assert res.passed, res.detail
+
+
+def test_criteria_8_and_9_share_one_lane_batch(dc_a, monkeypatch):
+    # one shoot_many of all 242 amplitudes; each grid's slice is the
+    # batch that grid alone would shoot, bit for bit
+    batches = []
+    shoot_many = shooting.shoot_many
+
+    def recording_shoot_many(a_grid, *args):
+        batches.append(len(a_grid))
+        return shoot_many(a_grid, *args)
+
+    monkeypatch.setattr(acceptance, "shoot_many", recording_shoot_many)
+    monkeypatch.setattr(shooting, "shoot_many", recording_shoot_many)
+    lab = Lab()
+    run_acceptance(only=[8, 9], lab=lab)
+    assert batches == [50 + 64 + 128]
+    for shots in (lab.shots_50, lab.scan_64.shots, lab.scan_128.shots):
+        alone = shoot_many(np.logspace(-2.0, 2.0, len(shots)), dc_a)
+        assert [s.a for s in shots] == [s.a for s in alone]
+        for s, one in zip(shots, alone):
+            for name in ("t", "v", "vdot"):
+                x, y = getattr(s.trajectory, name), getattr(one.trajectory,
+                                                            name)
+                assert x.tobytes() == y.tobytes()
+            assert s.trajectory.stats == one.trajectory.stats
+            assert s.trajectory.termination == one.trajectory.termination
+            assert canonical_json(s.report.to_dict()) \
+                == canonical_json(one.report.to_dict())
 
 
 def test_run_acceptance_rejects_unknown_number():

@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import emdenlab
-from emdenlab import ProblemParams, bisect_boundary, derive_constants, \
-    scan_thresholds, shoot, sweep, write_trajectory_csv
+from emdenlab import ProblemParams, bisect_boundary, canonical_json, \
+    classify_end, derive_constants, parse_run_config, scan_thresholds, \
+    shoot, sweep, write_trajectory_csv
 from emdenlab.cli import build_parser, main
+from emdenlab.shooting import seed_and_integrate
 
 INI = """\
 [params]
@@ -106,6 +108,28 @@ def test_exponents_and_classify_take_the_config(tmp_path, capsys):
         from_config = capsys.readouterr().out
         assert main([*command, *PARAM_FLAGS]) == 0
         assert capsys.readouterr().out == from_config
+
+
+def test_classify_fits_rates_above_the_configs_atol(tmp_path, capsys):
+    # a reloaded CSV is read as the run --config solved: its rate fit
+    # keeps |v - lambda1| above 100 atol = 1e-7, and on [28, 32] no
+    # sample is, so there is no rate (the default 1e-10 would fit one)
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI + "[integrator]\natol = 1e-9\n"
+                   "[spans]\nt_min = -6.0\nt_max = 32.0\n")
+    csv = tmp_path / "orbit.csv"
+    assert main(["solve", "--config", str(ini), "--out", str(csv)]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--csv", str(csv), "--end", "infinity",
+                 "--config", str(ini), "--window", "28", "32"]) == 0
+    report = capsys.readouterr().out
+    cfg = parse_run_config(ini)
+    dc = derive_constants(cfg.params)
+    run = seed_and_integrate(dc, "infinity", (cfg.t_min, cfg.t_max),
+                             cfg.integrator)
+    assert report == canonical_json(classify_end(
+        run, dc, "infinity", window=(28.0, 32.0)).to_dict())
+    assert json.loads(report)["rate"] is None
 
 
 def test_exponents_invalid_params_exit_1(capsys):

@@ -9,6 +9,7 @@ from emdenlab import (
     Kind,
     ProblemParams,
     bisect_boundary,
+    bisect_kind_changes,
     canonical_json,
     classify_regime,
     connecting_orbit,
@@ -180,6 +181,16 @@ class TestScan:
             == [(dc, None, 20.0)] * len(changes)
         assert scan.boundaries == [f"boundary {i}"
                                    for i in range(len(changes))]
+
+    def test_scan_is_its_shots_then_their_kind_changes(self, dc_a):
+        # bisect_kind_changes on shots made elsewhere gives the scan's
+        # bytes: the one boundary of the t_target 2 grid included
+        grid = np.logspace(-0.3, 0.7, 16)
+        split = bisect_kind_changes(shoot_many(grid, dc_a, t_target=2.0),
+                                    dc_a, t_target=2.0)
+        assert len(split.boundaries) == 1
+        assert canonical_json(split.to_dict()) == canonical_json(
+            scan_thresholds(grid, dc_a, t_target=2.0).to_dict())
 
     def test_lane_shots_are_the_scalar_shots(self, lab, dc_a):
         # the default-horizon 64-point grid, shot as one lane batch
