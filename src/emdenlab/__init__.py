@@ -58,7 +58,6 @@ from .shooting import (
     ShotResult,
     ThresholdScan,
     bisect_boundary,
-    bisect_kind_changes,
     connecting_orbit,
     scan_thresholds,
     shoot,
@@ -89,7 +88,6 @@ __all__ = [
     "Termination", "TerminationKind", "ThresholdScan", "TOLERANCES",
     "Trajectory",
     "apriori_bound_report", "aubin_talenti_profile", "bisect_boundary",
-    "bisect_kind_changes",
     "canonical_json", "classify_end", "classify_regime", "config_hash",
     "connecting_orbit", "csv_round_trip", "derive_constants",
     "end_window", "energy_trace", "expanded_axes",

@@ -28,8 +28,8 @@ from .energy import apriori_bound_report, energy_trace, well_potential
 from .integrate import IntegratorConfig, State, csv_round_trip, integrate
 from .params import ProblemParams, aubin_talenti_profile, derive_constants, \
     frame_equation
-from .shooting import bisect_kind_changes, connecting_orbit, \
-    effective_jobs, shoot, shoot_many
+from .shooting import connecting_orbit, effective_jobs, scan_thresholds, \
+    shoot, shoot_many
 from .sweep import RunConfig, sweep
 
 TOLERANCES = {
@@ -151,11 +151,11 @@ class Lab:
 
     @cached_property
     def scan_64(self):
-        return bisect_kind_changes(self.grid_shots[64], self.dc_a)
+        return scan_thresholds(self.grid_shots[64])
 
     @cached_property
     def scan_128(self):
-        return bisect_kind_changes(self.grid_shots[128], self.dc_a)
+        return scan_thresholds(self.grid_shots[128])
 
 
 def criterion_01(lab: Lab, tol: dict) -> CriterionResult:

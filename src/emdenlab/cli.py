@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -22,8 +23,8 @@ from .integrate import IntegratorConfig, integrate, read_trajectory_csv, \
     write_trajectory_csv
 from .params import ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json
-from .shooting import T_TARGET, connecting_orbit, regular_start, \
-    scan_thresholds, seed_and_integrate, shoot
+from .shooting import T_TARGET, connecting_orbit, effective_jobs, \
+    regular_start, scan_thresholds, seed_and_integrate, shoot, shoot_many
 from .sweep import parse_run_config, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
@@ -112,10 +113,15 @@ def cmd_shoot(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    for flag, a in (("--a-min", args.a_min), ("--a-max", args.a_max)):
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {a!r}")
     dc, integrator = _resolve_constants(args)
+    effective_jobs(args.jobs)
     grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max),
                        args.points)
-    res = scan_thresholds(grid, dc, integrator, args.t_target, args.jobs)
+    res = scan_thresholds(shoot_many(grid, dc, integrator, args.t_target),
+                          args.jobs)
     text = canonical_json(res.to_dict())
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -155,7 +161,12 @@ def cmd_verify(args) -> int:
         if key not in TOLERANCES:
             raise ValueError(f"unknown tolerance {key!r}; known: "
                              f"{sorted(TOLERANCES)}")
-        overrides[key] = type(TOLERANCES[key])(float(raw))
+        kind = type(TOLERANCES[key])
+        try:
+            overrides[key] = kind(raw)
+        except ValueError:
+            raise ValueError(f"--mutate {key} is {kind.__name__}-valued, "
+                             f"got {raw!r}") from None
     results = run_acceptance(only=args.only or None,
                              overrides=overrides or None)
     print(format_results(results))

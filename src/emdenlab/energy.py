@@ -116,10 +116,7 @@ def energy_trace(traj: Trajectory, dc: DerivedConstants) -> EnergyTrace:
     Quadrature is cumulative Simpson on the sample grid; the dense
     stride controls the residual floor.
     """
-    order = np.argsort(traj.t)
-    t = traj.t[order]
-    v = traj.v[order]
-    vd = traj.vdot[order]
+    t, v, vd = traj.ascending()
     eq = frame_equation(dc.params, traj.alpha)
     potential, power = _potential(eq.lin, eq.terms, t, v)
     energy = 0.5 * vd ** 2 + potential

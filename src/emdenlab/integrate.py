@@ -169,17 +169,19 @@ class Trajectory:
 
         Raises ValueError when fewer than min_samples fall inside.
         """
-        order = np.argsort(self.t)
-        t = self.t[order]
+        t, v, vdot = self.ascending()
         inside = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
         count = int(inside.sum())
         if count < min_samples:
             raise ValueError(f"window {window} holds {count} samples; "
                              f"need >= {min_samples}")
-        idx = order[inside]
-        return Trajectory(self.alpha, self.t[idx], self.v[idx],
-                          self.vdot[idx], self.termination, self.config,
-                          self.stats)
+        return Trajectory(self.alpha, t[inside], v[inside], vdot[inside],
+                          self.termination, self.config, self.stats)
+
+    def ascending(self) -> tuple:
+        """(t, v, vdot) in ascending t: the arrays or their reverse."""
+        step = 1 if self.t[0] <= self.t[-1] else -1
+        return self.t[::step], self.v[::step], self.vdot[::step]
 
 
 def _non_finite(t, v, vd, acc):
@@ -393,7 +395,7 @@ def forced_expansion(dc: DerivedConstants, center) -> Expansion:
     alpha = 0 equation, where every term is forced at rate 2 + l (the
     series' first correction), amp = a, gate 1e-6.  ValueError for an
     unknown end name, an end without an equilibrium (lam None), a
-    non-positive a and a resonance (zero denominator).
+    non-positive or non-finite a and a resonance (zero denominator).
     """
     if isinstance(center, str):
         end = dc.end(center)
@@ -402,7 +404,8 @@ def forced_expansion(dc: DerivedConstants, center) -> Expansion:
         eq, amp, gate = end.equation, end.lam, 0.1
     else:
         if not 0.0 < center < math.inf:
-            raise ValueError(f"amplitude must be positive, got {center!r}")
+            raise ValueError(
+                f"amplitude must be positive and finite, got {center!r}")
         eq, amp, gate = frame_equation(dc.params, 0.0), center, 1e-6
     restoring = sum(eq.lin * (exp_ - 1.0) for exp_, e, _ in eq.terms
                     if e == 0.0)

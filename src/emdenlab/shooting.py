@@ -6,13 +6,15 @@ and classified against another's.  A shot starts the regular solution
 u(0) = a on its series expansion (forced_expansion about a) at the
 largest radius r0 its SERIES_BUDGET allows (regular_start), integrates
 outward in the alpha1 frame to a later t_target, and classifies the
-infinity end.  Boundary hunting bisects between two neighbouring grid
-shots of different kinds without shooting either again.  A crossing
-seeds one end, named as in dc.end, on its forced expansion about lambda
-at its own side of a span (t_min, t_max) and integrates to the other
-side (seed_and_integrate), then classifies both ends (classify_ends):
-connecting orbits over their CONNECT_DEFAULTS span, sweep cells and
-`emdenlab solve` over the run config's [spans].
+infinity end.  A shot keeps what it was shot with, and boundary
+hunting reads it from the shots: bisect_boundary(lo, hi) bisects
+between two neighbouring grid shots of different kinds without shooting
+either again, scan_thresholds(shots) every kind change of a grid.  A
+crossing seeds one end, named as in dc.end, on its forced expansion
+about lambda at its own side of a span (t_min, t_max) and integrates to
+the other side (seed_and_integrate), then classifies both ends
+(classify_ends): connecting orbits over their CONNECT_DEFAULTS span,
+sweep cells and `emdenlab solve` over the run config's [spans].
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .params import DerivedConstants, classify_regime
 from .serialize import SKIP, Record
 
 
-# default horizon (t_target) of shoot, bisect_boundary and scan_thresholds
+# default horizon (t_target) of shoot and shoot_many
 T_TARGET = 12.0
 SERIES_BUDGET = 1e-7
 BISECT_REL_WIDTH = 1e-12
@@ -68,14 +70,34 @@ def _shot_start(a: float, dc: DerivedConstants, t_target: float) -> tuple:
 
 @dataclass
 class ShotResult(Record):
+    """One regular shot u(0) = a: its start radius r0, its run and the
+    verdict at its infinity end, and the dc and t_target it was shot
+    with (its run keeps the config); only a, r0 and report are JSON."""
+
     a: float
     r0: float
     trajectory: Trajectory = field(metadata=SKIP)
     report: ClassificationReport
+    dc: DerivedConstants = field(metadata=SKIP)
+    t_target: float = field(metadata=SKIP)
 
     @property
     def kind(self) -> Kind:
         return self.report.kind
+
+    @property
+    def settings(self) -> tuple:
+        """(dc, config, t_target), the shot's arguments to shoot."""
+        return self.dc, self.trajectory.config, self.t_target
+
+
+def _check_alike(shots: list, what: str) -> None:
+    """ValueError naming each setting in which the shots differ."""
+    differ = [name for i, name in enumerate(("dc", "config", "t_target"))
+              if any(s.settings[i] != shots[0].settings[i] for s in shots)]
+    if differ:
+        raise ValueError(f"{what} were not all shot alike: they differ in "
+                         + ", ".join(differ))
 
 
 def shoot(a: float, dc: DerivedConstants,
@@ -86,7 +108,8 @@ def shoot(a: float, dc: DerivedConstants,
     in the alpha1 frame, where the p-term is autonomous."""
     r0, start = _shot_start(a, dc, t_target)
     traj = integrate(start, dc.end("infinity").equation, t_target, config)
-    return ShotResult(float(a), r0, traj, classify_end(traj, dc, "infinity"))
+    return ShotResult(float(a), r0, traj, classify_end(traj, dc, "infinity"),
+                      dc, t_target)
 
 
 def shoot_many(a_grid, dc: DerivedConstants,
@@ -101,7 +124,7 @@ def shoot_many(a_grid, dc: DerivedConstants,
     trajs = integrate_many([start for _, start in starts],
                            dc.end("infinity").equation, t_target, config)
     return [ShotResult(float(a), r0, traj,
-                       classify_end(traj, dc, "infinity"))
+                       classify_end(traj, dc, "infinity"), dc, t_target)
             for a, (r0, _), traj in zip(a_grid, starts, trajs)]
 
 
@@ -124,33 +147,32 @@ class BoundaryResult(Record):
         return (self.a_hi - self.a_lo) / self.a_star
 
 
-def bisect_boundary(lo: ShotResult, hi: ShotResult, dc: DerivedConstants,
-                    config: IntegratorConfig | None = None,
-                    t_target: float = T_TARGET) -> BoundaryResult:
-    """Bisect between two shots of different kinds, lo.a < hi.a, both
-    made with this config to this t_target and not shot again.  The
-    bracket width contracts by exactly half per iteration; stops when
-    (a_hi - a_lo)/a_mid < BISECT_REL_WIDTH or after BISECT_MAX_ITER
-    steps.
+def bisect_boundary(lo: ShotResult, hi: ShotResult) -> BoundaryResult:
+    """Bisect between two shots of different kinds, lo.a < hi.a, shot
+    alike and not shot again: each midpoint and a* are shot with the
+    pair's dc, config and t_target.  The bracket width contracts by
+    exactly half per iteration; stops when (a_hi - a_lo)/a_mid <
+    BISECT_REL_WIDTH or after BISECT_MAX_ITER steps.
     """
     if not lo.a < hi.a:
         raise ValueError(f"need a_lo < a_hi, got {lo.a} >= {hi.a}")
     if lo.kind == hi.kind:
         raise ValueError(
             f"bracket endpoints agree ({lo.kind.value}); nothing to bisect")
+    _check_alike([lo, hi], "bracket endpoints")
     a_lo, a_hi = lo.a, hi.a
     iterations = 0
     while iterations < BISECT_MAX_ITER:
         mid = 0.5 * (a_lo + a_hi)
         if (a_hi - a_lo) / mid < BISECT_REL_WIDTH:
             break
-        if shoot(mid, dc, config, t_target).kind == lo.kind:
+        if shoot(mid, *lo.settings).kind == lo.kind:
             a_lo = mid
         else:
             a_hi = mid
         iterations += 1
     a_star = 0.5 * (a_lo + a_hi)
-    star = shoot(a_star, dc, config, t_target)
+    star = shoot(a_star, *lo.settings)
     return BoundaryResult(a_star, a_lo, a_hi, lo.kind, hi.kind, iterations,
                           star.report)
 
@@ -183,39 +205,21 @@ class ThresholdScan(Record):
     boundaries: list
 
 
-def scan_thresholds(a_grid, dc: DerivedConstants,
-                    config: IntegratorConfig | None = None,
-                    t_target: float = T_TARGET,
-                    jobs: int = 1) -> ThresholdScan:
-    """Shoot a grid of amplitudes and bisect every kind change.
-
-    The grid must be strictly increasing with at least 16 points.  It is
-    shot in this process as one lane batch (shoot_many) and its kind
-    changes bisected by bisect_kind_changes.  A bad jobs is a ValueError
-    before the first shot.
-    """
-    a_grid = np.asarray(a_grid, dtype=float)
+def scan_thresholds(shots: list, jobs: int = 1) -> ThresholdScan:
+    """Bisect every kind change of a grid of shots: at least 16, shot
+    alike, strictly increasing in a.  Each pair of neighbouring shots of
+    different kinds is a bracket for bisect_boundary, one per worker
+    over map_jobs, back in grid order.  A bad grid or jobs is a
+    ValueError before the first bisection shot."""
+    a_grid = np.array([s.a for s in shots], dtype=float)
     if a_grid.size < 16:
         raise ValueError(f"grid needs >= 16 points, got {a_grid.size}")
     if not np.all(np.diff(a_grid) > 0.0):
         raise ValueError("grid must be strictly increasing")
-    jobs = effective_jobs(jobs)
-    shots = shoot_many(a_grid.tolist(), dc, config, t_target)
-    return bisect_kind_changes(shots, dc, config, t_target, jobs)
-
-
-def bisect_kind_changes(shots: list, dc: DerivedConstants,
-                        config: IntegratorConfig | None = None,
-                        t_target: float = T_TARGET,
-                        jobs: int = 1) -> ThresholdScan:
-    """The ThresholdScan of shots already made in increasing amplitude
-    with this config to this t_target: each pair of neighbouring shots
-    of different kinds is a bracket, bisected from those shots over
-    map_jobs, one per worker, back in grid order."""
-    brackets = [(lo, hi, dc, config, t_target)
-                for lo, hi in zip(shots, shots[1:]) if lo.kind != hi.kind]
-    return ThresholdScan(np.array([s.a for s in shots]),
-                         [s.kind for s in shots], shots,
+    _check_alike(shots, "scan shots")
+    brackets = [(lo, hi) for lo, hi in zip(shots, shots[1:])
+                if lo.kind != hi.kind]
+    return ThresholdScan(a_grid, [s.kind for s in shots], shots,
                          map_jobs(bisect_boundary, brackets, jobs))
 
 

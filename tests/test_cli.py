@@ -8,14 +8,16 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import emdenlab
-from emdenlab import ProblemParams, bisect_boundary, canonical_json, \
-    classify_end, derive_constants, parse_run_config, scan_thresholds, \
-    shoot, sweep, write_trajectory_csv
+from emdenlab import ProblemParams, canonical_json, classify_end, \
+    derive_constants, parse_run_config, scan_thresholds, shoot, shoot_many, \
+    shooting, sweep, write_trajectory_csv
+from emdenlab import cli
 from emdenlab.cli import build_parser, main
 from emdenlab.shooting import seed_and_integrate
 
@@ -74,7 +76,7 @@ def test_exponents_params_are_the_dataclass_fields(capsys):
     (["scan"], "jobs", [scan_thresholds]),
     (["sweep", "--config", "x.ini"], "jobs", [sweep]),
     (["shoot", "--a", "1"], "t_target", [shoot]),
-    (["scan"], "t_target", [scan_thresholds, bisect_boundary, shoot]),
+    (["scan"], "t_target", [shoot_many, shoot]),
 ])
 def test_parser_defaults_are_the_function_defaults(argv, dest, functions):
     default = getattr(build_parser().parse_args(argv), dest)
@@ -306,6 +308,34 @@ def test_bad_worker_count_exits_1(tmp_path, capsys, command, jobs):
     assert not (tmp_path / "runs").exists()
 
 
+def test_bad_jobs_fails_before_the_first_shot(capsys, monkeypatch):
+    def no_shot(*args, **kwargs):
+        raise AssertionError("a shot ran before --jobs was checked")
+
+    monkeypatch.setattr(cli, "shoot_many", no_shot)
+    monkeypatch.setattr(shooting, "shoot", no_shot)
+    assert main(["scan", "--points", "16", *PARAM_FLAGS, "--jobs", "0"]) == 1
+    assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("flag", ["--a-min", "--a-max"])
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+def test_scan_amplitude_bounds_are_named(capsys, flag, value):
+    # a bad bound is named before the grid is built: np.log10 would
+    # warn on it, and the grid it made would fail as "not increasing"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scan", *PARAM_FLAGS, flag, value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag} must be positive and finite, got {float(value)!r}\n")
+
+
+def test_shoot_names_a_nonfinite_amplitude(capsys):
+    assert main(["shoot", "--a", "inf", *PARAM_FLAGS]) == 1
+    assert capsys.readouterr().err \
+        == "error: amplitude must be positive and finite, got inf\n"
+
+
 @pytest.mark.parametrize("command", ["scan", "sweep"])
 def test_environment_does_not_set_jobs(tmp_path, capsys, monkeypatch,
                                        command):
@@ -394,6 +424,36 @@ def test_verify_mutated_tolerance_fails(capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("item, message", [
+    ("c5_min_extrema=inf", "--mutate c5_min_extrema is int-valued, "
+                           "got 'inf'"),
+    ("c5_min_extrema=6.5", "--mutate c5_min_extrema is int-valued, "
+                           "got '6.5'"),
+    ("c1_profile_rel=abc", "--mutate c1_profile_rel is float-valued, "
+                           "got 'abc'"),
+])
+def test_verify_bad_tolerance_value_exits_1(capsys, item, message):
+    # an integer tolerance is parsed as an integer, never truncated
+    assert main(["verify", "--only", "1", "--mutate", item]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_integer_tolerance_is_parsed_whole(monkeypatch):
+    seen = {}
+
+    def recording_run_acceptance(only, overrides):
+        seen.update(overrides)
+        return []
+
+    monkeypatch.setattr(cli, "run_acceptance", recording_run_acceptance)
+    assert main(["verify", "--mutate", "c5_min_extrema=7",
+                 "--mutate", "c1_profile_rel=2e-8"]) == 0
+    assert seen == {"c5_min_extrema": 7, "c1_profile_rel": 2e-8}
+    assert type(seen["c5_min_extrema"]) is int
 
 
 def test_verify_unknown_tolerance_exits_1(capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestEnergyTrace:
         tr = energy_trace(orbit_a.trajectory, dc_a)
         assert np.all(np.diff(tr.t) > 0.0)
         assert tr.balance_residual() < 1e-5
+
+    def test_backward_trace_is_the_forward_ordered_one(self, orbit_a, dc_a):
+        # the reversed views give the bytes of sorted copies
+        traj = orbit_a.trajectory
+        order = np.argsort(traj.t)
+        ordered = replace(traj, t=traj.t[order], v=traj.v[order],
+                          vdot=traj.vdot[order])
+        back, fwd = energy_trace(traj, dc_a), energy_trace(ordered, dc_a)
+        for name in ("t", "energy", "forcing_work", "damping_work"):
+            assert getattr(back, name).tobytes() \
+                == getattr(fwd, name).tobytes()
 
     def test_alpha2_frame_uses_swapped_roles(self, dc_b):
         traj = integrate(State(-2.0, dc_b.lambda2 + 0.5, 0.0),

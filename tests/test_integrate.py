@@ -177,6 +177,22 @@ class TestConfigValidation:
                        Termination(TerminationKind.REACHED_SPAN_END, 1.0))
 
 
+@pytest.mark.parametrize("t_target", [3.0, -3.0])
+def test_window_takes_the_grid_or_its_reverse(dc_a, t_target):
+    # the grid is strictly monotone, so the ascending samples are the
+    # arrays or their reverse: the argsort order, bit for bit
+    traj = integrate(State(0.0, 1.0, 0.0), dc_a.end("infinity").equation,
+                     t_target)
+    order = np.argsort(traj.t)
+    for window in ((-1.0, 1.0), (-4.0, 4.0), (-0.25, 0.25)):
+        sub = traj.window(window, 1)
+        t = traj.t[order]
+        idx = order[(t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)]
+        for got, want in ((sub.t, traj.t), (sub.v, traj.v),
+                          (sub.vdot, traj.vdot)):
+            assert got.tobytes() == want[idx].tobytes()
+
+
 def old_series_start(a, r0, params, alpha):
     """The regular start as the second-order series wrote it before it
     became the raw-frame forced expansion: the oracle for that rule."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emdenlab import apriori_bound_report, bisect_boundary, canonical_json, \
-    classify_regime, fmt_float, scan_thresholds, shoot
+    classify_regime, fmt_float, scan_thresholds, shoot, shoot_many
 from emdenlab.classify import ClassificationReport, OscillationEnvelope
 from emdenlab.energy import BoundReport
 from emdenlab.params import DerivedConstants, RegimeFlags
@@ -51,10 +51,9 @@ def records(config_a, dc_a, lab, orbit_a):
                                           (10.0, 14.0)),
         ShotResult: shot,
         BoundaryResult: bisect_boundary(shoot(0.5, dc_a, t_target=2.0),
-                                        shoot(5.0, dc_a, t_target=2.0),
-                                        dc_a, t_target=2.0),
-        ThresholdScan: scan_thresholds(np.logspace(-0.3, 0.7, 16), dc_a,
-                                       t_target=2.0),
+                                        shoot(5.0, dc_a, t_target=2.0)),
+        ThresholdScan: scan_thresholds(shoot_many(np.logspace(-0.3, 0.7, 16),
+                                                  dc_a, t_target=2.0)),
         ConnectingOrbit: orbit_a,
     }
 

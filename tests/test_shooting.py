@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from emdenlab import (
+    IntegratorConfig,
     Kind,
     ProblemParams,
+    ThresholdScan,
     bisect_boundary,
-    bisect_kind_changes,
     canonical_json,
     classify_regime,
     connecting_orbit,
@@ -49,14 +50,14 @@ class TestShoot:
             shoot(1.0, dc_a, t_target=t0)
         with pytest.raises(ValueError, match=message):
             shoot_many([1.0, 2.0], dc_a, t_target=t0)
-        with pytest.raises(ValueError, match="must exceed the shot's"):
-            scan_thresholds(np.logspace(-0.3, 0.7, 16), dc_a, t_target=-20.0)
 
     def test_rejects_bad_amplitude(self, dc_a):
         with pytest.raises(ValueError):
             shoot(-1.0, dc_a)
         with pytest.raises(ValueError):
             shoot(0.0, dc_a)
+        with pytest.raises(ValueError, match="positive and finite, got inf"):
+            shoot(math.inf, dc_a)
 
     def test_underflowed_start_is_named(self):
         # alpha1 = 8 and a series radius near 1e-80: r0^alpha1 is 0
@@ -82,13 +83,26 @@ def shot_pair(a_lo, a_hi, dc):
     return [shoot(a, dc, t_target=2.0) for a in (a_lo, a_hi)]
 
 
+# a 16-point grid whose t_target 2 shots have one kind change, near
+# a = 1.268
+SHORT_GRID = np.logspace(-0.3, 0.7, 16)
+
+
+@pytest.fixture(scope="module")
+def short_shots(dc_a):
+    return shoot_many(SHORT_GRID, dc_a, t_target=2.0)
+
+
+def no_shot(*args, **kwargs):
+    raise AssertionError("a shot ran before the inputs were checked")
+
+
 class TestBisect:
     # short-span fixture with a horizon boundary near a = 1.268: shots
     # that cross zero before t = 2 against shots still positive there
     # (undetermined)
     def test_boundary_bracket_and_contraction(self, dc_a):
-        res = bisect_boundary(*shot_pair(0.5, 5.0, dc_a), dc_a,
-                              t_target=2.0)
+        res = bisect_boundary(*shot_pair(0.5, 5.0, dc_a))
         assert res.kind_lo != res.kind_hi
         assert res.kind_hi == Kind.CROSSES_ZERO
         assert res.a_star == pytest.approx(1.26797, rel=1e-4)
@@ -98,33 +112,73 @@ class TestBisect:
 
     def test_equal_kinds_rejected(self, dc_a):
         with pytest.raises(ValueError, match="agree"):
-            bisect_boundary(*shot_pair(0.5, 0.6, dc_a), dc_a,
-                            t_target=2.0)
+            bisect_boundary(*shot_pair(0.5, 0.6, dc_a))
 
     def test_bad_bracket_rejected(self, dc_a):
         with pytest.raises(ValueError, match="a_lo < a_hi"):
-            bisect_boundary(*shot_pair(2.0, 1.0, dc_a), dc_a,
-                            t_target=2.0)
+            bisect_boundary(*shot_pair(2.0, 1.0, dc_a))
+
+    def test_mismatched_pair_rejected(self, dc_a, dc_b, monkeypatch):
+        # a pair not shot alike has no one equation and horizon to bisect
+        # on: a t_target 2 shot against a default-horizon one, a CONFIG_B
+        # shot, or a shot at another rtol
+        lo = shoot(0.5, dc_a, t_target=2.0)
+        his = {"t_target": shoot(5.0, dc_a),
+               "dc": shoot(5.0, dc_b, t_target=2.0),
+               "config": shoot(5.0, dc_a, IntegratorConfig(rtol=1e-10),
+                               t_target=2.0)}
+        monkeypatch.setattr(shooting, "shoot", no_shot)
+        for name, hi in his.items():
+            assert hi.kind != lo.kind
+            with pytest.raises(ValueError, match=f"bracket endpoints were "
+                               f"not all shot alike: they differ in {name}$"):
+                bisect_boundary(lo, hi)
+
+    def test_midpoints_are_shot_like_the_pair(self, dc_a, monkeypatch):
+        # every midpoint and a* take the pair's dc, config and t_target
+        lo, hi = shot_pair(0.5, 5.0, dc_a)
+        calls, shoot_ = [], shooting.shoot
+
+        def recording_shoot(a, *args):
+            calls.append(args)
+            return shoot_(a, *args)
+
+        monkeypatch.setattr(shooting, "shoot", recording_shoot)
+        res = bisect_boundary(lo, hi)
+        assert len(calls) == res.iterations + 1
+        assert set(calls) == {(dc_a, lo.trajectory.config, 2.0)}
 
 
 class TestScan:
-    def test_grid_validation(self, dc_a):
+    def test_grid_validation(self, short_shots, monkeypatch):
+        monkeypatch.setattr(shooting, "shoot", no_shot)
         with pytest.raises(ValueError, match=">= 16"):
-            scan_thresholds(np.linspace(0.5, 5.0, 8), dc_a)
-        bad = np.concatenate([np.linspace(0.5, 5.0, 15), [4.0]])
+            scan_thresholds(short_shots[:8])
         with pytest.raises(ValueError, match="increasing"):
-            scan_thresholds(bad, dc_a)
+            scan_thresholds(short_shots[:15] + short_shots[:1])
 
-    def test_short_span_scan_finds_one_boundary(self, dc_a):
-        grid = np.logspace(-0.3, 0.7, 16)
-        scan = scan_thresholds(grid, dc_a, t_target=2.0)
+    def test_mixed_shots_rejected(self, dc_a, dc_b, short_shots,
+                                  monkeypatch):
+        # a scan bisects with its shots' settings, so they must be one
+        # set: no bisection shot runs before the mix is found
+        horizon = short_shots[:8] + shoot_many(SHORT_GRID[8:], dc_a)
+        problem = short_shots[:8] + shoot_many(SHORT_GRID[8:], dc_b,
+                                               t_target=2.0)
+        monkeypatch.setattr(shooting, "shoot", no_shot)
+        monkeypatch.setattr(shooting, "map_jobs", no_shot)
+        for shots, name in ((horizon, "t_target"), (problem, "dc")):
+            with pytest.raises(ValueError, match=f"scan shots were not all "
+                               f"shot alike: they differ in {name}$"):
+                scan_thresholds(shots)
+
+    def test_short_span_scan_finds_one_boundary(self, short_shots):
+        scan = scan_thresholds(short_shots)
         assert len(scan.boundaries) == 1
         assert scan.boundaries[0].a_star == pytest.approx(1.26797, rel=1e-4)
 
-    def test_grid_amplitudes_are_shot_once(self, dc_a, monkeypatch):
+    def test_grid_amplitudes_are_shot_once(self, short_shots, monkeypatch):
         # the lane batch gives each grid amplitude its one verdict; the
         # bisection shoots only midpoints and a*
-        grid = np.logspace(-0.3, 0.7, 16)
         shot, shoot_ = [], shooting.shoot
 
         def recording_shoot(a, *args):
@@ -132,10 +186,10 @@ class TestScan:
             return shoot_(a, *args)
 
         monkeypatch.setattr(shooting, "shoot", recording_shoot)
-        scan = scan_thresholds(grid, dc_a, t_target=2.0)
+        scan = scan_thresholds(short_shots)
         assert len(scan.boundaries) == 1 and shot
-        assert not set(shot) & set(grid.tolist())
-        i = int(np.searchsorted(grid, scan.boundaries[0].a_star)) - 1
+        assert not set(shot) & set(SHORT_GRID.tolist())
+        i = int(np.searchsorted(SHORT_GRID, scan.boundaries[0].a_star)) - 1
         assert scan.kinds[i] != scan.kinds[i + 1]
         assert (scan.boundaries[0].kind_lo, scan.boundaries[0].kind_hi) \
             == (scan.kinds[i], scan.kinds[i + 1])
@@ -144,53 +198,48 @@ class TestScan:
         # two kind changes, so two brackets go to the pool of 2
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
         dc = derive_constants(ProblemParams(n=5, p=2.3, q=2.5, l2=-0.5))
-        grid = np.logspace(-2.0, 4.0, 16)
-        serial = scan_thresholds(grid, dc, t_target=20.0, jobs=1)
-        parallel = scan_thresholds(grid, dc, t_target=20.0, jobs=2)
+        shots = shoot_many(np.logspace(-2.0, 4.0, 16), dc, t_target=20.0)
+        serial = scan_thresholds(shots, jobs=1)
+        parallel = scan_thresholds(shots, jobs=2)
         assert len(serial.boundaries) >= 2
         assert canonical_json(serial.to_dict()) \
             == canonical_json(parallel.to_dict())
 
     def test_pool_gets_the_kind_change_brackets(self, monkeypatch):
-        # the grid is one shoot_many call; the pool sees only brackets,
-        # each the pair of neighbouring grid shots whose kinds differ
+        # the pool sees only brackets, each the pair of neighbouring grid
+        # shots whose kinds differ
         dc = derive_constants(ProblemParams(n=5, p=2.3, q=2.5, l2=-0.5))
-        batches, pooled = [], []
-        shoot_many_ = shooting.shoot_many
-
-        def recording_shoot_many(a_grid, *args):
-            batches.append(a_grid)
-            return shoot_many_(a_grid, *args)
+        shots = shoot_many(np.logspace(-2.0, 4.0, 16), dc, t_target=20.0)
+        pooled = []
 
         def recording_map_jobs(fn, arg_tuples, jobs):
-            pooled.append((arg_tuples, jobs))
+            pooled.append((fn, arg_tuples, jobs))
             return [f"boundary {i}" for i in range(len(arg_tuples))]
 
-        monkeypatch.setattr(shooting, "shoot_many", recording_shoot_many)
         monkeypatch.setattr(shooting, "map_jobs", recording_map_jobs)
-        grid = np.logspace(-2.0, 4.0, 16)
-        scan = scan_thresholds(grid, dc, t_target=20.0, jobs=1)
-        assert batches == [grid.tolist()]
+        scan = scan_thresholds(shots, jobs=1)
         changes = [i for i in range(15) if scan.kinds[i] != scan.kinds[i + 1]]
         assert len(changes) >= 2
-        (arg_tuples, jobs), = pooled
-        assert jobs == 1
-        assert [(lo.a, hi.a) for lo, hi, *_ in arg_tuples] \
-            == [(grid[i], grid[i + 1]) for i in changes]
-        assert [tuple(args[2:]) for args in arg_tuples] \
-            == [(dc, None, 20.0)] * len(changes)
+        (fn, arg_tuples, jobs), = pooled
+        assert (fn, jobs) == (bisect_boundary, 1)
+        assert len(arg_tuples) == len(changes)
+        for (lo, hi), i in zip(arg_tuples, changes):
+            assert lo is shots[i] and hi is shots[i + 1]
         assert scan.boundaries == [f"boundary {i}"
                                    for i in range(len(changes))]
 
-    def test_scan_is_its_shots_then_their_kind_changes(self, dc_a):
-        # bisect_kind_changes on shots made elsewhere gives the scan's
-        # bytes: the one boundary of the t_target 2 grid included
-        grid = np.logspace(-0.3, 0.7, 16)
-        split = bisect_kind_changes(shoot_many(grid, dc_a, t_target=2.0),
-                                    dc_a, t_target=2.0)
-        assert len(split.boundaries) == 1
-        assert canonical_json(split.to_dict()) == canonical_json(
-            scan_thresholds(grid, dc_a, t_target=2.0).to_dict())
+    def test_scan_is_its_shots_then_their_kind_changes(self, short_shots):
+        # a scan is its shots, their kinds and one bisect_boundary per
+        # kind change, byte for byte: the one boundary of the t_target 2
+        # grid included
+        brackets = [(lo, hi) for lo, hi in zip(short_shots, short_shots[1:])
+                    if lo.kind != hi.kind]
+        assert len(brackets) == 1
+        by_hand = ThresholdScan(SHORT_GRID, [s.kind for s in short_shots],
+                                short_shots,
+                                [bisect_boundary(*pair) for pair in brackets])
+        assert canonical_json(scan_thresholds(short_shots).to_dict()) \
+            == canonical_json(by_hand.to_dict())
 
     def test_lane_shots_are_the_scalar_shots(self, lab, dc_a):
         # the default-horizon 64-point grid, shot as one lane batch
@@ -217,28 +266,22 @@ class TestScan:
         assert shooting.effective_jobs(8) == 1
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0])
-    def test_worker_count_below_1_rejected(self, dc_a, jobs, monkeypatch):
+    def test_worker_count_below_1_rejected(self, short_shots, jobs,
+                                           monkeypatch):
         message = f"jobs must be >= 1, got {jobs}" if isinstance(jobs, int) \
             else f"jobs must be an integer, got {jobs!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             shooting.effective_jobs(jobs)
-
-        def no_shot(*args, **kwargs):
-            raise AssertionError("a shot ran before jobs was checked")
-
-        monkeypatch.setattr(shooting, "shoot_many", no_shot)
         monkeypatch.setattr(shooting, "shoot", no_shot)
         with pytest.raises(ValueError, match=re.escape(message)):
-            scan_thresholds(np.logspace(0.3, 1.0, 16), dc_a, t_target=2.0,
-                            jobs=jobs)
+            scan_thresholds(short_shots, jobs=jobs)
 
     def test_environment_does_not_set_jobs(self, dc_a, monkeypatch):
         # the worker count is the jobs argument alone
         monkeypatch.setenv("EMDEN_JOBS", "abc")
-        grid = np.logspace(0.3, 1.0, 16)
-        scan = scan_thresholds(grid, dc_a, t_target=2.0)
-        assert scan.kinds \
-            == scan_thresholds(grid, dc_a, t_target=2.0, jobs=1).kinds
+        shots = shoot_many(np.logspace(0.3, 1.0, 16), dc_a, t_target=2.0)
+        assert scan_thresholds(shots).kinds \
+            == scan_thresholds(shots, jobs=1).kinds
 
     def test_one_worker_maps_in_process(self, monkeypatch):
         # a lambda cannot be pickled, so this only passes without a pool
@@ -250,9 +293,8 @@ class TestScan:
         assert shooting.map_jobs(lambda x, y: x - y, [(3, 1)], 8) == [2]
         assert shooting.map_jobs(lambda x: 2 * x, [], 8) == []
 
-    def test_scan_serializes(self, dc_a):
-        grid = np.logspace(0.3, 1.0, 16)
-        d = scan_thresholds(grid, dc_a, t_target=2.0).to_dict()
+    def test_scan_serializes(self, short_shots):
+        d = scan_thresholds(short_shots).to_dict()
         assert len(d["kinds"]) == 16
         assert len(d["shots"]) == 16
 
