@@ -137,103 +137,91 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
                  window: tuple | None = None) -> ClassificationReport:
     """Classify the behavior of a trajectory toward one end.
 
-    Decision order: (1) traj.termination decides the side where the run
-    stopped (positivity lost => CROSSES_ZERO; amplitude cap or step
-    underflow => UNDETERMINED), whether the solver recorded it or
-    read_trajectory_csv inferred it; (2) with >= 3 sign changes of
-    vdot, a contracting envelope (first/last deviation >
-    SPIRAL_CONTRACTION) centered on lambda is SLOW_DECAY_SINGULAR, a fat
-    envelope (relative amplitude > OSC_RELAMP) is OSCILLATORY; (3) a flat
-    window (|drift| < SLOPE_TOL) with mean within TOL_CLASS of lambda is
-    SLOW_DECAY_SINGULAR; (4) a fixed-exponent power fit of u with RMS
-    ln-residual < POWER_RESID_TOL gives the regular kind for the end;
-    (5) otherwise UNDETERMINED, with all statistics in diagnostics.
-    The window defaults to the outer quarter of the span on the end's
-    side (end_window); the rate is fitted in the end's frame
-    (fit_exponential_rate) and is None when that fit finds no clean
-    decay.
+    The first rule that holds decides, in this order: (1) terminal side:
+    where the run stopped on an event, recorded by the solver or
+    inferred by read_trajectory_csv, positivity lost is CROSSES_ZERO and
+    an amplitude cap or step underflow UNDETERMINED; (2) contracting
+    spiral: >= 3 sign changes of vdot and a first/last extremum
+    deviation ratio > SPIRAL_CONTRACTION is SLOW_DECAY_SINGULAR if its
+    mean is within TOL_CLASS of lambda, else UNDETERMINED; (3) fat
+    oscillation: >= 3 sign changes and relative amplitude > OSC_RELAMP
+    is OSCILLATORY; (4) flat at lambda: |drift| < SLOPE_TOL with the
+    mean within TOL_CLASS of lambda is SLOW_DECAY_SINGULAR; (5) regular
+    power law: a fixed-exponent power fit of u with RMS ln-residual <
+    POWER_RESID_TOL is the end's regular kind; (6) else UNDETERMINED.
+    Rules (2)-(6) read the window (by default the outer quarter of the
+    span on the end's side, end_window) in the end's frame, with every
+    statistic and any UNDETERMINED's reason in diagnostics.  A
+    SLOW_DECAY_SINGULAR rate is fitted there (fit_exponential_rate) and
+    is None when that fit finds no clean decay.
     """
     e = dc.end(end)
     term = traj.termination
+    lam = e.lam
+    fitted = residual = rate = None
     # event terminations decide only the side where integration stopped;
     # the seed side of a crossing shot still has analyzable data
     terminal_side = 1 if traj.t[-1] >= traj.t[0] else -1
-    if e.side == terminal_side:
+    if (e.side == terminal_side
+            and term.kind != TerminationKind.REACHED_SPAN_END):
+        window = (term.t, term.t)
         if term.kind == TerminationKind.POSITIVITY_LOST:
-            return ClassificationReport(
-                end, Kind.CROSSES_ZERO, (term.t, term.t), None, None, None,
-                {"t_cross": term.t, "termination": term.kind})
-        if term.kind in (TerminationKind.AMPLITUDE_CAP,
-                         TerminationKind.STEP_UNDERFLOW):
-            return ClassificationReport(
-                end, Kind.UNDETERMINED, (term.t, term.t), None, None, None,
-                {"termination": term.kind,
-                 "reason": "integration did not reach the requested end"})
-
-    if window is None:
-        window = end_window(traj, e)
-    sub = reframe(traj.window(window, 10), e.equation.alpha)
-    t, v, vd = sub.t, sub.v, sub.vdot
-    lam = e.lam
-
-    mean = float(np.mean(v))
-    vmax, vmin = float(np.max(v)), float(np.min(v))
-    relamp = (vmax - vmin) / abs(mean) if mean != 0.0 else math.inf
-    signs = np.sign(vd)
-    signs = signs[signs != 0.0]
-    nsc = int(np.sum(signs[:-1] * signs[1:] < 0)) if signs.size > 1 else 0
-    ext_t, ext_v, _ = quadratic_extrema(t, v)
-    contraction = None
-    if ext_v.size >= 2:
-        first_dev = abs(ext_v[0] - mean)
-        last_dev = abs(ext_v[-1] - mean)
-        contraction = math.inf if last_dev == 0.0 else first_dev / last_dev
-    slope = float(np.polyfit(t, v, 1)[0])
-    diag = {"mean": mean, "lambda": lam, "relamp": relamp, "nsc": nsc,
-            "slope": slope, "contraction": contraction,
-            "n_extrema": int(ext_v.size)}
-
-    def _rate():
-        if lam is None:
-            return None
-        try:
-            return fit_exponential_rate(sub, lam, window)
-        except (SaturationError, ValueError):
-            return None
-
-    lam_ok = lam is not None and abs(mean - lam) <= TOL_CLASS * lam
-    if nsc >= 3:
-        if contraction is not None and contraction > SPIRAL_CONTRACTION:
-            # contracting spiral onto the equilibrium: slope gate waived
-            if lam_ok:
-                return ClassificationReport(
-                    end, Kind.SLOW_DECAY_SINGULAR, window, mean,
-                    abs(mean - lam) / lam, _rate(), diag)
+            kind, diag = Kind.CROSSES_ZERO, {"t_cross": term.t}
+        else:
+            kind, diag = Kind.UNDETERMINED, {
+                "reason": "integration did not reach the requested end"}
+        diag["termination"] = term.kind
+    else:
+        if window is None:
+            window = end_window(traj, e)
+        sub = reframe(traj.window(window, 10), e.equation.alpha)
+        t, v, vd = sub.t, sub.v, sub.vdot
+        mean = float(np.mean(v))
+        relamp = float(np.ptp(v)) / abs(mean) if mean != 0.0 else math.inf
+        signs = np.sign(vd)
+        signs = signs[signs != 0.0]
+        nsc = int(np.sum(signs[:-1] * signs[1:] < 0)) if signs.size > 1 else 0
+        _, ext_v, _ = quadratic_extrema(t, v)
+        contraction = None
+        if ext_v.size >= 2:
+            first_dev = abs(ext_v[0] - mean)
+            last_dev = abs(ext_v[-1] - mean)
+            contraction = math.inf if last_dev == 0.0 else first_dev / last_dev
+        slope = float(np.polyfit(t, v, 1)[0])
+        diag = {"mean": mean, "lambda": lam, "relamp": relamp, "nsc": nsc,
+                "slope": slope, "contraction": contraction,
+                "n_extrema": int(ext_v.size)}
+        lam_ok = lam is not None and abs(mean - lam) <= TOL_CLASS * lam
+        # a spiral contracts onto its centre, so its slope gate is waived
+        spiral = (nsc >= 3 and contraction is not None
+                  and contraction > SPIRAL_CONTRACTION)
+        if spiral and not lam_ok:
+            kind = Kind.UNDETERMINED
             diag["reason"] = "contracting spiral away from lambda"
-            return ClassificationReport(end, Kind.UNDETERMINED, window,
-                                        None, None, None, diag)
-        if relamp > OSC_RELAMP:
-            return ClassificationReport(
-                end, Kind.OSCILLATORY, window, mean, None, None, diag)
-
-    if abs(slope) < SLOPE_TOL and lam_ok:
-        return ClassificationReport(
-            end, Kind.SLOW_DECAY_SINGULAR, window, mean,
-            abs(mean - lam) / lam, _rate(), diag)
-
-    try:
-        coef, resid = fit_power_tail(traj, e.regular_exp, window)
-    except ValueError:
-        coef, resid = None, None
-    diag["power_residual"] = resid
-    if resid is not None and resid < POWER_RESID_TOL:
-        kind = (Kind.FAST_DECAY_REGULAR if e.side > 0
-                else Kind.REGULAR_AT_ORIGIN)
-        return ClassificationReport(end, kind, window, coef, resid, None,
-                                    diag)
-    diag["reason"] = "no decision rule matched"
-    return ClassificationReport(end, Kind.UNDETERMINED, window, None, None,
-                                None, diag)
+        elif nsc >= 3 and relamp > OSC_RELAMP and not spiral:
+            kind, fitted = Kind.OSCILLATORY, mean
+        elif spiral or (abs(slope) < SLOPE_TOL and lam_ok):
+            kind, fitted = Kind.SLOW_DECAY_SINGULAR, mean
+            residual = abs(mean - lam) / lam
+            try:
+                rate = fit_exponential_rate(sub, lam, window)
+            except (SaturationError, ValueError):
+                pass
+        else:
+            try:
+                coef, resid = fit_power_tail(traj, e.regular_exp, window)
+            except ValueError:
+                coef, resid = None, None
+            diag["power_residual"] = resid
+            if resid is not None and resid < POWER_RESID_TOL:
+                kind = (Kind.FAST_DECAY_REGULAR if e.side > 0
+                        else Kind.REGULAR_AT_ORIGIN)
+                fitted, residual = coef, resid
+            else:
+                kind = Kind.UNDETERMINED
+                diag["reason"] = "no decision rule matched"
+    return ClassificationReport(end, kind, window, fitted, residual, rate,
+                                diag)
 
 
 @dataclass(frozen=True)
@@ -277,19 +265,15 @@ def oscillation_envelope(traj: Trajectory, dc: DerivedConstants,
     window = (float(np.min(traj.t)), float(np.max(traj.t)))
     sub = reframe(traj.window(window, 10), e.equation.alpha)
     t, v = sub.t, sub.v
-    ext_t, ext_v, ext_k = quadratic_extrema(t, v)
+    # oriented so index -1 is nearest the requested end
+    ext_t, ext_v, ext_k = (x[::e.side] for x in quadratic_extrema(t, v))
     if np.any(ext_k[1:] == ext_k[:-1]):
         raise ValueError("extrema do not interleave")
-    mins = ext_k < 0
-    maxs = ext_k > 0
+    mins, maxs = ext_k < 0, ext_k > 0
     if int(mins.sum()) < 3 or int(maxs.sum()) < 3:
         raise ValueError(
             f"need >= 3 extrema of each kind, got {int(mins.sum())} minima "
             f"and {int(maxs.sum())} maxima")
-    # orient so index -1 is nearest the requested end
-    if e.side < 0:
-        ext_t, ext_v, ext_k = ext_t[::-1], ext_v[::-1], ext_k[::-1]
-        mins, maxs = mins[::-1], maxs[::-1]
     tmin, vmin = ext_t[mins], ext_v[mins]
     tmax, vmax = ext_t[maxs], ext_v[maxs]
     mu1 = float(np.mean(vmin[-3:]))

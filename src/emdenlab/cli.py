@@ -23,8 +23,9 @@ from .integrate import IntegratorConfig, integrate, read_trajectory_csv, \
     write_trajectory_csv
 from .params import ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json
-from .shooting import T_TARGET, connecting_orbit, effective_jobs, \
-    regular_start, scan_thresholds, seed_and_integrate, shoot, shoot_many
+from .shooting import T_TARGET, check_grid, connecting_orbit, \
+    effective_jobs, regular_start, scan_thresholds, seed_and_integrate, \
+    shoot, shoot_many
 from .sweep import parse_run_config, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
@@ -120,6 +121,7 @@ def cmd_scan(args) -> int:
     effective_jobs(args.jobs)
     grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max),
                        args.points)
+    check_grid(grid)
     res = scan_thresholds(shoot_many(grid, dc, integrator, args.t_target),
                           args.jobs)
     text = canonical_json(res.to_dict())

@@ -205,17 +205,23 @@ class ThresholdScan(Record):
     boundaries: list
 
 
-def scan_thresholds(shots: list, jobs: int = 1) -> ThresholdScan:
-    """Bisect every kind change of a grid of shots: at least 16, shot
-    alike, strictly increasing in a.  Each pair of neighbouring shots of
-    different kinds is a bracket for bisect_boundary, one per worker
-    over map_jobs, back in grid order.  A bad grid or jobs is a
-    ValueError before the first bisection shot."""
-    a_grid = np.array([s.a for s in shots], dtype=float)
+def check_grid(a_grid: np.ndarray) -> None:
+    """ValueError unless the amplitude grid of a scan has at least 16
+    points, strictly increasing."""
     if a_grid.size < 16:
         raise ValueError(f"grid needs >= 16 points, got {a_grid.size}")
     if not np.all(np.diff(a_grid) > 0.0):
         raise ValueError("grid must be strictly increasing")
+
+
+def scan_thresholds(shots: list, jobs: int = 1) -> ThresholdScan:
+    """Bisect every kind change of a grid of shots: shot alike, on a
+    grid check_grid accepts.  Each pair of neighbouring shots of
+    different kinds is a bracket for bisect_boundary, one per worker
+    over map_jobs, back in grid order.  A bad grid or jobs is a
+    ValueError before the first bisection shot."""
+    a_grid = np.array([s.a for s in shots], dtype=float)
+    check_grid(a_grid)
     _check_alike(shots, "scan shots")
     brackets = [(lo, hi) for lo, hi in zip(shots, shots[1:])
                 if lo.kind != hi.kind]

@@ -16,7 +16,8 @@ from emdenlab import (
     oscillation_envelope,
     quadratic_extrema,
 )
-from emdenlab.classify import SPIRAL_CONTRACTION, TOL_CLASS
+from emdenlab.classify import OSC_RELAMP, SLOPE_TOL, SPIRAL_CONTRACTION, \
+    TOL_CLASS
 
 
 def synthetic(t, v, vdot, alpha=0.0):
@@ -193,6 +194,22 @@ class TestClassifyEnd:
         assert rep.diagnostics["contraction"] > SPIRAL_CONTRACTION
         assert rep.diagnostics["reason"] \
             == "contracting spiral away from lambda"
+
+    def test_fat_oscillation_wins_over_flat_at_lambda(self, dc_a):
+        # three whole periods centred on the default window [6, 8]: flat
+        # and centred on lambda, yet fat and not contracting
+        t = np.linspace(0.0, 8.0, 801)
+        phase = 6.0 * math.pi * (t - 7.0)
+        v = dc_a.lambda1 * (1.0 + 0.2 * np.cos(phase))
+        dv = -dc_a.lambda1 * 0.2 * 6.0 * math.pi * np.sin(phase)
+        rep = classify_end(synthetic(t, v, dv, alpha=dc_a.alpha1), dc_a,
+                           "infinity")
+        diag = rep.diagnostics
+        assert abs(diag["slope"]) < SLOPE_TOL
+        assert abs(diag["mean"] - dc_a.lambda1) <= TOL_CLASS * dc_a.lambda1
+        assert diag["contraction"] <= SPIRAL_CONTRACTION
+        assert diag["relamp"] > OSC_RELAMP
+        assert rep.kind == Kind.OSCILLATORY
 
     def test_power_fit_skipped_where_u_is_not_positive(self, dc_a):
         # a run that reached its span end below zero: no power fit, and

@@ -308,14 +308,20 @@ def test_bad_worker_count_exits_1(tmp_path, capsys, command, jobs):
     assert not (tmp_path / "runs").exists()
 
 
-def test_bad_jobs_fails_before_the_first_shot(capsys, monkeypatch):
+@pytest.mark.parametrize("argv,message", [
+    (["--points", "16", "--jobs", "0"], "jobs must be >= 1, got 0"),
+    (["--points", "8"], "grid needs >= 16 points, got 8"),
+    (["--a-min", "10", "--a-max", "1"], "grid must be strictly increasing"),
+], ids=["jobs", "points", "order"])
+def test_bad_jobs_fails_before_the_first_shot(capsys, monkeypatch, argv,
+                                              message):
     def no_shot(*args, **kwargs):
-        raise AssertionError("a shot ran before --jobs was checked")
+        raise AssertionError("a shot ran before the scan was checked")
 
     monkeypatch.setattr(cli, "shoot_many", no_shot)
     monkeypatch.setattr(shooting, "shoot", no_shot)
-    assert main(["scan", "--points", "16", *PARAM_FLAGS, "--jobs", "0"]) == 1
-    assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+    assert main(["scan", *PARAM_FLAGS, *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flag", ["--a-min", "--a-max"])
