@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: exponents (closed-form constants and regime flags), solve
-(one trajectory to CSV), classify (end behavior of a stored trajectory),
-shoot / scan (regular shots and threshold hunting), connect (singular
-crossing runs), sweep (manifest-producing parameter grids), verify (the
-acceptance suite).  Exit codes: 0 success, 1 numeric or validation
-failure, 2 usage errors.
+(one seeded crossing over the config's [spans] to CSV), classify (end
+behavior of a stored trajectory: a CSV of solve, shoot --out or connect
+--out), shoot / scan (regular shots, to CSV with --out, and threshold
+hunting), connect (singular crossing runs), sweep (manifest-producing
+parameter grids), verify (the acceptance suite).  Exit codes: 0
+success, 1 numeric or validation failure, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import numpy as np
 
 from ._version import __version__
 from .classify import classify_end
-from .integrate import IntegratorConfig, integrate, read_trajectory_csv, \
+from .integrate import IntegratorConfig, read_trajectory_csv, \
     write_trajectory_csv
 from .params import ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json
 from .shooting import T_TARGET, check_grid, connecting_orbit, \
-    effective_jobs, regular_start, scan_thresholds, seed_and_integrate, \
-    shoot, shoot_many
+    effective_jobs, scan_thresholds, seed_and_integrate, shoot, shoot_many
 from .sweep import parse_run_config, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
@@ -76,17 +76,8 @@ def cmd_exponents(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = parse_run_config(args.config)
-    dc = derive_constants(cfg.params)
-    if args.start == "series":
-        if args.a is None:
-            raise ValueError("--start series needs --a")
-        # the shot's run, left unclassified, so any span writes its CSV
-        start = regular_start(args.a, dc)[1]
-        traj = integrate(start, dc.end("infinity").equation, cfg.t_max,
-                         cfg.integrator)
-    else:
-        traj = seed_and_integrate(dc, args.start, (cfg.t_min, cfg.t_max),
-                                  cfg.integrator)
+    traj = seed_and_integrate(derive_constants(cfg.params), args.start,
+                              (cfg.t_min, cfg.t_max), cfg.integrator)
     write_trajectory_csv(traj, args.out)
     sys.stderr.write(
         f"wrote {traj.t.size} samples to {args.out} "
@@ -109,6 +100,9 @@ def cmd_classify(args) -> int:
 def cmd_shoot(args) -> int:
     dc, integrator = _resolve_constants(args)
     res = shoot(args.a, dc, integrator, args.t_target)
+    if args.out:
+        write_trajectory_csv(res.trajectory, args.out)
+        sys.stderr.write(f"wrote trajectory to {args.out}\n")
     sys.stdout.write(canonical_json(res.to_dict()))
     return 0
 
@@ -119,6 +113,7 @@ def cmd_scan(args) -> int:
             raise ValueError(f"{flag} must be positive and finite, got {a!r}")
     dc, integrator = _resolve_constants(args)
     effective_jobs(args.jobs)
+    check_grid(args.points)
     grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max),
                        args.points)
     check_grid(grid)
@@ -188,13 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.set_defaults(func=cmd_exponents)
 
-    sp = sub.add_parser("solve", help="integrate one trajectory to CSV")
+    sp = sub.add_parser("solve", help="seed one end over [spans] and "
+                                      "cross, to CSV")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--start", choices=["infinity", "origin", "series"],
+    sp.add_argument("--start", choices=["infinity", "origin"],
                     default="infinity")
-    sp.add_argument("--a", type=float, help="central value for "
-                                            "--start series")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("classify", help="classify a stored trajectory")
@@ -209,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, required=True)
     _add_param_flags(sp)
     sp.add_argument("--t-target", type=float, default=T_TARGET)
+    sp.add_argument("--out")
     sp.set_defaults(func=cmd_shoot)
 
     sp = sub.add_parser("scan", help="shoot a log grid and bisect kind "

@@ -393,9 +393,10 @@ def forced_expansion(dc: DerivedConstants, center) -> Expansion:
     end, dc.end(center): its equation, amp = lambda, gate 0.1.  Or a
     central value a, the regular solution u(0) = a of dc.params: the
     alpha = 0 equation, where every term is forced at rate 2 + l (the
-    series' first correction), amp = a, gate 1e-6.  ValueError for an
-    unknown end name, an end without an equilibrium (lam None), a
-    non-positive or non-finite a and a resonance (zero denominator).
+    series' first correction), amp = float(a), gate 1e-6.  ValueError
+    for an unknown end name, an end without an equilibrium (lam None), a
+    non-positive or non-finite a, an a whose power a^P overflows and a
+    resonance (zero denominator).
     """
     if isinstance(center, str):
         end = dc.end(center)
@@ -406,7 +407,7 @@ def forced_expansion(dc: DerivedConstants, center) -> Expansion:
         if not 0.0 < center < math.inf:
             raise ValueError(
                 f"amplitude must be positive and finite, got {center!r}")
-        eq, amp, gate = frame_equation(dc.params, 0.0), center, 1e-6
+        eq, amp, gate = frame_equation(dc.params, 0.0), float(center), 1e-6
     restoring = sum(eq.lin * (exp_ - 1.0) for exp_, e, _ in eq.terms
                     if e == 0.0)
     terms = []
@@ -416,7 +417,11 @@ def forced_expansion(dc: DerivedConstants, center) -> Expansion:
             if den == 0.0:
                 raise ValueError(
                     f"resonance: rate {e} solves the linearisation")
-            terms.append((-k * amp ** exp_ / den, e))
+            try:
+                terms.append((-k * amp ** exp_ / den, e))
+            except OverflowError:
+                raise ValueError(f"amplitude {amp!r} is too large: its "
+                                 f"power {exp_!r} overflows") from None
     return Expansion(eq.alpha, amp, tuple(terms), gate)
 
 

@@ -291,8 +291,7 @@ def classify_regime(params: ProblemParams,
 def aubin_talenti_profile(n: int):
     """Regular ground state of Delta u + u^{(n+2)/(n-2)} = 0.
 
-    Returns r -> (n(n-2))^{(n-2)/4} (1 + r^2)^{-(n-2)/2}; the callable
-    carries a .derivative attribute with du/dr.
+    Returns r -> (n(n-2))^{(n-2)/4} (1 + r^2)^{-(n-2)/2}.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -302,8 +301,4 @@ def aubin_talenti_profile(n: int):
     def profile(r):
         return coef * (1.0 + r * r) ** (-half)
 
-    def derivative(r):
-        return coef * (-(n - 2.0)) * r * (1.0 + r * r) ** (-half - 1.0)
-
-    profile.derivative = derivative
     return profile

@@ -40,28 +40,24 @@ BISECT_REL_WIDTH = 1e-12
 BISECT_MAX_ITER = 80
 
 
-def regular_start(a: float, dc: DerivedConstants) -> tuple:
+def regular_start(a: float, dc: DerivedConstants, t_target: float) -> tuple:
     """(r0, start) of the regular shot u(0) = a in the alpha1 frame, r0
     the largest radius (at most 1e-4) keeping every first-order term
     |K_i| r0^{E_i} of the expansion about a below SERIES_BUDGET a.
-    ValueError for a non-positive a, and for a tiny r0 with a large
-    alpha1, which underflows the frame's start v = r0^alpha1 u(r0) to 0."""
+    ValueError for a non-positive or overflowing a (forced_expansion),
+    for an r0 or start v = r0^alpha1 u(r0) that underflows to 0 (a huge
+    a, a slow rate or a large alpha1), and unless t_target lies past the
+    start t = ln r0."""
     expansion = forced_expansion(dc, a)
     # a^P can underflow to K = 0: that term is then negligible
     r0 = min([1e-4] + [(SERIES_BUDGET * a / abs(k)) ** (1.0 / e)
                        for k, e in expansion.terms if k])
-    start = expansion.start(math.log(r0), dc.alpha1)
-    if start.v == 0.0:
+    start = expansion.start(math.log(r0), dc.alpha1) if r0 else None
+    if start is None or start.v == 0.0:
         raise ValueError(
             f"the shot u(0) = {a!r} cannot start: its series radius "
             f"r0 = {r0!r} raised to alpha1 = {dc.alpha1!r} underflows, so "
             "the start v = r0^alpha1 u(r0) is 0")
-    return r0, start
-
-
-def _shot_start(a: float, dc: DerivedConstants, t_target: float) -> tuple:
-    """regular_start(a, dc); a ValueError unless t_target lies past it."""
-    r0, start = regular_start(a, dc)
     if t_target <= start.t:
         raise ValueError(f"t_target = {t_target!r} must exceed the shot's "
                          f"start t = ln r0 = {start.t!r}")
@@ -106,7 +102,7 @@ def shoot(a: float, dc: DerivedConstants,
     """One regular shot u(0) = a, classified at the infinity end.  Its
     start radius shrinks with a so the series gate always holds; it runs
     in the alpha1 frame, where the p-term is autonomous."""
-    r0, start = _shot_start(a, dc, t_target)
+    r0, start = regular_start(a, dc, t_target)
     traj = integrate(start, dc.end("infinity").equation, t_target, config)
     return ShotResult(float(a), r0, traj, classify_end(traj, dc, "infinity"),
                       dc, t_target)
@@ -120,7 +116,7 @@ def shoot_many(a_grid, dc: DerivedConstants,
     order.  Worth it from about 12 amplitudes (a scan's grid); single
     shots and bisection midpoints go through shoot.
     """
-    starts = [_shot_start(a, dc, t_target) for a in a_grid]
+    starts = [regular_start(a, dc, t_target) for a in a_grid]
     trajs = integrate_many([start for _, start in starts],
                            dc.end("infinity").equation, t_target, config)
     return [ShotResult(float(a), r0, traj,
@@ -205,12 +201,14 @@ class ThresholdScan(Record):
     boundaries: list
 
 
-def check_grid(a_grid: np.ndarray) -> None:
+def check_grid(a_grid: np.ndarray | int) -> None:
     """ValueError unless the amplitude grid of a scan has at least 16
-    points, strictly increasing."""
-    if a_grid.size < 16:
-        raise ValueError(f"grid needs >= 16 points, got {a_grid.size}")
-    if not np.all(np.diff(a_grid) > 0.0):
+    points, strictly increasing.  An int is the point count of a grid
+    not yet built, and only the count is checked."""
+    size = a_grid if isinstance(a_grid, int) else a_grid.size
+    if size < 16:
+        raise ValueError(f"grid needs >= 16 points, got {size}")
+    if not isinstance(a_grid, int) and not np.all(np.diff(a_grid) > 0.0):
         raise ValueError("grid must be strictly increasing")
 
 

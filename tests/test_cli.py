@@ -174,43 +174,39 @@ def test_solve_then_classify_round_trip(tmp_path, capsys):
                                                       rel=5e-3)
 
 
-def test_solve_series_start_is_the_shot(tmp_path, capsys):
-    # solve --start series starts where shoot does, so with the same
-    # horizon it writes the shot's trajectory
-    ini = tmp_path / "run.ini"
-    ini.write_text(INI + "\n[spans]\nt_min = -6.0\nt_max = 2.0\n")
-    csv = tmp_path / "series.csv"
-    assert main(["solve", "--config", str(ini), "--out", str(csv),
-                 "--start", "series", "--a", "1.0"]) == 0
+def test_shoot_out_is_the_shot(tmp_path, capsys):
+    # shoot --out writes the shot's trajectory and still prints its report
+    csv = tmp_path / "shot.csv"
+    assert main(["shoot", "--a", "1.0", *PARAM_FLAGS, "--t-target", "2.0",
+                 "--out", str(csv)]) == 0
     dc = derive_constants(ProblemParams(n=5, p=1.9, q=1.95, l1=0.0, l2=-0.5))
     shot = shoot(1.0, dc, t_target=2.0)
-    write_trajectory_csv(shot.trajectory, tmp_path / "shot.csv")
-    assert csv.read_bytes() == (tmp_path / "shot.csv").read_bytes()
-
-
-def test_solve_series_start_is_not_classified(tmp_path, capsys):
-    # the span ends 0.07 past the start at t = -9.47: too few samples for
-    # a classifier window, but solve only writes the run
-    ini = tmp_path / "run.ini"
-    ini.write_text(INI + "\n[spans]\nt_max = -9.4\n")
-    csv = tmp_path / "series.csv"
-    assert main(["solve", "--config", str(ini), "--out", str(csv),
-                 "--start", "series", "--a", "1.0"]) == 0
-    assert len(csv.read_text().splitlines()) == 1 + 9
+    assert capsys.readouterr().out == canonical_json(shot.to_dict())
+    write_trajectory_csv(shot.trajectory, tmp_path / "lib.csv")
+    assert csv.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
 @pytest.mark.parametrize("ini,a,message", [
     (INI, "-1.0", "amplitude must be positive"),
+    (INI, "1e200", "amplitude 1e+200 is too large"),
     ("[params]\nn = 3\np = 1.25\nq = 1.3\nl2 = -1.9\n", "1.0",
      "alpha1 = 8.0 underflows"),
-])
-def test_solve_series_start_errors(tmp_path, capsys, ini, a, message):
+    # the q-term's rate 2 + l2 = 0.1 underflows r0 itself to 0
+    ("[params]\nn = 5\np = 1.9\nq = 1.95\nl2 = -1.9\n", "1e30",
+     "u(0) = 1e+30 cannot start: its series radius r0 = 0.0 "),
+], ids=["negative", "overflow", "v_underflow", "r0_underflow"])
+def test_failed_shot_writes_no_csv(tmp_path, capsys, ini, a, message):
     path = tmp_path / "run.ini"
     path.write_text(ini)
-    assert main(["solve", "--config", str(path), "--out",
-                 str(tmp_path / "x.csv"), "--start", "series",
-                 "--a", a]) == 1
-    assert message in capsys.readouterr().err
+    csv = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["shoot", "--config", str(path), "--out", str(csv),
+                     "--a", a]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not csv.exists()
 
 
 def test_connect_has_no_seed_offset():
@@ -312,7 +308,8 @@ def test_bad_worker_count_exits_1(tmp_path, capsys, command, jobs):
     (["--points", "16", "--jobs", "0"], "jobs must be >= 1, got 0"),
     (["--points", "8"], "grid needs >= 16 points, got 8"),
     (["--a-min", "10", "--a-max", "1"], "grid must be strictly increasing"),
-], ids=["jobs", "points", "order"])
+    (["--points", "-1"], "grid needs >= 16 points, got -1"),
+], ids=["jobs", "points", "order", "negative_points"])
 def test_bad_jobs_fails_before_the_first_shot(capsys, monkeypatch, argv,
                                               message):
     def no_shot(*args, **kwargs):

@@ -424,8 +424,8 @@ def test_lane_is_the_scalar_run(params, amplitudes, t_target):
         assert lane.kind == one.kind
         assert ours.termination.kind == theirs.termination.kind
         tol = 1e-6
-        if same_grid(params, dc.alpha1, shooting.regular_start(a, dc)[1],
-                     t_target):
+        start = shooting.regular_start(a, dc, t_target)[1]
+        if same_grid(params, dc.alpha1, start, t_target):
             assert (ours.stats.nfev, ours.stats.steps) \
                 == (theirs.stats.nfev, theirs.stats.steps)
             tol = 1e-12
@@ -444,7 +444,7 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a):
     # backwards to the span end
     eq = dc_a.end("infinity").equation
     config = IntegratorConfig(amplitude_cap=2.0)
-    starts = [shooting.regular_start(a, dc_a)[1]
+    starts = [shooting.regular_start(a, dc_a, 12.0)[1]
               for a in np.logspace(-2.0, 2.0, 6)] \
         + [State(0.0, 1.0, 0.0), State(0.0, 1.5, 3.0), State(0.0, 0.5, -1.0),
            State(13.5, 1.2, 0.1)]
@@ -466,7 +466,7 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a):
 
 def test_lane_does_not_depend_on_its_batch(dc_a):
     eq = dc_a.end("infinity").equation
-    starts = [shooting.regular_start(a, dc_a)[1]
+    starts = [shooting.regular_start(a, dc_a, 12.0)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
     alone = integrate_many([starts[40]], eq, 12.0)[0]
     in_64 = integrate_many(starts[::2], eq, 12.0)[20]
@@ -590,7 +590,7 @@ def test_lane_rows_are_released_when_a_lane_ends(dc_a):
     # returned samples a 128-lane batch needs its row chunks, about 0.3
     # MB, where keeping every lane's rows to the end would add 2.8 MB
     eq = dc_a.end("infinity").equation
-    starts = [shooting.regular_start(a, dc_a)[1]
+    starts = [shooting.regular_start(a, dc_a, 12.0)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
     integrate_many(starts[:2], eq, 12.0)
     tracemalloc.start()

@@ -74,7 +74,7 @@ class TestIntegrateCore:
         assert abs(fwd.vdot[-1] - start.vdot) < 1e-8
 
     def test_positivity_event_is_located(self, dc_a):
-        start = regular_start(1.0, dc_a)[1]
+        start = regular_start(1.0, dc_a, 12.0)[1]
         traj = integrate(start, dc_a.end("infinity").equation, 12.0)
         assert traj.termination.kind == TerminationKind.POSITIVITY_LOST
         assert traj.t[-1] == pytest.approx(traj.termination.t, abs=1e-12)
@@ -214,14 +214,14 @@ class TestSeries:
 
     def test_series_radius_respects_gate(self, dc_a):
         for a in (0.01, 1.0, 50.0, 4000.0):
-            r0 = regular_start(a, dc_a)[0]
+            r0 = regular_start(a, dc_a, 12.0)[0]
             state = forced_expansion(dc_a, a).start(math.log(r0))
             assert state.v == pytest.approx(a, rel=1e-5)
 
     def test_start_radius_insensitivity(self, dc_a):
         # starting the same shot at r0 and r0/2 must agree downstream
         a = 1.3
-        r0 = regular_start(a, dc_a)[0]
+        r0 = regular_start(a, dc_a, 12.0)[0]
         ends = []
         for r in (r0, r0 / 2.0):
             start = forced_expansion(dc_a, a).start(math.log(r), dc_a.alpha1)
@@ -251,7 +251,7 @@ class TestSeries:
                 old = -a ** exp_ / ((2.0 + l) * (n + l))
                 assert e == 2.0 + l
                 assert abs(k - old) <= math.ulp(old)
-            r0 = regular_start(a, dc_a)[0]
+            r0 = regular_start(a, dc_a, 12.0)[0]
             new, old = exp.start(math.log(r0), dc_a.alpha1), \
                 old_series_start(a, r0, config_a, dc_a.alpha1)
             assert new.t == old.t

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ class TestShoot:
         assert s1.kind == s2.kind
 
     def test_adaptive_radius_shrinks_with_amplitude(self, dc_a):
-        radii = [regular_start(a, dc_a)[0] for a in (0.1, 1.0, 100.0)]
+        radii = [regular_start(a, dc_a, 12.0)[0]
+                 for a in (0.1, 1.0, 100.0)]
         assert radii[0] == 1e-4
         assert radii[1] < 1e-4
         assert radii[2] < radii[1]
@@ -43,7 +45,7 @@ class TestShoot:
     def test_horizon_before_the_start_rejected(self, dc_a):
         # a = 1 starts at t = ln r0 ~ -9.47: a horizon there or before it
         # would integrate inward
-        t0 = regular_start(1.0, dc_a)[1].t
+        t0 = regular_start(1.0, dc_a, 12.0)[1].t
         message = re.escape(f"t_target = {t0!r} must exceed the shot's "
                             f"start t = ln r0 = {t0!r}")
         with pytest.raises(ValueError, match=message):
@@ -58,6 +60,15 @@ class TestShoot:
             shoot(0.0, dc_a)
         with pytest.raises(ValueError, match="positive and finite, got inf"):
             shoot(math.inf, dc_a)
+        # 1e200^1.9 overflows: a float amplitude would raise OverflowError
+        # in the power, a numpy one warn and give K = -inf
+        message = re.escape("amplitude 1e+200 is too large")
+        with pytest.raises(ValueError, match=message):
+            shoot(1e200, dc_a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                shoot_many(np.array([1e200]), dc_a)
 
     def test_underflowed_start_is_named(self):
         # alpha1 = 8 and a series radius near 1e-80: r0^alpha1 is 0
@@ -67,6 +78,11 @@ class TestShoot:
             shoot(1.0, dc)
         with pytest.raises(ValueError, match="alpha1 = 8.0 underflows"):
             shoot_many([0.01, 1.0], dc)
+        # the q-term's rate 2 + l2 = 0.1 underflows r0 itself to 0.0
+        dc = derive_constants(ProblemParams(n=5, p=1.9, q=1.95, l2=-1.9))
+        with pytest.raises(ValueError, match=re.escape(
+                "u(0) = 1e+30 cannot start: its series radius r0 = 0.0 ")):
+            shoot(1e30, dc)
 
     def test_crossing_kinds_on_dichotomy_config(self, lab):
         # every amplitude on this grid leaves the positive cone
