@@ -32,9 +32,10 @@ lockstep on numpy arrays; each lane takes the scalar core's steps, up to
 numpy's exp and power rounding 1 ulp away from math's.  Both evaluate
 the one acceleration expression log_frame_rhs compiles from the term
 table.  One function, _trajectory, turns every run into a Trajectory:
-the Solution sampled on stride_grid, its termination and its work in
-Trajectory.stats.  The lockstep loop costs more per step than a scalar
-run and pays from about 12 starts.
+its stride_grid, the Solution that samples it there when the samples
+are first read, its termination and its work in Trajectory.stats.  The
+lockstep loop costs more per step than a scalar run and pays from about
+12 starts.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ import numpy as np
 
 from .dop853 import Solution, SolverStats, TerminationKind, solve_ivp, \
     solve_lanes
-from .params import DerivedConstants, FrameEquation, frame_equation
+from .params import DerivedConstants, FrameEquation, frame_equation, \
+    real_number
 from .serialize import fmt_float
 
 RTOL_MIN = 100.0 * sys.float_info.epsilon
@@ -84,7 +86,8 @@ class IntegratorConfig:
     bubble at 2.7e-8; from a cap of 0.15 up the crossing-time spread
     exceeds the 3.5e-11 of (0.05, 1e-10) at every rtol (3.8e-7 at 0.5).
 
-    Every setting is a positive finite number; rtol must be at least
+    Every setting is a positive finite number (numpy's are stored as
+    Python numbers, a bool is refused); rtol must be at least
     RTOL_MIN = 100 eps, below which the error test asks for more than
     double precision carries.
     """
@@ -97,10 +100,10 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            val = getattr(self, f.name)
-            if not (isinstance(val, (int, float)) and val > 0.0
-                    and math.isfinite(val)):
+            val = real_number(getattr(self, f.name))
+            if val is None or not val > 0.0:
                 raise ValueError(f"{f.name} must be a positive finite number")
+            object.__setattr__(self, f.name, val)
         if self.rtol < RTOL_MIN:
             raise ValueError(f"rtol must be >= {RTOL_MIN!r} (100 eps), "
                              f"got {self.rtol!r}")
@@ -122,6 +125,13 @@ class Trajectory:
     frame's finite alpha and the termination are always present
     (read_trajectory_csv infers a reloaded run's termination from its
     last samples).
+
+    The trajectory of a solver run (of_run, as integrate and
+    integrate_many build it) holds its grid t and the run's
+    dop853.Solution; v and vdot are made together from the Solution
+    the first time either is read, and the Solution is then dropped.
+    A run whose verdict needs only t and its termination (a shot that
+    loses positivity) is never sampled.
     """
 
     alpha: float
@@ -133,19 +143,48 @@ class Trajectory:
     stats: SolverStats | None = None
 
     def __post_init__(self):
+        self._check_grid()
+        self._set_samples(self.v, self.vdot)
+
+    @classmethod
+    def of_run(cls, alpha: float, t: np.ndarray, sol: Solution,
+               termination: Termination,
+               config: IntegratorConfig) -> "Trajectory":
+        """The trajectory of the run sol on the grid t, sampled by sol(t)
+        when v or vdot is first read."""
+        traj = cls.__new__(cls)
+        traj.alpha, traj.t, traj.termination = alpha, t, termination
+        traj.config, traj.stats, traj._run = config, sol.stats, sol
+        traj._check_grid()
+        return traj
+
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks: the samples of a
+        # run not yet read
+        run = self.__dict__.get("_run")
+        if run is None or name not in ("v", "vdot"):
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        self._set_samples(*run(self.t))
+        del self._run
+        return self.__dict__[name]
+
+    def _check_grid(self):
         if not math.isfinite(self.alpha):
             raise ValueError("frame alpha must be finite")
         self.t = np.asarray(self.t, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.vdot = np.asarray(self.vdot, dtype=float)
-        if not (self.t.shape == self.v.shape == self.vdot.shape):
-            raise ValueError("sample arrays must share one shape")
         if self.t.ndim != 1 or self.t.size == 0:
             raise ValueError("need a non-empty 1-d sample grid")
         if self.t.size > 1:
             steps = np.diff(self.t)
             if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
                 raise ValueError("sample grid must be strictly monotone in t")
+
+    def _set_samples(self, v, vdot):
+        self.v = np.asarray(v, dtype=float)
+        self.vdot = np.asarray(vdot, dtype=float)
+        if not (self.t.shape == self.v.shape == self.vdot.shape):
+            raise ValueError("sample arrays must share one shape")
 
     @property
     def r(self) -> np.ndarray:
@@ -298,17 +337,17 @@ def stride_grid(t0: float, t_last: float, stride: float) -> np.ndarray:
 
 def _trajectory(start: State, alpha: float, sol: Solution,
                 config: IntegratorConfig) -> Trajectory:
-    """The Trajectory of the solver run sol from start: sol sampled on
-    stride_grid from start.t to where the run ended, or the start alone
-    when it ended where it started (a zero span, an underflow at the
-    first step)."""
+    """The Trajectory of the solver run sol from start: sol on
+    stride_grid from start.t to where the run ended, sampled when first
+    read (Trajectory.of_run), or the start alone when it ended where it
+    started (a zero span, an underflow at the first step)."""
     term = Termination(sol.status, float(sol.t[-1]))
     if term.t == start.t:
-        ts, v, vdot = np.array([[start.t], [start.v], [start.vdot]])
-    else:
-        ts = stride_grid(start.t, term.t, config.dense_output_stride)
-        v, vdot = sol(ts)
-    return Trajectory(alpha, ts, v, vdot, term, config, sol.stats)
+        return Trajectory(alpha, [start.t], [start.v], [start.vdot], term,
+                          config, sol.stats)
+    return Trajectory.of_run(
+        alpha, stride_grid(start.t, term.t, config.dense_output_stride),
+        sol, term, config)
 
 
 def integrate(start: State, eq: FrameEquation, t_target: float,
@@ -336,12 +375,13 @@ def integrate_many(starts, eq: FrameEquation, t_target: float,
     """integrate() from each of `starts`, all run in lockstep by the lane
     core dop853.solve_lanes.
 
-    Each lane takes the steps that integrate takes, and its Solution is
-    sampled by the same _trajectory when the lane ends; the two differ
-    only where numpy's exp and power round differently from math's
-    (1 ulp in a few percent of values), which moves the samples at
-    roundoff.  The lockstep loop pays from about 12 starts; below that
-    integrate is faster.
+    Each lane takes the steps that integrate takes, and _trajectory
+    turns its Solution into a Trajectory when the lane ends; an unread
+    lane keeps the Solution's rows until its samples are first read.
+    The two cores differ only where numpy's exp and power round
+    differently from math's (1 ulp in a few percent of values), which
+    moves the samples at roundoff.  The lockstep loop pays from about
+    12 starts; below that integrate is faster.
     """
     if config is None:
         config = IntegratorConfig()

@@ -18,13 +18,30 @@ dc.end("origin"); no other module re-derives either.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .serialize import SKIP, Record
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+def is_integer(x) -> bool:
+    """x is an integer, Python's or numpy's; a bool is not."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def real_number(x):
+    """x as a Python int or float when it is a finite real number,
+    numpy's included (kept as numpy's type, a float32 would compute in
+    single precision and an int64 fail canonical_json); None for
+    anything else, a bool and an int beyond the double range included."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return None
+    try:
+        if not math.isfinite(x):
+            return None
+    except OverflowError:
+        return None
+    return int(x) if isinstance(x, numbers.Integral) else float(x)
 
 
 @dataclass(frozen=True)
@@ -45,16 +62,19 @@ class ProblemParams:
     k2: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
+        if not is_integer(self.n) or self.n < 3:
             raise ValueError(f"n must be an integer >= 3, got {self.n!r}")
-        for name in ("p", "q", "l1", "l2"):
-            if not _is_number(getattr(self, name)):
+        object.__setattr__(self, "n", int(self.n))
+        for name in ("p", "q", "l1", "l2", "k1", "k2"):
+            value = real_number(getattr(self, name))
+            if value is None:
                 raise ValueError(f"{name} must be a finite number")
+            object.__setattr__(self, name, value)
         for name in ("p", "q"):
             if not getattr(self, name) > 1.0:
                 raise ValueError(f"{name} must exceed 1, got "
                                  f"{getattr(self, name)}")
-        if self.k1 not in (0, 1, 0.0, 1.0) or self.k2 not in (0, 1, 0.0, 1.0):
+        if self.k1 not in (0, 1) or self.k2 not in (0, 1):
             raise ValueError("k1 and k2 are toggles in {0, 1}")
         if not (self.k1 or self.k2):
             raise ValueError("at least one power term must be active")

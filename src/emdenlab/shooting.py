@@ -29,7 +29,7 @@ import numpy as np
 from .classify import ClassificationReport, Kind, classify_end, end_window
 from .integrate import IntegratorConfig, Trajectory, forced_expansion, \
     integrate, integrate_many
-from .params import DerivedConstants, classify_regime
+from .params import DerivedConstants, classify_regime, is_integer
 from .serialize import SKIP, Record
 
 
@@ -175,12 +175,13 @@ def bisect_boundary(lo: ShotResult, hi: ShotResult) -> BoundaryResult:
 
 def effective_jobs(jobs: int) -> int:
     """Worker processes used for `jobs` requested: at most
-    os.cpu_count().  A non-int count or one below 1 is a ValueError."""
-    if not isinstance(jobs, int):
+    os.cpu_count().  A count that is not an integer (a bool is not) or
+    is below 1 is a ValueError."""
+    if not is_integer(jobs):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    return min(int(jobs), os.cpu_count() or 1)
 
 
 def map_jobs(fn, arg_tuples: list, jobs: int) -> list:
@@ -203,12 +204,17 @@ class ThresholdScan(Record):
 
 def check_grid(a_grid: np.ndarray | int) -> None:
     """ValueError unless the amplitude grid of a scan has at least 16
-    points, strictly increasing.  An int is the point count of a grid
-    not yet built, and only the count is checked."""
-    size = a_grid if isinstance(a_grid, int) else a_grid.size
+    points, strictly increasing.  An integer (not a bool) is the point
+    count of a grid not yet built, and only the count is checked;
+    anything else that is not an array is a ValueError."""
+    count = is_integer(a_grid)
+    if not (count or isinstance(a_grid, np.ndarray)):
+        raise ValueError("grid must be an array of amplitudes or a point "
+                         f"count, got {a_grid!r}")
+    size = int(a_grid) if count else a_grid.size
     if size < 16:
         raise ValueError(f"grid needs >= 16 points, got {size}")
-    if not isinstance(a_grid, int) and not np.all(np.diff(a_grid) > 0.0):
+    if not count and not np.all(np.diff(a_grid) > 0.0):
         raise ValueError("grid must be strictly increasing")
 
 

@@ -585,10 +585,11 @@ def test_lanes_that_step_then_underflow(dc_a):
         assert np.array_equal(traj.vdot, vdot)
 
 
-def test_lane_rows_are_released_when_a_lane_ends(dc_a):
-    # a lane keeps its steps' rows only while it runs: beyond the
-    # returned samples a 128-lane batch needs its row chunks, about 0.3
-    # MB, where keeping every lane's rows to the end would add 2.8 MB
+def test_lane_rows_are_released_when_the_samples_are_read(dc_a):
+    # an unread lane keeps its steps' rows, ROW floats a step, in place
+    # of its samples, and reading the samples drops them; beyond the
+    # grids and samples a 128-lane batch needs its row chunks, about
+    # 0.3 MB, where keeping the rows past the read would add 2.4 MB
     eq = dc_a.end("infinity").equation
     starts = [shooting.regular_start(a, dc_a, 12.0)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
@@ -596,12 +597,17 @@ def test_lane_rows_are_released_when_a_lane_ends(dc_a):
     tracemalloc.start()
     try:
         trajs = integrate_many(starts, eq, 12.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        unread, peak = tracemalloc.get_traced_memory()
+        for traj in trajs:
+            traj.v
+        read = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    kept = sum(traj.t.nbytes + traj.v.nbytes + traj.vdot.nbytes
-               for traj in trajs)
+    samples = sum(traj.v.nbytes + traj.vdot.nbytes for traj in trajs)
+    kept = samples + sum(traj.t.nbytes for traj in trajs)
+    rows = sum(8 * dop853.ROW * traj.stats.steps for traj in trajs)
     assert peak - kept < 1.5e6
+    assert read - unread < samples - 0.9 * rows
 
 
 @pytest.mark.parametrize("t_target,bad,name", [

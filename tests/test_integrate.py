@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from emdenlab import (
     classify_end,
     csv_round_trip,
     derive_constants,
+    dop853,
     end_window,
     fmt_float,
     forced_expansion,
@@ -28,6 +30,7 @@ from emdenlab import (
     read_trajectory_csv,
     reframe,
     shoot,
+    shoot_many,
     sweep,
     write_trajectory_csv,
 )
@@ -162,13 +165,26 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("kwargs", [
         dict(rtol=0.0), dict(atol=-1e-12), dict(max_step=0.0),
-        dict(amplitude_cap=-1.0),
+        dict(amplitude_cap=-1.0), dict(amplitude_cap=10 ** 400),
         # below 100 eps the error test asks more than doubles carry
         dict(rtol=0.5 * RTOL_MIN),
     ])
     def test_positivity_of_knobs(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    @pytest.mark.parametrize("name,value", [
+        ("max_step", True), ("rtol", np.True_),
+        ("dense_output_stride", np.int64(1)), ("max_step", np.float32(0.25)),
+        ("amplitude_cap", np.int64(10 ** 6)),
+    ])
+    def test_bool_is_not_a_number_and_numpy_numbers_are(self, name, value):
+        if isinstance(value, (bool, np.bool_)):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                IntegratorConfig(**{name: value})
+            return
+        got = getattr(IntegratorConfig(**{name: value}), name)
+        assert got == value and type(got) is type(value.item())
 
     def test_trajectory_needs_monotone_grid(self):
         with pytest.raises(ValueError):
@@ -191,6 +207,48 @@ def test_window_takes_the_grid_or_its_reverse(dc_a, t_target):
         for got, want in ((sub.t, traj.t), (sub.v, traj.v),
                           (sub.vdot, traj.vdot)):
             assert got.tobytes() == want[idx].tobytes()
+
+
+def holds_a_solution(traj) -> bool:
+    return any(isinstance(x, dop853.Solution) for x in vars(traj).values())
+
+
+class TestSamplesOnFirstRead:
+    @pytest.fixture
+    def dense_calls(self, monkeypatch):
+        """The Solutions whose dense output is evaluated, one per call."""
+        calls, evaluate = [], dop853.Solution.__call__
+
+        def counted(sol, ts):
+            calls.append(sol)
+            return evaluate(sol, ts)
+
+        monkeypatch.setattr(dop853.Solution, "__call__", counted)
+        return calls
+
+    def test_grid_shots_are_sampled_only_when_read(self, dc_a, dense_calls):
+        # criteria 8 and 9's lane batch: every shot loses positivity, a
+        # verdict read from its termination, so nothing is sampled
+        shots = shoot_many(np.concatenate(
+            [np.logspace(-2.0, 2.0, n) for n in (50, 64, 128)]), dc_a)
+        assert len(shots) == 242 and dense_calls == []
+        assert {shot.kind.value for shot in shots} == {"crosses_zero"}
+        traj = shots[100].trajectory
+        sol = traj._run
+        v, vdot = traj.v, traj.vdot
+        assert dense_calls == [sol] and not holds_a_solution(traj)
+        want_v, want_vdot = sol(traj.t)
+        assert np.array_equal(v, want_v) and np.array_equal(vdot, want_vdot)
+
+    def test_unread_run_survives_pickling(self, dc_a):
+        traj = shoot(1.0, dc_a).trajectory
+        assert holds_a_solution(traj)
+        back = pickle.loads(pickle.dumps(traj))
+        for name in ("t", "v", "vdot"):
+            assert getattr(back, name).tobytes() \
+                == getattr(traj, name).tobytes()
+        assert (back.termination, back.stats, back.config) \
+            == (traj.termination, traj.stats, traj.config)
 
 
 def old_series_start(a, r0, params, alpha):

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -211,6 +212,7 @@ BAD_PARAMS = [
     (dict(n=5, p=1.9, q=1.95, k1=0.0, k2=0.0), "at least one power"),
     (dict(n=5, p=1.9, q=1.95, k1=0.5), "toggles"),
     (dict(n=5, p=0.9, q=1.95), "p must exceed 1"),
+    (dict(n=5, p=1.9, q=10 ** 400), "q must be a finite number"),
 ]
 
 
@@ -221,6 +223,26 @@ class TestValidation:
     def test_rejects_bad_params(self, kwargs, reason):
         with pytest.raises(ValueError, match=reason):
             ProblemParams(**kwargs)
+
+    @pytest.mark.parametrize("name,value", [
+        ("n", True), ("l1", False), ("l2", np.False_), ("k1", True),
+        ("k2", np.True_),
+        ("n", np.int64(5)), ("p", np.float32(1.875)), ("q", np.float64(1.95)),
+        ("l1", np.int64(0)), ("l2", np.float32(-0.5)), ("k1", np.int64(1)),
+        ("k2", np.float64(1.0)),
+    ])
+    def test_bool_is_not_a_number_and_numpy_numbers_are(self, name, value):
+        # a bool is refused where its int value would pass; a numpy
+        # number is kept as the Python number it equals, which the
+        # params' JSON and run id take
+        kwargs = {"n": 5, "p": 1.9, "q": 1.95, "l2": -0.5, name: value}
+        if isinstance(value, (bool, np.bool_)):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                ProblemParams(**kwargs)
+            return
+        params = ProblemParams(**kwargs)
+        got = getattr(params, name)
+        assert got == value and type(got) is type(value.item())
 
     def test_single_term_ignores_inactive_side(self):
         # q and l2 are irrelevant with k2 = 0

@@ -173,6 +173,18 @@ class TestScan:
         with pytest.raises(ValueError, match="increasing"):
             scan_thresholds(short_shots[:15] + short_shots[:1])
 
+    @pytest.mark.parametrize("grid,reason", [
+        (np.int64(20), None), (np.int64(8), "grid needs >= 16 points, got 8"),
+        (True, "grid must be an array of amplitudes or a point count, got "
+               "True"),
+    ], ids=["numpy-count", "short-numpy-count", "bool"])
+    def test_grid_count_is_an_integer_not_a_bool(self, grid, reason):
+        if reason is None:
+            shooting.check_grid(grid)
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            shooting.check_grid(grid)
+
     def test_mixed_shots_rejected(self, dc_a, dc_b, short_shots,
                                   monkeypatch):
         # a scan bisects with its shots' settings, so they must be one
@@ -280,6 +292,20 @@ class TestScan:
         assert [shooting.effective_jobs(j) for j in (1, 2, 8)] == [1, 2, 2]
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: None)
         assert shooting.effective_jobs(8) == 1
+
+    @pytest.mark.parametrize("jobs,want", [
+        (np.int64(2), 2), (True, "jobs must be an integer, got True"),
+        (np.True_, "jobs must be an integer, got np.True_"),
+    ], ids=["numpy-int", "bool", "numpy-bool"])
+    def test_worker_count_is_an_integer_not_a_bool(self, jobs, want,
+                                                  monkeypatch):
+        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 4)
+        if isinstance(want, int):
+            got = shooting.effective_jobs(jobs)
+            assert got == want and type(got) is int
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            shooting.effective_jobs(jobs)
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0])
     def test_worker_count_below_1_rejected(self, short_shots, jobs,
