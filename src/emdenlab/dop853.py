@@ -11,11 +11,12 @@ It is specialised to y = (v, dv/dt) and to the two events that end a
 log-frame run: v falls through 0, or |v| rises through the amplitude cap.
 
 There are two cores over one tableau, one controller, one event
-locator and one result, Solution, whose __call__ is the dense output:
+locator, one dense-output builder and one result, Solution, whose
+__call__ is the dense output:
 
 - solve_ivp runs one start in plain floats.  Its step arithmetic is
   straight-line code compiled at import from the tableau below
-  (_compile_core), one flat expression per stage sum.
+  (_compile_attempt), one flat expression per stage sum.
 - solve_lanes runs L starts in lockstep on numpy arrays with the lane
   as the last axis.  Each lane keeps its own step size, error norm,
   accept/reject and events, and leaves the batch, its Solution yielded,
@@ -26,10 +27,14 @@ locator and one result, Solution, whose __call__ is the dense output:
   bit.  The lockstep loop costs more per iteration than one scalar run;
   it pays from about 12 lanes.
 
-Both keep each accepted step as a row of its dense-output coefficients
-and build the run's Solution from those rows when it ends; a zero span
-(t0 == t_bound) is a Solution without steps.  Neither samples: integrate
-reads every run through Solution.__call__.
+Both keep each accepted step as the stage values its interpolant needs
+(Solution.stages) and evaluate the three dense-output stages 13-15 only
+where they are read, as dop853.f does when no dense output is asked
+for: at once for the step an event is located on, and for every step
+of a run, vectorised over its steps by _dense_rows, when its Solution
+is first called.  A zero span (t0 == t_bound) is a Solution without
+steps.  Neither samples: integrate reads every run through
+Solution.__call__.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import math
 import sys
 from array import array
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -210,14 +216,25 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0  # error estimator of order 7
 EPS = sys.float_info.epsilon
 
-# one accepted step, a row of Solution.steps: t_old, h, then
+# one accepted step as a core keeps it: t_old, then y_old and f at the
+# stages in KEPT, each as (v, vdot).  f at stage 12 and the step's end
+# are the next step's f at stage 0 and its start (FSAL), and its h is
+# t_new - t_old as the core computed it, so they are kept only for a
+# run's last step, in Solution.tail (t_new, y_new, f at stage 12).
+KEPT = (0, 5, 6, 7, 8, 9, 10, 11)
+STEP = 3 + 2 * len(KEPT)
+
+# one step's dense-output row, as _dense_rows builds it: t_old, h, then
 # (y_old, F_0..F_6) for v and for vdot
 T_OLD, H, V_OLD, W_OLD, ROW = 0, 1, 2, 10, 18
 
 
 class SolverStats(NamedTuple):
-    """Work of one run: right-hand side evaluations, accepted steps (the
-    steps of its grid) and rejected step attempts."""
+    """Work of one run: right-hand side evaluations made while stepping
+    (2 for the initial step, 12 per step attempt and 3 for the step an
+    event is located on; reading the dense output evaluates 3 more per
+    step and is not counted), accepted steps (the steps of its grid)
+    and rejected step attempts."""
 
     nfev: int
     steps: int
@@ -229,32 +246,59 @@ def _rms(x, y) -> float:
 
 
 class Solution:
-    """Accepted steps, work counts and dense output of one run.
+    """Accepted steps, work counts and dense output of one run, as
+    arrays.
 
-    steps holds one row per accepted step (see T_OLD) and t the start of
-    each step, then t_end, where the run ended (the event time when an
-    event ended it).  status is how the run ended.
+    t holds the start of each step, then t_end, where the run ended (the
+    event time when an event ended it).  stages holds one row per step:
+    y_old and f at the stages in KEPT (a STEP row without its t_old), and
+    tail the end of the last step (t_new, y_new, f there); a run without
+    steps has an empty tail.  status is how the run ended, lanes whether
+    solve_lanes made it.  The dense-output rows are built from these by
+    the first __call__, which takes the run's right-hand side.
     """
 
-    def __init__(self, rows, t_end: float, nfev: int, rejected: int,
-                 status):
-        self.steps = np.asarray(rows, dtype=float).reshape(-1, ROW)
-        self.t = np.append(self.steps[:, T_OLD], t_end)
+    def __init__(self, steps, tail, t_end: float, nfev: int, rejected: int,
+                 status, lanes: bool = False):
+        steps = np.asarray(steps, dtype=float).reshape(-1, STEP)
+        self.t = np.append(steps[:, 0], t_end)
+        self.stages = steps[:, 1:].copy()
+        self.tail = np.array(tail, dtype=float)
         self.nfev = nfev
         self.status = status
-        self.stats = SolverStats(nfev, len(self.steps), rejected)
+        self.lanes = lanes
+        self.stats = SolverStats(nfev, len(self.stages), rejected)
+        self._rows = None
 
-    def __call__(self, ts: np.ndarray):
+    def dense(self, fun) -> np.ndarray:
+        """The (ROW, steps) dense-output rows of the run's steps, one
+        column a step, built by the first call.  fun is the run's
+        right-hand side as its core took it: solve_ivp's fun(t, y), or
+        solve_lanes' fun(t, v, vdot) when lanes is set."""
+        if self._rows is None:
+            n = len(self.stages)
+            ends = np.empty((5, n))
+            if n:
+                # a step ends where the next starts
+                ends[0, :-1] = self.t[1:-1]
+                ends[1:, :-1] = self.stages[1:, :4].T
+                ends[:, -1] = self.tail
+            self._rows = _dense_rows(fun if self.lanes else _per_element(fun),
+                                     self.t[:-1], self.stages.T, ends)
+        return self._rows
+
+    def __call__(self, ts: np.ndarray, fun):
         """(v, vdot) at the times ts, each from its step's interpolant
-        (a time on a step boundary takes the earlier step in t)."""
-        n = len(self.steps)
+        (a time on a step boundary takes the earlier step in t); fun as
+        for dense."""
+        cols = self.dense(fun)
+        n = len(self.stages)
         if self.t[-1] >= self.t[0]:
             seg = np.searchsorted(self.t, ts, side="left") - 1
             seg = np.clip(seg, 0, n - 1)
         else:
             seg = np.searchsorted(self.t[::-1], ts, side="right") - 1
             seg = n - 1 - np.clip(seg, 0, n - 1)
-        cols = self.steps.T
         x = (ts - cols[T_OLD, seg]) / cols[H, seg]
         return tuple(_horner(lambda i, b=base: cols[b + i, seg], x)
                      for base in (V_OLD, W_OLD))
@@ -365,19 +409,66 @@ def _growth(error: float) -> float:
     return SAFETY * error ** ERROR_EXPONENT
 
 
-class _Core(NamedTuple):
-    """One step of the scalar core as straight-line float code over the
-    stage values k0v, k0w, ..., k15w (see _compile_core).
+def _dense(rows, cols):
+    """Sparse tableau rows as a (rows, len(cols), 1, 1) array over the
+    stages cols, zero where a row has no entry (zeros add nothing to a
+    sum taken in tableau order).  Its sums run along the stage axis of
+    (stages, 2, n) arrays, one row after the other.  numpy would sum a
+    lone 1-d axis pairwise instead; the (v, vdot) axis keeps the rows 2
+    wide even for one lane or step."""
+    out = np.zeros((len(rows), len(cols), 1, 1))
+    for i, row in enumerate(rows):
+        for j, a in row:
+            out[i, cols.index(j)] = a
+    return out
 
-    attempt(fun, t, h, v, w, k0v, k0w) evaluates stages 1-12 and returns
-    (v_new, w_new, k12v, k12w, e5v, e5w, e3v, e3w, ks): the new state,
-    f there, the unscaled error estimates and ks, the stage values k0v
-    ... k12w.  dense(fun, t, h, v, w, v_new, w_new, ks) evaluates stages
-    13-15 of the accepted step and returns its row of Solution.steps.
+
+# the dense output's sums over the stages _D_COLS: stages 13-15 over the
+# stages before each, the four D rows over all twelve
+A_DENSE = [_dense([A[s]], _D_COLS[:_D_COLS.index(s)])[0]
+           for s in (13, 14, 15)]
+D_DENSE = _dense(D, _D_COLS)
+
+
+def _dense_rows(fun, t, stages, ends) -> np.ndarray:
+    """The (ROW, n) dense-output rows of n steps, one column a step.
+
+    t holds the steps' starts, stages their Solution.stages rows as
+    columns (18, n) and ends their ends (t_new, y_new, f there) as
+    columns (5, n).  fun(t, v, vdot) evaluates stages 13-15 on arrays of
+    steps.  The sums are taken as the lane core takes its stage sums,
+    so a step's row is the same whichever run or batch it is built in.
     """
+    n = t.size
+    h = ends[0] - t
+    y = stages[:2]
+    K = np.empty((len(_D_COLS), 2, n))  # f at the stages _D_COLS
+    K[:len(KEPT)] = stages[2:].reshape(len(KEPT), 2, n)
+    K[len(KEPT)] = ends[3:]
+    for m, (s, a) in enumerate(zip((13, 14, 15), A_DENSE), len(KEPT) + 1):
+        ys = y + (a * K[:m]).sum(0) * h
+        K[m, 0], K[m, 1] = fun(t + C[s] * h, ys[0], ys[1])
+    dy = ends[1:3] - y
+    row = np.empty((ROW, n))
+    row[T_OLD], row[H] = t, h
+    coef = row[V_OLD:].reshape(2, 8, n)  # v's, then vdot's
+    coef[:, 0], coef[:, 1] = y, dy
+    coef[:, 2] = h * K[0] - dy
+    coef[:, 3] = 2.0 * dy - h * (K[len(KEPT)] + K[0])
+    for i, d in enumerate(D_DENSE, 4):
+        coef[:, i] = h * (d * K).sum(0)
+    return row
 
-    attempt: object
-    dense: object
+
+def _per_element(fun):
+    """solve_ivp's fun(t, y) as a lane evaluator fun(t, v, vdot) that
+    calls it once per element in floats, so a scalar run's stages are
+    rounded as math rounds them."""
+    def lanes(t, v, w):
+        f = chain.from_iterable(map(fun, t.tolist(),
+                                    zip(v.tolist(), w.tolist())))
+        return np.fromiter(f, float, 2 * t.size).reshape(-1, 2).T
+    return lanes
 
 
 def _sum(row, y: str) -> str:
@@ -391,20 +482,19 @@ def _stage(s: int, row) -> str:
             f" * h, w + ({_sum(row, 'w')}) * h))\n")
 
 
-def _record(y: str, d) -> str:
-    """One component's half of a Solution.steps row: y_old, F0 ... F6."""
-    return (f"{y}, d{y}, h * k0{y} - d{y}, 2.0 * d{y} - h * (k12{y} + k0{y}), "
-            + ", ".join(f"h * ({_sum(row, y)})" for row in d))
+def _compile_attempt(a, b, e5, e3):
+    """The scalar core's step attempt for the tableau rows a (stages
+    1-11), b, e5 and e3, compiled from one flat expression per sum as
+    Hairer's dop853.f writes them.  Each sum adds its products in its
+    row's order, as the lane core does, without a leading 0.0 (which
+    could change only the sign of a sum that is exactly zero).
 
-
-def _compile_core(a, b, e5, e3, d) -> _Core:
-    """The scalar core's step arithmetic for the tableau rows a (stages
-    1-11 and 13-15), b, e5, e3 and the dense-output rows d, compiled
-    from one flat expression per sum as Hairer's dop853.f writes them.
-    Each sum adds its products in its row's order, as the lane core does,
-    without a leading 0.0 (which could change only the sign of a sum
-    that is exactly zero)."""
-    ks = ", ".join(f"k{s}v, k{s}w" for s in range(13))
+    attempt(fun, t, h, v, w, k0v, k0w) evaluates stages 1-12 and returns
+    (v_new, w_new, k12v, k12w, e5v, e5w, e3v, e3w, ks): the new state, f
+    there, the unscaled error estimates and ks, f at stages 5-11 as
+    (k5v, k5w, ..., k11v, k11w).
+    """
+    ks = ", ".join(f"k{s}v, k{s}w" for s in KEPT[1:])
     src = f"""\
 def attempt(fun, t, h, v, w, k0v, k0w):
 {"".join(_stage(s, a[s]) for s in range(1, 12))}\
@@ -413,19 +503,13 @@ def attempt(fun, t, h, v, w, k0v, k0w):
     k12v, k12w = fun(t + h, (v_new, w_new))
     return (v_new, w_new, k12v, k12w, {_sum(e5, 'v')}, {_sum(e5, 'w')},
             {_sum(e3, 'v')}, {_sum(e3, 'w')}, ({ks}))
-
-def dense(fun, t, h, v, w, v_new, w_new, ks):
-    {ks} = ks
-{"".join(_stage(s, a[s]) for s in range(13, 16))}\
-    dv, dw = v_new - v, w_new - w
-    return (t, h, {_record('v', d)}, {_record('w', d)})
 """
     code = {}
     exec(compile(src, "<dop853 step>", "exec"), code)
-    return _Core(code["attempt"], code["dense"])
+    return code["attempt"]
 
 
-_CORE = _compile_core(A, B, E5, E3, D)
+_ATTEMPT = _compile_attempt(A, B, E5, E3)
 
 
 def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
@@ -438,15 +522,15 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
     span (t0 == t_bound) takes no step and evaluates no fun.
     """
     if t0 == t_bound:
-        return Solution((), t0, 0, 0, TerminationKind.REACHED_SPAN_END)
-    attempt, dense = _CORE
+        return Solution((), (), t0, 0, 0, TerminationKind.REACHED_SPAN_END)
+    attempt = _ATTEMPT
     direction = 1.0 if t_bound > t0 else -1.0
     t, (v, w) = t0, y0
     k0v, k0w = fun(t, (v, w))
     h_abs = _initial_step(fun, t, v, w, k0v, k0w, t_bound, direction,
                           rtol, atol, max_step)
     nfev, n_rejected = 2, 0
-    steps = array("d")
+    steps, tail = array("d"), ()
     status = None
     while status is None:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -457,7 +541,7 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                return Solution(steps, t, nfev, n_rejected,
+                return Solution(steps, tail, t, nfev, n_rejected,
                                 TerminationKind.STEP_UNDERFLOW)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0.0:
@@ -494,43 +578,34 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
             rejected = True
             n_rejected += 1
 
-        # dense output of the accepted step
-        step = dense(fun, t, h, v, w, v_new, w_new, ks)
-        nfev += 3
-        steps.extend(step)
+        step = (t, v, w, k0v, k0w, *ks)
+        end = (t_new, v_new, w_new, k12v, k12w)
         hits = _crossings(v, v_new, cap)
         t_old, t, v, w = t, t_new, v_new, w_new
         k0v, k0w = k12v, k12w
         if direction * (t - t_bound) >= 0.0:
             status = TerminationKind.REACHED_SPAN_END
         if hits:
+            # the interpolant of the step an event is located on
+            row = _dense_rows(_per_element(fun), np.array(step[:1]),
+                              np.array(step[1:])[:, None],
+                              np.array(end)[:, None])
+            nfev += 3
             t, status = _first_event(hits, t_old, t, h,
-                                     step[V_OLD:V_OLD + 8].__getitem__,
-                                     direction)
-            if t == t_old and len(steps) > ROW:
-                # the event sits on the previous grid point: drop the step
-                del steps[-ROW:]
-    return Solution(steps, t, nfev, n_rejected, status)
+                                     row[V_OLD:V_OLD + 8, 0].tolist()
+                                     .__getitem__, direction)
+            if t == t_old and steps:
+                break  # the event sits on the previous grid point: drop
+        steps.extend(step)
+        tail = end
+    return Solution(steps, tail, t, nfev, n_rejected, status)
 
 
-# The lane core's tableau rows, dense (zeros add nothing to a sum taken
-# in tableau order): row s of A over stages 0..s-1; b, e5 and e3 over
-# stages 0..11; the four dense-output rows over stages 0..15.  Its sums
-# run along the stage axis of (stages, 2, L) arrays, one row after the
-# other.  numpy would sum a lone 1-d axis pairwise instead; the (v, vdot)
-# axis keeps the rows 2 wide even for one lane.
-def _dense(rows, width):
-    out = np.zeros((len(rows), width, 1, 1))
-    for i, row in enumerate(rows):
-        for j, a in row:
-            out[i, j] = a
-    return out
-
-
-A_LANES = [None] + [_dense([A[s]], s)[0] for s in range(1, 16)]
-BE_LANES = _dense([B, E5, E3], 12)
-D_LANES = _dense(D, 16)
-C_LANES = np.array(C)[:, None]
+# the lane core's tableau rows: row s of A over stages 0..s-1; b, e5 and
+# e3 over stages 0..11
+A_LANES = [None] + [_dense([A[s]], range(s))[0] for s in range(1, 12)]
+BE_LANES = _dense([B, E5, E3], range(12))
+C_LANES = np.array(C[:13])[:, None]
 
 
 class _Lanes:
@@ -544,8 +619,8 @@ class _Lanes:
             setattr(self, name, val[..., mask])
 
 
-# a running lane keeps its Solution.steps rows in chunks of this many steps
-ROW_CHUNK = 16
+# a running lane keeps its steps in chunks of this many
+STEP_CHUNK = 16
 
 
 def _one_lane(fun):
@@ -565,21 +640,22 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     fun evaluates the system on arrays of lanes.  t0 holds the L start
     times and y0 the (2, L) start states.  Each lane ends as solve_ivp's
     run from its start ends, with the same Solution; a start at t_bound
-    is yielded first, without steps.  A lane keeps its accepted steps as
-    Solution rows while it runs and hands them over when it ends, so
-    rows are held only for the running lanes.  The controller's power
-    and the initial step are taken per lane in floats, as solve_ivp
-    takes them; everything else is lane-wise array arithmetic.
+    is yielded first, without steps.  A lane keeps its accepted steps
+    while it runs and hands them over when it ends, so steps are held
+    only for the running lanes.  The controller's power and the initial
+    step are taken per lane in floats, as solve_ivp takes them;
+    everything else is lane-wise array arithmetic.
     """
     t = np.array(t0, dtype=float)
     y = np.array(y0, dtype=float).reshape(2, t.size)
     n_lanes = t.size
     for i in np.flatnonzero(t == t_bound).tolist():
-        yield i, Solution((), t[i], 0, 0, TerminationKind.REACHED_SPAN_END)
+        yield i, Solution((), (), t[i], 0, 0,
+                          TerminationKind.REACHED_SPAN_END, lanes=True)
     lane = np.flatnonzero(t != t_bound)
     t, y = t[lane], y[:, lane]
     d = np.where(t_bound > t, 1.0, -1.0)
-    K = np.empty((16, 2, lane.size))
+    K = np.empty((13, 2, lane.size))
     K[0, 0], K[0, 1] = fun(t, y[0], y[1])
     one = _one_lane(fun)
     h_abs = np.array([
@@ -589,18 +665,21 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     nfev = np.full(n_lanes, 2)
     steps = np.zeros(n_lanes, dtype=int)
     rejected = np.zeros(n_lanes, dtype=int)
-    # each lane's latest rows, and its full chunks
-    chunk = np.empty((n_lanes, ROW_CHUNK, ROW))
+    # each lane's latest steps, its full chunks and the end of its last
+    # step
+    chunk = np.empty((n_lanes, STEP_CHUNK, STEP))
     fill = np.zeros(n_lanes, dtype=int)
     parts = [[] for _ in range(n_lanes)]
+    tail = np.empty((n_lanes, 5))
     s = _Lanes(lane=lane, t=t, y=y, K=K, h_abs=h_abs, d=d,
                rej=np.zeros(lane.size, dtype=bool))
 
     def finish(i, status, t_end):
         rows = np.concatenate(parts[i] + [chunk[i, :fill[i]]])
         parts[i] = []
-        return int(i), Solution(rows, t_end, int(nfev[i]), int(rejected[i]),
-                                status)
+        return int(i), Solution(rows, tail[i] if len(rows) else (), t_end,
+                                int(nfev[i]), int(rejected[i]), status,
+                                lanes=True)
 
     while s.lane.size:
         t, d = s.t, s.d
@@ -649,45 +728,43 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
         if not ok.any():
             continue
 
-        # the accepted lanes: dense output, events, rows
+        # the accepted lanes: their steps, events and ends
         pos = np.flatnonzero(ok)
         a = slice(None) if pos.size == ok.size else pos
-        lane, Ka, ha, ta = s.lane[a], K[:, :, a], h[a], t[a]
-        ya, yn, t_stage, da = y[:, a], y_new[:, a], t_stage[:, a], d[a]
-        for i in range(13, 16):
-            yi = ya + (A_LANES[i] * Ka[:i]).sum(0) * ha
-            Ka[i, 0], Ka[i, 1] = fun(t_stage[i], yi[0], yi[1])
-        nfev[lane] += 3
-        dy = yn - ya
-        row = np.empty((ROW, lane.size))
-        row[T_OLD], row[H] = ta, ha
-        coef = row[V_OLD:].reshape(2, 8, lane.size)  # v's, then vdot's
-        coef[:, 0], coef[:, 1] = ya, dy
-        coef[:, 2] = ha * Ka[0] - dy
-        coef[:, 3] = 2.0 * dy - ha * (Ka[12] + Ka[0])
-        coef[:, 4:] = (ha * (D_LANES * Ka).sum(1)).swapaxes(0, 1)
+        lane, Ka, ha, ta, da = s.lane[a], K[:, :, a], h[a], t[a], d[a]
+        ya, yn = y[:, a], y_new[:, a]
+        step = np.empty((STEP, lane.size))
+        step[0], step[1:3] = ta, ya
+        step[3:] = Ka[list(KEPT)].reshape(STEP - 3, lane.size)
+        end = np.concatenate((t_new[a][None], yn, Ka[12]))
 
-        t_end = t_new[a].copy()
+        t_end = end[0].copy()
         ended = dict.fromkeys(np.flatnonzero(da * (t_end - t_bound) >= 0.0),
                               TerminationKind.REACHED_SPAN_END)
         grew = np.ones(lane.size, dtype=bool)
         v0, v1 = ya[0], yn[0]
-        maybe = ((v0 >= 0.0) & (v1 <= 0.0)) \
-            | ((np.abs(v0) - cap <= 0.0) & (np.abs(v1) - cap >= 0.0))
-        for j in np.flatnonzero(maybe):
+        hit = np.flatnonzero(((v0 >= 0.0) & (v1 <= 0.0))
+                             | ((np.abs(v0) - cap <= 0.0)
+                                & (np.abs(v1) - cap >= 0.0)))
+        if hit.size:
+            # the interpolants of the steps an event is located on
+            rows = _dense_rows(fun, ta[hit], step[1:, hit], end[:, hit])
+            nfev[lane[hit]] += 3
+        for k, j in enumerate(hit.tolist()):
             hits = _crossings(float(v0[j]), float(v1[j]), cap)
             t_old = float(ta[j])
             t_end[j], ended[j] = _first_event(
                 hits, t_old, float(t_end[j]), float(ha[j]),
-                row[V_OLD:V_OLD + 8, j].tolist().__getitem__, float(da[j]))
+                rows[V_OLD:V_OLD + 8, k].tolist().__getitem__, float(da[j]))
             # an event on the previous grid point drops the step
             grew[j] = t_end[j] != t_old or steps[lane[j]] == 0
 
         new = lane[grew]
-        chunk[new, fill[new]] = row[:, grew].T
+        chunk[new, fill[new]] = step[:, grew].T
+        tail[new] = end[:, grew].T
         fill[new] += 1
         steps[new] += 1
-        full = new[fill[new] == ROW_CHUNK]
+        full = new[fill[new] == STEP_CHUNK]
         for i in full.tolist():
             parts[i].append(chunk[i].copy())
         fill[full] = 0

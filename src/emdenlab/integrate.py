@@ -33,9 +33,10 @@ numpy's exp and power rounding 1 ulp away from math's.  Both evaluate
 the one acceleration expression log_frame_rhs compiles from the term
 table.  One function, _trajectory, turns every run into a Trajectory:
 its stride_grid, the Solution that samples it there when the samples
-are first read, its termination and its work in Trajectory.stats.  The
-lockstep loop costs more per step than a scalar run and pays from about
-12 starts.
+are first read, the FrameEquation whose right-hand side that read
+passes to it (the Solution builds its steps' interpolants then), its
+termination and its work in Trajectory.stats.  The lockstep loop costs
+more per step than a scalar run and pays from about 12 starts.
 """
 
 from __future__ import annotations
@@ -127,11 +128,13 @@ class Trajectory:
     last samples).
 
     The trajectory of a solver run (of_run, as integrate and
-    integrate_many build it) holds its grid t and the run's
-    dop853.Solution; v and vdot are made together from the Solution
-    the first time either is read, and the Solution is then dropped.
-    A run whose verdict needs only t and its termination (a shot that
-    loses positivity) is never sampled.
+    integrate_many build it) holds its grid t, the run's
+    dop853.Solution and the FrameEquation it solved; v and vdot are
+    made together from the Solution, given that equation's right-hand
+    side, the first time either is read, and both are then dropped.  A
+    run whose verdict needs only t and its termination (a shot that
+    loses positivity) is never sampled, and its steps' interpolants are
+    never built.
     """
 
     alpha: float
@@ -147,14 +150,16 @@ class Trajectory:
         self._set_samples(self.v, self.vdot)
 
     @classmethod
-    def of_run(cls, alpha: float, t: np.ndarray, sol: Solution,
+    def of_run(cls, eq: FrameEquation, t: np.ndarray, sol: Solution,
                termination: Termination,
                config: IntegratorConfig) -> "Trajectory":
-        """The trajectory of the run sol on the grid t, sampled by sol(t)
-        when v or vdot is first read."""
+        """The trajectory of the run sol of eq on the grid t, sampled by
+        sol(t, fun), fun eq's right-hand side, when v or vdot is first
+        read."""
         traj = cls.__new__(cls)
-        traj.alpha, traj.t, traj.termination = alpha, t, termination
-        traj.config, traj.stats, traj._run = config, sol.stats, sol
+        traj.alpha, traj.t, traj.termination = eq.alpha, t, termination
+        traj.config, traj.stats = config, sol.stats
+        traj._run, traj._eq = sol, eq
         traj._check_grid()
         return traj
 
@@ -165,8 +170,9 @@ class Trajectory:
         if run is None or name not in ("v", "vdot"):
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
-        self._set_samples(*run(self.t))
-        del self._run
+        rhs = log_frame_rhs(self._eq)
+        self._set_samples(*run(self.t, rhs.lanes if run.lanes else rhs))
+        del self._run, self._eq
         return self.__dict__[name]
 
     def _check_grid(self):
@@ -335,19 +341,19 @@ def stride_grid(t0: float, t_last: float, stride: float) -> np.ndarray:
     return ts
 
 
-def _trajectory(start: State, alpha: float, sol: Solution,
+def _trajectory(start: State, eq: FrameEquation, sol: Solution,
                 config: IntegratorConfig) -> Trajectory:
-    """The Trajectory of the solver run sol from start: sol on
+    """The Trajectory of the solver run sol of eq from start: sol on
     stride_grid from start.t to where the run ended, sampled when first
     read (Trajectory.of_run), or the start alone when it ended where it
     started (a zero span, an underflow at the first step)."""
     term = Termination(sol.status, float(sol.t[-1]))
     if term.t == start.t:
-        return Trajectory(alpha, [start.t], [start.v], [start.vdot], term,
+        return Trajectory(eq.alpha, [start.t], [start.v], [start.vdot], term,
                           config, sol.stats)
     return Trajectory.of_run(
-        alpha, stride_grid(start.t, term.t, config.dense_output_stride),
-        sol, term, config)
+        eq, stride_grid(start.t, term.t, config.dense_output_stride), sol,
+        term, config)
 
 
 def integrate(start: State, eq: FrameEquation, t_target: float,
@@ -367,7 +373,7 @@ def integrate(start: State, eq: FrameEquation, t_target: float,
     sol = solve_ivp(log_frame_rhs(eq), start.t, t_target,
                     (start.v, start.vdot), config.rtol, config.atol,
                     config.max_step, config.amplitude_cap)
-    return _trajectory(start, eq.alpha, sol, config)
+    return _trajectory(start, eq, sol, config)
 
 
 def integrate_many(starts, eq: FrameEquation, t_target: float,
@@ -377,7 +383,8 @@ def integrate_many(starts, eq: FrameEquation, t_target: float,
 
     Each lane takes the steps that integrate takes, and _trajectory
     turns its Solution into a Trajectory when the lane ends; an unread
-    lane keeps the Solution's rows until its samples are first read.
+    lane keeps the Solution's stage values until its samples are first
+    read.
     The two cores differ only where numpy's exp and power round
     differently from math's (1 ulp in a few percent of values), which
     moves the samples at roundoff.  The lockstep loop pays from about
@@ -393,7 +400,7 @@ def integrate_many(starts, eq: FrameEquation, t_target: float,
             [start.t for start in starts], t_target,
             [[start.v for start in starts], [start.vdot for start in starts]],
             config.rtol, config.atol, config.max_step, config.amplitude_cap):
-        trajs[i] = _trajectory(starts[i], eq.alpha, sol, config)
+        trajs[i] = _trajectory(starts[i], eq, sol, config)
     return trajs
 
 

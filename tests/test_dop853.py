@@ -1,6 +1,8 @@
 """The in-repo DOP853 against scipy's, which stays the tests' reference,
 its generated scalar core against the loop formulation of the same
-tableau, and its lane core against the scalar core."""
+tableau, its lane core against the scalar core, and the dense-output
+rows it builds on first read against the rows the loop formulation
+makes of each accepted step as it is taken."""
 
 import math
 import tracemalloc
@@ -95,12 +97,11 @@ def reversed_rows(rows):
     return tuple(tuple(reversed(row)) for row in rows)
 
 
-# The scalar core with every stage sum taken in the opposite order: the
-# same sums, rounded differently.
-REVERSED_CORE = dop853._compile_core(
+# The scalar core's step attempt with every stage sum taken in the
+# opposite order: the same sums, rounded differently.
+REVERSED_CORE = dop853._compile_attempt(
     reversed_rows(dop853.A),
-    *reversed_rows((dop853.B, dop853.E5, dop853.E3)),
-    reversed_rows(dop853.D))
+    *reversed_rows((dop853.B, dop853.E5, dop853.E3)))
 
 
 def run_ours(params, alpha, start, t_target, cap=CONFIG.amplitude_cap):
@@ -110,7 +111,7 @@ def run_ours(params, alpha, start, t_target, cap=CONFIG.amplitude_cap):
 
 
 def run_reversed(params, alpha, start, t_target):
-    with mock.patch.object(dop853, "_CORE", REVERSED_CORE):
+    with mock.patch.object(dop853, "_ATTEMPT", REVERSED_CORE):
         return run_ours(params, alpha, start, t_target)
 
 
@@ -144,13 +145,38 @@ def test_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
     if ours.t.shape == reordered.t.shape \
             and np.max(np.abs(ours.t - reordered.t)) <= 1e-13:
         assert len(ours.t) == len(theirs.t)
-        assert ours.nfev == theirs.nfev
+        # scipy evaluates the dense-output stages of every step as it is
+        # taken; ours evaluates them for the step an event is located on
+        # and, on read, for every step
+        on_read = count_dense_reads(ours, log_frame_rhs(
+            frame_equation(params, alpha)))
+        assert on_read == 3 * ours.stats.steps
+        assert ours.nfev + on_read - 3 * located(ours) == theirs.nfev
         tol = 1e-12
     assert abs(ours.t[-1] - theirs.t[-1]) <= tol
     v, vdot = theirs.sol(traj.t)
     assert np.max(np.abs(traj.v - v)) <= tol * np.max(np.abs(v))
     assert np.max(np.abs(traj.vdot - vdot)) \
         <= tol * max(np.max(np.abs(vdot)), 1.0)
+
+
+def located(sol) -> int:
+    """1 when an event ended the run sol, else 0."""
+    return int(sol.status in (TerminationKind.POSITIVITY_LOST,
+                              TerminationKind.AMPLITUDE_CAP))
+
+
+def count_dense_reads(sol, rhs) -> int:
+    """The right-hand side evaluations that building sol's dense output
+    makes; rhs is its fun(t, y)."""
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    sol.dense(counted)
+    return len(calls)
 
 
 def test_amplitude_cap_branch(dc_a):
@@ -192,8 +218,8 @@ def test_reversed_core_moves_a_rounding_decided_grid():
     # changes the run where rounding picks the steps
     plain = run_ours(*ROUNDING_DECIDED)
     reordered = run_reversed(*ROUNDING_DECIDED)
-    assert plain.stats == SolverStats(389, 21, 6)
-    assert reordered.stats == SolverStats(449, 21, 11)
+    assert plain.stats == SolverStats(329, 21, 6)
+    assert reordered.stats == SolverStats(389, 21, 11)
     assert not same_grid(*ROUNDING_DECIDED)
     assert abs(plain.t[-1] - reordered.t[-1]) <= 1e-12
 
@@ -237,7 +263,24 @@ def loop_dense(fun, t, h, v, w, v_new, w_new, ks):
     return step
 
 
-LOOP_CORE = dop853._Core(loop_attempt, loop_dense)
+def loop_run(fun, t0, t_bound, y0, cap):
+    """The loop core's run of fun(t, y) and the rows loop_dense makes of
+    its accepted steps, as the core made them when it evaluated every
+    step's dense output while stepping: the oracle of the rows that
+    Solution.dense builds on first read."""
+    last = {}  # the last attempt from each t, the one accepted
+
+    def attempt(fun, t, h, v, w, k0v, k0w):
+        *out, (kv, kw) = loop_attempt(fun, t, h, v, w, k0v, k0w)
+        last[t] = (h, v, w, out[0], out[1], (kv, kw))
+        return (*out, tuple(k for s in dop853.KEPT[1:]
+                            for k in (kv[s], kw[s])))
+
+    with mock.patch.object(dop853, "_ATTEMPT", attempt):
+        sol = dop853.solve_ivp(fun, t0, t_bound, y0, CONFIG.rtol,
+                               CONFIG.atol, CONFIG.max_step, cap)
+    rows = [loop_dense(fun, t, *last[t]) for t in sol.t[:-1].tolist()]
+    return sol, np.array(rows).reshape(-1, dop853.ROW)
 
 
 def loop_rhs(params, alpha):
@@ -275,16 +318,22 @@ def loop_rhs(params, alpha):
     return rhs
 
 
+def same_run(sol, ref):
+    return sol.t.tobytes() == ref.t.tobytes() \
+        and sol.stages.tobytes() == ref.stages.tobytes() \
+        and sol.tail.tobytes() == ref.tail.tobytes() \
+        and (sol.stats, sol.status) == (ref.stats, ref.status)
+
+
 def assert_loop_core_run(params, alpha, start, t_target, cap):
-    """The generated core's run is the loop core's bit for bit."""
+    """The generated core's run is the loop core's bit for bit, and the
+    rows it builds on read are the loop core's eager rows."""
+    rhs = log_frame_rhs(frame_equation(params, alpha))
     ours = run_ours(params, alpha, start, t_target, cap)
-    with mock.patch.object(dop853, "_CORE", LOOP_CORE):
-        ref = dop853.solve_ivp(loop_rhs(params, alpha), start.t,
-                               t_target, (start.v, start.vdot), CONFIG.rtol,
-                               CONFIG.atol, CONFIG.max_step, cap)
-    assert ours.t.tobytes() == ref.t.tobytes()
-    assert ours.steps.tobytes() == ref.steps.tobytes()
-    assert (ours.stats, ours.status) == (ref.stats, ref.status)
+    ref, rows = loop_run(loop_rhs(params, alpha), start.t, t_target,
+                         (start.v, start.vdot), cap)
+    assert same_run(ours, ref)
+    assert ours.dense(rhs).T.tobytes() == rows.tobytes()
     return ours
 
 
@@ -321,6 +370,66 @@ def test_loop_core_cases(case, cap, kind, rejected):
     assert len(sol.t) > 2
     if rejected is not None:
         assert sol.stats.rejected == rejected
+
+
+def assert_rows_are_eager(fun, start, t_target, cap=CONFIG.amplitude_cap):
+    """Both cores' runs of the lane evaluator fun from start are the loop
+    core's run of it, and the rows each builds on read are the loop
+    core's eager rows byte for byte."""
+    one = dop853._one_lane(fun)
+    ref, rows = loop_run(one, start.t, t_target, (start.v, start.vdot), cap)
+    scalar = dop853.solve_ivp(one, start.t, t_target, (start.v, start.vdot),
+                              CONFIG.rtol, CONFIG.atol, CONFIG.max_step, cap)
+    (_, lane), = dop853.solve_lanes(
+        fun, [start.t], t_target, [[start.v], [start.vdot]], CONFIG.rtol,
+        CONFIG.atol, CONFIG.max_step, cap)
+    for sol, f in ((scalar, one), (lane, fun)):
+        assert same_run(sol, ref)
+        assert sol.dense(f).T.tobytes() == rows.tobytes()
+    return ref
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(params=problems(),
+       frame_name=st.sampled_from(["raw", "alpha1", "alpha2"]),
+       t0=st.floats(-2.0, 2.0), v0=st.floats(0.05, 3.0),
+       vdot0=st.floats(-2.0, 2.0), span=st.floats(0.2, 4.0),
+       forward=st.booleans(), cap=st.sampled_from([1e8, 4.0, 2.0]))
+def test_built_rows_are_the_eager_rows(params, frame_name, t0, v0, vdot0,
+                                       span, forward, cap):
+    dc = derive_constants(params)
+    alpha = {"raw": 0.0, "alpha1": dc.alpha1,
+             "alpha2": dc.alpha2}[frame_name]
+    assert_rows_are_eager(
+        log_frame_rhs(frame_equation(params, alpha)).lanes,
+        State(t0, v0, vdot0), t0 + span if forward else t0 - span, cap)
+
+
+def test_built_rows_of_runs_that_end_oddly(dc_a):
+    # the ends whose last step the packed layout treats apart: an event
+    # on the previous grid point drops the step that located it, so the
+    # run's last step ends where the dropped one started; a step size
+    # that underflows ends the run after its last step (near t = 2^46)
+    # or before its first (at 1e15, where 10 ulp of t exceeds max_step);
+    # a zero span has no step
+    lanes = log_frame_rhs(dc_a.end("infinity").equation).lanes
+    start = State(10.0, 1.5, 3.0)
+    base = assert_rows_are_eager(lanes, start, 13.0)
+    # a cap 1 ulp above v at the end of step 11: step 12 crosses it
+    # within rounding of its start
+    cap = math.nextafter(float(base.stages[11, 0]), math.inf)
+    ref = assert_rows_are_eager(lanes, start, 13.0, cap)
+    assert ref.status == TerminationKind.AMPLITUDE_CAP
+    assert ref.t[-1] == base.t[11]
+    assert ref.stats == SolverStats(2 + 12 * (12 + 2) + 3, 11, 2)
+    ref = assert_rows_are_eager(lanes, State(2.0 ** 46 - 0.5, 1.0, 0.0),
+                                2.0 ** 46 + 1.0)
+    assert ref.status == TerminationKind.STEP_UNDERFLOW
+    assert ref.stats.steps == 6
+    for start, t_target in ((State(1e15, 1.0, 0.0), 1e15 + 1.0),
+                            (State(1.5, 2.0, 0.5), 1.5)):
+        ref = assert_rows_are_eager(lanes, start, t_target)
+        assert ref.stats.steps == 0
 
 
 class Weighted:
@@ -449,14 +558,14 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a):
         + [State(0.0, 1.0, 0.0), State(0.0, 1.5, 3.0), State(0.0, 0.5, -1.0),
            State(13.5, 1.2, 0.1)]
     rhs = log_frame_rhs(eq)
+    one = dop853._one_lane(rhs.lanes)
     for start, traj in zip(starts, integrate_many(starts, eq, 12.0, config)):
-        sol = dop853.solve_ivp(dop853._one_lane(rhs.lanes), start.t, 12.0,
-                               (start.v, start.vdot), config.rtol,
-                               config.atol, config.max_step,
+        sol = dop853.solve_ivp(one, start.t, 12.0, (start.v, start.vdot),
+                               config.rtol, config.atol, config.max_step,
                                config.amplitude_cap)
         ts = stride_grid(start.t, float(sol.t[-1]),
                          config.dense_output_stride)
-        v, vdot = sol(ts)
+        v, vdot = sol(ts, one)
         assert traj.termination == Termination(sol.status, sol.t[-1])
         assert traj.stats == sol.stats
         assert np.array_equal(traj.t, ts)
@@ -526,7 +635,9 @@ def test_underflow_and_zero_span_lanes(dc_a):
     one = dop853.solve_ivp(rhs, t_target, t_target, (2.0, 0.5), CONFIG.rtol,
                            CONFIG.atol, CONFIG.max_step, CONFIG.amplitude_cap)
     for sol in (runs[0][1], one):
-        assert sol.t.tolist() == [t_target] and sol.steps.shape == (0, 18)
+        assert sol.t.tolist() == [t_target]
+        assert sol.stages.shape == (0, dop853.STEP - 1)
+        assert sol.tail.shape == (0,)
         assert sol.stats == SolverStats(0, 0, 0)
         assert sol.status == TerminationKind.REACHED_SPAN_END
 
@@ -539,7 +650,7 @@ def test_zero_span_is_an_empty_solution():
     sol = dop853.solve_ivp(fun, 1.5, 1.5, (2.0, 0.5), CONFIG.rtol,
                            CONFIG.atol, CONFIG.max_step,
                            CONFIG.amplitude_cap)
-    assert sol.t.tolist() == [1.5] and len(sol.steps) == 0
+    assert sol.t.tolist() == [1.5] and len(sol.stages) == 0
     assert sol.stats == SolverStats(0, 0, 0)
     assert sol.status == TerminationKind.REACHED_SPAN_END
 
@@ -568,14 +679,13 @@ def test_lanes_that_step_then_underflow(dc_a):
     config = IntegratorConfig(dense_output_stride=0.05)
     starts = [State(2.0 ** 46 - 0.5, 1.0, 0.0),
               State(2.0 ** 46 - 0.8, 1.2, 0.1)]
-    rhs = log_frame_rhs(eq)
+    one = dop853._one_lane(log_frame_rhs(eq).lanes)
     trajs = integrate_many(starts, eq, t_target, config)
     for start, traj, steps in zip(starts, trajs, (6, 9)):
-        sol = dop853.solve_ivp(dop853._one_lane(rhs.lanes), start.t,
-                               t_target, (start.v, start.vdot), config.rtol,
-                               config.atol, config.max_step,
+        sol = dop853.solve_ivp(one, start.t, t_target, (start.v, start.vdot),
+                               config.rtol, config.atol, config.max_step,
                                config.amplitude_cap)
-        v, vdot = sol(traj.t)
+        v, vdot = sol(traj.t, one)
         assert traj.termination == Termination(
             TerminationKind.STEP_UNDERFLOW, sol.t[-1])
         assert traj.stats == sol.stats and sol.stats.steps == steps
@@ -586,10 +696,11 @@ def test_lanes_that_step_then_underflow(dc_a):
 
 
 def test_lane_rows_are_released_when_the_samples_are_read(dc_a):
-    # an unread lane keeps its steps' rows, ROW floats a step, in place
-    # of its samples, and reading the samples drops them; beyond the
-    # grids and samples a 128-lane batch needs its row chunks, about
-    # 0.3 MB, where keeping the rows past the read would add 2.4 MB
+    # an unread lane keeps its steps, STEP floats a step (its Solution's
+    # t and stage values), in place of its samples, and reading the
+    # samples drops them; beyond the grids and samples a 128-lane batch
+    # needs its step chunks, about 0.3 MB, where keeping the steps past
+    # the read would add 2.5 MB
     eq = dc_a.end("infinity").equation
     starts = [shooting.regular_start(a, dc_a, 12.0)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
@@ -605,7 +716,7 @@ def test_lane_rows_are_released_when_the_samples_are_read(dc_a):
         tracemalloc.stop()
     samples = sum(traj.v.nbytes + traj.vdot.nbytes for traj in trajs)
     kept = samples + sum(traj.t.nbytes for traj in trajs)
-    rows = sum(8 * dop853.ROW * traj.stats.steps for traj in trajs)
+    rows = sum(8 * dop853.STEP * traj.stats.steps for traj in trajs)
     assert peak - kept < 1.5e6
     assert read - unread < samples - 0.9 * rows
 

@@ -94,13 +94,27 @@ class TestIntegrateCore:
         assert abs(traj.v[-1]) == pytest.approx(3.0, abs=1e-9)
 
     def test_stats_count_the_work(self, config_a, dc_a, tmp_path):
-        # 12 stages per attempt and 3 dense-output stages per accepted
-        # step, after the 2 evaluations of the initial step
-        traj = integrate(State(0.0, 1.0, 0.0), dc_a.end("infinity").equation,
-                         3.0, IntegratorConfig(max_step=0.5))
+        # the 2 evaluations of the initial step, 12 stages per attempt
+        # and the 3 dense-output stages of the step an event is located
+        # on; reading the samples builds every step's dense output and
+        # leaves the stats as they were
+        eq = dc_a.end("infinity").equation
+        traj = integrate(State(0.0, 1.0, 0.0), eq, 3.0,
+                         IntegratorConfig(max_step=0.5))
         stats = traj.stats
+        assert traj.termination.kind == TerminationKind.REACHED_SPAN_END
         assert stats.steps > 0 and stats.rejected > 0
-        assert stats.nfev == 2 + 15 * stats.steps + 12 * stats.rejected
+        assert stats.nfev == 2 + 12 * (stats.steps + stats.rejected)
+        start = regular_start(1.0, dc_a, 12.0)[1]
+        for crossed in (integrate(start, eq, 12.0),
+                        integrate_many([start, start], eq, 12.0)[1]):
+            s = crossed.stats
+            assert crossed.termination.kind == TerminationKind.POSITIVITY_LOST
+            assert s.nfev == 2 + 12 * (s.steps + s.rejected) + 3
+            crossed.v
+            assert crossed.stats == s
+        traj.v
+        assert traj.stats == stats
         assert reframe(traj, 0.0).stats == traj.stats
         assert traj.window((0.0, 1.0), 2).stats == traj.stats
         assert integrate(State(1.0, 1.0, 0.0), frame_equation(config_a, 0.0),
@@ -219,9 +233,9 @@ class TestSamplesOnFirstRead:
         """The Solutions whose dense output is evaluated, one per call."""
         calls, evaluate = [], dop853.Solution.__call__
 
-        def counted(sol, ts):
+        def counted(sol, ts, fun):
             calls.append(sol)
-            return evaluate(sol, ts)
+            return evaluate(sol, ts, fun)
 
         monkeypatch.setattr(dop853.Solution, "__call__", counted)
         return calls
@@ -237,18 +251,48 @@ class TestSamplesOnFirstRead:
         sol = traj._run
         v, vdot = traj.v, traj.vdot
         assert dense_calls == [sol] and not holds_a_solution(traj)
-        want_v, want_vdot = sol(traj.t)
+        want_v, want_vdot = sol(traj.t, log_frame_rhs(
+            dc_a.end("infinity").equation).lanes)
         assert np.array_equal(v, want_v) and np.array_equal(vdot, want_vdot)
 
+    def test_rows_are_built_for_crossings_and_reads_only(self, dc_a,
+                                                         monkeypatch):
+        # the same batch builds no run's dense output: the builder sees
+        # only the 242 steps a crossing is located on, and the shots'
+        # work counts the 3 stages of each; reading one shot's v and
+        # vdot builds its rows once
+        built, build = [], dop853._dense_rows
+
+        def counted(fun, t, stages, ends):
+            built.append(t.size)
+            return build(fun, t, stages, ends)
+
+        monkeypatch.setattr(dop853, "_dense_rows", counted)
+        shots = shoot_many(np.concatenate(
+            [np.logspace(-2.0, 2.0, n) for n in (50, 64, 128)]), dc_a)
+        assert {shot.kind.value for shot in shots} == {"crosses_zero"}
+        assert sum(built) == 242
+        for shot in shots:
+            s = shot.trajectory.stats
+            assert s.nfev == 2 + 12 * (s.steps + s.rejected) + 3
+        built.clear()
+        traj = shots[100].trajectory
+        traj.v, traj.vdot, traj.v
+        assert built == [traj.stats.steps]
+
     def test_unread_run_survives_pickling(self, dc_a):
-        traj = shoot(1.0, dc_a).trajectory
-        assert holds_a_solution(traj)
-        back = pickle.loads(pickle.dumps(traj))
-        for name in ("t", "v", "vdot"):
-            assert getattr(back, name).tobytes() \
-                == getattr(traj, name).tobytes()
-        assert (back.termination, back.stats, back.config) \
-            == (traj.termination, traj.stats, traj.config)
+        # a scalar shot, and a lane shot as scan's worker pool receives
+        # it: a Solution of arrays and the FrameEquation whose right-hand
+        # side reads it
+        for traj in (shoot(1.0, dc_a).trajectory,
+                     shoot_many([0.5, 1.0], dc_a)[1].trajectory):
+            assert holds_a_solution(traj)
+            back = pickle.loads(pickle.dumps(traj))
+            for name in ("t", "v", "vdot"):
+                assert getattr(back, name).tobytes() \
+                    == getattr(traj, name).tobytes()
+            assert (back.termination, back.stats, back.config) \
+                == (traj.termination, traj.stats, traj.config)
 
 
 def old_series_start(a, r0, params, alpha):
