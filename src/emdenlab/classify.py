@@ -50,20 +50,25 @@ def quadratic_extrema(t: np.ndarray, y: np.ndarray):
     """Interior extrema refined by a local parabola.
 
     Returns (times, values, kinds) with kinds +1 for maxima, -1 for
-    minima; consecutive extrema of a sampled sequence alternate.
+    minima; consecutive extrema of a sampled sequence alternate.  A
+    sample is an extremum where its two differences change sign, or
+    where the last sample repeats it after a change (the end plateau);
+    its parabola's offset is 0 where the second difference is 0.
     """
-    times, values, kinds = [], [], []
-    for i in range(1, t.size - 1):
-        d0 = y[i] - y[i - 1]
-        d1 = y[i + 1] - y[i]
-        if d0 * d1 < 0.0 or (d0 != 0.0 and d1 == 0.0 and i + 1 == t.size - 1):
-            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-            off = 0.0 if denom == 0.0 else 0.5 * (y[i - 1] - y[i + 1]) / denom
-            h = 0.5 * (t[i + 1] - t[i - 1])
-            times.append(t[i] + off * h)
-            values.append(y[i] - 0.25 * (y[i - 1] - y[i + 1]) * off)
-            kinds.append(1 if d0 > 0.0 else -1)
-    return np.array(times), np.array(values), np.array(kinds)
+    d = np.diff(y)
+    d0, d1 = d[:-1], d[1:]
+    hit = d0 * d1 < 0.0
+    if hit.size:
+        hit[-1] |= d0[-1] != 0.0 and d1[-1] == 0.0
+    i = np.flatnonzero(hit) + 1
+    ym, y0, yp = y[i - 1], y[i], y[i + 1]
+    denom = ym - 2.0 * y0 + yp
+    flat = denom == 0.0
+    off = 0.5 * (ym - yp) / np.where(flat, 1.0, denom)
+    off[flat] = 0.0
+    h = 0.5 * (t[i + 1] - t[i - 1])
+    return (t[i] + off * h, y0 - 0.25 * (ym - yp) * off,
+            np.where(d0[i - 1] > 0.0, 1, -1))
 
 
 @dataclass(frozen=True)

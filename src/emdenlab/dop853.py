@@ -14,9 +14,13 @@ There are two cores over one tableau, one controller, one event
 locator, one dense-output builder and one result, Solution, whose
 __call__ is the dense output:
 
-- solve_ivp runs one start in plain floats.  Its step arithmetic is
-  straight-line code compiled at import from the tableau below
-  (_compile_attempt), one flat expression per stage sum.
+- solve_ivp runs one start in plain floats.  Its step attempt is
+  straight-line code generated from the tableau below by one generator,
+  attempt_source, one flat expression per stage sum, with the
+  evaluation of f at each stage given to it as source: a call of fun
+  (_called_attempt, for any fun, compiled when the first one steps), or
+  f's expression inlined, which integrate.log_frame_rhs compiles once
+  per layout of its term table and hands over as fun.attempt.
 - solve_lanes runs L starts in lockstep on numpy arrays with the lane
   as the last axis.  Each lane keeps its own step size, error norm,
   accept/reject and events, and leaves the batch, its Solution yielded,
@@ -24,8 +28,13 @@ __call__ is the dense output:
   stage axis in tableau order, never a matrix product, so a lane's
   numbers do not depend on the batch it rides in, and with the same
   right-hand side values a lane takes the scalar core's steps bit for
-  bit.  The lockstep loop costs more per iteration than one scalar run;
-  it pays from about 12 lanes.
+  bit.  A fun that carries fun.stages is prepared once for an
+  attempt's 13 stage times (log_frame_rhs's computes each exponential
+  there once), and the attempt tests its values' finiteness once.  The
+  lockstep loop costs more per iteration than one scalar run: on a
+  2-CPU host, 64 regular CONFIG_A shots to t = 2 or 12 take 0.6 of the
+  time of a loop of scalar shots, 32 take 0.95-1.1 of it and 16 take
+  1.5-2.2 times as long (medians of 9 alternating repeats).
 
 Both keep each accepted step as the stage values its interpolant needs
 (Solution.stages) and evaluate the three dense-output stages 13-15 only
@@ -39,9 +48,11 @@ Solution.__call__.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
+from contextlib import nullcontext
 from enum import Enum
 from itertools import chain
 from typing import NamedTuple
@@ -477,39 +488,56 @@ def _sum(row, y: str) -> str:
     return " + ".join(f"{a!r} * k{j}{y}" for j, a in row)
 
 
-def _stage(s: int, row) -> str:
-    return (f"    k{s}v, k{s}w = fun(t + {C[s]!r} * h, (v + ({_sum(row, 'v')})"
-            f" * h, w + ({_sum(row, 'w')}) * h))\n")
+def _call(kv: str, kw: str, t: str, v: str, w: str) -> str:
+    """A stage evaluated by calling fun(t, y), as a line of source: f at
+    the time t and state (v, w), each a Python expression, into the
+    names kv and kw."""
+    return f"    {kv}, {kw} = fun({t}, ({v}, {w}))\n"
 
 
-def _compile_attempt(a, b, e5, e3):
-    """The scalar core's step attempt for the tableau rows a (stages
-    1-11), b, e5 and e3, compiled from one flat expression per sum as
+def attempt_source(a, b, e5, e3, stage=_call) -> str:
+    """Python source of the scalar core's step attempt for the tableau rows
+    a (stages 1-11), b, e5 and e3, one flat expression per sum as
     Hairer's dop853.f writes them.  Each sum adds its products in its
     row's order, as the lane core does, without a leading 0.0 (which
     could change only the sign of a sum that is exactly zero).
 
-    attempt(fun, t, h, v, w, k0v, k0w) evaluates stages 1-12 and returns
-    (v_new, w_new, k12v, k12w, e5v, e5w, e3v, e3w, ks): the new state, f
-    there, the unscaled error estimates and ks, f at stages 5-11 as
-    (k5v, k5w, ..., k11v, k11w).
+    stage(kv, kw, t, v, w) writes the evaluation of f at each stage as
+    source (see _call, the default); log_frame_rhs passes one that
+    inlines its acceleration.  The source defines
+    attempt(fun, t, h, v, w, k0v, k0w), which evaluates stages 1-12 and
+    returns (v_new, w_new, k12v, k12w, e5v, e5w, e3v, e3w, ks): the new
+    state, f there, the unscaled error estimates and ks, f at stages
+    5-11 as (k5v, k5w, ..., k11v, k11w).
     """
+    stages = "".join(
+        stage(f"k{s}v", f"k{s}w", f"t + {C[s]!r} * h",
+              f"v + ({_sum(a[s], 'v')}) * h", f"w + ({_sum(a[s], 'w')}) * h")
+        for s in range(1, 12))
     ks = ", ".join(f"k{s}v, k{s}w" for s in KEPT[1:])
-    src = f"""\
+    return f"""\
 def attempt(fun, t, h, v, w, k0v, k0w):
-{"".join(_stage(s, a[s]) for s in range(1, 12))}\
+{stages}\
     v_new = v + h * ({_sum(b, 'v')})
     w_new = w + h * ({_sum(b, 'w')})
-    k12v, k12w = fun(t + h, (v_new, w_new))
+{stage("k12v", "k12w", "t + h", "v_new", "w_new")}\
     return (v_new, w_new, k12v, k12w, {_sum(e5, 'v')}, {_sum(e5, 'w')},
             {_sum(e3, 'v')}, {_sum(e3, 'w')}, ({ks}))
 """
+
+
+# the rows of the method's step attempt: stages 1-11, b, e5 and e3
+TABLEAU = (A[:12], B, E5, E3)
+
+
+@functools.cache
+def _called_attempt():
+    """attempt_source's attempt for a fun(t, y) called at each stage, the
+    step attempt of a fun that carries none of its own; compiled when
+    the first such fun steps."""
     code = {}
-    exec(compile(src, "<dop853 step>", "exec"), code)
+    exec(compile(attempt_source(*TABLEAU), "<dop853 step>", "exec"), code)
     return code["attempt"]
-
-
-_ATTEMPT = _compile_attempt(A, B, E5, E3)
 
 
 def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
@@ -519,11 +547,15 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
     The run ends at t_bound, at the first time v falls through 0 or |v|
     rises through cap (whichever comes first in the direction of
     integration), or when the step size underflows 10 ulp of t.  A zero
-    span (t0 == t_bound) takes no step and evaluates no fun.
+    span (t0 == t_bound) takes no step and evaluates no fun.  A fun may
+    carry its own step attempt as fun.attempt, attempt_source's with
+    fun's evaluation inlined at each stage (log_frame_rhs's does); it
+    then steps with that, and calls fun only for the initial step and
+    the dense output.
     """
     if t0 == t_bound:
         return Solution((), (), t0, 0, 0, TerminationKind.REACHED_SPAN_END)
-    attempt = _ATTEMPT
+    attempt = getattr(fun, "attempt", None) or _called_attempt()
     direction = 1.0 if t_bound > t0 else -1.0
     t, (v, w) = t0, y0
     k0v, k0w = fun(t, (v, w))
@@ -632,17 +664,37 @@ def _one_lane(fun):
     return one
 
 
+def _stage_error(fun, t_stage, y, K, h):
+    """Call fun at the first stage of a lane attempt (times t_stage, start
+    y, f at the stages K, steps h) whose acceleration is not finite, on
+    the state the attempt computed there, so that fun raises the error
+    (and numpy the warnings) it raises when called at each stage."""
+    i = 1 + int(np.flatnonzero(~np.isfinite(K[1:, 1]).all(axis=1))[0])
+    if i < 12:
+        yi = y + (A_LANES[i] * K[:i]).sum(0) * h
+    else:
+        yi = y + h * (BE_LANES * K[:12]).sum(1)[0]
+    fun(t_stage[i], yi[0], yi[1])
+    raise RuntimeError(f"stage {i} of a lane attempt is not finite, but "
+                       "fun raised nothing there")
+
+
 def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
                 max_step: float, cap: float):
     """Integrate L starts of y' = fun(t, v, vdot) in lockstep towards
     t_bound, yielding (index, Solution) for each start as its lane ends.
 
-    fun evaluates the system on arrays of lanes.  t0 holds the L start
-    times and y0 the (2, L) start states.  Each lane ends as solve_ivp's
-    run from its start ends, with the same Solution; a start at t_bound
-    is yielded first, without steps.  A lane keeps its accepted steps
-    while it runs and hands them over when it ends, so steps are held
-    only for the running lanes.  The controller's power and the initial
+    fun evaluates the system on arrays of lanes.  It may carry
+    fun.stages(t_stage), which takes an attempt's (13, L) stage times and
+    returns f(i, v, vdot), fun at stage i without its finiteness test
+    (log_frame_rhs's lanes computes each exponential there once for all
+    13 times); the attempt then tests its stages' accelerations once,
+    and on a non-finite one calls fun at that stage, which raises.  t0
+    holds the L start times and y0 the (2, L) start states.  Each lane
+    ends as solve_ivp's run from its start ends, with the same Solution;
+    a start at t_bound is yielded first, without steps.  A lane keeps
+    its accepted steps while it runs and hands them over when it ends,
+    so steps are held only for the running lanes.  The controller's power and the initial
     step are taken per lane in floats, as solve_ivp takes them;
     everything else is lane-wise array arithmetic.
     """
@@ -655,6 +707,8 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     lane = np.flatnonzero(t != t_bound)
     t, y = t[lane], y[:, lane]
     d = np.where(t_bound > t, 1.0, -1.0)
+    staged = getattr(fun, "stages", None)
+    stages = staged or (lambda ts: lambda i, v, w: fun(ts[i], v, w))
     K = np.empty((13, 2, lane.size))
     K[0, 0], K[0, 1] = fun(t, y[0], y[1])
     one = _one_lane(fun)
@@ -702,12 +756,16 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
         h_abs = np.abs(h)
         t_stage = t + C_LANES * h
         y, K = s.y, s.K
-        for i in range(1, 12):
-            yi = y + (A_LANES[i] * K[:i]).sum(0) * h
-            K[i, 0], K[i, 1] = fun(t_stage[i], yi[0], yi[1])
-        b, e5, e3 = (BE_LANES * K[:12]).sum(1)
-        y_new = y + h * b
-        K[12, 0], K[12, 1] = fun(t_stage[12], y_new[0], y_new[1])
+        with np.errstate(all="ignore") if staged else nullcontext():
+            f = stages(t_stage)
+            for i in range(1, 12):
+                yi = y + (A_LANES[i] * K[:i]).sum(0) * h
+                K[i, 0], K[i, 1] = f(i, yi[0], yi[1])
+            b, e5, e3 = (BE_LANES * K[:12]).sum(1)
+            y_new = y + h * b
+            K[12, 0], K[12, 1] = f(12, y_new[0], y_new[1])
+        if staged and not np.isfinite(K[1:, 1]).all():
+            _stage_error(fun, t_stage, y, K, h)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         e5, e3 = e5 / scale, e3 / scale
         e5 = e5[0] * e5[0] + e5[1] * e5[1]

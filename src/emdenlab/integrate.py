@@ -31,12 +31,16 @@ one frame through the lane core, solve_lanes, which advances them in
 lockstep on numpy arrays; each lane takes the scalar core's steps, up to
 numpy's exp and power rounding 1 ulp away from math's.  Both evaluate
 the one acceleration expression log_frame_rhs compiles from the term
-table.  One function, _trajectory, turns every run into a Trajectory:
-its stride_grid, the Solution that samples it there when the samples
-are first read, the FrameEquation whose right-hand side that read
-passes to it (the Solution builds its steps' interpolants then), its
-termination and its work in Trajectory.stats.  The lockstep loop costs
-more per step than a scalar run and pays from about 12 starts.
+table, the scalar core inlined in its step attempt, the lane core with
+each exponential computed once for an attempt's 13 stage times.  One
+function, _trajectory, turns every run into a Trajectory: its
+stride_grid, the Solution that samples it there when the samples are
+first read, the FrameEquation whose right-hand side that read passes to
+it (the Solution builds its steps' interpolants then), its termination
+and its work in Trajectory.stats.  The lockstep loop costs more per
+step than a scalar run: it is faster than a loop of integrate from
+somewhere between 32 and 64 starts (dop853's docstring has the
+measurement).
 """
 
 from __future__ import annotations
@@ -44,14 +48,15 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import textwrap
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dop853 import Solution, SolverStats, TerminationKind, solve_ivp, \
-    solve_lanes
+from .dop853 import TABLEAU, Solution, SolverStats, TerminationKind, \
+    attempt_source, solve_ivp, solve_lanes
 from .params import DerivedConstants, FrameEquation, frame_equation, \
     real_number
 from .serialize import fmt_float
@@ -235,52 +240,84 @@ def _non_finite(t, v, vd, acc):
 
 
 # The log-frame system for one layout of the term table, as a factory
-# of its constants.  {scalar} and {lanes} are the one acceleration
-# expression of _rhs_maker, with math.exp and with np.exp.
+# of its constants.  {scalar}, {lanes} and {staged} are the one
+# acceleration expression of _acceleration, with math.exp, with np.exp
+# and with the exponentials x<i> that stages computes for all 13 stage
+# times of a lane attempt; {attempt} is the step attempt of dop853's
+# attempt_source with that expression inlined at each stage.
+# A non-finite v or vdot makes acc non-finite (c * inf is nan when
+# c = 0), so each form tests acc alone.
 _RHS_SOURCE = """\
 def make(lin, c, {consts}):
     def rhs(t, y):
         v, vd = y
         vp = v if v > 0.0 else 0.0
         acc = {scalar}
-        if not (isfinite(acc) and isfinite(vd)):
+        if not isfinite(acc):
             _non_finite(t, v, vd, acc)
         return (vd, acc)
 
     def lanes(t, v, vd):
         vp = np.maximum(v, 0.0)
         acc = {lanes}
-        # a non-finite v or vdot makes acc non-finite (c * inf is nan
-        # when c = 0), so one test covers the state
         finite = np.isfinite(acc)
         if not finite.all():
             j = np.flatnonzero(~finite)[0]
             _non_finite(t[j], v[j], vd[j], acc[j])
         return (vd, acc)
 
-    rhs.lanes = lanes
+    def stages(ts):
+{exps}\
+        def at(s, v, vd):
+            vp = np.maximum(v, 0.0)
+            return (vd, {staged})
+        return at
+
+{attempt}
+    rhs.attempt, rhs.lanes, lanes.stages = attempt, lanes, stages
     return rhs
 """
 
 
-@functools.lru_cache(maxsize=None)
-def _rhs_maker(layout: tuple):
-    """The compiled _RHS_SOURCE for a term table whose i-th term has a
-    frame exponent e_i != 0 and a weight k_i != 1 as layout[i] says:
-    lin v - c vd, then each term subtracted in table order, e^{e_i t}
-    only where e_i != 0 (e^{0 t} = 1 exactly) and k_i only where
-    k_i != 1."""
-    acc = "lin * v - c * vd"
+def _acceleration(layout: tuple, v: str, vd: str, ex) -> str:
+    """lin v - c vd, then each term subtracted in table order, as source:
+    the term k_i e^{e_i t} vp^{p_i}, its exponential ex(i) only where
+    e_i != 0 (e^{0 t} = 1 exactly) and k_i only where k_i != 1."""
+    acc = f"lin * {v} - c * {vd}"
     for i, (has_e, has_k) in enumerate(layout):
         term = f"vp ** p{i}"
         if has_e:
-            term = f"EXP(e{i} * t) * {term}"
+            term = f"{ex(i)} * {term}"
         if has_k:
             term = f"k{i} * ({term})"
         acc += f" - {term}"
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _rhs_maker(layout: tuple, tableau=None):
+    """The compiled _RHS_SOURCE for a term table whose i-th term has a
+    frame exponent e_i != 0 and a weight k_i != 1 as layout[i] says,
+    its step attempt built from the tableau rows (a, b, e5, e3)
+    (default dop853.TABLEAU)."""
+    def stage(kv, kw, t, v, w):
+        # rhs at (t, (v, w)), inlined: v into vs, vdot into kv, acc into kw
+        acc = _acceleration(layout, "vs", kv, lambda i: f"exp(e{i} * ({t}))")
+        return (f"    vs = {v}\n    {kv} = {w}\n"
+                f"    vp = vs if vs > 0.0 else 0.0\n    {kw} = {acc}\n"
+                f"    if not isfinite({kw}):\n"
+                f"        _non_finite({t}, vs, {kv}, {kw})\n")
+
+    forced = [i for i, (has_e, _) in enumerate(layout) if has_e]
     src = _RHS_SOURCE.format(
         consts=", ".join(f"p{i}, e{i}, k{i}" for i in range(len(layout))),
-        scalar=acc.replace("EXP", "exp"), lanes=acc.replace("EXP", "np.exp"))
+        scalar=_acceleration(layout, "v", "vd", lambda i: f"exp(e{i} * t)"),
+        lanes=_acceleration(layout, "v", "vd",
+                            lambda i: f"np.exp(e{i} * t)"),
+        exps="".join(f"        x{i} = np.exp(e{i} * ts)\n" for i in forced),
+        staged=_acceleration(layout, "v", "vd", lambda i: f"x{i}[s]"),
+        attempt=textwrap.indent(
+            attempt_source(*(tableau or TABLEAU), stage=stage), "    "))
     code = {"np": np, "exp": math.exp, "isfinite": math.isfinite,
             "_non_finite": _non_finite}
     exec(compile(src, "<log_frame_rhs>", "exec"), code)
@@ -293,10 +330,23 @@ def log_frame_rhs(eq: FrameEquation):
     Returns (dv/dt, d2v/dt2) for y = (v, dv/dt).  The power terms act on
     max(v, 0): an event-located crossing can overshoot to tiny negative
     v, which is clamped rather than rejected.  A non-finite state raises
-    RuntimeError.  The same acceleration evaluated on arrays of lanes is
-    the attribute `lanes(t, v, vdot)`, solve_lanes' fun.
+    RuntimeError.  It carries the same acceleration in three more forms:
+    `attempt`, the DOP853 step attempt with it inlined at each stage,
+    which solve_ivp steps with; `lanes(t, v, vdot)`, solve_lanes' fun,
+    on arrays of lanes; and `lanes.stages`, which evaluates a lane
+    attempt's stages with each exponential computed once for all 13.
+    Each gives the values, and raises the errors, of the function called
+    at each stage.  All four are compiled together once per layout of
+    the term table, when the first equation of that layout asks.
     """
-    make = _rhs_maker(tuple((e != 0.0, k != 1.0) for _, e, k in eq.terms))
+    return _frame_rhs(eq)
+
+
+def _frame_rhs(eq: FrameEquation, tableau=None):
+    """log_frame_rhs(eq), its step attempt built from the tableau rows
+    (a, b, e5, e3) (default dop853.TABLEAU)."""
+    make = _rhs_maker(tuple((e != 0.0, k != 1.0) for _, e, k in eq.terms),
+                      tableau)
     return make(eq.lin, eq.damping, *(x for term in eq.terms for x in term))
 
 
@@ -387,8 +437,8 @@ def integrate_many(starts, eq: FrameEquation, t_target: float,
     read.
     The two cores differ only where numpy's exp and power round
     differently from math's (1 ulp in a few percent of values), which
-    moves the samples at roundoff.  The lockstep loop pays from about
-    12 starts; below that integrate is faster.
+    moves the samples at roundoff.  Below about 32 starts a loop of
+    integrate is faster.
     """
     if config is None:
         config = IntegratorConfig()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from emdenlab import (
     Kind,
@@ -41,6 +42,55 @@ class TestQuadraticExtrema:
         t = np.linspace(0.0, 1.0, 100)
         times, values, kinds = quadratic_extrema(t, t ** 2 + 1.0)
         assert times.size == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(steps=st.lists(st.floats(1e-3, 2.0), min_size=0, max_size=40),
+           levels=st.lists(st.integers(-3, 3) | st.floats(-1e3, 1e3),
+                           min_size=40, max_size=40))
+    # the end-plateau rule: a change then one repeat ends the series (an
+    # extremum), a longer final plateau (none), an interior plateau (none)
+    # before an end plateau, and an end plateau whose second difference
+    # 2^-53 rounds to 0 (offset 0); and a series with no interior sample
+    @example(steps=[1.0] * 3, levels=[0, 1, 2, 2] + [0] * 36)
+    @example(steps=[1.0] * 5, levels=[0, 1, 2, 2, 2, 2] + [0] * 34)
+    @example(steps=[0.5] * 4, levels=[0, 1, 1, 0, 0] + [0] * 35)
+    @example(steps=[1.0, 1.0], levels=[1.0 - 2.0 ** -53, 1.0, 1.0] + [0] * 37)
+    @example(steps=[1.0], levels=[0] * 40)
+    def test_is_the_loop(self, steps, levels):
+        # small integer levels make plateaus and zero second differences
+        t = np.cumsum([0.0] + steps)
+        y = np.array(levels[:t.size], dtype=float)
+        ours = quadratic_extrema(t, y)
+        ref = loop_quadratic_extrema(t, y)
+        for x, r in zip(ours, ref):
+            assert x.tobytes() == r.tobytes()
+        assert ours[2].dtype == np.int64 and ours[0].dtype == float
+
+
+def test_zero_second_difference_keeps_the_sample():
+    # the denominator of the parabola's offset rounds to 0
+    t = np.array([0.0, 1.0, 2.0])
+    times, values, kinds = quadratic_extrema(t, np.array([1.0 - 2.0 ** -53,
+                                                          1.0, 1.0]))
+    assert (times.tolist(), values.tolist(), kinds.tolist()) \
+        == ([1.0], [1.0], [1])
+
+
+def loop_quadratic_extrema(t, y):
+    """quadratic_extrema as a loop over the interior samples: the oracle of
+    the array form."""
+    times, values, kinds = [], [], []
+    for i in range(1, t.size - 1):
+        d0 = y[i] - y[i - 1]
+        d1 = y[i + 1] - y[i]
+        if d0 * d1 < 0.0 or (d0 != 0.0 and d1 == 0.0 and i + 1 == t.size - 1):
+            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+            off = 0.0 if denom == 0.0 else 0.5 * (y[i - 1] - y[i + 1]) / denom
+            h = 0.5 * (t[i + 1] - t[i - 1])
+            times.append(t[i] + off * h)
+            values.append(y[i] - 0.25 * (y[i - 1] - y[i + 1]) * off)
+            kinds.append(1 if d0 > 0.0 else -1)
+    return np.array(times), np.array(values), np.array(kinds)
 
 
 class TestFits:

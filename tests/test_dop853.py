@@ -1,16 +1,19 @@
 """The in-repo DOP853 against scipy's, which stays the tests' reference,
 its generated scalar core against the loop formulation of the same
-tableau, its lane core against the scalar core, and the dense-output
-rows it builds on first read against the rows the loop formulation
-makes of each accepted step as it is taken."""
+tableau, its lane core against the scalar core, the step attempt and
+lane stages log_frame_rhs compiles against its right-hand side called
+at each stage, and the dense-output rows it builds on first read
+against the rows the loop formulation makes of each accepted step as
+it is taken."""
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as ref
 from scipy.optimize import brentq as scipy_brentq
@@ -32,8 +35,8 @@ from emdenlab import (
     shooting,
 )
 from emdenlab.acceptance import CONFIG_A
-from emdenlab.integrate import stride_grid
-from emdenlab.params import frame_equation, frame_exp
+from emdenlab.integrate import _frame_rhs, stride_grid
+from emdenlab.params import FrameEquation, frame_equation, frame_exp
 
 CONFIG = IntegratorConfig()
 
@@ -97,22 +100,36 @@ def reversed_rows(rows):
     return tuple(tuple(reversed(row)) for row in rows)
 
 
-# The scalar core's step attempt with every stage sum taken in the
-# opposite order: the same sums, rounded differently.
-REVERSED_CORE = dop853._compile_attempt(
-    reversed_rows(dop853.A),
-    *reversed_rows((dop853.B, dop853.E5, dop853.E3)))
+# The tableau rows of the scalar core's step attempt with every stage
+# sum taken in the opposite order: the same sums, rounded differently.
+REVERSED = (reversed_rows(dop853.TABLEAU[0]),
+            *reversed_rows(dop853.TABLEAU[1:]))
 
 
-def run_ours(params, alpha, start, t_target, cap=CONFIG.amplitude_cap):
-    return dop853.solve_ivp(log_frame_rhs(frame_equation(params, alpha)),
-                            start.t, t_target, (start.v, start.vdot),
+def run(fun, start, t_target, cap=CONFIG.amplitude_cap):
+    return dop853.solve_ivp(fun, start.t, t_target, (start.v, start.vdot),
                             CONFIG.rtol, CONFIG.atol, CONFIG.max_step, cap)
 
 
+def run_ours(params, alpha, start, t_target, cap=CONFIG.amplitude_cap):
+    return run(log_frame_rhs(frame_equation(params, alpha)), start,
+               t_target, cap)
+
+
 def run_reversed(params, alpha, start, t_target):
-    with mock.patch.object(dop853, "_ATTEMPT", REVERSED_CORE):
-        return run_ours(params, alpha, start, t_target)
+    """run_ours with log_frame_rhs's inlined step attempt built from the
+    REVERSED rows."""
+    rhs = _frame_rhs(frame_equation(params, alpha), REVERSED)
+    assert rhs.attempt is not log_frame_rhs(
+        frame_equation(params, alpha)).attempt
+    return run(rhs, start, t_target)
+
+
+# a run that loses positivity on a grid summing in reverse does not move,
+# so its nfev, with the located step's 3 evaluations, is scipy's exactly
+EVENT_ENDED = dict(
+    params=ProblemParams(n=3, p=3.51, q=5.92, l1=-0.67, l2=-1.5),
+    frame_name="raw", t0=-0.2, v0=0.4, vdot0=0.2, span=2.6, forward=False)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -121,8 +138,25 @@ def run_reversed(params, alpha, start, t_target):
        t0=st.floats(-2.0, 2.0), v0=st.floats(0.05, 3.0),
        vdot0=st.floats(-2.0, 2.0), span=st.floats(0.2, 4.0),
        forward=st.booleans())
+@example(**EVENT_ENDED)
 def test_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
                            forward):
+    assert_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
+                             forward)
+
+
+def test_event_ended_run_has_scipys_nfev():
+    # the pinned example is compared exactly, and ends by its event
+    ours = assert_same_run_as_scipy(**EVENT_ENDED)
+    assert ours is not None and located(ours)
+    assert ours.stats == SolverStats(149, 12, 0)
+
+
+def assert_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
+                             forward):
+    """Our run ends as scipy's; where summing in reverse leaves its grid
+    in place, it takes scipy's steps and evaluations and its samples
+    agree to 1e-12, and it is returned, else to 1e-6 (None)."""
     dc = derive_constants(params)
     alpha = {"raw": 0.0, "alpha1": dc.alpha1,
              "alpha2": dc.alpha2}[frame_name]
@@ -158,6 +192,7 @@ def test_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
     assert np.max(np.abs(traj.v - v)) <= tol * np.max(np.abs(v))
     assert np.max(np.abs(traj.vdot - vdot)) \
         <= tol * max(np.max(np.abs(vdot)), 1.0)
+    return ours if tol == 1e-12 else None
 
 
 def located(sol) -> int:
@@ -269,16 +304,23 @@ def loop_run(fun, t0, t_bound, y0, cap):
     step's dense output while stepping: the oracle of the rows that
     Solution.dense builds on first read."""
     last = {}  # the last attempt from each t, the one accepted
+    attempts = []
 
     def attempt(fun, t, h, v, w, k0v, k0w):
+        attempts.append(t)
         *out, (kv, kw) = loop_attempt(fun, t, h, v, w, k0v, k0w)
         last[t] = (h, v, w, out[0], out[1], (kv, kw))
         return (*out, tuple(k for s in dop853.KEPT[1:]
                             for k in (kv[s], kw[s])))
 
-    with mock.patch.object(dop853, "_ATTEMPT", attempt):
+    # a fun without an attempt of its own steps with the patched one
+    assert not hasattr(fun, "attempt")
+    with mock.patch.object(dop853, "_called_attempt", lambda: attempt):
         sol = dop853.solve_ivp(fun, t0, t_bound, y0, CONFIG.rtol,
                                CONFIG.atol, CONFIG.max_step, cap)
+    # every attempt of the run was the loop core's
+    assert 12 * len(attempts) == sol.nfev - 2 * (sol.nfev > 0) \
+        - 3 * located(sol)
     rows = [loop_dense(fun, t, *last[t]) for t in sol.t[:-1].tolist()]
     return sol, np.array(rows).reshape(-1, dop853.ROW)
 
@@ -492,6 +534,189 @@ def test_generated_rhs_is_the_term_loop(table, t, v, vdot, bad):
         v_bad[0], vd_bad[0] = y
         assert outcome(ours.lanes, ts, v_bad, vd_bad) \
             == outcome(ref.lanes, ts, v_bad, vd_bad) == RuntimeError
+
+
+@st.composite
+def compiled_runs(draw):
+    """(eq, start, t_target, cap): a problem in one of its frames run
+    forwards or backwards, where the smaller caps end some runs by an
+    event, or in its alpha1 frame (where its forced term decays) from
+    near t = 2^46 across it, where the step size underflows."""
+    params = draw(problems())
+    dc = derive_constants(params)
+    if draw(st.booleans()):
+        start = State(2.0 ** 46 - draw(st.floats(0.2, 1.0)),
+                      draw(st.floats(0.05, 3.0)), draw(st.floats(-2.0, 2.0)))
+        return frame_equation(params, dc.alpha1), start, 2.0 ** 46 + 1.0, \
+            CONFIG.amplitude_cap
+    alpha = draw(st.sampled_from([0.0, dc.alpha1, dc.alpha2]))
+    start = State(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 3.0)),
+                  draw(st.floats(-2.0, 2.0)))
+    span = draw(st.floats(0.2, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return frame_equation(params, alpha), start, start.t + span, \
+        draw(st.sampled_from([1e8, 4.0, 2.0]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=compiled_runs())
+@example(case=(frame_equation(CONFIG_A, derive_constants(CONFIG_A).alpha1),
+               State(0.0, 1.5, 3.0), 12.0, 2.0))  # the amplitude cap
+@example(case=(frame_equation(*ROUNDING_DECIDED[:2]),
+               *ROUNDING_DECIDED[2:], 1e8))  # positivity, 6 rejections
+def test_compiled_attempt_is_the_called_rhs(case):
+    # log_frame_rhs steps with its attempt, which inlines the acceleration
+    # at each stage; the same rhs called at each stage by the generic
+    # attempt takes the same steps bit for bit, whatever ends the run
+    eq, start, t_target, cap = case
+    rhs = log_frame_rhs(eq)
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    fun.attempt = rhs.attempt
+    ours = run(fun, start, t_target, cap)
+    # a plain fun carries no attempt: solve_ivp calls it at each stage
+    ref = run(lambda t, y: rhs(t, y), start, t_target, cap)
+    assert same_run(ours, ref)
+    # fun itself is called only for the initial step and a located event
+    assert len(calls) == 2 * (ours.nfev > 0) + 3 * located(ours)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(table=term_tables(), t=st.floats(-3.0, 3.0),
+       h=st.sampled_from([0.1, -0.1, 1e200]),
+       y=st.lists(st.floats(-1e-3, 5.0) | st.sampled_from(
+           [1e300, math.inf, -math.inf, math.nan]), min_size=4, max_size=4))
+@example(table=(CONFIG_A, 0.0), t=0.0, h=0.1, y=[1.0, 0.0, 0.0, math.inf])
+def test_compiled_attempt_fails_as_the_called_rhs(table, t, h, y):
+    # one attempt from (v, vdot) with f (k0v, k0w) there: the same values,
+    # or the same error (a non-finite stage's RuntimeError naming the same
+    # t, v, vdot and vddot, or math's OverflowError)
+    params, alpha = table
+    rhs = log_frame_rhs(frame_equation(params, alpha))
+
+    def outcome(attempt, fun):
+        try:
+            return repr(attempt(fun, t, h, *y))
+        except (RuntimeError, OverflowError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(rhs.attempt, None) \
+        == outcome(dop853._called_attempt(), rhs)
+
+
+def test_compiled_attempt_names_the_failing_stage(config_a):
+    rhs = log_frame_rhs(frame_equation(config_a, 0.0))
+    with pytest.raises(RuntimeError, match=r"^non-finite state during "
+                       r"integration at t=0\.005260015195876773: v=1\.0, "
+                       r"vdot=inf, vddot=-inf$"):
+        rhs.attempt(None, 0.0, 0.1, 1.0, 0.0, 0.0, math.inf)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(params=problems(),
+       frame_name=st.sampled_from(["raw", "alpha1", "alpha2"]),
+       lanes=st.sampled_from([1, 7, 64]), seed=st.integers(0, 2 ** 16),
+       t_bound=st.sampled_from([-4.0, 4.0]),
+       cap=st.sampled_from([1e8, 4.0, 2.0]))
+def test_staged_lanes_are_the_per_stage_lanes(params, frame_name, lanes,
+                                              seed, t_bound, cap):
+    # the lane attempt through lanes.stages, each exponential computed once
+    # for the 13 stage times and one finiteness test, takes the steps of
+    # the attempt that calls lanes at each stage, lane for lane
+    dc = derive_constants(params)
+    alpha = {"raw": 0.0, "alpha1": dc.alpha1,
+             "alpha2": dc.alpha2}[frame_name]
+    rng = np.random.default_rng(seed)
+    t0 = rng.uniform(-2.0, 2.0, lanes)
+    y0 = [rng.uniform(0.05, 3.0, lanes), rng.uniform(-2.0, 2.0, lanes)]
+    f = log_frame_rhs(frame_equation(params, alpha)).lanes
+    ts = rng.uniform(-2.0, 2.0, (13, lanes))
+    at = f.stages(ts)
+    for i in range(13):
+        assert np.array(at(i, *y0)).tobytes() \
+            == np.array(f(ts[i], *y0)).tobytes()
+    staged = []
+
+    def fun(t, v, w):
+        return f(t, v, w)
+
+    def stages(ts):
+        staged.append(ts.shape)
+        return f.stages(ts)
+
+    fun.stages = stages
+    ours, ref = ([(i, sol) for i, sol in dop853.solve_lanes(
+        g, t0, t_bound, y0, CONFIG.rtol, CONFIG.atol, CONFIG.max_step, cap)]
+        for g in (fun, lambda t, v, w: f(t, v, w)))
+    assert [i for i, _ in ours] == [i for i, _ in ref]
+    for (_, sol), (_, other) in zip(ours, ref):
+        assert same_run(sol, other)
+    assert staged and all(shape[0] == 13 for shape in staged)
+
+
+@pytest.mark.parametrize("mode", ["always", "error"])
+def test_staged_lanes_fail_as_the_per_stage_lanes(mode):
+    # a forced term whose exponential overflows from t = 1.7745 on: the
+    # attempt that crosses it fails with the error, and numpy's warnings,
+    # of the attempt that calls lanes at each stage (as an error when
+    # warnings are errors, as the tests run them)
+    eq = FrameEquation(0.0, 0.0, 0.0, ((1.0, 400.0, -1e-300),))
+    lanes = log_frame_rhs(eq).lanes
+
+    def outcome(fun):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(mode)
+            try:
+                list(dop853.solve_lanes(fun, [1.0, 1.2, 1.3], 2.0,
+                                        [[1.0, 2.0, 0.5], [0.0, 0.1, 0.0]],
+                                        CONFIG.rtol, CONFIG.atol,
+                                        CONFIG.max_step, 1e300))
+            except (RuntimeError, RuntimeWarning) as exc:
+                return type(exc), str(exc), \
+                    [(w.category, str(w.message)) for w in seen]
+        raise AssertionError("the run did not fail")
+
+    with mock.patch.object(dop853, "_stage_error",
+                           wraps=dop853._stage_error) as stage_error:
+        ours = outcome(lanes)
+    assert stage_error.call_count == 1
+    assert ours == outcome(lambda t, v, w: lanes(t, v, w))
+    overflow = (RuntimeWarning, "overflow encountered in multiply")
+    if mode == "error":
+        assert ours == (*overflow, [])
+    else:
+        assert ours[0] is RuntimeError and ours[2] == [overflow]
+        assert ours[1].startswith("non-finite state during integration at "
+                                  "t=1.76")
+
+
+def test_stage_error_takes_the_first_failing_stage():
+    # from the attempt's start y, steps h and stage values K, the state at
+    # the first stage whose acceleration is not finite, stage 12's from
+    # the b row, goes to fun, which must raise
+    rng = np.random.default_rng(0)
+    y, h = rng.uniform(-1.0, 1.0, (2, 3)), np.full(3, 0.1)
+    t_stage = 1.0 + dop853.C_LANES * h
+    K = rng.uniform(-1.0, 1.0, (13, 2, 3))
+    b = (dop853.BE_LANES * K[:12]).sum(1)[0]
+    seen = []
+
+    def fun(t, v, w):
+        seen.append((t.tolist(), v.tolist(), w.tolist()))
+        raise RuntimeError("fun raised")
+
+    for stages, i, state in (((4, 12), 4, y + (dop853.A_LANES[4] * K[:4])
+                              .sum(0) * h), ((12,), 12, y + h * b)):
+        bad = K.copy()
+        bad[stages, 1, 1] = math.nan
+        with pytest.raises(RuntimeError, match="fun raised"):
+            dop853._stage_error(fun, t_stage, y, bad, h)
+        assert seen.pop() == (t_stage[i].tolist(), *state.tolist())
+    with pytest.raises(RuntimeError, match="stage 12 .* raised nothing"):
+        dop853._stage_error(lambda t, v, w: None, t_stage, y, bad, h)
 
 
 def same_grid(params, alpha, start, t_target):
