@@ -166,7 +166,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
     fitted = residual = rate = None
     # event terminations decide only the side where integration stopped;
     # the seed side of a crossing shot still has analyzable data
-    terminal_side = 1 if traj.t[-1] >= traj.t[0] else -1
+    terminal_side = traj.direction
     if (e.side == terminal_side
             and term.kind != TerminationKind.REACHED_SPAN_END):
         window = (term.t, term.t)

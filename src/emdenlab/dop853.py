@@ -32,16 +32,17 @@ __call__ is the dense output:
   attempt's 13 stage times (log_frame_rhs's computes each exponential
   there once), and the attempt tests its values' finiteness once.  The
   lockstep loop costs more per iteration than one scalar run: on a
-  2-CPU host, 64 regular CONFIG_A shots to t = 2 or 12 take 0.6 of the
-  time of a loop of scalar shots, 32 take 0.95-1.1 of it and 16 take
-  1.5-2.2 times as long (medians of 9 alternating repeats).
+  2-CPU host, 64 regular CONFIG_A shots to t = 2 or 12 take 0.45-0.6
+  of the time of a loop of scalar shots, 32 take 0.65-0.95 of it and
+  16 take 1.4-2.1 times as long (medians of 9 alternating repeats).
 
 Both keep each accepted step as the stage values its interpolant needs
 (Solution.stages) and evaluate the three dense-output stages 13-15 only
 where they are read, as dop853.f does when no dense output is asked
-for: at once for the step an event is located on, and for every step
-of a run, vectorised over its steps by _dense_rows, when its Solution
-is first called.  A zero span (t0 == t_bound) is a Solution without
+for: for the step an event is located on (solve_lanes builds those of
+all its lanes at once, when its loop has ended), and for every step of
+a run, vectorised over its steps by _dense_rows, when its Solution is
+first called.  A zero span (t0 == t_bound) is a Solution without
 steps.  Neither samples: integrate reads every run through
 Solution.__call__.
 """
@@ -54,7 +55,7 @@ import sys
 from array import array
 from contextlib import nullcontext
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -682,7 +683,7 @@ def _stage_error(fun, t_stage, y, K, h):
 def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
                 max_step: float, cap: float):
     """Integrate L starts of y' = fun(t, v, vdot) in lockstep towards
-    t_bound, yielding (index, Solution) for each start as its lane ends.
+    t_bound, yielding (index, Solution) for each start.
 
     fun evaluates the system on arrays of lanes.  It may carry
     fun.stages(t_stage), which takes an attempt's (13, L) stage times and
@@ -691,12 +692,18 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     13 times); the attempt then tests its stages' accelerations once,
     and on a non-finite one calls fun at that stage, which raises.  t0
     holds the L start times and y0 the (2, L) start states.  Each lane
-    ends as solve_ivp's run from its start ends, with the same Solution;
-    a start at t_bound is yielded first, without steps.  A lane keeps
-    its accepted steps while it runs and hands them over when it ends,
-    so steps are held only for the running lanes.  The controller's power and the initial
-    step are taken per lane in floats, as solve_ivp takes them;
-    everything else is lane-wise array arithmetic.
+    ends as solve_ivp's run from its start ends, with the same Solution.
+
+    A start at t_bound is yielded first, without steps.  A lane whose
+    step size underflows, or that reaches t_bound, is yielded as it
+    ends.  An event ends its lane wherever on the step its root falls,
+    so a lane leaves the lockstep at the step an event fires on; when
+    the loop has ended, the events of all such lanes are located, their
+    steps' interpolants built by one _dense_rows call, and those lanes
+    are yielded last.  A lane keeps its accepted steps until it is
+    yielded.  The initial step and the controller's power are taken per
+    lane in floats, as solve_ivp takes them; everything else is
+    lane-wise array arithmetic.
     """
     t = np.array(t0, dtype=float)
     y = np.array(y0, dtype=float).reshape(2, t.size)
@@ -709,31 +716,33 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     d = np.where(t_bound > t, 1.0, -1.0)
     staged = getattr(fun, "stages", None)
     stages = staged or (lambda ts: lambda i, v, w: fun(ts[i], v, w))
-    K = np.empty((13, 2, lane.size))
-    K[0, 0], K[0, 1] = fun(t, y[0], y[1])
+    k0 = np.empty((2, lane.size))
+    k0[0], k0[1] = fun(t, y[0], y[1])
     one = _one_lane(fun)
     h_abs = np.array([
         _initial_step(one, *start, t_bound, dl, rtol, atol, max_step)
-        for *start, dl in zip(t.tolist(), *y.tolist(), *K[0].tolist(),
+        for *start, dl in zip(t.tolist(), *y.tolist(), *k0.tolist(),
                               d.tolist())])
-    nfev = np.full(n_lanes, 2)
-    steps = np.zeros(n_lanes, dtype=int)
-    rejected = np.zeros(n_lanes, dtype=int)
-    # each lane's latest steps, its full chunks and the end of its last
-    # step
+    # each lane's latest steps and its full chunks
     chunk = np.empty((n_lanes, STEP_CHUNK, STEP))
     fill = np.zeros(n_lanes, dtype=int)
     parts = [[] for _ in range(n_lanes)]
-    tail = np.empty((n_lanes, 5))
-    s = _Lanes(lane=lane, t=t, y=y, K=K, h_abs=h_abs, d=d,
-               rej=np.zeros(lane.size, dtype=bool))
+    # the lanes an event ended: indices, steps and ends, directions,
+    # rejected attempts and nfev, one tuple per step round
+    met = []
+    # every running lane attempts a step in each attempt round
+    attempts = 0
+    s = _Lanes(lane=lane, t=t, y=y, k0=k0, h_abs=h_abs, d=d,
+               rej=np.zeros(lane.size, dtype=bool),
+               rejected=np.zeros(lane.size, dtype=int))
 
-    def finish(i, status, t_end):
-        rows = np.concatenate(parts[i] + [chunk[i, :fill[i]]])
+    def finish(i, status, t_end, nfev, rejected, last, *step):
+        """Lane i's Solution: its kept steps, then step when given, last
+        the end of its last step (t_new, y_new, f there)."""
+        rows = np.concatenate(parts[i] + [chunk[i, :fill[i]], *step])
         parts[i] = []
-        return int(i), Solution(rows, tail[i] if len(rows) else (), t_end,
-                                int(nfev[i]), int(rejected[i]), status,
-                                lanes=True)
+        return i, Solution(rows, last if len(rows) else (), t_end, nfev,
+                           rejected, status, lanes=True)
 
     while s.lane.size:
         t, d = s.t, s.d
@@ -743,8 +752,11 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
             np.where(s.h_abs < min_step, min_step, s.h_abs)))
         under = h_abs < min_step
         if under.any():
-            for j in np.flatnonzero(under):
-                yield finish(s.lane[j], TerminationKind.STEP_UNDERFLOW, t[j])
+            for j in np.flatnonzero(under).tolist():
+                yield finish(int(s.lane[j]), TerminationKind.STEP_UNDERFLOW,
+                             t[j], 2 + 12 * attempts, int(s.rejected[j]),
+                             np.concatenate((t[j:j + 1], s.y[:, j],
+                                             s.k0[:, j])))
             s.h_abs = h_abs
             s.keep(~under)
             continue
@@ -755,7 +767,9 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
         h = t_new - t
         h_abs = np.abs(h)
         t_stage = t + C_LANES * h
-        y, K = s.y, s.K
+        y = s.y
+        K = np.empty((13, 2, t.size))
+        K[0] = s.k0
         with np.errstate(all="ignore") if staged else nullcontext():
             f = stages(t_stage)
             for i in range(1, 12):
@@ -773,63 +787,83 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
         with np.errstate(divide="ignore", invalid="ignore"):
             error = h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 2.0)
         error[(e5 == 0.0) & (e3 == 0.0)] = 0.0
-        growth = np.array([_growth(e) if e else MAX_FACTOR
-                           for e in error.tolist()])
+        # the controller's power in floats, a zero error set aside (the
+        # power of 0 raises): numpy's power rounds differently
+        zero = error == 0.0
+        growth = SAFETY * np.fromiter(
+            map(pow, np.where(zero, 1.0, error).tolist(),
+                repeat(ERROR_EXPONENT)), float, error.size)
+        growth[zero] = MAX_FACTOR
         ok = error < 1.0
         factor = np.where(ok, np.minimum(MAX_FACTOR, growth),
                           np.fmax(MIN_FACTOR, growth))
         factor = np.where(ok & s.rej, np.minimum(1.0, factor), factor)
         s.h_abs = h_abs * factor
-        nfev[s.lane] += 12
-        rejected[s.lane[~ok]] += 1
+        attempts += 1
+        s.rejected += ~ok
         s.rej = ~ok
         if not ok.any():
             continue
 
         # the accepted lanes: their steps, events and ends
-        pos = np.flatnonzero(ok)
-        a = slice(None) if pos.size == ok.size else pos
-        lane, Ka, ha, ta, da = s.lane[a], K[:, :, a], h[a], t[a], d[a]
-        ya, yn = y[:, a], y_new[:, a]
-        step = np.empty((STEP, lane.size))
-        step[0], step[1:3] = ta, ya
-        step[3:] = Ka[list(KEPT)].reshape(STEP - 3, lane.size)
-        end = np.concatenate((t_new[a][None], yn, Ka[12]))
-
-        t_end = end[0].copy()
-        ended = dict.fromkeys(np.flatnonzero(da * (t_end - t_bound) >= 0.0),
-                              TerminationKind.REACHED_SPAN_END)
-        grew = np.ones(lane.size, dtype=bool)
-        v0, v1 = ya[0], yn[0]
-        hit = np.flatnonzero(((v0 >= 0.0) & (v1 <= 0.0))
-                             | ((np.abs(v0) - cap <= 0.0)
-                                & (np.abs(v1) - cap >= 0.0)))
-        if hit.size:
-            # the interpolants of the steps an event is located on
-            rows = _dense_rows(fun, ta[hit], step[1:, hit], end[:, hit])
-            nfev[lane[hit]] += 3
-        for k, j in enumerate(hit.tolist()):
-            hits = _crossings(float(v0[j]), float(v1[j]), cap)
-            t_old = float(ta[j])
-            t_end[j], ended[j] = _first_event(
-                hits, t_old, float(t_end[j]), float(ha[j]),
-                rows[V_OLD:V_OLD + 8, k].tolist().__getitem__, float(da[j]))
-            # an event on the previous grid point drops the step
-            grew[j] = t_end[j] != t_old or steps[lane[j]] == 0
-
-        new = lane[grew]
-        chunk[new, fill[new]] = step[:, grew].T
-        tail[new] = end[:, grew].T
-        fill[new] += 1
-        steps[new] += 1
-        full = new[fill[new] == STEP_CHUNK]
+        v0, v1 = y[0], y_new[0]
+        hit = ok & (((v0 >= 0.0) & (v1 <= 0.0))
+                    | ((np.abs(v0) - cap <= 0.0) & (np.abs(v1) - cap >= 0.0)))
+        reached = ok & (d * (t_new - t_bound) >= 0.0)
+        # each lane's step, a STEP row, then its end (t_new, y_new, f there)
+        block = np.empty((STEP + 5, t.size))
+        block[0], block[1:3], block[3:5] = t, y, K[0]
+        block[5:STEP] = K[5:12].reshape(-1, t.size)
+        block[STEP], block[STEP + 1:STEP + 3], block[STEP + 3:] = \
+            t_new, y_new, K[12]
+        kept = ok
+        if hit.any():
+            j = np.flatnonzero(hit)
+            # nfev counts the 3 stages of the step the event is located on
+            met.append((s.lane[j], block[:, j], d[j], s.rejected[j],
+                        np.full(j.size, 2 + 12 * attempts + 3)))
+            kept, reached = ok & ~hit, reached & ~hit
+        if kept.all():
+            new, rows = s.lane, block
+        else:
+            j = np.flatnonzero(kept)
+            new, rows = s.lane[j], block[:, j]
+        at = fill[new]
+        chunk[new, at] = rows[:STEP].T
+        at += 1
+        fill[new] = at
+        full = new[at == STEP_CHUNK]
         for i in full.tolist():
             parts[i].append(chunk[i].copy())
         fill[full] = 0
-        for j, kind in ended.items():
-            yield finish(lane[j], kind, t_end[j])
-        s.t[a], s.y[:, a], s.K[0][:, a] = t_new[a], yn, Ka[12]
-        if ended:
-            done = np.zeros(s.lane.size, dtype=bool)
-            done[pos[list(ended)]] = True
-            s.keep(~done)
+        for j in np.flatnonzero(reached).tolist():
+            yield finish(int(s.lane[j]), TerminationKind.REACHED_SPAN_END,
+                         t_new[j], 2 + 12 * attempts, int(s.rejected[j]),
+                         block[STEP:, j])
+        if ok.all():
+            s.t, s.y, s.k0 = t_new, y_new, K[12]
+        else:
+            s.t = np.where(ok, t_new, t)
+            s.y = np.where(ok, y_new, y)
+            s.k0 = np.where(ok, K[12], s.k0)
+        leave = hit | reached
+        if leave.any():
+            s.keep(~leave)
+
+    if not met:
+        return
+    lanes, ends, dirs, rejected, nfev = (
+        np.concatenate(x, axis=-1) for x in zip(*met))
+    # the interpolants of the steps the events fired on
+    rows = _dense_rows(fun, ends[0], ends[1:STEP], ends[STEP:])
+    for k, (i, col) in enumerate(zip(lanes.tolist(), ends.T)):
+        t_old, v_old, t_new, v_new = col[[0, 1, STEP, STEP + 1]].tolist()
+        t_end, kind = _first_event(
+            _crossings(v_old, v_new, cap), t_old, t_new, t_new - t_old,
+            rows[V_OLD:V_OLD + 8, k].tolist().__getitem__, float(dirs[k]))
+        work = int(nfev[k]), int(rejected[k])
+        if t_end != t_old or not (fill[i] or parts[i]):
+            yield finish(i, kind, t_end, *work, col[STEP:], col[None, :STEP])
+        else:
+            # the event sits on the previous grid point: drop the step
+            yield finish(i, kind, t_end, *work, col[:5])

@@ -33,14 +33,14 @@ numpy's exp and power rounding 1 ulp away from math's.  Both evaluate
 the one acceleration expression log_frame_rhs compiles from the term
 table, the scalar core inlined in its step attempt, the lane core with
 each exponential computed once for an attempt's 13 stage times.  One
-function, _trajectory, turns every run into a Trajectory: its
-stride_grid, the Solution that samples it there when the samples are
-first read, the FrameEquation whose right-hand side that read passes to
-it (the Solution builds its steps' interpolants then), its termination
-and its work in Trajectory.stats.  The lockstep loop costs more per
-step than a scalar run: it is faster than a loop of integrate from
-somewhere between 32 and 64 starts (dop853's docstring has the
-measurement).
+function, _trajectory, turns every run into a Trajectory: the ends and
+stride of its stride_grid, built when t is first read, the Solution
+that samples it there when the samples are first read, the
+FrameEquation whose right-hand side that read passes to it (the
+Solution builds its steps' interpolants then), its termination and its
+work in Trajectory.stats.  The lockstep loop costs more per step than a
+scalar run: it is faster than a loop of integrate from somewhere
+between 16 and 32 starts (dop853's docstring has the measurement).
 """
 
 from __future__ import annotations
@@ -133,13 +133,15 @@ class Trajectory:
     last samples).
 
     The trajectory of a solver run (of_run, as integrate and
-    integrate_many build it) holds its grid t, the run's
-    dop853.Solution and the FrameEquation it solved; v and vdot are
-    made together from the Solution, given that equation's right-hand
-    side, the first time either is read, and both are then dropped.  A
-    run whose verdict needs only t and its termination (a shot that
-    loses positivity) is never sampled, and its steps' interpolants are
-    never built.
+    integrate_many build it) holds the ends and stride of its grid, the
+    run's dop853.Solution and the FrameEquation it solved.  t is built
+    from the ends and stride the first time it is read; v and vdot are
+    made together from the Solution on that grid, given that equation's
+    right-hand side, the first time either is read, and the Solution
+    and equation are then dropped.  A run whose verdict needs only its
+    direction and termination (a shot that loses positivity) builds no
+    grid, is never sampled, and its steps' interpolants are never
+    built.
     """
 
     alpha: float
@@ -155,30 +157,35 @@ class Trajectory:
         self._set_samples(self.v, self.vdot)
 
     @classmethod
-    def of_run(cls, eq: FrameEquation, t: np.ndarray, sol: Solution,
+    def of_run(cls, eq: FrameEquation, grid: tuple, sol: Solution,
                termination: Termination,
                config: IntegratorConfig) -> "Trajectory":
-        """The trajectory of the run sol of eq on the grid t, sampled by
-        sol(t, fun), fun eq's right-hand side, when v or vdot is first
-        read."""
+        """The trajectory of the run sol of eq on stride_grid(*grid),
+        grid = (t0, t_end, stride): t is built when first read, and v
+        and vdot are sampled by sol(t, fun), fun eq's right-hand side,
+        when either is first read.  The grid is strictly monotone by
+        construction (_check_start guards the stride), so it is not
+        checked."""
         traj = cls.__new__(cls)
-        traj.alpha, traj.t, traj.termination = eq.alpha, t, termination
+        traj.alpha, traj.termination = eq.alpha, termination
         traj.config, traj.stats = config, sol.stats
-        traj._run, traj._eq = sol, eq
-        traj._check_grid()
+        traj._grid, traj._run, traj._eq = grid, sol, eq
         return traj
 
     def __getattr__(self, name):
-        # reached only for a name the instance lacks: the samples of a
-        # run not yet read
-        run = self.__dict__.get("_run")
-        if run is None or name not in ("v", "vdot"):
+        # reached only for a name the instance lacks: the grid or the
+        # samples of a run not yet read
+        held = self.__dict__
+        if name == "t" and "_grid" in held:
+            self.t = stride_grid(*held.pop("_grid"))
+            return self.t
+        if name not in ("v", "vdot") or "_run" not in held:
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
-        rhs = log_frame_rhs(self._eq)
+        run, rhs = self._run, log_frame_rhs(self._eq)
         self._set_samples(*run(self.t, rhs.lanes if run.lanes else rhs))
         del self._run, self._eq
-        return self.__dict__[name]
+        return held[name]
 
     def _check_grid(self):
         if not math.isfinite(self.alpha):
@@ -214,6 +221,14 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.t[-1])
 
+    @property
+    def direction(self) -> int:
+        """1 when t ascends (or holds one sample), -1 when it descends;
+        read from an unread run's grid without building it."""
+        grid = self.__dict__.get("_grid")
+        t0, t_last = grid[:2] if grid else (self.t[0], self.t[-1])
+        return 1 if t0 <= t_last else -1
+
     def window(self, window: tuple, min_samples: int) -> "Trajectory":
         """The samples with t in window (1e-12 slack), ascending in t.
 
@@ -230,7 +245,7 @@ class Trajectory:
 
     def ascending(self) -> tuple:
         """(t, v, vdot) in ascending t: the arrays or their reverse."""
-        step = 1 if self.t[0] <= self.t[-1] else -1
+        step = self.direction
         return self.t[::step], self.v[::step], self.vdot[::step]
 
 
@@ -402,8 +417,7 @@ def _trajectory(start: State, eq: FrameEquation, sol: Solution,
         return Trajectory(eq.alpha, [start.t], [start.v], [start.vdot], term,
                           config, sol.stats)
     return Trajectory.of_run(
-        eq, stride_grid(start.t, term.t, config.dense_output_stride), sol,
-        term, config)
+        eq, (start.t, term.t, config.dense_output_stride), sol, term, config)
 
 
 def integrate(start: State, eq: FrameEquation, t_target: float,
@@ -432,13 +446,13 @@ def integrate_many(starts, eq: FrameEquation, t_target: float,
     core dop853.solve_lanes.
 
     Each lane takes the steps that integrate takes, and _trajectory
-    turns its Solution into a Trajectory when the lane ends; an unread
-    lane keeps the Solution's stage values until its samples are first
-    read.
+    turns its Solution into a Trajectory when the lane is yielded; an
+    unread lane keeps the Solution's stage values, and no grid, until
+    its samples are first read.
     The two cores differ only where numpy's exp and power round
     differently from math's (1 ulp in a few percent of values), which
-    moves the samples at roundoff.  Below about 32 starts a loop of
-    integrate is faster.
+    moves the samples at roundoff.  At 16 starts a loop of integrate is
+    faster.
     """
     if config is None:
         config = IntegratorConfig()

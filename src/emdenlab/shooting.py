@@ -113,7 +113,7 @@ def shoot_many(a_grid, dc: DerivedConstants,
                t_target: float = T_TARGET) -> list:
     """shoot() at every amplitude of a_grid, the shots integrated in
     lockstep as one lane batch (integrate_many); ShotResults in grid
-    order.  Faster than a loop of shoot from somewhere between 32 and 64
+    order.  Faster than a loop of shoot from somewhere between 16 and 32
     amplitudes (a scan's grid); single shots and bisection midpoints go
     through shoot.
     """

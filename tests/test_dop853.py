@@ -414,10 +414,12 @@ def test_loop_core_cases(case, cap, kind, rejected):
         assert sol.stats.rejected == rejected
 
 
-def assert_rows_are_eager(fun, start, t_target, cap=CONFIG.amplitude_cap):
+def assert_rows_are_eager(fun, start, t_target, cap=CONFIG.amplitude_cap,
+                          batched=None):
     """Both cores' runs of the lane evaluator fun from start are the loop
     core's run of it, and the rows each builds on read are the loop
-    core's eager rows byte for byte."""
+    core's eager rows byte for byte; so is batched, the start's lane in
+    a batch of solve_lanes, when given."""
     one = dop853._one_lane(fun)
     ref, rows = loop_run(one, start.t, t_target, (start.v, start.vdot), cap)
     scalar = dop853.solve_ivp(one, start.t, t_target, (start.v, start.vdot),
@@ -425,7 +427,8 @@ def assert_rows_are_eager(fun, start, t_target, cap=CONFIG.amplitude_cap):
     (_, lane), = dop853.solve_lanes(
         fun, [start.t], t_target, [[start.v], [start.vdot]], CONFIG.rtol,
         CONFIG.atol, CONFIG.max_step, cap)
-    for sol, f in ((scalar, one), (lane, fun)):
+    for sol in [scalar, lane] + ([batched] if batched else []):
+        f = fun if sol.lanes else one
         assert same_run(sol, ref)
         assert sol.dense(f).T.tobytes() == rows.tobytes()
     return ref
@@ -464,6 +467,27 @@ def test_built_rows_of_runs_that_end_oddly(dc_a):
     assert ref.status == TerminationKind.AMPLITUDE_CAP
     assert ref.t[-1] == base.t[11]
     assert ref.stats == SolverStats(2 + 12 * (12 + 2) + 3, 11, 2)
+    # one batch under that cap, each lane ended another way after its
+    # steps: the dropped step, the cap, two crossings on the same step
+    # round (events are located after the loop, all in one build), and
+    # the span end, reached backwards; each lane is its start's run
+    starts = [start, State(10.0, 2.0, 4.0), State(10.0, 3.0, 3.0),
+              State(11.0, 2.5, 2.0), State(14.0, 1.2, 0.1)]
+    batch = dict(dop853.solve_lanes(
+        lanes, [s.t for s in starts], 13.0,
+        [[s.v for s in starts], [s.vdot for s in starts]], CONFIG.rtol,
+        CONFIG.atol, CONFIG.max_step, cap))
+    for i, s in enumerate(starts):
+        assert_rows_are_eager(lanes, s, 13.0, cap, batched=batch[i])
+    assert [batch[i].status for i in range(5)] == [
+        TerminationKind.AMPLITUDE_CAP, TerminationKind.AMPLITUDE_CAP,
+        TerminationKind.POSITIVITY_LOST, TerminationKind.POSITIVITY_LOST,
+        TerminationKind.REACHED_SPAN_END]
+    assert batch[0].t[-1] == base.t[11]
+    # every running lane attempts a step on each round: the same work
+    # is the same round
+    assert batch[2].nfev == batch[3].nfev
+    assert batch[2].t[-1] != batch[3].t[-1]
     ref = assert_rows_are_eager(lanes, State(2.0 ** 46 - 0.5, 1.0, 0.0),
                                 2.0 ** 46 + 1.0)
     assert ref.status == TerminationKind.STEP_UNDERFLOW
@@ -743,7 +767,7 @@ def shot_problems(draw):
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(params=shot_problems(),
-       amplitudes=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=3),
+       amplitudes=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=5),
        t_target=st.sampled_from([2.0, 12.0]))
 def test_lane_is_the_scalar_run(params, amplitudes, t_target):
     # A lane evaluates exp and power with numpy, which rounds 1 ulp away
@@ -755,6 +779,13 @@ def test_lane_is_the_scalar_run(params, amplitudes, t_target):
     for a, lane in zip(amplitudes, lanes):
         one = shoot(a, dc, t_target=t_target)
         ours, theirs = lane.trajectory, one.trajectory
+        # a lane's run does not depend on the lanes it rides with
+        alone = shoot_many([a], dc, t_target=t_target)[0].trajectory
+        assert (alone.termination, alone.stats) \
+            == (ours.termination, ours.stats)
+        for name in ("t", "v", "vdot"):
+            assert getattr(alone, name).tobytes() \
+                == getattr(ours, name).tobytes()
         assert lane.kind == one.kind
         assert ours.termination.kind == theirs.termination.kind
         tol = 1e-6
@@ -922,10 +953,11 @@ def test_lanes_that_step_then_underflow(dc_a):
 
 def test_lane_rows_are_released_when_the_samples_are_read(dc_a):
     # an unread lane keeps its steps, STEP floats a step (its Solution's
-    # t and stage values), in place of its samples, and reading the
-    # samples drops them; beyond the grids and samples a 128-lane batch
-    # needs its step chunks, about 0.3 MB, where keeping the steps past
-    # the read would add 2.5 MB
+    # t and stage values), in place of its grid and samples, and reading
+    # the samples builds both and drops the steps; beyond the grids and
+    # samples a 128-lane batch and its reads need the step chunks and
+    # one lane's rows at a time, about 0.3 MB, where keeping the steps
+    # past the read would add 2.5 MB
     eq = dc_a.end("infinity").equation
     starts = [shooting.regular_start(a, dc_a, 12.0)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
@@ -933,17 +965,17 @@ def test_lane_rows_are_released_when_the_samples_are_read(dc_a):
     tracemalloc.start()
     try:
         trajs = integrate_many(starts, eq, 12.0)
-        unread, peak = tracemalloc.get_traced_memory()
+        unread = tracemalloc.get_traced_memory()[0]
         for traj in trajs:
             traj.v
-        read = tracemalloc.get_traced_memory()[0]
+        read, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     samples = sum(traj.v.nbytes + traj.vdot.nbytes for traj in trajs)
     kept = samples + sum(traj.t.nbytes for traj in trajs)
     rows = sum(8 * dop853.STEP * traj.stats.steps for traj in trajs)
     assert peak - kept < 1.5e6
-    assert read - unread < samples - 0.9 * rows
+    assert read - unread < kept - 0.9 * rows
 
 
 @pytest.mark.parametrize("t_target,bad,name", [

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from emdenlab import (
     sweep,
     write_trajectory_csv,
 )
-from emdenlab.integrate import CSV_HEADER as HEADER, RTOL_MIN
+from emdenlab.integrate import CSV_HEADER as HEADER, RTOL_MIN, stride_grid
 from emdenlab.params import FrameEquation, frame_equation
 from emdenlab.shooting import classify_ends, regular_start
 
@@ -279,6 +280,53 @@ class TestSamplesOnFirstRead:
         traj = shots[100].trajectory
         traj.v, traj.vdot, traj.v
         assert built == [traj.stats.steps]
+
+    def test_unread_batch_holds_its_steps_and_no_grids(self, dc_a):
+        # an unread run holds its Solution's steps, STEP floats a step,
+        # and no sample grid: beyond the steps a 128-lane batch holds
+        # about 1 KB a lane (its objects and last step's end), where
+        # grids built with the runs would add 1.2 MB
+        eq = dc_a.end("infinity").equation
+        starts = [regular_start(a, dc_a, 12.0)[1]
+                  for a in np.logspace(-2.0, 2.0, 128)]
+        integrate_many(starts[:2], eq, 12.0)
+        tracemalloc.start()
+        try:
+            trajs = integrate_many(starts, eq, 12.0)
+            unread = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not any("t" in vars(traj) for traj in trajs)
+        rows = sum(8 * dop853.STEP * traj.stats.steps for traj in trajs)
+        assert unread - rows < 2.5e5
+
+    def test_crossing_shots_leave_their_grids_unbuilt(self, dc_a):
+        # a crossing's verdict reads the run's direction and termination,
+        # neither of which builds the grid
+        shots = shoot_many(np.logspace(-2.0, 2.0, 50), dc_a)
+        assert {shot.kind.value for shot in shots} == {"crosses_zero"}
+        assert not any("t" in vars(shot.trajectory) for shot in shots)
+
+    def test_grid_is_built_on_first_read(self, dc_a, dense_calls):
+        # the first read of t builds the run's stride grid and samples
+        # nothing; v and vdot are sampled on that grid, which a first
+        # read of v builds as well
+        eq = dc_a.end("infinity").equation
+        rhs = log_frame_rhs(eq)
+        start = regular_start(1.0, dc_a, 12.0)[1]
+        for traj, t_first in ((integrate(start, eq, 12.0), True),
+                              (integrate_many([start], eq, 12.0)[0], False)):
+            sol, stride = traj._run, traj.config.dense_output_stride
+            grid = stride_grid(start.t, traj.termination.t, stride)
+            assert traj.direction == 1
+            if t_first:
+                assert traj.t.tobytes() == grid.tobytes()
+                assert traj.t is traj.t and dense_calls == []
+            v, vdot = traj.v, traj.vdot
+            assert traj.t.tobytes() == grid.tobytes()
+            want = sol(grid, rhs.lanes if sol.lanes else rhs)
+            assert (v.tobytes(), vdot.tobytes()) \
+                == (want[0].tobytes(), want[1].tobytes())
 
     def test_unread_run_survives_pickling(self, dc_a):
         # a scalar shot, and a lane shot as scan's worker pool receives
