@@ -68,7 +68,12 @@ class CriterionResult:
 
 def _sub(subchecks, name, ok, detail):
     subchecks.append((name, bool(ok), detail))
-    return bool(ok)
+
+
+def _result(number, title, detail, subchecks) -> CriterionResult:
+    """The criterion's result: it passes when all its subchecks do."""
+    return CriterionResult(number, title, all(ok for _, ok, _ in subchecks),
+                           detail, subchecks)
 
 
 class Lab:
@@ -161,12 +166,12 @@ class Lab:
 def criterion_01(lab: Lab, tol: dict) -> CriterionResult:
     art = lab.singular_oracle
     subs: list = []
-    ok = _sub(subs, "max_rel_err", art["max_rel_err"] < tol["c1_profile_rel"],
-              f"{art['max_rel_err']:.3e} vs {tol['c1_profile_rel']:.1e}")
-    ok &= _sub(subs, "runtime", art["seconds"] < tol["c1_runtime_s"],
-               f"{art['seconds']:.3f} s vs {tol['c1_runtime_s']} s")
-    return CriterionResult(
-        1, "exact single-term singular profile", ok,
+    _sub(subs, "max_rel_err", art["max_rel_err"] < tol["c1_profile_rel"],
+         f"{art['max_rel_err']:.3e} vs {tol['c1_profile_rel']:.1e}")
+    _sub(subs, "runtime", art["seconds"] < tol["c1_runtime_s"],
+         f"{art['seconds']:.3f} s vs {tol['c1_runtime_s']} s")
+    return _result(
+        1, "exact single-term singular profile",
         f"max rel err {art['max_rel_err']:.3e} over r in [1, 1e3] in "
         f"{art['seconds']:.3f} s", subs)
 
@@ -176,18 +181,16 @@ def criterion_02(lab: Lab, tol: dict) -> CriterionResult:
     rep = art["report"]
     target = 15.0 ** 0.75
     subs: list = []
-    ok = _sub(subs, "profile_rel_err",
-              art["max_rel_err"] < tol["c2_profile_rel"],
-              f"{art['max_rel_err']:.3e} vs {tol['c2_profile_rel']:.1e}")
-    ok &= _sub(subs, "kind", rep.kind == Kind.FAST_DECAY_REGULAR,
-               rep.kind.value)
+    _sub(subs, "profile_rel_err", art["max_rel_err"] < tol["c2_profile_rel"],
+         f"{art['max_rel_err']:.3e} vs {tol['c2_profile_rel']:.1e}")
+    _sub(subs, "kind", rep.kind == Kind.FAST_DECAY_REGULAR, rep.kind.value)
     c1_rel = (abs(rep.fitted_constant - target) / target
               if rep.fitted_constant is not None else math.inf)
-    ok &= _sub(subs, "tail_constant", c1_rel < tol["c2_tail_constant_rel"],
-               f"c1={rep.fitted_constant} vs 15^(3/4)={target} "
-               f"(rel {c1_rel:.3e})")
-    return CriterionResult(
-        2, "regular ground-state profile and tail constant", ok,
+    _sub(subs, "tail_constant", c1_rel < tol["c2_tail_constant_rel"],
+         f"c1={rep.fitted_constant} vs 15^(3/4)={target} "
+         f"(rel {c1_rel:.3e})")
+    return _result(
+        2, "regular ground-state profile and tail constant",
         f"max rel err {art['max_rel_err']:.3e} on r in [0.01, 100]; "
         f"tail c1 rel dev {c1_rel:.3e}", subs)
 
@@ -200,20 +203,20 @@ def criterion_03(lab: Lab, tol: dict) -> CriterionResult:
         / dc.lambda1 if orbit.report_infinity.fitted_constant else math.inf
     rel_ori = abs(orbit.report_origin.fitted_constant - dc.lambda2) \
         / dc.lambda2 if orbit.report_origin.fitted_constant else math.inf
-    ok = _sub(subs, "kind_infinity",
-              orbit.report_infinity.kind == Kind.SLOW_DECAY_SINGULAR,
-              orbit.report_infinity.kind.value)
-    ok &= _sub(subs, "kind_origin",
-               orbit.report_origin.kind == Kind.SLOW_DECAY_SINGULAR,
-               orbit.report_origin.kind.value)
-    ok &= _sub(subs, "limit_infinity", rel_inf < tol["c3_limit_rel"],
-               f"rel {rel_inf:.3e} vs {tol['c3_limit_rel']:.1e}")
-    ok &= _sub(subs, "limit_origin", rel_ori < tol["c3_limit_rel"],
-               f"rel {rel_ori:.3e} vs {tol['c3_limit_rel']:.1e}")
-    ok &= _sub(subs, "runtime", lab.orbit_a_seconds < tol["c3_runtime_s"],
-               f"{lab.orbit_a_seconds:.2f} s vs {tol['c3_runtime_s']} s")
-    return CriterionResult(
-        3, "connecting orbit hits both singular amplitudes", ok,
+    _sub(subs, "kind_infinity",
+         orbit.report_infinity.kind == Kind.SLOW_DECAY_SINGULAR,
+         orbit.report_infinity.kind.value)
+    _sub(subs, "kind_origin",
+         orbit.report_origin.kind == Kind.SLOW_DECAY_SINGULAR,
+         orbit.report_origin.kind.value)
+    _sub(subs, "limit_infinity", rel_inf < tol["c3_limit_rel"],
+         f"rel {rel_inf:.3e} vs {tol['c3_limit_rel']:.1e}")
+    _sub(subs, "limit_origin", rel_ori < tol["c3_limit_rel"],
+         f"rel {rel_ori:.3e} vs {tol['c3_limit_rel']:.1e}")
+    _sub(subs, "runtime", lab.orbit_a_seconds < tol["c3_runtime_s"],
+         f"{lab.orbit_a_seconds:.2f} s vs {tol['c3_runtime_s']} s")
+    return _result(
+        3, "connecting orbit hits both singular amplitudes",
         f"lambda1 rel dev {rel_inf:.3e}, lambda2 rel dev {rel_ori:.3e} in "
         f"{lab.orbit_a_seconds:.2f} s", subs)
 
@@ -223,11 +226,11 @@ def criterion_04(lab: Lab, tol: dict) -> CriterionResult:
     rate = fit_exponential_rate(lab.orbit_a.trajectory, dc.lambda1,
                                 (6.0, 10.0))
     lo, hi = dc.delta - tol["c4_rate_band"], dc.delta + tol["c4_rate_band"]
-    ok = lo <= rate <= hi
-    subs = [("rate_in_band", ok,
-             f"{rate:.4f} in [{lo:.4f}, {hi:.4f}] (delta={dc.delta:.4f})")]
-    return CriterionResult(
-        4, "forced approach rate at infinity", ok,
+    subs: list = []
+    _sub(subs, "rate_in_band", lo <= rate <= hi,
+         f"{rate:.4f} in [{lo:.4f}, {hi:.4f}] (delta={dc.delta:.4f})")
+    return _result(
+        4, "forced approach rate at infinity",
         f"rate {rate:.4f} vs delta {dc.delta:.4f} (band {tol['c4_rate_band']})",
         subs)
 
@@ -237,20 +240,18 @@ def criterion_05(lab: Lab, tol: dict) -> CriterionResult:
     env = art["envelope"]
     dc = art["dc"]
     subs: list = []
-    ok = _sub(subs, "n_extrema", env.n_extrema >= tol["c5_min_extrema"],
-              f"{env.n_extrema} vs {tol['c5_min_extrema']}")
-    ok &= _sub(subs, "lambda_bracketed", env.mu1 <= dc.lambda2 <= env.mu2,
-               f"mu1={env.mu1:.4f} <= lambda2={dc.lambda2} <= "
-               f"mu2={env.mu2:.4f}")
-    ok &= _sub(subs, "b_match", env.b_match_rel < tol["c5_b_match_rel"],
-               f"{env.b_match_rel:.3e} vs {tol['c5_b_match_rel']:.1e}")
+    _sub(subs, "n_extrema", env.n_extrema >= tol["c5_min_extrema"],
+         f"{env.n_extrema} vs {tol['c5_min_extrema']}")
+    _sub(subs, "lambda_bracketed", env.mu1 <= dc.lambda2 <= env.mu2,
+         f"mu1={env.mu1:.4f} <= lambda2={dc.lambda2} <= mu2={env.mu2:.4f}")
+    _sub(subs, "b_match", env.b_match_rel < tol["c5_b_match_rel"],
+         f"{env.b_match_rel:.3e} vs {tol['c5_b_match_rel']:.1e}")
     depth = well_potential(env.mu1, dc.end("origin"))
-    ok &= _sub(subs, "well_depth_negative", depth < 0.0,
-               f"b(mu1)={depth:.4f}")
-    ok &= _sub(subs, "kind", art["report"].kind == Kind.OSCILLATORY,
-               art["report"].kind.value)
-    return CriterionResult(
-        5, "critical-exponent oscillation envelope", ok,
+    _sub(subs, "well_depth_negative", depth < 0.0, f"b(mu1)={depth:.4f}")
+    _sub(subs, "kind", art["report"].kind == Kind.OSCILLATORY,
+         art["report"].kind.value)
+    return _result(
+        5, "critical-exponent oscillation envelope",
         f"{env.n_extrema} extrema, mu1={env.mu1:.4f}, mu2={env.mu2:.4f}, "
         f"b match rel {env.b_match_rel:.3e}", subs)
 
@@ -260,24 +261,23 @@ def criterion_06(lab: Lab, tol: dict) -> CriterionResult:
     traj = lab.orbit_a.trajectory
     subs: list = []
     rep = apriori_bound_report(traj, dc, (10.0, 14.0))
-    ok = _sub(subs, "tail_sup_vdot", rep.sup_abs_vdot < tol["c6_sup_vdot"],
-              f"{rep.sup_abs_vdot:.4e} vs {tol['c6_sup_vdot']:.1e}")
+    _sub(subs, "tail_sup_vdot", rep.sup_abs_vdot < tol["c6_sup_vdot"],
+         f"{rep.sup_abs_vdot:.4e} vs {tol['c6_sup_vdot']:.1e}")
     integrals = [apriori_bound_report(traj, dc, (T, T + 2.0))
                  .integral_vdot_sq for T in (8.0, 9.0, 10.0, 11.0, 12.0)]
     dec = all(b < a for a, b in zip(integrals, integrals[1:]))
-    ok &= _sub(subs, "dissipation_decreasing", dec,
-               "integral vdot^2 on sliding windows: "
-               + ", ".join(f"{x:.3e}" for x in integrals))
-    ok &= _sub(subs, "flux_nonincreasing", rep.flux_monotone_ok,
-               f"max flux step rel {rep.margins['max_flux_step_rel']:.2e}")
+    _sub(subs, "dissipation_decreasing", dec,
+         "integral vdot^2 on sliding windows: "
+         + ", ".join(f"{x:.3e}" for x in integrals))
+    _sub(subs, "flux_nonincreasing", rep.flux_monotone_ok,
+         f"max flux step rel {rep.margins['max_flux_step_rel']:.2e}")
     bub = lab.bubble
     bub_rep = apriori_bound_report(bub["traj"], bub["dc"],
                                    (math.log(50.0), math.log(100.0)))
-    ok &= _sub(subs, "mass_nondecreasing", bub_rep.mass_monotone_ok,
-               f"min mass step rel "
-               f"{bub_rep.margins['min_mass_step_rel']:.2e}")
-    return CriterionResult(
-        6, "tail bounds and monotone dissipation", ok,
+    _sub(subs, "mass_nondecreasing", bub_rep.mass_monotone_ok,
+         f"min mass step rel {bub_rep.margins['min_mass_step_rel']:.2e}")
+    return _result(
+        6, "tail bounds and monotone dissipation",
         f"sup |vdot| on [10,14] = {rep.sup_abs_vdot:.4e} "
         f"(bound {tol['c6_sup_vdot']:.1e}); "
         + "; ".join(f"{n}={'ok' if o else 'FAIL'}" for n, o, _ in subs),
@@ -304,18 +304,17 @@ def criterion_07(lab: Lab, tol: dict) -> CriterionResult:
     config = IntegratorConfig(dense_output_stride=0.0025)
     subs: list = []
     worst = 0.0
-    ok = True
     for i, (params, amp) in enumerate(sample_balance_configs()):
         dc = derive_constants(params)
         traj = integrate(State(0.0, amp * dc.lambda1, 0.0),
                          dc.end("infinity").equation, 8.0, config)
         res = energy_trace(traj, dc).balance_residual()
         worst = max(worst, res)
-        ok &= _sub(subs, f"config_{i}", res < tol["c7_balance"],
-                   f"n={params.n} p={params.p:.3f} q={params.q:.3f} "
-                   f"residual {res:.3e}")
-    return CriterionResult(
-        7, "energy balance across random configurations", ok,
+        _sub(subs, f"config_{i}", res < tol["c7_balance"],
+             f"n={params.n} p={params.p:.3f} q={params.q:.3f} "
+             f"residual {res:.3e}")
+    return _result(
+        7, "energy balance across random configurations",
         f"worst sub-interval residual {worst:.3e} vs {tol['c7_balance']:.1e} "
         f"over {len(subs)} configs", subs)
 
@@ -327,11 +326,11 @@ def criterion_08(lab: Lab, tol: dict) -> CriterionResult:
     n_und = sum(1 for k in kinds if k == Kind.UNDETERMINED)
     n_bad = sum(1 for k in kinds if k not in allowed)
     counts = {k.value: kinds.count(k) for k in set(kinds)}
-    ok = n_und == 0 and n_bad == 0
-    subs = [("no_undetermined", n_und == 0, f"{n_und} undetermined"),
-            ("kinds_allowed", n_bad == 0, f"{n_bad} outside dichotomy")]
-    return CriterionResult(
-        8, "shot dichotomy with no undetermined verdicts", ok,
+    subs: list = []
+    _sub(subs, "no_undetermined", n_und == 0, f"{n_und} undetermined")
+    _sub(subs, "kinds_allowed", n_bad == 0, f"{n_bad} outside dichotomy")
+    return _result(
+        8, "shot dichotomy with no undetermined verdicts",
         f"50 shots over a in [1e-2, 1e2]: {counts}", subs)
 
 
@@ -339,22 +338,20 @@ def criterion_09(lab: Lab, tol: dict) -> CriterionResult:
     n64 = len(lab.scan_64.boundaries)
     n128 = len(lab.scan_128.boundaries)
     subs: list = []
-    ok = _sub(subs, "boundary_count",
-              n64 == tol["c9_expected_boundaries"],
-              f"{n64} boundaries vs expected "
-              f"{tol['c9_expected_boundaries']}")
-    ok &= _sub(subs, "refinement_stable", n128 == n64,
-               f"64-grid {n64} vs 128-grid {n128}")
+    _sub(subs, "boundary_count", n64 == tol["c9_expected_boundaries"],
+         f"{n64} boundaries vs expected {tol['c9_expected_boundaries']}")
+    _sub(subs, "refinement_stable", n128 == n64,
+         f"64-grid {n64} vs 128-grid {n128}")
     widths_ok = all(b.rel_width < tol["c9_bisect_rel_width"]
                     for b in lab.scan_64.boundaries)
-    ok &= _sub(subs, "bisect_width", widths_ok,
-               "all boundary brackets below "
-               f"{tol['c9_bisect_rel_width']:.1e} relative width "
-               f"({n64} boundaries)")
+    _sub(subs, "bisect_width", widths_ok,
+         "all boundary brackets below "
+         f"{tol['c9_bisect_rel_width']:.1e} relative width "
+         f"({n64} boundaries)")
     kinds64 = {k.value: lab.scan_64.kinds.count(k)
                for k in set(lab.scan_64.kinds)}
-    return CriterionResult(
-        9, "threshold count and bisection stability", ok,
+    return _result(
+        9, "threshold count and bisection stability",
         f"boundaries: 64-grid {n64}, 128-grid {n128}; kinds {kinds64}",
         subs)
 
@@ -392,9 +389,8 @@ def criterion_10(lab: Lab, tol: dict) -> CriterionResult:
                              overrides={"c2_profile_rel": 1e-16})[0]
     _sub(subs, "mutation_detected", not mutated.passed,
          "criterion 2 fails when its tolerance is tightened to 1e-16")
-    ok = all(o for _, o, _ in subs)
-    return CriterionResult(
-        10, "deterministic artifacts and mutation sensitivity", ok,
+    return _result(
+        10, "deterministic artifacts and mutation sensitivity",
         "; ".join(f"{n}={'ok' if o else 'FAIL'}" for n, o, _ in subs),
         subs)
 

@@ -30,11 +30,7 @@ __call__ is the dense output:
   right-hand side values a lane takes the scalar core's steps bit for
   bit.  A fun that carries fun.stages is prepared once for an
   attempt's 13 stage times (log_frame_rhs's computes each exponential
-  there once), and the attempt tests its values' finiteness once.  The
-  lockstep loop costs more per iteration than one scalar run: on a
-  2-CPU host, 64 regular CONFIG_A shots to t = 2 or 12 take 0.45-0.6
-  of the time of a loop of scalar shots, 32 take 0.65-0.95 of it and
-  16 take 1.4-2.1 times as long (medians of 9 alternating repeats).
+  there once), and the attempt tests its values' finiteness once.
 
 Both keep each accepted step as the stage values its interpolant needs
 (Solution.stages) and evaluate the three dense-output stages 13-15 only

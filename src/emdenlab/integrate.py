@@ -27,20 +27,19 @@ positivity, at the amplitude cap, or on a step-size underflow.
 It has two cores, and both return a dop853.Solution per run: its steps,
 work counts and dense output.  integrate runs one start through the
 scalar core, solve_ivp, on floats.  integrate_many runs many starts in
-one frame through the lane core, solve_lanes, which advances them in
-lockstep on numpy arrays; each lane takes the scalar core's steps, up to
-numpy's exp and power rounding 1 ulp away from math's.  Both evaluate
-the one acceleration expression log_frame_rhs compiles from the term
-table, the scalar core inlined in its step attempt, the lane core with
-each exponential computed once for an attempt's 13 stage times.  One
-function, _trajectory, turns every run into a Trajectory: the ends and
-stride of its stride_grid, built when t is first read, the Solution
-that samples it there when the samples are first read, the
-FrameEquation whose right-hand side that read passes to it (the
-Solution builds its steps' interpolants then), its termination and its
-work in Trajectory.stats.  The lockstep loop costs more per step than a
-scalar run: it is faster than a loop of integrate from somewhere
-between 16 and 32 starts (dop853's docstring has the measurement).
+one frame, and the batch size picks the core (LANES_MIN): a small batch
+is a loop of integrate, a large one goes through the lane core,
+solve_lanes, which advances them in lockstep on numpy arrays; each lane
+takes the scalar core's steps, up to numpy's exp and power rounding
+1 ulp away from math's.  Both evaluate the one acceleration expression
+log_frame_rhs compiles from the term table, the scalar core inlined in
+its step attempt, the lane core with each exponential computed once for
+an attempt's 13 stage times.  One function, _trajectory, turns every
+run into a Trajectory: the ends and stride of its stride_grid, built
+when t is first read, the Solution that samples it there when the
+samples are first read, the FrameEquation whose right-hand side that
+read passes to it (the Solution builds its steps' interpolants then),
+its termination and its work in Trajectory.stats.
 """
 
 from __future__ import annotations
@@ -440,24 +439,36 @@ def integrate(start: State, eq: FrameEquation, t_target: float,
     return _trajectory(start, eq, sol, config)
 
 
+# The fewest starts integrate_many runs on the lane core.  Its lockstep
+# loop costs more per step than a scalar run, so a smaller batch is a
+# loop of integrate: on a 2-CPU host, lane batches of regular CONFIG_A
+# shots over np.logspace(-2, 2, n) to t = 2 and 12 take 1.4-2.0 times
+# the time of a loop of scalar shots at n = 16, 1.1-1.15 at 24,
+# 0.75-1.06 at 32 and 0.61-0.74 at 48 (medians of 9 and of 11
+# alternating repeats).
+LANES_MIN = 32
+
+
 def integrate_many(starts, eq: FrameEquation, t_target: float,
                    config: IntegratorConfig | None = None) -> list:
-    """integrate() from each of `starts`, all run in lockstep by the lane
-    core dop853.solve_lanes.
+    """integrate() from each of `starts`: a loop of integrate for fewer
+    than LANES_MIN starts, else all run in lockstep by the lane core
+    dop853.solve_lanes.  Every start is checked before the first run.
 
     Each lane takes the steps that integrate takes, and _trajectory
     turns its Solution into a Trajectory when the lane is yielded; an
     unread lane keeps the Solution's stage values, and no grid, until
-    its samples are first read.
+    its samples are first read.  A lane does not depend on its batch.
     The two cores differ only where numpy's exp and power round
     differently from math's (1 ulp in a few percent of values), which
-    moves the samples at roundoff.  At 16 starts a loop of integrate is
-    faster.
+    moves the samples at roundoff.
     """
     if config is None:
         config = IntegratorConfig()
     for start in starts:
         _check_start(start, t_target, config)
+    if len(starts) < LANES_MIN:
+        return [integrate(start, eq, t_target, config) for start in starts]
     trajs = [None] * len(starts)
     for i, sol in solve_lanes(
             log_frame_rhs(eq).lanes,

@@ -99,23 +99,19 @@ def _check_alike(shots: list, what: str) -> None:
 def shoot(a: float, dc: DerivedConstants,
           config: IntegratorConfig | None = None,
           t_target: float = T_TARGET) -> ShotResult:
-    """One regular shot u(0) = a, classified at the infinity end.  Its
-    start radius shrinks with a so the series gate always holds; it runs
-    in the alpha1 frame, where the p-term is autonomous."""
-    r0, start = regular_start(a, dc, t_target)
-    traj = integrate(start, dc.end("infinity").equation, t_target, config)
-    return ShotResult(float(a), r0, traj, classify_end(traj, dc, "infinity"),
-                      dc, t_target)
+    """The one regular shot u(0) = a: shoot_many of that amplitude."""
+    return shoot_many([a], dc, config, t_target)[0]
 
 
 def shoot_many(a_grid, dc: DerivedConstants,
                config: IntegratorConfig | None = None,
                t_target: float = T_TARGET) -> list:
-    """shoot() at every amplitude of a_grid, the shots integrated in
-    lockstep as one lane batch (integrate_many); ShotResults in grid
-    order.  Faster than a loop of shoot from somewhere between 16 and 32
-    amplitudes (a scan's grid); single shots and bisection midpoints go
-    through shoot.
+    """The regular shot u(0) = a at every amplitude of a_grid, each
+    classified at the infinity end; ShotResults in grid order.  A shot's
+    start radius shrinks with a so the series gate always holds, and it
+    runs in the alpha1 frame, where the p-term is autonomous.  Every
+    start is built before the first run, and the runs are one
+    integrate_many batch.
     """
     starts = [regular_start(a, dc, t_target) for a in a_grid]
     trajs = integrate_many([start for _, start in starts],

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from emdenlab import ProblemParams, connecting_orbit, derive_constants
@@ -54,6 +56,21 @@ def orbit_a(lab):
 @pytest.fixture(scope="session")
 def orbit_c(dc_c):
     return connecting_orbit(dc_c, "from_origin")
+
+
+@pytest.fixture
+def lane_batches(monkeypatch):
+    """The size of each batch integrate_many runs on the lane core, one
+    entry per dop853.solve_lanes call."""
+    module = importlib.import_module("emdenlab.integrate")
+    sizes, solve_lanes = [], module.solve_lanes
+
+    def counted(fun, t0, *args):
+        sizes.append(len(t0))
+        return solve_lanes(fun, t0, *args)
+
+    monkeypatch.setattr(module, "solve_lanes", counted)
+    return sizes
 
 
 @pytest.fixture(scope="session")

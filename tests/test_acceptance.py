@@ -180,3 +180,17 @@ def test_format_results_layout():
     assert lines[0].startswith("criterion 01 PASS - alpha")
     assert lines[1].startswith("criterion 02 FAIL - beta")
     assert lines[-1] == "1/2 criteria passed"
+
+
+def test_criterion_whose_artifact_raises_fails():
+    # the error path has no subchecks, of which all() would say passed
+    class BrokenLab(Lab):
+        @property
+        def bubble(self):
+            raise RuntimeError("no bubble")
+
+    res, = run_acceptance(only=[2], lab=BrokenLab())
+    assert (res.passed, res.subchecks) == (False, [])
+    assert format_results([res]).splitlines() == [
+        "criterion 02 FAIL - criterion 2: error: RuntimeError: no bubble",
+        "0/1 criteria passed"]

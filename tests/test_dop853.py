@@ -6,6 +6,7 @@ at each stage, and the dense-output rows it builds on first read
 against the rows the loop formulation makes of each accepted step as
 it is taken."""
 
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -35,10 +36,17 @@ from emdenlab import (
     shooting,
 )
 from emdenlab.acceptance import CONFIG_A
-from emdenlab.integrate import _frame_rhs, stride_grid
+from emdenlab.integrate import LANES_MIN, _frame_rhs, stride_grid
 from emdenlab.params import FrameEquation, frame_equation, frame_exp
 
 CONFIG = IntegratorConfig()
+
+
+def lane_batch(starts: list) -> list:
+    """starts padded with repeats of the first to LANES_MIN, the
+    smallest batch integrate_many runs on the lane core; a lane does not
+    depend on its batch."""
+    return list(starts) + [starts[0]] * (LANES_MIN - len(starts))
 
 
 def dense(rows, shape):
@@ -775,12 +783,19 @@ def test_lane_is_the_scalar_run(params, amplitudes, t_target):
     # scalar core's steps.  Where rounding decides the steps (see
     # test_same_run_as_scipy) the runs agree only to their global errors.
     dc = derive_constants(params)
-    lanes = shoot_many(amplitudes, dc, t_target=t_target)
-    for a, lane in zip(amplitudes, lanes):
-        one = shoot(a, dc, t_target=t_target)
-        ours, theirs = lane.trajectory, one.trajectory
+    module = importlib.import_module("emdenlab.integrate")
+    with mock.patch.object(module, "solve_lanes",
+                           wraps=module.solve_lanes) as solve_lanes:
+        lanes = shoot_many(lane_batch(amplitudes), dc, t_target=t_target)
         # a lane's run does not depend on the lanes it rides with
-        alone = shoot_many([a], dc, t_target=t_target)[0].trajectory
+        alones = [shoot_many([a] * LANES_MIN, dc, t_target=t_target)[0]
+                  for a in amplitudes]
+        ones = [shoot(a, dc, t_target=t_target) for a in amplitudes]
+    # each batch is one lane batch, and each shot a scalar run
+    assert solve_lanes.call_count == 1 + len(amplitudes)
+    for a, lane, alone, one in zip(amplitudes, lanes, alones, ones):
+        ours, theirs = lane.trajectory, one.trajectory
+        alone = alone.trajectory
         assert (alone.termination, alone.stats) \
             == (ours.termination, ours.stats)
         for name in ("t", "v", "vdot"):
@@ -802,7 +817,8 @@ def test_lane_is_the_scalar_run(params, amplitudes, t_target):
             assert abs(x[-1] - y[-1]) <= tol * scale
 
 
-def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a):
+def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a,
+                                                        lane_batches):
     # fed the values the lanes compute, the scalar core takes the same
     # steps bit for bit and its stride samples are the lane's; the cap
     # ends six of the lanes, positivity three, and the last one runs
@@ -815,7 +831,9 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a):
            State(13.5, 1.2, 0.1)]
     rhs = log_frame_rhs(eq)
     one = dop853._one_lane(rhs.lanes)
-    for start, traj in zip(starts, integrate_many(starts, eq, 12.0, config)):
+    trajs = integrate_many(lane_batch(starts), eq, 12.0, config)
+    assert lane_batches == [LANES_MIN]
+    for start, traj in zip(starts, trajs):
         sol = dop853.solve_ivp(one, start.t, 12.0, (start.v, start.vdot),
                                config.rtol, config.atol, config.max_step,
                                config.amplitude_cap)
@@ -833,9 +851,10 @@ def test_lane_does_not_depend_on_its_batch(dc_a):
     eq = dc_a.end("infinity").equation
     starts = [shooting.regular_start(a, dc_a, 12.0)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
-    alone = integrate_many([starts[40]], eq, 12.0)[0]
+    alone = integrate_many([starts[40]] * LANES_MIN, eq, 12.0)[0]
     in_64 = integrate_many(starts[::2], eq, 12.0)[20]
     in_128 = integrate_many(starts[::-1], eq, 12.0)[87]
+    assert all(traj._run.lanes for traj in (alone, in_64, in_128))
     for traj in (in_64, in_128):
         assert traj.termination == alone.termination
         assert traj.stats == alone.stats
@@ -843,14 +862,15 @@ def test_lane_does_not_depend_on_its_batch(dc_a):
             assert np.array_equal(getattr(traj, name), getattr(alone, name))
 
 
-def test_amplitude_cap_on_a_lane(dc_a):
+def test_amplitude_cap_on_a_lane(dc_a, lane_batches):
     # the scalar test_amplitude_cap_branch start, between two lanes that
     # stay under the cap
     eq = dc_a.end("infinity").equation
     config = IntegratorConfig(amplitude_cap=2.0)
     starts = [State(0.0, 1.0, 0.0), State(0.0, 1.5, 3.0),
               State(0.0, 1.2, -0.5)]
-    trajs = integrate_many(starts, eq, 12.0, config)
+    trajs = integrate_many(lane_batch(starts), eq, 12.0, config)
+    assert lane_batches == [LANES_MIN]
     capped = trajs[1]
     assert capped.termination.kind == TerminationKind.AMPLITUDE_CAP
     assert capped.termination.t == pytest.approx(0.157841792994667,
@@ -864,13 +884,14 @@ def test_amplitude_cap_on_a_lane(dc_a):
                                                    abs=1e-12)
 
 
-def test_underflow_and_zero_span_lanes(dc_a):
+def test_underflow_and_zero_span_lanes(dc_a, lane_batches):
     # 10 ulp of t = 1e15 is 1.25, above max_step: neither lane can step;
     # a start already at t_target takes no step and evaluates no fun
     t_target, eq = 1e15 + 1.0, dc_a.end("infinity").equation
     starts = [State(1e15, 1.0, 0.0), State(t_target, 2.0, 0.5),
               State(1e15 + 0.5, 3.0, -1.0)]
-    trajs = integrate_many(starts, eq, t_target)
+    trajs = integrate_many(lane_batch(starts), eq, t_target)
+    assert lane_batches == [LANES_MIN]
     kinds = [TerminationKind.STEP_UNDERFLOW,
              TerminationKind.REACHED_SPAN_END,
              TerminationKind.STEP_UNDERFLOW]
@@ -921,13 +942,14 @@ def test_stride_under_the_spacing_of_t_is_rejected_before_the_run():
     start = State(2.0 ** 46 - 0.5, dc.lambda1 + 0.1, 0.0)
     with mock.patch.object(dop853, "_initial_step",
                            side_effect=AssertionError("solver ran")):
-        for run in (integrate, lambda *a: integrate_many([a[0]], *a[1:])):
+        for run in (integrate,
+                    lambda *a: integrate_many([a[0]] * LANES_MIN, *a[1:])):
             with pytest.raises(ValueError, match=r"stride 0\.01 .* t = "
                                r"70368744177664\.08"):
                 run(start, frame_equation(params, dc.alpha1), 2.0 ** 46 + 0.08)
 
 
-def test_lanes_that_step_then_underflow(dc_a):
+def test_lanes_that_step_then_underflow(dc_a, lane_batches):
     # near t = 2^46 a few steps fit before h falls under 10 ulp of t; the
     # last sample sits at the end of the last step, not at its start.
     # The stride is 0.05 because the default 0.01 is under 2 ulp there.
@@ -936,7 +958,8 @@ def test_lanes_that_step_then_underflow(dc_a):
     starts = [State(2.0 ** 46 - 0.5, 1.0, 0.0),
               State(2.0 ** 46 - 0.8, 1.2, 0.1)]
     one = dop853._one_lane(log_frame_rhs(eq).lanes)
-    trajs = integrate_many(starts, eq, t_target, config)
+    trajs = integrate_many(lane_batch(starts), eq, t_target, config)
+    assert lane_batches == [LANES_MIN]
     for start, traj, steps in zip(starts, trajs, (6, 9)):
         sol = dop853.solve_ivp(one, start.t, t_target, (start.v, start.vdot),
                                config.rtol, config.atol, config.max_step,
@@ -951,7 +974,8 @@ def test_lanes_that_step_then_underflow(dc_a):
         assert np.array_equal(traj.vdot, vdot)
 
 
-def test_lane_rows_are_released_when_the_samples_are_read(dc_a):
+def test_lane_rows_are_released_when_the_samples_are_read(dc_a,
+                                                         lane_batches):
     # an unread lane keeps its steps, STEP floats a step (its Solution's
     # t and stage values), in place of its grid and samples, and reading
     # the samples builds both and drops the steps; beyond the grids and
@@ -961,7 +985,7 @@ def test_lane_rows_are_released_when_the_samples_are_read(dc_a):
     eq = dc_a.end("infinity").equation
     starts = [shooting.regular_start(a, dc_a, 12.0)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
-    integrate_many(starts[:2], eq, 12.0)
+    integrate_many(starts[:LANES_MIN], eq, 12.0)
     tracemalloc.start()
     try:
         trajs = integrate_many(starts, eq, 12.0)
@@ -971,6 +995,7 @@ def test_lane_rows_are_released_when_the_samples_are_read(dc_a):
         read, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert lane_batches == [LANES_MIN, 128]
     samples = sum(traj.v.nbytes + traj.vdot.nbytes for traj in trajs)
     kept = samples + sum(traj.t.nbytes for traj in trajs)
     rows = sum(8 * dop853.STEP * traj.stats.steps for traj in trajs)
@@ -984,7 +1009,7 @@ def test_lane_rows_are_released_when_the_samples_are_read(dc_a):
     (1.0, State(0.0, 1.0, -math.inf), "start.vdot"),
 ])
 def test_lane_rejects_nonfinite_input(dc_a, t_target, bad, name):
-    starts = [State(0.0, math.sqrt(2.0), 0.0), bad]
+    starts = [State(0.0, math.sqrt(2.0), 0.0)] * (LANES_MIN - 1) + [bad]
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         integrate_many(starts, dc_a.end("infinity").equation, t_target)
 

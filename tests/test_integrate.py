@@ -35,7 +35,8 @@ from emdenlab import (
     sweep,
     write_trajectory_csv,
 )
-from emdenlab.integrate import CSV_HEADER as HEADER, RTOL_MIN, stride_grid
+from emdenlab.integrate import CSV_HEADER as HEADER, LANES_MIN, RTOL_MIN, \
+    stride_grid
 from emdenlab.params import FrameEquation, frame_equation
 from emdenlab.shooting import classify_ends, regular_start
 
@@ -107,8 +108,9 @@ class TestIntegrateCore:
         assert stats.steps > 0 and stats.rejected > 0
         assert stats.nfev == 2 + 12 * (stats.steps + stats.rejected)
         start = regular_start(1.0, dc_a, 12.0)[1]
-        for crossed in (integrate(start, eq, 12.0),
-                        integrate_many([start, start], eq, 12.0)[1]):
+        lane = integrate_many([start] * LANES_MIN, eq, 12.0)[1]
+        assert lane._run.lanes
+        for crossed in (integrate(start, eq, 12.0), lane):
             s = crossed.stats
             assert crossed.termination.kind == TerminationKind.POSITIVITY_LOST
             assert s.nfev == 2 + 12 * (s.steps + s.rejected) + 3
@@ -158,15 +160,15 @@ class TestIntegrateCore:
 
 
 class TestConfigValidation:
-    def test_stride_coarser_than_the_step_cap(self, dc_a):
+    def test_stride_coarser_than_the_step_cap(self, dc_a, lane_batches):
         # samples are read off the step interpolants and events are
         # located on them, so a stride of 100 capped steps samples the
         # same run as the default stride, in both cores
         start = State(0.0, 1.0, 0.0)
         coarse_cfg = IntegratorConfig(max_step=0.01, dense_output_stride=1.0)
         fine_cfg = IntegratorConfig(max_step=0.01)
-        for run in (integrate,
-                    lambda s, *rest: integrate_many([s], *rest)[0]):
+        for run in (integrate, lambda s, *rest: integrate_many(
+                [s] * LANES_MIN, *rest)[0]):
             fine = run(start, dc_a.end("infinity").equation, 6.0, fine_cfg)
             coarse = run(start, dc_a.end("infinity").equation, 6.0,
                          coarse_cfg)
@@ -177,6 +179,7 @@ class TestConfigValidation:
             assert coarse.v[:-1] == pytest.approx(fine.v[:-1:100],
                                                   abs=1e-12)
             assert coarse.v[-1] == fine.v[-1]
+        assert lane_batches == [LANES_MIN, LANES_MIN]
 
     @pytest.mark.parametrize("kwargs", [
         dict(rtol=0.0), dict(atol=-1e-12), dict(max_step=0.0),
@@ -289,13 +292,14 @@ class TestSamplesOnFirstRead:
         eq = dc_a.end("infinity").equation
         starts = [regular_start(a, dc_a, 12.0)[1]
                   for a in np.logspace(-2.0, 2.0, 128)]
-        integrate_many(starts[:2], eq, 12.0)
+        integrate_many(starts[:LANES_MIN], eq, 12.0)
         tracemalloc.start()
         try:
             trajs = integrate_many(starts, eq, 12.0)
             unread = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert all(traj._run.lanes for traj in trajs)
         assert not any("t" in vars(traj) for traj in trajs)
         rows = sum(8 * dop853.STEP * traj.stats.steps for traj in trajs)
         assert unread - rows < 2.5e5
@@ -315,8 +319,10 @@ class TestSamplesOnFirstRead:
         rhs = log_frame_rhs(eq)
         start = regular_start(1.0, dc_a, 12.0)[1]
         for traj, t_first in ((integrate(start, eq, 12.0), True),
-                              (integrate_many([start], eq, 12.0)[0], False)):
+                              (integrate_many([start] * LANES_MIN, eq,
+                                              12.0)[0], False)):
             sol, stride = traj._run, traj.config.dense_output_stride
+            assert sol.lanes != t_first
             grid = stride_grid(start.t, traj.termination.t, stride)
             assert traj.direction == 1
             if t_first:
@@ -332,15 +338,50 @@ class TestSamplesOnFirstRead:
         # a scalar shot, and a lane shot as scan's worker pool receives
         # it: a Solution of arrays and the FrameEquation whose right-hand
         # side reads it
-        for traj in (shoot(1.0, dc_a).trajectory,
-                     shoot_many([0.5, 1.0], dc_a)[1].trajectory):
+        lane = shoot_many([1.0] * LANES_MIN, dc_a)[0]
+        for traj in (shoot(1.0, dc_a).trajectory, lane.trajectory):
             assert holds_a_solution(traj)
+            assert traj._run.lanes == (traj is lane.trajectory)
             back = pickle.loads(pickle.dumps(traj))
             for name in ("t", "v", "vdot"):
                 assert getattr(back, name).tobytes() \
                     == getattr(traj, name).tobytes()
             assert (back.termination, back.stats, back.config) \
                 == (traj.termination, traj.stats, traj.config)
+
+
+class TestBatchSize:
+    # integrate_many picks the core from the batch size alone: fewer
+    # than LANES_MIN starts are a loop of integrate, LANES_MIN or more
+    # one lane batch
+    def test_small_batch_is_a_loop_of_scalar_runs(self, dc_a,
+                                                  lane_batches):
+        eq = dc_a.end("infinity").equation
+        grid = np.logspace(-2.0, 2.0, LANES_MIN - 1)
+        starts = [regular_start(a, dc_a, 2.0)[1] for a in grid]
+        trajs = integrate_many(starts, eq, 2.0)
+        shots = shoot_many(grid, dc_a, t_target=2.0)
+        ones = [shoot(a, dc_a, t_target=2.0) for a in grid]
+        assert lane_batches == []
+        for start, traj, shot, one in zip(starts, trajs, shots, ones):
+            for ours, theirs in ((traj, integrate(start, eq, 2.0)),
+                                 (shot.trajectory, one.trajectory)):
+                assert (ours.termination, ours.stats, ours.config) \
+                    == (theirs.termination, theirs.stats, theirs.config)
+                for name in ("t", "v", "vdot"):
+                    assert getattr(ours, name).tobytes() \
+                        == getattr(theirs, name).tobytes()
+            assert canonical_json(shot.to_dict()) \
+                == canonical_json(one.to_dict())
+
+    def test_batch_of_lanes_min_is_one_lane_batch(self, dc_a, lane_batches):
+        eq = dc_a.end("infinity").equation
+        grid = np.logspace(-2.0, 2.0, LANES_MIN)
+        integrate_many([regular_start(a, dc_a, 2.0)[1] for a in grid], eq,
+                       2.0)
+        assert lane_batches == [LANES_MIN]
+        shoot_many(grid, dc_a, t_target=2.0)
+        assert lane_batches == [LANES_MIN, LANES_MIN]
 
 
 def old_series_start(a, r0, params, alpha):

@@ -205,7 +205,7 @@ class TestScan:
         assert scan.boundaries[0].a_star == pytest.approx(1.26797, rel=1e-4)
 
     def test_grid_amplitudes_are_shot_once(self, short_shots, monkeypatch):
-        # the lane batch gives each grid amplitude its one verdict; the
+        # the grid batch gives each amplitude its one verdict; the
         # bisection shoots only midpoints and a*
         shot, shoot_ = [], shooting.shoot
 
