@@ -241,7 +241,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

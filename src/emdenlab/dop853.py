@@ -11,8 +11,8 @@ It is specialised to y = (v, dv/dt) and to the two events that end a
 log-frame run: v falls through 0, or |v| rises through the amplitude cap.
 
 There are two cores over one tableau, one controller, one event
-locator, one dense-output builder and one result, Solution, whose
-__call__ is the dense output:
+locator (_located), one dense-output builder (_dense_rows, which takes
+f on arrays) and one result, Solution, whose __call__ is the dense output:
 
 - solve_ivp runs one start in plain floats.  Its step attempt is
   straight-line code generated from the tableau below by one generator,
@@ -35,12 +35,11 @@ __call__ is the dense output:
 Both keep each accepted step as the stage values its interpolant needs
 (Solution.stages) and evaluate the three dense-output stages 13-15 only
 where they are read, as dop853.f does when no dense output is asked
-for: for the step an event is located on (solve_lanes builds those of
+for: for the step an event is located on (solve_lanes locates those of
 all its lanes at once, when its loop has ended), and for every step of
-a run, vectorised over its steps by _dense_rows, when its Solution is
-first called.  A zero span (t0 == t_bound) is a Solution without
-steps.  Neither samples: integrate reads every run through
-Solution.__call__.
+a run when its Solution is first called, whichever core took the step.
+A zero span (t0 == t_bound) is a Solution without steps.  Neither
+samples: integrate reads every run through Solution.__call__.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import sys
 from array import array
 from contextlib import nullcontext
 from enum import Enum
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -261,28 +260,27 @@ class Solution:
     event time when an event ended it).  stages holds one row per step:
     y_old and f at the stages in KEPT (a STEP row without its t_old), and
     tail the end of the last step (t_new, y_new, f there); a run without
-    steps has an empty tail.  status is how the run ended, lanes whether
-    solve_lanes made it.  The dense-output rows are built from these by
-    the first __call__, which takes the run's right-hand side.
+    steps has an empty tail.  status is how the run ended.  The
+    dense-output rows are built from these by the first __call__, which
+    takes the run's right-hand side on arrays, whichever core made it.
     """
 
     def __init__(self, steps, tail, t_end: float, nfev: int, rejected: int,
-                 status, lanes: bool = False):
+                 status):
         steps = np.asarray(steps, dtype=float).reshape(-1, STEP)
         self.t = np.append(steps[:, 0], t_end)
         self.stages = steps[:, 1:].copy()
-        self.tail = np.array(tail, dtype=float)
+        self.tail = np.array(tail if len(steps) else (), dtype=float)
         self.nfev = nfev
         self.status = status
-        self.lanes = lanes
         self.stats = SolverStats(nfev, len(self.stages), rejected)
         self._rows = None
 
     def dense(self, fun) -> np.ndarray:
         """The (ROW, steps) dense-output rows of the run's steps, one
-        column a step, built by the first call.  fun is the run's
-        right-hand side as its core took it: solve_ivp's fun(t, y), or
-        solve_lanes' fun(t, v, vdot) when lanes is set."""
+        column a step, built by the first call.  fun(t, v, vdot) is the
+        run's right-hand side on arrays of steps (solve_ivp's fun.lanes,
+        solve_lanes' fun)."""
         if self._rows is None:
             n = len(self.stages)
             ends = np.empty((5, n))
@@ -291,8 +289,7 @@ class Solution:
                 ends[0, :-1] = self.t[1:-1]
                 ends[1:, :-1] = self.stages[1:, :4].T
                 ends[:, -1] = self.tail
-            self._rows = _dense_rows(fun if self.lanes else _per_element(fun),
-                                     self.t[:-1], self.stages.T, ends)
+            self._rows = _dense_rows(fun, self.t[:-1], self.stages.T, ends)
         return self._rows
 
     def __call__(self, ts: np.ndarray, fun):
@@ -385,14 +382,6 @@ def _crossings(v_old: float, v_new: float, cap: float) -> list:
     return hits
 
 
-def _first_event(hits, t_old, t_new, h, coef, direction) -> tuple:
-    """(time, kind) of the first of hits on the step from t_old to t_new,
-    each root-found on the step's v interpolant coef."""
-    return min(((_brentq(lambda tau: g(_horner(coef, (tau - t_old) / h)),
-                         t_old, t_new), kind) for kind, g in hits),
-               key=lambda root: direction * root[0])
-
-
 def _initial_step(fun, t0, v, w, fv, fw, t_bound, direction, rtol, atol,
                   max_step) -> float:
     """Hairer's starting-step heuristic (HNW I, section II.4)."""
@@ -468,15 +457,32 @@ def _dense_rows(fun, t, stages, ends) -> np.ndarray:
     return row
 
 
-def _per_element(fun):
-    """solve_ivp's fun(t, y) as a lane evaluator fun(t, v, vdot) that
-    calls it once per element in floats, so a scalar run's stages are
-    rounded as math rounds them."""
-    def lanes(t, v, w):
-        f = chain.from_iterable(map(fun, t.tolist(),
-                                    zip(v.tolist(), w.tolist())))
-        return np.fromiter(f, float, 2 * t.size).reshape(-1, 2).T
-    return lanes
+def _located(fun, cols, dirs, cap, stepped) -> list:
+    """(t_end, kind, tail, rows) of the runs that events end on m steps,
+    given as (STEP + 5, m) columns (a STEP row, then its end), their
+    directions dirs and whether each run stepped before: the first
+    event's time and kind, root-found on the step's v interpolant (one
+    _dense_rows call of fun(t, v, vdot) builds them all), the run's tail
+    and its last step as a (1, STEP) row.  An event on the start of a
+    run's later step sits on the previous grid point: the step is
+    dropped (rows (0, STEP)) and the run ends at its start."""
+    built = _dense_rows(fun, cols[0], cols[1:STEP], cols[STEP:])
+    out = []
+    for k, col in enumerate(cols.T):
+        t_old, v_old, t_new, v_new = col[[0, 1, STEP, STEP + 1]].tolist()
+        h = t_new - t_old
+        coef = built[V_OLD:V_OLD + 8, k].tolist().__getitem__
+        t_end, kind = min(
+            ((_brentq(lambda tau: g(_horner(coef, (tau - t_old) / h)),
+                      t_old, t_new), kind)
+             for kind, g in _crossings(v_old, v_new, cap)),
+            key=lambda root: dirs[k] * root[0])
+        row = col[None, :STEP]
+        if t_end == t_old and stepped[k]:
+            out.append((t_end, kind, col[:5], row[:0]))
+        else:
+            out.append((t_end, kind, col[STEP:], row))
+    return out
 
 
 def _sum(row, y: str) -> str:
@@ -544,11 +550,12 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
     The run ends at t_bound, at the first time v falls through 0 or |v|
     rises through cap (whichever comes first in the direction of
     integration), or when the step size underflows 10 ulp of t.  A zero
-    span (t0 == t_bound) takes no step and evaluates no fun.  A fun may
-    carry its own step attempt as fun.attempt, attempt_source's with
-    fun's evaluation inlined at each stage (log_frame_rhs's does); it
-    then steps with that, and calls fun only for the initial step and
-    the dense output.
+    span (t0 == t_bound) takes no step and evaluates no fun.  fun.lanes,
+    the system on arrays, builds every interpolant (_located, dense).  A
+    fun may carry its own step attempt as fun.attempt, attempt_source's
+    with fun's evaluation inlined at each stage (log_frame_rhs's does);
+    it then steps with that, and calls fun only for its first
+    evaluation and the initial step's probe.
     """
     if t0 == t_bound:
         return Solution((), (), t0, 0, 0, TerminationKind.REACHED_SPAN_END)
@@ -559,9 +566,8 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
     h_abs = _initial_step(fun, t, v, w, k0v, k0w, t_bound, direction,
                           rtol, atol, max_step)
     nfev, n_rejected = 2, 0
-    steps, tail = array("d"), ()
-    status = None
-    while status is None:
+    steps = array("d")
+    while True:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
@@ -570,8 +576,8 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                return Solution(steps, tail, t, nfev, n_rejected,
-                                TerminationKind.STEP_UNDERFLOW)
+                return Solution(steps, (t, v, w, k0v, k0w), t, nfev,
+                                n_rejected, TerminationKind.STEP_UNDERFLOW)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0.0:
                 t_new = t_bound
@@ -609,25 +615,18 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
 
         step = (t, v, w, k0v, k0w, *ks)
         end = (t_new, v_new, w_new, k12v, k12w)
-        hits = _crossings(v, v_new, cap)
-        t_old, t, v, w = t, t_new, v_new, w_new
-        k0v, k0w = k12v, k12w
-        if direction * (t - t_bound) >= 0.0:
-            status = TerminationKind.REACHED_SPAN_END
-        if hits:
-            # the interpolant of the step an event is located on
-            row = _dense_rows(_per_element(fun), np.array(step[:1]),
-                              np.array(step[1:])[:, None],
-                              np.array(end)[:, None])
-            nfev += 3
-            t, status = _first_event(hits, t_old, t, h,
-                                     row[V_OLD:V_OLD + 8, 0].tolist()
-                                     .__getitem__, direction)
-            if t == t_old and steps:
-                break  # the event sits on the previous grid point: drop
+        if _crossings(v, v_new, cap):
+            # an event ends the run on this step
+            (t_end, kind, tail, rows), = _located(
+                fun.lanes, np.array([step + end]).T, (direction,), cap,
+                (bool(steps),))
+            return Solution(np.append(steps, rows), tail, t_end, nfev + 3,
+                            n_rejected, kind)
         steps.extend(step)
-        tail = end
-    return Solution(steps, tail, t, nfev, n_rejected, status)
+        t, v, w, k0v, k0w = end
+        if direction * (t - t_bound) >= 0.0:
+            return Solution(steps, end, t, nfev, n_rejected,
+                            TerminationKind.REACHED_SPAN_END)
 
 
 # the lane core's tableau rows: row s of A over stages 0..s-1; b, e5 and
@@ -654,10 +653,11 @@ STEP_CHUNK = 16
 
 def _one_lane(fun):
     """A lane evaluator fun(t, v, vdot) as solve_ivp's fun(t, y) on one
-    lane of floats."""
+    lane of floats, carrying fun as its .lanes."""
     def one(t, y):
         dv, dw = fun(np.array([t]), np.array([y[0]]), np.array([y[1]]))
         return float(dv[0]), float(dw[0])
+    one.lanes = fun
     return one
 
 
@@ -694,9 +694,9 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     step size underflows, or that reaches t_bound, is yielded as it
     ends.  An event ends its lane wherever on the step its root falls,
     so a lane leaves the lockstep at the step an event fires on; when
-    the loop has ended, the events of all such lanes are located, their
-    steps' interpolants built by one _dense_rows call, and those lanes
-    are yielded last.  A lane keeps its accepted steps until it is
+    the loop has ended, the events of all such lanes are located by one
+    _located call, as solve_ivp locates its run's, and those lanes are
+    yielded last.  A lane keeps its accepted steps until it is
     yielded.  The initial step and the controller's power are taken per
     lane in floats, as solve_ivp takes them; everything else is
     lane-wise array arithmetic.
@@ -705,8 +705,7 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     y = np.array(y0, dtype=float).reshape(2, t.size)
     n_lanes = t.size
     for i in np.flatnonzero(t == t_bound).tolist():
-        yield i, Solution((), (), t[i], 0, 0,
-                          TerminationKind.REACHED_SPAN_END, lanes=True)
+        yield i, Solution((), (), t[i], 0, 0, TerminationKind.REACHED_SPAN_END)
     lane = np.flatnonzero(t != t_bound)
     t, y = t[lane], y[:, lane]
     d = np.where(t_bound > t, 1.0, -1.0)
@@ -737,8 +736,7 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
         the end of its last step (t_new, y_new, f there)."""
         rows = np.concatenate(parts[i] + [chunk[i, :fill[i]], *step])
         parts[i] = []
-        return i, Solution(rows, last if len(rows) else (), t_end, nfev,
-                           rejected, status, lanes=True)
+        return i, Solution(rows, last, t_end, nfev, rejected, status)
 
     while s.lane.size:
         t, d = s.t, s.d
@@ -848,18 +846,11 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
 
     if not met:
         return
-    lanes, ends, dirs, rejected, nfev = (
+    lanes, cols, dirs, rejected, nfev = (
         np.concatenate(x, axis=-1) for x in zip(*met))
-    # the interpolants of the steps the events fired on
-    rows = _dense_rows(fun, ends[0], ends[1:STEP], ends[STEP:])
-    for k, (i, col) in enumerate(zip(lanes.tolist(), ends.T)):
-        t_old, v_old, t_new, v_new = col[[0, 1, STEP, STEP + 1]].tolist()
-        t_end, kind = _first_event(
-            _crossings(v_old, v_new, cap), t_old, t_new, t_new - t_old,
-            rows[V_OLD:V_OLD + 8, k].tolist().__getitem__, float(dirs[k]))
-        work = int(nfev[k]), int(rejected[k])
-        if t_end != t_old or not (fill[i] or parts[i]):
-            yield finish(i, kind, t_end, *work, col[STEP:], col[None, :STEP])
-        else:
-            # the event sits on the previous grid point: drop the step
-            yield finish(i, kind, t_end, *work, col[:5])
+    lanes = lanes.tolist()
+    located = _located(fun, cols, dirs.tolist(), cap,
+                       [bool(fill[i] or parts[i]) for i in lanes])
+    for i, n, r, (t_end, kind, tail, rows) in zip(
+            lanes, nfev.tolist(), rejected.tolist(), located):
+        yield finish(i, kind, t_end, n, r, tail, rows)

@@ -37,9 +37,10 @@ its step attempt, the lane core with each exponential computed once for
 an attempt's 13 stage times.  One function, _trajectory, turns every
 run into a Trajectory: the ends and stride of its stride_grid, built
 when t is first read, the Solution that samples it there when the
-samples are first read, the FrameEquation whose right-hand side that
-read passes to it (the Solution builds its steps' interpolants then),
-its termination and its work in Trajectory.stats.
+samples are first read, the FrameEquation whose array right-hand side
+that read passes to it, whichever core made the run (the Solution
+builds its steps' interpolants then), its termination and its work in
+Trajectory.stats.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ class Trajectory:
                config: IntegratorConfig) -> "Trajectory":
         """The trajectory of the run sol of eq on stride_grid(*grid),
         grid = (t0, t_end, stride): t is built when first read, and v
-        and vdot are sampled by sol(t, fun), fun eq's right-hand side,
-        when either is first read.  The grid is strictly monotone by
+        and vdot are sampled by sol(t, log_frame_rhs(eq).lanes) when
+        either is first read.  The grid is strictly monotone by
         construction (_check_start guards the stride), so it is not
         checked."""
         traj = cls.__new__(cls)
@@ -181,8 +182,7 @@ class Trajectory:
         if name not in ("v", "vdot") or "_run" not in held:
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
-        run, rhs = self._run, log_frame_rhs(self._eq)
-        self._set_samples(*run(self.t, rhs.lanes if run.lanes else rhs))
+        self._set_samples(*self._run(self.t, log_frame_rhs(self._eq).lanes))
         del self._run, self._eq
         return held[name]
 
@@ -346,9 +346,10 @@ def log_frame_rhs(eq: FrameEquation):
     v, which is clamped rather than rejected.  A non-finite state raises
     RuntimeError.  It carries the same acceleration in three more forms:
     `attempt`, the DOP853 step attempt with it inlined at each stage,
-    which solve_ivp steps with; `lanes(t, v, vdot)`, solve_lanes' fun,
-    on arrays of lanes; and `lanes.stages`, which evaluates a lane
-    attempt's stages with each exponential computed once for all 13.
+    which solve_ivp steps with; `lanes(t, v, vdot)` on arrays, which
+    solve_lanes steps with and every run's interpolants are built with;
+    and `lanes.stages`, which evaluates a lane attempt's stages with
+    each exponential computed once for all 13.
     Each gives the values, and raises the errors, of the function called
     at each stage.  All four are compiled together once per layout of
     the term table, when the first equation of that layout asks.
@@ -458,10 +459,10 @@ def integrate_many(starts, eq: FrameEquation, t_target: float,
     Each lane takes the steps that integrate takes, and _trajectory
     turns its Solution into a Trajectory when the lane is yielded; an
     unread lane keeps the Solution's stage values, and no grid, until
-    its samples are first read.  A lane does not depend on its batch.
-    The two cores differ only where numpy's exp and power round
-    differently from math's (1 ulp in a few percent of values), which
-    moves the samples at roundoff.
+    its samples are first read, as a scalar run is.  A lane does not
+    depend on its batch.  The two cores step differently only where
+    numpy's exp and power round differently from math's (1 ulp in a few
+    percent of values), which moves the samples at roundoff.
     """
     if config is None:
         config = IntegratorConfig()

@@ -227,10 +227,11 @@ def sweep(cfg: RunConfig, jobs: int = 1) -> SweepManifest:
 
     A rerun with the same semantic configuration and output directory is
     a no-op: the existing manifest is loaded and returned, provided it
-    parses and records this config_hash and tool version; otherwise the
-    sweep runs again.  The manifest is written atomically.  The cells run
-    on effective_jobs(jobs) workers; a count below 1 is a ValueError
-    before any directory is made.
+    parses, records this config_hash and tool version, and every file
+    its cells list exists (a file cut short is not detected); otherwise
+    the sweep runs again.  The manifest is written atomically.  The
+    cells run on effective_jobs(jobs) workers; a count below 1 is a
+    ValueError before any directory is made.
     """
     jobs = effective_jobs(jobs)
     rid = run_id_of(cfg)
@@ -242,7 +243,9 @@ def sweep(cfg: RunConfig, jobs: int = 1) -> SweepManifest:
     except (OSError, ValueError):  # missing, unreadable or truncated
         old = None
     if isinstance(old, dict) and old.get("tool_version") == __version__ \
-            and old.get("config_hash") == config_hash(cfg):
+            and old.get("config_hash") == config_hash(cfg) \
+            and all((out_dir / name).is_file() for cell in old["cells"]
+                    for name in cell["files"]):
         return SweepManifest(rid, manifest_path, old)
     out_dir.mkdir(parents=True, exist_ok=True)
     axes = expanded_axes(cfg)

@@ -397,6 +397,20 @@ def test_solve_and_connect_write_one_seeded_path(tmp_path, capsys, params,
     assert solved.read_bytes() == connected.read_bytes()
 
 
+def test_overflowing_span_exits_1(tmp_path, capsys):
+    # over [spans] -1500 to 20 the initial step's probe, capped at the
+    # span as scipy caps it, evaluates the forced term's math.exp near
+    # t = -1500, which overflows
+    ini = tmp_path / "run.ini"
+    ini.write_text("[params]\nn = 5\np = 2.5\nq = 3.0\nl1 = 0.0\nl2 = -0.5\n"
+                   "[spans]\nt_min = -1500\nt_max = 20\n")
+    csv = tmp_path / "solve.csv"
+    assert main(["solve", "--config", str(ini), "--out", str(csv),
+                 "--start", "infinity"]) == 1
+    assert capsys.readouterr().err == "error: math range error\n"
+    assert not csv.exists()
+
+
 def test_connect_regime_mismatch_exits_1(capsys):
     rc = main(["connect", "--direction", "from_origin", *PARAM_FLAGS])
     assert rc == 1

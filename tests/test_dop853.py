@@ -191,7 +191,7 @@ def assert_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
         # taken; ours evaluates them for the step an event is located on
         # and, on read, for every step
         on_read = count_dense_reads(ours, log_frame_rhs(
-            frame_equation(params, alpha)))
+            frame_equation(params, alpha)).lanes)
         assert on_read == 3 * ours.stats.steps
         assert ours.nfev + on_read - 3 * located(ours) == theirs.nfev
         tol = 1e-12
@@ -209,17 +209,17 @@ def located(sol) -> int:
                               TerminationKind.AMPLITUDE_CAP))
 
 
-def count_dense_reads(sol, rhs) -> int:
+def count_dense_reads(sol, lanes) -> int:
     """The right-hand side evaluations that building sol's dense output
-    makes; rhs is its fun(t, y)."""
-    calls = []
+    makes, one a step and stage; lanes is its fun(t, v, vdot)."""
+    steps = []
 
-    def counted(t, y):
-        calls.append(t)
-        return rhs(t, y)
+    def counted(t, v, w):
+        steps.append(t.size)
+        return lanes(t, v, w)
 
     sol.dense(counted)
-    return len(calls)
+    return sum(steps)
 
 
 def test_amplitude_cap_branch(dc_a):
@@ -293,10 +293,11 @@ def loop_attempt(fun, t, h, v, w, k0v, k0w):
 
 
 def loop_dense(fun, t, h, v, w, v_new, w_new, ks):
-    kv, kw = ks
+    # stages 13-15 by fun's array form, which builds every interpolant
+    one, (kv, kw) = dop853._one_lane(fun.lanes), ks
     for s in range(13, 16):
         dv, dw = _dot(dop853.A[s], kv, kw)
-        kv[s], kw[s] = fun(t + dop853.C[s] * h, (v + dv * h, w + dw * h))
+        kv[s], kw[s] = one(t + dop853.C[s] * h, (v + dv * h, w + dw * h))
     fd = [_dot(row, kv, kw) for row in dop853.D]
     step = (t, h)
     for i, y_old, y_new, k in ((0, v, v_new, kv), (1, w, w_new, kw)):
@@ -307,10 +308,10 @@ def loop_dense(fun, t, h, v, w, v_new, w_new, ks):
 
 
 def loop_run(fun, t0, t_bound, y0, cap):
-    """The loop core's run of fun(t, y) and the rows loop_dense makes of
-    its accepted steps, as the core made them when it evaluated every
-    step's dense output while stepping: the oracle of the rows that
-    Solution.dense builds on first read."""
+    """The loop core's run of fun(t, y) (with fun.lanes) and the rows
+    loop_dense makes of its accepted steps, as the core made them when
+    it evaluated every step's dense output while stepping: the oracle of
+    the rows that Solution.dense builds on first read."""
     last = {}  # the last attempt from each t, the one accepted
     attempts = []
 
@@ -383,7 +384,7 @@ def assert_loop_core_run(params, alpha, start, t_target, cap):
     ref, rows = loop_run(loop_rhs(params, alpha), start.t, t_target,
                          (start.v, start.vdot), cap)
     assert same_run(ours, ref)
-    assert ours.dense(rhs).T.tobytes() == rows.tobytes()
+    assert ours.dense(rhs.lanes).T.tobytes() == rows.tobytes()
     return ours
 
 
@@ -436,9 +437,8 @@ def assert_rows_are_eager(fun, start, t_target, cap=CONFIG.amplitude_cap,
         fun, [start.t], t_target, [[start.v], [start.vdot]], CONFIG.rtol,
         CONFIG.atol, CONFIG.max_step, cap)
     for sol in [scalar, lane] + ([batched] if batched else []):
-        f = fun if sol.lanes else one
         assert same_run(sol, ref)
-        assert sol.dense(f).T.tobytes() == rows.tobytes()
+        assert sol.dense(fun).T.tobytes() == rows.tobytes()
     return ref
 
 
@@ -607,13 +607,17 @@ def test_compiled_attempt_is_the_called_rhs(case):
         calls.append(t)
         return rhs(t, y)
 
-    fun.attempt = rhs.attempt
+    def plain(t, y):
+        return rhs(t, y)
+
+    fun.attempt, fun.lanes, plain.lanes = rhs.attempt, rhs.lanes, rhs.lanes
     ours = run(fun, start, t_target, cap)
     # a plain fun carries no attempt: solve_ivp calls it at each stage
-    ref = run(lambda t, y: rhs(t, y), start, t_target, cap)
+    ref = run(plain, start, t_target, cap)
     assert same_run(ours, ref)
-    # fun itself is called only for the initial step and a located event
-    assert len(calls) == 2 * (ours.nfev > 0) + 3 * located(ours)
+    # fun itself is called only for its first evaluation and the initial
+    # step's probe; a located event's stages go to fun.lanes
+    assert len(calls) == 2 * (ours.nfev > 0)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -839,7 +843,7 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a,
                                config.amplitude_cap)
         ts = stride_grid(start.t, float(sol.t[-1]),
                          config.dense_output_stride)
-        v, vdot = sol(ts, one)
+        v, vdot = sol(ts, rhs.lanes)
         assert traj.termination == Termination(sol.status, sol.t[-1])
         assert traj.stats == sol.stats
         assert np.array_equal(traj.t, ts)
@@ -847,14 +851,14 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a,
         assert np.array_equal(traj.vdot, vdot)
 
 
-def test_lane_does_not_depend_on_its_batch(dc_a):
+def test_lane_does_not_depend_on_its_batch(dc_a, lane_batches):
     eq = dc_a.end("infinity").equation
     starts = [shooting.regular_start(a, dc_a, 12.0)[1]
               for a in np.logspace(-2.0, 2.0, 128)]
     alone = integrate_many([starts[40]] * LANES_MIN, eq, 12.0)[0]
     in_64 = integrate_many(starts[::2], eq, 12.0)[20]
     in_128 = integrate_many(starts[::-1], eq, 12.0)[87]
-    assert all(traj._run.lanes for traj in (alone, in_64, in_128))
+    assert lane_batches == [LANES_MIN, 64, 128]
     for traj in (in_64, in_128):
         assert traj.termination == alone.termination
         assert traj.stats == alone.stats
@@ -964,7 +968,7 @@ def test_lanes_that_step_then_underflow(dc_a, lane_batches):
         sol = dop853.solve_ivp(one, start.t, t_target, (start.v, start.vdot),
                                config.rtol, config.atol, config.max_step,
                                config.amplitude_cap)
-        v, vdot = sol(traj.t, one)
+        v, vdot = sol(traj.t, one.lanes)
         assert traj.termination == Termination(
             TerminationKind.STEP_UNDERFLOW, sol.t[-1])
         assert traj.stats == sol.stats and sol.stats.steps == steps

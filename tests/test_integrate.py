@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import pickle
 import tracemalloc
@@ -95,7 +96,8 @@ class TestIntegrateCore:
         assert traj.termination.kind == TerminationKind.AMPLITUDE_CAP
         assert abs(traj.v[-1]) == pytest.approx(3.0, abs=1e-9)
 
-    def test_stats_count_the_work(self, config_a, dc_a, tmp_path):
+    def test_stats_count_the_work(self, config_a, dc_a, tmp_path,
+                                  lane_batches):
         # the 2 evaluations of the initial step, 12 stages per attempt
         # and the 3 dense-output stages of the step an event is located
         # on; reading the samples builds every step's dense output and
@@ -109,7 +111,7 @@ class TestIntegrateCore:
         assert stats.nfev == 2 + 12 * (stats.steps + stats.rejected)
         start = regular_start(1.0, dc_a, 12.0)[1]
         lane = integrate_many([start] * LANES_MIN, eq, 12.0)[1]
-        assert lane._run.lanes
+        assert lane_batches == [LANES_MIN]
         for crossed in (integrate(start, eq, 12.0), lane):
             s = crossed.stats
             assert crossed.termination.kind == TerminationKind.POSITIVITY_LOST
@@ -244,6 +246,37 @@ class TestSamplesOnFirstRead:
         monkeypatch.setattr(dop853.Solution, "__call__", counted)
         return calls
 
+    def test_a_run_is_read_through_the_array_form(self, dc_a, monkeypatch):
+        # integrate calls the scalar fun(t, y) twice, for its first
+        # evaluation and the initial step's probe; every interpolant
+        # stage, the located crossing's and then each step's on read,
+        # goes through fun.lanes on arrays of steps
+        module = importlib.import_module("emdenlab.integrate")
+        make, scalar, arrays = module.log_frame_rhs, [], []
+
+        def counted_rhs(eq):
+            rhs = make(eq)
+
+            def fun(t, y):
+                scalar.append(t)
+                return rhs(t, y)
+
+            def lanes(t, v, w):
+                arrays.append(t.size)
+                return rhs.lanes(t, v, w)
+
+            fun.attempt, fun.lanes = rhs.attempt, lanes
+            return fun
+
+        monkeypatch.setattr(module, "log_frame_rhs", counted_rhs)
+        traj = integrate(regular_start(1.0, dc_a, 12.0)[1],
+                         dc_a.end("infinity").equation, 12.0)
+        assert traj.termination.kind == TerminationKind.POSITIVITY_LOST
+        assert len(scalar) == 2 and arrays == [1, 1, 1]
+        traj.v
+        assert len(scalar) == 2
+        assert arrays[3:] == [traj.stats.steps] * 3
+
     def test_grid_shots_are_sampled_only_when_read(self, dc_a, dense_calls):
         # criteria 8 and 9's lane batch: every shot loses positivity, a
         # verdict read from its termination, so nothing is sampled
@@ -284,7 +317,8 @@ class TestSamplesOnFirstRead:
         traj.v, traj.vdot, traj.v
         assert built == [traj.stats.steps]
 
-    def test_unread_batch_holds_its_steps_and_no_grids(self, dc_a):
+    def test_unread_batch_holds_its_steps_and_no_grids(self, dc_a,
+                                                        lane_batches):
         # an unread run holds its Solution's steps, STEP floats a step,
         # and no sample grid: beyond the steps a 128-lane batch holds
         # about 1 KB a lane (its objects and last step's end), where
@@ -299,7 +333,7 @@ class TestSamplesOnFirstRead:
             unread = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert all(traj._run.lanes for traj in trajs)
+        assert lane_batches == [LANES_MIN, 128]
         assert not any("t" in vars(traj) for traj in trajs)
         rows = sum(8 * dop853.STEP * traj.stats.steps for traj in trajs)
         assert unread - rows < 2.5e5
@@ -311,18 +345,20 @@ class TestSamplesOnFirstRead:
         assert {shot.kind.value for shot in shots} == {"crosses_zero"}
         assert not any("t" in vars(shot.trajectory) for shot in shots)
 
-    def test_grid_is_built_on_first_read(self, dc_a, dense_calls):
+    def test_grid_is_built_on_first_read(self, dc_a, dense_calls,
+                                         lane_batches):
         # the first read of t builds the run's stride grid and samples
         # nothing; v and vdot are sampled on that grid, which a first
-        # read of v builds as well
+        # read of v builds as well; a scalar run and a lane are read
+        # through the same array right-hand side
         eq = dc_a.end("infinity").equation
         rhs = log_frame_rhs(eq)
         start = regular_start(1.0, dc_a, 12.0)[1]
-        for traj, t_first in ((integrate(start, eq, 12.0), True),
-                              (integrate_many([start] * LANES_MIN, eq,
-                                              12.0)[0], False)):
+        runs = ((integrate(start, eq, 12.0), True),
+                (integrate_many([start] * LANES_MIN, eq, 12.0)[0], False))
+        assert lane_batches == [LANES_MIN]  # the second run is a lane
+        for traj, t_first in runs:
             sol, stride = traj._run, traj.config.dense_output_stride
-            assert sol.lanes != t_first
             grid = stride_grid(start.t, traj.termination.t, stride)
             assert traj.direction == 1
             if t_first:
@@ -330,18 +366,19 @@ class TestSamplesOnFirstRead:
                 assert traj.t is traj.t and dense_calls == []
             v, vdot = traj.v, traj.vdot
             assert traj.t.tobytes() == grid.tobytes()
-            want = sol(grid, rhs.lanes if sol.lanes else rhs)
+            want = sol(grid, rhs.lanes)
             assert (v.tobytes(), vdot.tobytes()) \
                 == (want[0].tobytes(), want[1].tobytes())
 
-    def test_unread_run_survives_pickling(self, dc_a):
+    def test_unread_run_survives_pickling(self, dc_a, lane_batches):
         # a scalar shot, and a lane shot as scan's worker pool receives
         # it: a Solution of arrays and the FrameEquation whose right-hand
         # side reads it
         lane = shoot_many([1.0] * LANES_MIN, dc_a)[0]
-        for traj in (shoot(1.0, dc_a).trajectory, lane.trajectory):
+        one = shoot(1.0, dc_a)
+        assert lane_batches == [LANES_MIN]
+        for traj in (one.trajectory, lane.trajectory):
             assert holds_a_solution(traj)
-            assert traj._run.lanes == (traj is lane.trajectory)
             back = pickle.loads(pickle.dumps(traj))
             for name in ("t", "v", "vdot"):
                 assert getattr(back, name).tobytes() \

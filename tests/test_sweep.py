@@ -275,6 +275,18 @@ class TestSweep:
         assert second.path.stat().st_mtime_ns == stamp
         assert second.data["cells"] == first.data["cells"]
 
+    def test_rerun_with_a_missing_cell_file_is_recomputed(self, tmp_path):
+        cfg = self._cfg(tmp_path, extra="\n[sweep]\np = 1.88, 1.9\n")
+        first = sweep(cfg)
+        inode = first.path.stat().st_ino
+        lost = first.path.parent / "cells" / "0001" / "trajectory.csv"
+        want = lost.read_bytes()
+        lost.unlink()
+        second = sweep(cfg)
+        assert lost.read_bytes() == want
+        assert second.data["cells"] == first.data["cells"]
+        assert second.path.stat().st_ino != inode  # the manifest rewritten
+
     def test_truncated_manifest_is_recomputed(self, tmp_path):
         cfg = self._cfg(tmp_path)
         first = sweep(cfg)
