@@ -10,17 +10,20 @@ underflow test and Brent event location, so it takes the same steps.
 It is specialised to y = (v, dv/dt) and to the two events that end a
 log-frame run: v falls through 0, or |v| rises through the amplitude cap.
 
-There are two cores over one tableau, one controller, one event
-locator (_located), one dense-output builder (_dense_rows, which takes
-f on arrays) and one result, Solution, whose __call__ is the dense output:
+There are two cores over one tableau, one controller, one event rule
+(_fired), one event locator (_located), one dense-output builder
+(_dense_rows) and one result, Solution, whose __call__ is the dense
+output.  Both take one right-hand side object, integrate.log_frame_rhs's:
+fun(t, v, vdot) on arrays, which raises on a non-finite acceleration,
+carrying fun.attempt for the scalar core and fun.stages for the lane
+core.  fun itself makes each core's first evaluation and initial-step
+probe and builds every interpolant:
 
-- solve_ivp runs one start in plain floats.  Its step attempt is
-  straight-line code generated from the tableau below by one generator,
-  attempt_source, one flat expression per stage sum, with the
-  evaluation of f at each stage given to it as source: a call of fun
-  (_called_attempt, for any fun, compiled when the first one steps), or
-  f's expression inlined, which integrate.log_frame_rhs compiles once
-  per layout of its term table and hands over as fun.attempt.
+- solve_ivp runs one start in plain floats.  Its step attempt,
+  fun.attempt, is straight-line code generated from the tableau below
+  by one generator, attempt_source, one flat expression per stage sum,
+  with the evaluation of f at each stage given to it as source
+  (log_frame_rhs inlines its acceleration there).
 - solve_lanes runs L starts in lockstep on numpy arrays with the lane
   as the last axis.  Each lane keeps its own step size, error norm,
   accept/reject and events, and leaves the batch, its Solution yielded,
@@ -28,9 +31,9 @@ f on arrays) and one result, Solution, whose __call__ is the dense output:
   stage axis in tableau order, never a matrix product, so a lane's
   numbers do not depend on the batch it rides in, and with the same
   right-hand side values a lane takes the scalar core's steps bit for
-  bit.  A fun that carries fun.stages is prepared once for an
-  attempt's 13 stage times (log_frame_rhs's computes each exponential
-  there once), and the attempt tests its values' finiteness once.
+  bit.  fun.stages is prepared once for an attempt's 13 stage times
+  (log_frame_rhs's computes each exponential there once), and the
+  attempt tests its values' finiteness once.
 
 Both keep each accepted step as the stage values its interpolant needs
 (Solution.stages) and evaluate the three dense-output stages 13-15 only
@@ -44,11 +47,9 @@ samples: integrate reads every run through Solution.__call__.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from array import array
-from contextlib import nullcontext
 from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
@@ -279,8 +280,8 @@ class Solution:
     def dense(self, fun) -> np.ndarray:
         """The (ROW, steps) dense-output rows of the run's steps, one
         column a step, built by the first call.  fun(t, v, vdot) is the
-        run's right-hand side on arrays of steps (solve_ivp's fun.lanes,
-        solve_lanes' fun)."""
+        run's right-hand side, the fun either core took, here on arrays
+        of steps."""
         if self._rows is None:
             n = len(self.stages)
             ends = np.empty((5, n))
@@ -371,15 +372,13 @@ def _brentq(f, xa, xb, tol=4 * EPS, maxiter=100):
     raise RuntimeError("event location did not converge")
 
 
-def _crossings(v_old: float, v_new: float, cap: float) -> list:
-    """The terminal events whose functions change sign over a step from
-    v_old to v_new, as solve_ivp's find_active_events: (kind, g(v))."""
-    hits = []
-    if v_old >= 0.0 and v_new <= 0.0:
-        hits.append((TerminationKind.POSITIVITY_LOST, lambda x: x))
-    if abs(v_old) - cap <= 0.0 and abs(v_new) - cap >= 0.0:
-        hits.append((TerminationKind.AMPLITUDE_CAP, lambda x: abs(x) - cap))
-    return hits
+def _fired(v_old, v_new, cap) -> tuple:
+    """Whether each terminal event's function changes sign over a step
+    from v_old to v_new, as solve_ivp's find_active_events has it: (v
+    falls through 0, |v| rises through cap), on floats or on arrays of
+    lanes."""
+    return ((v_old >= 0.0) & (v_new <= 0.0),
+            (abs(v_old) - cap <= 0.0) & (abs(v_new) - cap >= 0.0))
 
 
 def _initial_step(fun, t0, v, w, fv, fw, t_bound, direction, rtol, atol,
@@ -467,6 +466,8 @@ def _located(fun, cols, dirs, cap, stepped) -> list:
     run's later step sits on the previous grid point: the step is
     dropped (rows (0, STEP)) and the run ends at its start."""
     built = _dense_rows(fun, cols[0], cols[1:STEP], cols[STEP:])
+    events = ((TerminationKind.POSITIVITY_LOST, lambda x: x),
+              (TerminationKind.AMPLITUDE_CAP, lambda x: abs(x) - cap))
     out = []
     for k, col in enumerate(cols.T):
         t_old, v_old, t_new, v_new = col[[0, 1, STEP, STEP + 1]].tolist()
@@ -475,7 +476,8 @@ def _located(fun, cols, dirs, cap, stepped) -> list:
         t_end, kind = min(
             ((_brentq(lambda tau: g(_horner(coef, (tau - t_old) / h)),
                       t_old, t_new), kind)
-             for kind, g in _crossings(v_old, v_new, cap)),
+             for (kind, g), fired in zip(events, _fired(v_old, v_new, cap))
+             if fired),
             key=lambda root: dirs[k] * root[0])
         row = col[None, :STEP]
         if t_end == t_old and stepped[k]:
@@ -491,14 +493,7 @@ def _sum(row, y: str) -> str:
     return " + ".join(f"{a!r} * k{j}{y}" for j, a in row)
 
 
-def _call(kv: str, kw: str, t: str, v: str, w: str) -> str:
-    """A stage evaluated by calling fun(t, y), as a line of source: f at
-    the time t and state (v, w), each a Python expression, into the
-    names kv and kw."""
-    return f"    {kv}, {kw} = fun({t}, ({v}, {w}))\n"
-
-
-def attempt_source(a, b, e5, e3, stage=_call) -> str:
+def attempt_source(a, b, e5, e3, stage) -> str:
     """Python source of the scalar core's step attempt for the tableau rows
     a (stages 1-11), b, e5 and e3, one flat expression per sum as
     Hairer's dop853.f writes them.  Each sum adds its products in its
@@ -506,9 +501,10 @@ def attempt_source(a, b, e5, e3, stage=_call) -> str:
     could change only the sign of a sum that is exactly zero).
 
     stage(kv, kw, t, v, w) writes the evaluation of f at each stage as
-    source (see _call, the default); log_frame_rhs passes one that
-    inlines its acceleration.  The source defines
-    attempt(fun, t, h, v, w, k0v, k0w), which evaluates stages 1-12 and
+    source: f at the time t and state (v, w), each a Python expression,
+    into the names kv and kw (log_frame_rhs's inlines its acceleration).
+    The source defines attempt(fun, t, h, v, w, k0v, k0w), which is
+    given solve_ivp's fun and evaluates stages 1-12 and
     returns (v_new, w_new, k12v, k12w, e5v, e5w, e3v, e3w, ks): the new
     state, f there, the unscaled error estimates and ks, f at stages
     5-11 as (k5v, k5w, ..., k11v, k11w).
@@ -533,37 +529,29 @@ def attempt(fun, t, h, v, w, k0v, k0w):
 TABLEAU = (A[:12], B, E5, E3)
 
 
-@functools.cache
-def _called_attempt():
-    """attempt_source's attempt for a fun(t, y) called at each stage, the
-    step attempt of a fun that carries none of its own; compiled when
-    the first such fun steps."""
-    code = {}
-    exec(compile(attempt_source(*TABLEAU), "<dop853 step>", "exec"), code)
-    return code["attempt"]
-
-
 def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
               atol: float, max_step: float, cap: float) -> Solution:
-    """Integrate y' = fun(t, y), y = (v, vdot), from t0 towards t_bound.
+    """Integrate y' = fun(t, v, vdot), y = (v, vdot), from t0 towards
+    t_bound.
 
     The run ends at t_bound, at the first time v falls through 0 or |v|
     rises through cap (whichever comes first in the direction of
     integration), or when the step size underflows 10 ulp of t.  A zero
-    span (t0 == t_bound) takes no step and evaluates no fun.  fun.lanes,
-    the system on arrays, builds every interpolant (_located, dense).  A
-    fun may carry its own step attempt as fun.attempt, attempt_source's
-    with fun's evaluation inlined at each stage (log_frame_rhs's does);
-    it then steps with that, and calls fun only for its first
-    evaluation and the initial step's probe.
+    span (t0 == t_bound) takes no step and evaluates no fun.  fun, the
+    system on arrays, makes the first evaluation and the initial step's
+    probe on one lane, as solve_lanes does, and builds every
+    interpolant (_located, dense); the run steps with fun.attempt,
+    attempt_source's attempt with fun's evaluation inlined at each
+    stage.
     """
     if t0 == t_bound:
         return Solution((), (), t0, 0, 0, TerminationKind.REACHED_SPAN_END)
-    attempt = getattr(fun, "attempt", None) or _called_attempt()
+    attempt = fun.attempt
     direction = 1.0 if t_bound > t0 else -1.0
     t, (v, w) = t0, y0
-    k0v, k0w = fun(t, (v, w))
-    h_abs = _initial_step(fun, t, v, w, k0v, k0w, t_bound, direction,
+    one = _one_lane(fun)
+    k0v, k0w = one(t, (v, w))
+    h_abs = _initial_step(one, t, v, w, k0v, k0w, t_bound, direction,
                           rtol, atol, max_step)
     nfev, n_rejected = 2, 0
     steps = array("d")
@@ -615,10 +603,11 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
 
         step = (t, v, w, k0v, k0w, *ks)
         end = (t_new, v_new, w_new, k12v, k12w)
-        if _crossings(v, v_new, cap):
+        lost, capped = _fired(v, v_new, cap)
+        if lost or capped:
             # an event ends the run on this step
             (t_end, kind, tail, rows), = _located(
-                fun.lanes, np.array([step + end]).T, (direction,), cap,
+                fun, np.array([step + end]).T, (direction,), cap,
                 (bool(steps),))
             return Solution(np.append(steps, rows), tail, t_end, nfev + 3,
                             n_rejected, kind)
@@ -652,12 +641,11 @@ STEP_CHUNK = 16
 
 
 def _one_lane(fun):
-    """A lane evaluator fun(t, v, vdot) as solve_ivp's fun(t, y) on one
-    lane of floats, carrying fun as its .lanes."""
+    """fun(t, v, vdot) on arrays as a fun(t, y) on the floats of one
+    lane, for a core's first evaluation and initial-step probe."""
     def one(t, y):
         dv, dw = fun(np.array([t]), np.array([y[0]]), np.array([y[1]]))
         return float(dv[0]), float(dw[0])
-    one.lanes = fun
     return one
 
 
@@ -665,7 +653,7 @@ def _stage_error(fun, t_stage, y, K, h):
     """Call fun at the first stage of a lane attempt (times t_stage, start
     y, f at the stages K, steps h) whose acceleration is not finite, on
     the state the attempt computed there, so that fun raises the error
-    (and numpy the warnings) it raises when called at each stage."""
+    it raises when called at each stage."""
     i = 1 + int(np.flatnonzero(~np.isfinite(K[1:, 1]).all(axis=1))[0])
     if i < 12:
         yi = y + (A_LANES[i] * K[:i]).sum(0) * h
@@ -681,14 +669,15 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     """Integrate L starts of y' = fun(t, v, vdot) in lockstep towards
     t_bound, yielding (index, Solution) for each start.
 
-    fun evaluates the system on arrays of lanes.  It may carry
+    fun evaluates the system on arrays of lanes and carries
     fun.stages(t_stage), which takes an attempt's (13, L) stage times and
     returns f(i, v, vdot), fun at stage i without its finiteness test
-    (log_frame_rhs's lanes computes each exponential there once for all
-    13 times); the attempt then tests its stages' accelerations once,
-    and on a non-finite one calls fun at that stage, which raises.  t0
-    holds the L start times and y0 the (2, L) start states.  Each lane
-    ends as solve_ivp's run from its start ends, with the same Solution.
+    (log_frame_rhs's computes each exponential there once for all 13
+    times).  The attempt evaluates its stages under np.errstate, tests
+    their accelerations once, and on a non-finite one calls fun at that
+    stage, which raises.  t0 holds the L start times and y0 the (2, L)
+    start states.  Each lane ends as solve_ivp's run from its start
+    ends, with the same Solution.
 
     A start at t_bound is yielded first, without steps.  A lane whose
     step size underflows, or that reaches t_bound, is yielded as it
@@ -709,8 +698,6 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     lane = np.flatnonzero(t != t_bound)
     t, y = t[lane], y[:, lane]
     d = np.where(t_bound > t, 1.0, -1.0)
-    staged = getattr(fun, "stages", None)
-    stages = staged or (lambda ts: lambda i, v, w: fun(ts[i], v, w))
     k0 = np.empty((2, lane.size))
     k0[0], k0[1] = fun(t, y[0], y[1])
     one = _one_lane(fun)
@@ -764,15 +751,15 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
         y = s.y
         K = np.empty((13, 2, t.size))
         K[0] = s.k0
-        with np.errstate(all="ignore") if staged else nullcontext():
-            f = stages(t_stage)
+        with np.errstate(all="ignore"):
+            f = fun.stages(t_stage)
             for i in range(1, 12):
                 yi = y + (A_LANES[i] * K[:i]).sum(0) * h
                 K[i, 0], K[i, 1] = f(i, yi[0], yi[1])
             b, e5, e3 = (BE_LANES * K[:12]).sum(1)
             y_new = y + h * b
             K[12, 0], K[12, 1] = f(12, y_new[0], y_new[1])
-        if staged and not np.isfinite(K[1:, 1]).all():
+        if not np.isfinite(K[1:, 1]).all():
             _stage_error(fun, t_stage, y, K, h)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         e5, e3 = e5 / scale, e3 / scale
@@ -800,9 +787,8 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
             continue
 
         # the accepted lanes: their steps, events and ends
-        v0, v1 = y[0], y_new[0]
-        hit = ok & (((v0 >= 0.0) & (v1 <= 0.0))
-                    | ((np.abs(v0) - cap <= 0.0) & (np.abs(v1) - cap >= 0.0)))
+        lost, capped = _fired(y[0], y_new[0], cap)
+        hit = ok & (lost | capped)
         reached = ok & (d * (t_new - t_bound) >= 0.0)
         # each lane's step, a STEP row, then its end (t_new, y_new, f there)
         block = np.empty((STEP + 5, t.size))

@@ -31,16 +31,18 @@ one frame, and the batch size picks the core (LANES_MIN): a small batch
 is a loop of integrate, a large one goes through the lane core,
 solve_lanes, which advances them in lockstep on numpy arrays; each lane
 takes the scalar core's steps, up to numpy's exp and power rounding
-1 ulp away from math's.  Both evaluate the one acceleration expression
-log_frame_rhs compiles from the term table, the scalar core inlined in
-its step attempt, the lane core with each exponential computed once for
-an attempt's 13 stage times.  One function, _trajectory, turns every
-run into a Trajectory: the ends and stride of its stride_grid, built
-when t is first read, the Solution that samples it there when the
-samples are first read, the FrameEquation whose array right-hand side
-that read passes to it, whichever core made the run (the Solution
-builds its steps' interpolants then), its termination and its work in
-Trajectory.stats.
+1 ulp away from math's.  Both take the one right-hand side object
+log_frame_rhs compiles from the term table: it evaluates on arrays,
+makes each core's first evaluation and initial-step probe, and builds
+every interpolant; the scalar core steps with its attempt, where the
+acceleration is inlined, the lane core with its stages, which compute
+each exponential once for an attempt's 13 stage times.  One function,
+_trajectory, turns every run into a Trajectory: the ends and stride of
+its stride_grid, built when t is first read, the Solution that samples
+it there when the samples are first read, the FrameEquation whose
+right-hand side that read passes to it, whichever core made the run
+(the Solution builds its steps' interpolants then), its termination
+and its work in Trajectory.stats.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class Trajectory:
                config: IntegratorConfig) -> "Trajectory":
         """The trajectory of the run sol of eq on stride_grid(*grid),
         grid = (t0, t_end, stride): t is built when first read, and v
-        and vdot are sampled by sol(t, log_frame_rhs(eq).lanes) when
+        and vdot are sampled by sol(t, log_frame_rhs(eq)) when
         either is first read.  The grid is strictly monotone by
         construction (_check_start guards the stride), so it is not
         checked."""
@@ -182,7 +184,7 @@ class Trajectory:
         if name not in ("v", "vdot") or "_run" not in held:
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
-        self._set_samples(*self._run(self.t, log_frame_rhs(self._eq).lanes))
+        self._set_samples(*self._run(self.t, log_frame_rhs(self._eq)))
         del self._run, self._eq
         return held[name]
 
@@ -254,32 +256,15 @@ def _non_finite(t, v, vd, acc):
 
 
 # The log-frame system for one layout of the term table, as a factory
-# of its constants.  {scalar}, {lanes} and {staged} are the one
-# acceleration expression of _acceleration, with math.exp, with np.exp
-# and with the exponentials x<i> that stages computes for all 13 stage
-# times of a lane attempt; {attempt} is the step attempt of dop853's
-# attempt_source with that expression inlined at each stage.
-# A non-finite v or vdot makes acc non-finite (c * inf is nan when
-# c = 0), so each form tests acc alone.
+# of its constants.  The acceleration of _acceleration has two forms:
+# {staged}, on arrays, with the exponentials x<i> that stages computes
+# once for rows of times (the 13 stage times of a lane attempt; rhs
+# passes one row), and the stage of {attempt}, dop853's attempt_source
+# with it inlined on floats, math.exp for np.exp.  A non-finite v or
+# vdot makes acc non-finite (c * inf is nan when c = 0), so each form
+# tests acc alone.
 _RHS_SOURCE = """\
 def make(lin, c, {consts}):
-    def rhs(t, y):
-        v, vd = y
-        vp = v if v > 0.0 else 0.0
-        acc = {scalar}
-        if not isfinite(acc):
-            _non_finite(t, v, vd, acc)
-        return (vd, acc)
-
-    def lanes(t, v, vd):
-        vp = np.maximum(v, 0.0)
-        acc = {lanes}
-        finite = np.isfinite(acc)
-        if not finite.all():
-            j = np.flatnonzero(~finite)[0]
-            _non_finite(t[j], v[j], vd[j], acc[j])
-        return (vd, acc)
-
     def stages(ts):
 {exps}\
         def at(s, v, vd):
@@ -287,8 +272,17 @@ def make(lin, c, {consts}):
             return (vd, {staged})
         return at
 
+    def rhs(t, v, vd):
+        with np.errstate(all="ignore"):
+            acc = stages(t[None])(0, v, vd)[1]
+        finite = np.isfinite(acc)
+        if not finite.all():
+            j = np.flatnonzero(~finite)[0]
+            _non_finite(t[j], v[j], vd[j], acc[j])
+        return (vd, acc)
+
 {attempt}
-    rhs.attempt, rhs.lanes, lanes.stages = attempt, lanes, stages
+    rhs.attempt, rhs.stages = attempt, stages
     return rhs
 """
 
@@ -309,13 +303,11 @@ def _acceleration(layout: tuple, v: str, vd: str, ex) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _rhs_maker(layout: tuple, tableau=None):
+def _rhs_maker(layout: tuple):
     """The compiled _RHS_SOURCE for a term table whose i-th term has a
-    frame exponent e_i != 0 and a weight k_i != 1 as layout[i] says,
-    its step attempt built from the tableau rows (a, b, e5, e3)
-    (default dop853.TABLEAU)."""
+    frame exponent e_i != 0 and a weight k_i != 1 as layout[i] says."""
     def stage(kv, kw, t, v, w):
-        # rhs at (t, (v, w)), inlined: v into vs, vdot into kv, acc into kw
+        # f at (t, (v, w)), inlined: v into vs, vdot into kv, acc into kw
         acc = _acceleration(layout, "vs", kv, lambda i: f"exp(e{i} * ({t}))")
         return (f"    vs = {v}\n    {kv} = {w}\n"
                 f"    vp = vs if vs > 0.0 else 0.0\n    {kw} = {acc}\n"
@@ -325,13 +317,9 @@ def _rhs_maker(layout: tuple, tableau=None):
     forced = [i for i, (has_e, _) in enumerate(layout) if has_e]
     src = _RHS_SOURCE.format(
         consts=", ".join(f"p{i}, e{i}, k{i}" for i in range(len(layout))),
-        scalar=_acceleration(layout, "v", "vd", lambda i: f"exp(e{i} * t)"),
-        lanes=_acceleration(layout, "v", "vd",
-                            lambda i: f"np.exp(e{i} * t)"),
         exps="".join(f"        x{i} = np.exp(e{i} * ts)\n" for i in forced),
         staged=_acceleration(layout, "v", "vd", lambda i: f"x{i}[s]"),
-        attempt=textwrap.indent(
-            attempt_source(*(tableau or TABLEAU), stage=stage), "    "))
+        attempt=textwrap.indent(attempt_source(*TABLEAU, stage), "    "))
     code = {"np": np, "exp": math.exp, "isfinite": math.isfinite,
             "_non_finite": _non_finite}
     exec(compile(src, "<log_frame_rhs>", "exec"), code)
@@ -339,29 +327,25 @@ def _rhs_maker(layout: tuple, tableau=None):
 
 
 def log_frame_rhs(eq: FrameEquation):
-    """The log-frame system of eq as solve_ivp's fun(t, y).
+    """The log-frame system of eq as rhs(t, v, vdot) on arrays, the fun
+    of both DOP853 cores and of every read of a run.
 
-    Returns (dv/dt, d2v/dt2) for y = (v, dv/dt).  The power terms act on
-    max(v, 0): an event-located crossing can overshoot to tiny negative
-    v, which is clamped rather than rejected.  A non-finite state raises
-    RuntimeError.  It carries the same acceleration in three more forms:
-    `attempt`, the DOP853 step attempt with it inlined at each stage,
-    which solve_ivp steps with; `lanes(t, v, vdot)` on arrays, which
-    solve_lanes steps with and every run's interpolants are built with;
-    and `lanes.stages`, which evaluates a lane attempt's stages with
-    each exponential computed once for all 13.
-    Each gives the values, and raises the errors, of the function called
-    at each stage.  All four are compiled together once per layout of
-    the term table, when the first equation of that layout asks.
+    Returns (dv/dt, d2v/dt2) at each (t, v, vdot).  The power terms act
+    on max(v, 0): an event-located crossing can overshoot to tiny
+    negative v, which is clamped rather than rejected.  It evaluates
+    under np.errstate, so no numpy warning escapes, and a non-finite
+    acceleration raises RuntimeError naming t, v, vdot and vddot there.
+    It carries the acceleration's two compiled forms: `attempt`, the
+    DOP853 step attempt with it inlined on floats at each stage, which
+    solve_ivp steps with, and `stages`, which solve_lanes steps with: it
+    evaluates a lane attempt's stages, unchecked, with each exponential
+    computed once for all 13; rhs is stages at one row of times, then
+    tested.  The attempt raises rhs's error at a stage whose
+    acceleration is not finite (math.exp's OverflowError where it
+    overflows).  All three are compiled together once per layout of the
+    term table, when the first equation of that layout asks.
     """
-    return _frame_rhs(eq)
-
-
-def _frame_rhs(eq: FrameEquation, tableau=None):
-    """log_frame_rhs(eq), its step attempt built from the tableau rows
-    (a, b, e5, e3) (default dop853.TABLEAU)."""
-    make = _rhs_maker(tuple((e != 0.0, k != 1.0) for _, e, k in eq.terms),
-                      tableau)
+    make = _rhs_maker(tuple((e != 0.0, k != 1.0) for _, e, k in eq.terms))
     return make(eq.lin, eq.damping, *(x for term in eq.terms for x in term))
 
 
@@ -472,7 +456,7 @@ def integrate_many(starts, eq: FrameEquation, t_target: float,
         return [integrate(start, eq, t_target, config) for start in starts]
     trajs = [None] * len(starts)
     for i, sol in solve_lanes(
-            log_frame_rhs(eq).lanes,
+            log_frame_rhs(eq),
             [start.t for start in starts], t_target,
             [[start.v for start in starts], [start.vdot for start in starts]],
             config.rtol, config.atol, config.max_step, config.amplitude_cap):

@@ -182,6 +182,7 @@ def _cell_job(index: int, values: dict, cfg: RunConfig,
         "params": {**dataclasses.asdict(cfg.params), **values},
         "error": None,
         "files": [],
+        "sha256": {},
     }
     try:
         dc = derive_constants(dataclasses.replace(cfg.params, **values))
@@ -205,10 +206,25 @@ def _cell_job(index: int, values: dict, cfg: RunConfig,
         cell_dir.mkdir(parents=True, exist_ok=True)
         csv_path = cell_dir / "trajectory.csv"
         write_trajectory_csv(traj, csv_path)
-        cell["files"] = [f"cells/{index:04d}/trajectory.csv"]
+        name = f"cells/{index:04d}/trajectory.csv"
+        cell["files"] = [name]
+        cell["sha256"] = {name: _digest(csv_path)}
     except Exception as exc:  # noqa: BLE001 - per-cell isolation
         cell["error"] = f"{type(exc).__name__}: {exc}"
     return cell
+
+
+def _digest(path: Path) -> str:
+    return sha256(path.read_bytes()).hexdigest()
+
+
+def _intact(out_dir: Path, cell: dict) -> bool:
+    """Every file the cell lists exists and has the sha256 it records."""
+    try:
+        return all(_digest(out_dir / name) == cell["sha256"][name]
+                   for name in cell["files"])
+    except (OSError, KeyError):
+        return False
 
 
 @dataclass
@@ -228,7 +244,7 @@ def sweep(cfg: RunConfig, jobs: int = 1) -> SweepManifest:
     A rerun with the same semantic configuration and output directory is
     a no-op: the existing manifest is loaded and returned, provided it
     parses, records this config_hash and tool version, and every file
-    its cells list exists (a file cut short is not detected); otherwise
+    its cells list exists with the sha256 its cell records; otherwise
     the sweep runs again.  The manifest is written atomically.  The
     cells run on effective_jobs(jobs) workers; a count below 1 is a
     ValueError before any directory is made.
@@ -244,8 +260,7 @@ def sweep(cfg: RunConfig, jobs: int = 1) -> SweepManifest:
         old = None
     if isinstance(old, dict) and old.get("tool_version") == __version__ \
             and old.get("config_hash") == config_hash(cfg) \
-            and all((out_dir / name).is_file() for cell in old["cells"]
-                    for name in cell["files"]):
+            and all(_intact(out_dir, cell) for cell in old["cells"]):
         return SweepManifest(rid, manifest_path, old)
     out_dir.mkdir(parents=True, exist_ok=True)
     axes = expanded_axes(cfg)

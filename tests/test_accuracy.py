@@ -43,7 +43,7 @@ def test_criterion_1_starts_off_an_equilibrium(lab):
     art = lab.singular_oracle
     traj = art["traj"]
     rhs = log_frame_rhs(frame_equation(art["dc"].params, traj.alpha))
-    assert max(map(abs, rhs(traj.t[0], (traj.v[0], traj.vdot[0])))) > 1.0
+    assert np.max(np.abs(rhs(traj.t[:1], traj.v[:1], traj.vdot[:1]))) > 1.0
     assert art["max_rel_err"] > 0.0
 
 

@@ -399,15 +399,18 @@ def test_solve_and_connect_write_one_seeded_path(tmp_path, capsys, params,
 
 def test_overflowing_span_exits_1(tmp_path, capsys):
     # over [spans] -1500 to 20 the initial step's probe, capped at the
-    # span as scipy caps it, evaluates the forced term's math.exp near
-    # t = -1500, which overflows
+    # span as scipy caps it, evaluates the forced term near t = -1500,
+    # whose exponential overflows: one line names where, and no numpy
+    # warning escapes (the tests run warnings as errors)
     ini = tmp_path / "run.ini"
     ini.write_text("[params]\nn = 5\np = 2.5\nq = 3.0\nl1 = 0.0\nl2 = -0.5\n"
                    "[spans]\nt_min = -1500\nt_max = 20\n")
     csv = tmp_path / "solve.csv"
     assert main(["solve", "--config", str(ini), "--out", str(csv),
                  "--start", "infinity"]) == 1
-    assert capsys.readouterr().err == "error: math range error\n"
+    assert capsys.readouterr().err == (
+        "error: non-finite state during integration at t=-1500.0: "
+        "v=1.7029097001250446, vdot=1.7457768423336394e-07, vddot=-inf\n")
     assert not csv.exists()
 
 

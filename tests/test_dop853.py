@@ -1,11 +1,12 @@
 """The in-repo DOP853 against scipy's, which stays the tests' reference,
 its generated scalar core against the loop formulation of the same
 tableau, its lane core against the scalar core, the step attempt and
-lane stages log_frame_rhs compiles against its right-hand side called
-at each stage, and the dense-output rows it builds on first read
-against the rows the loop formulation makes of each accepted step as
-it is taken."""
+lane stages log_frame_rhs compiles against a right-hand side called at
+each stage, and the dense-output rows it builds on first read against
+the rows the loop formulation makes of each accepted step as it is
+taken."""
 
+import functools
 import importlib
 import math
 import tracemalloc
@@ -36,7 +37,7 @@ from emdenlab import (
     shooting,
 )
 from emdenlab.acceptance import CONFIG_A
-from emdenlab.integrate import LANES_MIN, _frame_rhs, stride_grid
+from emdenlab.integrate import LANES_MIN, _non_finite, stride_grid
 from emdenlab.params import FrameEquation, frame_equation, frame_exp
 
 CONFIG = IntegratorConfig()
@@ -69,7 +70,17 @@ def test_tableau_is_scipys():
 
 def scipy_run(params, alpha, start, t_target, config):
     """scipy's solve_ivp with the options and terminal events that
-    integrate runs, and the termination kind it reports."""
+    integrate runs, and the termination kind it reports.  Its first two
+    calls, the first evaluation and the initial step's probe, go to
+    log_frame_rhs on one lane, as ours do; the later ones, its stages,
+    to the float term loop, which our step attempt inlines."""
+    one = dop853._one_lane(log_frame_rhs(frame_equation(params, alpha)))
+    floats, calls = loop_rhs(params, alpha), []
+
+    def fun(t, y):
+        calls.append(t)
+        return (one if len(calls) <= 2 else floats)(t, y)
+
     def positivity(t, y):
         return y[0]
 
@@ -79,7 +90,7 @@ def scipy_run(params, alpha, start, t_target, config):
     positivity.terminal = cap.terminal = True
     positivity.direction, cap.direction = -1.0, 1.0
     sol = scipy_solve_ivp(
-        log_frame_rhs(frame_equation(params, alpha)), (start.t, t_target),
+        fun, (start.t, t_target),
         [start.v, start.vdot], method="DOP853", rtol=config.rtol,
         atol=config.atol, max_step=config.max_step, dense_output=True,
         events=(positivity, cap))
@@ -125,12 +136,11 @@ def run_ours(params, alpha, start, t_target, cap=CONFIG.amplitude_cap):
 
 
 def run_reversed(params, alpha, start, t_target):
-    """run_ours with log_frame_rhs's inlined step attempt built from the
-    REVERSED rows."""
-    rhs = _frame_rhs(frame_equation(params, alpha), REVERSED)
-    assert rhs.attempt is not log_frame_rhs(
-        frame_equation(params, alpha)).attempt
-    return run(rhs, start, t_target)
+    """run_ours with a step attempt built from the REVERSED rows that
+    calls the float term loop at each stage."""
+    rhs = log_frame_rhs(frame_equation(params, alpha))
+    return run(calling(rhs, called_attempt(loop_rhs(params, alpha),
+                                           REVERSED)), start, t_target)
 
 
 # a run that loses positivity on a grid summing in reverse does not move,
@@ -191,7 +201,7 @@ def assert_same_run_as_scipy(params, frame_name, t0, v0, vdot0, span,
         # taken; ours evaluates them for the step an event is located on
         # and, on read, for every step
         on_read = count_dense_reads(ours, log_frame_rhs(
-            frame_equation(params, alpha)).lanes)
+            frame_equation(params, alpha)))
         assert on_read == 3 * ours.stats.steps
         assert ours.nfev + on_read - 3 * located(ours) == theirs.nfev
         tol = 1e-12
@@ -209,14 +219,14 @@ def located(sol) -> int:
                               TerminationKind.AMPLITUDE_CAP))
 
 
-def count_dense_reads(sol, lanes) -> int:
+def count_dense_reads(sol, fun) -> int:
     """The right-hand side evaluations that building sol's dense output
-    makes, one a step and stage; lanes is its fun(t, v, vdot)."""
+    makes, one a step and stage; fun is its fun(t, v, vdot)."""
     steps = []
 
     def counted(t, v, w):
         steps.append(t.size)
-        return lanes(t, v, w)
+        return fun(t, v, w)
 
     sol.dense(counted)
     return sum(steps)
@@ -292,9 +302,9 @@ def loop_attempt(fun, t, h, v, w, k0v, k0w):
             *_dot(dop853.E3, kv, kw), (kv, kw))
 
 
-def loop_dense(fun, t, h, v, w, v_new, w_new, ks):
-    # stages 13-15 by fun's array form, which builds every interpolant
-    one, (kv, kw) = dop853._one_lane(fun.lanes), ks
+def loop_dense(lanes, t, h, v, w, v_new, w_new, ks):
+    # stages 13-15 by the array form lanes, which builds every interpolant
+    one, (kv, kw) = dop853._one_lane(lanes), ks
     for s in range(13, 16):
         dv, dw = _dot(dop853.A[s], kv, kw)
         kv[s], kw[s] = one(t + dop853.C[s] * h, (v + dv * h, w + dw * h))
@@ -307,56 +317,89 @@ def loop_dense(fun, t, h, v, w, v_new, w_new, ks):
     return step
 
 
-def loop_run(fun, t0, t_bound, y0, cap):
-    """The loop core's run of fun(t, y) (with fun.lanes) and the rows
-    loop_dense makes of its accepted steps, as the core made them when
-    it evaluated every step's dense output while stepping: the oracle of
-    the rows that Solution.dense builds on first read."""
+def loop_run(floats, lanes, t0, t_bound, y0, cap):
+    """The loop core's run, stepping with floats(t, y) and starting with
+    lanes(t, v, vdot) on one lane, and the rows loop_dense makes of its
+    accepted steps with lanes, as the core made them when it evaluated
+    every step's dense output while stepping: the oracle of the rows
+    that Solution.dense builds on first read."""
     last = {}  # the last attempt from each t, the one accepted
     attempts = []
 
-    def attempt(fun, t, h, v, w, k0v, k0w):
+    def attempt(_, t, h, v, w, k0v, k0w):
         attempts.append(t)
-        *out, (kv, kw) = loop_attempt(fun, t, h, v, w, k0v, k0w)
+        *out, (kv, kw) = loop_attempt(floats, t, h, v, w, k0v, k0w)
         last[t] = (h, v, w, out[0], out[1], (kv, kw))
         return (*out, tuple(k for s in dop853.KEPT[1:]
                             for k in (kv[s], kw[s])))
 
-    # a fun without an attempt of its own steps with the patched one
-    assert not hasattr(fun, "attempt")
-    with mock.patch.object(dop853, "_called_attempt", lambda: attempt):
-        sol = dop853.solve_ivp(fun, t0, t_bound, y0, CONFIG.rtol,
-                               CONFIG.atol, CONFIG.max_step, cap)
+    sol = dop853.solve_ivp(calling(lanes, attempt), t0, t_bound, y0,
+                           CONFIG.rtol, CONFIG.atol, CONFIG.max_step, cap)
     # every attempt of the run was the loop core's
     assert 12 * len(attempts) == sol.nfev - 2 * (sol.nfev > 0) \
         - 3 * located(sol)
-    rows = [loop_dense(fun, t, *last[t]) for t in sol.t[:-1].tolist()]
+    rows = [loop_dense(lanes, t, *last[t]) for t in sol.t[:-1].tolist()]
     return sol, np.array(rows).reshape(-1, dop853.ROW)
 
 
-def loop_rhs(params, alpha):
-    """log_frame_rhs with the acceleration summed in a loop over the
-    term table."""
-    n = params.n
-    c = n - 2.0 - 2.0 * alpha
-    lin = alpha * (n - 2.0 - alpha)
-    terms = [(exp_, frame_exp(exp_, l, alpha), float(k))
-             for exp_, l, k in params.active_terms()]
+def call_stage(kv, kw, t, v, w):
+    """attempt_source's stage as a call of fun(t, y) on floats."""
+    return f"    {kv}, {kw} = fun({t}, ({v}, {w}))\n"
 
+
+@functools.cache
+def _called(rows):
+    code = {}
+    exec(compile(dop853.attempt_source(*rows, call_stage), "<called>",
+                 "exec"), code)
+    return code["attempt"]
+
+
+def called_attempt(floats, rows=dop853.TABLEAU):
+    """attempt_source's step attempt over the tableau rows that calls
+    floats(t, y) at each stage, in place of the fun solve_ivp hands it."""
+    attempt = _called(rows)
+    return lambda _, *args: attempt(floats, *args)
+
+
+def calling(lanes, attempt=None):
+    """lanes(t, v, vdot) as the right-hand side object both cores take:
+    the lane core calls it at each stage, and the scalar core steps with
+    attempt."""
+    def fun(t, v, w):
+        return lanes(t, v, w)
+
+    fun.attempt = attempt
+    fun.stages = lambda ts: lambda i, v, w: lanes(ts[i], v, w)
+    return fun
+
+
+def loop_rhs(params, alpha):
+    """log_frame_rhs's acceleration summed in a loop over the term
+    table, on floats (rhs(t, y)) and on arrays (rhs.lanes)."""
+    n = params.n
+    return term_loop(alpha * (n - 2.0 - alpha), n - 2.0 - 2.0 * alpha,
+                     [(exp_, frame_exp(exp_, l, alpha), float(k))
+                      for exp_, l, k in params.active_terms()])
+
+
+def term_loop(lin, c, terms):
+    """loop_rhs of the equation v'' = lin v - c v' - sum of the terms
+    (exp_, e, k), each k e^{e t} max(v, 0)^exp_."""
     def accel(t, v, vd, vp, exp):
         acc = lin * v - c * vd
         for exp_, e, k in terms:
-            term = vp ** exp_
-            if e:  # e^{0 t} = 1 exactly
-                term = exp(e * t) * term
+            # e^{0 t} = 1 exactly; the exponential is evaluated first, as
+            # in the compiled stage, so math's overflows raise alike
+            term = exp(e * t) * vp ** exp_ if e else vp ** exp_
             acc -= term if k == 1.0 else k * term
         return acc
 
     def rhs(t, y):
         v, vd = y[0], y[1]
         acc = accel(t, v, vd, v if v > 0.0 else 0.0, math.exp)
-        if not (math.isfinite(acc) and math.isfinite(vd)):
-            raise RuntimeError("non-finite state")
+        if not math.isfinite(acc):  # so is a non-finite v or vdot
+            _non_finite(t, v, vd, acc)
         return (vd, acc)
 
     def lanes(t, v, vd):
@@ -381,10 +424,11 @@ def assert_loop_core_run(params, alpha, start, t_target, cap):
     rows it builds on read are the loop core's eager rows."""
     rhs = log_frame_rhs(frame_equation(params, alpha))
     ours = run_ours(params, alpha, start, t_target, cap)
-    ref, rows = loop_run(loop_rhs(params, alpha), start.t, t_target,
+    floats = loop_rhs(params, alpha)
+    ref, rows = loop_run(floats, floats.lanes, start.t, t_target,
                          (start.v, start.vdot), cap)
     assert same_run(ours, ref)
-    assert ours.dense(rhs.lanes).T.tobytes() == rows.tobytes()
+    assert ours.dense(rhs).T.tobytes() == rows.tobytes()
     return ours
 
 
@@ -425,14 +469,17 @@ def test_loop_core_cases(case, cap, kind, rejected):
 
 def assert_rows_are_eager(fun, start, t_target, cap=CONFIG.amplitude_cap,
                           batched=None):
-    """Both cores' runs of the lane evaluator fun from start are the loop
-    core's run of it, and the rows each builds on read are the loop
-    core's eager rows byte for byte; so is batched, the start's lane in
-    a batch of solve_lanes, when given."""
+    """Both cores' runs of the array form fun from start (the scalar
+    core's calling it on one lane at each stage) are the loop core's run
+    of it, and the rows each builds on read are the loop core's eager
+    rows byte for byte; so is batched, the start's lane in a batch of
+    solve_lanes, when given."""
     one = dop853._one_lane(fun)
-    ref, rows = loop_run(one, start.t, t_target, (start.v, start.vdot), cap)
-    scalar = dop853.solve_ivp(one, start.t, t_target, (start.v, start.vdot),
-                              CONFIG.rtol, CONFIG.atol, CONFIG.max_step, cap)
+    ref, rows = loop_run(one, fun, start.t, t_target, (start.v, start.vdot),
+                         cap)
+    scalar = dop853.solve_ivp(calling(fun, called_attempt(one)), start.t,
+                              t_target, (start.v, start.vdot), CONFIG.rtol,
+                              CONFIG.atol, CONFIG.max_step, cap)
     (_, lane), = dop853.solve_lanes(
         fun, [start.t], t_target, [[start.v], [start.vdot]], CONFIG.rtol,
         CONFIG.atol, CONFIG.max_step, cap)
@@ -454,7 +501,7 @@ def test_built_rows_are_the_eager_rows(params, frame_name, t0, v0, vdot0,
     alpha = {"raw": 0.0, "alpha1": dc.alpha1,
              "alpha2": dc.alpha2}[frame_name]
     assert_rows_are_eager(
-        log_frame_rhs(frame_equation(params, alpha)).lanes,
+        log_frame_rhs(frame_equation(params, alpha)),
         State(t0, v0, vdot0), t0 + span if forward else t0 - span, cap)
 
 
@@ -465,7 +512,7 @@ def test_built_rows_of_runs_that_end_oddly(dc_a):
     # that underflows ends the run after its last step (near t = 2^46)
     # or before its first (at 1e15, where 10 ulp of t exceeds max_step);
     # a zero span has no step
-    lanes = log_frame_rhs(dc_a.end("infinity").equation).lanes
+    lanes = log_frame_rhs(dc_a.end("infinity").equation)
     start = State(10.0, 1.5, 3.0)
     base = assert_rows_are_eager(lanes, start, 13.0)
     # a cap 1 ulp above v at the end of step 11: step 12 crosses it
@@ -549,22 +596,19 @@ def outcome(f, *args):
        vdot=st.floats(-3.0, 3.0),
        bad=st.sampled_from([math.inf, -math.inf, math.nan]))
 def test_generated_rhs_is_the_term_loop(table, t, v, vdot, bad):
-    # the float form per value and the lane form on the whole array; v
-    # below 0 is clamped, problems() switches terms off (k = 0), and a
-    # non-finite v or vdot raises in both
+    # the array form on the whole array; v below 0 is clamped, problems()
+    # switches terms off (k = 0), and a non-finite v or vdot raises in
+    # both
     params, alpha = table
     ours = log_frame_rhs(frame_equation(params, alpha))
     ref = loop_rhs(params, alpha)
     v = np.array(v)
     ts, vd = np.full(v.size, t), np.full(v.size, vdot)
-    for x in v.tolist():
-        assert outcome(ours, t, (x, vdot)) == outcome(ref, t, (x, vdot))
-    assert outcome(ours.lanes, ts, v, vd) == outcome(ref.lanes, ts, v, vd)
+    assert outcome(ours, ts, v, vd) == outcome(ref.lanes, ts, v, vd)
     for y in ((bad, vdot), (v[0], bad)):
-        assert outcome(ours, t, y) == outcome(ref, t, y) == RuntimeError
         v_bad, vd_bad = v.copy(), vd.copy()
         v_bad[0], vd_bad[0] = y
-        assert outcome(ours.lanes, ts, v_bad, vd_bad) \
+        assert outcome(ours, ts, v_bad, vd_bad) \
             == outcome(ref.lanes, ts, v_bad, vd_bad) == RuntimeError
 
 
@@ -597,27 +641,25 @@ def compiled_runs(draw):
                *ROUNDING_DECIDED[2:], 1e8))  # positivity, 6 rejections
 def test_compiled_attempt_is_the_called_rhs(case):
     # log_frame_rhs steps with its attempt, which inlines the acceleration
-    # at each stage; the same rhs called at each stage by the generic
-    # attempt takes the same steps bit for bit, whatever ends the run
+    # at each stage; the float term loop of the same equation called at
+    # each stage by the generic attempt takes the same steps bit for bit,
+    # whatever ends the run
     eq, start, t_target, cap = case
     rhs = log_frame_rhs(eq)
     calls = []
 
-    def fun(t, y):
-        calls.append(t)
-        return rhs(t, y)
+    def fun(t, v, w):
+        calls.append(t.size)
+        return rhs(t, v, w)
 
-    def plain(t, y):
-        return rhs(t, y)
-
-    fun.attempt, fun.lanes, plain.lanes = rhs.attempt, rhs.lanes, rhs.lanes
+    fun.attempt = rhs.attempt
     ours = run(fun, start, t_target, cap)
-    # a plain fun carries no attempt: solve_ivp calls it at each stage
-    ref = run(plain, start, t_target, cap)
+    ref = run(calling(rhs, called_attempt(
+        term_loop(eq.lin, eq.damping, eq.terms))), start, t_target, cap)
     assert same_run(ours, ref)
-    # fun itself is called only for its first evaluation and the initial
-    # step's probe; a located event's stages go to fun.lanes
-    assert len(calls) == 2 * (ours.nfev > 0)
+    # fun itself is called on one lane for the first evaluation and the
+    # initial step's probe, and on a located event's three dense stages
+    assert calls == [1] * (2 * (ours.nfev > 0) + 3 * located(ours))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -633,14 +675,14 @@ def test_compiled_attempt_fails_as_the_called_rhs(table, t, h, y):
     params, alpha = table
     rhs = log_frame_rhs(frame_equation(params, alpha))
 
-    def outcome(attempt, fun):
+    def outcome(attempt):
         try:
-            return repr(attempt(fun, t, h, *y))
+            return repr(attempt(None, t, h, *y))
         except (RuntimeError, OverflowError) as exc:
             return type(exc), str(exc)
 
-    assert outcome(rhs.attempt, None) \
-        == outcome(dop853._called_attempt(), rhs)
+    assert outcome(rhs.attempt) \
+        == outcome(called_attempt(loop_rhs(params, alpha)))
 
 
 def test_compiled_attempt_names_the_failing_stage(config_a):
@@ -659,16 +701,16 @@ def test_compiled_attempt_names_the_failing_stage(config_a):
        cap=st.sampled_from([1e8, 4.0, 2.0]))
 def test_staged_lanes_are_the_per_stage_lanes(params, frame_name, lanes,
                                               seed, t_bound, cap):
-    # the lane attempt through lanes.stages, each exponential computed once
+    # the lane attempt through rhs.stages, each exponential computed once
     # for the 13 stage times and one finiteness test, takes the steps of
-    # the attempt that calls lanes at each stage, lane for lane
+    # the attempt that calls rhs at each stage, lane for lane
     dc = derive_constants(params)
     alpha = {"raw": 0.0, "alpha1": dc.alpha1,
              "alpha2": dc.alpha2}[frame_name]
     rng = np.random.default_rng(seed)
     t0 = rng.uniform(-2.0, 2.0, lanes)
     y0 = [rng.uniform(0.05, 3.0, lanes), rng.uniform(-2.0, 2.0, lanes)]
-    f = log_frame_rhs(frame_equation(params, alpha)).lanes
+    f = log_frame_rhs(frame_equation(params, alpha))
     ts = rng.uniform(-2.0, 2.0, (13, lanes))
     at = f.stages(ts)
     for i in range(13):
@@ -686,7 +728,7 @@ def test_staged_lanes_are_the_per_stage_lanes(params, frame_name, lanes,
     fun.stages = stages
     ours, ref = ([(i, sol) for i, sol in dop853.solve_lanes(
         g, t0, t_bound, y0, CONFIG.rtol, CONFIG.atol, CONFIG.max_step, cap)]
-        for g in (fun, lambda t, v, w: f(t, v, w)))
+        for g in (fun, calling(f)))
     assert [i for i, _ in ours] == [i for i, _ in ref]
     for (_, sol), (_, other) in zip(ours, ref):
         assert same_run(sol, other)
@@ -696,11 +738,12 @@ def test_staged_lanes_are_the_per_stage_lanes(params, frame_name, lanes,
 @pytest.mark.parametrize("mode", ["always", "error"])
 def test_staged_lanes_fail_as_the_per_stage_lanes(mode):
     # a forced term whose exponential overflows from t = 1.7745 on: the
-    # attempt that crosses it fails with the error, and numpy's warnings,
-    # of the attempt that calls lanes at each stage (as an error when
-    # warnings are errors, as the tests run them)
+    # attempt that crosses it fails with the error of the attempt that
+    # calls rhs at each stage, and no numpy warning escapes either (none
+    # is raised as an error when warnings are errors, as the tests run
+    # them)
     eq = FrameEquation(0.0, 0.0, 0.0, ((1.0, 400.0, -1e-300),))
-    lanes = log_frame_rhs(eq).lanes
+    lanes = log_frame_rhs(eq)
 
     def outcome(fun):
         with warnings.catch_warnings(record=True) as seen:
@@ -719,14 +762,10 @@ def test_staged_lanes_fail_as_the_per_stage_lanes(mode):
                            wraps=dop853._stage_error) as stage_error:
         ours = outcome(lanes)
     assert stage_error.call_count == 1
-    assert ours == outcome(lambda t, v, w: lanes(t, v, w))
-    overflow = (RuntimeWarning, "overflow encountered in multiply")
-    if mode == "error":
-        assert ours == (*overflow, [])
-    else:
-        assert ours[0] is RuntimeError and ours[2] == [overflow]
-        assert ours[1].startswith("non-finite state during integration at "
-                                  "t=1.76")
+    assert ours == outcome(calling(lanes))
+    assert ours[0] is RuntimeError and ours[2] == []
+    assert ours[1].startswith("non-finite state during integration at "
+                              "t=1.76")
 
 
 def test_stage_error_takes_the_first_failing_stage():
@@ -821,6 +860,20 @@ def test_lane_is_the_scalar_run(params, amplitudes, t_target):
             assert abs(x[-1] - y[-1]) <= tol * scale
 
 
+def test_scalar_run_and_lane_share_their_first_evaluation(dc_a,
+                                                          lane_batches):
+    # both cores make their first evaluation with the one right-hand
+    # side on arrays; at this start math's exp, inlined in the scalar
+    # step attempt, rounds the acceleration 1 ulp away from numpy's
+    eq = dc_a.end("infinity").equation
+    start = State(0.89, 1.6, -0.76)
+    one = integrate(start, eq, 2.89)._run
+    lane = integrate_many([start] * LANES_MIN, eq, 2.89)[0]._run
+    assert lane_batches == [LANES_MIN]
+    assert one.stages[0, 2:4].tobytes() == lane.stages[0, 2:4].tobytes()
+    assert one.stages[0, 2:4].tolist() == [-0.76, -2.2263385530534556]
+
+
 def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a,
                                                         lane_batches):
     # fed the values the lanes compute, the scalar core takes the same
@@ -834,16 +887,16 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a,
         + [State(0.0, 1.0, 0.0), State(0.0, 1.5, 3.0), State(0.0, 0.5, -1.0),
            State(13.5, 1.2, 0.1)]
     rhs = log_frame_rhs(eq)
-    one = dop853._one_lane(rhs.lanes)
+    fed = calling(rhs, called_attempt(dop853._one_lane(rhs)))
     trajs = integrate_many(lane_batch(starts), eq, 12.0, config)
     assert lane_batches == [LANES_MIN]
     for start, traj in zip(starts, trajs):
-        sol = dop853.solve_ivp(one, start.t, 12.0, (start.v, start.vdot),
+        sol = dop853.solve_ivp(fed, start.t, 12.0, (start.v, start.vdot),
                                config.rtol, config.atol, config.max_step,
                                config.amplitude_cap)
         ts = stride_grid(start.t, float(sol.t[-1]),
                          config.dense_output_stride)
-        v, vdot = sol(ts, rhs.lanes)
+        v, vdot = sol(ts, rhs)
         assert traj.termination == Termination(sol.status, sol.t[-1])
         assert traj.stats == sol.stats
         assert np.array_equal(traj.t, ts)
@@ -909,7 +962,7 @@ def test_underflow_and_zero_span_lanes(dc_a, lane_batches):
     # zero-span lane, and yields it first
     rhs = log_frame_rhs(eq)
     runs = list(dop853.solve_lanes(
-        rhs.lanes, [s.t for s in starts], t_target,
+        rhs, [s.t for s in starts], t_target,
         [[s.v for s in starts], [s.vdot for s in starts]], CONFIG.rtol,
         CONFIG.atol, CONFIG.max_step, CONFIG.amplitude_cap))
     assert sorted(i for i, _ in runs) == [0, 1, 2] and runs[0][0] == 1
@@ -961,14 +1014,15 @@ def test_lanes_that_step_then_underflow(dc_a, lane_batches):
     config = IntegratorConfig(dense_output_stride=0.05)
     starts = [State(2.0 ** 46 - 0.5, 1.0, 0.0),
               State(2.0 ** 46 - 0.8, 1.2, 0.1)]
-    one = dop853._one_lane(log_frame_rhs(eq).lanes)
+    rhs = log_frame_rhs(eq)
+    fed = calling(rhs, called_attempt(dop853._one_lane(rhs)))
     trajs = integrate_many(lane_batch(starts), eq, t_target, config)
     assert lane_batches == [LANES_MIN]
     for start, traj, steps in zip(starts, trajs, (6, 9)):
-        sol = dop853.solve_ivp(one, start.t, t_target, (start.v, start.vdot),
+        sol = dop853.solve_ivp(fed, start.t, t_target, (start.v, start.vdot),
                                config.rtol, config.atol, config.max_step,
                                config.amplitude_cap)
-        v, vdot = sol(traj.t, one.lanes)
+        v, vdot = sol(traj.t, rhs)
         assert traj.termination == Termination(
             TerminationKind.STEP_UNDERFLOW, sol.t[-1])
         assert traj.stats == sol.stats and sol.stats.steps == steps
@@ -1019,6 +1073,6 @@ def test_lane_rejects_nonfinite_input(dc_a, t_target, bad, name):
 
 
 def test_lane_rhs_rejects_nonfinite_state(config_a):
-    lanes = log_frame_rhs(frame_equation(config_a, 0.0)).lanes
+    lanes = log_frame_rhs(frame_equation(config_a, 0.0))
     with pytest.raises(RuntimeError, match="non-finite"):
         lanes(np.zeros(3), np.ones(3), np.array([0.0, math.inf, 0.0]))

@@ -247,35 +247,31 @@ class TestSamplesOnFirstRead:
         return calls
 
     def test_a_run_is_read_through_the_array_form(self, dc_a, monkeypatch):
-        # integrate calls the scalar fun(t, y) twice, for its first
-        # evaluation and the initial step's probe; every interpolant
-        # stage, the located crossing's and then each step's on read,
-        # goes through fun.lanes on arrays of steps
+        # integrate calls its right-hand side on one lane twice, for its
+        # first evaluation and the initial step's probe, and steps with
+        # its attempt; every interpolant stage, the located crossing's
+        # and then each step's on read, goes through it on arrays of
+        # steps
         module = importlib.import_module("emdenlab.integrate")
-        make, scalar, arrays = module.log_frame_rhs, [], []
+        make, arrays = module.log_frame_rhs, []
 
         def counted_rhs(eq):
             rhs = make(eq)
 
-            def fun(t, y):
-                scalar.append(t)
-                return rhs(t, y)
-
-            def lanes(t, v, w):
+            def fun(t, v, w):
                 arrays.append(t.size)
-                return rhs.lanes(t, v, w)
+                return rhs(t, v, w)
 
-            fun.attempt, fun.lanes = rhs.attempt, lanes
+            fun.attempt, fun.stages = rhs.attempt, rhs.stages
             return fun
 
         monkeypatch.setattr(module, "log_frame_rhs", counted_rhs)
         traj = integrate(regular_start(1.0, dc_a, 12.0)[1],
                          dc_a.end("infinity").equation, 12.0)
         assert traj.termination.kind == TerminationKind.POSITIVITY_LOST
-        assert len(scalar) == 2 and arrays == [1, 1, 1]
+        assert arrays == [1, 1] + [1, 1, 1]
         traj.v
-        assert len(scalar) == 2
-        assert arrays[3:] == [traj.stats.steps] * 3
+        assert arrays[5:] == [traj.stats.steps] * 3
 
     def test_grid_shots_are_sampled_only_when_read(self, dc_a, dense_calls):
         # criteria 8 and 9's lane batch: every shot loses positivity, a
@@ -289,7 +285,7 @@ class TestSamplesOnFirstRead:
         v, vdot = traj.v, traj.vdot
         assert dense_calls == [sol] and not holds_a_solution(traj)
         want_v, want_vdot = sol(traj.t, log_frame_rhs(
-            dc_a.end("infinity").equation).lanes)
+            dc_a.end("infinity").equation))
         assert np.array_equal(v, want_v) and np.array_equal(vdot, want_vdot)
 
     def test_rows_are_built_for_crossings_and_reads_only(self, dc_a,
@@ -366,7 +362,7 @@ class TestSamplesOnFirstRead:
                 assert traj.t is traj.t and dense_calls == []
             v, vdot = traj.v, traj.vdot
             assert traj.t.tobytes() == grid.tobytes()
-            want = sol(grid, rhs.lanes)
+            want = sol(grid, rhs)
             assert (v.tobytes(), vdot.tobytes()) \
                 == (want[0].tobytes(), want[1].tobytes())
 
@@ -519,13 +515,14 @@ class TestSeeds:
     def test_seed_rate_is_the_integrated_rate(self, p, q, name):
         # the README sweep cells and CONFIG_C: the forced rate of the
         # seed is, bit for bit, the one e^{E t} the compiled right-hand
-        # side of the end's frame multiplies (its free e0/e1 constants;
-        # an autonomous term has none)
+        # side of the end's frame multiplies (the free e0/e1 constants of
+        # its stages; an autonomous term has none)
         params = ProblemParams(n=5, p=p, q=q, l1=0.0, l2=-0.5)
         dc = derive_constants(params)
-        rhs = log_frame_rhs(dc.end(name).equation)
-        consts = dict(zip(rhs.__code__.co_freevars,
-                          (cell.cell_contents for cell in rhs.__closure__)))
+        stages = log_frame_rhs(dc.end(name).equation).stages
+        consts = dict(zip(stages.__code__.co_freevars,
+                          (cell.cell_contents
+                           for cell in stages.__closure__)))
         rates = [v for key, v in sorted(consts.items())
                  if key.startswith("e")]
         assert [e for _, e in forced_expansion(dc, name).terms] == rates
@@ -596,7 +593,7 @@ class TestReframe:
             v = math.exp(alpha * t0) * u0
             vdot = alpha * v + math.exp((alpha + 1.0) * t0) * up0
             rhs = log_frame_rhs(frame_equation(config_a, alpha))
-            vd, vdd = rhs(t0, (v, vdot))
+            vd, vdd = dop853._one_lane(rhs)(t0, (v, vdot))
             # reconstruct r^2 u'' from the frame quantities
             upp = (vdd - (2.0 * alpha + 1.0) * vdot
                    + alpha * (alpha + 1.0) * v) * math.exp(-(alpha + 2) * t0)
@@ -609,11 +606,12 @@ class TestReframe:
         # an event-located crossing may overshoot below zero; the power
         # terms then act on max(v, 0) and only the linear part remains
         rhs = log_frame_rhs(frame_equation(config_a, 0.0))
-        assert rhs(0.0, (-0.1, 0.2)) == (0.2, -3.0 * 0.2)
+        assert dop853._one_lane(rhs)(0.0, (-0.1, 0.2)) == (0.2, -3.0 * 0.2)
 
     def test_rhs_rejects_nonfinite_state(self, config_a):
+        rhs = log_frame_rhs(frame_equation(config_a, 0.0))
         with pytest.raises(RuntimeError, match="non-finite"):
-            log_frame_rhs(frame_equation(config_a, 0.0))(0.0, (1.0, math.inf))
+            rhs(np.zeros(1), np.ones(1), np.array([math.inf]))
 
 
 # t = 0.5, v = 2, dv_dt = 0 in the raw frame: r = e^0.5, u = 2, du_dr = 0

@@ -1,6 +1,7 @@
 """Tests for INI parsing, config hashing, and the sweep driver."""
 
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -286,6 +287,21 @@ class TestSweep:
         assert lost.read_bytes() == want
         assert second.data["cells"] == first.data["cells"]
         assert second.path.stat().st_ino != inode  # the manifest rewritten
+
+    def test_rerun_with_a_truncated_cell_file_is_recomputed(self, tmp_path):
+        # the file still exists, but its bytes no longer match the sha256
+        # its cell records
+        cfg = self._cfg(tmp_path, extra="\n[sweep]\np = 1.88, 1.9\n")
+        first = sweep(cfg)
+        name = first.cells[1]["files"][0]
+        cut = first.path.parent / name
+        want = cut.read_bytes()
+        assert first.cells[1]["sha256"] == {
+            name: hashlib.sha256(want).hexdigest()}
+        cut.write_bytes(want[:500])
+        second = sweep(cfg)
+        assert cut.read_bytes() == want
+        assert second.data["cells"] == first.data["cells"]
 
     def test_truncated_manifest_is_recomputed(self, tmp_path):
         cfg = self._cfg(tmp_path)
