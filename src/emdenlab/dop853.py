@@ -10,14 +10,15 @@ underflow test and Brent event location, so it takes the same steps.
 It is specialised to y = (v, dv/dt) and to the two events that end a
 log-frame run: v falls through 0, or |v| rises through the amplitude cap.
 
-There are two cores over one tableau, one controller, one event rule
-(_fired), one event locator (_located), one dense-output builder
-(_dense_rows) and one result, Solution, whose __call__ is the dense
-output.  Both take one right-hand side object, integrate.log_frame_rhs's:
-fun(t, v, vdot) on arrays, which raises on a non-finite acceleration,
-carrying fun.attempt for the scalar core and fun.stages for the lane
-core.  fun itself makes each core's first evaluation and initial-step
-probe and builds every interpolant:
+There are two cores over one tableau, one start (_start), one
+controller, one event rule (_fired), one event locator (_located), one
+dense-output builder (_dense_rows) and one result, Solution, whose
+__call__ is the dense output.  Both take one right-hand side object,
+integrate.log_frame_rhs's: fun(t, v, vdot) on arrays, which raises on a
+non-finite acceleration, carrying fun.attempt for the scalar core and
+fun.stages for the lane core.  fun itself builds every interpolant and
+makes every start: one _start call per run or batch calls it once at
+all its starts and once at all their initial-step probes.  The cores:
 
 - solve_ivp runs one start in plain floats.  Its step attempt,
   fun.attempt, is straight-line code generated from the tableau below
@@ -249,8 +250,8 @@ class SolverStats(NamedTuple):
     rejected: int
 
 
-def _rms(x, y) -> float:
-    return math.sqrt(x * x + y * y) / 2.0 ** 0.5
+def _rms(x, y):
+    return np.sqrt(x * x + y * y) / 2.0 ** 0.5
 
 
 class Solution:
@@ -381,23 +382,31 @@ def _fired(v_old, v_new, cap) -> tuple:
             (abs(v_old) - cap <= 0.0) & (abs(v_new) - cap >= 0.0))
 
 
-def _initial_step(fun, t0, v, w, fv, fw, t_bound, direction, rtol, atol,
-                  max_step) -> float:
-    """Hairer's starting-step heuristic (HNW I, section II.4)."""
-    span = abs(t_bound - t0)
-    sv, sw = atol + abs(v) * rtol, atol + abs(w) * rtol
-    d0 = _rms(v / sv, w / sw)
-    d1 = _rms(fv / sv, fw / sw)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    fv1, fw1 = fun(t0 + h0 * direction,
-                   (v + h0 * direction * fv, w + h0 * direction * fw))
-    d2 = _rms((fv1 - fv) / sv, (fw1 - fw) / sw) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-    return min(100.0 * h0, h1, span, max_step)
+def _start(fun, t, y, t_bound, rtol, atol, max_step) -> tuple:
+    """(d, k0, h_abs) of L starts at the times t and (2, L) states y:
+    each start's direction towards t_bound, f there, and Hairer's
+    starting step (HNW I, section II.4) in scipy's select_initial_step
+    order of operations.  fun is called twice for the batch, at the
+    starts and at the probe.  The small-norm branches are computed for
+    every lane and masked, without warnings; the power is taken in
+    floats, as the controller takes it: numpy's rounds differently."""
+    d = np.where(t_bound > t, 1.0, -1.0)
+    k0 = np.array(fun(t, *y))
+    span = np.abs(t_bound - t)
+    scale = atol + np.abs(y) * rtol
+    with np.errstate(all="ignore"):
+        d0, d1 = _rms(*(y / scale)), _rms(*(k0 / scale))
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, span)
+        step = h0 * d
+        k1 = np.array(fun(t + step, *(y + step * k0)))
+        d2 = _rms(*((k1 - k0) / scale)) / h0
+        base = 0.01 / np.maximum(d1, d2)
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  np.fromiter(map(pow, base.tolist(), repeat(1.0 / 8.0)),
+                              float, base.size))
+    return d, k0, np.minimum(np.minimum(100.0 * h0, h1),
+                             np.minimum(span, max_step))
 
 
 def _growth(error: float) -> float:
@@ -538,21 +547,18 @@ def solve_ivp(fun, t0: float, t_bound: float, y0: tuple, rtol: float,
     rises through cap (whichever comes first in the direction of
     integration), or when the step size underflows 10 ulp of t.  A zero
     span (t0 == t_bound) takes no step and evaluates no fun.  fun, the
-    system on arrays, makes the first evaluation and the initial step's
-    probe on one lane, as solve_lanes does, and builds every
-    interpolant (_located, dense); the run steps with fun.attempt,
-    attempt_source's attempt with fun's evaluation inlined at each
-    stage.
+    system on arrays, starts the run as one lane of _start, as
+    solve_lanes starts its batch, and builds every interpolant
+    (_located, dense); the run steps with fun.attempt, attempt_source's
+    attempt with fun's evaluation inlined at each stage.
     """
     if t0 == t_bound:
         return Solution((), (), t0, 0, 0, TerminationKind.REACHED_SPAN_END)
     attempt = fun.attempt
-    direction = 1.0 if t_bound > t0 else -1.0
     t, (v, w) = t0, y0
-    one = _one_lane(fun)
-    k0v, k0w = one(t, (v, w))
-    h_abs = _initial_step(one, t, v, w, k0v, k0w, t_bound, direction,
-                          rtol, atol, max_step)
+    (direction,), ((k0v,), (k0w,)), (h_abs,) = (
+        x.tolist() for x in _start(fun, np.array([t]), np.array([[v], [w]]),
+                                   t_bound, rtol, atol, max_step))
     nfev, n_rejected = 2, 0
     steps = array("d")
     while True:
@@ -640,15 +646,6 @@ class _Lanes:
 STEP_CHUNK = 16
 
 
-def _one_lane(fun):
-    """fun(t, v, vdot) on arrays as a fun(t, y) on the floats of one
-    lane, for a core's first evaluation and initial-step probe."""
-    def one(t, y):
-        dv, dw = fun(np.array([t]), np.array([y[0]]), np.array([y[1]]))
-        return float(dv[0]), float(dw[0])
-    return one
-
-
 def _stage_error(fun, t_stage, y, K, h):
     """Call fun at the first stage of a lane attempt (times t_stage, start
     y, f at the stages K, steps h) whose acceleration is not finite, on
@@ -686,9 +683,10 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
     the loop has ended, the events of all such lanes are located by one
     _located call, as solve_ivp locates its run's, and those lanes are
     yielded last.  A lane keeps its accepted steps until it is
-    yielded.  The initial step and the controller's power are taken per
-    lane in floats, as solve_ivp takes them; everything else is
-    lane-wise array arithmetic.
+    yielded.  One _start call starts every lane, as it starts
+    solve_ivp's one; the controller's power is taken per lane in
+    floats, as solve_ivp takes it, and everything else is lane-wise
+    array arithmetic.
     """
     t = np.array(t0, dtype=float)
     y = np.array(y0, dtype=float).reshape(2, t.size)
@@ -697,14 +695,7 @@ def solve_lanes(fun, t0, t_bound: float, y0, rtol: float, atol: float,
         yield i, Solution((), (), t[i], 0, 0, TerminationKind.REACHED_SPAN_END)
     lane = np.flatnonzero(t != t_bound)
     t, y = t[lane], y[:, lane]
-    d = np.where(t_bound > t, 1.0, -1.0)
-    k0 = np.empty((2, lane.size))
-    k0[0], k0[1] = fun(t, y[0], y[1])
-    one = _one_lane(fun)
-    h_abs = np.array([
-        _initial_step(one, *start, t_bound, dl, rtol, atol, max_step)
-        for *start, dl in zip(t.tolist(), *y.tolist(), *k0.tolist(),
-                              d.tolist())])
+    d, k0, h_abs = _start(fun, t, y, t_bound, rtol, atol, max_step)
     # each lane's latest steps and its full chunks
     chunk = np.empty((n_lanes, STEP_CHUNK, STEP))
     fill = np.zeros(n_lanes, dtype=int)

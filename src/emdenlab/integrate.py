@@ -33,16 +33,17 @@ solve_lanes, which advances them in lockstep on numpy arrays; each lane
 takes the scalar core's steps, up to numpy's exp and power rounding
 1 ulp away from math's.  Both take the one right-hand side object
 log_frame_rhs compiles from the term table: it evaluates on arrays,
-makes each core's first evaluation and initial-step probe, and builds
-every interpolant; the scalar core steps with its attempt, where the
-acceleration is inlined, the lane core with its stages, which compute
-each exponential once for an attempt's 13 stage times.  One function,
-_trajectory, turns every run into a Trajectory: the ends and stride of
-its stride_grid, built when t is first read, the Solution that samples
-it there when the samples are first read, the FrameEquation whose
-right-hand side that read passes to it, whichever core made the run
-(the Solution builds its steps' interpolants then), its termination
-and its work in Trajectory.stats.
+makes every start (one dop853._start call per run or batch: the first
+evaluation and the initial-step probe, one call each for all its
+lanes), and builds every interpolant; the scalar core steps with its
+attempt, where the acceleration is inlined, the lane core with its
+stages, which compute each exponential once for an attempt's 13 stage
+times.  One function, _trajectory, turns every run into a Trajectory:
+the ends and stride of its stride_grid, built when t is first read,
+the Solution that samples it there when the samples are first read,
+the FrameEquation whose right-hand side that read passes to it,
+whichever core made the run (the Solution builds its steps'
+interpolants then), its termination and its work in Trajectory.stats.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import importlib
 
+import numpy as np
 import pytest
 
 from emdenlab import ProblemParams, connecting_orbit, derive_constants
@@ -10,6 +11,16 @@ from emdenlab.acceptance import CONFIG_A, CONFIG_B, Lab
 CONFIG_C = ProblemParams(n=5, p=2.5, q=3.0, l1=0.0, l2=-0.5)
 
 _acceptance_lines: list = []
+
+
+def one_lane(fun):
+    """fun(t, v, vdot) on arrays as a fun(t, y) on the floats of one
+    lane, for the tests' float reference runs and checks of the
+    array right-hand side."""
+    def one(t, y):
+        dv, dw = fun(np.array([t]), np.array([y[0]]), np.array([y[1]]))
+        return float(dv[0]), float(dw[0])
+    return one
 
 
 @pytest.fixture(scope="session")

@@ -37,8 +37,11 @@ from emdenlab import (
     shooting,
 )
 from emdenlab.acceptance import CONFIG_A
-from emdenlab.integrate import LANES_MIN, _non_finite, stride_grid
+from emdenlab.integrate import LANES_MIN, _non_finite, forced_expansion, \
+    stride_grid
 from emdenlab.params import FrameEquation, frame_equation, frame_exp
+
+from conftest import one_lane
 
 CONFIG = IntegratorConfig()
 
@@ -74,7 +77,7 @@ def scipy_run(params, alpha, start, t_target, config):
     calls, the first evaluation and the initial step's probe, go to
     log_frame_rhs on one lane, as ours do; the later ones, its stages,
     to the float term loop, which our step attempt inlines."""
-    one = dop853._one_lane(log_frame_rhs(frame_equation(params, alpha)))
+    one = one_lane(log_frame_rhs(frame_equation(params, alpha)))
     floats, calls = loop_rhs(params, alpha), []
 
     def fun(t, y):
@@ -304,7 +307,7 @@ def loop_attempt(fun, t, h, v, w, k0v, k0w):
 
 def loop_dense(lanes, t, h, v, w, v_new, w_new, ks):
     # stages 13-15 by the array form lanes, which builds every interpolant
-    one, (kv, kw) = dop853._one_lane(lanes), ks
+    one, (kv, kw) = one_lane(lanes), ks
     for s in range(13, 16):
         dv, dw = _dot(dop853.A[s], kv, kw)
         kv[s], kw[s] = one(t + dop853.C[s] * h, (v + dv * h, w + dw * h))
@@ -474,7 +477,7 @@ def assert_rows_are_eager(fun, start, t_target, cap=CONFIG.amplitude_cap,
     of it, and the rows each builds on read are the loop core's eager
     rows byte for byte; so is batched, the start's lane in a batch of
     solve_lanes, when given."""
-    one = dop853._one_lane(fun)
+    one = one_lane(fun)
     ref, rows = loop_run(one, fun, start.t, t_target, (start.v, start.vdot),
                          cap)
     scalar = dop853.solve_ivp(calling(fun, called_attempt(one)), start.t,
@@ -887,7 +890,7 @@ def test_lane_core_with_the_same_rhs_is_the_scalar_core(dc_a,
         + [State(0.0, 1.0, 0.0), State(0.0, 1.5, 3.0), State(0.0, 0.5, -1.0),
            State(13.5, 1.2, 0.1)]
     rhs = log_frame_rhs(eq)
-    fed = calling(rhs, called_attempt(dop853._one_lane(rhs)))
+    fed = calling(rhs, called_attempt(one_lane(rhs)))
     trajs = integrate_many(lane_batch(starts), eq, 12.0, config)
     assert lane_batches == [LANES_MIN]
     for start, traj in zip(starts, trajs):
@@ -976,6 +979,83 @@ def test_underflow_and_zero_span_lanes(dc_a, lane_batches):
         assert sol.status == TerminationKind.REACHED_SPAN_END
 
 
+def test_small_norm_starts_on_lanes(lane_batches):
+    # at the equilibrium v = lambda1 = 1 of n = 4, p = 3 in the alpha1
+    # frame f is exactly 0: both small-norm branches of the starting step
+    # give scipy's 1e-6, and the error stays 0, so every step grows 10
+    # times up to max_step.  The start with vdot = 1e-20 takes only the
+    # first branch (h = 100 h0 = 1e-4), the others neither.  Each lane
+    # is its start's run alone, so no branch leaks across lanes, and
+    # starts as its scalar run.
+    params = ProblemParams(n=4, p=3.0, q=4.0, k2=0.0)
+    eq = frame_equation(params, derive_constants(params).alpha1)
+    starts = [State(0.0, 0.5, 0.1), State(0.0, 1.0, 0.0),
+              State(0.2, 1.5, -0.4), State(0.0, 1.0, 1e-20),
+              State(-0.3, 1.0, 1e-3)]
+    trajs = integrate_many(lane_batch(starts), eq, 3.0)
+    alone = [integrate_many([start] * LANES_MIN, eq, 3.0)[0]
+             for start in starts]
+    assert lane_batches == [LANES_MIN] * (1 + len(starts))
+    first = [traj._run.t[1] - start.t for start, traj in zip(starts, trajs)]
+    assert first[1] == 1e-6 and first[3] == 100.0 * 1e-6
+    assert trajs[1].stats == SolverStats(422, 35, 0)
+    # scipy's run takes the same grid and evaluates 3 dense-output
+    # stages more a step
+    theirs, _ = scipy_run(params, eq.alpha, starts[1], 3.0, CONFIG)
+    assert theirs.t.tolist() == trajs[1]._run.t.tolist()
+    assert theirs.nfev == 422 + 3 * 35
+    for start, h, traj, own in zip(starts, first, trajs, alone):
+        one = integrate(start, eq, 3.0)
+        assert one._run.t[1] - start.t == h
+        assert traj.termination == own.termination
+        assert traj.stats == own.stats == one.stats
+        assert one.termination.kind == traj.termination.kind
+        for name in ("t", "v", "vdot"):
+            assert np.array_equal(getattr(traj, name), getattr(own, name))
+
+
+def test_lane_start_makes_two_calls(dc_a):
+    # the first evaluation and the initial step's probe of a whole batch
+    # are one call of fun each; the lane attempts call fun.stages, and
+    # no event is located over this span
+    rhs, calls = log_frame_rhs(dc_a.end("infinity").equation), []
+
+    def fun(t, v, w):
+        calls.append(t.size)
+        return rhs(t, v, w)
+
+    fun.stages = rhs.stages
+    v0 = np.linspace(1.0, 1.5, LANES_MIN)
+    runs = list(dop853.solve_lanes(
+        fun, np.zeros(LANES_MIN), 0.5, [v0, np.zeros(LANES_MIN)],
+        CONFIG.rtol, CONFIG.atol, CONFIG.max_step, CONFIG.amplitude_cap))
+    assert all(sol.status == TerminationKind.REACHED_SPAN_END
+               for _, sol in runs)
+    assert calls == [LANES_MIN, LANES_MIN]
+
+
+def test_lane_start_fails_as_the_scalar_start():
+    # seeded at t = 20 towards -1500, the initial step's probe is capped
+    # at the span and overflows the forced term's exponential there (the
+    # `solve` case over [spans] -1500 to 20); the lanes around it start
+    # near t = 20.  The batch raises the scalar run's error.
+    dc = derive_constants(ProblemParams(n=5, p=2.5, q=3.0, l1=0.0,
+                                        l2=-0.5))
+    eq = dc.end("infinity").equation
+    start = forced_expansion(dc, "infinity").start(20.0)
+    with pytest.raises(RuntimeError) as scalar:
+        integrate(start, eq, -1500.0)
+    text = str(scalar.value)
+    assert text.startswith("non-finite state during integration at "
+                           "t=-1500.0: v=")
+    others = [State(20.0, 1.7, 0.1), State(20.0, 1.0, -0.3),
+              State(19.0, 2.0, 0.0)]
+    with pytest.raises(RuntimeError) as lanes:
+        integrate_many(lane_batch(others * 2 + [start] + others), eq,
+                       -1500.0)
+    assert str(lanes.value) == text
+
+
 def test_zero_span_is_an_empty_solution():
     # no step and no evaluation of fun: a fun that raises is not called
     def fun(t, y):
@@ -997,7 +1077,7 @@ def test_stride_under_the_spacing_of_t_is_rejected_before_the_run():
     params = ProblemParams(n=5, p=3.0, q=4.0, k2=0.0)
     dc = derive_constants(params)
     start = State(2.0 ** 46 - 0.5, dc.lambda1 + 0.1, 0.0)
-    with mock.patch.object(dop853, "_initial_step",
+    with mock.patch.object(dop853, "_start",
                            side_effect=AssertionError("solver ran")):
         for run in (integrate,
                     lambda *a: integrate_many([a[0]] * LANES_MIN, *a[1:])):
@@ -1015,7 +1095,7 @@ def test_lanes_that_step_then_underflow(dc_a, lane_batches):
     starts = [State(2.0 ** 46 - 0.5, 1.0, 0.0),
               State(2.0 ** 46 - 0.8, 1.2, 0.1)]
     rhs = log_frame_rhs(eq)
-    fed = calling(rhs, called_attempt(dop853._one_lane(rhs)))
+    fed = calling(rhs, called_attempt(one_lane(rhs)))
     trajs = integrate_many(lane_batch(starts), eq, t_target, config)
     assert lane_batches == [LANES_MIN]
     for start, traj, steps in zip(starts, trajs, (6, 9)):

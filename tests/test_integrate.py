@@ -41,6 +41,8 @@ from emdenlab.integrate import CSV_HEADER as HEADER, LANES_MIN, RTOL_MIN, \
 from emdenlab.params import FrameEquation, frame_equation
 from emdenlab.shooting import classify_ends, regular_start
 
+from conftest import one_lane
+
 SINGLE = ProblemParams(n=5, p=3.0, q=2.0, k2=0.0)
 
 
@@ -593,7 +595,7 @@ class TestReframe:
             v = math.exp(alpha * t0) * u0
             vdot = alpha * v + math.exp((alpha + 1.0) * t0) * up0
             rhs = log_frame_rhs(frame_equation(config_a, alpha))
-            vd, vdd = dop853._one_lane(rhs)(t0, (v, vdot))
+            vd, vdd = one_lane(rhs)(t0, (v, vdot))
             # reconstruct r^2 u'' from the frame quantities
             upp = (vdd - (2.0 * alpha + 1.0) * vdot
                    + alpha * (alpha + 1.0) * v) * math.exp(-(alpha + 2) * t0)
@@ -606,7 +608,7 @@ class TestReframe:
         # an event-located crossing may overshoot below zero; the power
         # terms then act on max(v, 0) and only the linear part remains
         rhs = log_frame_rhs(frame_equation(config_a, 0.0))
-        assert dop853._one_lane(rhs)(0.0, (-0.1, 0.2)) == (0.2, -3.0 * 0.2)
+        assert one_lane(rhs)(0.0, (-0.1, 0.2)) == (0.2, -3.0 * 0.2)
 
     def test_rhs_rejects_nonfinite_state(self, config_a):
         rhs = log_frame_rhs(frame_equation(config_a, 0.0))
