@@ -58,6 +58,7 @@ from .shooting import (
     ShotResult,
     ThresholdScan,
     bisect_boundary,
+    bisect_many,
     connecting_orbit,
     scan_thresholds,
     shoot,
@@ -88,6 +89,7 @@ __all__ = [
     "Termination", "TerminationKind", "ThresholdScan", "TOLERANCES",
     "Trajectory",
     "apriori_bound_report", "aubin_talenti_profile", "bisect_boundary",
+    "bisect_many",
     "canonical_json", "classify_end", "classify_regime", "config_hash",
     "connecting_orbit", "csv_round_trip", "derive_constants",
     "end_window", "energy_trace", "expanded_axes",

@@ -28,9 +28,8 @@ from .energy import apriori_bound_report, energy_trace, well_potential
 from .integrate import IntegratorConfig, State, csv_round_trip, integrate
 from .params import ProblemParams, aubin_talenti_profile, derive_constants, \
     frame_equation
-from .shooting import connecting_orbit, effective_jobs, scan_thresholds, \
-    shoot, shoot_many
-from .sweep import RunConfig, sweep
+from .shooting import connecting_orbit, scan_thresholds, shoot, shoot_many
+from .sweep import RunConfig, effective_jobs, sweep
 
 TOLERANCES = {
     "c1_profile_rel": 1e-8,

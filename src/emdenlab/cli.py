@@ -25,8 +25,8 @@ from .integrate import IntegratorConfig, read_trajectory_csv, \
 from .params import ProblemParams, classify_regime, derive_constants
 from .serialize import canonical_json
 from .shooting import T_TARGET, check_grid, connecting_orbit, \
-    effective_jobs, scan_thresholds, seed_and_integrate, shoot, shoot_many
-from .sweep import parse_run_config, sweep
+    scan_thresholds, seed_and_integrate, shoot, shoot_many
+from .sweep import effective_jobs, parse_run_config, sweep
 from .acceptance import TOLERANCES, format_results, run_acceptance
 
 
@@ -117,8 +117,7 @@ def cmd_scan(args) -> int:
     grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max),
                        args.points)
     check_grid(grid)
-    res = scan_thresholds(shoot_many(grid, dc, integrator, args.t_target),
-                          args.jobs)
+    res = scan_thresholds(shoot_many(grid, dc, integrator, args.t_target))
     text = canonical_json(res.to_dict())
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -213,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=64)
     _add_param_flags(sp)
     sp.add_argument("--t-target", type=float, default=T_TARGET)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="checked as for sweep, but changes nothing: a "
+                         "scan bisects all its brackets together in one "
+                         "process")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_scan)
 

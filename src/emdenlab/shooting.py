@@ -7,9 +7,11 @@ u(0) = a on its series expansion (forced_expansion about a) at the
 largest radius r0 its SERIES_BUDGET allows (regular_start), integrates
 outward in the alpha1 frame to a later t_target, and classifies the
 infinity end.  A shot keeps what it was shot with, and boundary
-hunting reads it from the shots: bisect_boundary(lo, hi) bisects
-between two neighbouring grid shots of different kinds without shooting
-either again, scan_thresholds(shots) every kind change of a grid.  A
+hunting reads it from the shots: bisect_many(pairs) halves brackets of
+two neighbouring grid shots of different kinds in lockstep, one
+shoot_many of the live midpoints per halving, without shooting either
+end again; bisect_boundary(lo, hi) is bisect_many of one pair, and
+scan_thresholds(shots) of every kind change of a grid.  A
 crossing seeds one end, named as in dc.end, on its forced expansion
 about lambda at its own side of a span (t_min, t_max) and integrates to
 the other side (seed_and_integrate), then classifies both ends
@@ -20,8 +22,6 @@ sweep cells and `emdenlab solve` over the run config's [spans].
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,63 +140,70 @@ class BoundaryResult(Record):
         return (self.a_hi - self.a_lo) / self.a_star
 
 
-def bisect_boundary(lo: ShotResult, hi: ShotResult) -> BoundaryResult:
-    """Bisect between two shots of different kinds, lo.a < hi.a, shot
-    alike and not shot again: each midpoint and a* are shot with the
-    pair's dc, config and t_target.  The bracket width contracts by
-    exactly half per iteration; stops when (a_hi - a_lo)/a_mid <
-    BISECT_REL_WIDTH or after BISECT_MAX_ITER steps.
+def bisect_many(pairs: list) -> list:
+    """Bisect every bracket (lo, hi) of pairs in lockstep: two shots of
+    different kinds, lo.a < hi.a, all shot alike and not shot again.
+    Each halving is one shoot_many of the live midpoints, with the
+    pairs' dc, config and t_target, and one more shoots every a*.  A
+    bracket's width contracts by exactly half per halving, and the
+    bracket leaves the live set once (a_hi - a_lo)/a_mid <
+    BISECT_REL_WIDTH or after BISECT_MAX_ITER halvings.  Every pair is
+    checked before the first shot; BoundaryResults in pair order.
     """
-    if not lo.a < hi.a:
-        raise ValueError(f"need a_lo < a_hi, got {lo.a} >= {hi.a}")
-    if lo.kind == hi.kind:
-        raise ValueError(
-            f"bracket endpoints agree ({lo.kind.value}); nothing to bisect")
-    _check_alike([lo, hi], "bracket endpoints")
-    a_lo, a_hi = lo.a, hi.a
-    iterations = 0
-    while iterations < BISECT_MAX_ITER:
-        mid = 0.5 * (a_lo + a_hi)
-        if (a_hi - a_lo) / mid < BISECT_REL_WIDTH:
+    for lo, hi in pairs:
+        if not lo.a < hi.a:
+            raise ValueError(f"need a_lo < a_hi, got {lo.a} >= {hi.a}")
+        if lo.kind == hi.kind:
+            raise ValueError(f"bracket endpoints agree ({lo.kind.value}); "
+                             "nothing to bisect")
+    if not pairs:
+        return []
+    _check_alike([s for pair in pairs for s in pair], "bracket endpoints")
+    settings = pairs[0][0].settings
+    a_lo, a_hi = [lo.a for lo, _ in pairs], [hi.a for _, hi in pairs]
+    iterations = [0] * len(pairs)
+    live = range(len(pairs))
+    while True:
+        mids = [0.5 * (lo + hi) for lo, hi in zip(a_lo, a_hi)]
+        live = [i for i in live if iterations[i] < BISECT_MAX_ITER
+                and (a_hi[i] - a_lo[i]) / mids[i] >= BISECT_REL_WIDTH]
+        if not live:
             break
-        if shoot(mid, *lo.settings).kind == lo.kind:
-            a_lo = mid
-        else:
-            a_hi = mid
-        iterations += 1
-    a_star = 0.5 * (a_lo + a_hi)
-    star = shoot(a_star, *lo.settings)
-    return BoundaryResult(a_star, a_lo, a_hi, lo.kind, hi.kind, iterations,
-                          star.report)
+        shots = shoot_many([mids[i] for i in live], *settings)
+        for i, shot in zip(live, shots):
+            if shot.kind == pairs[i][0].kind:
+                a_lo[i] = mids[i]
+            else:
+                a_hi[i] = mids[i]
+            iterations[i] += 1
+    stars = shoot_many(mids, *settings)
+    return [BoundaryResult(mids[i], a_lo[i], a_hi[i], lo.kind, hi.kind,
+                           iterations[i], stars[i].report)
+            for i, (lo, hi) in enumerate(pairs)]
 
 
-def effective_jobs(jobs: int) -> int:
-    """Worker processes used for `jobs` requested: at most
-    os.cpu_count().  A count that is not an integer (a bool is not) or
-    is below 1 is a ValueError."""
-    if not is_integer(jobs):
-        raise ValueError(f"jobs must be an integer, got {jobs!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return min(int(jobs), os.cpu_count() or 1)
-
-
-def map_jobs(fn, arg_tuples: list, jobs: int) -> list:
-    """[fn(*args) for args in arg_tuples] in order, over effective_jobs(jobs)
-    processes but at most one per call; in-process when that is 1."""
-    workers = min(effective_jobs(jobs), len(arg_tuples))
-    if workers <= 1:
-        return [fn(*args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*arg_tuples)))
+def bisect_boundary(lo: ShotResult, hi: ShotResult) -> BoundaryResult:
+    """The one bracket (lo, hi): bisect_many of that pair."""
+    return bisect_many([(lo, hi)])[0]
 
 
 @dataclass
 class ThresholdScan(Record):
-    a_grid: np.ndarray
-    kinds: list
+    """A grid of shots and one BoundaryResult per kind change; its
+    amplitudes and kinds are read from the shots."""
+
     shots: list
     boundaries: list
+
+    JSON_EXTRA = ("a_grid", "kinds")
+
+    @property
+    def a_grid(self) -> np.ndarray:
+        return np.array([s.a for s in self.shots], dtype=float)
+
+    @property
+    def kinds(self) -> list:
+        return [s.kind for s in self.shots]
 
 
 def check_grid(a_grid: np.ndarray | int) -> None:
@@ -215,19 +222,16 @@ def check_grid(a_grid: np.ndarray | int) -> None:
         raise ValueError("grid must be strictly increasing")
 
 
-def scan_thresholds(shots: list, jobs: int = 1) -> ThresholdScan:
+def scan_thresholds(shots: list) -> ThresholdScan:
     """Bisect every kind change of a grid of shots: shot alike, on a
     grid check_grid accepts.  Each pair of neighbouring shots of
-    different kinds is a bracket for bisect_boundary, one per worker
-    over map_jobs, back in grid order.  A bad grid or jobs is a
-    ValueError before the first bisection shot."""
-    a_grid = np.array([s.a for s in shots], dtype=float)
-    check_grid(a_grid)
+    different kinds is a bracket, and bisect_many halves them all
+    together, back in grid order.  A bad grid is a ValueError before
+    the first bisection shot."""
+    check_grid(np.array([s.a for s in shots], dtype=float))
     _check_alike(shots, "scan shots")
-    brackets = [(lo, hi) for lo, hi in zip(shots, shots[1:])
-                if lo.kind != hi.kind]
-    return ThresholdScan(a_grid, [s.kind for s in shots], shots,
-                         map_jobs(bisect_boundary, brackets, jobs))
+    return ThresholdScan(shots, bisect_many(
+        [(lo, hi) for lo, hi in zip(shots, shots[1:]) if lo.kind != hi.kind]))
 
 
 @dataclass

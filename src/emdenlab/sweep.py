@@ -13,9 +13,9 @@ then classify_ends), and write a content-addressed output tree
 where run-id is a hash of the semantic configuration (parameters,
 integrator, spans, axes; never the output directory).  The worker count
 is sweep's `jobs` argument, not part of the configuration.  Cells come
-back in grid order (shooting.map_jobs, at most os.cpu_count() workers
-and one per cell), so manifests and cell files are byte-identical for
-any worker count apart from the recorded wall-clock time.
+back in grid order (map_jobs, at most os.cpu_count() workers and one
+per cell), so manifests and cell files are byte-identical for any
+worker count apart from the recorded wall-clock time.
 """
 
 from __future__ import annotations
@@ -26,16 +26,17 @@ import itertools
 import json
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
 
 from ._version import __version__
 from .integrate import IntegratorConfig, write_trajectory_csv
-from .params import ProblemParams, classify_regime, derive_constants
+from .params import ProblemParams, classify_regime, derive_constants, \
+    is_integer
 from .serialize import canonical_json, fmt_float
-from .shooting import classify_ends, effective_jobs, map_jobs, \
-    seed_and_integrate
+from .shooting import classify_ends, seed_and_integrate
 
 _AXIS_ORDER = ("n", "p", "q", "l1", "l2")
 # [section] key -> RunConfig keyword, for the sections that hold one field
@@ -236,6 +237,27 @@ class SweepManifest:
     @property
     def cells(self) -> list:
         return self.data["cells"]
+
+
+def effective_jobs(jobs: int) -> int:
+    """Worker processes used for `jobs` requested: at most
+    os.cpu_count().  A count that is not an integer (a bool is not) or
+    is below 1 is a ValueError."""
+    if not is_integer(jobs):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(int(jobs), os.cpu_count() or 1)
+
+
+def map_jobs(fn, arg_tuples: list, jobs: int) -> list:
+    """[fn(*args) for args in arg_tuples] in order, over effective_jobs(jobs)
+    processes but at most one per call; in-process when that is 1."""
+    workers = min(effective_jobs(jobs), len(arg_tuples))
+    if workers <= 1:
+        return [fn(*args) for args in arg_tuples]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*arg_tuples)))
 
 
 def sweep(cfg: RunConfig, jobs: int = 1) -> SweepManifest:

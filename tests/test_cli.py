@@ -15,8 +15,8 @@ import pytest
 
 import emdenlab
 from emdenlab import ProblemParams, canonical_json, classify_end, \
-    derive_constants, parse_run_config, scan_thresholds, shoot, shoot_many, \
-    shooting, sweep, write_trajectory_csv
+    derive_constants, parse_run_config, shoot, shoot_many, shooting, sweep, \
+    write_trajectory_csv
 from emdenlab import cli
 from emdenlab.cli import build_parser, main
 from emdenlab.shooting import seed_and_integrate
@@ -73,7 +73,6 @@ def test_exponents_params_are_the_dataclass_fields(capsys):
 
 
 @pytest.mark.parametrize("argv,dest,functions", [
-    (["scan"], "jobs", [scan_thresholds]),
     (["sweep", "--config", "x.ini"], "jobs", [sweep]),
     (["shoot", "--a", "1"], "t_target", [shoot]),
     (["scan"], "t_target", [shoot_many, shoot]),
@@ -316,7 +315,7 @@ def test_bad_jobs_fails_before_the_first_shot(capsys, monkeypatch, argv,
         raise AssertionError("a shot ran before the scan was checked")
 
     monkeypatch.setattr(cli, "shoot_many", no_shot)
-    monkeypatch.setattr(shooting, "shoot", no_shot)
+    monkeypatch.setattr(shooting, "shoot_many", no_shot)
     assert main(["scan", *PARAM_FLAGS, *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 

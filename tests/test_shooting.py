@@ -12,6 +12,7 @@ from emdenlab import (
     ProblemParams,
     ThresholdScan,
     bisect_boundary,
+    bisect_many,
     canonical_json,
     classify_regime,
     connecting_orbit,
@@ -22,6 +23,7 @@ from emdenlab import (
     shoot_many,
     shooting,
 )
+from emdenlab.integrate import LANES_MIN
 from emdenlab.shooting import classify_ends, regular_start, \
     seed_and_integrate
 
@@ -109,8 +111,28 @@ def short_shots(dc_a):
     return shoot_many(SHORT_GRID, dc_a, t_target=2.0)
 
 
+@pytest.fixture(scope="module")
+def p23_shots():
+    """A 16-point t_target 20 grid of p = 2.3 with two kind changes."""
+    dc = derive_constants(ProblemParams(n=5, p=2.3, q=2.5, l2=-0.5))
+    return shoot_many(np.logspace(-2.0, 4.0, 16), dc, t_target=20.0)
+
+
 def no_shot(*args, **kwargs):
     raise AssertionError("a shot ran before the inputs were checked")
+
+
+def recorded_shoot_many(monkeypatch) -> list:
+    """(amplitudes, settings) of every shooting.shoot_many call from now
+    on, in call order."""
+    calls, shoot_many_ = [], shooting.shoot_many
+
+    def recording(grid, *args):
+        calls.append((list(grid), args))
+        return shoot_many_(grid, *args)
+
+    monkeypatch.setattr(shooting, "shoot_many", recording)
+    return calls
 
 
 class TestBisect:
@@ -143,7 +165,7 @@ class TestBisect:
                "dc": shoot(5.0, dc_b, t_target=2.0),
                "config": shoot(5.0, dc_a, IntegratorConfig(rtol=1e-10),
                                t_target=2.0)}
-        monkeypatch.setattr(shooting, "shoot", no_shot)
+        monkeypatch.setattr(shooting, "shoot_many", no_shot)
         for name, hi in his.items():
             assert hi.kind != lo.kind
             with pytest.raises(ValueError, match=f"bracket endpoints were "
@@ -153,21 +175,74 @@ class TestBisect:
     def test_midpoints_are_shot_like_the_pair(self, dc_a, monkeypatch):
         # every midpoint and a* take the pair's dc, config and t_target
         lo, hi = shot_pair(0.5, 5.0, dc_a)
-        calls, shoot_ = [], shooting.shoot
-
-        def recording_shoot(a, *args):
-            calls.append(args)
-            return shoot_(a, *args)
-
-        monkeypatch.setattr(shooting, "shoot", recording_shoot)
+        calls = recorded_shoot_many(monkeypatch)
         res = bisect_boundary(lo, hi)
         assert len(calls) == res.iterations + 1
-        assert set(calls) == {(dc_a, lo.trajectory.config, 2.0)}
+        assert {(len(grid), args) for grid, args in calls} \
+            == {(1, (dc_a, lo.trajectory.config, 2.0))}
+
+    def test_every_pair_is_checked_before_the_first_shot(self, dc_a,
+                                                         monkeypatch):
+        # a bad pair after a good one fails before the good one is shot
+        good, same = shot_pair(0.5, 5.0, dc_a), shot_pair(0.5, 0.6, dc_a)
+        horizon = (good[0], shoot(5.0, dc_a))
+        monkeypatch.setattr(shooting, "shoot_many", no_shot)
+        assert bisect_many([]) == []
+        with pytest.raises(ValueError, match="a_lo < a_hi"):
+            bisect_many([good, good[::-1]])
+        with pytest.raises(ValueError, match="agree"):
+            bisect_many([good, same])
+        with pytest.raises(ValueError, match="differ in t_target$"):
+            bisect_many([good, horizon])
+
+    @pytest.mark.parametrize("case", ["config_a", "p2.3"])
+    def test_a_lane_batch_of_brackets_is_each_bracket_alone(
+            self, case, dc_a, p23_shots, lane_batches):
+        # 32 copies of the t_target 2 bracket, or the two t_target 20
+        # brackets of a p = 2.3 grid 16 times: the midpoints run on the
+        # lane core while at least LANES_MIN brackets are live, and each
+        # bracket ends where it ends bisected alone
+        if case == "config_a":
+            pairs = [tuple(shot_pair(0.5, 5.0, dc_a))]
+        else:
+            pairs = [(lo, hi) for lo, hi in zip(p23_shots, p23_shots[1:])
+                     if lo.kind != hi.kind]
+            assert len(pairs) == 2
+        alone = [bisect_boundary(*pair) for pair in pairs]
+        assert lane_batches == []
+        copies = LANES_MIN // len(pairs)
+        together = bisect_many(pairs * copies)
+        assert lane_batches and min(lane_batches) >= LANES_MIN
+        assert lane_batches[-1] == len(together) == LANES_MIN
+        for res, one in zip(together, alone * copies):
+            assert (res.a_star, res.a_lo, res.a_hi, res.iterations) \
+                == (one.a_star, one.a_lo, one.a_hi, one.iterations)
+            assert res.report_star.kind == one.report_star.kind
+        if case == "config_a":
+            assert (alone[0].a_star, alone[0].iterations) \
+                == (1.2679701365307778, 42)
+
+    def test_brackets_leave_the_live_set_one_by_one(self, dc_a,
+                                                    monkeypatch):
+        # three widths about the one t_target 2 boundary: each halving
+        # shoots only the brackets still wider than BISECT_REL_WIDTH
+        pairs = [tuple(shot_pair(a_lo, a_hi, dc_a))
+                 for a_lo, a_hi in ((0.5, 5.0), (1.2, 1.3), (1.0, 1.5))]
+        alone = [bisect_boundary(*pair) for pair in pairs]
+        calls = recorded_shoot_many(monkeypatch)
+        together = bisect_many(pairs)
+        counts = [one.iterations for one in alone]
+        assert len(set(counts)) == 3
+        assert [len(grid) for grid, _ in calls] \
+            == [sum(n > k for n in counts) for k in range(max(counts))] + [3]
+        for res, one in zip(together, alone):
+            assert (res.a_star, res.a_lo, res.a_hi, res.iterations) \
+                == (one.a_star, one.a_lo, one.a_hi, one.iterations)
 
 
 class TestScan:
     def test_grid_validation(self, short_shots, monkeypatch):
-        monkeypatch.setattr(shooting, "shoot", no_shot)
+        monkeypatch.setattr(shooting, "shoot_many", no_shot)
         with pytest.raises(ValueError, match=">= 16"):
             scan_thresholds(short_shots[:8])
         with pytest.raises(ValueError, match="increasing"):
@@ -192,8 +267,7 @@ class TestScan:
         horizon = short_shots[:8] + shoot_many(SHORT_GRID[8:], dc_a)
         problem = short_shots[:8] + shoot_many(SHORT_GRID[8:], dc_b,
                                                t_target=2.0)
-        monkeypatch.setattr(shooting, "shoot", no_shot)
-        monkeypatch.setattr(shooting, "map_jobs", no_shot)
+        monkeypatch.setattr(shooting, "shoot_many", no_shot)
         for shots, name in ((horizon, "t_target"), (problem, "dc")):
             with pytest.raises(ValueError, match=f"scan shots were not all "
                                f"shot alike: they differ in {name}$"):
@@ -207,14 +281,9 @@ class TestScan:
     def test_grid_amplitudes_are_shot_once(self, short_shots, monkeypatch):
         # the grid batch gives each amplitude its one verdict; the
         # bisection shoots only midpoints and a*
-        shot, shoot_ = [], shooting.shoot
-
-        def recording_shoot(a, *args):
-            shot.append(a)
-            return shoot_(a, *args)
-
-        monkeypatch.setattr(shooting, "shoot", recording_shoot)
+        calls = recorded_shoot_many(monkeypatch)
         scan = scan_thresholds(short_shots)
+        shot = [a for grid, _ in calls for a in grid]
         assert len(scan.boundaries) == 1 and shot
         assert not set(shot) & set(SHORT_GRID.tolist())
         i = int(np.searchsorted(SHORT_GRID, scan.boundaries[0].a_star)) - 1
@@ -222,36 +291,24 @@ class TestScan:
         assert (scan.boundaries[0].kind_lo, scan.boundaries[0].kind_hi) \
             == (scan.kinds[i], scan.kinds[i + 1])
 
-    def test_jobs_do_not_change_results(self, monkeypatch):
-        # two kind changes, so two brackets go to the pool of 2
-        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
-        dc = derive_constants(ProblemParams(n=5, p=2.3, q=2.5, l2=-0.5))
-        shots = shoot_many(np.logspace(-2.0, 4.0, 16), dc, t_target=20.0)
-        serial = scan_thresholds(shots, jobs=1)
-        parallel = scan_thresholds(shots, jobs=2)
-        assert len(serial.boundaries) >= 2
-        assert canonical_json(serial.to_dict()) \
-            == canonical_json(parallel.to_dict())
+    def test_bisect_many_gets_the_kind_change_brackets(self, p23_shots,
+                                                       monkeypatch):
+        # bisect_many sees only brackets, each the pair of neighbouring
+        # grid shots whose kinds differ, in grid order
+        shots = p23_shots
+        bisected = []
 
-    def test_pool_gets_the_kind_change_brackets(self, monkeypatch):
-        # the pool sees only brackets, each the pair of neighbouring grid
-        # shots whose kinds differ
-        dc = derive_constants(ProblemParams(n=5, p=2.3, q=2.5, l2=-0.5))
-        shots = shoot_many(np.logspace(-2.0, 4.0, 16), dc, t_target=20.0)
-        pooled = []
+        def recording_bisect_many(pairs):
+            bisected.append(pairs)
+            return [f"boundary {i}" for i in range(len(pairs))]
 
-        def recording_map_jobs(fn, arg_tuples, jobs):
-            pooled.append((fn, arg_tuples, jobs))
-            return [f"boundary {i}" for i in range(len(arg_tuples))]
-
-        monkeypatch.setattr(shooting, "map_jobs", recording_map_jobs)
-        scan = scan_thresholds(shots, jobs=1)
+        monkeypatch.setattr(shooting, "bisect_many", recording_bisect_many)
+        scan = scan_thresholds(shots)
         changes = [i for i in range(15) if scan.kinds[i] != scan.kinds[i + 1]]
         assert len(changes) >= 2
-        (fn, arg_tuples, jobs), = pooled
-        assert (fn, jobs) == (bisect_boundary, 1)
-        assert len(arg_tuples) == len(changes)
-        for (lo, hi), i in zip(arg_tuples, changes):
+        pairs, = bisected
+        assert len(pairs) == len(changes)
+        for (lo, hi), i in zip(pairs, changes):
             assert lo is shots[i] and hi is shots[i + 1]
         assert scan.boundaries == [f"boundary {i}"
                                    for i in range(len(changes))]
@@ -263,8 +320,7 @@ class TestScan:
         brackets = [(lo, hi) for lo, hi in zip(short_shots, short_shots[1:])
                     if lo.kind != hi.kind]
         assert len(brackets) == 1
-        by_hand = ThresholdScan(SHORT_GRID, [s.kind for s in short_shots],
-                                short_shots,
+        by_hand = ThresholdScan(short_shots,
                                 [bisect_boundary(*pair) for pair in brackets])
         assert canonical_json(scan_thresholds(short_shots).to_dict()) \
             == canonical_json(by_hand.to_dict())
@@ -287,57 +343,20 @@ class TestScan:
         with pytest.raises(ValueError, match="amplitude must be positive"):
             shoot_many([1.0, -1.0], dc_a)
 
-    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
-        assert [shooting.effective_jobs(j) for j in (1, 2, 8)] == [1, 2, 2]
-        monkeypatch.setattr(shooting.os, "cpu_count", lambda: None)
-        assert shooting.effective_jobs(8) == 1
-
-    @pytest.mark.parametrize("jobs,want", [
-        (np.int64(2), 2), (True, "jobs must be an integer, got True"),
-        (np.True_, "jobs must be an integer, got np.True_"),
-    ], ids=["numpy-int", "bool", "numpy-bool"])
-    def test_worker_count_is_an_integer_not_a_bool(self, jobs, want,
-                                                  monkeypatch):
-        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 4)
-        if isinstance(want, int):
-            got = shooting.effective_jobs(jobs)
-            assert got == want and type(got) is int
-            return
-        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-            shooting.effective_jobs(jobs)
-
-    @pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0])
-    def test_worker_count_below_1_rejected(self, short_shots, jobs,
-                                           monkeypatch):
-        message = f"jobs must be >= 1, got {jobs}" if isinstance(jobs, int) \
-            else f"jobs must be an integer, got {jobs!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            shooting.effective_jobs(jobs)
-        monkeypatch.setattr(shooting, "shoot", no_shot)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            scan_thresholds(short_shots, jobs=jobs)
-
-    def test_environment_does_not_set_jobs(self, dc_a, monkeypatch):
-        # the worker count is the jobs argument alone
+    def test_environment_does_not_set_jobs(self, short_shots, monkeypatch):
+        # a scan reads no environment variable, a worker count included
+        plain = canonical_json(scan_thresholds(short_shots).to_dict())
         monkeypatch.setenv("EMDEN_JOBS", "abc")
-        shots = shoot_many(np.logspace(0.3, 1.0, 16), dc_a, t_target=2.0)
-        assert scan_thresholds(shots).kinds \
-            == scan_thresholds(shots, jobs=1).kinds
-
-    def test_one_worker_maps_in_process(self, monkeypatch):
-        # a lambda cannot be pickled, so this only passes without a pool
-        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 1)
-        assert shooting.map_jobs(lambda x: 2 * x, [(3,), (1,), (2,)], 8) \
-            == [6, 2, 4]
-        # no more workers than calls: one call starts no pool either
-        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
-        assert shooting.map_jobs(lambda x, y: x - y, [(3, 1)], 8) == [2]
-        assert shooting.map_jobs(lambda x: 2 * x, [], 8) == []
+        assert canonical_json(scan_thresholds(short_shots).to_dict()) == plain
 
     def test_scan_serializes(self, short_shots):
-        d = scan_thresholds(short_shots).to_dict()
-        assert len(d["kinds"]) == 16
+        # the grid and kinds are read from the shots, so they cannot
+        # disagree with them
+        scan = scan_thresholds(short_shots)
+        d = scan.to_dict()
+        assert sorted(d) == ["a_grid", "boundaries", "kinds", "shots"]
+        assert d["a_grid"] == SHORT_GRID.tolist() == [s.a for s in scan.shots]
+        assert d["kinds"] == [s.kind.value for s in short_shots]
         assert len(d["shots"]) == 16
 
 

@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from emdenlab import (
@@ -21,6 +23,10 @@ from emdenlab import (
     write_trajectory_csv,
 )
 from emdenlab.params import ProblemParams
+from emdenlab.sweep import effective_jobs, map_jobs
+
+# the module: the package's `sweep` is the function
+sweep_module = importlib.import_module("emdenlab.sweep")
 
 BASE_INI = """\
 [params]
@@ -356,8 +362,39 @@ class TestSweep:
         message = f"jobs must be >= 1, got {jobs}" if isinstance(jobs, int) \
             else f"jobs must be an integer, got {jobs!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
+            effective_jobs(jobs)
+        with pytest.raises(ValueError, match=re.escape(message)):
             sweep(self._cfg(tmp_path), jobs=jobs)
         assert not (tmp_path / "runs").exists()
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+        assert [effective_jobs(j) for j in (1, 2, 8)] == [1, 2, 2]
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: None)
+        assert effective_jobs(8) == 1
+
+    @pytest.mark.parametrize("jobs,want", [
+        (np.int64(2), 2), (True, "jobs must be an integer, got True"),
+        (np.True_, "jobs must be an integer, got np.True_"),
+    ], ids=["numpy-int", "bool", "numpy-bool"])
+    def test_worker_count_is_an_integer_not_a_bool(self, jobs, want,
+                                                  monkeypatch):
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
+        if isinstance(want, int):
+            got = effective_jobs(jobs)
+            assert got == want and type(got) is int
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            effective_jobs(jobs)
+
+    def test_one_worker_maps_in_process(self, monkeypatch):
+        # a lambda cannot be pickled, so this only passes without a pool
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 1)
+        assert map_jobs(lambda x: 2 * x, [(3,), (1,), (2,)], 8) == [6, 2, 4]
+        # no more workers than calls: one call starts no pool either
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+        assert map_jobs(lambda x, y: x - y, [(3, 1)], 8) == [2]
+        assert map_jobs(lambda x: 2 * x, [], 8) == []
 
     def test_axes_product_order(self, tmp_path):
         cfg = self._cfg(tmp_path, extra="\n[sweep]\np = 1.88, 1.9\nq = 1.95, 1.97\n")
