@@ -73,6 +73,9 @@ def test_exponents_params_are_the_dataclass_fields(capsys):
 
 
 @pytest.mark.parametrize("argv,dest,functions", [
+    # scan --jobs changes nothing, but is checked as for sweep, with
+    # sweep's default
+    (["scan"], "jobs", [sweep]),
     (["sweep", "--config", "x.ini"], "jobs", [sweep]),
     (["shoot", "--a", "1"], "t_target", [shoot]),
     (["scan"], "t_target", [shoot_many, shoot]),

@@ -23,9 +23,12 @@ from emdenlab import (
     shoot_many,
     shooting,
 )
+from emdenlab import cli
+from emdenlab.cli import build_parser
 from emdenlab.integrate import LANES_MIN
 from emdenlab.shooting import classify_ends, regular_start, \
     seed_and_integrate
+from emdenlab.sweep import effective_jobs
 
 
 class TestShoot:
@@ -342,6 +345,22 @@ class TestScan:
             == [shoot(a, dc_a, t_target=2.0).kind for a in grid]
         with pytest.raises(ValueError, match="amplitude must be positive"):
             shoot_many([1.0, -1.0], dc_a)
+
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0])
+    def test_worker_count_below_1_rejected(self, jobs, monkeypatch):
+        # scan --jobs changes nothing but is still checked, by the one
+        # effective_jobs check, before the first shot
+        message = f"jobs must be >= 1, got {jobs}" if isinstance(jobs, int) \
+            else f"jobs must be an integer, got {jobs!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            effective_jobs(jobs)
+        args = build_parser().parse_args(["scan", "--n", "5", "--p", "1.9",
+                                          "--q", "1.95", "--l2", "-0.5"])
+        args.jobs = jobs
+        monkeypatch.setattr(cli, "shoot_many", no_shot)
+        monkeypatch.setattr(shooting, "shoot_many", no_shot)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            args.func(args)
 
     def test_environment_does_not_set_jobs(self, short_shots, monkeypatch):
         # a scan reads no environment variable, a worker count included
