@@ -90,7 +90,11 @@ def fit_power_tail(traj: Trajectory, exponent_hypothesis: float,
     residual is the RMS of ln u + s t around it.  u must be positive on
     the window.
     """
-    sub = traj.window(window, 2)
+    return _power_tail(traj.window(window, 2), exponent_hypothesis)
+
+
+def _power_tail(sub: Trajectory, exponent_hypothesis: float) -> tuple:
+    """fit_power_tail on sub, a window already cut."""
     u = sub.u
     if np.any(u <= 0.0):
         raise ValueError("power-law fit needs u > 0 on the window")
@@ -158,7 +162,10 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
     span on the end's side, end_window) in the end's frame, with every
     statistic and any UNDETERMINED's reason in diagnostics.  A
     SLOW_DECAY_SINGULAR rate is fitted there (fit_exponential_rate) and
-    is None when that fit finds no clean decay.
+    is None when that fit finds no clean decay.  The window is cut
+    from the trajectory once (Trajectory.window, which samples only the
+    window of a run not yet read) and framed once, and the power fit
+    reads u from that cut.
     """
     e = dc.end(end)
     term = traj.termination
@@ -179,7 +186,8 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
     else:
         if window is None:
             window = end_window(traj, e)
-        sub = reframe(traj.window(window, 10), e.equation.alpha)
+        cut = traj.window(window, 10)
+        sub = reframe(cut, e.equation.alpha)
         t, v, vd = sub.t, sub.v, sub.vdot
         mean = float(np.mean(v))
         relamp = float(np.ptp(v)) / abs(mean) if mean != 0.0 else math.inf
@@ -214,7 +222,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
                 pass
         else:
             try:
-                coef, resid = fit_power_tail(traj, e.regular_exp, window)
+                coef, resid = _power_tail(cut, e.regular_exp)
             except ValueError:
                 coef, resid = None, None
             diag["power_residual"] = resid

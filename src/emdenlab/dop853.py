@@ -40,9 +40,10 @@ Both keep each accepted step as the stage values its interpolant needs
 (Solution.stages) and evaluate the three dense-output stages 13-15 only
 where they are read, as dop853.f does when no dense output is asked
 for: for the step an event is located on (solve_lanes locates those of
-all its lanes at once, when its loop has ended), and for every step of
-a run when its Solution is first called, whichever core took the step.
-A zero span (t0 == t_bound) is a Solution without steps.  Neither
+all its lanes at once, when its loop has ended), and, whichever core
+took the step, for the steps a call of its Solution reads: from the
+first to the last step its times fall in, kept once they are the whole
+run.  A zero span (t0 == t_bound) is a Solution without steps.  Neither
 samples: integrate reads every run through Solution.__call__.
 """
 
@@ -262,9 +263,10 @@ class Solution:
     event time when an event ended it).  stages holds one row per step:
     y_old and f at the stages in KEPT (a STEP row without its t_old), and
     tail the end of the last step (t_new, y_new, f there); a run without
-    steps has an empty tail.  status is how the run ended.  The
-    dense-output rows are built from these by the first __call__, which
-    takes the run's right-hand side on arrays, whichever core made it.
+    steps has an empty tail.  status is how the run ended.  A __call__
+    builds from these the dense-output rows of just the steps its times
+    fall in, given the run's right-hand side on arrays, whichever core
+    made it; the rows are kept only when those steps are the whole run.
     """
 
     def __init__(self, steps, tail, t_end: float, nfev: int, rejected: int,
@@ -278,27 +280,34 @@ class Solution:
         self.stats = SolverStats(nfev, len(self.stages), rejected)
         self._rows = None
 
-    def dense(self, fun) -> np.ndarray:
-        """The (ROW, steps) dense-output rows of the run's steps, one
-        column a step, built by the first call.  fun(t, v, vdot) is the
+    def dense(self, fun, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The (ROW, hi - lo) dense-output rows of the steps lo..hi - 1
+        (by default all), one column a step.  fun(t, v, vdot) is the
         run's right-hand side, the fun either core took, here on arrays
-        of steps."""
-        if self._rows is None:
-            n = len(self.stages)
-            ends = np.empty((5, n))
-            if n:
-                # a step ends where the next starts
-                ends[0, :-1] = self.t[1:-1]
-                ends[1:, :-1] = self.stages[1:, :4].T
-                ends[:, -1] = self.tail
-            self._rows = _dense_rows(fun, self.t[:-1], self.stages.T, ends)
-        return self._rows
+        of steps.  _dense_rows builds each column from its own step
+        alone, so a step's row is the same bits whichever range it is
+        built in; the rows of the whole run are built once and kept."""
+        n = len(self.stages)
+        hi = n if hi is None else hi
+        if self._rows is not None:
+            return self._rows[:, lo:hi]
+        # a step ends where the next starts, the run's last in tail
+        inner = min(hi, n - 1) - lo
+        ends = np.empty((5, hi - lo))
+        ends[0, :inner] = self.t[lo + 1:lo + 1 + inner]
+        ends[1:, :inner] = self.stages[lo + 1:lo + 1 + inner, :4].T
+        if lo < hi == n:
+            ends[:, -1] = self.tail
+        rows = _dense_rows(fun, self.t[lo:hi], self.stages[lo:hi].T, ends)
+        if (lo, hi) == (0, n):
+            self._rows = rows
+        return rows
 
     def __call__(self, ts: np.ndarray, fun):
         """(v, vdot) at the times ts, each from its step's interpolant
-        (a time on a step boundary takes the earlier step in t); fun as
-        for dense."""
-        cols = self.dense(fun)
+        (a time on a step boundary takes the earlier step in t), built
+        for the steps from the first to the last that ts falls in; fun
+        as for dense."""
         n = len(self.stages)
         if self.t[-1] >= self.t[0]:
             seg = np.searchsorted(self.t, ts, side="left") - 1
@@ -306,8 +315,12 @@ class Solution:
         else:
             seg = np.searchsorted(self.t[::-1], ts, side="right") - 1
             seg = n - 1 - np.clip(seg, 0, n - 1)
-        x = (ts - cols[T_OLD, seg]) / cols[H, seg]
-        return tuple(_horner(lambda i, b=base: cols[b + i, seg], x)
+        lo, hi = (int(seg.min()), int(seg.max()) + 1) if seg.size else (0, 0)
+        cols = self.dense(fun, lo, hi)
+        seg = seg - lo
+        # row by row: faster than cols[r, seg], without copying every row
+        x = (ts - cols[T_OLD][seg]) / cols[H][seg]
+        return tuple(_horner(lambda i, b=base: cols[b + i][seg], x)
                      for base in (V_OLD, W_OLD))
 
 

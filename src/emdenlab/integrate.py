@@ -42,8 +42,11 @@ times.  One function, _trajectory, turns every run into a Trajectory:
 the ends and stride of its stride_grid, built when t is first read,
 the Solution that samples it there when the samples are first read,
 the FrameEquation whose right-hand side that read passes to it,
-whichever core made the run (the Solution builds its steps'
-interpolants then), its termination and its work in Trajectory.stats.
+whichever core made the run, its termination and its work in
+Trajectory.stats.  A read builds the interpolants and samples of only
+the steps it touches: a full read all of them, a window of a run not
+yet read (Trajectory.window, which a verdict reads once) only the grid
+points inside it and the steps they fall in, leaving the run unread.
 """
 
 from __future__ import annotations
@@ -141,10 +144,14 @@ class Trajectory:
     from the ends and stride the first time it is read; v and vdot are
     made together from the Solution on that grid, given that equation's
     right-hand side, the first time either is read, and the Solution
-    and equation are then dropped.  A run whose verdict needs only its
-    direction and termination (a shot that loses positivity) builds no
-    grid, is never sampled, and its steps' interpolants are never
-    built.
+    and equation are then dropped.  A read builds the interpolants and
+    samples of only the steps it touches: a window of a run not yet
+    read (window) samples the grid points inside it and leaves the run
+    unread.  A run whose verdict needs only its direction and
+    termination (a shot that loses positivity) builds no grid, is never
+    sampled, and its steps' interpolants are never built; one decided
+    from its end window (a shot that does not cross) samples that
+    window alone.
     """
 
     alpha: float
@@ -234,16 +241,25 @@ class Trajectory:
     def window(self, window: tuple, min_samples: int) -> "Trajectory":
         """The samples with t in window (1e-12 slack), ascending in t.
 
-        Raises ValueError when fewer than min_samples fall inside.
+        A run not yet read samples only its grid points inside the
+        window, the interpolants of only the steps they fall in, and
+        stays unread: the same bits a full read gives there.  Raises
+        ValueError when fewer than min_samples fall inside.
         """
-        t, v, vdot = self.ascending()
+        step = self.direction
+        t = self.t[::step]
         inside = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
         count = int(inside.sum())
         if count < min_samples:
             raise ValueError(f"window {window} holds {count} samples; "
                              f"need >= {min_samples}")
-        return Trajectory(self.alpha, t[inside], v[inside], vdot[inside],
-                          self.termination, self.config, self.stats)
+        t = t[inside]
+        if "_run" in self.__dict__:
+            v, vdot = self._run(t, log_frame_rhs(self._eq))
+        else:
+            v, vdot = self.v[::step][inside], self.vdot[::step][inside]
+        return Trajectory(self.alpha, t, v, vdot, self.termination,
+                          self.config, self.stats)
 
     def ascending(self) -> tuple:
         """(t, v, vdot) in ascending t: the arrays or their reverse."""

@@ -265,9 +265,12 @@ def classify_ends(traj: Trajectory, dc: DerivedConstants) -> tuple:
 
     Each end is read on its END_WINDOW-wide end_window (the default
     outer quarter is too wide on long crossings); spans shorter than 2
-    END_WINDOW use the default.
+    END_WINDOW use the default.  The crossing is read in full first: its
+    CSV and its checks read it whole, so it is sampled once, and each
+    window is cut from its samples.
     """
-    lo, hi = float(traj.t.min()), float(traj.t.max())
+    t = traj.ascending()[0]
+    lo, hi = float(t[0]), float(t[-1])
     width = END_WINDOW if hi - lo >= 2.0 * END_WINDOW else None
     return tuple(classify_end(traj, dc, e.name,
                               window=end_window(traj, e, width))

@@ -384,6 +384,53 @@ class TestSamplesOnFirstRead:
             assert (back.termination, back.stats, back.config) \
                 == (traj.termination, traj.stats, traj.config)
 
+    @pytest.mark.parametrize("core", ["scalar", "lanes"])
+    @pytest.mark.parametrize("run", ["ascending", "descending"])
+    def test_window_of_an_unread_run_is_the_window_of_its_read(
+            self, dc_a, lane_batches, core, run):
+        # a window read of an unread run samples its grid points inside
+        # the window from the rows of just the steps they fall in: the
+        # same bits as the window cut from a fully read copy, and the
+        # run stays unread, keeping rows only once a window spans it
+        # all; ascending is a regular shot to t = 2, descending a
+        # from_infinity crossing, whose origin window its classification
+        # reads
+        if run == "ascending":
+            t_target = 2.0
+            start = regular_start(1.0, dc_a, t_target)[1]
+        else:
+            t_target = -34.0
+            start = forced_expansion(dc_a, "infinity").start(14.0)
+        eq = dc_a.end("infinity").equation
+        if core == "scalar":
+            traj = integrate(start, eq, t_target)
+        else:
+            traj = integrate_many([start] * LANES_MIN, eq, t_target)[0]
+        assert lane_batches == ([] if core == "scalar" else [LANES_MIN])
+        full = pickle.loads(pickle.dumps(traj))
+        ref = full._run
+        full.v
+        sol = traj._run
+        steps = np.sort(sol.t)
+        longest = int(np.argmax(np.diff(steps)))
+        lo, hi = steps[longest], steps[longest + 1]
+        partial = [(steps[0], steps[1]), (steps[-2], steps[-1]),
+                   (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo))]
+        assert traj.direction == (1 if run == "ascending" else -1)
+        for window in partial + [(steps[0], steps[-1])]:
+            got, want = traj.window(window, 1), full.window(window, 1)
+            for name in ("t", "v", "vdot"):
+                assert getattr(got, name).tobytes() \
+                    == getattr(want, name).tobytes()
+            assert holds_a_solution(traj) and traj._run is sol
+            assert "v" not in vars(traj) and "vdot" not in vars(traj)
+            if window in partial:
+                assert sol._rows is None
+        assert sol._rows.tobytes() == ref._rows.tobytes()
+        for name in ("t", "v", "vdot"):
+            assert getattr(traj, name).tobytes() \
+                == getattr(full, name).tobytes()
+
 
 class TestBatchSize:
     # integrate_many picks the core from the batch size alone: fewer

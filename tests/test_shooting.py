@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import warnings
 
@@ -14,6 +15,7 @@ from emdenlab import (
     bisect_boundary,
     bisect_many,
     canonical_json,
+    classify_end,
     classify_regime,
     connecting_orbit,
     derive_constants,
@@ -336,6 +338,33 @@ class TestScan:
             assert shot.trajectory.stats == one.trajectory.stats
             assert shot.trajectory.t_end == pytest.approx(
                 one.trajectory.t_end, abs=1e-12)
+
+    @pytest.mark.parametrize("core", ["scalar", "lanes"])
+    def test_window_reads_give_the_reports_of_full_reads(
+            self, dc_a, lane_batches, core):
+        # a shot that does not cross is classified from its end window,
+        # sampled from its unread run; on the CONFIG_A t = 2 grid, shot
+        # as one lane batch or as scalar runs, every report equals the
+        # report of a fully read copy of its run, and every undetermined
+        # shot reaches the power fit
+        grid = np.logspace(-2.0, 2.0, 64)
+        if core == "lanes":
+            shots = shoot_many(grid, dc_a, t_target=2.0)
+        else:
+            shots = [shot for part in np.split(grid, 4)
+                     for shot in shoot_many(part, dc_a, t_target=2.0)]
+        assert lane_batches == ([64] if core == "lanes" else [])
+        assert {shot.kind for shot in shots} \
+            == {Kind.CROSSES_ZERO, Kind.UNDETERMINED}
+        for shot in shots:
+            assert "v" not in vars(shot.trajectory)
+            full = pickle.loads(pickle.dumps(shot.trajectory))
+            full.v
+            report = classify_end(full, dc_a, "infinity")
+            assert canonical_json(shot.report.to_dict()) \
+                == canonical_json(report.to_dict())
+            if shot.kind == Kind.UNDETERMINED:
+                assert report.diagnostics["power_residual"] is not None
 
     def test_shoot_many_is_shoot_per_amplitude(self, dc_a):
         grid = [0.5, 1.268, 3.0]
