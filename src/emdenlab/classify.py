@@ -142,6 +142,12 @@ def end_window(traj: Trajectory, end: End,
     return (hi - width, hi) if end.side > 0 else (lo, lo + width)
 
 
+def _in_frame(cut: Trajectory, alpha: float) -> Trajectory:
+    """A freshly cut window in the alpha frame: the cut itself when it is
+    already there, which reframe would copy."""
+    return cut if cut.alpha == alpha else reframe(cut, alpha)
+
+
 def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
                  window: tuple | None = None) -> ClassificationReport:
     """Classify the behavior of a trajectory toward one end.
@@ -187,7 +193,7 @@ def classify_end(traj: Trajectory, dc: DerivedConstants, end: str,
         if window is None:
             window = end_window(traj, e)
         cut = traj.window(window, 10)
-        sub = reframe(cut, e.equation.alpha)
+        sub = _in_frame(cut, e.equation.alpha)
         t, v, vd = sub.t, sub.v, sub.vdot
         mean = float(np.mean(v))
         relamp = float(np.ptp(v)) / abs(mean) if mean != 0.0 else math.inf
@@ -276,7 +282,7 @@ def oscillation_envelope(traj: Trajectory, dc: DerivedConstants,
     """
     e = dc.end(end)
     window = (float(np.min(traj.t)), float(np.max(traj.t)))
-    sub = reframe(traj.window(window, 10), e.equation.alpha)
+    sub = _in_frame(traj.window(window, 10), e.equation.alpha)
     t, v = sub.t, sub.v
     # oriented so index -1 is nearest the requested end
     ext_t, ext_v, ext_k = (x[::e.side] for x in quadratic_extrema(t, v))

@@ -65,7 +65,7 @@ from .dop853 import TABLEAU, Solution, SolverStats, TerminationKind, \
     attempt_source, solve_ivp, solve_lanes
 from .params import DerivedConstants, FrameEquation, frame_equation, \
     real_number
-from .serialize import fmt_float
+from .serialize import fmt_float, fmt_rows
 
 RTOL_MIN = 100.0 * sys.float_info.epsilon
 
@@ -572,15 +572,14 @@ CSV_HEADER = "t,r,u,du_dr,v,dv_dt,frame_alpha"
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Flat per-sample schema; every float rendered as fmt_float renders
     it ("%.17g", nan, inf, -inf), so a reload and re-save is
-    byte-identical.  Rows are streamed straight from the arrays, so no
-    Python-list copy of the columns is held; the constant frame_alpha
-    column is formatted once."""
-    row = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," \
-        + fmt_float(traj.alpha) + "\n"
-    cols = (traj.t, traj.r, traj.u, traj.du_dr, traj.v, traj.vdot)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.writelines(row % c for c in zip(*cols))
+    byte-identical.  The rows are rendered in arrays (fmt_rows) and
+    streamed a block at a time; the constant frame_alpha column is
+    formatted once."""
+    table = np.column_stack((traj.t, traj.r, traj.u, traj.du_dr, traj.v,
+                             traj.vdot))
+    with open(path, "wb") as fh:
+        fh.write((CSV_HEADER + "\n").encode())
+        fh.writelines(fmt_rows(table, fmt_float(traj.alpha) + "\n"))
 
 
 def csv_round_trip(traj: Trajectory, directory) -> bool:

@@ -39,6 +39,7 @@ from emdenlab import (
 from emdenlab.integrate import CSV_HEADER as HEADER, LANES_MIN, RTOL_MIN, \
     stride_grid
 from emdenlab.params import FrameEquation, frame_equation
+from emdenlab.serialize import ROWS_PER_BLOCK
 from emdenlab.shooting import classify_ends, regular_start
 
 from conftest import one_lane
@@ -853,13 +854,34 @@ def floats64(allow_non_finite=True):
        alpha=floats64(False), ascending=st.booleans())
 def test_writer_bytes_are_fmt_float_rows(tmp_path_factory, t, v, vdot,
                                          alpha, ascending):
-    # the rule of the original per-value writer, kept as the oracle: each
-    # row is ",".join(fmt_float(x)) of the sample's seven values
     t = sorted(set(t), reverse=not ascending)
     size = len(t)
-    path = tmp_path_factory.getbasetemp() / "property.csv"
+    _assert_fmt_float_rows(tmp_path_factory.getbasetemp() / "property.csv",
+                           alpha, t, v[:size], vdot[:size])
+
+
+@pytest.mark.parametrize("size", [ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1,
+                                  3 * ROWS_PER_BLOCK + 7],
+                         ids=["one-block", "one-row-more", "several-blocks"])
+def test_writer_bytes_across_blocks(tmp_path, size):
+    # the rows are rendered a block at a time; the last block of the
+    # several holds every special value
+    rng = np.random.default_rng(size)
+    t = np.cumsum(rng.uniform(1e-3, 0.05, size)) - 20.0
+    v = rng.standard_normal(size) * 10.0 ** rng.integers(-40, 40, size)
+    vdot = -rng.standard_normal(size) * 10.0 ** rng.integers(-9, 9, size)
+    if size > 2 * ROWS_PER_BLOCK:
+        v[-len(SPECIAL):] = SPECIAL
+        vdot[-len(SPECIAL):] = SPECIAL[::-1]
+    _assert_fmt_float_rows(tmp_path / "blocks.csv", -0.5, t, v, vdot)
+
+
+def _assert_fmt_float_rows(path, alpha, t, v, vdot):
+    # the rule of the original per-value writer, kept as the oracle: each
+    # row is ",".join(fmt_float(x)) of the sample's seven values
+    size = len(t)
     with np.errstate(all="ignore"):
-        traj = Trajectory(alpha, t, v[:size], vdot[:size],
+        traj = Trajectory(alpha, t, v, vdot,
                           Termination(TerminationKind.REACHED_SPAN_END,
                                       t[-1]))
         cols = (traj.t, traj.r, traj.u, traj.du_dr, traj.v, traj.vdot,
